@@ -20,11 +20,11 @@ from .builders import SideData, dual_side_data, gt_slice
 from .exact import frac_str, solve_linear
 from .polytopes import (
     HPolytope,
+    _facet_masks,
     combinatorial_fingerprint,
     h_to_v,
     lattice_points,
     polytope_dim,
-    v_to_h,
 )
 
 
@@ -340,7 +340,7 @@ def verify_duality(s: SideData, t_max: int) -> DualityReport:
         DualityInvariant("dimension", polytope_dim(A), polytope_dim(B)),
         DualityInvariant("vertex_count", len(a_verts.vertices), len(b_verts.vertices)),
         DualityInvariant("facet_count",
-                         len(v_to_h(a_verts).ineqs), len(v_to_h(b_verts).ineqs)),
+                         len(_facet_masks(A, a_verts)), len(_facet_masks(B, b_verts))),
         DualityInvariant("dilate_counts",
                          list(count_dilates(A, t_max).counts[1:]),
                          list(count_dilates(B, t_max).counts[1:])),

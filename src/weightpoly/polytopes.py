@@ -2,8 +2,10 @@
 
 H-representations (inequalities normal . x <= rhs plus equalities), V-representations
 (vertex lists), and the conversions between them via the double description method.
-Everything is computed over Fraction; output orders are canonical (lexicographic)
-so equal polytopes serialize identically.
+Edges, and the facets of full-dimensional H-polytopes, are read off which input
+rows are tight at which vertices, held as int bitmasks.  Everything is exact, over
+Fraction or over integers after clearing denominators; output orders are canonical
+(lexicographic) so equal polytopes serialize identically.
 
 An empty polytope in H-form is represented by the canonical infeasibility
 certificate 0 . x <= -1, the only inequality allowed to carry a zero normal.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -217,10 +220,16 @@ class _NotPointedError(Exception):
 def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {y : row . y >= 0 for every row}.
 
-    Incremental double description: a simplicial start from the first
-    linearly independent rows, then one inequality at a time with the
-    combinatorial adjacency test.  Raises _NotPointedError when the rows do
-    not span (the cone contains a line).
+    Incremental double description (Fukuda & Prodon, "Double description
+    method revisited", 1996): a simplicial start from the first linearly
+    independent rows, then one inequality at a time.  Each ray carries its
+    zero set, the processed rows it is tight on, as an int bitmask over row
+    indices, kept up to date as rows are added: a kept ray gains the new row's
+    bit when it lies on that row, and the ray combined from p and q is tight
+    exactly on (zero set of p & zero set of q) plus the new row.  Two rays are
+    adjacent iff no third ray's zero set contains their common one (the
+    combinatorial test).  Raises _NotPointedError when the rows do not span
+    (the cone contains a line).
     """
     basis_idx: list[int] = []
     basis_rows: list[tuple[int, ...]] = []
@@ -234,45 +243,47 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
         raise _NotPointedError
     inv = mat_inverse(basis_rows)
     rays: list[tuple[int, ...]] = [primitive_vector(col) for col in transpose(inv)]
-    processed: list[int] = list(basis_idx)
+    zsets = [sum(1 << i for i in basis_idx if _idot(rows[i], r) == 0) for r in rays]
 
-    def zero_sets_of(ray_list: list[tuple[int, ...]]) -> list[frozenset[int]]:
-        return [frozenset(i for i in processed if _idot(rows[i], r) == 0)
-                for r in ray_list]
-
-    zsets = zero_sets_of(rays)
-
-    def adjacent(pi: int, qi: int) -> bool:
-        common = zsets[pi] & zsets[qi]
-        if len(common) < dim - 2:
+    def adjacent(common: int) -> bool:
+        if common.bit_count() < dim - 2:
             return False
-        for si in range(len(rays)):
-            if si in (pi, qi):
-                continue
-            if common <= zsets[si]:
-                return False
+        # The two rays themselves contain common; any third one rules it out.
+        holders = 0
+        for z in zsets:
+            if z & common == common:
+                holders += 1
+                if holders > 2:
+                    return False
         return True
 
     in_basis = set(basis_idx)
     for idx, row in enumerate(rows):
         if idx in in_basis:
             continue
+        bit = 1 << idx
         vals = [_idot(row, r) for r in rays]
         if any(v < 0 for v in vals):
-            kept = [i for i in range(len(rays)) if vals[i] >= 0]
             fresh: list[tuple[int, ...]] = []
-            for pi in range(len(rays)):
-                if vals[pi] <= 0:
+            fresh_z: list[int] = []
+            for pi, vp in enumerate(vals):
+                if vp <= 0:
                     continue
-                for qi in range(len(rays)):
-                    if vals[qi] >= 0 or not adjacent(pi, qi):
+                for qi, vq in enumerate(vals):
+                    if vq >= 0:
+                        continue
+                    common = zsets[pi] & zsets[qi]
+                    if not adjacent(common):
                         continue
                     p, q = rays[pi], rays[qi]
-                    combo = tuple(vals[pi] * qc - vals[qi] * pc for pc, qc in zip(p, q))
+                    combo = tuple(vp * qc - vq * pc for pc, qc in zip(p, q))
                     fresh.append(primitive_vector(combo))
+                    fresh_z.append(common | bit)
+            kept = [i for i, v in enumerate(vals) if v >= 0]
             rays = [rays[i] for i in kept] + fresh
-        processed.append(idx)
-        zsets = zero_sets_of(rays)
+            zsets = [zsets[i] | bit if vals[i] == 0 else zsets[i] for i in kept] + fresh_z
+        else:
+            zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
     return rays
 
 
@@ -413,6 +424,75 @@ def v_to_h(V: VPolytope) -> HPolytope:
     return HPolytope(d, tuple(sorted(ineqs)), eqs)
 
 
+def _incidence(P: HPolytope, verts: Sequence[Vec]) -> tuple[list[int], list[int]]:
+    """Which rows of P.ineqs are tight at which of verts, as int bitmasks.
+
+    Returns (rows tight at each vertex, vertices tight on each row): bit i of
+    an entry of the first list stands for P.ineqs[i], bit k of an entry of the
+    second for verts[k].  Exact in integers: rows are scaled to coprime
+    integers and each vertex to integers over its common denominator.
+    """
+    int_rows = [_int_constraint(a, b) for a, b in P.ineqs]
+    vert_masks = []
+    row_masks = [0] * len(int_rows)
+    for k, v in enumerate(verts):
+        den = lcm(*(c.denominator for c in v))
+        num = [c.numerator * (den // c.denominator) for c in v]
+        mask = 0
+        for i, (a, b) in enumerate(int_rows):
+            if _idot(a, num) == b * den:
+                mask |= 1 << i
+                row_masks[i] |= 1 << k
+        vert_masks.append(mask)
+    return vert_masks, row_masks
+
+
+@functools.lru_cache(maxsize=512)
+def _input_facets(P: HPolytope) -> tuple[tuple[int, int], ...] | None:
+    """Facets of a full-dimensional P, read off the tight-row incidence.
+
+    Every facet of a full-dimensional H-polytope is one of its input rows, and
+    a row is a facet iff its set of tight vertices is inclusion-maximal among
+    the rows'.  Returns (index into P.ineqs, tight-vertex bitmask over
+    h_to_v(P).vertices) per facet, taking the first row of each facet in input
+    order: rows that are positive multiples of one another share a facet.
+
+    Returns None unless P is nonempty, has dim >= 1 and no equalities, and no
+    row is tight at every vertex.  Such a row would be an implicit equality;
+    without one the affine hull is the whole space (Schrijver, Theory of Linear
+    and Integer Programming, section 8.2).
+    """
+    if P.eqs or P.dim == 0:
+        return None
+    verts = h_to_v(P).vertices
+    if not verts:
+        return None
+    _, row_masks = _incidence(P, verts)
+    if (1 << len(verts)) - 1 in row_masks:
+        return None
+    distinct = set(row_masks)
+    maximal = {m for m in distinct
+               if not any(o != m and o & m == m for o in distinct)}
+    facets = []
+    for i, mask in enumerate(row_masks):
+        if mask in maximal:
+            maximal.discard(mask)
+            facets.append((i, mask))
+    return tuple(facets)
+
+
+def _facet_masks(P: HPolytope, V: VPolytope) -> list[int]:
+    """Tight-vertex bitmask over V.vertices of each facet, with V = h_to_v(P).
+
+    Facets come from _input_facets when P is full-dimensional, otherwise from
+    v_to_h(V).  Empty P gives the one mask of the infeasibility certificate.
+    """
+    facets = _input_facets(P)
+    if facets is None:
+        return _incidence(v_to_h(V), V.vertices)[1]
+    return [mask for _, mask in facets]
+
+
 def remove_redundant(P: HPolytope) -> HPolytope:
     """Minimal subsystem defining the same set.
 
@@ -420,10 +500,19 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     already-irredundant system passes through unchanged; equalities come out
     in canonical affine-hull form.  Idempotent.  An empty polytope yields the
     canonical infeasibility certificate.
+
+    A full-dimensional system keeps the input rows _input_facets reads off
+    the tight-row incidence, in input order, with no second double
+    description pass.  Any other system is matched against the facets of
+    v_to_h(h_to_v(P)), whose canonical rows are appended for facets no input
+    row matches.
     """
     V = h_to_v(P)
     if not V.vertices:
         return empty_hrep(P.dim)
+    facets = _input_facets(P)
+    if facets is not None:
+        return HPolytope(P.dim, tuple(P.ineqs[i] for i, _ in facets), ())
     canon = v_to_h(V)
     facet_keys = {(_joint_primitive(a, b)) for a, b in canon.ineqs}
     retained: list[tuple[Vec, Fraction]] = []
@@ -589,23 +678,31 @@ def _lattice_points_with_equalities(P: HPolytope, dilate: int) -> list[tuple[int
 def _vertex_graph(P: HPolytope):
     """Vertices of P plus the edge adjacency between them.
 
-    Two vertices are adjacent iff the constraints tight at both span a space
-    of rank dim - 1 (their minimal common face is a segment); valid whether or
-    not the system is irredundant or full-dimensional.
+    Read off the tight-row incidence (_incidence): the smallest face holding
+    vertices u and v is cut out by the rows tight at both, and u, v span an
+    edge iff no third vertex is tight on all of those rows.  This agrees with
+    the rank test (those rows with the equalities have rank dim - 1) whether
+    or not the system is irredundant or full-dimensional, or carries implicit
+    equalities, and needs no elimination.  A pair with fewer than
+    dim - 1 - len(eqs) common tight rows cannot reach that rank and is skipped.
     """
     verts = h_to_v(P).vertices
-    d = P.dim
-    eq_normals = [e for e, _ in P.eqs]
-    active = []
-    for v in verts:
-        active.append(frozenset(
-            i for i, (a, b) in enumerate(P.ineqs) if dot(a, v) == b))
+    vert_masks, row_masks = _incidence(P, verts)
+    need = P.dim - 1 - len(P.eqs)
+    everyone = (1 << len(verts)) - 1
     neighbors: dict[int, list[int]] = {i: [] for i in range(len(verts))}
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
-            common = active[i] & active[j]
-            normals = eq_normals + [P.ineqs[kdx][0] for kdx in sorted(common)]
-            if rank(normals) == d - 1:
+            common = vert_masks[i] & vert_masks[j]
+            if common.bit_count() < need:
+                continue
+            pair = (1 << i) | (1 << j)
+            face = everyone
+            while common and face != pair:
+                low = common & -common
+                face &= row_masks[low.bit_length() - 1]
+                common ^= low
+            if face == pair:
                 neighbors[i].append(j)
                 neighbors[j].append(i)
     return verts, neighbors
@@ -795,16 +892,17 @@ def combinatorial_fingerprint(P: HPolytope) -> str:
     """Canonical form of the vertex-facet incidence (atom-coatom) structure.
 
     Equal fingerprints iff the face lattices are isomorphic: for polytopes the
-    vertex-facet incidences determine the whole face lattice.
+    vertex-facet incidences determine the whole face lattice.  The facets of
+    a full-dimensional system are its input rows (_input_facets), with their
+    tight vertices already known; any other system takes its facets from
+    v_to_h(h_to_v(P)) (_facet_masks).
     """
     V = h_to_v(P)
     if not V.vertices:
         return "dim=-1;empty"
-    H = v_to_h(V)
-    facets = H.ineqs
-    vert_sets = []
-    for v in V.vertices:
-        vert_sets.append(frozenset(
-            i for i, (a, b) in enumerate(facets) if dot(a, v) == b))
-    enc = canonical_incidence(len(facets), None, vert_sets)
-    return f"dim={polytope_dim(P)};facets={len(facets)};vertices={len(V.vertices)};{enc}"
+    dim = P.dim if _input_facets(P) is not None else polytope_dim(P)
+    facet_masks = _facet_masks(P, V)
+    vert_sets = [frozenset(j for j, mask in enumerate(facet_masks) if mask >> k & 1)
+                 for k in range(len(V.vertices))]
+    enc = canonical_incidence(len(facet_masks), None, vert_sets)
+    return f"dim={dim};facets={len(facet_masks)};vertices={len(V.vertices)};{enc}"

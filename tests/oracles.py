@@ -52,6 +52,35 @@ def brute_force_vertices(H):
     return tuple(sorted(found))
 
 
+def _rank(rows):
+    """Rank of a list of rational rows by Gaussian elimination."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(r, len(M)) if M[i][col] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        for i in range(len(M)):
+            if i != r and M[i][col] != 0:
+                f = M[i][col] / M[r][col]
+                M[i] = [v - f * w for v, w in zip(M[i], M[r])]
+        r += 1
+    return r
+
+
+def brute_force_edges(H):
+    """Vertex pairs (u, v), u < v, spanning an edge: the rows tight at both,
+    together with the equalities, have rank dim - 1."""
+    verts = brute_force_vertices(H)
+    eq_normals = [a for a, _ in H.eqs]
+    tight = [{i for i, (a, b) in enumerate(H.ineqs)
+              if sum(ai * xi for ai, xi in zip(a, v)) == b} for v in verts]
+    return tuple(
+        (u, v) for (i, u), (j, v) in combinations(enumerate(verts), 2)
+        if _rank(eq_normals + [H.ineqs[k][0] for k in tight[i] & tight[j]]) == H.dim - 1)
+
+
 def brute_force_lattice_points(H, dilate=1):
     """Integer points of dilate*H by scanning the vertex bounding box."""
     scaled_ineqs = tuple((a, dilate * b) for a, b in H.ineqs)

@@ -1,18 +1,24 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weightpoly.exact import vec
+from weightpoly.builders import SideData, polygon_hrep
+from weightpoly.exact import dot, vec
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
-                                  VPolytope, affine_image,
+                                  VPolytope, _input_facets, _joint_primitive,
+                                  _vertex_graph, affine_image,
+                                  canonical_incidence,
                                   combinatorial_fingerprint, contains,
                                   edges_at_vertex, empty_hrep, h_to_v,
                                   lattice_points, polytope_dim,
                                   remove_redundant, restrict_to_affine_hull,
                                   v_to_h)
-from oracles import brute_force_lattice_points, brute_force_vertices
+from oracles import (brute_force_edges, brute_force_lattice_points,
+                     brute_force_vertices)
 
 
 def box(dim, lo, hi):
@@ -185,3 +191,125 @@ def test_zero_normal_rejected_unless_certificate():
     with pytest.raises(ValueError):
         HPolytope(dim=2, ineqs=((vec([0, 0]), Fraction(1)),), eqs=())
     empty_hrep(2)  # zero normal with negative rhs allowed
+
+
+def _box_rows(draw, d, wide):
+    rows = []
+    for i in range(d):
+        lo = draw(st.integers(-3, 1))
+        hi = lo + draw(st.integers(1 if wide else 0, 4))
+        e = [0] * d
+        e[i] = 1
+        rows += [(tuple(e), hi), (tuple(-c for c in e), -lo)]
+    return rows
+
+
+@st.composite
+def small_bounded_polytopes(draw):
+    """A box plus random cuts, with optional redundant rows, a positively
+    scaled duplicate row, an implicit-equality pair and an explicit equality."""
+    d = draw(st.integers(1, 3))
+    rows = _box_rows(draw, d, wide=False)
+    normal = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any).map(tuple)
+    for a in draw(st.lists(normal, max_size=3)):
+        rows.append((a, draw(st.integers(-4, 8))))
+    if draw(st.booleans()):
+        rows.append((draw(normal), 40))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows))
+        k = draw(st.integers(2, 3))
+        rows.append((tuple(k * c for c in a), k * b))
+    point = [-b for _, b in rows[1:2 * d:2]]  # the box's lower corner
+    if draw(st.booleans()):
+        a = draw(normal)
+        c = sum(x * y for x, y in zip(a, point))
+        rows += [(a, c), (tuple(-x for x in a), -c)]
+    eqs = ()
+    if draw(st.booleans()):
+        a = draw(normal)
+        eqs = ((a, sum(x * y for x, y in zip(a, point))),)
+    order = draw(st.permutations(range(len(rows))))
+    return HPolytope(dim=d, ineqs=tuple(rows[i] for i in order), eqs=eqs)
+
+
+@st.composite
+def full_dimensional_polytopes(draw):
+    """A box plus cuts that all keep the box centre strictly inside, with an
+    optional positively scaled duplicate row."""
+    d = draw(st.integers(1, 3))
+    rows = _box_rows(draw, d, wide=True)
+    centre = [Fraction(hi - minus_lo, 2)
+              for (_, hi), (_, minus_lo) in zip(rows[0::2], rows[1::2])]
+    normal = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any).map(tuple)
+    for a in draw(st.lists(normal, max_size=4)):
+        at_centre = sum(x * y for x, y in zip(a, centre))
+        rows.append((a, math.floor(at_centre) + 1 + draw(st.integers(0, 3))))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows))
+        rows.append((tuple(2 * c for c in a), 2 * b))
+    order = draw(st.permutations(range(len(rows))))
+    return HPolytope(dim=d, ineqs=tuple(rows[i] for i in order), eqs=())
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_bounded_polytopes())
+def test_vertex_graph_matches_rank_oracle(P):
+    verts, neighbors = _vertex_graph(P)
+    edges = tuple((verts[i], verts[j]) for i in range(len(verts))
+                  for j in neighbors[i] if i < j)
+    assert sorted(edges) == sorted(brute_force_edges(P))
+
+
+@settings(max_examples=80, deadline=None)
+@given(full_dimensional_polytopes())
+def test_facets_from_incidence_match_the_v_to_h_route(P):
+    assert _input_facets(P) is not None
+    V = h_to_v(P)
+    canon = v_to_h(V)
+    keys = {_joint_primitive(a, b) for a, b in canon.ineqs}
+    retained, covered = [], set()
+    for a, b in P.ineqs:
+        key = _joint_primitive(a, b)
+        if key in keys and key not in covered:
+            covered.add(key)
+            retained.append((a, b))
+    assert covered == keys
+    assert remove_redundant(P) == HPolytope(P.dim, tuple(retained), canon.eqs)
+
+    facets = canon.ineqs
+    vert_sets = [frozenset(i for i, (a, b) in enumerate(facets) if dot(a, v) == b)
+                 for v in V.vertices]
+    enc = canonical_incidence(len(facets), None, vert_sets)
+    assert combinatorial_fingerprint(P) == (
+        f"dim={polytope_dim(P)};facets={len(facets)};vertices={len(V.vertices)};{enc}")
+
+
+def _rows(pairs):
+    return tuple((vec(a), Fraction(b)) for a, b in pairs)
+
+
+def test_remove_redundant_of_lower_dimensional_systems_is_unchanged():
+    with_eq = HPolytope(3, _rows([((1, 0, 0), 2), ((-1, 0, 0), 0), ((0, 1, 0), 2),
+                                  ((0, -1, 0), 0), ((0, 0, 1), 2), ((0, 0, -1), 0),
+                                  ((1, 1, 0), 5)]),
+                        _rows([((1, 1, 1), 3)]))
+    assert _input_facets(with_eq) is None
+    assert remove_redundant(with_eq) == HPolytope(3, _rows([
+        ((-2, 1, 1), 3), ((-1, -1, 2), 3), ((-1, 2, -1), 3),
+        ((1, -2, 1), 3), ((1, 1, -2), 3), ((2, -1, -1), 3)]), _rows([((1, 1, 1), 3)]))
+    implicit = HPolytope(2, _rows([((1, 0), 1), ((0, 2), 4), ((-1, 0), -1),
+                                   ((0, 1), 2), ((0, -1), 0), ((1, 1), 9)]), ())
+    assert _input_facets(implicit) is None
+    assert remove_redundant(implicit) == HPolytope(
+        2, _rows([((0, 2), 4), ((0, -1), 0)]), _rows([((1, 0), 1)]))
+
+
+def test_full_dimensional_polygon_needs_no_second_dd_pass():
+    P = polygon_hrep(SideData.from_weights(1, (2, 3, 4, 5, 6, 7)))
+    for cached in (h_to_v, v_to_h, _vertex_graph, _input_facets):
+        cached.cache_clear()
+    misses = v_to_h.cache_info().misses
+    remove_redundant(P)
+    combinatorial_fingerprint(P)
+    assert v_to_h.cache_info().misses == misses
+    assert polytope_dim(P) == P.dim
