@@ -5,7 +5,8 @@ the ambient projective dimension m, with the critical level P = (sum r_i)/(m+1)
 (for m=1, half the polygon perimeter).  Three constructions live here:
 
 * polygon_hrep: for m=1, the diagonal-length polytope cut out by the triangle
-  inequalities of the fan triangulation of an n-gon with side lengths r.
+  inequalities of the fan triangulation of an n-gon with side lengths r, read
+  from the tagged table triangle_inequalities that also names the facets.
 * gt_hrep: the interlacing-pattern polytope of a weakly decreasing top row.
 * fm_polytope / gt_slice: the pattern polytope for the top row
   (P,...,P,0,...,0) sliced by fixed row sums s_j = r_1+...+r_j, reduced to a
@@ -146,13 +147,14 @@ def dual_side_data(s: SideData) -> SideData:
     return SideData.from_weights(s.n - s.m - 2, tuple(s.P - w for w in s.r))
 
 
-def polygon_hrep(s: SideData) -> HPolytope:
-    """Triangle-inequality system on the diagonals of a weighted n-gon (m=1).
+def triangle_inequalities(s: SideData) -> list[list[tuple[str, Vec, Fraction]]]:
+    """The triangle inequalities on the diagonals of a weighted n-gon (m=1).
 
     Coordinates x_1..x_{n-3} are the diagonal lengths d_3..d_{n-1} of the fan
-    triangulation; each of the n-2 triangles (r_1, r_2, d_3), (d_j, r_j,
-    d_{j+1}) for 3 <= j <= n-2, (d_{n-1}, r_{n-1}, r_n) contributes its three
-    inequalities, 3(n-2) in all before redundancy removal.
+    triangulation.  One entry per triangle j = 2..n-1, namely (r_1, r_2, d_3),
+    (d_j, r_j, d_{j+1}) for 3 <= j <= n-2 and (d_{n-1}, r_{n-1}, r_n), holding
+    its three rows (tag, normal, rhs): each side at most the sum of the other
+    two.  The tags N1(j)/N2(j)/N3(j) are the facet catalogue names.
     """
     if s.m != 1:
         raise ValueError("diagonal coordinates exist only for m=1")
@@ -160,35 +162,36 @@ def polygon_hrep(s: SideData) -> HPolytope:
         raise ValueError("need at least 4 sides")
     n, r = s.n, s.r
     d = n - 3
-    zero = [Fraction(0)] * d
 
-    def unit(i: int, c: int) -> tuple[Fraction, ...]:
-        row = list(zero)
-        row[i] = Fraction(c)
-        return tuple(row)
+    def row(tag: str, entries: dict[int, int], rhs: Fraction) -> tuple[str, Vec, Fraction]:
+        normal = [Fraction(0)] * d
+        for i, c in entries.items():
+            normal[i] = Fraction(c)
+        return tag, tuple(normal), rhs
 
-    def pair(i: int, ci: int, j: int, cj: int) -> tuple[Fraction, ...]:
-        row = list(zero)
-        row[i] = Fraction(ci)
-        row[j] = Fraction(cj)
-        return tuple(row)
-
-    ineqs: list[tuple[Vec, Fraction]] = []
-    # (r_1, r_2, x_1): each side at most the sum of the other two.
-    ineqs.append((unit(0, 1), r[0] + r[1]))
-    ineqs.append((unit(0, -1), r[1] - r[0]))
-    ineqs.append((unit(0, -1), r[0] - r[1]))
-    # (x_{j-2}, r_j, x_{j-1}) for the middle triangles.
+    table = [[row("N1(2)", {0: 1}, r[0] + r[1]),
+              row("N3(2)", {0: -1}, r[1] - r[0]),
+              row("N2(2)", {0: -1}, r[0] - r[1])]]
     for j in range(3, n - 1):
         a, b = j - 3, j - 2
-        ineqs.append((pair(a, 1, b, -1), r[j - 1]))
-        ineqs.append((pair(a, -1, b, 1), r[j - 1]))
-        ineqs.append((pair(a, -1, b, -1), -r[j - 1]))
-    # (x_{n-3}, r_{n-1}, r_n).
-    ineqs.append((unit(d - 1, 1), r[n - 2] + r[n - 1]))
-    ineqs.append((unit(d - 1, -1), r[n - 1] - r[n - 2]))
-    ineqs.append((unit(d - 1, -1), r[n - 2] - r[n - 1]))
-    return HPolytope(d, tuple(ineqs), ())
+        table.append([row(f"N3({j})", {a: 1, b: -1}, r[j - 1]),
+                      row(f"N1({j})", {a: -1, b: 1}, r[j - 1]),
+                      row(f"N2({j})", {a: -1, b: -1}, -r[j - 1])])
+    table.append([row(f"N3({n - 1})", {d - 1: 1}, r[n - 2] + r[n - 1]),
+                  row(f"N2({n - 1})", {d - 1: -1}, r[n - 1] - r[n - 2]),
+                  row(f"N1({n - 1})", {d - 1: -1}, r[n - 2] - r[n - 1])])
+    return table
+
+
+def polygon_hrep(s: SideData) -> HPolytope:
+    """Triangle-inequality system on the diagonals of a weighted n-gon (m=1).
+
+    The rows of triangle_inequalities, triangle by triangle, 3(n-2) in all
+    before redundancy removal.
+    """
+    d = s.n - 3
+    return HPolytope(d, tuple((a, b) for tri in triangle_inequalities(s)
+                              for _, a, b in tri), ())
 
 
 def _entry_index(t: int, i: int) -> int:

@@ -11,6 +11,7 @@ errors (bad flags, malformed files, infeasible requests).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -218,6 +219,7 @@ def _cmd_paper_examples(args: argparse.Namespace) -> int:
     return 0 if report.all_pass else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="weightpoly",

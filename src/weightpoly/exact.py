@@ -65,28 +65,73 @@ def transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*rows)) if rows else ()
 
 
+def _gauss_jordan(rows: Sequence[Sequence], ncols: int
+                  ) -> tuple[list[list[Fraction]], list[int], list[int]]:
+    """Exact Gauss-Jordan elimination, one input row at a time.
+
+    Pivots only in the first ncols columns; any further columns ride along as
+    an augmented block.  Each row is reduced by the pivot rows so far; a
+    nonzero remainder becomes a new pivot row, and its pivot is cleared from
+    the earlier ones.  Returns (reduced pivot rows, their pivot columns, the
+    indices of the input rows independent of the rows before them), in the
+    order found; sorted by pivot column they are the unique reduced row
+    echelon form.  Stops once it has ncols pivots, since no later row can add
+    one.
+    """
+    reduced: list[list[Fraction]] = []
+    pivots: list[int] = []
+    independent: list[int] = []
+    for idx, raw in enumerate(rows):
+        if len(pivots) == ncols:
+            break
+        row = [frac(v) for v in raw]
+        for red, c in zip(reduced, pivots):
+            f = row[c]
+            if f:
+                row = [a - f * b for a, b in zip(row, red)]
+        c = next((j for j in range(ncols) if row[j]), None)
+        if c is None:
+            continue
+        pv = row[c]
+        row = [a / pv for a in row]
+        for i, red in enumerate(reduced):
+            f = red[c]
+            if f:
+                reduced[i] = [a - f * b for a, b in zip(red, row)]
+        reduced.append(row)
+        pivots.append(c)
+        independent.append(idx)
+    return reduced, pivots, independent
+
+
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank over the rationals, by exact Gaussian elimination."""
-    work = [[frac(v) for v in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][c]
-        work[r] = [a / pv for a in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
+
+
+def independent_rows(rows: Sequence[Sequence]) -> list[int]:
+    """Indices of the rows not in the span of the rows before them, in order.
+
+    The same rows as growing a basis greedily, one rank test per row.
+    """
+    return _gauss_jordan(rows, len(rows[0]) if rows else 0)[2]
+
+
+def solve_free_at_zero(rows: Sequence[Sequence], rhs: Sequence,
+                       ncols: int) -> tuple[Vec | None, int]:
+    """(x, rank A) for A x = b with every free variable at 0, or (None, rank A).
+
+    None means the system is inconsistent: eliminating on [A | b] finds a
+    pivot in the b column.
+    """
+    reduced, pivots, _ = _gauss_jordan(
+        [list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None, len(pivots) - 1
+    x = [Fraction(0)] * ncols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[ncols]
+    return tuple(x), len(pivots)
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[str, Vec | None]:
@@ -98,37 +143,14 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[str, Vec | No
     if len(rhs) != m:
         raise ValueError("right-hand side length does not match row count")
     ncols = len(rows[0]) if m else 0
-    aug = []
-    for row, b in zip(rows, rhs):
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        aug.append([frac(v) for v in row] + [frac(b)])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [a / pv for a in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][ncols] != 0:
-            return ("no solution", None)
-    if len(pivots) < ncols:
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix")
+    x, r = solve_free_at_zero(rows, rhs, ncols)
+    if x is None:
+        return ("no solution", None)
+    if r < ncols:
         return ("underdetermined", None)
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    return ("unique", tuple(x))
+    return ("unique", x)
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec]:
@@ -137,54 +159,29 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec]:
         if not rows:
             raise ValueError("nullspace of an empty matrix needs an explicit width")
         ncols = len(rows[0])
-    work = [[frac(v) for v in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][c]
-        work[r] = [a / pv for a in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    reduced, pivots, _ = _gauss_jordan(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -work[i][fc]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 
 
 def mat_inverse(rows: Sequence[Sequence]) -> Mat:
     n = len(rows)
-    aug = []
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        aug.append([frac(v) for v in row] + [Fraction(int(i == j)) for j in range(n)])
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [a / pv for a in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    reduced, pivots, _ = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    by_pivot = dict(zip(pivots, reduced))
+    return tuple(tuple(by_pivot[c][n:]) for c in range(n))
 
 
 def det_bareiss(rows: Sequence[Sequence]) -> Fraction:
@@ -382,11 +379,6 @@ def lattice_index(rays: Sequence[Sequence], dim: int | None = None) -> int:
     if len(set(pivots)) < dim:
         raise ValueError("rays are not full rank")
     return abs(prod)
-
-
-def floor_div(a: int, b: int) -> int:
-    """floor(a/b) for positive b."""
-    return a // b
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -24,16 +24,16 @@ from .exact import (
     Vec,
     ceil_div,
     dot,
-    floor_div,
     frac,
     frac_str,
+    independent_rows,
     integer_kernel_basis,
     mat_inverse,
     nullspace,
     primitive_vector,
     rank,
+    solve_free_at_zero,
     solve_integer,
-    solve_linear,
     transpose,
     vec,
     vec_sub,
@@ -231,17 +231,10 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
     combinatorial test).  Raises _NotPointedError when the rows do not span
     (the cone contains a line).
     """
-    basis_idx: list[int] = []
-    basis_rows: list[tuple[int, ...]] = []
-    for idx, row in enumerate(rows):
-        if len(basis_rows) == dim:
-            break
-        if rank(basis_rows + [row]) > len(basis_rows):
-            basis_idx.append(idx)
-            basis_rows.append(row)
-    if len(basis_rows) < dim:
+    basis_idx = independent_rows(rows)
+    if len(basis_idx) < dim:
         raise _NotPointedError
-    inv = mat_inverse(basis_rows)
+    inv = mat_inverse([rows[i] for i in basis_idx])
     rays: list[tuple[int, ...]] = [primitive_vector(col) for col in transpose(inv)]
     zsets = [sum(1 << i for i in basis_idx if _idot(rows[i], r) == 0) for r in rays]
 
@@ -304,10 +297,7 @@ def _has_positive_t_direction(rows: list[tuple[int, ...]]) -> bool:
     pushed down to the quotient (where the cone is pointed) and the t
     functional, one of the rows, is evaluated on the quotient's extreme rays.
     """
-    basis: list[tuple[int, ...]] = []
-    for row in rows:
-        if rank(basis + [row]) > len(basis):
-            basis.append(row)
+    basis = [rows[i] for i in independent_rows(rows)]
     r = len(basis)
     gram = [[Fraction(_idot(a, b)) for b in basis] for a in basis]
     ginv = mat_inverse(gram)
@@ -390,11 +380,8 @@ def v_to_h(V: VPolytope) -> HPolytope:
         return empty_hrep(d)
     eqs = _affine_hull_equalities(verts, d)
     v0 = verts[0]
-    basis: list[Vec] = []
-    for v in verts[1:]:
-        cand = vec_sub(v, v0)
-        if rank(basis + [cand]) > len(basis):
-            basis.append(cand)
+    deltas = [vec_sub(v, v0) for v in verts[1:]]
+    basis = [deltas[i] for i in independent_rows(deltas)]
     k = len(basis)
     if k == 0:
         return HPolytope(d, (), eqs)
@@ -590,7 +577,7 @@ def _scan_integer_points(rows: list[tuple[tuple[int, ...], int]],
             s = rhs - sum(coeffs[k] * x[k] for k in prefix)
             c = coeffs[j]
             if c > 0:
-                hi_j = min(hi_j, floor_div(s, c))
+                hi_j = min(hi_j, s // c)
             else:
                 lo_j = max(lo_j, ceil_div(-s, -c))
             if lo_j > hi_j:
@@ -604,6 +591,9 @@ def _scan_integer_points(rows: list[tuple[tuple[int, ...], int]],
             descend(j + 1)
 
     descend(0)
+    # descend holds itself through its closure; break that cycle so that out
+    # is freed with the caller's last reference, not at the next cyclic GC.
+    del descend
     return out
 
 
@@ -622,56 +612,21 @@ def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
     if P.dim == 0:
         return [()]
     if P.eqs:
-        return _lattice_points_with_equalities(P, dilate)
+        chart, embed = restrict_to_affine_hull(HPolytope(
+            P.dim, tuple((a, dilate * b) for a, b in P.ineqs),
+            tuple((e, dilate * f) for e, f in P.eqs)))
+        if any(c.denominator != 1 for c in embed.offset):
+            return []  # the offset is integral whenever an integer solution exists
+        matrix = [[int(c) for c in row] for row in embed.matrix]
+        offset = [int(c) for c in embed.offset]
+        return sorted(tuple(o + _idot(row, y) for row, o in zip(matrix, offset))
+                      for y in lattice_points(chart))
     rows = [_int_constraint(a, dilate * b) for a, b in P.ineqs]
     lo = [min(v[j] * dilate for v in V.vertices) for j in range(P.dim)]
     hi = [max(v[j] * dilate for v in V.vertices) for j in range(P.dim)]
     lo_i = [ceil_div(f.numerator, f.denominator) for f in lo]
-    hi_i = [floor_div(f.numerator, f.denominator) for f in hi]
+    hi_i = [f.numerator // f.denominator for f in hi]
     return _scan_integer_points(rows, lo_i, hi_i)
-
-
-def _lattice_points_with_equalities(P: HPolytope, dilate: int) -> list[tuple[int, ...]]:
-    d = P.dim
-    eq_rows = []
-    eq_rhs = []
-    for e, f in P.eqs:
-        coeffs, rhs = _int_constraint(e, f)
-        eq_rows.append(coeffs)
-        eq_rhs.append(rhs * dilate)
-    x0 = solve_integer(eq_rows, eq_rhs)
-    if x0 is None:
-        return []
-    kernel = integer_kernel_basis(eq_rows, d)
-    k = len(kernel)
-    chart_ineqs = []
-    for a, b in P.ineqs:
-        coeffs = tuple(dot(a, tuple(Fraction(c) for c in basis_vec)) for basis_vec in kernel)
-        rhs = dilate * b - dot(a, tuple(Fraction(c) for c in x0))
-        if all(c == 0 for c in coeffs):
-            if rhs < 0:
-                return []
-            continue
-        chart_ineqs.append((coeffs, rhs))
-    if k == 0:
-        return [x0]
-    chart = HPolytope(k, tuple(chart_ineqs), ())
-    chart_verts = h_to_v(chart).vertices
-    if not chart_verts:
-        return []
-    rows = [_int_constraint(a, b) for a, b in chart.ineqs]
-    lo = []
-    hi = []
-    for j in range(k):
-        mn = min(v[j] for v in chart_verts)
-        mx = max(v[j] for v in chart_verts)
-        lo.append(ceil_div(mn.numerator, mn.denominator))
-        hi.append(floor_div(mx.numerator, mx.denominator))
-    points = []
-    for y in _scan_integer_points(rows, lo, hi):
-        xpt = tuple(x0[i] + sum(y[j] * kernel[j][i] for j in range(k)) for i in range(d))
-        points.append(xpt)
-    return sorted(points)
 
 
 @functools.lru_cache(maxsize=512)
@@ -775,13 +730,9 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
     if x0_int is not None:
         x0 = tuple(Fraction(c) for c in x0_int)
     else:
-        status, sol = solve_linear(eq_rows, eq_rhs)
-        if status == "no solution":
+        x0, _ = solve_free_at_zero(eq_rows, eq_rhs, d)
+        if x0 is None:
             raise ValueError("equality system is infeasible")
-        if status == "unique":
-            x0 = sol
-        else:
-            x0 = _particular_solution(eq_rows, eq_rhs)
     kernel = integer_kernel_basis(eq_rows, d)
     k = len(kernel)
     chart_ineqs = []
@@ -796,37 +747,6 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
         chart_ineqs.append(_joint_primitive(coeffs, rhs))
     matrix = tuple(tuple(Fraction(kv[i]) for kv in kernel) for i in range(d))
     return HPolytope(k, tuple(chart_ineqs), ()), AffineMap(k, d, matrix, x0)
-
-
-def _particular_solution(rows: Sequence[Sequence], rhs: Sequence) -> Vec:
-    """Any rational solution of a consistent system (free variables at 0)."""
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [[frac(v) for v in row] + [frac(b)] for row, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [a / pv for a in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                fct = aug[i][c]
-                aug[i] = [a - fct * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][ncols] != 0:
-            raise ValueError("equality system is infeasible")
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    return tuple(x)
 
 
 def canonical_incidence(n_left: int, left_labels: Sequence | None,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builders import SideData
+from .builders import SideData, triangle_inequalities
 from .exact import Vec, frac_str, lattice_index, primitive_vector, vec
 from .polytopes import (
     HPolytope,
@@ -150,30 +150,9 @@ def singularity_report(F: Fan) -> SingularityReport:
 
 
 def _catalogue(s: SideData) -> list[tuple[str, tuple[Vec, Fraction]]]:
-    n, r = s.n, s.r
-    d = n - 3
-
-    def row(entries: dict[int, int], rhs) -> tuple[Vec, Fraction]:
-        normal = [Fraction(0)] * d
-        for j, c in entries.items():
-            normal[j] = Fraction(c)
-        return _joint_primitive(tuple(normal), Fraction(rhs))
-
-    cat = [
-        ("N1(2)", row({0: 1}, r[0] + r[1])),
-        ("N2(2)", row({0: -1}, r[0] - r[1])),
-        ("N3(2)", row({0: -1}, r[1] - r[0])),
-    ]
-    for i in range(3, n - 1):
-        cat.append((f"N1({i})", row({i - 2: 1, i - 3: -1}, r[i - 1])))
-        cat.append((f"N2({i})", row({i - 3: -1, i - 2: -1}, -r[i - 1])))
-        cat.append((f"N3({i})", row({i - 3: 1, i - 2: -1}, r[i - 1])))
-    cat.extend([
-        (f"N1({n - 1})", row({d - 1: -1}, r[n - 2] - r[n - 1])),
-        (f"N2({n - 1})", row({d - 1: -1}, r[n - 1] - r[n - 2])),
-        (f"N3({n - 1})", row({d - 1: 1}, r[n - 2] + r[n - 1])),
-    ])
-    return cat
+    """(tag, coprime integer row) per triangle inequality, N1, N2, N3 per triangle."""
+    return [(tag, _joint_primitive(a, b))
+            for tri in triangle_inequalities(s) for tag, a, b in sorted(tri)]
 
 
 def facet_labels(s: SideData, P: HPolytope) -> list[FacetLabel]:

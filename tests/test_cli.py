@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from weightpoly.builders import SideData, polygon_hrep
-from weightpoly.cli import main
+from weightpoly.cli import build_parser, main
 from weightpoly.polytopes import combinatorial_fingerprint, h_to_v, remove_redundant
 
 PENTAGON = ["--m", "1", "--r", "3,3,3,3,3"]
@@ -128,3 +130,15 @@ def test_output_is_byte_stable(capsys):
     _, second, _ = run(capsys, ["singular", "--format", "json"] + HEXAGON)
     assert first == second
     json.loads(first)
+
+
+def test_usage_error_leaves_the_next_call_unchanged(capsys):
+    assert build_parser() is build_parser()
+    _, before, _ = run(capsys, ["vertices"] + PENTAGON)
+    with pytest.raises(SystemExit) as exc:
+        main(["vertices", "--no-such-flag"] + PENTAGON)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, after, _ = run(capsys, ["vertices"] + PENTAGON)
+    assert code == 0
+    assert after == before

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weightpoly.exact import (ceil_div, det_bareiss, floor_div, frac, frac_str,
-                              hnf_rows, integer_kernel_basis, lattice_index,
-                              mat_inverse, nullspace, primitive_vector, rank,
-                              solve_integer, solve_linear, vec)
+from weightpoly.exact import (ceil_div, det_bareiss, frac, frac_str,
+                              hnf_rows, independent_rows, integer_kernel_basis,
+                              lattice_index, mat_inverse, nullspace,
+                              primitive_vector, rank, solve_integer,
+                              solve_linear, vec)
+from oracles import _rank
 
 
 def test_frac_parses_strings_and_numbers():
@@ -104,8 +107,81 @@ def test_lattice_index_anchors():
 
 
 def test_floor_ceil_div_on_fractions():
-    assert floor_div(Fraction(7, 2), 1) == 3
     assert ceil_div(Fraction(7, 2), 1) == 4
-    assert floor_div(Fraction(-7, 2), 1) == -4
     assert ceil_div(Fraction(-7, 2), 1) == -3
-    assert floor_div(6, 3) == 2 == ceil_div(6, 3)
+    assert ceil_div(6, 3) == 2
+
+
+ENTRIES = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational rows, some of them combinations of the others."""
+    ncols = draw(st.integers(1, 4))
+    row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    weights = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    combos = [[sum((c * b[j] for c, b in zip(ws, base)), Fraction(0)) for j in range(ncols)]
+              for ws in draw(st.lists(weights, max_size=3))]
+    rows = base + combos
+    return [tuple(rows[i]) for i in draw(st.permutations(range(len(rows))))]
+
+
+def _apply(rows, x):
+    return [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_rank_nullspace_and_independent_rows_match_naive_elimination(rows):
+    ncols = len(rows[0])
+    r = _rank(rows)
+    assert rank(rows) == r
+    basis = nullspace(rows, ncols)
+    assert len(basis) == ncols - r
+    assert not basis or _rank(basis) == len(basis)
+    for v in basis:
+        assert _apply(rows, v) == [0] * len(rows)
+    naive = []
+    for i in range(len(rows)):
+        if _rank([rows[j] for j in naive] + [rows[i]]) > len(naive):
+            naive.append(i)
+    assert independent_rows(rows) == naive
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_linear_status_follows_the_ranks(rows, data):
+    rhs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    r = _rank(rows)
+    status, x = solve_linear(rows, rhs)
+    if _rank([row + (b,) for row, b in zip(rows, rhs)]) > r:
+        assert (status, x) == ("no solution", None)
+    elif r < len(rows[0]):
+        assert (status, x) == ("underdetermined", None)
+    else:
+        assert status == "unique"
+        assert _apply(rows, x) == list(rhs)
+
+
+@st.composite
+def square_matrices(draw):
+    rows = draw(rational_matrices())
+    n = min(len(rows), len(rows[0]))
+    return [row[:n] for row in rows[:n]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_mat_inverse_inverts_or_reports_singular(M):
+    n = len(M)
+    if _rank(M) < n:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            mat_inverse(M)
+        return
+    inv = mat_inverse(M)
+    prod = [[sum((inv[i][k] * M[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+    assert prod == [[int(i == j) for j in range(n)] for i in range(n)]

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -127,6 +128,37 @@ def test_lattice_points_matches_box_oracle_on_randoms():
         got = lattice_points(P, t)
         assert tuple(got) == brute_force_lattice_points(P, t)
         assert sorted(got) == got
+
+
+def test_lattice_points_with_equalities_match_box_oracle():
+    rng = random.Random(23)
+    integer_empty = 0
+    for _ in range(200):
+        d = rng.randint(2, 4)
+        P = box(d, rng.randint(-1, 0), rng.randint(1, 2))
+        eqs = []
+        for _ in range(rng.randint(1, d - 1)):
+            normal = tuple(rng.randint(-2, 2) for _ in range(d))
+            if any(normal):
+                eqs.append((vec(normal), Fraction(rng.randint(-3, 6), rng.choice((1, 2)))))
+        P = HPolytope(dim=d, ineqs=P.ineqs, eqs=tuple(eqs))
+        t = rng.randint(1, 3)
+        got = lattice_points(P, t)
+        assert tuple(got) == brute_force_lattice_points(P, t)
+        if not got and h_to_v(P).vertices:
+            integer_empty += 1
+    assert integer_empty > 0  # parity-infeasible slices are exercised
+
+
+def test_lattice_scan_leaves_no_reference_cycle():
+    lattice_points(SQUARE, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(lattice_points(SQUARE, 3)) == 16
+        assert gc.collect() == 0  # the point list was freed by reference counting
+    finally:
+        gc.enable()
 
 
 def test_edges_at_vertex_square_corner():
