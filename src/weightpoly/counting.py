@@ -185,38 +185,39 @@ def _h_product_coefficient(degrees: tuple[int, ...], weight: tuple[int, ...]) ->
     """
     if sum(degrees) != sum(weight):
         return 0
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    return _fill_columns(weight, 0, tuple(sorted(degrees)), {})
 
-    def column(j: int, remaining: tuple[int, ...]) -> int:
-        if j == len(weight):
-            return 1 if all(d == 0 for d in remaining) else 0
-        key = (j, remaining)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        target = weight[j]
-        rows = len(remaining)
 
-        def place(i: int, left: int, state: list[int]) -> int:
-            if i == rows - 1:
-                if left > state[i]:
-                    return 0
-                state[i] -= left
-                result = column(j + 1, tuple(sorted(state)))
-                state[i] += left
-                return result
-            total = 0
-            for take in range(min(left, state[i]) + 1):
-                state[i] -= take
-                total += place(i + 1, left - take, state)
-                state[i] += take
-            return total
+def _fill_columns(weight: tuple[int, ...], j: int, remaining: tuple[int, ...],
+                  memo: dict[tuple[int, tuple[int, ...]], int]) -> int:
+    """Ways to fill columns j.. of the matrix when the rows still need
+    `remaining` (sorted, since the count does not depend on row order)."""
+    if j == len(weight):
+        return 1 if all(d == 0 for d in remaining) else 0
+    key = (j, remaining)
+    cached = memo.get(key)
+    if cached is None:
+        cached = memo[key] = _place_column(weight, j, 0, weight[j], list(remaining), memo)
+    return cached
 
-        value = place(0, target, list(remaining))
-        memo[key] = value
-        return value
 
-    return column(0, tuple(sorted(degrees)))
+def _place_column(weight: tuple[int, ...], j: int, i: int, left: int, state: list[int],
+                  memo: dict[tuple[int, tuple[int, ...]], int]) -> int:
+    """Ways to put `left` units of column j into rows i.. of `state`, then fill
+    the later columns."""
+    if i == len(state) - 1:
+        if left > state[i]:
+            return 0
+        state[i] -= left
+        result = _fill_columns(weight, j + 1, tuple(sorted(state)), memo)
+        state[i] += left
+        return result
+    total = 0
+    for take in range(min(left, state[i]) + 1):
+        state[i] -= take
+        total += _place_column(weight, j, i + 1, left - take, state, memo)
+        state[i] += take
+    return total
 
 
 def weight_multiplicity(q: MultiplicityQuery) -> int:

@@ -15,6 +15,7 @@ This works uniformly in every ambient dimension, including 0.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -749,63 +750,117 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
     return HPolytope(k, tuple(chart_ineqs), ()), AffineMap(k, d, matrix, x0)
 
 
-def canonical_incidence(n_left: int, left_labels: Sequence | None,
-                        right_sets: Sequence[frozenset[int]]) -> str:
-    """Canonical encoding of a bipartite incidence structure.
+class _CanonicalSearch:
+    """State of one canonical_incidence call: the incidence, and the leaves and
+    automorphisms found so far."""
 
-    Left items may be permuted (respecting their labels); right items carry no
-    identity beyond their left-neighbor sets.  Two structures get equal
-    encodings iff they are isomorphic, via color refinement with
-    individualization backtracking (exact at this problem scale).
-    """
-    labels = list(left_labels) if left_labels is not None else [0] * n_left
-    rights = [frozenset(s) for s in right_sets]
+    def __init__(self, names: list[str], rights: list[frozenset[int]]):
+        self.names = names  # repr of each left item's label
+        self.rights = rights
+        self.holders: list[list[int]] = [[] for _ in names]
+        for r, s in enumerate(rights):
+            for i in s:
+                self.holders[i].append(r)
+        self.right_counts = Counter(rights)
+        self.leaves: dict[int, tuple[int, ...]] = {}  # encoding hash -> first order
+        self.automorphisms: list[tuple[int, ...]] = []
 
-    def refine(colors: list[int]) -> list[int]:
+    def refine(self, colors: list[int]) -> list[int]:
+        """Color refinement: an item's key is its color and the sorted colors of
+        the right sets holding it; colors are the keys' ranks, until stable."""
         while True:
-            keys = []
-            for i in range(n_left):
-                incident = sorted(
-                    tuple(sorted(colors[j] for j in s)) for s in rights if i in s)
-                keys.append((colors[i], tuple(incident)))
+            right_keys = [tuple(sorted(colors[j] for j in s)) for s in self.rights]
+            keys = [(c, tuple(sorted(right_keys[r] for r in held)))
+                    for c, held in zip(colors, self.holders)]
             ranking = {key: pos for pos, key in enumerate(sorted(set(keys)))}
             new_colors = [ranking[k] for k in keys]
             if new_colors == colors:
                 return colors
             colors = new_colors
 
-    def encode(colors: list[int]) -> str:
-        order = sorted(range(n_left), key=lambda i: colors[i])
-        pos = {item: p for p, item in enumerate(order)}
-        left_part = ",".join(repr(labels[i]) for i in order)
+    def leaf(self, colors: list[int]) -> str:
+        """Encode a discrete coloring (colors are then the positions 0..n-1), and
+        record an automorphism when an earlier leaf encoded the same way."""
+        order = tuple(sorted(range(len(colors)), key=colors.__getitem__))
+        left_part = ",".join(self.names[i] for i in order)
         right_part = "|".join(sorted(
-            ",".join(str(pos[j]) for j in sorted(s, key=lambda j: pos[j]))
-            for s in rights))
-        return f"L[{left_part}];R[{right_part}]"
+            ",".join(map(str, sorted(colors[j] for j in s))) for s in self.rights))
+        enc = f"L[{left_part}];R[{right_part}]"
+        first = self.leaves.setdefault(hash(enc), order)
+        if first != order:
+            g = [0] * len(order)
+            for i, j in zip(first, order):
+                g[i] = j
+            if (all(self.names[i] == self.names[j] for i, j in enumerate(g))
+                    and Counter(frozenset(g[j] for j in s) for s in self.rights)
+                    == self.right_counts):
+                self.automorphisms.append(tuple(g))
+        return enc
 
-    def search(colors: list[int]) -> str:
-        colors = refine(colors)
-        classes: dict[int, list[int]] = {}
+    def search(self, colors: list[int], fixed: tuple[int, ...]) -> str:
+        """The least leaf encoding below this node; `fixed` holds the items
+        individualized on the way down."""
+        colors = self.refine(colors)
+        cells: dict[int, list[int]] = {}
         for i, c in enumerate(colors):
-            classes.setdefault(c, []).append(i)
-        tied = [members for _, members in sorted(classes.items()) if len(members) > 1]
+            cells.setdefault(c, []).append(i)
+        tied = [members for _, members in sorted(cells.items()) if len(members) > 1]
         if not tied:
-            return encode(colors)
-        members = tied[0]
+            return self.leaf(colors)
+        cell = tied[0]
+        orbit = {i: i for i in cell}  # a representative of each member's orbit
+        seen = 0
+        explored: list[int] = []
         best = None
         fresh = max(colors) + 1
-        for i in members:
+        for i in cell:
+            # An automorphism fixing `fixed` pointwise maps this node to itself
+            # and the subtree of child i onto the subtree of child g[i].
+            for g in self.automorphisms[seen:]:
+                if all(g[p] == p for p in fixed):
+                    for a in cell:
+                        ra, rb = orbit[a], orbit[g[a]]
+                        if ra != rb:
+                            for b in cell:
+                                if orbit[b] == rb:
+                                    orbit[b] = ra
+            seen = len(self.automorphisms)
+            if any(orbit[e] == orbit[i] for e in explored):
+                continue
+            explored.append(i)
             branched = list(colors)
             branched[i] = fresh
-            cand = search(branched)
+            cand = self.search(branched, fixed + (i,))
             if best is None or cand < best:
                 best = cand
         return best
 
+
+def canonical_incidence(n_left: int, left_labels: Sequence | None,
+                        right_sets: Sequence[frozenset[int]]) -> str:
+    """Canonical encoding of a bipartite incidence structure.
+
+    Left items may be permuted (respecting their labels); right items carry no
+    identity beyond their left-neighbor sets.  Two structures get equal
+    encodings iff they are isomorphic.  The encoding is the least leaf of an
+    individualization-refinement search: refine colors, individualize each
+    member of the first tied color class in turn, recurse, and encode each
+    discrete coloring as the structure relabelled by its order.
+
+    Two leaves that encode alike differ by an automorphism.  Children of a node
+    that lie in one orbit of the automorphisms found so far that fix the
+    node's individualized items have subtrees with the same leaf encodings,
+    so only one of them is searched (orbit pruning, after McKay & Piperno,
+    "Practical graph isomorphism, II", 2014).  The result is the least leaf
+    of the full search all the same.
+    """
+    labels = list(left_labels) if left_labels is not None else [0] * n_left
+    rights = [frozenset(s) for s in right_sets]
     if n_left == 0:
         return "L[];R[" + "|".join(sorted(",".join(map(str, sorted(s))) for s in rights)) + "]"
-    init = {lab: r for r, lab in enumerate(sorted(set(map(repr, labels))))}
-    return search([init[repr(lab)] for lab in labels])
+    names = [repr(lab) for lab in labels]
+    init = {name: r for r, name in enumerate(sorted(set(names)))}
+    return _CanonicalSearch(names, rights).search([init[name] for name in names], ())
 
 
 def combinatorial_fingerprint(P: HPolytope) -> str:

@@ -8,6 +8,7 @@ is the evidence the fast paths are right.
 from fractions import Fraction
 from itertools import combinations, product
 import math
+from typing import Sequence
 
 
 def _solve_square(A, b):
@@ -177,3 +178,64 @@ def random_box_with_cuts(rng, make_hpolytope):
             continue
         ineqs.append((a, rng.randint(-6, 10)))
     return make_hpolytope(dim=d, ineqs=tuple(ineqs), eqs=())
+
+
+# The full individualization-refinement search, with no automorphism pruning:
+# every member of every target cell is tried.
+def brute_force_canonical_incidence(n_left: int, left_labels: Sequence | None,
+                                    right_sets: Sequence[frozenset[int]]) -> str:
+    """Canonical encoding of a bipartite incidence structure.
+
+    Left items may be permuted (respecting their labels); right items carry no
+    identity beyond their left-neighbor sets.  Two structures get equal
+    encodings iff they are isomorphic, via color refinement with
+    individualization backtracking (exact at this problem scale).
+    """
+    labels = list(left_labels) if left_labels is not None else [0] * n_left
+    rights = [frozenset(s) for s in right_sets]
+
+    def refine(colors: list[int]) -> list[int]:
+        while True:
+            keys = []
+            for i in range(n_left):
+                incident = sorted(
+                    tuple(sorted(colors[j] for j in s)) for s in rights if i in s)
+                keys.append((colors[i], tuple(incident)))
+            ranking = {key: pos for pos, key in enumerate(sorted(set(keys)))}
+            new_colors = [ranking[k] for k in keys]
+            if new_colors == colors:
+                return colors
+            colors = new_colors
+
+    def encode(colors: list[int]) -> str:
+        order = sorted(range(n_left), key=lambda i: colors[i])
+        pos = {item: p for p, item in enumerate(order)}
+        left_part = ",".join(repr(labels[i]) for i in order)
+        right_part = "|".join(sorted(
+            ",".join(str(pos[j]) for j in sorted(s, key=lambda j: pos[j]))
+            for s in rights))
+        return f"L[{left_part}];R[{right_part}]"
+
+    def search(colors: list[int]) -> str:
+        colors = refine(colors)
+        classes: dict[int, list[int]] = {}
+        for i, c in enumerate(colors):
+            classes.setdefault(c, []).append(i)
+        tied = [members for _, members in sorted(classes.items()) if len(members) > 1]
+        if not tied:
+            return encode(colors)
+        members = tied[0]
+        best = None
+        fresh = max(colors) + 1
+        for i in members:
+            branched = list(colors)
+            branched[i] = fresh
+            cand = search(branched)
+            if best is None or cand < best:
+                best = cand
+        return best
+
+    if n_left == 0:
+        return "L[];R[" + "|".join(sorted(",".join(map(str, sorted(s))) for s in rights)) + "]"
+    init = {lab: r for r, lab in enumerate(sorted(set(map(repr, labels))))}
+    return search([init[repr(lab)] for lab in labels])

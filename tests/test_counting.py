@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -84,6 +85,18 @@ def test_multiplicity_matches_pattern_oracle():
         s = SideData.from_weights(m, r)
         q = MultiplicityQuery.from_side(s, 1)
         assert weight_multiplicity(q) == pattern_multiplicity(m, n, s.P, r)
+
+
+def test_multiplicity_leaves_no_reference_cycle():
+    q = MultiplicityQuery(2, 6, 4, (2,) * 6)  # mult --m 2 --r 2,2,2,2,2,2
+    weight_multiplicity(q)
+    gc.collect()
+    gc.disable()
+    try:
+        assert weight_multiplicity(q) == 16
+        assert gc.collect() == 0  # no memo or recursion state was left in a cycle
+    finally:
+        gc.enable()
 
 
 def test_multiplicity_gates_on_integrality():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import random
@@ -18,8 +19,8 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   lattice_points, polytope_dim,
                                   remove_redundant, restrict_to_affine_hull,
                                   v_to_h)
-from oracles import (brute_force_edges, brute_force_lattice_points,
-                     brute_force_vertices)
+from oracles import (brute_force_canonical_incidence, brute_force_edges,
+                     brute_force_lattice_points, brute_force_vertices)
 
 
 def box(dim, lo, hi):
@@ -208,6 +209,94 @@ def test_fingerprint_invariant_under_coordinate_swap():
     tri = VPolytope.from_points(2, [vec([0, 0]), vec([1, 0]), vec([0, 1])])
     assert combinatorial_fingerprint(v_to_h(tri)) != combinatorial_fingerprint(SQUARE)
     assert combinatorial_fingerprint(empty_hrep(2)) == "dim=-1;empty"
+
+
+def test_six_cube_fingerprint_is_pinned():
+    fp = combinatorial_fingerprint(box(6, 0, 1))
+    assert len(fp) == 889 and fp.startswith("dim=6;facets=12;vertices=64;")
+    assert hashlib.sha256(fp.encode()).hexdigest() == (
+        "1f8d52c5f236c5072c4667a4d0d34670b42001b750315fe6ec59667e6a73ffe8")
+
+
+@st.composite
+def labelled_incidences(draw):
+    """0-8 left items, unlabelled or with repeated labels, and 0-12 right sets,
+    empty ones and duplicates included."""
+    n = draw(st.integers(0, 8))
+    labels = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    rights = []
+    if n and draw(st.booleans()):
+        # The pairs {i, sigma(i)} of a permutation: each item lies in two of
+        # them, so refinement cannot tell cycles of different lengths apart
+        # and the target cell is not an orbit.
+        sigma = draw(st.permutations(range(n)))
+        rights = [frozenset((i, sigma[i])) for i in range(n)]
+    item_sets = st.frozensets(st.integers(0, n - 1)) if n else st.just(frozenset())
+    rights += draw(st.lists(item_sets, max_size=8 - len(rights)))
+    if rights:
+        rights += draw(st.lists(st.sampled_from(rights), max_size=min(4, 12 - len(rights))))
+    return n, labels, rights
+
+
+def _has_nontrivial_automorphism(n, labels, rights):
+    """Some item can be mapped to another iff marking either one gives
+    isomorphic structures."""
+    labels = labels if labels is not None else [0] * n
+    marked = {brute_force_canonical_incidence(
+        n, [(lab, i == k) for i, lab in enumerate(labels)], rights) for k in range(n)}
+    return len(marked) < n
+
+
+def test_pruned_search_matches_the_full_search():
+    automorphic = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(labelled_incidences(), st.data())
+    def check(case, data):
+        n, labels, rights = case
+        enc = canonical_incidence(n, labels, rights)
+        assert enc == brute_force_canonical_incidence(n, labels, rights)
+        perm = data.draw(st.permutations(range(n)))
+        moved_labels = None
+        if labels is not None:
+            moved_labels = [None] * n
+            for i, lab in enumerate(labels):
+                moved_labels[perm[i]] = lab
+        moved_rights = [frozenset(perm[j] for j in s) for s in reversed(rights)]
+        assert canonical_incidence(n, moved_labels, moved_rights) == enc
+        # The check is costly, so counting stops at 20 cases.
+        if len(automorphic) < 20 and _has_nontrivial_automorphism(n, labels, rights):
+            automorphic.append(case)
+
+    check()
+    assert len(automorphic) == 20  # the orbit pruning is exercised
+
+
+@pytest.mark.parametrize("lengths", [(2, 3), (2, 4), (2, 5), (3, 4), (2, 2, 3), (2, 6), (3, 5)])
+def test_pruned_search_on_cycles_that_refinement_cannot_separate(lengths):
+    """Each item of a union of cycles lies in two pairs, so refinement leaves
+    one cell that is not an orbit, and the least leaf may lie under any cycle."""
+    n = sum(lengths)
+    for names in (list(range(n)), list(range(n))[::-1]):
+        pairs, start = [], 0
+        for k in lengths:
+            cycle = names[start:start + k]
+            pairs += [frozenset((cycle[i], cycle[(i + 1) % k])) for i in range(k)]
+            start += k
+        assert canonical_incidence(n, None, pairs) == (
+            brute_force_canonical_incidence(n, None, pairs))
+
+
+def test_canonical_incidence_leaves_no_reference_cycle():
+    faces = [frozenset(s) for s in ((0, 1), (1, 2), (2, 3), (3, 0))]
+    canonical_incidence(4, None, faces)
+    gc.collect()
+    gc.disable()
+    try:
+        assert canonical_incidence(4, None, faces) == canonical_incidence(4, [0] * 4, faces)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_json_round_trips():
