@@ -16,8 +16,8 @@ from .counting import (DilateCounts, DualityInvariant, DualityReport,
                        weight_multiplicity)
 from .polytopes import (AffineMap, HPolytope, UnboundedPolytopeError, VPolytope,
                         affine_image, combinatorial_fingerprint, contains,
-                        edges_at_vertex, empty_hrep, h_to_v, lattice_points,
-                        polytope_dim, remove_redundant,
+                        count_lattice_points, edges_at_vertex, empty_hrep,
+                        h_to_v, lattice_points, polytope_dim, remove_redundant,
                         restrict_to_affine_hull, v_to_h)
 from .reference import ReferenceClaim, ReferenceReport, reference_battery
 from .toric import (Cone, FacetLabel, Fan, SingularityReport,
@@ -31,11 +31,11 @@ __all__ = [
     "ReferenceReport", "SideData", "SingularityReport",
     "UnboundedPolytopeError", "VPolytope", "VertexSingularity", "admissible",
     "affine_image", "combinatorial_fingerprint", "contains", "count_dilates",
-    "dual_side_data", "edges_at_vertex", "ehrhart_fit", "empty_hrep",
-    "entry_to_diag_map", "facet_labels", "fan_fingerprint", "fan_to_json_dict",
-    "fm_polytope", "gt_hrep", "gt_slice", "h_to_v", "lattice_points",
-    "normal_fan", "polygon_hrep", "polytope_dim", "real_fiber_size",
-    "reference_battery", "remove_redundant", "restrict_to_affine_hull",
-    "singularity_report", "v_to_h", "verify_duality", "verify_ehrhart_identity",
-    "weight_multiplicity",
+    "count_lattice_points", "dual_side_data", "edges_at_vertex", "ehrhart_fit",
+    "empty_hrep", "entry_to_diag_map", "facet_labels", "fan_fingerprint",
+    "fan_to_json_dict", "fm_polytope", "gt_hrep", "gt_slice", "h_to_v",
+    "lattice_points", "normal_fan", "polygon_hrep", "polytope_dim",
+    "real_fiber_size", "reference_battery", "remove_redundant",
+    "restrict_to_affine_hull", "singularity_report", "v_to_h", "verify_duality",
+    "verify_ehrhart_identity", "weight_multiplicity",
 ]

@@ -22,8 +22,8 @@ from .polytopes import (
     HPolytope,
     _facet_masks,
     combinatorial_fingerprint,
+    count_lattice_points,
     h_to_v,
-    lattice_points,
     polytope_dim,
 )
 
@@ -57,7 +57,7 @@ def count_dilates(P: HPolytope, t_max: int) -> DilateCounts:
     nonempty = bool(h_to_v(P).vertices)
     counts = [1 if nonempty else 0]
     for t in range(1, t_max + 1):
-        counts.append(len(lattice_points(P, t)))
+        counts.append(count_lattice_points(P, t))
     return DilateCounts(P, tuple(counts))
 
 
@@ -279,7 +279,7 @@ def verify_ehrhart_identity(s: SideData, t_max: int) -> IdentityReport:
             continue
         if any((t * w).denominator != 1 for w in s.r):
             continue
-        count = len(lattice_points(entry, t))
+        count = count_lattice_points(entry, t)
         mult = weight_multiplicity(MultiplicityQuery.from_side(s, t))
         checks.append(IdentityCheck(t, count, mult, count == mult))
     return IdentityReport(s, tuple(checks))

@@ -548,86 +548,156 @@ def _int_constraint(normal: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[in
     return prim[:-1], prim[-1]
 
 
-def _scan_integer_points(rows: list[tuple[tuple[int, ...], int]],
-                         lo: list[int], hi: list[int]) -> list[tuple[int, ...]]:
-    """Integer points in the box [lo, hi] satisfying coeffs . x <= rhs rows.
+def _scan_input(P: HPolytope, dilate: int):
+    """Setup of the integer scan of dilate*P, shared by listing and counting.
 
-    Depth-first over coordinates in order, narrowing the active coordinate's
-    range with every row whose trailing nonzero coordinate is the active one.
-    Output is in lexicographic order.
+    None when dilate*P visibly has no integer point, else (rows_at, lo, hi,
+    embed).  rows_at[j] holds (c, rhs, terms) for each row
+    c*x_j + sum(a*x_k for k, a in terms) <= rhs whose trailing nonzero
+    coordinate is j, and [lo, hi] is the integer vertex bounding box.
+    Explicit equalities are eliminated first through the integer chart of
+    restrict_to_affine_hull, a bijection on lattice points once its offset is
+    integral, so a lower-dimensional system scans a box of the right
+    dimension; embed is then the integer (matrix, offset) back into ambient
+    space, else None.
     """
-    d = len(lo)
-    if any(l > h for l, h in zip(lo, hi)):
-        return []
-    rows_at: list[list[tuple[tuple[int, ...], int, tuple[int, ...]]]] = [[] for _ in range(d)]
-    for coeffs, rhs in rows:
-        support = tuple(j for j in range(d) if coeffs[j])
+    if not isinstance(dilate, int) or dilate < 1:
+        raise ValueError("dilate must be a positive integer")
+    verts = h_to_v(P).vertices
+    if not verts:
+        return None
+    embed = None
+    if P.eqs:
+        P, f = restrict_to_affine_hull(HPolytope(
+            P.dim, tuple((a, dilate * b) for a, b in P.ineqs),
+            tuple((e, dilate * g) for e, g in P.eqs)))
+        if any(c.denominator != 1 for c in f.offset):
+            return None  # the offset is integral whenever an integer solution exists
+        embed = ([[int(c) for c in row] for row in f.matrix], [int(c) for c in f.offset])
+        verts = h_to_v(P).vertices
+        dilate = 1
+    d = P.dim
+    rows_at: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(d)]
+    for a, b in P.ineqs:
+        coeffs, rhs = _int_constraint(a, dilate * b)
+        support = [j for j in range(d) if coeffs[j]]
         if not support:
             if rhs < 0:
-                return []
+                return None
             continue
-        rows_at[support[-1]].append((coeffs, rhs, support[:-1]))
-    if d == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    x = [0] * d
+        j = support[-1]
+        rows_at[j].append((coeffs[j], rhs, tuple((k, coeffs[k]) for k in support[:-1])))
+    lo, hi = [], []
+    for j in range(d):
+        low = min(v[j] for v in verts) * dilate
+        high = max(v[j] for v in verts) * dilate
+        lo.append(ceil_div(low.numerator, low.denominator))
+        hi.append(high.numerator // high.denominator)
+        if lo[-1] > hi[-1]:
+            return None
+    return rows_at, lo, hi, embed
 
-    def descend(j: int) -> None:
-        lo_j, hi_j = lo[j], hi[j]
-        for coeffs, rhs, prefix in rows_at[j]:
-            s = rhs - sum(coeffs[k] * x[k] for k in prefix)
-            c = coeffs[j]
-            if c > 0:
-                hi_j = min(hi_j, s // c)
-            else:
-                lo_j = max(lo_j, ceil_div(-s, -c))
-            if lo_j > hi_j:
-                return
-        if j == d - 1:
-            head = tuple(x[:j])
-            out.extend(head + (xj,) for xj in range(lo_j, hi_j + 1))
-            return
+
+def _narrow(rows: list, x: list[int], lo_j: int, hi_j: int) -> tuple[int, int]:
+    """Range of x_j allowed by the rows at level j, given x[:j]; empty if lo > hi."""
+    for c, rhs, terms in rows:
+        s = rhs
+        for k, a in terms:
+            s -= a * x[k]
+        if c > 0:
+            hi_j = min(hi_j, s // c)
+        else:
+            lo_j = max(lo_j, ceil_div(-s, -c))
+        if lo_j > hi_j:
+            break
+    return lo_j, hi_j
+
+
+def _list_from(j: int, rows_at: list, lo: list[int], hi: list[int],
+               x: list[int], out: list[tuple[int, ...]]) -> None:
+    """Append the integer points with prefix x[:j] to out, in lexicographic order."""
+    lo_j, hi_j = _narrow(rows_at[j], x, lo[j], hi[j])
+    if j == len(lo) - 1:
+        head = tuple(x[:j])
+        out.extend(head + (xj,) for xj in range(lo_j, hi_j + 1))
+        return
+    for xj in range(lo_j, hi_j + 1):
+        x[j] = xj
+        _list_from(j + 1, rows_at, lo, hi, x, out)
+
+
+def _count_from(j: int, rows_at: list, lo: list[int], hi: list[int],
+                live: list[tuple[int, ...] | None], x: list[int], memo: dict) -> int:
+    """Number of integer points with prefix x[:j].
+
+    That number depends only on j and the coordinates live[j], so it is
+    memoised under them; live[j] is None where it would be all of x[:j],
+    since such a key never repeats.
+    """
+    key = None
+    if live[j] is not None:
+        key = (j, *[x[k] for k in live[j]])
+        total = memo.get(key)
+        if total is not None:
+            return total
+    lo_j, hi_j = _narrow(rows_at[j], x, lo[j], hi[j])
+    if j == len(lo) - 1:
+        total = max(0, hi_j - lo_j + 1)
+    else:
+        total = 0
         for xj in range(lo_j, hi_j + 1):
             x[j] = xj
-            descend(j + 1)
-
-    descend(0)
-    # descend holds itself through its closure; break that cycle so that out
-    # is freed with the caller's last reference, not at the next cyclic GC.
-    del descend
-    return out
+            total += _count_from(j + 1, rows_at, lo, hi, live, x, memo)
+    if key is not None:
+        memo[key] = total
+    return total
 
 
 def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
     """All integer x with x/dilate in P, in lexicographic order.
 
-    Explicit equalities are eliminated through an integer chart of their
-    solution lattice first, so lower-dimensional systems scan a box of the
-    right dimension.
+    Depth-first over coordinates in order, narrowing each coordinate's range
+    with the rows whose trailing nonzero coordinate it is (_scan_input).
     """
-    if not isinstance(dilate, int) or dilate < 1:
-        raise ValueError("dilate must be a positive integer")
-    V = h_to_v(P)
-    if not V.vertices:
+    scan = _scan_input(P, dilate)
+    if scan is None:
         return []
-    if P.dim == 0:
-        return [()]
-    if P.eqs:
-        chart, embed = restrict_to_affine_hull(HPolytope(
-            P.dim, tuple((a, dilate * b) for a, b in P.ineqs),
-            tuple((e, dilate * f) for e, f in P.eqs)))
-        if any(c.denominator != 1 for c in embed.offset):
-            return []  # the offset is integral whenever an integer solution exists
-        matrix = [[int(c) for c in row] for row in embed.matrix]
-        offset = [int(c) for c in embed.offset]
-        return sorted(tuple(o + _idot(row, y) for row, o in zip(matrix, offset))
-                      for y in lattice_points(chart))
-    rows = [_int_constraint(a, dilate * b) for a, b in P.ineqs]
-    lo = [min(v[j] * dilate for v in V.vertices) for j in range(P.dim)]
-    hi = [max(v[j] * dilate for v in V.vertices) for j in range(P.dim)]
-    lo_i = [ceil_div(f.numerator, f.denominator) for f in lo]
-    hi_i = [f.numerator // f.denominator for f in hi]
-    return _scan_integer_points(rows, lo_i, hi_i)
+    rows_at, lo, hi, embed = scan
+    points: list[tuple[int, ...]] = []
+    if lo:
+        _list_from(0, rows_at, lo, hi, [0] * len(lo), points)
+    else:
+        points.append(())
+    if embed is None:
+        return points
+    matrix, offset = embed
+    return sorted(tuple(o + _idot(row, y) for row, o in zip(matrix, offset))
+                  for y in points)
+
+
+def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
+    """len(lattice_points(P, dilate)), without listing the points.
+
+    The depth-first scan of lattice_points, memoised: live[j] is the set of
+    coordinates before j that some row at level j or later reads, and the
+    number of completions from level j depends only on x[live[j]].  For interlacing
+    rows the live set is about one pattern row, so the work grows with the
+    number of such frontier states, not with the number of points.
+    """
+    scan = _scan_input(P, dilate)
+    if scan is None:
+        return 0
+    rows_at, lo, hi, _ = scan
+    d = len(lo)
+    if d == 0:
+        return 1
+    live: list[tuple[int, ...] | None] = [None] * d
+    read: set[int] = set()
+    for j in range(d - 1, -1, -1):
+        read.update(k for _, _, terms in rows_at[j] for k, _ in terms)
+        frontier = tuple(sorted(k for k in read if k < j))
+        live[j] = frontier if len(frontier) < j else None
+    return _count_from(0, rows_at, lo, hi, live, [0] * d, {})
 
 
 @functools.lru_cache(maxsize=512)

@@ -180,6 +180,25 @@ def random_box_with_cuts(rng, make_hpolytope):
     return make_hpolytope(dim=d, ineqs=tuple(ineqs), eqs=())
 
 
+def random_box_with_equalities(rng, make_hpolytope):
+    """An integer box in dimension 2-4 with 1..d-1 random equalities, whose
+    right sides may be half-integers, so that some slices hold no integer
+    point although they are rationally nonempty."""
+    d = rng.randint(2, 4)
+    lo, hi = rng.randint(-1, 0), rng.randint(1, 2)
+    ineqs = []
+    for i in range(d):
+        e = [0] * d
+        e[i] = 1
+        ineqs += [(tuple(e), hi), (tuple(-c for c in e), -lo)]
+    eqs = []
+    for _ in range(rng.randint(1, d - 1)):
+        normal = tuple(rng.randint(-2, 2) for _ in range(d))
+        if any(normal):
+            eqs.append((normal, Fraction(rng.randint(-3, 6), rng.choice((1, 2)))))
+    return make_hpolytope(dim=d, ineqs=tuple(ineqs), eqs=tuple(eqs))
+
+
 # The full individualization-refinement search, with no automorphism pruning:
 # every member of every target cell is tried.
 def brute_force_canonical_incidence(n_left: int, left_labels: Sequence | None,

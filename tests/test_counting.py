@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from weightpoly.counting import (DilateCounts, MultiplicityQuery,
                                  verify_duality, verify_ehrhart_identity,
                                  weight_multiplicity)
 from weightpoly.exact import vec
-from weightpoly.polytopes import HPolytope, empty_hrep, h_to_v
+from weightpoly.polytopes import (HPolytope, count_lattice_points, empty_hrep,
+                                  h_to_v)
 from oracles import (pattern_multiplicity, polygon_area, random_admissible_r)
 
 
@@ -119,6 +121,24 @@ def test_identity_skips_non_integral_dilates():
     assert rep.all_pass
     d = rep.to_json_dict()
     assert {"dilate", "lattice_count", "multiplicity", "pass"} <= set(d["checks"][0])
+
+
+@pytest.mark.parametrize("m, r, t, expected", [
+    (1, (1, 2, 1, 2, 1, 2, 1, 2), 30, 36_309_277),
+    (2, (2, 2, 2, 3, 3, 3, 3), 6, 371_959),
+])
+def test_entry_chart_count_at_scale_equals_multiplicity(m, r, t, expected):
+    s = SideData.from_weights(m, r)
+    entry = gt_slice(s).entry_chart
+    count_lattice_points(entry, 1)  # the cached vertices are built outside the trace
+    tracemalloc.start()
+    try:
+        assert count_lattice_points(entry, t) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # listing the points would take far more
+    assert weight_multiplicity(MultiplicityQuery.from_side(s, t)) == expected
 
 
 def test_real_fiber_size_powers():

@@ -15,12 +15,14 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   _vertex_graph, affine_image,
                                   canonical_incidence,
                                   combinatorial_fingerprint, contains,
-                                  edges_at_vertex, empty_hrep, h_to_v,
-                                  lattice_points, polytope_dim,
+                                  count_lattice_points, edges_at_vertex,
+                                  empty_hrep, h_to_v, lattice_points,
+                                  polytope_dim,
                                   remove_redundant, restrict_to_affine_hull,
                                   v_to_h)
 from oracles import (brute_force_canonical_incidence, brute_force_edges,
-                     brute_force_lattice_points, brute_force_vertices)
+                     brute_force_lattice_points, brute_force_vertices,
+                     random_box_with_cuts, random_box_with_equalities)
 
 
 def box(dim, lo, hi):
@@ -161,6 +163,39 @@ def test_lattice_scan_leaves_no_reference_cycle():
     finally:
         gc.enable()
 
+
+def test_count_lattice_points_matches_the_list_and_the_box_oracle():
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.integers(1, 3))
+    def check(rng, cuts, t):
+        make = random_box_with_cuts if cuts else random_box_with_equalities
+        P = make(rng, HPolytope)
+        count = count_lattice_points(P, t)
+        assert count == len(lattice_points(P, t)) == len(brute_force_lattice_points(P, t))
+        if not h_to_v(P).vertices:
+            seen.add("empty")
+        elif polytope_dim(P) == 0:
+            seen.add("dim-0")
+        elif count == 0:
+            seen.add("integer-empty")  # rationally nonempty, no integer point
+
+    check()
+    assert seen == {"empty", "dim-0", "integer-empty"}
+    assert count_lattice_points(HPolytope(0, (), ()), 2) == 1
+    assert count_lattice_points(empty_hrep(2), 3) == 0
+
+
+def test_count_scan_leaves_no_reference_cycle():
+    count_lattice_points(SQUARE, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_lattice_points(SQUARE, 3) == 16
+        assert gc.collect() == 0  # the memo was freed by reference counting
+    finally:
+        gc.enable()
 
 def test_edges_at_vertex_square_corner():
     dirs = edges_at_vertex(SQUARE, vec([0, 0]))
