@@ -47,20 +47,6 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, u: Sequence[Fraction]) -> Vec:
-    return tuple(c * a for a in u)
-
-
-def mat_vec(rows: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vec:
-    return tuple(dot(row, x) for row in rows)
-
-
 def transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*rows)) if rows else ()
 
@@ -219,14 +205,22 @@ def det_bareiss(rows: Sequence[Sequence]) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], scale)
 
 
+def clear_denominators(v: Sequence) -> tuple[int, tuple[int, ...]]:
+    """(t, x) with t the least positive integer making x = t * v integral.
+
+    Reads each entry's numerator and denominator, so ints and Fractions go
+    through the same integer arithmetic and no Fraction is built.
+    """
+    t = lcm(*(c.denominator for c in v))
+    return t, tuple(c.numerator * (t // c.denominator) for c in v)
+
+
 def primitive_vector(v: Sequence) -> tuple[int, ...]:
     """The primitive integer vector on the same ray (positive scaling only)."""
-    fr = [frac(x) for x in v]
-    if all(x == 0 for x in fr):
-        raise ValueError("zero vector has no primitive representative")
-    den = lcm(*(x.denominator for x in fr))
-    ints = [int(x * den) for x in fr]
+    ints = clear_denominators(v)[1]
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
 
 

@@ -2,8 +2,9 @@
 
 H-representations (inequalities normal . x <= rhs plus equalities), V-representations
 (vertex lists), and the conversions between them via the double description method.
-Edges, and the facets of full-dimensional H-polytopes, are read off which input
-rows are tight at which vertices, held as int bitmasks.  Everything is exact, over
+Edges with their integer directions, facets and full-dimensionality of H-polytopes
+are read off which input rows are tight at which vertices, held as int bitmasks,
+in every dimension.  Everything is exact, over
 Fraction or over integers after clearing denominators; output orders are canonical
 (lexicographic) so equal polytopes serialize identically.
 
@@ -18,12 +19,12 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .exact import (
     Vec,
     ceil_div,
+    clear_denominators,
     dot,
     frac,
     frac_str,
@@ -45,10 +46,6 @@ class UnboundedPolytopeError(ValueError):
     """Raised when an operation that needs a bounded polytope meets a recession ray."""
 
 
-def _normalize_constraint(normal: Sequence, rhs) -> tuple[Vec, Fraction]:
-    return vec(normal), frac(rhs)
-
-
 @dataclass(frozen=True)
 class HPolytope:
     """Intersection of halfspaces (and hyperplanes) in Q^dim.
@@ -68,7 +65,7 @@ class HPolytope:
         seen: dict[Vec, int] = {}
         ineqs: list[tuple[Vec, Fraction]] = []
         for raw_normal, raw_rhs in self.ineqs:
-            normal, rhs = _normalize_constraint(raw_normal, raw_rhs)
+            normal, rhs = vec(raw_normal), frac(raw_rhs)
             if len(normal) != self.dim:
                 raise ValueError("inequality normal has wrong length")
             if all(c == 0 for c in normal) and rhs >= 0:
@@ -82,7 +79,7 @@ class HPolytope:
                 ineqs.append((normal, rhs))
         eqs: list[tuple[Vec, Fraction]] = []
         for raw_normal, raw_rhs in self.eqs:
-            normal, rhs = _normalize_constraint(raw_normal, raw_rhs)
+            normal, rhs = vec(raw_normal), frac(raw_rhs)
             if len(normal) != self.dim:
                 raise ValueError("equality normal has wrong length")
             if all(c == 0 for c in normal):
@@ -291,28 +288,6 @@ def _homogeneous_rows(P: HPolytope) -> list[tuple[int, ...]]:
     return sorted(rows)
 
 
-def _has_positive_t_direction(rows: list[tuple[int, ...]]) -> bool:
-    """Whether the cone {y : row . y >= 0} reaches t > 0 (first coordinate).
-
-    Used when the cone has a lineality space: the constraint functionals are
-    pushed down to the quotient (where the cone is pointed) and the t
-    functional, one of the rows, is evaluated on the quotient's extreme rays.
-    """
-    basis = [rows[i] for i in independent_rows(rows)]
-    r = len(basis)
-    gram = [[Fraction(_idot(a, b)) for b in basis] for a in basis]
-    ginv = mat_inverse(gram)
-    quotient: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-    for row in rows:
-        proj = tuple(Fraction(_idot(b, row)) for b in basis)
-        quotient[row] = tuple(dot(g_row, proj) for g_row in ginv)
-    qrows = sorted({primitive_vector(c) for c in quotient.values()})
-    rays = _dd_extreme_rays(qrows, r)
-    t_row = rows[rows.index(tuple([1] + [0] * (len(rows[0]) - 1)))]
-    t_func = quotient[t_row]
-    return any(dot(t_func, tuple(Fraction(c) for c in ray)) > 0 for ray in rays)
-
-
 @functools.lru_cache(maxsize=512)
 def h_to_v(P: HPolytope) -> VPolytope:
     """Vertex enumeration of a bounded H-polytope (double description).
@@ -320,13 +295,16 @@ def h_to_v(P: HPolytope) -> VPolytope:
     Raises UnboundedPolytopeError when the feasible set is nonempty and has a
     recession direction.  Returns the empty VPolytope exactly when P is empty.
     """
-    rows = _homogeneous_rows(P)
     try:
-        rays = _dd_extreme_rays(rows, P.dim + 1)
+        rays = _dd_extreme_rays(_homogeneous_rows(P), P.dim + 1)
     except _NotPointedError:
-        # The homogenization has a lineality space (always at t = 0, since the
-        # t >= 0 row is present).  Feasible then means unbounded.
-        if _has_positive_t_direction(rows):
+        # The normals miss the lines L = {x : a . x = 0 for every normal a},
+        # so P = (P meet the orthogonal complement of L) + L, and that slice,
+        # whose homogenization is pointed, is nonempty iff P is.  Nonempty
+        # then means unbounded.
+        lines = nullspace([a for a, _ in P.ineqs] + [e for e, _ in P.eqs], P.dim)
+        section = HPolytope(P.dim, P.ineqs, P.eqs + tuple((z, 0) for z in lines))
+        if any(ray[0] > 0 for ray in _dd_extreme_rays(_homogeneous_rows(section), P.dim + 1)):
             raise UnboundedPolytopeError(
                 "polytope is unbounded (recession line); bounded input required"
             ) from None
@@ -347,10 +325,10 @@ def h_to_v(P: HPolytope) -> VPolytope:
     return VPolytope(P.dim, tuple(vertices))
 
 
-def _joint_primitive(normal: Sequence[Fraction], rhs: Fraction) -> tuple[Vec, Fraction]:
+def _joint_primitive(normal: Sequence, rhs) -> tuple[tuple[int, ...], int]:
     """Scale (normal, rhs) by a positive rational to coprime integers."""
-    combined = primitive_vector(tuple(normal) + (rhs,))
-    return tuple(Fraction(c) for c in combined[:-1]), Fraction(combined[-1])
+    combined = primitive_vector((*normal, rhs))
+    return combined[:-1], combined[-1]
 
 
 def _affine_hull_equalities(verts: Sequence[Vec], dim: int) -> tuple[tuple[Vec, Fraction], ...]:
@@ -412,53 +390,40 @@ def v_to_h(V: VPolytope) -> HPolytope:
     return HPolytope(d, tuple(sorted(ineqs)), eqs)
 
 
-def _incidence(P: HPolytope, verts: Sequence[Vec]) -> tuple[list[int], list[int]]:
+def _incidence(P: HPolytope, verts: Sequence[Vec]
+               ) -> tuple[list[int], list[int], list[tuple[int, tuple[int, ...]]]]:
     """Which rows of P.ineqs are tight at which of verts, as int bitmasks.
 
-    Returns (rows tight at each vertex, vertices tight on each row): bit i of
-    an entry of the first list stands for P.ineqs[i], bit k of an entry of the
-    second for verts[k].  Exact in integers: rows are scaled to coprime
-    integers and each vertex to integers over its common denominator.
+    Returns (rows tight at each vertex, vertices tight on each row, each
+    vertex cleared to integers (t, x) with x = t * vertex): bit i of an entry
+    of the first list stands for P.ineqs[i], bit k of an entry of the second
+    for verts[k].  Exact in integers: rows are scaled to coprime integers.
     """
-    int_rows = [_int_constraint(a, b) for a, b in P.ineqs]
+    int_rows = [_joint_primitive(a, b) for a, b in P.ineqs]
+    cleared = [clear_denominators(v) for v in verts]
     vert_masks = []
     row_masks = [0] * len(int_rows)
-    for k, v in enumerate(verts):
-        den = lcm(*(c.denominator for c in v))
-        num = [c.numerator * (den // c.denominator) for c in v]
+    for k, (t, x) in enumerate(cleared):
         mask = 0
         for i, (a, b) in enumerate(int_rows):
-            if _idot(a, num) == b * den:
+            if _idot(a, x) == b * t:
                 mask |= 1 << i
                 row_masks[i] |= 1 << k
         vert_masks.append(mask)
-    return vert_masks, row_masks
+    return vert_masks, row_masks, cleared
 
 
-@functools.lru_cache(maxsize=512)
-def _input_facets(P: HPolytope) -> tuple[tuple[int, int], ...] | None:
-    """Facets of a full-dimensional P, read off the tight-row incidence.
+def _facet_rows(row_masks: Sequence[int], n_verts: int) -> tuple[tuple[int, int], ...]:
+    """Facets of a nonempty polytope from its rows' tight-vertex masks.
 
-    Every facet of a full-dimensional H-polytope is one of its input rows, and
-    a row is a facet iff its set of tight vertices is inclusion-maximal among
-    the rows'.  Returns (index into P.ineqs, tight-vertex bitmask over
-    h_to_v(P).vertices) per facet, taking the first row of each facet in input
-    order: rows that are positive multiples of one another share a facet.
-
-    Returns None unless P is nonempty, has dim >= 1 and no equalities, and no
-    row is tight at every vertex.  Such a row would be an implicit equality;
-    without one the affine hull is the whole space (Schrijver, Theory of Linear
-    and Integer Programming, section 8.2).
+    In any dimension, each facet is the face of some row tight at some but not
+    all vertices, and each such row's face lies in a facet (Schrijver, Theory
+    of Linear and Integer Programming, section 8.2), so the facets are the
+    inclusion-maximal masks among those rows.  Returns (row index, mask) per
+    facet, taking the first row of each facet in input order.
     """
-    if P.eqs or P.dim == 0:
-        return None
-    verts = h_to_v(P).vertices
-    if not verts:
-        return None
-    _, row_masks = _incidence(P, verts)
-    if (1 << len(verts)) - 1 in row_masks:
-        return None
-    distinct = set(row_masks)
+    everyone = (1 << n_verts) - 1
+    distinct = set(row_masks) - {0, everyone}
     maximal = {m for m in distinct
                if not any(o != m and o & m == m for o in distinct)}
     facets = []
@@ -469,15 +434,36 @@ def _input_facets(P: HPolytope) -> tuple[tuple[int, int], ...] | None:
     return tuple(facets)
 
 
+@functools.lru_cache(maxsize=512)
+def _input_facets(P: HPolytope) -> tuple[tuple[int, int], ...] | None:
+    """Facets of a full-dimensional P as (index into P.ineqs, tight-vertex
+    bitmask over h_to_v(P).vertices), by _facet_rows.
+
+    Returns None unless P is nonempty, has no equalities and no row tight at
+    every vertex.  Such a row would be an implicit equality; without one the
+    affine hull is the whole space (Schrijver, section 8.2).
+    """
+    verts = h_to_v(P).vertices
+    if P.eqs or not verts:
+        return None
+    row_masks = _incidence(P, verts)[1]
+    if (1 << len(verts)) - 1 in row_masks:
+        return None
+    return _facet_rows(row_masks, len(verts))
+
+
 def _facet_masks(P: HPolytope, V: VPolytope) -> list[int]:
     """Tight-vertex bitmask over V.vertices of each facet, with V = h_to_v(P).
 
-    Facets come from _input_facets when P is full-dimensional, otherwise from
-    v_to_h(V).  Empty P gives the one mask of the infeasibility certificate.
+    By _facet_rows in every dimension, through _input_facets' cache when P is
+    full-dimensional.  Empty P gives the one mask of the infeasibility
+    certificate.
     """
+    if not V.vertices:
+        return [0]
     facets = _input_facets(P)
     if facets is None:
-        return _incidence(v_to_h(V), V.vertices)[1]
+        facets = _facet_rows(_incidence(P, V.vertices)[1], len(V.vertices))
     return [mask for _, mask in facets]
 
 
@@ -502,12 +488,10 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     if facets is not None:
         return HPolytope(P.dim, tuple(P.ineqs[i] for i, _ in facets), ())
     canon = v_to_h(V)
-    facet_keys = {(_joint_primitive(a, b)) for a, b in canon.ineqs}
+    facet_keys = {_joint_primitive(a, b) for a, b in canon.ineqs}
     retained: list[tuple[Vec, Fraction]] = []
     covered = set()
-    for a, b in P.ineqs:
-        if all(c == 0 for c in a):
-            continue
+    for a, b in P.ineqs:  # nonempty P has no zero-normal row
         key = _joint_primitive(a, b)
         if key in facet_keys and key not in covered:
             covered.add(key)
@@ -534,18 +518,18 @@ def contains(P: HPolytope, point: Sequence) -> bool:
 
 
 def polytope_dim(P: HPolytope) -> int:
-    """Dimension of the affine hull; -1 for the empty polytope."""
+    """Dimension of the affine hull; -1 for the empty polytope.
+
+    P.dim when the incidence shows P full-dimensional (_input_facets), else
+    the rank of the vertex differences.
+    """
     verts = h_to_v(P).vertices
     if not verts:
         return -1
+    if _input_facets(P) is not None:
+        return P.dim
     v0 = verts[0]
     return rank([vec_sub(v, v0) for v in verts[1:]])
-
-
-def _int_constraint(normal: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
-    prim = primitive_vector(tuple(normal) + (rhs,)) if (any(c != 0 for c in normal) or rhs != 0) \
-        else tuple([0] * len(normal)) + (0,)
-    return prim[:-1], prim[-1]
 
 
 def _scan_input(P: HPolytope, dilate: int):
@@ -579,7 +563,7 @@ def _scan_input(P: HPolytope, dilate: int):
     d = P.dim
     rows_at: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(d)]
     for a, b in P.ineqs:
-        coeffs, rhs = _int_constraint(a, dilate * b)
+        coeffs, rhs = _joint_primitive(a, dilate * b)
         support = [j for j in range(d) if coeffs[j]]
         if not support:
             if rhs < 0:
@@ -702,7 +686,9 @@ def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
 
 @functools.lru_cache(maxsize=512)
 def _vertex_graph(P: HPolytope):
-    """Vertices of P plus the edge adjacency between them.
+    """Vertices of P plus the edges between them: (verts, neighbors), where
+    neighbors[i] maps each neighbour j of verts[i] to the primitive integer
+    direction from verts[i] to verts[j].
 
     Read off the tight-row incidence (_incidence): the smallest face holding
     vertices u and v is cut out by the rows tight at both, and u, v span an
@@ -711,12 +697,14 @@ def _vertex_graph(P: HPolytope):
     or not the system is irredundant or full-dimensional, or carries implicit
     equalities, and needs no elimination.  A pair with fewer than
     dim - 1 - len(eqs) common tight rows cannot reach that rank and is skipped.
+    With vertices cleared to (t, x), the direction of an edge is
+    primitive_vector(t_i * x_j - t_j * x_i), found once in integers.
     """
     verts = h_to_v(P).vertices
-    vert_masks, row_masks = _incidence(P, verts)
+    vert_masks, row_masks, cleared = _incidence(P, verts)
     need = P.dim - 1 - len(P.eqs)
     everyone = (1 << len(verts)) - 1
-    neighbors: dict[int, list[int]] = {i: [] for i in range(len(verts))}
+    neighbors: list[dict[int, tuple[int, ...]]] = [{} for _ in verts]
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             common = vert_masks[i] & vert_masks[j]
@@ -729,8 +717,10 @@ def _vertex_graph(P: HPolytope):
                 face &= row_masks[low.bit_length() - 1]
                 common ^= low
             if face == pair:
-                neighbors[i].append(j)
-                neighbors[j].append(i)
+                (ti, xi), (tj, xj) = cleared[i], cleared[j]
+                direction = primitive_vector(tuple(ti * b - tj * a for a, b in zip(xi, xj)))
+                neighbors[i][j] = direction
+                neighbors[j][i] = tuple(-c for c in direction)
     return verts, neighbors
 
 
@@ -742,8 +732,7 @@ def edges_at_vertex(P: HPolytope, vertex: Sequence) -> tuple[tuple[int, ...], ..
         idx = verts.index(v)
     except ValueError:
         raise ValueError(f"{tuple(map(str, v))} is not a vertex of this polytope") from None
-    dirs = [primitive_vector(vec_sub(verts[j], v)) for j in neighbors[idx]]
-    return tuple(sorted(dirs))
+    return tuple(sorted(neighbors[idx].values()))
 
 
 def affine_image(P: HPolytope | VPolytope, f: AffineMap) -> HPolytope | VPolytope:
@@ -794,7 +783,7 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
     eq_rows = []
     eq_rhs = []
     for e, f in P.eqs:
-        coeffs, rhs = _int_constraint(e, f)
+        coeffs, rhs = _joint_primitive(e, f)
         eq_rows.append(coeffs)
         eq_rhs.append(rhs)
     x0_int = solve_integer(eq_rows, eq_rhs)
@@ -937,15 +926,13 @@ def combinatorial_fingerprint(P: HPolytope) -> str:
     """Canonical form of the vertex-facet incidence (atom-coatom) structure.
 
     Equal fingerprints iff the face lattices are isomorphic: for polytopes the
-    vertex-facet incidences determine the whole face lattice.  The facets of
-    a full-dimensional system are its input rows (_input_facets), with their
-    tight vertices already known; any other system takes its facets from
-    v_to_h(h_to_v(P)) (_facet_masks).
+    vertex-facet incidences determine the whole face lattice.  The facets
+    and their tight vertices are read off the input rows (_facet_masks).
     """
     V = h_to_v(P)
     if not V.vertices:
         return "dim=-1;empty"
-    dim = P.dim if _input_facets(P) is not None else polytope_dim(P)
+    dim = polytope_dim(P)
     facet_masks = _facet_masks(P, V)
     vert_sets = [frozenset(j for j, mask in enumerate(facet_masks) if mask >> k & 1)
                  for k in range(len(V.vertices))]

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .builders import SideData, triangle_inequalities
-from .exact import Vec, frac_str, lattice_index, primitive_vector, vec
+from .exact import Vec, clear_denominators, frac_str, lattice_index, primitive_vector, vec
 from .polytopes import (
     HPolytope,
     _joint_primitive,
@@ -35,13 +36,11 @@ class Cone:
 
     def __post_init__(self):
         rays = tuple(tuple(int(c) for c in ray) for ray in self.rays)
-        for ray in rays:
-            if primitive_vector(ray) != ray:
-                raise ValueError("cone rays must be primitive integer vectors")
-        for i in range(len(rays)):
-            for j in range(i + 1, len(rays)):
-                if rays[i] == rays[j] or rays[i] == tuple(-c for c in rays[j]):
-                    raise ValueError("cone rays must be pairwise non-parallel")
+        if any(gcd(*ray) != 1 for ray in rays):
+            raise ValueError("cone rays must be primitive integer vectors")
+        # A primitive ray is parallel to another only if equal to it or to its negation.
+        if len({r for ray in rays for r in (ray, tuple(-c for c in ray))}) < 2 * len(rays):
+            raise ValueError("cone rays must be pairwise non-parallel")
         object.__setattr__(self, "rays", rays)
 
 
@@ -115,16 +114,15 @@ def normal_fan(P: HPolytope) -> Fan:
     """The fan of vertex tangent cones (primitive inward edge directions).
 
     Requires a bounded, full-dimensional polytope; cones are ordered by vertex
-    and there is exactly one per vertex.
+    and there is exactly one per vertex.  The rays are the edge directions
+    _vertex_graph already holds in primitive integer form.
     """
     if polytope_dim(P) != P.dim:
         raise ValueError("restrict to affine hull first")
     verts, neighbors = _vertex_graph(P)
     cones = []
-    for i, v in enumerate(verts):
-        rays = tuple(sorted(
-            primitive_vector(tuple(w - u for u, w in zip(v, verts[j])))
-            for j in neighbors[i]))
+    for v, edges in zip(verts, neighbors):
+        rays = tuple(sorted(edges.values()))
         if len(rays) < P.dim:
             raise AssertionError("vertex with fewer edges than the dimension")
         cones.append((v, Cone(rays)))
@@ -174,22 +172,23 @@ def facet_labels(s: SideData, P: HPolytope) -> list[FacetLabel]:
         if not tags:
             raise ValueError(
                 f"facet outside the label catalogue: {[frac_str(c) for c in a]} <= {frac_str(b)}")
-        labels.append(FacetLabel(key[0], key[1], tags))
+        labels.append(FacetLabel(vec(key[0]), Fraction(key[1]), tags))
     return labels
 
 
 def _cone_adjacency(F: Fan) -> list[frozenset[int]]:
     """Pairs of maximal cones whose vertices form an edge of the polytope."""
     ray_sets = [set(c.rays) for _, c in F.maximal_cones]
-    verts = [v for v, _ in F.maximal_cones]
+    cleared = [clear_denominators(v) for v, _ in F.maximal_cones]
     edges = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            delta = tuple(b - a for a, b in zip(verts[i], verts[j]))
-            if all(c == 0 for c in delta):
+    for i, (ti, xi) in enumerate(cleared):
+        for j in range(i + 1, len(cleared)):
+            tj, xj = cleared[j]
+            delta = tuple(ti * b - tj * a for a, b in zip(xi, xj))
+            if not any(delta):
                 continue
-            if primitive_vector(delta) in ray_sets[i] and \
-                    primitive_vector(tuple(-c for c in delta)) in ray_sets[j]:
+            direction = primitive_vector(delta)
+            if direction in ray_sets[i] and tuple(-c for c in direction) in ray_sets[j]:
                 edges.append(frozenset((i, j)))
     return edges
 

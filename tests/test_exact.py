@@ -75,8 +75,13 @@ def test_primitive_vector_scales_to_coprime_integers():
     assert primitive_vector(vec([2, 4])) == (1, 2)
     assert primitive_vector(vec(["1/2", "1/3"])) == (3, 2)
     assert primitive_vector(vec([-2, -4])) == (-1, -2)
-    with pytest.raises(ValueError):
-        primitive_vector(vec([0, 0]))
+    for ints in [(2, 4), (-6, 9, 0), (0, -5), (7,), (12, -18, 30)]:
+        assert primitive_vector(ints) == primitive_vector(vec(ints))
+        assert all(type(c) is int for c in primitive_vector(ints))
+    assert primitive_vector((Fraction(1, 2), 3)) == (1, 6)
+    for zero in [vec([0, 0]), (0, 0), ()]:
+        with pytest.raises(ValueError):
+            primitive_vector(zero)
 
 
 def test_hnf_rows_triangular_form():

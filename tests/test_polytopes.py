@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightpoly.builders import SideData, polygon_hrep
-from weightpoly.exact import dot, vec
+from weightpoly.exact import dot, primitive_vector, vec, vec_sub
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
-                                  VPolytope, _input_facets, _joint_primitive,
-                                  _vertex_graph, affine_image,
+                                  VPolytope, _facet_masks, _input_facets,
+                                  _joint_primitive, _vertex_graph, affine_image,
                                   canonical_incidence,
                                   combinatorial_fingerprint, contains,
                                   count_lattice_points, edges_at_vertex,
@@ -20,7 +20,7 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   polytope_dim,
                                   remove_redundant, restrict_to_affine_hull,
                                   v_to_h)
-from oracles import (brute_force_canonical_incidence, brute_force_edges,
+from oracles import (_rank, brute_force_canonical_incidence, brute_force_edges,
                      brute_force_lattice_points, brute_force_vertices,
                      random_box_with_cuts, random_box_with_equalities)
 
@@ -75,6 +75,21 @@ def test_unbounded_raises():
     half = HPolytope(dim=2, ineqs=((vec([1, 0]), Fraction(1)),), eqs=())
     with pytest.raises(UnboundedPolytopeError):
         h_to_v(half)
+
+
+@pytest.mark.parametrize("eqs", [(), (((0, 0, 1), 2),)])
+def test_slabs_raise_when_feasible_and_are_empty_when_not(eqs):
+    """The normals of a slab miss a line, so the homogenized cone is not pointed."""
+    d = 3 if eqs else 2
+    x = (1,) + (0,) * (d - 1)
+    minus_x = tuple(-c for c in x)
+    slab = HPolytope(d, _rows([(x, 1), (minus_x, 0)]), _rows(eqs))
+    with pytest.raises(UnboundedPolytopeError, match="recession line"):
+        h_to_v(slab)
+    infeasible = HPolytope(d, _rows([(x, 0), (minus_x, -1)]), _rows(eqs))
+    assert h_to_v(infeasible) == VPolytope(d, ())
+    with pytest.raises(UnboundedPolytopeError, match="recession line"):
+        h_to_v(HPolytope(d, (), _rows(eqs)))
 
 
 def test_remove_redundant_drops_slack_row_and_is_idempotent():
@@ -200,6 +215,18 @@ def test_count_scan_leaves_no_reference_cycle():
 def test_edges_at_vertex_square_corner():
     dirs = edges_at_vertex(SQUARE, vec([0, 0]))
     assert sorted(dirs) == [(0, 1), (1, 0)]
+
+
+def test_edges_at_vertex_with_rational_vertices_match_the_brute_force_edges():
+    P = HPolytope(2, ((vec([2, 1]), Fraction(5, 2)), (vec([1, 3]), Fraction(3)),
+                      (vec([-1, 0]), Fraction(0)), (vec([0, -1]), Fraction(0))), ())
+    edges = brute_force_edges(P)
+    verts = brute_force_vertices(P)
+    assert (Fraction(9, 10), Fraction(7, 10)) in verts
+    for v in verts:
+        want = sorted([primitive_vector(vec_sub(w, v)) for u, w in edges if u == v]
+                      + [primitive_vector(vec_sub(u, v)) for u, w in edges if w == v])
+        assert list(edges_at_vertex(P, v)) == want
 
 
 def test_affine_image_square_shear():
@@ -438,6 +465,39 @@ def test_facets_from_incidence_match_the_v_to_h_route(P):
     enc = canonical_incidence(len(facets), None, vert_sets)
     assert combinatorial_fingerprint(P) == (
         f"dim={polytope_dim(P)};facets={len(facets)};vertices={len(V.vertices)};{enc}")
+
+
+def test_facet_rule_matches_the_v_to_h_route_and_the_rank_oracle():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(small_bounded_polytopes(),
+                     st.randoms(use_true_random=False).map(
+                         lambda rng: random_box_with_equalities(rng, HPolytope))))
+    def check(P):
+        V = h_to_v(P)
+        masks = _facet_masks(P, V)
+        canon = v_to_h(V).ineqs
+        assert len(masks) == len(canon)
+        assert set(masks) == {sum(1 << k for k, v in enumerate(V.vertices) if dot(a, v) == b)
+                              for a, b in canon}
+        verts = brute_force_vertices(P)
+        want = _rank([vec_sub(v, verts[0]) for v in verts[1:]]) if verts else -1
+        dim = polytope_dim(P)
+        assert dim == want
+        if dim == -1:
+            seen.add("empty")
+        elif dim == 0:
+            seen.add("dim-0")
+        elif P.eqs:
+            seen.add("explicit")
+        elif dim < P.dim:
+            seen.add("implicit")
+        else:
+            seen.add("full")
+
+    check()
+    assert seen == {"empty", "dim-0", "explicit", "implicit", "full"}
 
 
 def _rows(pairs):

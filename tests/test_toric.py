@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from weightpoly import polytopes, toric
 from weightpoly.builders import SideData, polygon_hrep
 from weightpoly.exact import vec
 from weightpoly.polytopes import HPolytope, VPolytope, h_to_v, remove_redundant, v_to_h
@@ -27,6 +28,32 @@ def test_cone_validation():
         Cone(rays=((1, 0), (2, 0)))
     with pytest.raises(ValueError):
         Cone(rays=((1, 0), (-1, 0)))
+    for rays in [((0, 0), (1, 0)), ((2, 4),), ((1, 2), (3, 1), (-1, -2))]:
+        with pytest.raises(ValueError):
+            Cone(rays=rays)
+    assert Cone(rays=((1, 2), (-1, 0), (0, -1))).rays == ((1, 2), (-1, 0), (0, -1))
+
+
+def test_fan_layer_makes_only_integer_vectors_primitive(monkeypatch):
+    real_primitive, real_rank = toric.primitive_vector, polytopes.rank
+    rank_calls = []
+
+    def integer_only(v):
+        assert all(type(c) is int for c in v), v
+        return real_primitive(v)
+
+    def counted_rank(rows):
+        rank_calls.append(len(rows))
+        return real_rank(rows)
+
+    monkeypatch.setattr(toric, "primitive_vector", integer_only)
+    monkeypatch.setattr(polytopes, "rank", counted_rank)
+    s = SideData.from_weights(1, ("5/2", 3, 4, 5, 6, 7))
+    P = polygon_hrep(s)
+    assert any(c.denominator > 1 for v in h_to_v(P).vertices for c in v)
+    fan_fingerprint(normal_fan(P))
+    facet_labels(s, remove_redundant(P))
+    assert rank_calls == []  # the polygon is full-dimensional, so no rank is needed
 
 
 def test_normal_fan_square_structure():
