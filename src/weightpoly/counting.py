@@ -177,64 +177,46 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _h_product_coefficient(degrees: tuple[int, ...], weight: tuple[int, ...]) -> int:
-    """Coefficient of x^weight in the product of complete homogeneous h_d.
-
-    Counts nonnegative integer matrices with row sums `degrees` and column
-    sums `weight`, by distributing each weight column over the rows.
-    """
-    if sum(degrees) != sum(weight):
-        return 0
-    return _fill_columns(weight, 0, tuple(sorted(degrees)), {})
-
-
-def _fill_columns(weight: tuple[int, ...], j: int, remaining: tuple[int, ...],
-                  memo: dict[tuple[int, tuple[int, ...]], int]) -> int:
-    """Ways to fill columns j.. of the matrix when the rows still need
-    `remaining` (sorted, since the count does not depend on row order)."""
-    if j == len(weight):
-        return 1 if all(d == 0 for d in remaining) else 0
-    key = (j, remaining)
-    cached = memo.get(key)
-    if cached is None:
-        cached = memo[key] = _place_column(weight, j, 0, weight[j], list(remaining), memo)
-    return cached
-
-
-def _place_column(weight: tuple[int, ...], j: int, i: int, left: int, state: list[int],
-                  memo: dict[tuple[int, tuple[int, ...]], int]) -> int:
-    """Ways to put `left` units of column j into rows i.. of `state`, then fill
-    the later columns."""
-    if i == len(state) - 1:
-        if left > state[i]:
-            return 0
-        state[i] -= left
-        result = _fill_columns(weight, j + 1, tuple(sorted(state)), memo)
-        state[i] += left
-        return result
-    total = 0
-    for take in range(min(left, state[i]) + 1):
-        state[i] -= take
-        total += _place_column(weight, j, i + 1, left - take, state, memo)
-        state[i] += take
-    return total
+def _spread(state: tuple[int, ...], w: int) -> list[tuple[int, ...]]:
+    """Every way to take w units off the rows of state, each row keeping a
+    nonnegative remainder, as the sorted remainders (repeats kept)."""
+    partial = [((), w)]
+    room = sum(state)
+    for d in state[:-1]:
+        room -= d
+        partial = [(head + (d - take,), left - take)
+                   for head, left in partial
+                   for take in range(max(0, left - room), min(left, d) + 1)]
+    return [tuple(sorted(head + (state[-1] - left,))) for head, left in partial]
 
 
 def weight_multiplicity(q: MultiplicityQuery) -> int:
     """Multiplicity of the weight r in the gl_n module of highest weight
     (P,...,P,0,...,0) with m+1 copies of P.
 
-    Jacobi-Trudi: the Schur function is det(h_{P-i+j}), 1 <= i,j <= m+1,
-    expanded over permutations; each product's x^r coefficient comes from
-    _h_product_coefficient.
+    Jacobi-Trudi: the Schur function is det(h_{P-i+j}), 1 <= i,j <= m+1.
+    The x^r coefficient of a product of h_d counts nonnegative integer
+    matrices with row sums d and column sums r, so one signed dynamic program
+    covers the whole determinant: each state is the sorted row sums still
+    missing (the count ignores row order), starting from every permutation's
+    degrees weighted by its sign, and each column of r is spread over the
+    rows in turn (the count ignores column order too).  The multiplicity is
+    the coefficient of the all-zero state.
     """
     size = q.m + 1
-    total = 0
+    states: dict[tuple[int, ...], int] = {}
     for perm in permutations(range(size)):
-        degrees = tuple(q.P - (i + 1) + (perm[i] + 1) for i in range(size))
-        if any(d < 0 for d in degrees):
-            continue
-        total += _perm_sign(perm) * _h_product_coefficient(degrees, q.r)
+        degrees = tuple(sorted(q.P - i + perm[i] for i in range(size)))
+        if degrees[0] >= 0:
+            states[degrees] = states.get(degrees, 0) + _perm_sign(perm)
+    for w in sorted(q.r, reverse=True):
+        spread: dict[tuple[int, ...], int] = {}
+        for state, coeff in states.items():
+            if coeff:
+                for rest in _spread(state, w):
+                    spread[rest] = spread.get(rest, 0) + coeff
+        states = spread
+    total = states.get((0,) * size, 0)
     if total < 0:
         raise AssertionError("multiplicity must be nonnegative")
     return total

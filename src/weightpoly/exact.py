@@ -225,15 +225,14 @@ def primitive_vector(v: Sequence) -> tuple[int, ...]:
 
 
 def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Integer copies of rows.  Reads an int's or Fraction's numerator and
+    denominator directly; only other entries are parsed by frac."""
     out = []
     for row in rows:
-        ints = []
-        for x in row:
-            f = frac(x)
-            if f.denominator != 1:
-                raise ValueError("lattice data must be integral")
-            ints.append(f.numerator)
-        out.append(ints)
+        row = [x if type(x) in (int, Fraction) else frac(x) for x in row]
+        if any(x.denominator != 1 for x in row):
+            raise ValueError("lattice data must be integral")
+        out.append([x.numerator for x in row])
     return out
 
 

@@ -19,6 +19,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -88,6 +89,11 @@ class HPolytope:
                 eqs.append((normal, rhs))
         object.__setattr__(self, "ineqs", tuple(ineqs))
         object.__setattr__(self, "eqs", tuple(eqs))
+        # Every cache lookup hashes P; hash the Fractions once, not per lookup.
+        object.__setattr__(self, "_hash", hash((self.dim, self.ineqs, self.eqs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def to_json_dict(self) -> dict:
         return {
@@ -532,51 +538,71 @@ def polytope_dim(P: HPolytope) -> int:
     return rank([vec_sub(v, v0) for v in verts[1:]])
 
 
+@functools.lru_cache(maxsize=512)
+def _scan_setup(P: HPolytope):
+    """The part of the integer scan of P that no dilate changes.
+
+    None when P is empty, else (rows_at, box).  rows_at[j] holds
+    (c, (p, q), terms) for each row c*x_j + sum(a*x_k for k, a in terms) <= p/q
+    whose trailing nonzero coordinate is j, with a primitive integer normal;
+    box[j] is the rational (min, max) of the vertices' coordinate j.
+    """
+    verts = h_to_v(P).vertices
+    if not verts:
+        return None
+    rows_at: list[list] = [[] for _ in range(P.dim)]
+    for a, b in P.ineqs:
+        t, ints = clear_denominators(a)
+        g = gcd(*ints)  # nonzero: only an empty P carries a zero normal
+        coeffs = [c // g for c in ints]
+        rhs = b * t / g
+        *before, j = [k for k, c in enumerate(coeffs) if c]
+        rows_at[j].append((coeffs[j], (rhs.numerator, rhs.denominator),
+                           tuple((k, coeffs[k]) for k in before)))
+    return rows_at, [(min(col), max(col)) for col in zip(*verts)]
+
+
 def _scan_input(P: HPolytope, dilate: int):
     """Setup of the integer scan of dilate*P, shared by listing and counting.
 
     None when dilate*P visibly has no integer point, else (rows_at, lo, hi,
     embed).  rows_at[j] holds (c, rhs, terms) for each row
     c*x_j + sum(a*x_k for k, a in terms) <= rhs whose trailing nonzero
-    coordinate is j, and [lo, hi] is the integer vertex bounding box.
+    coordinate is j, and [lo, hi] is the integer vertex bounding box; both
+    come from P's cached _scan_setup, rounded at this dilate (the left side
+    is an integer, so the rhs may be floored).
     Explicit equalities are eliminated first through the integer chart of
     restrict_to_affine_hull, a bijection on lattice points once its offset is
     integral, so a lower-dimensional system scans a box of the right
     dimension; embed is then the integer (matrix, offset) back into ambient
-    space, else None.
+    space, else None.  That chart depends on the dilate, so its setup is not
+    cached.
     """
     if not isinstance(dilate, int) or dilate < 1:
         raise ValueError("dilate must be a positive integer")
-    verts = h_to_v(P).vertices
-    if not verts:
-        return None
     embed = None
-    if P.eqs:
+    if not P.eqs:
+        setup = _scan_setup(P)
+    elif not h_to_v(P).vertices:
+        return None
+    else:
         P, f = restrict_to_affine_hull(HPolytope(
             P.dim, tuple((a, dilate * b) for a, b in P.ineqs),
             tuple((e, dilate * g) for e, g in P.eqs)))
         if any(c.denominator != 1 for c in f.offset):
             return None  # the offset is integral whenever an integer solution exists
         embed = ([[int(c) for c in row] for row in f.matrix], [int(c) for c in f.offset])
-        verts = h_to_v(P).vertices
+        setup = _scan_setup.__wrapped__(P)
         dilate = 1
-    d = P.dim
-    rows_at: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(d)]
-    for a, b in P.ineqs:
-        coeffs, rhs = _joint_primitive(a, dilate * b)
-        support = [j for j in range(d) if coeffs[j]]
-        if not support:
-            if rhs < 0:
-                return None
-            continue
-        j = support[-1]
-        rows_at[j].append((coeffs[j], rhs, tuple((k, coeffs[k]) for k in support[:-1])))
+    if setup is None:
+        return None
+    rows, box = setup
+    rows_at = [[(c, dilate * p // q, terms) for c, (p, q), terms in level]
+               for level in rows]
     lo, hi = [], []
-    for j in range(d):
-        low = min(v[j] for v in verts) * dilate
-        high = max(v[j] for v in verts) * dilate
-        lo.append(ceil_div(low.numerator, low.denominator))
-        hi.append(high.numerator // high.denominator)
+    for low, high in box:
+        lo.append(ceil_div(dilate * low.numerator, low.denominator))
+        hi.append(dilate * high.numerator // high.denominator)
         if lo[-1] > hi[-1]:
             return None
     return rows_at, lo, hi, embed

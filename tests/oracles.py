@@ -6,7 +6,7 @@ is the evidence the fast paths are right.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 import math
 from typing import Sequence
 
@@ -134,6 +134,45 @@ def pattern_multiplicity(m, n, P, r, dilate=1):
         acc += _as_int(dilate * r[i])
         sums.append(acc)
     return gt_pattern_count(lam, sums)
+
+
+def per_permutation_multiplicity(m, n, P, r):
+    """Weight multiplicity by the Jacobi-Trudi determinant det(h_{P-i+j}),
+    expanded term by term: each permutation's x^r coefficient of a product of
+    h_d counts the nonnegative integer matrices with row sums d and column
+    sums r, filled column by column with a fresh memo."""
+    size = m + 1
+    total = 0
+    for perm in permutations(range(size)):
+        degrees = [P - i + perm[i] for i in range(size)]
+        if min(degrees) < 0 or sum(degrees) != sum(r):
+            continue
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(size), 2))
+        total += (-1) ** inversions * _matrices(tuple(r), 0, tuple(sorted(degrees)), {})
+    return total
+
+
+def _matrices(cols, j, rows, memo):
+    """Nonnegative integer matrices with row sums rows and column sums cols[j:]."""
+    if j == len(cols):
+        return 1 if not any(rows) else 0
+    key = (j, rows)
+    if key not in memo:
+        memo[key] = sum(
+            _matrices(cols, j + 1, tuple(sorted(d - c for d, c in zip(rows, column))), memo)
+            for column in _columns(cols[j], rows))
+    return memo[key]
+
+
+def _columns(total, caps):
+    """Every tuple of nonnegative ints bounded entrywise by caps summing to total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    for c in range(min(total, caps[0]) + 1):
+        for rest in _columns(total - c, caps[1:]):
+            yield (c,) + rest
 
 
 def polygon_area(vertices):

@@ -62,6 +62,11 @@ def test_mult_and_fibers(capsys):
     assert (code, out.strip()) == (0, "8")
 
 
+def test_mult_m3_at_dilate_four(capsys):
+    code, out, _ = run(capsys, ["mult", "--m", "3", "--r", "4,4,4,4,4,4,4", "--dilate", "4"])
+    assert (code, out) == (0, "145041\n")
+
+
 def test_verify_identity_exit_zero(capsys):
     code, out, _ = run(capsys, ["verify-identity"] + HEXAGON)
     assert code == 0

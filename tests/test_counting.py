@@ -1,9 +1,11 @@
 import gc
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from weightpoly.builders import SideData, gt_slice, polygon_hrep
 from weightpoly.counting import (DilateCounts, MultiplicityQuery,
@@ -13,7 +15,8 @@ from weightpoly.counting import (DilateCounts, MultiplicityQuery,
 from weightpoly.exact import vec
 from weightpoly.polytopes import (HPolytope, count_lattice_points, empty_hrep,
                                   h_to_v)
-from oracles import (pattern_multiplicity, polygon_area, random_admissible_r)
+from oracles import (pattern_multiplicity, per_permutation_multiplicity,
+                     polygon_area, random_admissible_r)
 
 
 def box2():
@@ -87,6 +90,41 @@ def test_multiplicity_matches_pattern_oracle():
         s = SideData.from_weights(m, r)
         q = MultiplicityQuery.from_side(s, 1)
         assert weight_multiplicity(q) == pattern_multiplicity(m, n, s.P, r)
+
+
+@st.composite
+def multiplicity_queries(draw):
+    """(m, n, P, r) with r any composition of (m+1)*P into n parts, zeros allowed."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m + 2, m + 4))
+    P = draw(st.integers(0, 4 if m < 3 else 2))
+    cuts = sorted(draw(st.lists(st.integers(0, (m + 1) * P), min_size=n - 1, max_size=n - 1)))
+    bounds = [0] + cuts + [(m + 1) * P]
+    return m, n, P, tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(multiplicity_queries())
+@example((1, 3, 0, (0, 0, 0)))
+@example((2, 5, 2, (0, 3, 0, 3, 0)))
+@example((3, 6, 2, (0, 0, 2, 2, 2, 2)))
+def test_multiplicity_dp_matches_the_per_permutation_expansion(query):
+    m, n, P, r = query
+    assert weight_multiplicity(MultiplicityQuery(m, n, P, r)) == \
+        per_permutation_multiplicity(m, n, P, r)
+
+
+@pytest.mark.parametrize("r, t, expected", [
+    ((4,) * 7, 3, 32425),
+    ((4,) * 7, 4, 145041),
+    ((2,) * 5 + (3, 3), 4, 4325),
+    ((12,) * 7, 1, 32425),
+])
+def test_multiplicity_m3_n7_values(r, t, expected):
+    q = MultiplicityQuery.from_side(SideData.from_weights(3, r), t)
+    start = time.process_time()
+    assert weight_multiplicity(q) == expected
+    assert time.process_time() - start < 1.0  # the per-permutation expansion took 18 s
 
 
 def test_multiplicity_leaves_no_reference_cycle():

@@ -88,6 +88,14 @@ def test_hnf_rows_triangular_form():
     H = hnf_rows([(2, 4), (1, 1)])
     assert len(H) == 2
     assert H[0][0] > 0 and H[1][0] == 0
+    # ints, Fractions and strings are read alike; non-integers still raise
+    assert hnf_rows([(Fraction(2), Fraction(4)), ("1", "2/2")]) == H
+    with pytest.raises(ValueError, match="lattice data must be integral"):
+        hnf_rows([(1, Fraction(1, 2))])
+    with pytest.raises(ValueError, match="lattice data must be integral"):
+        hnf_rows([(1, "1/2")])
+    with pytest.raises(TypeError):
+        hnf_rows([(1, True)])
 
 
 def test_integer_kernel_basis_spans_kernel():

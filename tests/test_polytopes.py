@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -12,7 +13,8 @@ from weightpoly.builders import SideData, polygon_hrep
 from weightpoly.exact import dot, primitive_vector, vec, vec_sub
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   VPolytope, _facet_masks, _input_facets,
-                                  _joint_primitive, _vertex_graph, affine_image,
+                                  _joint_primitive, _scan_setup, _vertex_graph,
+                                  affine_image,
                                   canonical_incidence,
                                   combinatorial_fingerprint, contains,
                                   count_lattice_points, edges_at_vertex,
@@ -200,6 +202,43 @@ def test_count_lattice_points_matches_the_list_and_the_box_oracle():
     assert seen == {"empty", "dim-0", "integer-empty"}
     assert count_lattice_points(HPolytope(0, (), ()), 2) == 1
     assert count_lattice_points(empty_hrep(2), 3) == 0
+
+
+def test_hpolytope_hash_is_stored_and_equality_reads_only_the_fields():
+    a = HPolytope(2, (((1, 0), 1), ((0, 1), 2), ((1, 0), 3)))  # the duplicate keeps 1
+    b = HPolytope(2, ((vec([1, 0]), Fraction(1)), (vec([0, 1]), Fraction(2))))
+    assert a == b and hash(a) == hash(b) == hash((2, b.ineqs, b.eqs))
+    assert a != HPolytope(2, b.ineqs[:1])
+    assert [f.name for f in dataclasses.fields(HPolytope)] == ["dim", "ineqs", "eqs"]
+    assert repr(a) == repr(b) and "_hash" not in repr(a)
+
+
+def test_scan_setup_is_computed_once_per_polytope_and_rounded_per_dilate():
+    # 2x + 4y <= 3 scales to the coprime row (2, 4 | 3t) at odd dilates t and to
+    # (1, 2 | 3t/2) at even ones; the cached setup must serve both.
+    rows = ((vec([2, 4]), Fraction(3)), (vec([-1, 0]), Fraction(0)),
+            (vec([0, -1]), Fraction(0)), (vec([3, -2]), Fraction(2)))
+    P = HPolytope(2, rows)
+    before = _scan_setup.cache_info()
+    for t in (3, 1, 2):
+        points = lattice_points(P, t)
+        assert tuple(points) == brute_force_lattice_points(P, t)
+        assert count_lattice_points(P, t) == len(points) > 0
+    after = _scan_setup.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 5)
+
+    # With an explicit equality the chart's offset moves with the dilate, so
+    # each dilate builds its own setup, outside the cache.
+    Q = HPolytope(3, tuple((a + (Fraction(0),), b) for a, b in rows)
+                  + ((vec([0, 0, -1]), Fraction(0)), (vec([0, 0, 1]), Fraction(5, 2))),
+                  ((vec([1, -1, 1]), Fraction(1)),))
+    before = _scan_setup.cache_info()
+    for t in (3, 1, 2):
+        points = lattice_points(Q, t)
+        assert tuple(points) == brute_force_lattice_points(Q, t)
+        assert count_lattice_points(Q, t) == len(points) > 0
+    after = _scan_setup.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits)
 
 
 def test_count_scan_leaves_no_reference_cycle():
