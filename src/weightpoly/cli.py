@@ -49,14 +49,26 @@ def _add_chart(p: argparse.ArgumentParser, default: str) -> None:
                    help=f"coordinate chart to work in (default: {default})")
 
 
+def _load(path: str, what: str, parse):
+    """parse(data) for the JSON data in the file at path.
+
+    A file that cannot be read, or whose data lacks a field or holds one of
+    the wrong type, raises _InputError; parse's own ValueErrors pass through.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _InputError(f"cannot read {what} file: {exc}") from exc
+    try:
+        return parse(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise _InputError(f"malformed {what} file: {exc!r}") from exc
+
+
 def _parse_side(args: argparse.Namespace) -> SideData:
     if args.side_file is not None:
-        try:
-            with open(args.side_file, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _InputError(f"cannot read side file: {exc}") from exc
-        return SideData.from_json_dict(data)
+        return _load(args.side_file, "side", SideData.from_json_dict)
     if args.m is None or args.r is None:
         raise _InputError("need --m and --r (or --side-file)")
     try:
@@ -66,23 +78,10 @@ def _parse_side(args: argparse.Namespace) -> SideData:
     return SideData.from_weights(args.m, r)
 
 
-def _parse_polytope(args: argparse.Namespace) -> HPolytope | None:
-    path = getattr(args, "polytope_file", None)
-    if path is None:
-        return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _InputError(f"cannot read polytope file: {exc}") from exc
-    return HPolytope.from_json_dict(data)
-
-
 def _chart_polytope(args: argparse.Namespace) -> HPolytope:
     """The polytope a geometry subcommand should operate on."""
-    P = _parse_polytope(args)
-    if P is not None:
-        return P
+    if args.polytope_file is not None:
+        return _load(args.polytope_file, "polytope", HPolytope.from_json_dict)
     s = _parse_side(args)
     if args.chart == "diag" and s.m == 1:
         return polygon_hrep(s)
@@ -122,7 +121,7 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
 
 
 def _cmd_fan(args: argparse.Namespace) -> int:
-    F = normal_fan(remove_redundant(_chart_polytope(args)))
+    F = normal_fan(_chart_polytope(args))
     lines = [f"ambient: {F.ambient_dim}"]
     for vertex, cone in F.maximal_cones:
         rays = " ".join(_point_str(r) for r in cone.rays)
@@ -132,7 +131,7 @@ def _cmd_fan(args: argparse.Namespace) -> int:
 
 
 def _cmd_singular(args: argparse.Namespace) -> int:
-    report = singularity_report(normal_fan(remove_redundant(_chart_polytope(args))))
+    report = singularity_report(normal_fan(_chart_polytope(args)))
     lines = [f"vertex {_point_str(e.vertex)}: {e.label}" for e in report.entries]
     lines.append("smooth: " + ("yes" if report.is_smooth else "no"))
     _emit(args, report.to_json_dict(), lines)

@@ -323,7 +323,7 @@ def verify_duality(s: SideData, t_max: int) -> DualityReport:
         DualityInvariant("dimension", polytope_dim(A), polytope_dim(B)),
         DualityInvariant("vertex_count", len(a_verts.vertices), len(b_verts.vertices)),
         DualityInvariant("facet_count",
-                         len(_facet_masks(A, a_verts)), len(_facet_masks(B, b_verts))),
+                         len(_facet_masks(A)), len(_facet_masks(B))),
         DualityInvariant("dilate_counts",
                          list(count_dilates(A, t_max).counts[1:]),
                          list(count_dilates(B, t_max).counts[1:])),

@@ -170,41 +170,6 @@ def mat_inverse(rows: Sequence[Sequence]) -> Mat:
     return tuple(tuple(by_pivot[c][n:]) for c in range(n))
 
 
-def det_bareiss(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant via fraction-free (Bareiss) elimination.
-
-    Rational input is cleared to integers row by row; the scaling is divided
-    back out at the end, so the result is exact.
-    """
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    m: list[list[int]] = []
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        fr = [frac(v) for v in row]
-        den = lcm(*(f.denominator for f in fr))
-        scale *= den
-        m.append([int(f * den) for f in fr])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], scale)
-
-
 def clear_denominators(v: Sequence) -> tuple[int, tuple[int, ...]]:
     """(t, x) with t the least positive integer making x = t * v integral.
 
@@ -345,33 +310,20 @@ def solve_integer(rows: Sequence[Sequence], rhs: Sequence) -> tuple[int, ...] | 
 def lattice_index(rays: Sequence[Sequence], dim: int | None = None) -> int:
     """Index in Z^d of the sublattice generated by integer rays.
 
-    For d independent rays this is |det|; with more generators the HNF pivot
-    product is used.  Raises if the rays do not span rank d.
+    The product of the pivots of their Hermite normal form (|det| for d
+    independent rays).  Raises if the rays do not span rank d.
     """
-    ints = _int_rows(rays)
     if dim is None:
-        if not ints:
+        if not rays:
             raise ValueError("lattice_index of no rays needs an explicit dim")
-        dim = len(ints[0])
-    if dim == 0:
-        return 1
-    if len(ints) == dim:
-        d = det_bareiss(ints)
-        if d == 0:
-            raise ValueError("rays are not full rank")
-        return abs(int(d))
-    h = hnf_rows(ints)
+        dim = len(rays[0])
+    h = hnf_rows(rays)
     if len(h) < dim:
         raise ValueError("rays are not full rank")
-    prod = 1
-    pivots = []
+    index = 1
     for row in h:
-        lead = next(j for j in range(len(row)) if row[j] != 0)
-        pivots.append(lead)
-        prod *= row[lead]
-    if len(set(pivots)) < dim:
-        raise ValueError("rays are not full rank")
-    return abs(prod)
+        index *= next(c for c in row if c)
+    return index
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -2,9 +2,9 @@
 
 H-representations (inequalities normal . x <= rhs plus equalities), V-representations
 (vertex lists), and the conversions between them via the double description method.
-Edges with their integer directions, facets and full-dimensionality of H-polytopes
-are read off which input rows are tight at which vertices, held as int bitmasks,
-in every dimension.  Everything is exact, over
+Edges with their integer directions, facets and the dimension of H-polytopes
+are read off one cached record of which input rows are tight at which vertices,
+held as int bitmasks, in every dimension.  Everything is exact, over
 Fraction or over integers after clearing denominators; output orders are canonical
 (lexicographic) so equal polytopes serialize identically.
 
@@ -107,7 +107,7 @@ class HPolytope:
     @classmethod
     def from_json_dict(cls, data: dict) -> "HPolytope":
         dim = data["dim"]
-        if not isinstance(dim, int):
+        if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError("dim must be an integer")
         ineqs = tuple((vec(row["a"]), frac(row["b"])) for row in data.get("ineqs", ()))
         eqs = tuple((vec(row["a"]), frac(row["b"])) for row in data.get("eqs", ()))
@@ -151,7 +151,7 @@ class VPolytope:
     @classmethod
     def from_json_dict(cls, data: dict) -> "VPolytope":
         dim = data["dim"]
-        if not isinstance(dim, int):
+        if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError("dim must be an integer")
         return cls(dim, tuple(vec(v) for v in data.get("vertices", ())))
 
@@ -396,17 +396,18 @@ def v_to_h(V: VPolytope) -> HPolytope:
     return HPolytope(d, tuple(sorted(ineqs)), eqs)
 
 
-def _incidence(P: HPolytope, verts: Sequence[Vec]
-               ) -> tuple[list[int], list[int], list[tuple[int, tuple[int, ...]]]]:
-    """Which rows of P.ineqs are tight at which of verts, as int bitmasks.
+@functools.lru_cache(maxsize=512)
+def _incidence(P: HPolytope) -> tuple[list[int], list[int], list[tuple[int, tuple[int, ...]]]]:
+    """Which rows of P.ineqs are tight at which vertices of P, as int bitmasks.
 
     Returns (rows tight at each vertex, vertices tight on each row, each
     vertex cleared to integers (t, x) with x = t * vertex): bit i of an entry
     of the first list stands for P.ineqs[i], bit k of an entry of the second
-    for verts[k].  Exact in integers: rows are scaled to coprime integers.
+    for h_to_v(P).vertices[k].  Exact in integers: rows are scaled to coprime
+    integers.  Facets, dimension and edges are all read off this one record.
     """
     int_rows = [_joint_primitive(a, b) for a, b in P.ineqs]
-    cleared = [clear_denominators(v) for v in verts]
+    cleared = [clear_denominators(v) for v in h_to_v(P).vertices]
     vert_masks = []
     row_masks = [0] * len(int_rows)
     for k, (t, x) in enumerate(cleared):
@@ -440,37 +441,16 @@ def _facet_rows(row_masks: Sequence[int], n_verts: int) -> tuple[tuple[int, int]
     return tuple(facets)
 
 
-@functools.lru_cache(maxsize=512)
-def _input_facets(P: HPolytope) -> tuple[tuple[int, int], ...] | None:
-    """Facets of a full-dimensional P as (index into P.ineqs, tight-vertex
-    bitmask over h_to_v(P).vertices), by _facet_rows.
+def _facet_masks(P: HPolytope) -> list[int]:
+    """Tight-vertex bitmask over h_to_v(P).vertices of each facet of P.
 
-    Returns None unless P is nonempty, has no equalities and no row tight at
-    every vertex.  Such a row would be an implicit equality; without one the
-    affine hull is the whole space (Schrijver, section 8.2).
+    By _facet_rows in every dimension.  Empty P gives the one mask of the
+    infeasibility certificate.
     """
-    verts = h_to_v(P).vertices
-    if P.eqs or not verts:
-        return None
-    row_masks = _incidence(P, verts)[1]
-    if (1 << len(verts)) - 1 in row_masks:
-        return None
-    return _facet_rows(row_masks, len(verts))
-
-
-def _facet_masks(P: HPolytope, V: VPolytope) -> list[int]:
-    """Tight-vertex bitmask over V.vertices of each facet, with V = h_to_v(P).
-
-    By _facet_rows in every dimension, through _input_facets' cache when P is
-    full-dimensional.  Empty P gives the one mask of the infeasibility
-    certificate.
-    """
-    if not V.vertices:
+    vert_masks, row_masks, _ = _incidence(P)
+    if not vert_masks:
         return [0]
-    facets = _input_facets(P)
-    if facets is None:
-        facets = _facet_rows(_incidence(P, V.vertices)[1], len(V.vertices))
-    return [mask for _, mask in facets]
+    return [mask for _, mask in _facet_rows(row_masks, len(vert_masks))]
 
 
 def remove_redundant(P: HPolytope) -> HPolytope:
@@ -481,19 +461,19 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     in canonical affine-hull form.  Idempotent.  An empty polytope yields the
     canonical infeasibility certificate.
 
-    A full-dimensional system keeps the input rows _input_facets reads off
-    the tight-row incidence, in input order, with no second double
-    description pass.  Any other system is matched against the facets of
+    A full-dimensional system keeps the input rows _facet_rows reads off the
+    tight-row incidence, in input order, with no second double description
+    pass.  Any other system is matched against the facets of
     v_to_h(h_to_v(P)), whose canonical rows are appended for facets no input
     row matches.
     """
-    V = h_to_v(P)
-    if not V.vertices:
+    vert_masks, row_masks, _ = _incidence(P)
+    if not vert_masks:
         return empty_hrep(P.dim)
-    facets = _input_facets(P)
-    if facets is not None:
+    if polytope_dim(P) == P.dim:
+        facets = _facet_rows(row_masks, len(vert_masks))
         return HPolytope(P.dim, tuple(P.ineqs[i] for i, _ in facets), ())
-    canon = v_to_h(V)
+    canon = v_to_h(h_to_v(P))
     facet_keys = {_joint_primitive(a, b) for a, b in canon.ineqs}
     retained: list[tuple[Vec, Fraction]] = []
     covered = set()
@@ -526,16 +506,18 @@ def contains(P: HPolytope, point: Sequence) -> bool:
 def polytope_dim(P: HPolytope) -> int:
     """Dimension of the affine hull; -1 for the empty polytope.
 
-    P.dim when the incidence shows P full-dimensional (_input_facets), else
-    the rank of the vertex differences.
+    The affine hull of a nonempty P is cut out by its explicit equalities and
+    its implicit ones, the rows tight at every point, which for a polytope are
+    the rows tight at every vertex (Schrijver, section 8.2).  So the dimension
+    is P.dim minus the rank of those normals, read off the incidence.
     """
-    verts = h_to_v(P).vertices
-    if not verts:
+    vert_masks, row_masks, _ = _incidence(P)
+    if not vert_masks:
         return -1
-    if _input_facets(P) is not None:
-        return P.dim
-    v0 = verts[0]
-    return rank([vec_sub(v, v0) for v in verts[1:]])
+    everyone = (1 << len(vert_masks)) - 1
+    normals = [e for e, _ in P.eqs] + [
+        a for (a, _), mask in zip(P.ineqs, row_masks) if mask == everyone]
+    return P.dim - rank(normals) if normals else P.dim
 
 
 @functools.lru_cache(maxsize=512)
@@ -727,7 +709,7 @@ def _vertex_graph(P: HPolytope):
     primitive_vector(t_i * x_j - t_j * x_i), found once in integers.
     """
     verts = h_to_v(P).vertices
-    vert_masks, row_masks, cleared = _incidence(P, verts)
+    vert_masks, row_masks, cleared = _incidence(P)
     need = P.dim - 1 - len(P.eqs)
     everyone = (1 << len(verts)) - 1
     neighbors: list[dict[int, tuple[int, ...]]] = [{} for _ in verts]
@@ -959,7 +941,7 @@ def combinatorial_fingerprint(P: HPolytope) -> str:
     if not V.vertices:
         return "dim=-1;empty"
     dim = polytope_dim(P)
-    facet_masks = _facet_masks(P, V)
+    facet_masks = _facet_masks(P)
     vert_sets = [frozenset(j for j, mask in enumerate(facet_masks) if mask >> k & 1)
                  for k in range(len(V.vertices))]
     enc = canonical_incidence(len(facet_masks), None, vert_sets)

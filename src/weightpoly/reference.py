@@ -76,8 +76,7 @@ def reference_battery(side_overrides: dict[str, tuple] | None = None) -> Referen
         claims.append(ReferenceClaim(claim_id, expected, computed))
 
     for claim_id, (r, expected) in _SINGULAR_CLAIMS.items():
-        P = remove_redundant(polygon_hrep(weights(claim_id, r)))
-        report = singularity_report(normal_fan(P))
+        report = singularity_report(normal_fan(polygon_hrep(weights(claim_id, r))))
         singular = report.singular
         computed = {"count": len(singular), "orders": sorted(e.index for e in singular)}
         claims.append(ReferenceClaim(claim_id, expected, computed))

@@ -21,6 +21,7 @@ from .builders import SideData, triangle_inequalities
 from .exact import Vec, clear_denominators, frac_str, lattice_index, primitive_vector, vec
 from .polytopes import (
     HPolytope,
+    _idot,
     _joint_primitive,
     _vertex_graph,
     canonical_incidence,
@@ -177,20 +178,31 @@ def facet_labels(s: SideData, P: HPolytope) -> list[FacetLabel]:
 
 
 def _cone_adjacency(F: Fan) -> list[frozenset[int]]:
-    """Pairs of maximal cones whose vertices form an edge of the polytope."""
-    ray_sets = [set(c.rays) for _, c in F.maximal_cones]
-    cleared = [clear_denominators(v) for v, _ in F.maximal_cones]
-    edges = []
-    for i, (ti, xi) in enumerate(cleared):
-        for j in range(i + 1, len(cleared)):
-            tj, xj = cleared[j]
-            delta = tuple(ti * b - tj * a for a, b in zip(xi, xj))
-            if not any(delta):
-                continue
-            direction = primitive_vector(delta)
-            if direction in ray_sets[i] and tuple(-c for c in direction) in ray_sets[j]:
-                edges.append(frozenset((i, j)))
-    return edges
+    """Pairs of maximal cones whose vertices form an edge of the polytope.
+
+    Cones i and j pair when the direction from v_i to v_j is a ray of cone i
+    and its negation a ray of cone j.  Both (cone, ray) members then span one
+    line, so each is bucketed by its line: the sign-normalised ray rho and the
+    vertex's foot point v - (v.rho / rho.rho) rho, kept homogeneous as a
+    primitive integer vector.  Along the line, a member on +rho pairs with
+    each member on -rho that lies further along it.
+    """
+    lines: dict[tuple, list[tuple[Fraction, int, int]]] = {}
+    for i, (v, cone) in enumerate(F.maximal_cones):
+        t, x = clear_denominators(v)
+        for ray in cone.rays:
+            sign = 1 if next(c for c in ray if c) > 0 else -1
+            rho = tuple(sign * c for c in ray)
+            norm, at = _idot(rho, rho), _idot(x, rho)
+            foot = primitive_vector((t * norm, *(norm * a - at * r for a, r in zip(x, rho))))
+            lines.setdefault((rho, foot), []).append((Fraction(at, t), sign, i))
+    edges = set()
+    for members in lines.values():
+        for at, sign, i in members:
+            if sign > 0:
+                edges.update((min(i, j), max(i, j)) for ahead, s, j in members
+                             if s < 0 and ahead > at)
+    return [frozenset(e) for e in sorted(edges)]
 
 
 def fan_fingerprint(F: Fan) -> str:

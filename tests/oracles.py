@@ -297,3 +297,24 @@ def brute_force_canonical_incidence(n_left: int, left_labels: Sequence | None,
         return "L[];R[" + "|".join(sorted(",".join(map(str, sorted(s))) for s in rights)) + "]"
     init = {lab: r for r, lab in enumerate(sorted(set(map(repr, labels))))}
     return search([init[repr(lab)] for lab in labels])
+
+
+def pairwise_cone_adjacency(F):
+    """Cone pairs (i, j) of a fan, i < j, in order, such that the direction
+    from vertex i to vertex j, scaled to a primitive integer vector, is a ray
+    of cone i and its negation a ray of cone j; every pair is tested."""
+    cones = F.maximal_cones
+    edges = []
+    for i, (vi, ci) in enumerate(cones):
+        for j in range(i + 1, len(cones)):
+            vj, cj = cones[j]
+            delta = [Fraction(b) - Fraction(a) for a, b in zip(vi, vj)]
+            if not any(delta):
+                continue
+            scale = math.lcm(*(c.denominator for c in delta))
+            ints = [int(c * scale) for c in delta]
+            g = math.gcd(*ints)
+            direction = tuple(c // g for c in ints)
+            if direction in ci.rays and tuple(-c for c in direction) in cj.rays:
+                edges.append(frozenset((i, j)))
+    return edges

@@ -4,7 +4,8 @@ import pytest
 
 from weightpoly.builders import SideData, polygon_hrep
 from weightpoly.cli import build_parser, main
-from weightpoly.polytopes import combinatorial_fingerprint, h_to_v, remove_redundant
+from weightpoly.polytopes import (_incidence, _vertex_graph, combinatorial_fingerprint,
+                                  h_to_v, remove_redundant, v_to_h)
 
 PENTAGON = ["--m", "1", "--r", "3,3,3,3,3"]
 HEXAGON = ["--m", "1", "--r", "3,3,3,3,4"]
@@ -128,6 +129,35 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "cannot read side file" in err
     code, _, err = run(capsys, ["mult"] + PENTAGON)
     assert code == 2  # P = 15/2 is not an integral weight
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("polytope", {"dim": 1, "ineqs": [{"a": [True], "b": "1"}]}),
+    ("polytope", {"dim": 1, "ineqs": [{"a": [1.5], "b": "1"}]}),
+    ("polytope", {"dim": 1, "ineqs": [{"a": ["1"]}]}),
+    ("polytope", {"dim": True, "ineqs": [{"a": ["1"], "b": "1"}, {"a": ["-1"], "b": "0"}]}),
+    ("polytope", {"dim": 1, "ineqs": [5]}),
+    ("polytope", [1, 2]),
+    ("side", {"m": 1}),
+    ("side", {"m": 1, "r": [True, 1, 1, 1]}),
+    ("side", "m=1"),
+])
+def test_malformed_input_files_exit_two(capsys, tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["polytope", f"--{name}-file", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_fan_then_singular_run_one_dd_pass_and_one_incidence(capsys):
+    for cached in (h_to_v, v_to_h, _incidence, _vertex_graph):
+        cached.cache_clear()
+    for command in ("fan", "singular"):
+        assert run(capsys, [command] + HEXAGON)[0] == 0
+    assert h_to_v.cache_info().misses == 1
+    assert _incidence.cache_info().misses == 1
+    assert v_to_h.cache_info().misses == 0
 
 
 def test_output_is_byte_stable(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightpoly.exact import (ceil_div, det_bareiss, frac, frac_str,
+from weightpoly.exact import (ceil_div, frac, frac_str,
                               hnf_rows, independent_rows, integer_kernel_basis,
                               lattice_index, mat_inverse, nullspace,
                               primitive_vector, rank, solve_integer,
@@ -65,12 +65,6 @@ def test_mat_inverse_rejects_singular():
         mat_inverse([vec([1, 2]), vec([2, 4])])
 
 
-def test_det_bareiss_anchors():
-    assert det_bareiss([vec([1, 2]), vec([3, 4])]) == -2
-    assert det_bareiss([vec([0, 1]), vec([1, 0])]) == -1
-    assert det_bareiss([vec([2, 0, 0]), vec([0, 3, 0]), vec([0, 0, 4])]) == 24
-
-
 def test_primitive_vector_scales_to_coprime_integers():
     assert primitive_vector(vec([2, 4])) == (1, 2)
     assert primitive_vector(vec(["1/2", "1/3"])) == (3, 2)
@@ -117,6 +111,12 @@ def test_lattice_index_anchors():
     assert lattice_index(((1, 0), (0, 1)), 2) == 1
     assert lattice_index(((1, 0), (1, 2)), 2) == 2
     assert lattice_index(((1, 1, 0), (0, 1, 1), (1, 0, 1)), 3) == 2
+    # |det| of square matrices, with Fraction entries read like ints
+    assert lattice_index([vec([1, 2]), vec([3, 4])], 2) == 2
+    assert lattice_index([vec([0, 1]), vec([1, 0])], 2) == 1
+    assert lattice_index([vec([2, 0, 0]), vec([0, 3, 0]), vec([0, 0, 4])], 3) == 24
+    with pytest.raises(ValueError, match="not full rank"):
+        lattice_index(((1, 2), (2, 4)), 2)
 
 
 def test_floor_ceil_div_on_fractions():

@@ -7,12 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weightpoly.builders import SideData, polygon_hrep
 from weightpoly.exact import dot, primitive_vector, vec, vec_sub
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
-                                  VPolytope, _facet_masks, _input_facets,
+                                  VPolytope, _facet_masks, _incidence,
                                   _joint_primitive, _scan_setup, _vertex_graph,
                                   affine_image,
                                   canonical_incidence,
@@ -22,6 +22,7 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   polytope_dim,
                                   remove_redundant, restrict_to_affine_hull,
                                   v_to_h)
+from weightpoly.toric import normal_fan
 from oracles import (_rank, brute_force_canonical_incidence, brute_force_edges,
                      brute_force_lattice_points, brute_force_vertices,
                      random_box_with_cuts, random_box_with_equalities)
@@ -38,6 +39,10 @@ def box(dim, lo, hi):
 
 
 SQUARE = box(2, 0, 1)
+
+
+def _rows(pairs):
+    return tuple((vec(a), Fraction(b)) for a, b in pairs)
 
 
 def test_h_to_v_square():
@@ -409,6 +414,12 @@ def test_json_round_trips():
     assert AffineMap.from_json_dict(json.loads(json.dumps(A.to_json_dict()))) == A
 
 
+def test_from_json_dict_rejects_a_bool_dim():
+    for cls in (HPolytope, VPolytope):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            cls.from_json_dict({"dim": True})
+
+
 def test_zero_normal_rejected_unless_certificate():
     with pytest.raises(ValueError):
         HPolytope(dim=2, ineqs=((vec([0, 0]), Fraction(1)),), eqs=())
@@ -485,7 +496,7 @@ def test_vertex_graph_matches_rank_oracle(P):
 @settings(max_examples=80, deadline=None)
 @given(full_dimensional_polytopes())
 def test_facets_from_incidence_match_the_v_to_h_route(P):
-    assert _input_facets(P) is not None
+    assert polytope_dim(P) == P.dim
     V = h_to_v(P)
     canon = v_to_h(V)
     keys = {_joint_primitive(a, b) for a, b in canon.ineqs}
@@ -506,6 +517,14 @@ def test_facets_from_incidence_match_the_v_to_h_route(P):
         f"dim={polytope_dim(P)};facets={len(facets)};vertices={len(V.vertices)};{enc}")
 
 
+@settings(max_examples=80, deadline=None)
+@given(full_dimensional_polytopes())
+@example(HPolytope(2, _rows([((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0),
+                             ((1, 1), 40), ((2, 0), 2)]), ()))
+def test_normal_fan_needs_no_redundancy_removal(P):
+    assert normal_fan(P) == normal_fan(remove_redundant(P))
+
+
 def test_facet_rule_matches_the_v_to_h_route_and_the_rank_oracle():
     seen = set()
 
@@ -515,7 +534,7 @@ def test_facet_rule_matches_the_v_to_h_route_and_the_rank_oracle():
                          lambda rng: random_box_with_equalities(rng, HPolytope))))
     def check(P):
         V = h_to_v(P)
-        masks = _facet_masks(P, V)
+        masks = _facet_masks(P)
         canon = v_to_h(V).ineqs
         assert len(masks) == len(canon)
         assert set(masks) == {sum(1 << k for k, v in enumerate(V.vertices) if dot(a, v) == b)
@@ -539,29 +558,25 @@ def test_facet_rule_matches_the_v_to_h_route_and_the_rank_oracle():
     assert seen == {"empty", "dim-0", "explicit", "implicit", "full"}
 
 
-def _rows(pairs):
-    return tuple((vec(a), Fraction(b)) for a, b in pairs)
-
-
 def test_remove_redundant_of_lower_dimensional_systems_is_unchanged():
     with_eq = HPolytope(3, _rows([((1, 0, 0), 2), ((-1, 0, 0), 0), ((0, 1, 0), 2),
                                   ((0, -1, 0), 0), ((0, 0, 1), 2), ((0, 0, -1), 0),
                                   ((1, 1, 0), 5)]),
                         _rows([((1, 1, 1), 3)]))
-    assert _input_facets(with_eq) is None
+    assert polytope_dim(with_eq) < with_eq.dim
     assert remove_redundant(with_eq) == HPolytope(3, _rows([
         ((-2, 1, 1), 3), ((-1, -1, 2), 3), ((-1, 2, -1), 3),
         ((1, -2, 1), 3), ((1, 1, -2), 3), ((2, -1, -1), 3)]), _rows([((1, 1, 1), 3)]))
     implicit = HPolytope(2, _rows([((1, 0), 1), ((0, 2), 4), ((-1, 0), -1),
                                    ((0, 1), 2), ((0, -1), 0), ((1, 1), 9)]), ())
-    assert _input_facets(implicit) is None
+    assert polytope_dim(implicit) < implicit.dim
     assert remove_redundant(implicit) == HPolytope(
         2, _rows([((0, 2), 4), ((0, -1), 0)]), _rows([((1, 0), 1)]))
 
 
 def test_full_dimensional_polygon_needs_no_second_dd_pass():
     P = polygon_hrep(SideData.from_weights(1, (2, 3, 4, 5, 6, 7)))
-    for cached in (h_to_v, v_to_h, _vertex_graph, _input_facets):
+    for cached in (h_to_v, v_to_h, _vertex_graph, _incidence):
         cached.cache_clear()
     misses = v_to_h.cache_info().misses
     remove_redundant(P)

@@ -1,13 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weightpoly import polytopes, toric
 from weightpoly.builders import SideData, polygon_hrep
-from weightpoly.exact import vec
+from weightpoly.exact import primitive_vector, vec, vec_sub
 from weightpoly.polytopes import HPolytope, VPolytope, h_to_v, remove_redundant, v_to_h
-from weightpoly.toric import (Cone, Fan, facet_labels, fan_fingerprint,
+from weightpoly.toric import (Cone, Fan, _cone_adjacency, facet_labels, fan_fingerprint,
                               fan_to_json_dict, normal_fan, singularity_report)
+from oracles import pairwise_cone_adjacency
 
 
 def box2():
@@ -136,3 +138,38 @@ def test_fan_json_shape():
     d = fan_to_json_dict(normal_fan(box2()))
     assert len(d["cones"]) == 4
     assert {"vertex", "rays", "index", "status"} <= set(d["cones"][0])
+
+
+@st.composite
+def fans_on_shared_lines(draw):
+    """Cones at rational points of a small grid, each with rays towards some
+    other points (so collinear points share lines) and a few free rays."""
+    d = draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=7, unique=True))
+    free = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    cones = []
+    for v in points:
+        rays = []
+        towards = [primitive_vector(vec_sub(w, v))
+                   for w in draw(st.lists(st.sampled_from(points), max_size=4)) if w != v]
+        for ray in towards + [primitive_vector(r) for r in draw(st.lists(free, max_size=2))]:
+            if ray not in rays and tuple(-c for c in ray) not in rays:
+                rays.append(ray)
+        cones.append((v, Cone(tuple(rays))))
+    return Fan(d, tuple(cones))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fans_on_shared_lines())
+def test_cone_adjacency_matches_the_pairwise_rule(F):
+    assert _cone_adjacency(F) == pairwise_cone_adjacency(F)
+
+
+@pytest.mark.parametrize("r", [(3, 3, 3, 3, 3), (3, 3, 3, 3, 4), ("5/2", 3, 4, 5, 6, 7),
+                               (1, 2, 2, 3, 3, 4, 4), (1, 2, 3, 4, 5, 6, 7, 8, 9)])
+def test_cone_adjacency_of_polygon_fans_matches_the_pairwise_rule(r):
+    F = normal_fan(polygon_hrep(SideData.from_weights(1, r)))
+    edges = _cone_adjacency(F)
+    assert edges == pairwise_cone_adjacency(F)
+    assert 2 * len(edges) == sum(len(c.rays) for _, c in F.maximal_cones)
