@@ -61,7 +61,7 @@ class SideData:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SideData":
-        weights = tuple(frac(x) for x in data["r"])
+        weights = vec(data["r"])
         m = data["m"]
         if "n" in data and data["n"] != len(weights):
             raise ValueError("n does not match the number of weights")

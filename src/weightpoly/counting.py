@@ -97,7 +97,7 @@ class EhrhartFit:
         }
 
 
-def ehrhart_fit(c: DilateCounts, dim: int | None = None) -> EhrhartFit:
+def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     """Fit the dilate counts exactly.
 
     Polynomial mode when the polytope has integral vertices; otherwise quasi
@@ -111,8 +111,7 @@ def ehrhart_fit(c: DilateCounts, dim: int | None = None) -> EhrhartFit:
         _check_reproduces(fit, c)
         return fit
     period = lcm(1, *(x.denominator for v in verts for x in v))
-    degree = polytope_dim(c.polytope) if dim is None else dim
-    degree = max(0, degree)
+    degree = max(0, polytope_dim(c.polytope))
     mode = "polynomial" if period == 1 else "quasi"
     coeffs_by_class = []
     for residue in range(period):

@@ -16,22 +16,23 @@ Mat = tuple[Vec, ...]
 
 
 def frac(value: int | str | Fraction) -> Fraction:
-    """Parse an exact rational from an int, Fraction, or "p/q" string."""
+    """Parse an exact rational from an int, "p/q" string or Fraction (kept as is)."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise TypeError(f"not a rational: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        # Fraction("p/0") raises ZeroDivisionError, as required.
-        return Fraction(value)
+    if isinstance(value, (int, str)):
+        return Fraction(value)  # Fraction("p/0") raises ZeroDivisionError, as required.
     raise TypeError(f"not an exact rational: {value!r} (floats are not accepted)")
 
 
 def frac_str(value: Fraction | int) -> str:
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def vec(values: Sequence) -> Vec:
+    if isinstance(values, str):
+        raise TypeError(f"not a vector: {values!r}")
     return tuple(frac(v) for v in values)
 
 
@@ -139,12 +140,8 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[str, Vec | No
     return ("unique", x)
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec]:
+def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
     """Basis of {x : A x = 0} over the rationals (reduced row echelon form)."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("nullspace of an empty matrix needs an explicit width")
-        ncols = len(rows[0])
     reduced, pivots, _ = _gauss_jordan(rows, ncols)
     basis = []
     for fc in range(ncols):
@@ -307,16 +304,12 @@ def solve_integer(rows: Sequence[Sequence], rhs: Sequence) -> tuple[int, ...] | 
     return tuple(x)
 
 
-def lattice_index(rays: Sequence[Sequence], dim: int | None = None) -> int:
-    """Index in Z^d of the sublattice generated by integer rays.
+def lattice_index(rays: Sequence[Sequence], dim: int) -> int:
+    """Index in Z^dim of the sublattice generated by integer rays.
 
-    The product of the pivots of their Hermite normal form (|det| for d
-    independent rays).  Raises if the rays do not span rank d.
+    The product of the pivots of their Hermite normal form (|det| for dim
+    independent rays).  Raises if the rays do not span rank dim.
     """
-    if dim is None:
-        if not rays:
-            raise ValueError("lattice_index of no rays needs an explicit dim")
-        dim = len(rays[0])
     h = hnf_rows(rays)
     if len(h) < dim:
         raise ValueError("rays are not full rank")

@@ -19,7 +19,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -128,7 +128,7 @@ class VPolytope:
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("ambient dimension must be >= 0")
-        verts = sorted({vec(v) for v in self.vertices})
+        verts = sorted(dict.fromkeys(vec(v) for v in self.vertices))
         for v in verts:
             if len(v) != self.dim:
                 raise ValueError("vertex has wrong length")
@@ -221,8 +221,9 @@ class _NotPointedError(Exception):
     pass
 
 
-def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
-    """Extreme rays of the pointed cone {y : row . y >= 0 for every row}.
+def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[int]]:
+    """Extreme rays of the pointed cone {y : row . y >= 0 for every row}, with
+    the rows each one is tight on.
 
     Incremental double description (Fukuda & Prodon, "Double description
     method revisited", 1996): a simplicial start from the first linearly
@@ -232,8 +233,8 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
     bit when it lies on that row, and the ray combined from p and q is tight
     exactly on (zero set of p & zero set of q) plus the new row.  Two rays are
     adjacent iff no third ray's zero set contains their common one (the
-    combinatorial test).  Raises _NotPointedError when the rows do not span
-    (the cone contains a line).
+    combinatorial test).  Returns (rays, zero sets).  Raises _NotPointedError
+    when the rows do not span (the cone contains a line).
     """
     basis_idx = independent_rows(rows)
     if len(basis_idx) < dim:
@@ -281,54 +282,29 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, .
             zsets = [zsets[i] | bit if vals[i] == 0 else zsets[i] for i in kept] + fresh_z
         else:
             zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
-    return rays
+    return rays, zsets
 
 
-def _homogeneous_rows(P: HPolytope) -> list[tuple[int, ...]]:
-    rows = {tuple([1] + [0] * P.dim)}
-    for a, b in P.ineqs:
-        rows.add(primitive_vector((b,) + tuple(-c for c in a)))
+def _homogeneous_rows(P: HPolytope) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Sorted distinct primitive rows (b, -a) of the cone over P, t >= 0 and both
+    halves of each equality among them; and the index of each row of P.ineqs."""
+    ineq_rows = [primitive_vector((b,) + tuple(-c for c in a)) for a, b in P.ineqs]
+    rows = {tuple([1] + [0] * P.dim), *ineq_rows}
     for e, f in P.eqs:
         rows.add(primitive_vector((f,) + tuple(-c for c in e)))
         rows.add(primitive_vector((-f,) + tuple(c for c in e)))
-    return sorted(rows)
+    at = {row: k for k, row in enumerate(sorted(rows))}
+    return list(at), [at[row] for row in ineq_rows]
 
 
 @functools.lru_cache(maxsize=512)
 def h_to_v(P: HPolytope) -> VPolytope:
-    """Vertex enumeration of a bounded H-polytope (double description).
+    """Vertex enumeration of a bounded H-polytope, read off _incidence(P).
 
     Raises UnboundedPolytopeError when the feasible set is nonempty and has a
     recession direction.  Returns the empty VPolytope exactly when P is empty.
     """
-    try:
-        rays = _dd_extreme_rays(_homogeneous_rows(P), P.dim + 1)
-    except _NotPointedError:
-        # The normals miss the lines L = {x : a . x = 0 for every normal a},
-        # so P = (P meet the orthogonal complement of L) + L, and that slice,
-        # whose homogenization is pointed, is nonempty iff P is.  Nonempty
-        # then means unbounded.
-        lines = nullspace([a for a, _ in P.ineqs] + [e for e, _ in P.eqs], P.dim)
-        section = HPolytope(P.dim, P.ineqs, P.eqs + tuple((z, 0) for z in lines))
-        if any(ray[0] > 0 for ray in _dd_extreme_rays(_homogeneous_rows(section), P.dim + 1)):
-            raise UnboundedPolytopeError(
-                "polytope is unbounded (recession line); bounded input required"
-            ) from None
-        return VPolytope(P.dim, ())
-    vertices = []
-    recession = False
-    for ray in rays:
-        t = ray[0]
-        if t == 0:
-            recession = True
-        elif t < 0:
-            raise AssertionError("homogenization row t >= 0 violated")
-        else:
-            vertices.append(tuple(Fraction(c, t) for c in ray[1:]))
-    if vertices and recession:
-        raise UnboundedPolytopeError(
-            "polytope is unbounded (recession ray); bounded input required")
-    return VPolytope(P.dim, tuple(vertices))
+    return VPolytope(P.dim, _incidence(P)[0])
 
 
 def _joint_primitive(normal: Sequence, rhs) -> tuple[tuple[int, ...], int]:
@@ -381,7 +357,7 @@ def v_to_h(V: VPolytope) -> HPolytope:
         delta = vec_sub(v, v0)
         y = tuple(dot(w, delta) for w in w_rows)
         dual_rows.add(primitive_vector((Fraction(1),) + y))
-    rays = _dd_extreme_rays(sorted(dual_rows), k + 1)
+    rays, _ = _dd_extreme_rays(sorted(dual_rows), k + 1)
     ineqs = []
     for z in rays:
         c_chart = z[1:]
@@ -397,27 +373,45 @@ def v_to_h(V: VPolytope) -> HPolytope:
 
 
 @functools.lru_cache(maxsize=512)
-def _incidence(P: HPolytope) -> tuple[list[int], list[int], list[tuple[int, tuple[int, ...]]]]:
-    """Which rows of P.ineqs are tight at which vertices of P, as int bitmasks.
+def _incidence(P: HPolytope):
+    """Vertices of a bounded H-polytope and, as int bitmasks, which rows of
+    P.ineqs are tight at which of them, from one double description pass.
 
-    Returns (rows tight at each vertex, vertices tight on each row, each
-    vertex cleared to integers (t, x) with x = t * vertex): bit i of an entry
-    of the first list stands for P.ineqs[i], bit k of an entry of the second
-    for h_to_v(P).vertices[k].  Exact in integers: rows are scaled to coprime
-    integers.  Facets, dimension and edges are all read off this one record.
+    Returns (vertices sorted as VPolytope sorts them, rows tight at each
+    vertex, vertices tight on each row, each vertex's primitive ray (t, x)
+    with x = t * vertex).  The DD's zero sets are the incidence: P.ineqs[i]
+    is tight wherever its homogeneous row is.  Facets, dimension and edges
+    are read off this one record.  Raises UnboundedPolytopeError as h_to_v does.
     """
-    int_rows = [_joint_primitive(a, b) for a, b in P.ineqs]
-    cleared = [clear_denominators(v) for v in h_to_v(P).vertices]
-    vert_masks = []
-    row_masks = [0] * len(int_rows)
-    for k, (t, x) in enumerate(cleared):
-        mask = 0
-        for i, (a, b) in enumerate(int_rows):
-            if _idot(a, x) == b * t:
-                mask |= 1 << i
-                row_masks[i] |= 1 << k
-        vert_masks.append(mask)
-    return vert_masks, row_masks, cleared
+    rows, ineq_at = _homogeneous_rows(P)
+    try:
+        rays, zsets = _dd_extreme_rays(rows, P.dim + 1)
+    except _NotPointedError:
+        # The normals miss the lines L = {x : a . x = 0 for every normal a},
+        # so P = (P meet the orthogonal complement of L) + L, and that slice,
+        # whose homogenization is pointed, is nonempty iff P is.  Nonempty
+        # then means unbounded.
+        lines = nullspace([a for a, _ in P.ineqs] + [e for e, _ in P.eqs], P.dim)
+        section = HPolytope(P.dim, P.ineqs, P.eqs + tuple((z, 0) for z in lines))
+        section_rays, _ = _dd_extreme_rays(_homogeneous_rows(section)[0], P.dim + 1)
+        if any(ray[0] > 0 for ray in section_rays):
+            raise UnboundedPolytopeError(
+                "polytope is unbounded (recession line); bounded input required"
+            ) from None
+        rays, zsets = [], []
+    if any(ray[0] < 0 for ray in rays):
+        raise AssertionError("homogenization row t >= 0 violated")
+    found = [(ray, zset) for ray, zset in zip(rays, zsets) if ray[0]]
+    if found and len(found) < len(rays):
+        raise UnboundedPolytopeError(
+            "polytope is unbounded (recession ray); bounded input required")
+    scale = lcm(1, *(ray[0] for ray, _ in found))  # sort by vertex, in integers
+    found.sort(key=lambda item: tuple(c * (scale // item[0][0]) for c in item[0][1:]))
+    zsets = [zset for _, zset in found]
+    vert_masks = [sum(1 << i for i, k in enumerate(ineq_at) if z >> k & 1) for z in zsets]
+    row_masks = [sum(1 << v for v, z in enumerate(zsets) if z >> k & 1) for k in ineq_at]
+    return (tuple(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray, _ in found),
+            vert_masks, row_masks, [(ray[0], ray[1:]) for ray, _ in found])
 
 
 def _facet_rows(row_masks: Sequence[int], n_verts: int) -> tuple[tuple[int, int], ...]:
@@ -442,12 +436,12 @@ def _facet_rows(row_masks: Sequence[int], n_verts: int) -> tuple[tuple[int, int]
 
 
 def _facet_masks(P: HPolytope) -> list[int]:
-    """Tight-vertex bitmask over h_to_v(P).vertices of each facet of P.
+    """Tight-vertex bitmask over the vertices of P of each facet of P.
 
     By _facet_rows in every dimension.  Empty P gives the one mask of the
     infeasibility certificate.
     """
-    vert_masks, row_masks, _ = _incidence(P)
+    _, vert_masks, row_masks, _ = _incidence(P)
     if not vert_masks:
         return [0]
     return [mask for _, mask in _facet_rows(row_masks, len(vert_masks))]
@@ -467,7 +461,7 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     v_to_h(h_to_v(P)), whose canonical rows are appended for facets no input
     row matches.
     """
-    vert_masks, row_masks, _ = _incidence(P)
+    _, vert_masks, row_masks, _ = _incidence(P)
     if not vert_masks:
         return empty_hrep(P.dim)
     if polytope_dim(P) == P.dim:
@@ -511,7 +505,7 @@ def polytope_dim(P: HPolytope) -> int:
     the rows tight at every vertex (Schrijver, section 8.2).  So the dimension
     is P.dim minus the rank of those normals, read off the incidence.
     """
-    vert_masks, row_masks, _ = _incidence(P)
+    _, vert_masks, row_masks, _ = _incidence(P)
     if not vert_masks:
         return -1
     everyone = (1 << len(vert_masks)) - 1
@@ -708,8 +702,7 @@ def _vertex_graph(P: HPolytope):
     With vertices cleared to (t, x), the direction of an edge is
     primitive_vector(t_i * x_j - t_j * x_i), found once in integers.
     """
-    verts = h_to_v(P).vertices
-    vert_masks, row_masks, cleared = _incidence(P)
+    verts, vert_masks, row_masks, cleared = _incidence(P)
     need = P.dim - 1 - len(P.eqs)
     everyone = (1 << len(verts)) - 1
     neighbors: list[dict[int, tuple[int, ...]]] = [{} for _ in verts]

@@ -53,6 +53,21 @@ def brute_force_vertices(H):
     return tuple(sorted(found))
 
 
+def tightness_incidence(H):
+    """(vertices, rows of H.ineqs tight at each vertex, vertices tight on each
+    row): the subset-enumeration vertices, and bitmasks over H.ineqs and over
+    those vertices found by exact dot products."""
+    verts = brute_force_vertices(H)
+    vert_masks = [0] * len(verts)
+    row_masks = [0] * len(H.ineqs)
+    for k, v in enumerate(verts):
+        for i, (a, b) in enumerate(H.ineqs):
+            if sum(ai * vi for ai, vi in zip(a, v)) == b:
+                vert_masks[k] |= 1 << i
+                row_masks[i] |= 1 << k
+    return verts, vert_masks, row_masks
+
+
 def _rank(rows):
     """Rank of a list of rational rows by Gaussian elimination."""
     M = [[Fraction(x) for x in row] for row in rows]

@@ -141,6 +141,9 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     ("side", {"m": 1}),
     ("side", {"m": 1, "r": [True, 1, 1, 1]}),
     ("side", "m=1"),
+    ("side", {"m": 1, "r": "33333"}),
+    ("polytope", {"dim": 2, "ineqs": [{"a": "10", "b": "1"}, {"a": [-1, 0], "b": 0},
+                                      {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}),
 ])
 def test_malformed_input_files_exit_two(capsys, tmp_path, name, doc):
     path = tmp_path / f"{name}.json"
@@ -155,8 +158,9 @@ def test_fan_then_singular_run_one_dd_pass_and_one_incidence(capsys):
         cached.cache_clear()
     for command in ("fan", "singular"):
         assert run(capsys, [command] + HEXAGON)[0] == 0
-    assert h_to_v.cache_info().misses == 1
+    # _incidence runs the one DD pass; fan and singular never need h_to_v.
     assert _incidence.cache_info().misses == 1
+    assert h_to_v.cache_info().misses == 0
     assert v_to_h.cache_info().misses == 0
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weightpoly.builders import SideData, polygon_hrep
-from weightpoly.exact import dot, primitive_vector, vec, vec_sub
+from weightpoly.exact import clear_denominators, dot, primitive_vector, vec, vec_sub
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   VPolytope, _facet_masks, _incidence,
                                   _joint_primitive, _scan_setup, _vertex_graph,
@@ -25,7 +25,8 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
 from weightpoly.toric import normal_fan
 from oracles import (_rank, brute_force_canonical_incidence, brute_force_edges,
                      brute_force_lattice_points, brute_force_vertices,
-                     random_box_with_cuts, random_box_with_equalities)
+                     random_box_with_cuts, random_box_with_equalities,
+                     tightness_incidence)
 
 
 def box(dim, lo, hi):
@@ -556,6 +557,17 @@ def test_facet_rule_matches_the_v_to_h_route_and_the_rank_oracle():
 
     check()
     assert seen == {"empty", "dim-0", "explicit", "implicit", "full"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(small_bounded_polytopes(),
+                 st.randoms(use_true_random=False).map(
+                     lambda rng: random_box_with_equalities(rng, HPolytope))))
+def test_incidence_is_the_tightness_oracle_and_its_rays_clear_the_vertices(P):
+    verts, vert_masks, row_masks, rays = _incidence(P)
+    assert (verts, vert_masks, row_masks) == tightness_incidence(P)
+    assert verts == h_to_v(P).vertices
+    assert rays == [clear_denominators(v) for v in verts]
 
 
 def test_remove_redundant_of_lower_dimensional_systems_is_unchanged():
