@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
-from .exact import Vec, frac, frac_str, vec
+from .exact import Vec, frac, frac_str, is_int, vec
 from .polytopes import AffineMap, HPolytope, affine_image, empty_hrep
 
 
@@ -37,9 +37,9 @@ class SideData:
     P: Fraction = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
+        if not is_int(self.m) or self.m < 1:
             raise ValueError("m must be a positive integer")
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
+        if not is_int(self.n):
             raise ValueError("n must be an integer")
         r = vec(self.r)
         if len(r) != self.n:
@@ -77,7 +77,7 @@ class GTSpec:
     row_sums: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+        if not is_int(self.k) or self.k < 1:
             raise ValueError("k must be a positive integer")
         lam = vec(self.lam)
         if len(lam) != self.k:
@@ -108,16 +108,20 @@ class ChartedSlice:
     diag_chart: coordinates are the differences of adjacent variable entries
     per row; integer points of this chart overcount the patterns (differences
     of integral patterns satisfy extra congruences, parity for m=1).
-    entry_to_diag maps the first chart onto the second, injectively.
+    entry_to_diag maps the first chart onto the second, injectively; the
+    diag chart is that image, derived on each read.
     """
 
     entry_chart: HPolytope
-    diag_chart: HPolytope
     entry_to_diag: AffineMap
     entry_coords: tuple[tuple[int, int], ...]
-    lattice_note: str = (
+    lattice_note: ClassVar[str] = (
         "integer points of entry_chart are exactly the integral patterns; "
         "integer points of diag_chart overcount them (congruence conditions)")
+
+    @property
+    def diag_chart(self) -> HPolytope:
+        return affine_image(self.entry_chart, self.entry_to_diag)
 
     def to_json_dict(self) -> dict:
         return {
@@ -353,8 +357,7 @@ def fm_polytope(s: SideData) -> ChartedSlice:
         entry_chart = empty_hrep(dim)
     else:
         entry_chart = HPolytope(dim, tuple(ineqs), ())
-    diag_chart = affine_image(entry_chart, entry_to_diag)
-    return ChartedSlice(entry_chart, diag_chart, entry_to_diag, layout)
+    return ChartedSlice(entry_chart, entry_to_diag, layout)
 
 
 def gt_slice(s: SideData) -> ChartedSlice:

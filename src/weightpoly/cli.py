@@ -194,6 +194,12 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
+    m, limit = args.m, sys.get_int_max_str_digits()
+    exponent = m * args.n - 2 * m - m * m
+    # 2**e has at most L digits iff 2**e < 10**L iff e < (10**L).bit_length();
+    # for m < 1 real_fiber_size reports the bad m instead (a limit of 0 is none).
+    if limit and m >= 1 and exponent >= (10 ** limit).bit_length():
+        raise _InputError(f"fiber size 2^{exponent} has more than {limit} decimal digits")
     value = real_fiber_size(args.m, args.n)
     _emit(args, {"fiber_size": value}, [str(value)])
     return 0

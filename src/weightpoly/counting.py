@@ -17,7 +17,7 @@ from itertools import permutations
 from math import lcm
 
 from .builders import SideData, dual_side_data, gt_slice
-from .exact import frac_str, solve_linear
+from .exact import frac_str, is_int, solve_linear
 from .polytopes import (
     HPolytope,
     _facet_masks,
@@ -52,7 +52,7 @@ class DilateCounts:
 
 def count_dilates(P: HPolytope, t_max: int) -> DilateCounts:
     """Exact lattice-point counts of the dilates t*P, t = 1..t_max."""
-    if not isinstance(t_max, int) or t_max < 1:
+    if not is_int(t_max) or t_max < 1:
         raise ValueError("t_max must be a positive integer")
     nonempty = bool(h_to_v(P).vertices)
     counts = [1 if nonempty else 0]
@@ -148,14 +148,14 @@ class MultiplicityQuery:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if not is_int(self.m) or self.m < 1:
             raise ValueError("m must be a positive integer")
-        if not isinstance(self.n, int) or self.n <= self.m + 1:
+        if not is_int(self.n) or self.n <= self.m + 1:
             raise ValueError("need n > m+1")
-        if not isinstance(self.P, int) or self.P < 0:
+        if not is_int(self.P) or self.P < 0:
             raise ValueError("P must be a nonnegative integer")
         r = tuple(self.r)
-        if len(r) != self.n or any(not isinstance(x, int) or x < 0 for x in r):
+        if len(r) != self.n or any(not is_int(x) or x < 0 for x in r):
             raise ValueError(f"r must be {self.n} nonnegative integers")
         if sum(r) != (self.m + 1) * self.P:
             raise ValueError("weight total must equal (m+1) * P")
@@ -251,7 +251,7 @@ def verify_ehrhart_identity(s: SideData, t_max: int) -> IdentityReport:
     Only dilates t where both t*P and every t*r_i are integral are checked
     (others have no multiplicity side); results are returned, not asserted.
     """
-    if not isinstance(t_max, int) or t_max < 1:
+    if not is_int(t_max) or t_max < 1:
         raise ValueError("t_max must be a positive integer")
     entry = gt_slice(s).entry_chart
     checks = []
@@ -268,9 +268,9 @@ def verify_ehrhart_identity(s: SideData, t_max: int) -> IdentityReport:
 
 def real_fiber_size(m: int, n: int) -> int:
     """Generic fiber cardinality 2^(mn - 2m - m^2) of the real-form covering."""
-    if not isinstance(m, int) or m < 1:
+    if not is_int(m) or m < 1:
         raise ValueError("m must be a positive integer")
-    if not isinstance(n, int) or n <= m + 1:
+    if not is_int(n) or n <= m + 1:
         raise ValueError("need n > m+1")
     return 2 ** (m * n - 2 * m - m * m)
 

@@ -26,6 +26,11 @@ def frac(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r} (floats are not accepted)")
 
 
+def is_int(value) -> bool:
+    """Whether value is an int; bools are not, where an integer is required."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def frac_str(value: Fraction | int) -> str:
     return str(value if isinstance(value, Fraction) else Fraction(value))
 
@@ -104,27 +109,11 @@ def independent_rows(rows: Sequence[Sequence]) -> list[int]:
     return _gauss_jordan(rows, len(rows[0]) if rows else 0)[2]
 
 
-def solve_free_at_zero(rows: Sequence[Sequence], rhs: Sequence,
-                       ncols: int) -> tuple[Vec | None, int]:
-    """(x, rank A) for A x = b with every free variable at 0, or (None, rank A).
-
-    None means the system is inconsistent: eliminating on [A | b] finds a
-    pivot in the b column.
-    """
-    reduced, pivots, _ = _gauss_jordan(
-        [list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
-    if ncols in pivots:
-        return None, len(pivots) - 1
-    x = [Fraction(0)] * ncols
-    for row, c in zip(reduced, pivots):
-        x[c] = row[ncols]
-    return tuple(x), len(pivots)
-
-
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[str, Vec | None]:
     """Solve A x = b exactly.
 
     Returns ("unique", x), ("no solution", None), or ("underdetermined", None).
+    No solution means eliminating on [A | b] finds a pivot in the b column.
     """
     m = len(rows)
     if len(rhs) != m:
@@ -132,12 +121,16 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[str, Vec | No
     ncols = len(rows[0]) if m else 0
     if any(len(row) != ncols for row in rows):
         raise ValueError("ragged matrix")
-    x, r = solve_free_at_zero(rows, rhs, ncols)
-    if x is None:
+    reduced, pivots, _ = _gauss_jordan(
+        [list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
         return ("no solution", None)
-    if r < ncols:
+    if len(pivots) < ncols:
         return ("underdetermined", None)
-    return ("unique", x)
+    x = [Fraction(0)] * ncols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[ncols]
+    return ("unique", tuple(x))
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
@@ -267,41 +260,37 @@ def integer_kernel_basis(rows: Sequence[Sequence], width: int) -> list[tuple[int
     return [tuple(row[m:]) for row in aug if all(v == 0 for v in row[:m])]
 
 
+def integer_solutions(rows: Sequence[Sequence], rhs: Sequence, width: int
+                      ) -> tuple[int, tuple[int, ...] | None, list[tuple[int, ...]]]:
+    """(t0, x0, kernel) for the integer system A x = t b, from one Hermite form.
+
+    The integer solutions (t, x) of the homogenized system [-b | A] (t, x) = 0
+    form a saturated lattice; the Hermite form of its basis has first row
+    (t0, x0) with t0 > 0 the least dilate for which A x = t b has an integer
+    solution, so the dilates with one are exactly t0 * Z and gcd(t0, x0) = 1
+    (Schrijver, Theory of Linear and Integer Programming, ch. 4-5).  The other
+    rows are (0, k) for k a basis of the kernel lattice of A.  t0 = 0 (and x0
+    None) means A x = b has no rational solution.
+    """
+    basis = hnf_rows(integer_kernel_basis(
+        [(-frac(b),) + tuple(row) for row, b in zip(rows, rhs)], width + 1))
+    if basis and basis[0][0]:
+        return basis[0][0], tuple(basis[0][1:]), [tuple(row[1:]) for row in basis[1:]]
+    return 0, None, [tuple(row[1:]) for row in basis]
+
+
 def solve_integer(rows: Sequence[Sequence], rhs: Sequence) -> tuple[int, ...] | None:
-    """One integer solution of A x = b (integer data), or None if none exists."""
-    a = _int_rows(rows)
+    """One integer solution of A x = b (integer data), or None if none exists.
+
+    The particular solution of integer_solutions, when t0 = 1.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("right-hand side length does not match row count")
     b = [frac(v) for v in rhs]
     if any(x.denominator != 1 for x in b):
         return None
-    bi = [int(x) for x in b]
-    m = len(a)
-    if m != len(bi):
-        raise ValueError("right-hand side length does not match row count")
-    if m == 0:
-        return ()
-    width = len(a[0])
-    # Column-style HNF via the reduced transpose: V A^T = E with V unimodular,
-    # so A (V^T) = E^T is column echelon; forward-substitute with divisibility.
-    aug = [[a[j][i] for j in range(m)] + [int(i == j) for j in range(width)]
-           for i in range(width)]
-    pivots = _int_row_echelon(aug, m)
-    y = [0] * width
-    x = [0] * width
-    for r, c in pivots:
-        # Column r of the echelon matrix has its leading entry in row c of A.
-        acc = sum(aug[k][c] * y[k] for k in range(r))
-        num = bi[c] - acc
-        if num % aug[r][c] != 0:
-            return None
-        y[r] = num // aug[r][c]
-    for r, _ in pivots:
-        if y[r]:
-            for j in range(width):
-                x[j] += y[r] * aug[r][m + j]
-    for i in range(m):
-        if sum(a[i][j] * x[j] for j in range(width)) != bi[i]:
-            return None
-    return tuple(x)
+    t0, x0, _ = integer_solutions(rows, b, len(rows[0]) if rows else 0)
+    return x0 if t0 == 1 else None
 
 
 def lattice_index(rays: Sequence[Sequence], dim: int) -> int:

@@ -30,13 +30,12 @@ from .exact import (
     frac,
     frac_str,
     independent_rows,
-    integer_kernel_basis,
+    integer_solutions,
+    is_int,
     mat_inverse,
     nullspace,
     primitive_vector,
     rank,
-    solve_free_at_zero,
-    solve_integer,
     transpose,
     vec,
     vec_sub,
@@ -107,7 +106,7 @@ class HPolytope:
     @classmethod
     def from_json_dict(cls, data: dict) -> "HPolytope":
         dim = data["dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool):
+        if not is_int(dim):
             raise ValueError("dim must be an integer")
         ineqs = tuple((vec(row["a"]), frac(row["b"])) for row in data.get("ineqs", ()))
         eqs = tuple((vec(row["a"]), frac(row["b"])) for row in data.get("eqs", ()))
@@ -151,7 +150,7 @@ class VPolytope:
     @classmethod
     def from_json_dict(cls, data: dict) -> "VPolytope":
         dim = data["dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool):
+        if not is_int(dim):
             raise ValueError("dim must be an integer")
         return cls(dim, tuple(vec(v) for v in data.get("vertices", ())))
 
@@ -545,31 +544,29 @@ def _scan_input(P: HPolytope, dilate: int):
     embed).  rows_at[j] holds (c, rhs, terms) for each row
     c*x_j + sum(a*x_k for k, a in terms) <= rhs whose trailing nonzero
     coordinate is j, and [lo, hi] is the integer vertex bounding box; both
-    come from P's cached _scan_setup, rounded at this dilate (the left side
+    come from the cached _scan_setup, rounded at this dilate (the left side
     is an integer, so the rhs may be floored).
     Explicit equalities are eliminated first through the integer chart of
-    restrict_to_affine_hull, a bijection on lattice points once its offset is
-    integral, so a lower-dimensional system scans a box of the right
-    dimension; embed is then the integer (matrix, offset) back into ambient
-    space, else None.  That chart depends on the dilate, so its setup is not
-    cached.
+    restrict_to_affine_hull, so a lower-dimensional system scans a box of the
+    right dimension.  The chart of dilate*P is dilate times the chart of P,
+    with offset dilate * x0 / t0; that offset is integral exactly when t0
+    divides the dilate, and then the chart is a bijection on lattice points,
+    else dilate*P has no integer point.  So one setup of P's chart serves
+    every dilate, and embed is the integer (matrix, offset) back into ambient
+    space at this dilate, else None.
     """
-    if not isinstance(dilate, int) or dilate < 1:
+    if not is_int(dilate) or dilate < 1:
         raise ValueError("dilate must be a positive integer")
     embed = None
-    if not P.eqs:
-        setup = _scan_setup(P)
-    elif not h_to_v(P).vertices:
-        return None
-    else:
-        P, f = restrict_to_affine_hull(HPolytope(
-            P.dim, tuple((a, dilate * b) for a, b in P.ineqs),
-            tuple((e, dilate * g) for e, g in P.eqs)))
-        if any(c.denominator != 1 for c in f.offset):
-            return None  # the offset is integral whenever an integer solution exists
-        embed = ([[int(c) for c in row] for row in f.matrix], [int(c) for c in f.offset])
-        setup = _scan_setup.__wrapped__(P)
-        dilate = 1
+    if P.eqs:
+        if not h_to_v(P).vertices:
+            return None
+        P, f = restrict_to_affine_hull(P)
+        offset = [dilate * c for c in f.offset]
+        if any(c.denominator != 1 for c in offset):
+            return None
+        embed = ([[int(c) for c in row] for row in f.matrix], [int(c) for c in offset])
+    setup = _scan_setup(P)
     if setup is None:
         return None
     rows, box = setup
@@ -742,6 +739,8 @@ def affine_image(P: HPolytope | VPolytope, f: AffineMap) -> HPolytope | VPolytop
     V input maps vertices and re-extremizes.  H input requires an injective
     map; a square map transforms the constraint system directly, otherwise the
     image is rebuilt from vertices (equalities then carry the affine hull).
+    An injective affine map sends vertices onto vertices, so those images need
+    no convexifying.
     """
     if isinstance(P, VPolytope):
         if P.dim != f.domain_dim:
@@ -766,47 +765,40 @@ def affine_image(P: HPolytope | VPolytope, f: AffineMap) -> HPolytope | VPolytop
     verts = h_to_v(P).vertices
     if not verts:
         return empty_hrep(f.codomain_dim)
-    return v_to_h(VPolytope.from_points(f.codomain_dim, [f.apply(v) for v in verts]))
+    return v_to_h(VPolytope(f.codomain_dim, tuple(f.apply(v) for v in verts)))
 
 
 def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
     """Chart P into the solution lattice of its explicit equalities.
 
     Returns (chart polytope without equalities, affine embedding back into
-    ambient space).  The chart basis is an integer kernel-lattice basis, and
-    the offset is integral whenever the equality system has an integer
-    solution, so lattice structure is preserved in that case.  Implicit
+    ambient space).  Both come from one Hermite form (integer_solutions): the
+    chart basis is an integer kernel-lattice basis and the offset is x0 / t0,
+    whose denominator t0 is the least dilate whose equalities have an integer
+    solution.  So the offset is integral whenever the equality system has an
+    integer solution, and lattice structure is preserved in that case; the
+    chart of t*P is t times the chart, with offset t * x0 / t0.  Implicit
     equalities are not detected; canonicalize with remove_redundant first.
     """
     if not P.eqs:
         return P, AffineMap.identity(P.dim)
     d = P.dim
-    eq_rows = []
-    eq_rhs = []
-    for e, f in P.eqs:
-        coeffs, rhs = _joint_primitive(e, f)
-        eq_rows.append(coeffs)
-        eq_rhs.append(rhs)
-    x0_int = solve_integer(eq_rows, eq_rhs)
-    if x0_int is not None:
-        x0 = tuple(Fraction(c) for c in x0_int)
-    else:
-        x0, _ = solve_free_at_zero(eq_rows, eq_rhs, d)
-        if x0 is None:
-            raise ValueError("equality system is infeasible")
-    kernel = integer_kernel_basis(eq_rows, d)
+    eq_rows, eq_rhs = zip(*(_joint_primitive(e, f) for e, f in P.eqs))
+    t0, x0_int, kernel = integer_solutions(eq_rows, eq_rhs, d)
+    if not t0:
+        raise ValueError("equality system is infeasible")
+    x0 = tuple(Fraction(c, t0) for c in x0_int)
     k = len(kernel)
+    matrix = tuple(tuple(Fraction(kv[i]) for kv in kernel) for i in range(d))
     chart_ineqs = []
     for a, b in P.ineqs:
-        coeffs = tuple(dot(a, tuple(Fraction(c) for c in kv)) for kv in kernel)
+        coeffs = tuple(dot(a, kv) for kv in kernel)
         rhs = b - dot(a, x0)
         if all(c == 0 for c in coeffs):
             if rhs < 0:
-                return empty_hrep(k), AffineMap(
-                    k, d, tuple(tuple(Fraction(kv[i]) for kv in kernel) for i in range(d)), x0)
+                return empty_hrep(k), AffineMap(k, d, matrix, x0)
             continue
         chart_ineqs.append(_joint_primitive(coeffs, rhs))
-    matrix = tuple(tuple(Fraction(kv[i]) for kv in kernel) for i in range(d))
     return HPolytope(k, tuple(chart_ineqs), ()), AffineMap(k, d, matrix, x0)
 
 

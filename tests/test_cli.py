@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from weightpoly import cli
 from weightpoly.builders import SideData, polygon_hrep
 from weightpoly.cli import build_parser, main
 from weightpoly.polytopes import (_incidence, _vertex_graph, combinatorial_fingerprint,
@@ -61,6 +63,28 @@ def test_mult_and_fibers(capsys):
     assert (code, out.strip()) == (0, "11")
     code, out, _ = run(capsys, ["fibers", "--m", "1", "--n", "6"])
     assert (code, out.strip()) == (0, "8")
+
+
+def test_fibers_refuses_a_size_past_the_int_to_str_limit_before_computing_it(
+        capsys, monkeypatch):
+    # 2**e has at most 4300 digits exactly for e <= 14284; for m=1, e = n - 3.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run(capsys, ["fibers", "--m", "1", "--n", "14287"])
+        assert code == 0 and len(out.strip()) == 4300
+        code, out, err = run(capsys, ["fibers", "--m", "1", "--n", "15000"])
+        assert (code, out, err) == (
+            2, "", "error: fiber size 2^14997 has more than 4300 decimal digits\n")
+
+        def never(m, n):
+            raise AssertionError("the fiber size must not be computed")
+
+        monkeypatch.setattr(cli, "real_fiber_size", never)
+        code, out, err = run(capsys, ["fibers", "--m", "1", "--n", "1000000"])
+        assert (code, out) == (2, "") and err.startswith("error: fiber size 2^999997 has")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_mult_m3_at_dilate_four(capsys):

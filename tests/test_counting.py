@@ -25,6 +25,23 @@ def box2():
         (vec([0, 1]), Fraction(1)), (vec([0, -1]), Fraction(0))), eqs=())
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: count_lattice_points(box2(), True), "dilate must be a positive integer"),
+    (lambda: count_dilates(box2(), True), "t_max must be a positive integer"),
+    (lambda: verify_ehrhart_identity(SideData.from_weights(1, (1, 1, 1, 1)), True),
+     "t_max must be a positive integer"),
+    (lambda: MultiplicityQuery(True, 3, 1, (1, 1, 0)), "m must be a positive integer"),
+    (lambda: MultiplicityQuery(1, 3, True, (1, 1, 0)), "P must be a nonnegative integer"),
+    (lambda: MultiplicityQuery(1, 3, 1, (True, 1, 0)), "r must be 3 nonnegative integers"),
+    (lambda: real_fiber_size(True, 5), "m must be a positive integer"),
+], ids=["count_lattice_points", "count_dilates", "verify_ehrhart_identity",
+        "MultiplicityQuery.m", "MultiplicityQuery.P", "MultiplicityQuery.r",
+        "real_fiber_size"])
+def test_bools_are_rejected_where_integers_are_required(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_count_dilates_square():
     c = count_dilates(box2(), 2)
     assert c.counts == (1, 4, 9)

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightpoly.exact import (ceil_div, frac, frac_str,
                               hnf_rows, independent_rows, integer_kernel_basis,
+                              integer_solutions,
                               lattice_index, mat_inverse, nullspace,
                               primitive_vector, rank, solve_integer,
                               solve_linear, vec)
@@ -105,6 +108,45 @@ def test_solve_integer_paths():
     assert solve_integer([(2, 0), (0, 3)], (4, 9)) == (2, 3)
     assert solve_integer([(2,)], (1,)) is None
     assert solve_integer([(1, 1)], (5,)) is not None
+
+
+@st.composite
+def integer_systems(draw):
+    width = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    rows = [tuple(draw(st.integers(-3, 3)) for _ in range(width)) for _ in range(m)]
+    return rows, [draw(st.integers(-6, 6)) for _ in range(m)], width
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(integer_systems())
+def test_integer_solutions_read_the_dilates_and_the_kernel_off_one_hermite_form(system):
+    rows, rhs, width = system
+
+    def image(x):
+        return [sum(a * c for a, c in zip(row, x)) for row in rows]
+
+    t0, x0, kernel = integer_solutions(rows, rhs, width)
+    r = _rank(rows)
+    assert (t0 == 0) == (_rank([row + (b,) for row, b in zip(rows, rhs)]) > r)
+    assert len(kernel) == width - r
+    assert all(not any(image(k)) for k in kernel)
+    assert not kernel or _rank(kernel) == len(kernel)
+    solved = solve_integer(rows, rhs)
+    assert (solved is not None) == (t0 == 1)
+    assert solved is None or image(solved) == rhs
+    radius = 3
+    found = set()  # dilates t in 1..6 with an integer solution in the box
+    for x in product(range(-radius, radius + 1), repeat=width):
+        ax = image(x)
+        found.update(t for t in range(1, 7) if ax == [t * b for b in rhs])
+    if t0 == 0:
+        assert x0 is None and not found
+        return
+    assert t0 > 0 and gcd(t0, *x0) == 1 and image(x0) == [t0 * b for b in rhs]
+    assert all(t % t0 == 0 for t in found)
+    if t0 <= 6 and max(map(abs, x0)) <= radius:
+        assert t0 in found
 
 
 def test_lattice_index_anchors():

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weightpoly.builders import SideData, polygon_hrep
-from weightpoly.exact import clear_denominators, dot, primitive_vector, vec, vec_sub
+from weightpoly.builders import GTSpec, SideData, gt_hrep, polygon_hrep
+from weightpoly.exact import (clear_denominators, dot, integer_solutions, primitive_vector,
+                              vec, vec_sub)
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   VPolytope, _facet_masks, _incidence,
                                   _joint_primitive, _scan_setup, _vertex_graph,
@@ -24,7 +25,7 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   v_to_h)
 from weightpoly.toric import normal_fan
 from oracles import (_rank, brute_force_canonical_incidence, brute_force_edges,
-                     brute_force_lattice_points, brute_force_vertices,
+                     brute_force_lattice_points, brute_force_vertices, gt_pattern_count,
                      random_box_with_cuts, random_box_with_equalities,
                      tightness_incidence)
 
@@ -233,8 +234,8 @@ def test_scan_setup_is_computed_once_per_polytope_and_rounded_per_dilate():
     after = _scan_setup.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 5)
 
-    # With an explicit equality the chart's offset moves with the dilate, so
-    # each dilate builds its own setup, outside the cache.
+    # With an explicit equality the chart of t*Q is t times the chart of Q,
+    # so Q's chart is set up once and serves every dilate too.
     Q = HPolytope(3, tuple((a + (Fraction(0),), b) for a, b in rows)
                   + ((vec([0, 0, -1]), Fraction(0)), (vec([0, 0, 1]), Fraction(5, 2))),
                   ((vec([1, -1, 1]), Fraction(1)),))
@@ -244,7 +245,19 @@ def test_scan_setup_is_computed_once_per_polytope_and_rounded_per_dilate():
         assert tuple(points) == brute_force_lattice_points(Q, t)
         assert count_lattice_points(Q, t) == len(points) > 0
     after = _scan_setup.cache_info()
-    assert (after.misses, after.hits) == (before.misses, before.hits)
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 5)
+
+
+def test_one_scan_setup_serves_every_dilate_of_a_sliced_pattern_polytope():
+    lam, sums = (4, 3, 2, 1, 0), (2, 5, 7, 9)
+    P = gt_hrep(GTSpec(5, lam, sums))
+    before = _scan_setup.cache_info()
+    counts = [count_lattice_points(P, t) for t in range(1, 9)]
+    after = _scan_setup.cache_info()
+    assert counts == [gt_pattern_count([t * c for c in lam], [t * c for c in sums + (10,)])
+                      for t in range(1, 9)]
+    assert counts[:3] == [14, 90, 374] and counts[-1] == 28413
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 7)
 
 
 def test_count_scan_leaves_no_reference_cycle():
@@ -292,6 +305,19 @@ def test_affine_image_embedding_into_3d():
     assert all(v[2] == v[0] + v[1] + 1 for v in img.vertices)
 
 
+def test_affine_image_of_h_input_into_3d_maps_vertices_without_convexifying():
+    emb = AffineMap(2, 3, (vec([2, 1]), vec([0, 1]), vec([1, -1])), vec([1, 0, 0]))
+    h_to_v(SQUARE)
+    before = _incidence.cache_info().misses
+    img = affine_image(SQUARE, emb)
+    between = _incidence.cache_info().misses
+    images = [emb.apply(v) for v in h_to_v(SQUARE).vertices]
+    assert img == v_to_h(VPolytope.from_points(3, images))  # the route through from_points
+    after = _incidence.cache_info().misses
+    assert (between - before, after - between) == (0, 1)
+    assert sorted(h_to_v(img).vertices) == sorted(images)
+
+
 def test_restrict_to_affine_hull_segment():
     seg = VPolytope.from_points(3, [vec([0, 0, 1]), vec([2, 2, 1])])
     H = v_to_h(seg)
@@ -299,6 +325,20 @@ def test_restrict_to_affine_hull_segment():
     assert chart.dim == 1
     lifted = sorted(back.apply(v) for v in h_to_v(chart).vertices)
     assert lifted == sorted(seg.vertices)
+
+
+def test_restrict_to_affine_hull_takes_a_rational_offset_from_the_hermite_form():
+    # 2x + 2y = 1 has integer solutions only at even dilates: t0 = 2.
+    P = HPolytope(2, box(2, 0, 1).ineqs, ((vec([2, 2]), Fraction(1)),))
+    t0, _, _ = integer_solutions([(2, 2)], (1,), 2)
+    chart, back = restrict_to_affine_hull(P)
+    assert t0 == 2 and chart.dim == 1
+    assert math.lcm(*(c.denominator for c in back.offset)) == t0
+    lifted = sorted(back.apply(v) for v in h_to_v(chart).vertices)
+    assert lifted == list(h_to_v(P).vertices)
+    for t in range(1, 5):
+        assert lattice_points(P, t) == list(brute_force_lattice_points(P, t))
+    assert [count_lattice_points(P, t) for t in range(1, 5)] == [0, 2, 0, 3]
 
 
 def test_restrict_rejects_infeasible_equalities():
