@@ -165,6 +165,9 @@ class AffineMap:
     offset: Vec
 
     def __post_init__(self):
+        for d in (self.domain_dim, self.codomain_dim):
+            if not is_int(d) or d < 0:
+                raise ValueError("map dimensions must be integers >= 0")
         matrix = tuple(vec(row) for row in self.matrix)
         offset = vec(self.offset)
         if len(matrix) != self.codomain_dim or len(offset) != self.codomain_dim:
@@ -218,6 +221,10 @@ def _idot(u: Sequence[int], v: Sequence[int]) -> int:
 
 class _NotPointedError(Exception):
     pass
+
+
+class _InfeasibleEqualitiesError(ValueError):
+    """Raised by restrict_to_affine_hull when the equalities have no rational solution."""
 
 
 def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[int]]:
@@ -326,31 +333,41 @@ def _affine_hull_equalities(verts: Sequence[Vec], dim: int) -> tuple[tuple[Vec, 
     return tuple(sorted(eqs))
 
 
+def _hull_chart(verts: Sequence[Vec]) -> tuple[list[Vec], list[Vec]]:
+    """Chart of the affine hull of nonempty verts: (U, W) with U a basis of the
+    differences v - verts[0] and W = (U^T U)^{-1} U^T, a left inverse of U.
+
+    On the hull x = verts[0] + U y with y = W (x - verts[0]), and U W is the
+    orthogonal projection onto the hull's direction space.  A single vertex
+    gives ([], []).
+    """
+    v0 = verts[0]
+    deltas = [vec_sub(v, v0) for v in verts[1:]]
+    basis = [deltas[i] for i in independent_rows(deltas)]
+    if not basis:
+        return [], []
+    gram_inv = mat_inverse([[dot(a, b) for b in basis] for a in basis])
+    return basis, [tuple(dot(g_row, col) for col in zip(*basis)) for g_row in gram_inv]
+
+
 @functools.lru_cache(maxsize=512)
 def v_to_h(V: VPolytope) -> HPolytope:
     """Irredundant facet system plus affine-hull equalities of conv(V).
 
     Facets are found as extreme rays of the dual cone inside an exact affine
-    chart of the hull, then pulled back; the output is canonically ordered and
-    scaled (coprime integer rows).
+    chart of the hull (_hull_chart), then pulled back; the output is
+    canonically ordered and scaled (coprime integer rows).
     """
     d = V.dim
     verts = V.vertices
     if not verts:
         return empty_hrep(d)
     eqs = _affine_hull_equalities(verts, d)
-    v0 = verts[0]
-    deltas = [vec_sub(v, v0) for v in verts[1:]]
-    basis = [deltas[i] for i in independent_rows(deltas)]
-    k = len(basis)
+    _, w_rows = _hull_chart(verts)
+    k = len(w_rows)
     if k == 0:
         return HPolytope(d, (), eqs)
-    u_cols = basis                      # chart: x = v0 + sum y_i * u_cols[i]
-    u_t = u_cols                        # rows of U^T
-    gram = [[dot(a, b) for b in u_cols] for a in u_cols]
-    gram_inv = mat_inverse(gram)
-    w_rows = [tuple(dot(g_row, col) for col in zip(*u_t)) for g_row in gram_inv]
-    # w_rows is (U^T U)^{-1} U^T, a left inverse of U: y = W (x - v0).
+    v0 = verts[0]
     dual_rows = set()
     for v in verts:
         delta = vec_sub(v, v0)
@@ -454,33 +471,37 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     in canonical affine-hull form.  Idempotent.  An empty polytope yields the
     canonical infeasibility certificate.
 
-    A full-dimensional system keeps the input rows _facet_rows reads off the
-    tight-row incidence, in input order, with no second double description
-    pass.  Any other system is matched against the facets of
-    v_to_h(h_to_v(P)), whose canonical rows are appended for facets no input
-    row matches.
+    One rule in every dimension, read off the one incidence record with no
+    second double description pass.  The facets are _facet_rows'; each keeps
+    its first input row whose normal lies in the direction space of the
+    affine hull (orthogonal to every hull equality), which is every row when
+    P is full-dimensional.  Within that space a facet's normal is unique up
+    to a positive factor, so a facet with no such row gets the canonical row
+    v_to_h would give it: its first row's normal projected onto the direction
+    space (_hull_chart), with the rhs read at a vertex of the facet, made
+    coprime; these rows are appended in sorted order.
     """
-    _, vert_masks, row_masks, _ = _incidence(P)
-    if not vert_masks:
+    verts, _, row_masks, _ = _incidence(P)
+    if not verts:
         return empty_hrep(P.dim)
-    if polytope_dim(P) == P.dim:
-        facets = _facet_rows(row_masks, len(vert_masks))
-        return HPolytope(P.dim, tuple(P.ineqs[i] for i, _ in facets), ())
-    canon = v_to_h(h_to_v(P))
-    facet_keys = {_joint_primitive(a, b) for a, b in canon.ineqs}
+    eqs = _affine_hull_equalities(verts, P.dim) if polytope_dim(P) < P.dim else ()
+    facets = _facet_rows(row_masks, len(verts))
+    unmatched = {mask: i for i, mask in facets}
     retained: list[tuple[Vec, Fraction]] = []
-    covered = set()
-    for a, b in P.ineqs:  # nonempty P has no zero-normal row
-        key = _joint_primitive(a, b)
-        if key in facet_keys and key not in covered:
-            covered.add(key)
+    for (a, b), mask in zip(P.ineqs, row_masks):
+        if mask in unmatched and all(dot(a, e) == 0 for e, _ in eqs):
+            del unmatched[mask]
             retained.append((a, b))
-    for a, b in canon.ineqs:
-        key = _joint_primitive(a, b)
-        if key not in covered:
-            covered.add(key)
-            retained.append((a, b))
-    return HPolytope(P.dim, tuple(retained), canon.eqs)
+    if unmatched:
+        basis, w_rows = _hull_chart(verts)
+        canonical = []
+        for mask, i in unmatched.items():
+            y = [dot(w, P.ineqs[i][0]) for w in w_rows]
+            normal = tuple(dot(y, col) for col in zip(*basis))
+            at = verts[(mask & -mask).bit_length() - 1]
+            canonical.append(_joint_primitive(normal, dot(normal, at)))
+        retained += sorted(canonical)
+    return HPolytope(P.dim, tuple(retained), eqs)
 
 
 def contains(P: HPolytope, point: Sequence) -> bool:
@@ -548,20 +569,25 @@ def _scan_input(P: HPolytope, dilate: int):
     is an integer, so the rhs may be floored).
     Explicit equalities are eliminated first through the integer chart of
     restrict_to_affine_hull, so a lower-dimensional system scans a box of the
-    right dimension.  The chart of dilate*P is dilate times the chart of P,
-    with offset dilate * x0 / t0; that offset is integral exactly when t0
-    divides the dilate, and then the chart is a bijection on lattice points,
-    else dilate*P has no integer point.  So one setup of P's chart serves
-    every dilate, and embed is the integer (matrix, offset) back into ambient
-    space at this dilate, else None.
+    right dimension, whose only double description pass is the chart's own,
+    in _scan_setup: infeasible equalities give None here, an empty chart None
+    there, and the chart, an affine bijection onto the solutions of the
+    equalities, has a recession line or ray exactly when P does.
+    The chart of dilate*P is dilate times the chart of P, with offset
+    dilate * x0 / t0; that offset is integral exactly when t0 divides the
+    dilate, and then the chart is a bijection on lattice points, else
+    dilate*P has no integer point.  So one setup of P's chart serves every
+    dilate, and embed is the integer (matrix, offset) back into ambient space
+    at this dilate, else None.
     """
     if not is_int(dilate) or dilate < 1:
         raise ValueError("dilate must be a positive integer")
     embed = None
     if P.eqs:
-        if not h_to_v(P).vertices:
+        try:
+            P, f = restrict_to_affine_hull(P)
+        except _InfeasibleEqualitiesError:
             return None
-        P, f = restrict_to_affine_hull(P)
         offset = [dilate * c for c in f.offset]
         if any(c.denominator != 1 for c in offset):
             return None
@@ -786,7 +812,7 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
     eq_rows, eq_rhs = zip(*(_joint_primitive(e, f) for e, f in P.eqs))
     t0, x0_int, kernel = integer_solutions(eq_rows, eq_rhs, d)
     if not t0:
-        raise ValueError("equality system is infeasible")
+        raise _InfeasibleEqualitiesError("equality system is infeasible")
     x0 = tuple(Fraction(c, t0) for c in x0_int)
     k = len(kernel)
     matrix = tuple(tuple(Fraction(kv[i]) for kv in kernel) for i in range(d))

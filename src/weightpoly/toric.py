@@ -118,7 +118,10 @@ def normal_fan(P: HPolytope) -> Fan:
     and there is exactly one per vertex.  The rays are the edge directions
     _vertex_graph already holds in primitive integer form.
     """
-    if polytope_dim(P) != P.dim:
+    dim = polytope_dim(P)
+    if dim == -1:
+        raise ValueError("polytope is empty")
+    if dim != P.dim:
         raise ValueError("restrict to affine hull first")
     verts, neighbors = _vertex_graph(P)
     cones = []

@@ -1,8 +1,10 @@
 """Independent cross-checks used by the tests.
 
 Everything here is deliberately naive: enumerate subsets, scan boxes, recurse
-over rows.  None of it shares code with the package; agreement between the two
-is the evidence the fast paths are right.
+over rows.  Except v_to_h_route_remove_redundant, which replays an older rule
+through the package's dual double description pass, none of it shares code
+with the package; agreement between the two is the evidence the fast paths
+are right.
 """
 
 from fractions import Fraction
@@ -66,6 +68,32 @@ def tightness_incidence(H):
                 vert_masks[k] |= 1 << i
                 row_masks[i] |= 1 << k
     return verts, vert_masks, row_masks
+
+
+def v_to_h_route_remove_redundant(P):
+    """remove_redundant by a second, dual double description pass: the facets
+    of v_to_h(h_to_v(P)) in canonical coprime form, each matched by the first
+    input row that is a positive multiple of it, the unmatched ones appended
+    in canonical order, with v_to_h's affine-hull equalities."""
+    from weightpoly.polytopes import _joint_primitive, empty_hrep, h_to_v, v_to_h
+
+    V = h_to_v(P)
+    if not V.vertices:
+        return empty_hrep(P.dim)
+    canon = v_to_h(V)
+    facet_keys = {_joint_primitive(a, b) for a, b in canon.ineqs}
+    retained, covered = [], set()
+    for a, b in P.ineqs:
+        key = _joint_primitive(a, b)
+        if key in facet_keys and key not in covered:
+            covered.add(key)
+            retained.append((a, b))
+    for a, b in canon.ineqs:
+        key = _joint_primitive(a, b)
+        if key not in covered:
+            covered.add(key)
+            retained.append((a, b))
+    return type(P)(P.dim, tuple(retained), canon.eqs)
 
 
 def _rank(rows):

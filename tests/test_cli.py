@@ -177,6 +177,36 @@ def test_malformed_input_files_exit_two(capsys, tmp_path, name, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["fan", "singular"])
+def test_fan_and_singular_of_an_empty_polytope_exit_two(capsys, command):
+    code, out, err = run(capsys, [command, "--m", "1", "--r", "1,1,1,1,10"])
+    assert (code, out, err) == (2, "", "error: polytope is empty\n")
+
+
+def _rows(pairs):
+    return [{"a": list(a), "b": b} for a, b in pairs]
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ({"dim": 3, "ineqs": _rows([((1, 0, 0), 2), ((-1, 0, 0), 0), ((0, 1, 0), 2),
+                                ((0, -1, 0), 0), ((0, 0, 1), 2), ((0, 0, -1), 0),
+                                ((1, 1, 0), 5)]),
+      "eqs": _rows([((1, 1, 1), 3)])},
+     "dim: 3\neq: 1,1,1 = 3\nineq: -2,1,1 <= 3\nineq: -1,-1,2 <= 3\n"
+     "ineq: -1,2,-1 <= 3\nineq: 1,-2,1 <= 3\nineq: 1,1,-2 <= 3\nineq: 2,-1,-1 <= 3\n"),
+    ({"dim": 2, "ineqs": _rows([((1, 0), 1), ((0, 2), 4), ((-1, 0), -1),
+                                ((0, 1), 2), ((0, -1), 0), ((1, 1), 9)])},
+     "dim: 2\neq: 1,0 = 1\nineq: 0,2 <= 4\nineq: 0,-1 <= 0\n"),
+    ({"dim": 2, "ineqs": _rows([((1, 0), 1), ((-1, 0), -1), ((0, 1), 2),
+                                ((0, -1), -2), ((1, 1), 5)])},
+     "dim: 2\neq: 1,0 = 1\neq: 2,-1 = 0\n"),
+], ids=["with_eq", "implicit", "dim-0"])
+def test_polytope_of_lower_dimensional_files_is_pinned(capsys, tmp_path, doc, expected):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, ["polytope", "--polytope-file", str(path)]) == (0, expected, "")
+
+
 def test_fan_then_singular_run_one_dd_pass_and_one_incidence(capsys):
     for cached in (h_to_v, v_to_h, _incidence, _vertex_graph):
         cached.cache_clear()

@@ -27,7 +27,7 @@ from weightpoly.toric import normal_fan
 from oracles import (_rank, brute_force_canonical_incidence, brute_force_edges,
                      brute_force_lattice_points, brute_force_vertices, gt_pattern_count,
                      random_box_with_cuts, random_box_with_equalities,
-                     tightness_incidence)
+                     tightness_incidence, v_to_h_route_remove_redundant)
 
 
 def box(dim, lo, hi):
@@ -348,6 +348,38 @@ def test_restrict_rejects_infeasible_equalities():
         restrict_to_affine_hull(P)
 
 
+def test_scan_of_infeasible_equalities_is_empty():
+    P = HPolytope(2, SQUARE.ineqs, _rows([((1, 0), 0), ((1, 0), 1)]))
+    for t in (1, 2, 3):
+        assert count_lattice_points(P, t) == 0
+        assert lattice_points(P, t) == []
+
+
+def test_equality_scan_runs_no_double_description_of_the_ambient_system():
+    lam, sums = (4, 3, 2, 1, 0), (2, 5, 7, 9)
+    P = gt_hrep(GTSpec(5, lam, sums))
+    for cached in (_scan_setup, h_to_v, _incidence):
+        cached.cache_clear()
+    counts = [count_lattice_points(P, t) for t in (1, 2, 3)]
+    assert counts == [gt_pattern_count([t * c for c in lam], [t * c for c in sums + (10,)])
+                      for t in (1, 2, 3)]
+    assert _incidence.cache_info().misses == 1  # the chart's own pass
+    _incidence(P)
+    assert _incidence.cache_info().misses == 2  # P itself was never computed
+
+
+@pytest.mark.parametrize("P, kind", [
+    (HPolytope(3, (), _rows([((1, 1, 0), 1)])), "line"),
+    (HPolytope(2, _rows([((-1, 0), 0)]), _rows([((1, 1), 1)])), "ray"),
+])
+def test_equality_scan_of_unbounded_input_raises_the_ambient_message(P, kind):
+    message = f"polytope is unbounded (recession {kind}); bounded input required"
+    for scan in (count_lattice_points, lattice_points):
+        with pytest.raises(UnboundedPolytopeError) as exc:
+            scan(P, 1)
+        assert str(exc.value) == message
+
+
 def test_fingerprint_invariant_under_coordinate_swap():
     swapped = HPolytope(dim=2, ineqs=tuple(((a[1], a[0]), b) for a, b in SQUARE.ineqs), eqs=())
     rect = box(2, 0, 1)
@@ -455,6 +487,18 @@ def test_json_round_trips():
     assert AffineMap.from_json_dict(json.loads(json.dumps(A.to_json_dict()))) == A
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AffineMap.from_json_dict({"domain_dim": True, "codomain_dim": True,
+                                      "matrix": [["2"]], "offset": ["0"]}),
+    lambda: AffineMap(-1, 0, (), ()),
+    lambda: AffineMap(0, -1, (), ()),
+    lambda: AffineMap(1, False, (), ()),
+])
+def test_affine_map_rejects_bool_and_negative_dimensions(build):
+    with pytest.raises(ValueError, match="map dimensions must be integers >= 0"):
+        build()
+
+
 def test_from_json_dict_rejects_a_bool_dim():
     for cls in (HPolytope, VPolytope):
         with pytest.raises(ValueError, match="dim must be an integer"):
@@ -525,6 +569,30 @@ def full_dimensional_polytopes(draw):
     return HPolytope(dim=d, ineqs=tuple(rows[i] for i in order), eqs=())
 
 
+@st.composite
+def boxes_with_an_implicit_equality(draw):
+    """A box plus a pair a . x <= b, -a . x <= -b tight at its lower corner."""
+    d = draw(st.integers(1, 3))
+    rows = _box_rows(draw, d, wide=True)
+    normal = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any).map(tuple)
+    a = draw(normal)
+    b = sum(x * -c for x, (_, c) in zip(a, rows[1::2]))
+    rows += [(a, b), (tuple(-x for x in a), -b)]
+    order = draw(st.permutations(range(len(rows))))
+    return HPolytope(dim=d, ineqs=tuple(rows[i] for i in order), eqs=())
+
+
+def _dimension_case(P):
+    dim = polytope_dim(P)
+    if dim == -1:
+        return "empty"
+    if dim == 0:
+        return "dim-0"
+    if P.eqs:
+        return "explicit"
+    return "implicit" if dim < P.dim else "full"
+
+
 @settings(max_examples=120, deadline=None)
 @given(small_bounded_polytopes())
 def test_vertex_graph_matches_rank_oracle(P):
@@ -582,18 +650,23 @@ def test_facet_rule_matches_the_v_to_h_route_and_the_rank_oracle():
                               for a, b in canon}
         verts = brute_force_vertices(P)
         want = _rank([vec_sub(v, verts[0]) for v in verts[1:]]) if verts else -1
-        dim = polytope_dim(P)
-        assert dim == want
-        if dim == -1:
-            seen.add("empty")
-        elif dim == 0:
-            seen.add("dim-0")
-        elif P.eqs:
-            seen.add("explicit")
-        elif dim < P.dim:
-            seen.add("implicit")
-        else:
-            seen.add("full")
+        assert polytope_dim(P) == want
+        seen.add(_dimension_case(P))
+
+    check()
+    assert seen == {"empty", "dim-0", "explicit", "implicit", "full"}
+
+
+def test_remove_redundant_matches_the_v_to_h_route():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(small_bounded_polytopes(), boxes_with_an_implicit_equality(),
+                     st.randoms(use_true_random=False).map(
+                         lambda rng: random_box_with_equalities(rng, HPolytope))))
+    def check(P):
+        assert remove_redundant(P) == v_to_h_route_remove_redundant(P)
+        seen.add(_dimension_case(P))
 
     check()
     assert seen == {"empty", "dim-0", "explicit", "implicit", "full"}
@@ -610,19 +683,21 @@ def test_incidence_is_the_tightness_oracle_and_its_rays_clear_the_vertices(P):
     assert rays == [clear_denominators(v) for v in verts]
 
 
+WITH_EQ = HPolytope(3, _rows([((1, 0, 0), 2), ((-1, 0, 0), 0), ((0, 1, 0), 2),
+                               ((0, -1, 0), 0), ((0, 0, 1), 2), ((0, 0, -1), 0),
+                               ((1, 1, 0), 5)]),
+                     _rows([((1, 1, 1), 3)]))
+IMPLICIT = HPolytope(2, _rows([((1, 0), 1), ((0, 2), 4), ((-1, 0), -1),
+                               ((0, 1), 2), ((0, -1), 0), ((1, 1), 9)]), ())
+
+
 def test_remove_redundant_of_lower_dimensional_systems_is_unchanged():
-    with_eq = HPolytope(3, _rows([((1, 0, 0), 2), ((-1, 0, 0), 0), ((0, 1, 0), 2),
-                                  ((0, -1, 0), 0), ((0, 0, 1), 2), ((0, 0, -1), 0),
-                                  ((1, 1, 0), 5)]),
-                        _rows([((1, 1, 1), 3)]))
-    assert polytope_dim(with_eq) < with_eq.dim
-    assert remove_redundant(with_eq) == HPolytope(3, _rows([
+    assert polytope_dim(WITH_EQ) < WITH_EQ.dim
+    assert remove_redundant(WITH_EQ) == HPolytope(3, _rows([
         ((-2, 1, 1), 3), ((-1, -1, 2), 3), ((-1, 2, -1), 3),
         ((1, -2, 1), 3), ((1, 1, -2), 3), ((2, -1, -1), 3)]), _rows([((1, 1, 1), 3)]))
-    implicit = HPolytope(2, _rows([((1, 0), 1), ((0, 2), 4), ((-1, 0), -1),
-                                   ((0, 1), 2), ((0, -1), 0), ((1, 1), 9)]), ())
-    assert polytope_dim(implicit) < implicit.dim
-    assert remove_redundant(implicit) == HPolytope(
+    assert polytope_dim(IMPLICIT) < IMPLICIT.dim
+    assert remove_redundant(IMPLICIT) == HPolytope(
         2, _rows([((0, 2), 4), ((0, -1), 0)]), _rows([((1, 0), 1)]))
 
 
@@ -635,3 +710,12 @@ def test_full_dimensional_polygon_needs_no_second_dd_pass():
     combinatorial_fingerprint(P)
     assert v_to_h.cache_info().misses == misses
     assert polytope_dim(P) == P.dim
+
+
+@pytest.mark.parametrize("P", [WITH_EQ, IMPLICIT], ids=["with_eq", "implicit"])
+def test_lower_dimensional_systems_need_no_second_dd_pass(P):
+    for cached in (h_to_v, v_to_h, _incidence):
+        cached.cache_clear()
+    remove_redundant(P)
+    assert v_to_h.cache_info().misses == 0
+    assert _incidence.cache_info().misses == 1
