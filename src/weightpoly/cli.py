@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 
 from .builders import SideData, dual_side_data, gt_slice, polygon_hrep
 from .counting import (MultiplicityQuery, count_dilates, ehrhart_fit,
@@ -89,11 +90,13 @@ def _chart_polytope(args: argparse.Namespace) -> HPolytope:
     return cs.diag_chart if args.chart == "diag" else cs.entry_chart
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: Callable[[], dict],
+          text_lines: Callable[[], list[str]]) -> None:
+    """Print payload() as JSON or the lines of text_lines(), building only that one."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -107,34 +110,32 @@ def _point_str(v: tuple) -> str:
 
 def _cmd_polytope(args: argparse.Namespace) -> int:
     P = remove_redundant(_chart_polytope(args))
-    lines = [f"dim: {P.dim}"]
-    lines += [f"eq: {_vec_str(a)} = {frac_str(b)}" for a, b in P.eqs]
-    lines += [f"ineq: {_vec_str(a)} <= {frac_str(b)}" for a, b in P.ineqs]
-    _emit(args, P.to_json_dict(), lines)
+    _emit(args, P.to_json_dict, lambda: (
+        [f"dim: {P.dim}"]
+        + [f"eq: {_vec_str(a)} = {frac_str(b)}" for a, b in P.eqs]
+        + [f"ineq: {_vec_str(a)} <= {frac_str(b)}" for a, b in P.ineqs]))
     return 0
 
 
 def _cmd_vertices(args: argparse.Namespace) -> int:
     V = h_to_v(_chart_polytope(args))
-    _emit(args, V.to_json_dict(), [_point_str(v) for v in V.vertices])
+    _emit(args, V.to_json_dict, lambda: [_point_str(v) for v in V.vertices])
     return 0
 
 
 def _cmd_fan(args: argparse.Namespace) -> int:
     F = normal_fan(_chart_polytope(args))
-    lines = [f"ambient: {F.ambient_dim}"]
-    for vertex, cone in F.maximal_cones:
-        rays = " ".join(_point_str(r) for r in cone.rays)
-        lines.append(f"vertex {_point_str(vertex)}: rays {rays}")
-    _emit(args, fan_to_json_dict(F), lines)
+    _emit(args, lambda: fan_to_json_dict(F), lambda: [f"ambient: {F.ambient_dim}"] + [
+        f"vertex {_point_str(vertex)}: rays " + " ".join(_point_str(r) for r in cone.rays)
+        for vertex, cone in F.maximal_cones])
     return 0
 
 
 def _cmd_singular(args: argparse.Namespace) -> int:
     report = singularity_report(normal_fan(_chart_polytope(args)))
-    lines = [f"vertex {_point_str(e.vertex)}: {e.label}" for e in report.entries]
-    lines.append("smooth: " + ("yes" if report.is_smooth else "no"))
-    _emit(args, report.to_json_dict(), lines)
+    _emit(args, report.to_json_dict, lambda: (
+        [f"vertex {_point_str(e.vertex)}: {e.label}" for e in report.entries]
+        + ["smooth: " + ("yes" if report.is_smooth else "no")]))
     return 0
 
 
@@ -142,12 +143,11 @@ def _cmd_facets(args: argparse.Namespace) -> int:
     s = _parse_side(args)
     P = remove_redundant(polygon_hrep(s))
     labels = facet_labels(s, P)
-    payload = {"facets": [
+    _emit(args, lambda: {"facets": [
         {"tags": list(l.tags), "normal": [frac_str(c) for c in l.normal],
-         "rhs": frac_str(l.rhs)} for l in labels]}
-    lines = [f"{','.join(l.tags)}: {_vec_str(l.normal)} <= {frac_str(l.rhs)}"
-             for l in labels]
-    _emit(args, payload, lines)
+         "rhs": frac_str(l.rhs)} for l in labels]},
+        lambda: [f"{','.join(l.tags)}: {_vec_str(l.normal)} <= {frac_str(l.rhs)}"
+                 for l in labels])
     return 0
 
 
@@ -155,28 +155,27 @@ def _cmd_ehrhart(args: argparse.Namespace) -> int:
     P = _chart_polytope(args)
     counts = count_dilates(P, args.t_max)
     fit = ehrhart_fit(counts)
-    payload = {"counts": list(counts.counts), **fit.to_json_dict()}
-    lines = ["counts: " + ",".join(str(c) for c in counts.counts),
-             f"mode: {fit.mode}", f"period: {fit.period}", f"degree: {fit.degree}"]
-    for cls, coeffs in enumerate(fit.coeffs_by_class):
-        lines.append(f"class {cls}: " + ",".join(frac_str(c) for c in coeffs))
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"counts": list(counts.counts), **fit.to_json_dict()}, lambda: (
+        ["counts: " + ",".join(str(c) for c in counts.counts),
+         f"mode: {fit.mode}", f"period: {fit.period}", f"degree: {fit.degree}"]
+        + [f"class {cls}: " + ",".join(frac_str(c) for c in coeffs)
+           for cls, coeffs in enumerate(fit.coeffs_by_class)]))
     return 0
 
 
 def _cmd_mult(args: argparse.Namespace) -> int:
     q = MultiplicityQuery.from_side(_parse_side(args), args.dilate)
     value = weight_multiplicity(q)
-    _emit(args, {"multiplicity": value}, [str(value)])
+    _emit(args, lambda: {"multiplicity": value}, lambda: [str(value)])
     return 0
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
     report = verify_ehrhart_identity(_parse_side(args), args.t_max)
-    lines = [f"t={c.dilate}: count={c.lattice_count} mult={c.multiplicity} "
-             + ("PASS" if c.passed else "FAIL") for c in report.checks]
-    lines.append("all pass" if report.all_pass else "FAILED")
-    _emit(args, report.to_json_dict(), lines)
+    _emit(args, report.to_json_dict, lambda: (
+        [f"t={c.dilate}: count={c.lattice_count} mult={c.multiplicity} "
+         + ("PASS" if c.passed else "FAIL") for c in report.checks]
+        + ["all pass" if report.all_pass else "FAILED"]))
     return 0 if report.all_pass else 1
 
 
@@ -184,12 +183,11 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     s = _parse_side(args)
     report = verify_duality(s, args.t_max)
     dual = dual_side_data(s)
-    lines = [f"dual m: {dual.m}", f"dual r: {_vec_str(dual.r)}"]
-    for inv in report.invariants:
-        status = "PASS" if inv.primal == inv.dual else "FAIL"
-        lines.append(f"{inv.name}: {inv.primal} vs {inv.dual} {status}")
-    lines.append("all pass" if report.all_pass else "FAILED")
-    _emit(args, report.to_json_dict(), lines)
+    _emit(args, report.to_json_dict, lambda: (
+        [f"dual m: {dual.m}", f"dual r: {_vec_str(dual.r)}"]
+        + [f"{inv.name}: {inv.primal} vs {inv.dual} "
+           + ("PASS" if inv.primal == inv.dual else "FAIL") for inv in report.invariants]
+        + ["all pass" if report.all_pass else "FAILED"]))
     return 0 if report.all_pass else 1
 
 
@@ -201,26 +199,23 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
     if limit and m >= 1 and exponent >= (10 ** limit).bit_length():
         raise _InputError(f"fiber size 2^{exponent} has more than {limit} decimal digits")
     value = real_fiber_size(args.m, args.n)
-    _emit(args, {"fiber_size": value}, [str(value)])
+    _emit(args, lambda: {"fiber_size": value}, lambda: [str(value)])
     return 0
 
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
     fp = combinatorial_fingerprint(_chart_polytope(args))
-    _emit(args, {"fingerprint": fp}, [fp])
+    _emit(args, lambda: {"fingerprint": fp}, lambda: [fp])
     return 0
 
 
 def _cmd_paper_examples(args: argparse.Namespace) -> int:
     report = reference_battery()
-    lines = []
-    for c in report.claims:
-        if c.passed:
-            lines.append(f"{c.claim_id}: PASS")
-        else:
-            lines.append(f"{c.claim_id}: FAIL (expected {c.expected}, computed {c.computed})")
-    lines.append("all pass" if report.all_pass else "FAILED")
-    _emit(args, report.to_json_dict(), lines)
+    _emit(args, report.to_json_dict, lambda: (
+        [f"{c.claim_id}: PASS" if c.passed
+         else f"{c.claim_id}: FAIL (expected {c.expected}, computed {c.computed})"
+         for c in report.claims]
+        + ["all pass" if report.all_pass else "FAILED"]))
     return 0 if report.all_pass else 1
 
 

@@ -46,9 +46,6 @@ class DilateCounts:
     def count(self, t: int) -> int:
         return self.counts[t]
 
-    def to_json_dict(self) -> dict:
-        return {"counts": {str(t): c for t, c in enumerate(self.counts)}}
-
 
 def count_dilates(P: HPolytope, t_max: int) -> DilateCounts:
     """Exact lattice-point counts of the dilates t*P, t = 1..t_max."""
@@ -115,8 +112,7 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     mode = "polynomial" if period == 1 else "quasi"
     coeffs_by_class = []
     for residue in range(period):
-        ts = [t for t in range(0 if residue == 0 else residue, c.t_max + 1, period)
-              if t % period == residue]
+        ts = range(residue, c.t_max + 1, period)
         if len(ts) < degree + 1:
             raise ValueError(
                 f"insufficient samples: residue class {residue} needs {degree + 1} "

@@ -536,13 +536,31 @@ def polytope_dim(P: HPolytope) -> int:
 
 @functools.lru_cache(maxsize=512)
 def _scan_setup(P: HPolytope):
-    """The part of the integer scan of P that no dilate changes.
+    """Everything in the integer scan of P that no dilate changes.
 
-    None when P is empty, else (rows_at, box).  rows_at[j] holds
-    (c, (p, q), terms) for each row c*x_j + sum(a*x_k for k, a in terms) <= p/q
-    whose trailing nonzero coordinate is j, with a primitive integer normal;
-    box[j] is the rational (min, max) of the vertices' coordinate j.
+    None when P has no rational point, else (rows_at, box, live, t0, embed).
+    Explicit equalities are eliminated through the chart of
+    restrict_to_affine_hull, whose DD is the only one: infeasible equalities
+    and an empty chart give None, and the chart, an affine bijection onto the
+    solutions of the equalities, is unbounded exactly when P is.  The chart of
+    t*P is t times P's, with offset t * x0 / t0 for t0 the lcm of the offset's
+    denominators, so only dilates in t0*Z hold integer points, and embed is
+    the integer (matrix, x0) back into ambient space (None without equalities).
+    In the chart, rows_at[j] holds (c, (p, q), terms) for each row
+    c*x_j + sum(a*x_k for k, a in terms) <= p/q whose trailing nonzero
+    coordinate is j, with a primitive integer normal; box[j] is the rational
+    (min, max) of the vertices' coordinate j; live[j] is the set of
+    coordinates before j that some row at level j or later reads, None where
+    that is all of them.
     """
+    t0, embed = 1, None
+    if P.eqs:
+        try:
+            P, f = restrict_to_affine_hull(P)
+        except _InfeasibleEqualitiesError:
+            return None
+        t0 = lcm(*(c.denominator for c in f.offset))
+        embed = ([[int(c) for c in row] for row in f.matrix], [int(t0 * c) for c in f.offset])
     verts = h_to_v(P).vertices
     if not verts:
         return None
@@ -555,47 +573,33 @@ def _scan_setup(P: HPolytope):
         *before, j = [k for k, c in enumerate(coeffs) if c]
         rows_at[j].append((coeffs[j], (rhs.numerator, rhs.denominator),
                            tuple((k, coeffs[k]) for k in before)))
-    return rows_at, [(min(col), max(col)) for col in zip(*verts)]
+    live: list[tuple[int, ...] | None] = [None] * P.dim
+    read: set[int] = set()
+    for j in range(P.dim - 1, -1, -1):
+        read.update(k for _, _, terms in rows_at[j] for k, _ in terms)
+        frontier = tuple(sorted(k for k in read if k < j))
+        live[j] = frontier if len(frontier) < j else None
+    return rows_at, [(min(col), max(col)) for col in zip(*verts)], live, t0, embed
 
 
 def _scan_input(P: HPolytope, dilate: int):
-    """Setup of the integer scan of dilate*P, shared by listing and counting.
+    """_scan_setup(P) rounded at this dilate, shared by listing and counting.
 
-    None when dilate*P visibly has no integer point, else (rows_at, lo, hi,
-    embed).  rows_at[j] holds (c, rhs, terms) for each row
-    c*x_j + sum(a*x_k for k, a in terms) <= rhs whose trailing nonzero
-    coordinate is j, and [lo, hi] is the integer vertex bounding box; both
-    come from the cached _scan_setup, rounded at this dilate (the left side
-    is an integer, so the rhs may be floored).
-    Explicit equalities are eliminated first through the integer chart of
-    restrict_to_affine_hull, so a lower-dimensional system scans a box of the
-    right dimension, whose only double description pass is the chart's own,
-    in _scan_setup: infeasible equalities give None here, an empty chart None
-    there, and the chart, an affine bijection onto the solutions of the
-    equalities, has a recession line or ray exactly when P does.
-    The chart of dilate*P is dilate times the chart of P, with offset
-    dilate * x0 / t0; that offset is integral exactly when t0 divides the
-    dilate, and then the chart is a bijection on lattice points, else
-    dilate*P has no integer point.  So one setup of P's chart serves every
-    dilate, and embed is the integer (matrix, offset) back into ambient space
-    at this dilate, else None.
+    None when dilate*P visibly has no integer point, else
+    (rows_at, lo, hi, live, embed), with each rhs floored (the left side is an
+    integer), [lo, hi] the integer vertex box and embed at this dilate.
     """
     if not is_int(dilate) or dilate < 1:
         raise ValueError("dilate must be a positive integer")
-    embed = None
-    if P.eqs:
-        try:
-            P, f = restrict_to_affine_hull(P)
-        except _InfeasibleEqualitiesError:
-            return None
-        offset = [dilate * c for c in f.offset]
-        if any(c.denominator != 1 for c in offset):
-            return None
-        embed = ([[int(c) for c in row] for row in f.matrix], [int(c) for c in offset])
     setup = _scan_setup(P)
     if setup is None:
         return None
-    rows, box = setup
+    rows, box, live, t0, embed = setup
+    if dilate % t0:
+        return None
+    if embed is not None:
+        matrix, x0 = embed
+        embed = (matrix, [dilate // t0 * c for c in x0])
     rows_at = [[(c, dilate * p // q, terms) for c, (p, q), terms in level]
                for level in rows]
     lo, hi = [], []
@@ -604,7 +608,7 @@ def _scan_input(P: HPolytope, dilate: int):
         hi.append(dilate * high.numerator // high.denominator)
         if lo[-1] > hi[-1]:
             return None
-    return rows_at, lo, hi, embed
+    return rows_at, lo, hi, live, embed
 
 
 def _narrow(rows: list, x: list[int], lo_j: int, hi_j: int) -> tuple[int, int]:
@@ -671,7 +675,7 @@ def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
     scan = _scan_input(P, dilate)
     if scan is None:
         return []
-    rows_at, lo, hi, embed = scan
+    rows_at, lo, hi, _, embed = scan
     points: list[tuple[int, ...]] = []
     if lo:
         _list_from(0, rows_at, lo, hi, [0] * len(lo), points)
@@ -687,26 +691,18 @@ def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
 def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
     """len(lattice_points(P, dilate)), without listing the points.
 
-    The depth-first scan of lattice_points, memoised: live[j] is the set of
-    coordinates before j that some row at level j or later reads, and the
-    number of completions from level j depends only on x[live[j]].  For interlacing
-    rows the live set is about one pattern row, so the work grows with the
-    number of such frontier states, not with the number of points.
+    The depth-first scan of lattice_points, memoised: the number of
+    completions from level j depends only on x[live[j]] (_scan_setup).  For
+    interlacing rows the live set is about one pattern row, so the work grows
+    with the number of such frontier states, not with the number of points.
     """
     scan = _scan_input(P, dilate)
     if scan is None:
         return 0
-    rows_at, lo, hi, _ = scan
-    d = len(lo)
-    if d == 0:
+    rows_at, lo, hi, live, _ = scan
+    if not lo:
         return 1
-    live: list[tuple[int, ...] | None] = [None] * d
-    read: set[int] = set()
-    for j in range(d - 1, -1, -1):
-        read.update(k for _, _, terms in rows_at[j] for k, _ in terms)
-        frontier = tuple(sorted(k for k in read if k < j))
-        live[j] = frontier if len(frontier) < j else None
-    return _count_from(0, rows_at, lo, hi, live, [0] * d, {})
+    return _count_from(0, rows_at, lo, hi, live, [0] * len(lo), {})
 
 
 @functools.lru_cache(maxsize=512)

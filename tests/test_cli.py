@@ -207,6 +207,21 @@ def test_polytope_of_lower_dimensional_files_is_pinned(capsys, tmp_path, doc, ex
     assert run(capsys, ["polytope", "--polytope-file", str(path)]) == (0, expected, "")
 
 
+def test_ehrhart_of_an_equality_file_is_pinned(capsys, tmp_path):
+    # 2x + 2y = 1 on the unit square: integer points only at even dilates.
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({
+        "dim": 2, "ineqs": _rows([((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]),
+        "eqs": _rows([((2, 2), 1)])}))
+    argv = ["ehrhart", "--polytope-file", str(path), "--t-max", "6"]
+    assert run(capsys, argv) == (0, "counts: 1,0,2,0,3,0,4\nmode: quasi\nperiod: 2\n"
+                                    "degree: 1\nclass 0: 1,1/2\nclass 1: 0,0\n", "")
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"counts": [1, 0, 2, 0, 3, 0, 4], "mode": "quasi", "period": 2,
+                               "degree": 1, "coefficients": [["1", "1/2"], ["0", "0"]]}
+
+
 def test_fan_then_singular_run_one_dd_pass_and_one_incidence(capsys):
     for cached in (h_to_v, v_to_h, _incidence, _vertex_graph):
         cached.cache_clear()

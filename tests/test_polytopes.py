@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from weightpoly import polytopes
 from weightpoly.builders import GTSpec, SideData, gt_hrep, polygon_hrep
 from weightpoly.exact import (clear_denominators, dot, integer_solutions, primitive_vector,
                               vec, vec_sub)
@@ -258,6 +259,24 @@ def test_one_scan_setup_serves_every_dilate_of_a_sliced_pattern_polytope():
                       for t in range(1, 9)]
     assert counts[:3] == [14, 90, 374] and counts[-1] == 28413
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 7)
+
+
+def test_equality_chart_is_built_once_for_every_dilate(monkeypatch):
+    # 2x + 2y = 1 has integer solutions only at even dilates: t0 = 2.
+    P = HPolytope(2, SQUARE.ineqs, ((vec([2, 2]), Fraction(1)),))
+    charted = []
+    restrict = polytopes.restrict_to_affine_hull
+
+    def counting_restrict(Q):
+        charted.append(Q)
+        return restrict(Q)
+
+    monkeypatch.setattr(polytopes, "restrict_to_affine_hull", counting_restrict)
+    _scan_setup.cache_clear()
+    listed = [len(lattice_points(P, t)) for t in range(1, 5)]
+    counted = [count_lattice_points(P, t) for t in range(1, 5)]
+    assert listed == counted == [0, 2, 0, 3]
+    assert charted == [P]
 
 
 def test_count_scan_leaves_no_reference_cycle():
@@ -567,6 +586,30 @@ def full_dimensional_polytopes(draw):
         rows.append((tuple(2 * c for c in a), 2 * b))
     order = draw(st.permutations(range(len(rows))))
     return HPolytope(dim=d, ineqs=tuple(rows[i] for i in order), eqs=())
+
+
+@settings(max_examples=40, deadline=None)
+@given(full_dimensional_polytopes(), st.data())
+def test_counts_survive_an_equality_lift_and_a_unimodular_change_of_basis(P, data):
+    # Q lifts P by y = c.x + r/2, an integer exactly when t*r is even: the
+    # equality route, on a chart other than P's own coordinates.
+    d = P.dim
+    c = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    r = data.draw(st.integers(-3, 3))
+    Q = HPolytope(d + 1, tuple((tuple(a) + (0,), b) for a, b in P.ineqs),
+                  ((tuple(-2 * x for x in c) + (2,), r),))
+    # Negating rows and adding multiples of one row to another keep det = +-1.
+    M = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        k = data.draw(st.integers(-2, 2))
+        M[i] = [-x for x in M[i]] if i == j else [x + k * y for x, y in zip(M[i], M[j])]
+    offset = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    image = affine_image(P, AffineMap(d, d, tuple(map(vec, M)), vec(offset)))
+    for t in range(1, 5):
+        n = count_lattice_points(P, t)
+        assert count_lattice_points(Q, t) == (0 if t * r % 2 else n)
+        assert count_lattice_points(image, t) == n
 
 
 @st.composite
