@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import ClassVar, Sequence
 
 from .exact import Vec, frac, frac_str, is_int, vec
-from .polytopes import AffineMap, HPolytope, affine_image, empty_hrep
+from .polytopes import AffineMap, HPolytope, _pull_back, affine_image, empty_hrep
 
 
 @dataclass(frozen=True)
@@ -203,34 +203,41 @@ def _entry_index(t: int, i: int) -> int:
     return t * (t - 1) // 2 + (t - i)
 
 
+def _interlacing_rows(k: int, lam: Sequence[Fraction]):
+    """The interlacing rows of the patterns under the top row lam, sparse.
+
+    Coordinates are the entries of rows 1..k-1 (_entry_index).  Yields
+    ({entry index: coeff}, rhs) for each row of coeffs . x <= rhs: per entry
+    (t, i), rows bottom to top, the upper bound row_{t,i} <= row_{t+1,i}
+    before the lower bound row_{t,i} >= row_{t+1,i+1}, with entries of row k
+    read as the constants lam.
+    """
+    for t in range(1, k):
+        for i in range(1, t + 1):
+            at = _entry_index(t, i)
+            if t + 1 == k:
+                yield {at: 1}, lam[i - 1]
+                yield {at: -1}, -lam[i]
+            else:
+                yield {at: 1, _entry_index(t + 1, i): -1}, Fraction(0)
+                yield {at: -1, _entry_index(t + 1, i + 1): 1}, Fraction(0)
+
+
 def gt_hrep(spec: GTSpec) -> HPolytope:
     """Interlacing-pattern polytope of the top row, in all-entries coordinates.
 
     One coordinate per entry of rows 1..k-1 (k(k-1)/2 in total); row k is the
-    fixed top row.  Constraints are row_{t+1,i} >= row_{t,i} >= row_{t+1,i+1};
-    fixed row sums, when present, are added as equalities.
+    fixed top row.  Constraints are _interlacing_rows, made dense; fixed row
+    sums, when present, are added as equalities.
     """
-    k, lam = spec.k, spec.lam
+    k = spec.k
     dim = k * (k - 1) // 2
-
-    def unit(t: int, i: int, c: int) -> list[Fraction]:
-        row = [Fraction(0)] * dim
-        row[_entry_index(t, i)] = Fraction(c)
-        return row
-
     ineqs: list[tuple[Vec, Fraction]] = []
-    for t in range(1, k):
-        for i in range(1, t + 1):
-            if t + 1 == k:
-                ineqs.append((tuple(unit(t, i, 1)), lam[i - 1]))
-                ineqs.append((tuple(unit(t, i, -1)), -lam[i]))
-            else:
-                upper = unit(t, i, 1)
-                upper[_entry_index(t + 1, i)] = Fraction(-1)
-                ineqs.append((tuple(upper), Fraction(0)))
-                lower = unit(t, i, -1)
-                lower[_entry_index(t + 1, i + 1)] = Fraction(1)
-                ineqs.append((tuple(lower), Fraction(0)))
+    for coeffs, rhs in _interlacing_rows(k, spec.lam):
+        row = [0] * dim
+        for j, c in coeffs.items():
+            row[j] = c
+        ineqs.append((tuple(row), rhs))
     eqs: list[tuple[Vec, Fraction]] = []
     if spec.row_sums is not None:
         for t in range(1, k):
@@ -239,20 +246,6 @@ def gt_hrep(spec: GTSpec) -> HPolytope:
                 row[_entry_index(t, i)] = Fraction(1)
             eqs.append((tuple(row), spec.row_sums[t - 1]))
     return HPolytope(dim, tuple(ineqs), tuple(eqs))
-
-
-class _Expr:
-    """Affine expression c + sum coeff_j * chart_j, over a fixed chart width."""
-
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs: tuple[Fraction, ...], const: Fraction):
-        self.coeffs = coeffs
-        self.const = const
-
-    def __sub__(self, other: "_Expr") -> "_Expr":
-        return _Expr(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-                     self.const - other.const)
 
 
 def _slice_rows(s: SideData):
@@ -287,76 +280,50 @@ def _chart_layout(s: SideData) -> tuple[tuple[int, int], ...]:
     return tuple(coords)
 
 
-def _entry_exprs(s: SideData):
-    """Every pattern entry as an affine expression in the chart coordinates."""
-    m, n, P = s.m, s.n, s.P
-    layout = _chart_layout(s)
-    dim = len(layout)
-    index = {pos: j for j, pos in enumerate(layout)}
-    zero = tuple([Fraction(0)] * dim)
-
-    def unit(j: int) -> tuple[Fraction, ...]:
-        row = [Fraction(0)] * dim
-        row[j] = Fraction(1)
-        return tuple(row)
-
-    exprs: dict[tuple[int, int], _Expr] = {}
-    for t, lo, hi, S_t in _slice_rows(s):
-        for i in range(1, t + 1):
-            if i < lo:
-                exprs[(t, i)] = _Expr(zero, P)
-            elif i > hi:
-                exprs[(t, i)] = _Expr(zero, Fraction(0))
-            elif i > lo:
-                exprs[(t, i)] = _Expr(unit(index[(t, i)]), Fraction(0))
-        remainder = [Fraction(0)] * dim
-        for i in range(lo + 1, hi + 1):
-            remainder[index[(t, i)]] = Fraction(-1)
-        exprs[(t, lo)] = _Expr(tuple(remainder), S_t)
-    for i in range(1, n + 1):
-        exprs[(n, i)] = _Expr(zero, P if i <= m + 1 else Fraction(0))
-    return layout, exprs
-
-
 def fm_polytope(s: SideData) -> ChartedSlice:
     """Row-sum slice of the (P,...,P,0,...,0) pattern polytope, fully charted.
 
     The entry chart keeps one coordinate per non-forced entry after the row
     sums eliminate one entry per row; generically its dimension is
-    mn - 2m - m^2.  The diag chart rewrites each row by the differences of its
-    adjacent variable entries; for m=1 these are the polygon diagonals and the
-    chart equals the triangle-inequality system of polygon_hrep.
+    mn - 2m - m^2.  Each entry of rows 1..n-1 is an affine function of the
+    chart: a forced entry the constant P or 0, a free entry its coordinate,
+    the eliminated one S_t minus the row's free entries.  The entry chart is
+    the interlacing rows pulled back through that map.  The diag chart
+    rewrites each row by the differences of its adjacent variable entries;
+    for m=1 these are the polygon diagonals and the chart equals the
+    triangle-inequality system of polygon_hrep.
     """
-    layout, exprs = _entry_exprs(s)
+    layout = _chart_layout(s)
     dim = len(layout)
-    n = s.n
-    ineqs: list[tuple[Vec, Fraction]] = []
-    infeasible = False
-    for t in range(1, n):
-        for i in range(1, t + 1):
-            for diff in (exprs[(t, i)] - exprs[(t + 1, i)],
-                         exprs[(t + 1, i + 1)] - exprs[(t, i)]):
-                # The constraint is diff <= 0, i.e. coeffs . x <= -const.
-                if all(c == 0 for c in diff.coeffs):
-                    if diff.const > 0:
-                        infeasible = True
-                else:
-                    ineqs.append((diff.coeffs, -diff.const))
+    index = {pos: j for j, pos in enumerate(layout)}
     rows = _slice_rows(s)
-    diag_exprs: list[_Expr] = []
+    matrix: list[tuple[int, ...]] = []  # per entry, in _entry_index order
+    offset: list[Fraction] = []
+    for t, lo, hi, S_t in rows:
+        for i in range(t, 0, -1):
+            coeffs = [0] * dim
+            const = Fraction(0)
+            if lo < i <= hi:
+                coeffs[index[(t, i)]] = 1
+            elif i == lo:
+                for free in range(lo + 1, hi + 1):
+                    coeffs[index[(t, free)]] = -1
+                const = S_t
+            elif i < lo:
+                const = s.P
+            matrix.append(tuple(coeffs))
+            offset.append(const)
+    lam = (s.P,) * (s.m + 1) + (Fraction(0),) * (s.n - s.m - 1)
+    ineqs = _pull_back(((a.items(), b) for a, b in _interlacing_rows(s.n, lam)),
+                       matrix, offset)
+    diag_rows, diag_offset = [], []
     for t, lo, hi, _ in rows:
-        display = [exprs[(t, i)] for i in range(hi, lo - 1, -1)]
-        for left, right in zip(display, display[1:]):
-            diag_exprs.append(right - left)
-    entry_to_diag = AffineMap(
-        dim, dim,
-        tuple(e.coeffs for e in diag_exprs),
-        tuple(e.const for e in diag_exprs),
-    )
-    if infeasible:
-        entry_chart = empty_hrep(dim)
-    else:
-        entry_chart = HPolytope(dim, tuple(ineqs), ())
+        for i in range(hi, lo, -1):
+            left, right = _entry_index(t, i), _entry_index(t, i - 1)
+            diag_rows.append(tuple(b - a for a, b in zip(matrix[left], matrix[right])))
+            diag_offset.append(offset[right] - offset[left])
+    entry_to_diag = AffineMap(dim, dim, tuple(diag_rows), tuple(diag_offset))
+    entry_chart = empty_hrep(dim) if ineqs is None else HPolytope(dim, tuple(ineqs), ())
     return ChartedSlice(entry_chart, entry_to_diag, layout)
 
 

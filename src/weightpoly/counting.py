@@ -21,10 +21,12 @@ from .exact import frac_str, is_int, solve_linear
 from .polytopes import (
     HPolytope,
     _facet_masks,
+    _scan_setup,
     combinatorial_fingerprint,
     count_lattice_points,
     h_to_v,
     polytope_dim,
+    restrict_to_affine_hull,
 )
 
 
@@ -48,11 +50,14 @@ class DilateCounts:
 
 
 def count_dilates(P: HPolytope, t_max: int) -> DilateCounts:
-    """Exact lattice-point counts of the dilates t*P, t = 1..t_max."""
+    """Exact lattice-point counts of the dilates t*P, t = 1..t_max.
+
+    Emptiness is read off the scan setup, so a system with equalities gets
+    no double description pass in its ambient space.
+    """
     if not is_int(t_max) or t_max < 1:
         raise ValueError("t_max must be a positive integer")
-    nonempty = bool(h_to_v(P).vertices)
-    counts = [1 if nonempty else 0]
+    counts = [0 if _scan_setup(P) is None else 1]
     for t in range(1, t_max + 1):
         counts.append(count_lattice_points(P, t))
     return DilateCounts(P, tuple(counts))
@@ -100,15 +105,21 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     Polynomial mode when the polytope has integral vertices; otherwise quasi
     mode with period = lcm of the vertex coordinate denominators (determined
     from the geometry, never guessed from the counts).  The fit must reproduce
-    every sample; anything else raises.
+    every sample; anything else raises.  Vertices and dimension are read in
+    the equality chart of restrict_to_affine_hull, whose DD the count ran,
+    with the vertices mapped back through its embedding.
     """
-    verts = h_to_v(c.polytope).vertices
-    if not verts:
+    P = c.polytope
+    if _scan_setup(P) is None:
         fit = EhrhartFit("polynomial", 1, 0, ((Fraction(0),),))
         _check_reproduces(fit, c)
         return fit
+    chart, embed = restrict_to_affine_hull(P)
+    verts = h_to_v(chart).vertices
+    if P.eqs:
+        verts = [embed.apply(v) for v in verts]
     period = lcm(1, *(x.denominator for v in verts for x in v))
-    degree = max(0, polytope_dim(c.polytope))
+    degree = polytope_dim(chart)
     mode = "polynomial" if period == 1 else "quasi"
     coeffs_by_class = []
     for residue in range(period):

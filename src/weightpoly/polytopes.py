@@ -319,6 +319,30 @@ def _joint_primitive(normal: Sequence, rhs) -> tuple[tuple[int, ...], int]:
     return combined[:-1], combined[-1]
 
 
+def _pull_back(rows: Iterable, matrix: Sequence[Sequence], offset: Sequence):
+    """The rows (a M, b - a . c) of {y : a . (M y + c) <= b}, M = matrix, c = offset.
+
+    Each row of rows is (terms, b), terms the (index, a_j) pairs of a; matrix
+    has one row per index, at least one.  Rows that become constant are
+    dropped; None when one of them fails.
+    """
+    width = len(matrix[0])
+    out = []
+    for terms, rhs in rows:
+        coeffs = [0] * width
+        for j, a in terms:
+            if a:
+                rhs -= a * offset[j]
+                for i, c in enumerate(matrix[j]):
+                    if c:
+                        coeffs[i] += a * c
+        if any(coeffs):
+            out.append((tuple(coeffs), rhs))
+        elif rhs < 0:
+            return None
+    return out
+
+
 def _affine_hull_equalities(verts: Sequence[Vec], dim: int) -> tuple[tuple[Vec, Fraction], ...]:
     space = nullspace([v + (Fraction(1),) for v in verts], dim + 1)
     eqs = []
@@ -355,8 +379,9 @@ def v_to_h(V: VPolytope) -> HPolytope:
     """Irredundant facet system plus affine-hull equalities of conv(V).
 
     Facets are found as extreme rays of the dual cone inside an exact affine
-    chart of the hull (_hull_chart), then pulled back; the output is
-    canonically ordered and scaled (coprime integer rows).
+    chart of the hull (_hull_chart), then pulled back through
+    y = W (x - v0); the output is canonically ordered and scaled (coprime
+    integer rows).
     """
     d = V.dim
     verts = V.vertices
@@ -374,18 +399,11 @@ def v_to_h(V: VPolytope) -> HPolytope:
         y = tuple(dot(w, delta) for w in w_rows)
         dual_rows.add(primitive_vector((Fraction(1),) + y))
     rays, _ = _dd_extreme_rays(sorted(dual_rows), k + 1)
-    ineqs = []
-    for z in rays:
-        c_chart = z[1:]
-        if all(c == 0 for c in c_chart):
-            continue
-        a_amb = tuple(
-            sum(Fraction(-c_chart[i]) * w_rows[i][j] for i in range(k))
-            for j in range(d)
-        )
-        rhs = Fraction(z[0]) + dot(a_amb, v0)
-        ineqs.append(_joint_primitive(a_amb, rhs))
-    return HPolytope(d, tuple(sorted(ineqs)), eqs)
+    # A ray (z0, c) is the chart row -c . y <= z0; c = 0 only on the ray of
+    # the constant row 0 <= z0, which the pull-back drops.
+    chart_rows = ((enumerate(-c for c in z[1:]), Fraction(z[0])) for z in rays)
+    pulled = _pull_back(chart_rows, w_rows, [-dot(w, v0) for w in w_rows])
+    return HPolytope(d, tuple(sorted(_joint_primitive(a, b) for a, b in pulled)), eqs)
 
 
 @functools.lru_cache(maxsize=512)
@@ -811,17 +829,12 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
         raise _InfeasibleEqualitiesError("equality system is infeasible")
     x0 = tuple(Fraction(c, t0) for c in x0_int)
     k = len(kernel)
-    matrix = tuple(tuple(Fraction(kv[i]) for kv in kernel) for i in range(d))
-    chart_ineqs = []
-    for a, b in P.ineqs:
-        coeffs = tuple(dot(a, kv) for kv in kernel)
-        rhs = b - dot(a, x0)
-        if all(c == 0 for c in coeffs):
-            if rhs < 0:
-                return empty_hrep(k), AffineMap(k, d, matrix, x0)
-            continue
-        chart_ineqs.append(_joint_primitive(coeffs, rhs))
-    return HPolytope(k, tuple(chart_ineqs), ()), AffineMap(k, d, matrix, x0)
+    matrix = tuple(tuple(kv[i] for kv in kernel) for i in range(d))
+    embed = AffineMap(k, d, matrix, x0)
+    pulled = _pull_back(((enumerate(a), b) for a, b in P.ineqs), matrix, x0)
+    if pulled is None:
+        return empty_hrep(k), embed
+    return HPolytope(k, tuple(_joint_primitive(a, b) for a, b in pulled), ()), embed
 
 
 class _CanonicalSearch:
@@ -930,8 +943,6 @@ def canonical_incidence(n_left: int, left_labels: Sequence | None,
     """
     labels = list(left_labels) if left_labels is not None else [0] * n_left
     rights = [frozenset(s) for s in right_sets]
-    if n_left == 0:
-        return "L[];R[" + "|".join(sorted(",".join(map(str, sorted(s))) for s in rights)) + "]"
     names = [repr(lab) for lab in labels]
     init = {name: r for r, name in enumerate(sorted(set(names)))}
     return _CanonicalSearch(names, rights).search([init[name] for name in names], ())

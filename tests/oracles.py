@@ -161,6 +161,112 @@ def gt_pattern_count(lam, row_sums=None):
     return count_below(lam)
 
 
+def reference_gt_rows(k, lam, row_sums=None):
+    """gt_hrep's rows by a dense loop over the pattern entries: (dim, ineqs, eqs).
+
+    One coordinate per entry of rows 1..k-1, rows bottom to top, each row in
+    increasing value order; per entry (t, i) the upper bound row_{t,i} <=
+    row_{t+1,i} before the lower bound row_{t,i} >= row_{t+1,i+1}.
+    """
+    dim = k * (k - 1) // 2
+
+    def at(t, i):
+        return t * (t - 1) // 2 + (t - i)
+
+    def unit(t, i, c):
+        row = [Fraction(0)] * dim
+        row[at(t, i)] = Fraction(c)
+        return row
+
+    ineqs = []
+    for t in range(1, k):
+        for i in range(1, t + 1):
+            if t + 1 == k:
+                ineqs.append((tuple(unit(t, i, 1)), Fraction(lam[i - 1])))
+                ineqs.append((tuple(unit(t, i, -1)), -Fraction(lam[i])))
+            else:
+                upper = unit(t, i, 1)
+                upper[at(t + 1, i)] = Fraction(-1)
+                ineqs.append((tuple(upper), Fraction(0)))
+                lower = unit(t, i, -1)
+                lower[at(t + 1, i + 1)] = Fraction(1)
+                ineqs.append((tuple(lower), Fraction(0)))
+    eqs = []
+    if row_sums is not None:
+        for t in range(1, k):
+            row = [Fraction(0)] * dim
+            for i in range(1, t + 1):
+                row[at(t, i)] = Fraction(1)
+            eqs.append((tuple(row), Fraction(row_sums[t - 1])))
+    return dim, tuple(ineqs), tuple(eqs)
+
+
+def reference_slice(m, r):
+    """fm_polytope's slice by substituting affine expressions into the
+    interlacing differences, entry pair by entry pair.
+
+    Returns (layout, ineqs or None when a constant row fails, diag matrix,
+    diag offset): layout lists the chart's (t, i) entries, each free entry
+    of row t from the smallest value up; the entry at the lowest free
+    position is eliminated by the row sum.
+    """
+    r = tuple(Fraction(w) for w in r)
+    n = len(r)
+    P = sum(r) / (m + 1)
+    sums = [sum(r[:t]) for t in range(1, n)]
+    rows = []
+    for t in range(1, n):
+        lo, hi = max(1, m + 2 - n + t), min(t, m + 1)
+        rows.append((t, lo, hi, sums[t - 1] - P * max(0, m + 1 - n + t)))
+    layout = [(t, i) for t, lo, hi, _ in rows for i in range(hi, lo, -1)]
+    dim = len(layout)
+    index = {pos: j for j, pos in enumerate(layout)}
+
+    def expr(coeffs, const):  # const + sum coeffs[j] * chart_j
+        return tuple(Fraction(c) for c in coeffs), Fraction(const)
+
+    def minus(u, v):
+        return tuple(a - b for a, b in zip(u[0], v[0])), u[1] - v[1]
+
+    zero = [0] * dim
+    exprs = {}
+    for t, lo, hi, S_t in rows:
+        for i in range(1, t + 1):
+            if i < lo:
+                exprs[(t, i)] = expr(zero, P)
+            elif i > hi:
+                exprs[(t, i)] = expr(zero, 0)
+            elif i > lo:
+                unit = list(zero)
+                unit[index[(t, i)]] = 1
+                exprs[(t, i)] = expr(unit, 0)
+        remainder = list(zero)
+        for i in range(lo + 1, hi + 1):
+            remainder[index[(t, i)]] = -1
+        exprs[(t, lo)] = expr(remainder, S_t)
+    for i in range(1, n + 1):
+        exprs[(n, i)] = expr(zero, P if i <= m + 1 else 0)
+    ineqs = []
+    for t in range(1, n):
+        for i in range(1, t + 1):
+            for coeffs, const in (minus(exprs[(t, i)], exprs[(t + 1, i)]),
+                                  minus(exprs[(t + 1, i + 1)], exprs[(t, i)])):
+                # The constraint is coeffs . x + const <= 0.
+                if any(coeffs):
+                    ineqs.append((coeffs, -const))
+                elif const > 0:
+                    ineqs = None
+                    break
+            if ineqs is None:
+                break
+        if ineqs is None:
+            break
+    diag = [minus(exprs[(t, i - 1)], exprs[(t, i)])
+            for t, lo, hi, _ in rows for i in range(hi, lo, -1)]
+    return (tuple(layout), ineqs, tuple(c for c, _ in diag),
+            tuple(k for _, k in diag))
+
+
 def _as_int(x):
     f = Fraction(x)
     if f.denominator != 1:

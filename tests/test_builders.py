@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weightpoly.builders import (GTSpec, SideData, admissible, dual_side_data,
-                                 entry_to_diag_map, fm_polytope, gt_hrep,
-                                 gt_slice, polygon_hrep)
+from weightpoly.builders import (ChartedSlice, GTSpec, SideData, admissible,
+                                 dual_side_data, entry_to_diag_map, fm_polytope,
+                                 gt_hrep, gt_slice, polygon_hrep)
 from weightpoly.exact import vec
-from weightpoly.polytopes import (contains, h_to_v, lattice_points,
-                                  polytope_dim, remove_redundant)
-from oracles import gt_pattern_count, random_admissible_r
+from weightpoly.polytopes import (AffineMap, HPolytope, contains, empty_hrep,
+                                  h_to_v, lattice_points, polytope_dim,
+                                  remove_redundant)
+from oracles import (gt_pattern_count, random_admissible_r, reference_gt_rows,
+                     reference_slice)
 
 
 def test_side_data_validation():
@@ -135,3 +138,47 @@ def test_degenerate_point_case_consistent_across_charts():
     diag = h_to_v(cs.diag_chart).vertices
     assert diag == h_to_v(remove_redundant(polygon_hrep(s))).vertices
     assert len(diag) == 1
+
+
+def test_fm_polytope_matches_the_substitution_oracle():
+    """The slice as the interlacing rows pulled back equals the slice built by
+    substituting each entry's affine expression into every row."""
+    seen = {"inadmissible": 0, "fractional P": 0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(m + 2, 9))
+        weight = st.builds(Fraction, st.integers(1, 9), st.sampled_from((1, 2, 3)))
+        r = data.draw(st.lists(weight, min_size=n, max_size=n))
+        s = SideData.from_weights(m, r)
+        layout, ineqs, diag_matrix, diag_offset = reference_slice(m, r)
+        dim = len(layout)
+        chart = empty_hrep(dim) if ineqs is None else HPolytope(dim, tuple(ineqs), ())
+        to_diag = AffineMap(dim, dim, diag_matrix, diag_offset)
+        cs = fm_polytope(s)
+        assert cs.entry_chart == chart
+        assert cs.entry_to_diag == to_diag
+        assert cs.entry_coords == layout
+        assert cs.to_json_dict() == ChartedSlice(chart, to_diag, layout).to_json_dict()
+        seen["inadmissible"] += not admissible(s)
+        seen["fractional P"] += s.P.denominator != 1
+
+    check()
+    assert seen["inadmissible"] and seen["fractional P"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_gt_hrep_matches_the_dense_oracle(data):
+    k = data.draw(st.integers(1, 6))
+    entries = st.builds(Fraction, st.integers(0, 9), st.sampled_from((1, 2)))
+    lam = sorted(data.draw(st.lists(entries, min_size=k, max_size=k)), reverse=True)
+    sums = None
+    if data.draw(st.booleans()):
+        total = sum(lam)
+        sums = data.draw(st.lists(st.builds(lambda p: total * Fraction(p, 4), st.integers(0, 4)),
+                                  min_size=k - 1, max_size=k - 1))
+    dim, ineqs, eqs = reference_gt_rows(k, lam, sums)
+    assert gt_hrep(GTSpec(k, tuple(lam), sums)) == HPolytope(dim, ineqs, eqs)

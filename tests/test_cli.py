@@ -4,10 +4,11 @@ import sys
 import pytest
 
 from weightpoly import cli
-from weightpoly.builders import SideData, polygon_hrep
+from weightpoly.builders import GTSpec, SideData, gt_hrep, polygon_hrep
 from weightpoly.cli import build_parser, main
-from weightpoly.polytopes import (_incidence, _vertex_graph, combinatorial_fingerprint,
-                                  h_to_v, remove_redundant, v_to_h)
+from weightpoly.polytopes import (_incidence, _scan_setup, _vertex_graph,
+                                  combinatorial_fingerprint, h_to_v, remove_redundant,
+                                  restrict_to_affine_hull, v_to_h)
 
 PENTAGON = ["--m", "1", "--r", "3,3,3,3,3"]
 HEXAGON = ["--m", "1", "--r", "3,3,3,3,4"]
@@ -220,6 +221,24 @@ def test_ehrhart_of_an_equality_file_is_pinned(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert json.loads(out) == {"counts": [1, 0, 2, 0, 3, 0, 4], "mode": "quasi", "period": 2,
                                "degree": 1, "coefficients": [["1", "1/2"], ["0", "0"]]}
+
+
+def test_ehrhart_of_an_equality_file_runs_no_dd_on_the_ambient_system(capsys, tmp_path):
+    # The m=2 slice in all 15 pattern entries: the ambient DD alone takes
+    # seconds, the count in the 4-dimensional chart a fraction of one.
+    P = gt_hrep(GTSpec(6, (6, 6, 6, 0, 0, 0), (3, 7, 10, 13, 16)))
+    path = tmp_path / "slice.json"
+    path.write_text(json.dumps(P.to_json_dict()))
+    for cached in (h_to_v, _incidence, _scan_setup):
+        cached.cache_clear()
+    argv = ["ehrhart", "--polytope-file", str(path), "--t-max", "4"]
+    assert run(capsys, argv) == (0, "counts: 1,30,195,700,1845\nmode: polynomial\n"
+                                    "period: 1\ndegree: 4\nclass 0: 1,5,10,10,4\n", "")
+    # One DD pass ran, and it is the chart's: the ambient P has no entry.
+    assert _incidence.cache_info().misses == 1
+    hits = _incidence.cache_info().hits
+    _incidence(restrict_to_affine_hull(P)[0])
+    assert _incidence.cache_info().hits == hits + 1
 
 
 def test_fan_then_singular_run_one_dd_pass_and_one_incidence(capsys):

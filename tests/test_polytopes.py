@@ -446,6 +446,11 @@ def _has_nontrivial_automorphism(n, labels, rights):
 
 
 def test_pruned_search_matches_the_full_search():
+    # No left items: the search is a single leaf, whatever the empty right sets.
+    for rights, enc in (([], "L[];R[]"), ([frozenset()], "L[];R[]"),
+                        ([frozenset(), frozenset()], "L[];R[|]")):
+        assert canonical_incidence(0, None, rights) == enc
+        assert brute_force_canonical_incidence(0, None, rights) == enc
     automorphic = []
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
