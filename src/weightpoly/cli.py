@@ -16,7 +16,7 @@ import json
 import sys
 from collections.abc import Callable
 
-from .builders import SideData, dual_side_data, gt_slice, polygon_hrep
+from .builders import SideData, gt_slice, polygon_hrep
 from .counting import (MultiplicityQuery, count_dilates, ehrhart_fit,
                        real_fiber_size, verify_duality, verify_ehrhart_identity,
                        weight_multiplicity)
@@ -53,8 +53,9 @@ def _add_chart(p: argparse.ArgumentParser, default: str) -> None:
 def _load(path: str, what: str, parse):
     """parse(data) for the JSON data in the file at path.
 
-    A file that cannot be read, or whose data lacks a field or holds one of
-    the wrong type, raises _InputError; parse's own ValueErrors pass through.
+    A file that cannot be read, or whose data lacks a field, holds one of
+    the wrong type or a zero denominator, raises _InputError; parse's own
+    ValueErrors pass through.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -63,7 +64,7 @@ def _load(path: str, what: str, parse):
         raise _InputError(f"cannot read {what} file: {exc}") from exc
     try:
         return parse(data)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise _InputError(f"malformed {what} file: {exc!r}") from exc
 
 
@@ -180,9 +181,8 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
-    s = _parse_side(args)
-    report = verify_duality(s, args.t_max)
-    dual = dual_side_data(s)
+    report = verify_duality(_parse_side(args), args.t_max)
+    dual = report.dual_side
     _emit(args, report.to_json_dict, lambda: (
         [f"dual m: {dual.m}", f"dual r: {_vec_str(dual.r)}"]
         + [f"{inv.name}: {inv.primal} vs {inv.dual} "

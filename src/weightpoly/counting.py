@@ -26,7 +26,6 @@ from .polytopes import (
     count_lattice_points,
     h_to_v,
     polytope_dim,
-    restrict_to_affine_hull,
 )
 
 
@@ -106,18 +105,18 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     mode with period = lcm of the vertex coordinate denominators (determined
     from the geometry, never guessed from the counts).  The fit must reproduce
     every sample; anything else raises.  Vertices and dimension are read in
-    the equality chart of restrict_to_affine_hull, whose DD the count ran,
-    with the vertices mapped back through its embedding.
+    the chart the count's scan setup kept, whose DD the count ran, with the
+    vertices mapped back through its map f when there are equalities.
     """
-    P = c.polytope
-    if _scan_setup(P) is None:
+    setup = _scan_setup(c.polytope)
+    if setup is None:
         fit = EhrhartFit("polynomial", 1, 0, ((Fraction(0),),))
         _check_reproduces(fit, c)
         return fit
-    chart, embed = restrict_to_affine_hull(P)
+    *_, chart, f = setup
     verts = h_to_v(chart).vertices
-    if P.eqs:
-        verts = [embed.apply(v) for v in verts]
+    if f is not None:
+        verts = [f.apply(v) for v in verts]
     period = lcm(1, *(x.denominator for v in verts for x in v))
     degree = polytope_dim(chart)
     mode = "polynomial" if period == 1 else "quasi"

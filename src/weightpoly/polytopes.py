@@ -219,17 +219,13 @@ def _idot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-class _NotPointedError(Exception):
-    pass
-
-
 class _InfeasibleEqualitiesError(ValueError):
     """Raised by restrict_to_affine_hull when the equalities have no rational solution."""
 
 
-def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[int]]:
-    """Extreme rays of the pointed cone {y : row . y >= 0 for every row}, with
-    the rows each one is tight on.
+def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[int], bool]:
+    """Extreme rays of the cone {y : row . y >= 0 for every row}, cut to the
+    orthogonal complement of its lines, with the rows each one is tight on.
 
     Incremental double description (Fukuda & Prodon, "Double description
     method revisited", 1996): a simplicial start from the first linearly
@@ -239,12 +235,17 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[
     bit when it lies on that row, and the ray combined from p and q is tight
     exactly on (zero set of p & zero set of q) plus the new row.  Two rays are
     adjacent iff no third ray's zero set contains their common one (the
-    combinatorial test).  Returns (rays, zero sets).  Raises _NotPointedError
-    when the rows do not span (the cone contains a line).
+    combinatorial test).  When the rows do not span, the cone C contains the
+    lines L, their nullspace, and C = (C meet the complement of L) + L; the
+    rows z and -z for a primitive basis z of L are appended, which makes that
+    section pointed.  Returns (rays, zero sets, whether lines were cut).
     """
     basis_idx = independent_rows(rows)
-    if len(basis_idx) < dim:
-        raise _NotPointedError
+    cut = len(basis_idx) < dim
+    if cut:
+        lines = [primitive_vector(z) for z in nullspace(rows, dim)]
+        rows = rows + [r for z in lines for r in (z, tuple(-c for c in z))]
+        basis_idx = independent_rows(rows)
     inv = mat_inverse([rows[i] for i in basis_idx])
     rays: list[tuple[int, ...]] = [primitive_vector(col) for col in transpose(inv)]
     zsets = [sum(1 << i for i in basis_idx if _idot(rows[i], r) == 0) for r in rays]
@@ -288,7 +289,7 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[
             zsets = [zsets[i] | bit if vals[i] == 0 else zsets[i] for i in kept] + fresh_z
         else:
             zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
-    return rays, zsets
+    return rays, zsets, cut
 
 
 def _homogeneous_rows(P: HPolytope) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -343,35 +344,33 @@ def _pull_back(rows: Iterable, matrix: Sequence[Sequence], offset: Sequence):
     return out
 
 
-def _affine_hull_equalities(verts: Sequence[Vec], dim: int) -> tuple[tuple[Vec, Fraction], ...]:
-    space = nullspace([v + (Fraction(1),) for v in verts], dim + 1)
-    eqs = []
-    for z in space:
-        prim = primitive_vector(z)
-        lead = next((c for c in prim[:-1] if c != 0), None)
-        if lead is None:
-            continue
-        if lead < 0:
-            prim = tuple(-c for c in prim)
-        eqs.append((tuple(Fraction(c) for c in prim[:-1]), Fraction(-prim[-1])))
-    return tuple(sorted(eqs))
-
-
-def _hull_chart(verts: Sequence[Vec]) -> tuple[list[Vec], list[Vec]]:
-    """Chart of the affine hull of nonempty verts: (U, W) with U a basis of the
+def _affine_hull(verts: Sequence[Vec], dim: int):
+    """The affine hull of nonempty verts in Q^dim, from one elimination pass:
+    (eqs, U, W), with eqs its canonical equalities, U a basis of the
     differences v - verts[0] and W = (U^T U)^{-1} U^T, a left inverse of U.
 
     On the hull x = verts[0] + U y with y = W (x - verts[0]), and U W is the
-    orthogonal projection onto the hull's direction space.  A single vertex
-    gives ([], []).
+    orthogonal projection onto the hull's direction space.  The rows (v, 1)
+    of verts[0] and the vertices picked for U span those of all verts, and
+    the nullspace's reduced row echelon basis depends only on that span, so
+    those k + 1 rows give the equalities.  A single vertex gives U = W = [].
     """
     v0 = verts[0]
     deltas = [vec_sub(v, v0) for v in verts[1:]]
-    basis = [deltas[i] for i in independent_rows(deltas)]
+    picked = independent_rows(deltas)
+    eqs = []
+    for z in nullspace([v + (1,) for v in [v0] + [verts[i + 1] for i in picked]], dim + 1):
+        # (v, 1) rows leave z a nonzero x part, so its lead sign is in x.
+        prim = primitive_vector(z)
+        if next(c for c in prim if c) < 0:
+            prim = tuple(-c for c in prim)
+        eqs.append((tuple(Fraction(c) for c in prim[:-1]), Fraction(-prim[-1])))
+    eqs.sort()
+    basis = [deltas[i] for i in picked]
     if not basis:
-        return [], []
+        return tuple(eqs), [], []
     gram_inv = mat_inverse([[dot(a, b) for b in basis] for a in basis])
-    return basis, [tuple(dot(g_row, col) for col in zip(*basis)) for g_row in gram_inv]
+    return tuple(eqs), basis, [tuple(dot(g_row, col) for col in zip(*basis)) for g_row in gram_inv]
 
 
 @functools.lru_cache(maxsize=512)
@@ -379,7 +378,7 @@ def v_to_h(V: VPolytope) -> HPolytope:
     """Irredundant facet system plus affine-hull equalities of conv(V).
 
     Facets are found as extreme rays of the dual cone inside an exact affine
-    chart of the hull (_hull_chart), then pulled back through
+    chart of the hull (_affine_hull), then pulled back through
     y = W (x - v0); the output is canonically ordered and scaled (coprime
     integer rows).
     """
@@ -387,8 +386,7 @@ def v_to_h(V: VPolytope) -> HPolytope:
     verts = V.vertices
     if not verts:
         return empty_hrep(d)
-    eqs = _affine_hull_equalities(verts, d)
-    _, w_rows = _hull_chart(verts)
+    eqs, _, w_rows = _affine_hull(verts, d)
     k = len(w_rows)
     if k == 0:
         return HPolytope(d, (), eqs)
@@ -398,7 +396,7 @@ def v_to_h(V: VPolytope) -> HPolytope:
         delta = vec_sub(v, v0)
         y = tuple(dot(w, delta) for w in w_rows)
         dual_rows.add(primitive_vector((Fraction(1),) + y))
-    rays, _ = _dd_extreme_rays(sorted(dual_rows), k + 1)
+    rays = _dd_extreme_rays(sorted(dual_rows), k + 1)[0]
     # A ray (z0, c) is the chart row -c . y <= z0; c = 0 only on the ray of
     # the constant row 0 <= z0, which the pull-back drops.
     chart_rows = ((enumerate(-c for c in z[1:]), Fraction(z[0])) for z in rays)
@@ -416,26 +414,17 @@ def _incidence(P: HPolytope):
     with x = t * vertex).  The DD's zero sets are the incidence: P.ineqs[i]
     is tight wherever its homogeneous row is.  Facets, dimension and edges
     are read off this one record.  Raises UnboundedPolytopeError as h_to_v does.
+    When the DD cut out lines, the normals miss them, and P is the section
+    the DD saw plus those lines: nonempty then means unbounded.
     """
     rows, ineq_at = _homogeneous_rows(P)
-    try:
-        rays, zsets = _dd_extreme_rays(rows, P.dim + 1)
-    except _NotPointedError:
-        # The normals miss the lines L = {x : a . x = 0 for every normal a},
-        # so P = (P meet the orthogonal complement of L) + L, and that slice,
-        # whose homogenization is pointed, is nonempty iff P is.  Nonempty
-        # then means unbounded.
-        lines = nullspace([a for a, _ in P.ineqs] + [e for e, _ in P.eqs], P.dim)
-        section = HPolytope(P.dim, P.ineqs, P.eqs + tuple((z, 0) for z in lines))
-        section_rays, _ = _dd_extreme_rays(_homogeneous_rows(section)[0], P.dim + 1)
-        if any(ray[0] > 0 for ray in section_rays):
-            raise UnboundedPolytopeError(
-                "polytope is unbounded (recession line); bounded input required"
-            ) from None
-        rays, zsets = [], []
+    rays, zsets, cut = _dd_extreme_rays(rows, P.dim + 1)
     if any(ray[0] < 0 for ray in rays):
         raise AssertionError("homogenization row t >= 0 violated")
     found = [(ray, zset) for ray, zset in zip(rays, zsets) if ray[0]]
+    if found and cut:
+        raise UnboundedPolytopeError(
+            "polytope is unbounded (recession line); bounded input required")
     if found and len(found) < len(rays):
         raise UnboundedPolytopeError(
             "polytope is unbounded (recession ray); bounded input required")
@@ -496,30 +485,28 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     P is full-dimensional.  Within that space a facet's normal is unique up
     to a positive factor, so a facet with no such row gets the canonical row
     v_to_h would give it: its first row's normal projected onto the direction
-    space (_hull_chart), with the rhs read at a vertex of the facet, made
+    space (_affine_hull), with the rhs read at a vertex of the facet, made
     coprime; these rows are appended in sorted order.
     """
     verts, _, row_masks, _ = _incidence(P)
     if not verts:
         return empty_hrep(P.dim)
-    eqs = _affine_hull_equalities(verts, P.dim) if polytope_dim(P) < P.dim else ()
-    facets = _facet_rows(row_masks, len(verts))
-    unmatched = {mask: i for i, mask in facets}
+    eqs, basis, w_rows = (), [], []
+    if polytope_dim(P) < P.dim:
+        eqs, basis, w_rows = _affine_hull(verts, P.dim)
+    unmatched = {mask: i for i, mask in _facet_rows(row_masks, len(verts))}
     retained: list[tuple[Vec, Fraction]] = []
     for (a, b), mask in zip(P.ineqs, row_masks):
         if mask in unmatched and all(dot(a, e) == 0 for e, _ in eqs):
             del unmatched[mask]
             retained.append((a, b))
-    if unmatched:
-        basis, w_rows = _hull_chart(verts)
-        canonical = []
-        for mask, i in unmatched.items():
-            y = [dot(w, P.ineqs[i][0]) for w in w_rows]
-            normal = tuple(dot(y, col) for col in zip(*basis))
-            at = verts[(mask & -mask).bit_length() - 1]
-            canonical.append(_joint_primitive(normal, dot(normal, at)))
-        retained += sorted(canonical)
-    return HPolytope(P.dim, tuple(retained), eqs)
+    canonical = []  # empty when P is full-dimensional
+    for mask, i in unmatched.items():
+        y = [dot(w, P.ineqs[i][0]) for w in w_rows]
+        normal = tuple(dot(y, col) for col in zip(*basis))
+        at = verts[(mask & -mask).bit_length() - 1]
+        canonical.append(_joint_primitive(normal, dot(normal, at)))
+    return HPolytope(P.dim, tuple(retained + sorted(canonical)), eqs)
 
 
 def contains(P: HPolytope, point: Sequence) -> bool:
@@ -556,14 +543,16 @@ def polytope_dim(P: HPolytope) -> int:
 def _scan_setup(P: HPolytope):
     """Everything in the integer scan of P that no dilate changes.
 
-    None when P has no rational point, else (rows_at, box, live, t0, embed).
+    None when P has no rational point, else
+    (rows_at, box, live, t0, embed, chart, f).
     Explicit equalities are eliminated through the chart of
     restrict_to_affine_hull, whose DD is the only one: infeasible equalities
     and an empty chart give None, and the chart, an affine bijection onto the
     solutions of the equalities, is unbounded exactly when P is.  The chart of
     t*P is t times P's, with offset t * x0 / t0 for t0 the lcm of the offset's
     denominators, so only dilates in t0*Z hold integer points, and embed is
-    the integer (matrix, x0) back into ambient space (None without equalities).
+    the integer (matrix, x0) back into ambient space; chart and its AffineMap
+    f are restrict_to_affine_hull's (P itself and None without equalities).
     In the chart, rows_at[j] holds (c, (p, q), terms) for each row
     c*x_j + sum(a*x_k for k, a in terms) <= p/q whose trailing nonzero
     coordinate is j, with a primitive integer normal; box[j] is the rational
@@ -571,7 +560,7 @@ def _scan_setup(P: HPolytope):
     coordinates before j that some row at level j or later reads, None where
     that is all of them.
     """
-    t0, embed = 1, None
+    t0, embed, f = 1, None, None
     if P.eqs:
         try:
             P, f = restrict_to_affine_hull(P)
@@ -597,7 +586,7 @@ def _scan_setup(P: HPolytope):
         read.update(k for _, _, terms in rows_at[j] for k, _ in terms)
         frontier = tuple(sorted(k for k in read if k < j))
         live[j] = frontier if len(frontier) < j else None
-    return rows_at, [(min(col), max(col)) for col in zip(*verts)], live, t0, embed
+    return rows_at, [(min(col), max(col)) for col in zip(*verts)], live, t0, embed, P, f
 
 
 def _scan_input(P: HPolytope, dilate: int):
@@ -612,7 +601,7 @@ def _scan_input(P: HPolytope, dilate: int):
     setup = _scan_setup(P)
     if setup is None:
         return None
-    rows, box, live, t0, embed = setup
+    rows, box, live, t0, embed, _, _ = setup
     if dilate % t0:
         return None
     if embed is not None:

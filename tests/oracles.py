@@ -3,8 +3,9 @@
 Everything here is deliberately naive: enumerate subsets, scan boxes, recurse
 over rows.  Except v_to_h_route_remove_redundant, which replays an older rule
 through the package's dual double description pass, none of it shares code
-with the package; agreement between the two is the evidence the fast paths
-are right.
+with the package's arithmetic (section_rule_h_to_v only builds its result and
+error types); agreement between the two is the evidence the fast paths are
+right.
 """
 
 from fractions import Fraction
@@ -111,6 +112,68 @@ def _rank(rows):
                 M[i] = [v - f * w for v, w in zip(M[i], M[r])]
         r += 1
     return r
+
+
+def _nullspace(rows, n):
+    """Basis of {x : row . x = 0 for every row} in Q^n, one vector per free
+    column of the reduced row echelon form, by naive Gauss-Jordan."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][col] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        M[r] = [v / M[r][col] for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [v - f * w for v, w in zip(M[i], M[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        x = [Fraction(0)] * n
+        x[free] = Fraction(1)
+        for row, pc in zip(M, pivots):
+            x[pc] = -row[free]
+        basis.append(tuple(x))
+    return basis
+
+
+def all_vertex_affine_hull_equalities(verts, dim):
+    """Canonical equalities of the affine hull of nonempty verts in Q^dim,
+    from the nullspace of the rows (v, 1) of every vertex: each basis vector,
+    scaled to coprime integers with a positive leading coefficient, is the
+    equality (normal, rhs); sorted."""
+    eqs = []
+    for z in _nullspace([tuple(v) + (1,) for v in verts], dim + 1):
+        scale = math.lcm(*(c.denominator for c in z))
+        ints = [int(c * scale) for c in z]
+        g = math.gcd(*ints)
+        ints = [c // g for c in ints]
+        if next(c for c in ints if c) < 0:
+            ints = [-c for c in ints]
+        eqs.append((tuple(Fraction(c) for c in ints[:-1]), Fraction(-ints[-1])))
+    return tuple(sorted(eqs))
+
+
+def section_rule_h_to_v(H):
+    """h_to_v of an H-polytope whose normals miss some lines L, by a second
+    polytope: the section of H by the orthogonal complement of L, whose
+    normals span, is nonempty iff H is, and H = section + L, so nonempty
+    means unbounded.  Nonemptiness of the section is decided by subset
+    enumeration; returns the empty VPolytope or raises the recession-line
+    error."""
+    from weightpoly.polytopes import HPolytope, UnboundedPolytopeError, VPolytope
+
+    lines = _nullspace([a for a, _ in H.ineqs] + [e for e, _ in H.eqs], H.dim)
+    assert lines, "the normals span Q^dim"
+    section = HPolytope(H.dim, H.ineqs, H.eqs + tuple((z, 0) for z in lines))
+    if brute_force_vertices(section):
+        raise UnboundedPolytopeError(
+            "polytope is unbounded (recession line); bounded input required")
+    return VPolytope(H.dim, ())
 
 
 def brute_force_edges(H):

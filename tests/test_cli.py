@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from weightpoly import cli
+from weightpoly import cli, counting, polytopes
 from weightpoly.builders import GTSpec, SideData, gt_hrep, polygon_hrep
 from weightpoly.cli import build_parser, main
 from weightpoly.polytopes import (_incidence, _scan_setup, _vertex_graph,
@@ -178,6 +178,23 @@ def test_malformed_input_files_exit_two(capsys, tmp_path, name, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, doc", [
+    ("polytope", {"dim": 1, "ineqs": [{"a": ["1"], "b": "1/0"}]}),
+    ("side", {"m": 1, "r": ["1/0", 1, 1, 1]}),
+])
+def test_a_zero_denominator_in_a_file_exits_two(capsys, tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["vertices", f"--{name}-file", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed {name} file:") and err.count("\n") == 1
+
+
+def test_a_zero_denominator_in_r_keeps_its_message(capsys):
+    assert run(capsys, ["vertices", "--m", "1", "--r", "1/0,1,1,1"]) == (
+        2, "", "error: cannot parse --r: Fraction(1, 0)\n")
+
+
 @pytest.mark.parametrize("command", ["fan", "singular"])
 def test_fan_and_singular_of_an_empty_polytope_exit_two(capsys, command):
     code, out, err = run(capsys, [command, "--m", "1", "--r", "1,1,1,1,10"])
@@ -208,12 +225,14 @@ def test_polytope_of_lower_dimensional_files_is_pinned(capsys, tmp_path, doc, ex
     assert run(capsys, ["polytope", "--polytope-file", str(path)]) == (0, expected, "")
 
 
+# 2x + 2y = 1 on the unit square: integer points only at even dilates.
+HALF_DIAGONAL = {"dim": 2, "ineqs": _rows([((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]),
+                 "eqs": _rows([((2, 2), 1)])}
+
+
 def test_ehrhart_of_an_equality_file_is_pinned(capsys, tmp_path):
-    # 2x + 2y = 1 on the unit square: integer points only at even dilates.
     path = tmp_path / "poly.json"
-    path.write_text(json.dumps({
-        "dim": 2, "ineqs": _rows([((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]),
-        "eqs": _rows([((2, 2), 1)])}))
+    path.write_text(json.dumps(HALF_DIAGONAL))
     argv = ["ehrhart", "--polytope-file", str(path), "--t-max", "6"]
     assert run(capsys, argv) == (0, "counts: 1,0,2,0,3,0,4\nmode: quasi\nperiod: 2\n"
                                     "degree: 1\nclass 0: 1,1/2\nclass 1: 0,0\n", "")
@@ -239,6 +258,61 @@ def test_ehrhart_of_an_equality_file_runs_no_dd_on_the_ambient_system(capsys, tm
     hits = _incidence.cache_info().hits
     _incidence(restrict_to_affine_hull(P)[0])
     assert _incidence.cache_info().hits == hits + 1
+
+
+def test_ehrhart_of_an_equality_file_charts_it_once(capsys, tmp_path, monkeypatch):
+    charted = []
+    restrict = polytopes.restrict_to_affine_hull
+
+    def counting_restrict(Q):
+        charted.append(Q)
+        return restrict(Q)
+
+    monkeypatch.setattr(polytopes, "restrict_to_affine_hull", counting_restrict)
+    monkeypatch.setattr(counting, "restrict_to_affine_hull", counting_restrict, raising=False)
+    _scan_setup.cache_clear()
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(HALF_DIAGONAL))
+    assert run(capsys, ["ehrhart", "--polytope-file", str(path)])[0] == 0
+    # The count's scan setup charts P; the fit reads that chart.
+    assert len(charted) == 1
+
+
+LINE = "error: polytope is unbounded (recession line); bounded input required\n"
+RAY = "error: polytope is unbounded (recession ray); bounded input required\n"
+UNBOUNDED_FILES = {
+    "slab": ({"dim": 2, "ineqs": _rows([((1, 0), 1), ((-1, 0), 0)])}, LINE),
+    "half-line": ({"dim": 1, "ineqs": _rows([((1,), 3)])}, RAY),
+    "equality-only": ({"dim": 2, "eqs": _rows([((1, 1), 1)])}, LINE),
+}
+INFEASIBLE_SLAB_OUTPUT = {
+    ("vertices", "text"): "",
+    ("vertices", "json"): '{\n  "dim": 2,\n  "vertices": []\n}\n',
+    ("polytope", "text"): "dim: 2\nineq: 0,0 <= -1\n",
+    ("polytope", "json"): '{\n  "dim": 2,\n  "ineqs": [\n    {\n      "a": [\n        "0",\n'
+                          '        "0"\n      ],\n      "b": "-1"\n    }\n  ],\n  "eqs": []\n}\n',
+    ("fingerprint", "text"): "dim=-1;empty\n",
+    ("fingerprint", "json"): '{\n  "fingerprint": "dim=-1;empty"\n}\n',
+    ("ehrhart", "text"): "counts: 0,0,0,0,0,0,0\nmode: polynomial\nperiod: 1\ndegree: 0\n"
+                         "class 0: 0\n",
+    ("ehrhart", "json"): '{\n  "counts": [\n' + "".join(f"    0{sep}\n" for sep in ",,,,,,")
+                         + '    0\n  ],\n  "mode": "polynomial",\n  "period": 1,\n'
+                         '  "degree": 0,\n  "coefficients": [\n    [\n      "0"\n    ]\n'
+                         '  ]\n}\n',
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["vertices", "polytope", "fingerprint", "ehrhart"])
+def test_non_pointed_and_unbounded_files_are_pinned(capsys, tmp_path, command, fmt):
+    path = tmp_path / "poly.json"
+    for doc, message in UNBOUNDED_FILES.values():
+        path.write_text(json.dumps(doc))
+        argv = [command, "--polytope-file", str(path), "--format", fmt]
+        assert run(capsys, argv) == (2, "", message)
+    path.write_text(json.dumps({"dim": 2, "ineqs": _rows([((1, 0), 0), ((-1, 0), -1)])}))
+    argv = [command, "--polytope-file", str(path), "--format", fmt]
+    assert run(capsys, argv) == (0, INFEASIBLE_SLAB_OUTPUT[command, fmt], "")
 
 
 def test_fan_then_singular_run_one_dd_pass_and_one_incidence(capsys):

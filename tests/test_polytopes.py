@@ -14,7 +14,7 @@ from weightpoly.builders import GTSpec, SideData, gt_hrep, polygon_hrep
 from weightpoly.exact import (clear_denominators, dot, integer_solutions, primitive_vector,
                               vec, vec_sub)
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
-                                  VPolytope, _facet_masks, _incidence,
+                                  VPolytope, _affine_hull, _facet_masks, _incidence,
                                   _joint_primitive, _scan_setup, _vertex_graph,
                                   affine_image,
                                   canonical_incidence,
@@ -25,10 +25,12 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   remove_redundant, restrict_to_affine_hull,
                                   v_to_h)
 from weightpoly.toric import normal_fan
-from oracles import (_rank, brute_force_canonical_incidence, brute_force_edges,
+from oracles import (_rank, all_vertex_affine_hull_equalities,
+                     brute_force_canonical_incidence, brute_force_edges,
                      brute_force_lattice_points, brute_force_vertices, gt_pattern_count,
                      random_box_with_cuts, random_box_with_equalities,
-                     tightness_incidence, v_to_h_route_remove_redundant)
+                     section_rule_h_to_v, tightness_incidence,
+                     v_to_h_route_remove_redundant)
 
 
 def box(dim, lo, hi):
@@ -767,3 +769,135 @@ def test_lower_dimensional_systems_need_no_second_dd_pass(P):
     remove_redundant(P)
     assert v_to_h.cache_info().misses == 0
     assert _incidence.cache_info().misses == 1
+
+
+SLAB = HPolytope(2, _rows([((1, 0), 1), ((-1, 0), 0)]), ())
+INFEASIBLE_SLAB = HPolytope(2, _rows([((1, 0), 0), ((-1, 0), -1)]), ())
+EQUALITY_ONLY = HPolytope(2, (), _rows([((1, 1), 1)]))
+
+
+@pytest.mark.parametrize("P, message", [
+    (SLAB, "recession line"), (INFEASIBLE_SLAB, None), (EQUALITY_ONLY, "recession line"),
+], ids=["slab", "infeasible-slab", "equality-only"])
+def test_non_pointed_input_takes_one_dd_pass(monkeypatch, P, message):
+    calls = []
+    dd = polytopes._dd_extreme_rays
+
+    def counting_dd(rows, dim):
+        calls.append(dim)
+        return dd(rows, dim)
+
+    monkeypatch.setattr(polytopes, "_dd_extreme_rays", counting_dd)
+    for cached in (h_to_v, _incidence):
+        cached.cache_clear()
+    if message is None:
+        assert h_to_v(P) == VPolytope(2, ())
+    else:
+        with pytest.raises(UnboundedPolytopeError, match=message):
+            h_to_v(P)
+    assert calls == [3]
+
+
+@st.composite
+def cylinders(draw):
+    """A bounded cross-section times lines in Q^d, d = 1..4: a box with cuts
+    on the first k < d coordinates, optionally with an equality on them and a
+    row that empties it, in coordinates mixed by a unimodular map so that the
+    lines lie off the axes.  k = 0 gives Q^d, or the infeasibility
+    certificate when emptied."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(0, d - 1))
+    rows, eqs = [], []
+    if k:
+        rows = _box_rows(draw, k, wide=False)
+        normal = st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any).map(tuple)
+        for a in draw(st.lists(normal, max_size=2)):
+            rows.append((a, draw(st.integers(-4, 8))))
+        if draw(st.booleans()):
+            rhs = Fraction(draw(st.integers(-3, 6)), draw(st.sampled_from((1, 2))))
+            eqs.append((draw(normal), rhs))
+    if draw(st.booleans()):
+        a, b = rows[0] if rows else ((), 0)
+        rows.append((tuple(-c for c in a), -b - 1))
+    upper = [[int(i == j) if j <= i else draw(st.integers(-2, 2)) for j in range(d)]
+             for i in range(d)]
+    order = draw(st.permutations(range(d)))
+
+    def mix(a):
+        padded = tuple(a) + (0,) * (d - k)
+        return tuple(sum(padded[i] * upper[i][j] for i in range(d)) for j in order)
+
+    return HPolytope(d, tuple((mix(a), b) for a, b in rows),
+                     tuple((mix(a), b) for a, b in eqs))
+
+
+def _outcome(h_to_v_rule, P):
+    try:
+        return h_to_v_rule(P)
+    except UnboundedPolytopeError as exc:
+        return str(exc)
+
+
+def test_one_dd_pass_on_cylinders_agrees_with_the_section_rule():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cylinders())
+    def check(P):
+        got = _outcome(h_to_v, P)
+        assert got == _outcome(section_rule_h_to_v, P)
+        seen.add((bool(P.eqs), "feasible" if isinstance(got, str) else "empty"))
+
+    check()
+    assert seen == {(eqs, case) for eqs in (False, True) for case in ("feasible", "empty")}
+
+
+@st.composite
+def flat_point_sets(draw):
+    """(d, points): 1..6 rational points of Q^d, d = 0..4, on the affine span
+    of a base point and k <= d random integer directions, possibly
+    dependent, with an optional duplicate: single points, collinear and
+    lower-dimensional sets."""
+    d = draw(st.integers(0, 4))
+    rational = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    base = draw(st.lists(rational, min_size=d, max_size=d))
+    dirs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), max_size=d))
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = draw(st.lists(rational, min_size=len(dirs), max_size=len(dirs)))
+        points.append(tuple(x + sum(c * u[i] for c, u in zip(coeffs, dirs))
+                            for i, x in enumerate(base)))
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))
+    return d, points
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flat_point_sets())
+def test_one_hull_pass_gives_the_all_vertex_equalities_and_a_chart(case):
+    d, points = case
+    eqs, basis, w_rows = _affine_hull(points, d)
+    assert eqs == all_vertex_affine_hull_equalities(points, d)
+    assert len(basis) == len(w_rows) == d - len(eqs)
+    assert [[dot(w, u) for u in basis] for w in w_rows] == [
+        [int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+
+
+def test_hull_equalities_eliminate_only_the_picked_vertices(monkeypatch):
+    sizes = []
+    real = polytopes.nullspace
+
+    def counting_nullspace(rows, ncols):
+        sizes.append(len(rows))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(polytopes, "nullspace", counting_nullspace)
+    # Nine points of a grid in the plane x + y + z = 3: k = 2.
+    grid = VPolytope(3, [(i, j, 3 - i - j) for i in range(3) for j in range(3)])
+    v_to_h.cache_clear()
+    assert v_to_h(grid).eqs == _rows([((1, 1, 1), 3)])
+    assert sizes == [3]
+    sizes.clear()
+    _incidence(WITH_EQ)  # its DD spans, so it calls no nullspace
+    remove_redundant(WITH_EQ)  # six vertices on the hexagon, k = 2
+    assert sizes == [3]
