@@ -19,6 +19,7 @@ bottom row to top row, each row listed in increasing value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Sequence
@@ -187,11 +188,13 @@ def triangle_inequalities(s: SideData) -> list[list[tuple[str, Vec, Fraction]]]:
     return table
 
 
+@functools.lru_cache(maxsize=512)
 def polygon_hrep(s: SideData) -> HPolytope:
     """Triangle-inequality system on the diagonals of a weighted n-gon (m=1).
 
     The rows of triangle_inequalities, triangle by triangle, 3(n-2) in all
-    before redundancy removal.
+    before redundancy removal.  Cached per side data, so every request on one
+    polygon reads the same object and the caches keyed on it hit by identity.
     """
     d = s.n - 3
     return HPolytope(d, tuple((a, b) for tri in triangle_inequalities(s)
@@ -280,6 +283,7 @@ def _chart_layout(s: SideData) -> tuple[tuple[int, int], ...]:
     return tuple(coords)
 
 
+@functools.lru_cache(maxsize=512)
 def fm_polytope(s: SideData) -> ChartedSlice:
     """Row-sum slice of the (P,...,P,0,...,0) pattern polytope, fully charted.
 
@@ -291,7 +295,7 @@ def fm_polytope(s: SideData) -> ChartedSlice:
     the interlacing rows pulled back through that map.  The diag chart
     rewrites each row by the differences of its adjacent variable entries;
     for m=1 these are the polygon diagonals and the chart equals the
-    triangle-inequality system of polygon_hrep.
+    triangle-inequality system of polygon_hrep.  Cached per side data.
     """
     layout = _chart_layout(s)
     dim = len(layout)
@@ -328,7 +332,8 @@ def fm_polytope(s: SideData) -> ChartedSlice:
 
 
 def gt_slice(s: SideData) -> ChartedSlice:
-    """Alias of fm_polytope: the pattern-polytope slice for any m >= 1."""
+    """Alias of fm_polytope, sharing its cache: the pattern-polytope slice
+    for any m >= 1."""
     return fm_polytope(s)
 
 

@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 
 from .builders import SideData, gt_slice, polygon_hrep
 from .counting import (MultiplicityQuery, count_dilates, ehrhart_fit,
@@ -91,11 +92,39 @@ def _chart_polytope(args: argparse.Namespace) -> HPolytope:
     return cs.diag_chart if args.chart == "diag" else cs.entry_chart
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte, without the pure-Python encoder
+    that json.dumps falls back to when indenting.
+
+    Containers, str and int are written here, every other scalar by
+    json.dumps; dict keys must be str, as in every payload of this module.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return repr(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        # Leaves inline: one call per container, not one per number.
+        items = [encode_basestring_ascii(v) if isinstance(v, str) else
+                 repr(v) if type(v) is int else _json_text(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _emit(args: argparse.Namespace, payload: Callable[[], dict],
           text_lines: Callable[[], list[str]]) -> None:
     """Print payload() as JSON or the lines of text_lines(), building only that one."""
     if args.format == "json":
-        print(json.dumps(payload(), indent=2))
+        print(_json_text(payload()))
     else:
         for line in text_lines():
             print(line)

@@ -404,7 +404,36 @@ def v_to_h(V: VPolytope) -> HPolytope:
     return HPolytope(d, tuple(sorted(_joint_primitive(a, b) for a, b in pulled)), eqs)
 
 
-@functools.lru_cache(maxsize=512)
+def _cache_unbounded_too(fn):
+    """functools.lru_cache(maxsize=512) on fn(P) that also caches its
+    UnboundedPolytopeError outcome.
+
+    lru_cache stores no exception, so an unbounded P would rerun fn on every
+    call.  Each such call raises a fresh error with the cached message, so no
+    one instance gathers tracebacks.  cache_info, cache_clear and
+    cache_parameters are the underlying cache's.
+    """
+    @functools.lru_cache(maxsize=512)
+    def outcome(P):
+        try:
+            return fn(P), None
+        except UnboundedPolytopeError as exc:
+            return None, str(exc)
+
+    @functools.wraps(fn)
+    def cached(P):
+        value, message = outcome(P)
+        if message is not None:
+            raise UnboundedPolytopeError(message)
+        return value
+
+    cached.cache_info = outcome.cache_info
+    cached.cache_clear = outcome.cache_clear
+    cached.cache_parameters = outcome.cache_parameters
+    return cached
+
+
+@_cache_unbounded_too
 def _incidence(P: HPolytope):
     """Vertices of a bounded H-polytope and, as int bitmasks, which rows of
     P.ineqs are tight at which of them, from one double description pass.
@@ -413,7 +442,8 @@ def _incidence(P: HPolytope):
     vertex, vertices tight on each row, each vertex's primitive ray (t, x)
     with x = t * vertex).  The DD's zero sets are the incidence: P.ineqs[i]
     is tight wherever its homogeneous row is.  Facets, dimension and edges
-    are read off this one record.  Raises UnboundedPolytopeError as h_to_v does.
+    are read off this one record.  Raises UnboundedPolytopeError as h_to_v
+    does, and that outcome is cached per polytope as well.
     When the DD cut out lines, the normals miss them, and P is the section
     the DD saw plus those lines: nonempty then means unbounded.
     """
@@ -470,8 +500,9 @@ def _facet_masks(P: HPolytope) -> list[int]:
     return [mask for _, mask in _facet_rows(row_masks, len(vert_masks))]
 
 
+@functools.lru_cache(maxsize=512)
 def remove_redundant(P: HPolytope) -> HPolytope:
-    """Minimal subsystem defining the same set.
+    """Minimal subsystem defining the same set, cached per polytope.
 
     Retains original inequality objects (first match per facet) so an
     already-irredundant system passes through unchanged; equalities come out
@@ -539,7 +570,7 @@ def polytope_dim(P: HPolytope) -> int:
     return P.dim - rank(normals) if normals else P.dim
 
 
-@functools.lru_cache(maxsize=512)
+@_cache_unbounded_too
 def _scan_setup(P: HPolytope):
     """Everything in the integer scan of P that no dilate changes.
 
@@ -558,7 +589,8 @@ def _scan_setup(P: HPolytope):
     coordinate is j, with a primitive integer normal; box[j] is the rational
     (min, max) of the vertices' coordinate j; live[j] is the set of
     coordinates before j that some row at level j or later reads, None where
-    that is all of them.
+    that is all of them.  An unbounded P raises UnboundedPolytopeError, and
+    that outcome is cached too.
     """
     t0, embed, f = 1, None, None
     if P.eqs:

@@ -13,6 +13,7 @@ x_{n-3} = r_{n-1} +- r_n, and labeled N1/N2/N3 by index.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -61,6 +62,27 @@ class Fan:
                 if len(ray) != self.ambient_dim:
                     raise ValueError("cone ray has wrong dimension")
         object.__setattr__(self, "maximal_cones", cones)
+
+    @functools.cached_property
+    def singularities(self) -> SingularityReport:
+        """Classify each maximal cone, once per fan.
+
+        Lattice-basis rays are smooth, simplicial cones of index k >= 2 are
+        cyclic quotients of order k, and cones with more rays than the
+        dimension are non-simplicial (index still reported for the lattice
+        their rays generate).  One Hermite-form lattice_index per cone.
+        """
+        entries = []
+        for v, cone in self.maximal_cones:
+            idx = lattice_index(cone.rays, self.ambient_dim)
+            if len(cone.rays) > self.ambient_dim:
+                kind = "non_simplicial"
+            elif idx == 1:
+                kind = "smooth"
+            else:
+                kind = "cyclic_quotient"
+            entries.append(VertexSingularity(v, kind, idx))
+        return SingularityReport(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -111,12 +133,14 @@ class FacetLabel:
     tags: tuple[str, ...]
 
 
+@functools.lru_cache(maxsize=512)
 def normal_fan(P: HPolytope) -> Fan:
     """The fan of vertex tangent cones (primitive inward edge directions).
 
     Requires a bounded, full-dimensional polytope; cones are ordered by vertex
     and there is exactly one per vertex.  The rays are the edge directions
-    _vertex_graph already holds in primitive integer form.
+    _vertex_graph already holds in primitive integer form.  Cached per
+    polytope, so each fan, and with it its singularity report, is built once.
     """
     dim = polytope_dim(P)
     if dim == -1:
@@ -134,21 +158,9 @@ def normal_fan(P: HPolytope) -> Fan:
 
 
 def singularity_report(F: Fan) -> SingularityReport:
-    """Classify each maximal cone: lattice-basis rays are smooth, simplicial
-    cones of index k >= 2 are cyclic quotients of order k, and cones with more
-    rays than the dimension are non-simplicial (index still reported for the
-    lattice their rays generate)."""
-    entries = []
-    for v, cone in F.maximal_cones:
-        idx = lattice_index(cone.rays, F.ambient_dim)
-        if len(cone.rays) > F.ambient_dim:
-            kind = "non_simplicial"
-        elif idx == 1:
-            kind = "smooth"
-        else:
-            kind = "cyclic_quotient"
-        entries.append(VertexSingularity(v, kind, idx))
-    return SingularityReport(tuple(entries))
+    """The classification of each maximal cone of F, F.singularities: computed
+    on the first read and kept on the fan."""
+    return F.singularities
 
 
 def _catalogue(s: SideData) -> list[tuple[str, tuple[Vec, Fraction]]]:
@@ -216,7 +228,7 @@ def fan_fingerprint(F: Fan) -> str:
     for the fans to define the same toric variety, not sufficient (the rays'
     exact positions are deliberately forgotten beyond the index).
     """
-    report = singularity_report(F)
+    report = F.singularities
     labels = [(len(c.rays), e.index, e.kind != "non_simplicial")
               for (_, c), e in zip(F.maximal_cones, report.entries)]
     edges = _cone_adjacency(F)
@@ -225,7 +237,7 @@ def fan_fingerprint(F: Fan) -> str:
 
 
 def fan_to_json_dict(F: Fan) -> dict:
-    report = singularity_report(F)
+    report = F.singularities
     return {"cones": [
         {"vertex": [frac_str(c) for c in v],
          "rays": [list(ray) for ray in cone.rays],

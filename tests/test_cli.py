@@ -2,13 +2,16 @@ import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from weightpoly import cli, counting, polytopes
+from weightpoly import cli, counting, polytopes, toric
 from weightpoly.builders import GTSpec, SideData, gt_hrep, polygon_hrep
 from weightpoly.cli import build_parser, main
-from weightpoly.polytopes import (_incidence, _scan_setup, _vertex_graph,
-                                  combinatorial_fingerprint, h_to_v, remove_redundant,
-                                  restrict_to_affine_hull, v_to_h)
+from weightpoly.polytopes import (_incidence, _scan_setup, combinatorial_fingerprint,
+                                  h_to_v, remove_redundant, restrict_to_affine_hull,
+                                  v_to_h)
+from weightpoly.toric import normal_fan
+from caches import clear_caches
 
 PENTAGON = ["--m", "1", "--r", "3,3,3,3,3"]
 HEXAGON = ["--m", "1", "--r", "3,3,3,3,4"]
@@ -248,8 +251,7 @@ def test_ehrhart_of_an_equality_file_runs_no_dd_on_the_ambient_system(capsys, tm
     P = gt_hrep(GTSpec(6, (6, 6, 6, 0, 0, 0), (3, 7, 10, 13, 16)))
     path = tmp_path / "slice.json"
     path.write_text(json.dumps(P.to_json_dict()))
-    for cached in (h_to_v, _incidence, _scan_setup):
-        cached.cache_clear()
+    clear_caches()
     argv = ["ehrhart", "--polytope-file", str(path), "--t-max", "4"]
     assert run(capsys, argv) == (0, "counts: 1,30,195,700,1845\nmode: polynomial\n"
                                     "period: 1\ndegree: 4\nclass 0: 1,5,10,10,4\n", "")
@@ -316,14 +318,63 @@ def test_non_pointed_and_unbounded_files_are_pinned(capsys, tmp_path, command, f
 
 
 def test_fan_then_singular_run_one_dd_pass_and_one_incidence(capsys):
-    for cached in (h_to_v, v_to_h, _incidence, _vertex_graph):
-        cached.cache_clear()
+    clear_caches()
     for command in ("fan", "singular"):
         assert run(capsys, [command] + HEXAGON)[0] == 0
     # _incidence runs the one DD pass; fan and singular never need h_to_v.
     assert _incidence.cache_info().misses == 1
     assert h_to_v.cache_info().misses == 0
     assert v_to_h.cache_info().misses == 0
+
+
+SESSION_COMMANDS = ("vertices", "polytope", "fan", "singular", "facets")
+GENERIC_HEXAGON = ["--m", "1", "--r", "1,2,2,3,3,4"]
+
+
+def test_polygon_session_builds_each_record_once_and_prints_the_same_bytes(
+        capsys, monkeypatch):
+    argvs = [[command] + GENERIC_HEXAGON + ["--format", fmt]
+             for fmt in ("text", "json") for command in SESSION_COMMANDS]
+    cold = []
+    for argv in argvs:
+        clear_caches()
+        cold.append(run(capsys, argv))
+    assert all(code == 0 for code, _, _ in cold)
+    indexed = []
+    lattice_index = toric.lattice_index
+
+    def counting_index(rays, dim):
+        indexed.append(rays)
+        return lattice_index(rays, dim)
+
+    monkeypatch.setattr(toric, "lattice_index", counting_index)
+    clear_caches()
+    assert [run(capsys, argv) for argv in argvs] == cold
+    assert polygon_hrep.cache_info().misses == 1
+    assert normal_fan.cache_info().misses == 1
+    fan = normal_fan(polygon_hrep(SideData.from_weights(1, (1, 2, 2, 3, 3, 4))))
+    assert len(indexed) == len(fan.maximal_cones)
+
+
+JSON_SCALARS = st.one_of(st.text(), st.integers(),
+                         st.integers(min_value=-10 ** 60, max_value=10 ** 60),
+                         st.booleans(), st.none())
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+@example({})
+@example([])
+@example(())
+@example({"": [[], {}, ()], "k": {"nested": {"deeper": [1, (2, 3)]}}})
+@example(['quote " and backslash \\', "controls \x00\x01\x1f\t\n\r\b\f\x7f",
+          "non-ASCII \u00e9\u4e2d \U0001f600", {"\u00e9 \"key\"": "\\"}])
+@example([-1, -(10 ** 30), 10 ** 80, 0, True, False, None, [None, True]])
+def test_json_text_is_json_dumps_with_indent_2(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
 
 def test_output_is_byte_stable(capsys):

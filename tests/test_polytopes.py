@@ -25,6 +25,7 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   remove_redundant, restrict_to_affine_hull,
                                   v_to_h)
 from weightpoly.toric import normal_fan
+from caches import clear_caches
 from oracles import (_rank, all_vertex_affine_hull_equalities,
                      brute_force_canonical_incidence, brute_force_edges,
                      brute_force_lattice_points, brute_force_vertices, gt_pattern_count,
@@ -379,8 +380,7 @@ def test_scan_of_infeasible_equalities_is_empty():
 def test_equality_scan_runs_no_double_description_of_the_ambient_system():
     lam, sums = (4, 3, 2, 1, 0), (2, 5, 7, 9)
     P = gt_hrep(GTSpec(5, lam, sums))
-    for cached in (_scan_setup, h_to_v, _incidence):
-        cached.cache_clear()
+    clear_caches()
     counts = [count_lattice_points(P, t) for t in (1, 2, 3)]
     assert counts == [gt_pattern_count([t * c for c in lam], [t * c for c in sums + (10,)])
                       for t in (1, 2, 3)]
@@ -753,8 +753,7 @@ def test_remove_redundant_of_lower_dimensional_systems_is_unchanged():
 
 def test_full_dimensional_polygon_needs_no_second_dd_pass():
     P = polygon_hrep(SideData.from_weights(1, (2, 3, 4, 5, 6, 7)))
-    for cached in (h_to_v, v_to_h, _vertex_graph, _incidence):
-        cached.cache_clear()
+    clear_caches()
     misses = v_to_h.cache_info().misses
     remove_redundant(P)
     combinatorial_fingerprint(P)
@@ -764,8 +763,7 @@ def test_full_dimensional_polygon_needs_no_second_dd_pass():
 
 @pytest.mark.parametrize("P", [WITH_EQ, IMPLICIT], ids=["with_eq", "implicit"])
 def test_lower_dimensional_systems_need_no_second_dd_pass(P):
-    for cached in (h_to_v, v_to_h, _incidence):
-        cached.cache_clear()
+    clear_caches()
     remove_redundant(P)
     assert v_to_h.cache_info().misses == 0
     assert _incidence.cache_info().misses == 1
@@ -788,14 +786,66 @@ def test_non_pointed_input_takes_one_dd_pass(monkeypatch, P, message):
         return dd(rows, dim)
 
     monkeypatch.setattr(polytopes, "_dd_extreme_rays", counting_dd)
-    for cached in (h_to_v, _incidence):
-        cached.cache_clear()
+    clear_caches()
     if message is None:
         assert h_to_v(P) == VPolytope(2, ())
     else:
         with pytest.raises(UnboundedPolytopeError, match=message):
             h_to_v(P)
     assert calls == [3]
+
+
+def test_unbounded_outcome_is_cached_and_raised_fresh(monkeypatch):
+    calls = []
+    dd = polytopes._dd_extreme_rays
+
+    def counting_dd(rows, dim):
+        calls.append(dim)
+        return dd(rows, dim)
+
+    monkeypatch.setattr(polytopes, "_dd_extreme_rays", counting_dd)
+    clear_caches()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(UnboundedPolytopeError) as exc:
+            h_to_v(SLAB)
+        raised.append(exc.value)
+    assert calls == [3]
+    assert {str(e) for e in raised} == {
+        "polytope is unbounded (recession line); bounded input required"}
+    assert len({id(e) for e in raised}) == 3
+
+
+def test_unbounded_equality_chart_is_charted_once_for_every_dilate(monkeypatch):
+    charted = []
+    restrict = polytopes.restrict_to_affine_hull
+
+    def counting_restrict(Q):
+        charted.append(Q)
+        return restrict(Q)
+
+    monkeypatch.setattr(polytopes, "restrict_to_affine_hull", counting_restrict)
+    clear_caches()
+    P = HPolytope(3, (), _rows([((1, 1, 0), 1)]))
+    for t in (1, 2, 3):
+        with pytest.raises(UnboundedPolytopeError, match="recession line"):
+            count_lattice_points(P, t)
+    assert charted == [P]
+
+
+def test_warm_remove_redundant_recomputes_no_affine_hull(monkeypatch):
+    hulls = []
+    hull = polytopes._affine_hull
+
+    def counting_hull(verts, dim):
+        hulls.append(dim)
+        return hull(verts, dim)
+
+    monkeypatch.setattr(polytopes, "_affine_hull", counting_hull)
+    clear_caches()
+    first = remove_redundant(WITH_EQ)
+    assert remove_redundant(WITH_EQ) is first
+    assert hulls == [3]
 
 
 @st.composite
@@ -894,7 +944,7 @@ def test_hull_equalities_eliminate_only_the_picked_vertices(monkeypatch):
     monkeypatch.setattr(polytopes, "nullspace", counting_nullspace)
     # Nine points of a grid in the plane x + y + z = 3: k = 2.
     grid = VPolytope(3, [(i, j, 3 - i - j) for i in range(3) for j in range(3)])
-    v_to_h.cache_clear()
+    clear_caches()
     assert v_to_h(grid).eqs == _rows([((1, 1, 1), 3)])
     assert sizes == [3]
     sizes.clear()
