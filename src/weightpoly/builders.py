@@ -275,14 +275,6 @@ def _slice_rows(s: SideData):
     return rows
 
 
-def _chart_layout(s: SideData) -> tuple[tuple[int, int], ...]:
-    coords: list[tuple[int, int]] = []
-    for t, lo, hi, _ in _slice_rows(s):
-        for i in range(hi, lo, -1):
-            coords.append((t, i))
-    return tuple(coords)
-
-
 @functools.lru_cache(maxsize=512)
 def fm_polytope(s: SideData) -> ChartedSlice:
     """Row-sum slice of the (P,...,P,0,...,0) pattern polytope, fully charted.
@@ -297,10 +289,10 @@ def fm_polytope(s: SideData) -> ChartedSlice:
     for m=1 these are the polygon diagonals and the chart equals the
     triangle-inequality system of polygon_hrep.  Cached per side data.
     """
-    layout = _chart_layout(s)
+    rows = _slice_rows(s)
+    layout = tuple((t, i) for t, lo, hi, _ in rows for i in range(hi, lo, -1))
     dim = len(layout)
     index = {pos: j for j, pos in enumerate(layout)}
-    rows = _slice_rows(s)
     matrix: list[tuple[int, ...]] = []  # per entry, in _entry_index order
     offset: list[Fraction] = []
     for t, lo, hi, S_t in rows:
@@ -321,11 +313,10 @@ def fm_polytope(s: SideData) -> ChartedSlice:
     ineqs = _pull_back(((a.items(), b) for a, b in _interlacing_rows(s.n, lam)),
                        matrix, offset)
     diag_rows, diag_offset = [], []
-    for t, lo, hi, _ in rows:
-        for i in range(hi, lo, -1):
-            left, right = _entry_index(t, i), _entry_index(t, i - 1)
-            diag_rows.append(tuple(b - a for a, b in zip(matrix[left], matrix[right])))
-            diag_offset.append(offset[right] - offset[left])
+    for t, i in layout:
+        left, right = _entry_index(t, i), _entry_index(t, i - 1)
+        diag_rows.append(tuple(b - a for a, b in zip(matrix[left], matrix[right])))
+        diag_offset.append(offset[right] - offset[left])
     entry_to_diag = AffineMap(dim, dim, tuple(diag_rows), tuple(diag_offset))
     entry_chart = empty_hrep(dim) if ineqs is None else HPolytope(dim, tuple(ineqs), ())
     return ChartedSlice(entry_chart, entry_to_diag, layout)

@@ -37,20 +37,6 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    help="output format (default: text)")
 
 
-def _add_side_source(p: argparse.ArgumentParser, with_polytope_file: bool = False) -> None:
-    p.add_argument("--m", type=int, help="projective space dimension")
-    p.add_argument("--r", help="comma separated side lengths, e.g. 3,3,3,3,3 or 5/2,5/2,3,3,3")
-    p.add_argument("--side-file", help="JSON file with {\"m\": ..., \"r\": [...]}")
-    if with_polytope_file:
-        p.add_argument("--polytope-file",
-                       help="JSON file with an inequality description; overrides --m/--r")
-
-
-def _add_chart(p: argparse.ArgumentParser, default: str) -> None:
-    p.add_argument("--chart", choices=("diag", "entry"), default=default,
-                   help=f"coordinate chart to work in (default: {default})")
-
-
 def _load(path: str, what: str, parse):
     """parse(data) for the JSON data in the file at path.
 
@@ -261,9 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_format(p)
         if side:
-            _add_side_source(p, with_polytope_file=polytope_file)
+            p.add_argument("--m", type=int, help="projective space dimension")
+            p.add_argument("--r", help="comma separated side lengths, "
+                                       "e.g. 3,3,3,3,3 or 5/2,5/2,3,3,3")
+            p.add_argument("--side-file", help="JSON file with {\"m\": ..., \"r\": [...]}")
+            if polytope_file:
+                p.add_argument("--polytope-file", help="JSON file with an inequality "
+                                                       "description; overrides --m/--r")
         if chart is not None:
-            _add_chart(p, chart)
+            p.add_argument("--chart", choices=("diag", "entry"), default=chart,
+                           help=f"coordinate chart to work in (default: {chart})")
         if t_max is not None:
             p.add_argument("--t-max", type=int, default=t_max,
                            help=f"largest dilation factor (default: {t_max})")

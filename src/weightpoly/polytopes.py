@@ -36,7 +36,6 @@ from .exact import (
     nullspace,
     primitive_vector,
     rank,
-    transpose,
     vec,
     vec_sub,
 )
@@ -223,62 +222,87 @@ class _InfeasibleEqualitiesError(ValueError):
     """Raised by restrict_to_affine_hull when the equalities have no rational solution."""
 
 
+def _is_edge(common: int, tight_on: Sequence[int], pair: int, face: int) -> bool:
+    """Whether pair, a mask of two items (vertices or extreme rays), is all
+    of face left tight on every row of common, tight_on[k] the mask of items
+    tight on row k.
+
+    The combinatorial edge test: two items span an edge iff no third one is
+    tight on every row both are tight on.  Callers pass face = all items and
+    skip first, inline, the pairs with too few common rows for an edge.
+    """
+    while common and face != pair:
+        low = common & -common
+        face &= tight_on[low.bit_length() - 1]
+        common ^= low
+    return face == pair
+
+
 def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[int], bool]:
-    """Extreme rays of the cone {y : row . y >= 0 for every row}, cut to the
-    orthogonal complement of its lines, with the rows each one is tight on.
+    """Extreme rays of the cone {y : row . y >= 0 for every row}, with the
+    rows each one is tight on, and whether the cone holds lines.
 
     Incremental double description (Fukuda & Prodon, "Double description
-    method revisited", 1996): a simplicial start from the first linearly
-    independent rows, then one inequality at a time.  Each ray carries its
-    zero set, the processed rows it is tight on, as an int bitmask over row
-    indices, kept up to date as rows are added: a kept ray gains the new row's
-    bit when it lies on that row, and the ray combined from p and q is tight
-    exactly on (zero set of p & zero set of q) plus the new row.  Two rays are
-    adjacent iff no third ray's zero set contains their common one (the
-    combinatorial test).  When the rows do not span, the cone C contains the
-    lines L, their nullspace, and C = (C meet the complement of L) + L; the
-    rows z and -z for a primitive basis z of L are appended, which makes that
-    section pointed.  Returns (rays, zero sets, whether lines were cut).
+    method revisited", 1996), in integers.  The cone starts as the lines
+    e_1..e_dim.  A first pass takes, in input order, each row that is
+    nonzero on some line: the first such line becomes a ray on the row's
+    positive side, tight on the rows taken before it, and every other line
+    and ray v is shifted along it onto the row's hyperplane, as
+    a*v - (row.v)*pivot with a = row.pivot, made primitive.  The rows taken
+    are those independent_rows picks; the lines left span the cone's
+    lineality space, and the rays generate a pointed section of the cone.
+    The rows left, each in the span of rows taken before it, follow in input
+    order, one inequality at a time.  Each ray carries its zero set, the
+    processed rows it is tight on, as an int bitmask over row indices: a
+    kept ray gains the new row's bit when it lies on that row, and the ray
+    combined from p and q is tight exactly on (zero set of p & zero set of
+    q) plus the new row.  p and q are adjacent by _is_edge over the rays
+    tight on each row; they share at least dim - L - 2 tight rows, L the
+    number of lines left.  Returns (rays, zero sets, whether lines remain).
     """
-    basis_idx = independent_rows(rows)
-    cut = len(basis_idx) < dim
-    if cut:
-        lines = [primitive_vector(z) for z in nullspace(rows, dim)]
-        rows = rows + [r for z in lines for r in (z, tuple(-c for c in z))]
-        basis_idx = independent_rows(rows)
-    inv = mat_inverse([rows[i] for i in basis_idx])
-    rays: list[tuple[int, ...]] = [primitive_vector(col) for col in transpose(inv)]
-    zsets = [sum(1 << i for i in basis_idx if _idot(rows[i], r) == 0) for r in rays]
-
-    def adjacent(common: int) -> bool:
-        if common.bit_count() < dim - 2:
-            return False
-        # The two rays themselves contain common; any third one rules it out.
-        holders = 0
-        for z in zsets:
-            if z & common == common:
-                holders += 1
-                if holders > 2:
-                    return False
-        return True
-
-    in_basis = set(basis_idx)
+    lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    zsets: list[int] = []
+    taken = 0
+    later = []
     for idx, row in enumerate(rows):
-        if idx in in_basis:
+        vals = [_idot(row, z) for z in lines]
+        at = next((k for k, v in enumerate(vals) if v), None)
+        if at is None:
+            later.append(idx)
             continue
+        a, pivot = vals.pop(at), lines.pop(at)
+        if a < 0:
+            a, pivot = -a, tuple(-c for c in pivot)
+        lines = [primitive_vector(tuple(a * c - v * p for c, p in zip(z, pivot))) if v else z
+                 for z, v in zip(lines, vals)]
+        rays = [primitive_vector(tuple(a * c - v * p for c, p in zip(r, pivot))) if v else r
+                for r, v in zip(rays, [_idot(row, r) for r in rays])] + [pivot]
+        zsets = [z | 1 << idx for z in zsets] + [taken]
+        taken |= 1 << idx
+    need = dim - len(lines) - 2
+    for idx in later:
+        row = rows[idx]
         bit = 1 << idx
         vals = [_idot(row, r) for r in rays]
-        if any(v < 0 for v in vals):
+        negative = [(qi, vq) for qi, vq in enumerate(vals) if vq < 0]
+        if negative:
+            tight_on = [0] * len(rows)
+            for i, z in enumerate(zsets):
+                while z:
+                    low = z & -z
+                    tight_on[low.bit_length() - 1] |= 1 << i
+                    z ^= low
+            everyone = (1 << len(rays)) - 1
             fresh: list[tuple[int, ...]] = []
             fresh_z: list[int] = []
             for pi, vp in enumerate(vals):
                 if vp <= 0:
                     continue
-                for qi, vq in enumerate(vals):
-                    if vq >= 0:
-                        continue
+                for qi, vq in negative:
                     common = zsets[pi] & zsets[qi]
-                    if not adjacent(common):
+                    if common.bit_count() < need or not _is_edge(
+                            common, tight_on, (1 << pi) | (1 << qi), everyone):
                         continue
                     p, q = rays[pi], rays[qi]
                     combo = tuple(vp * qc - vq * pc for pc, qc in zip(p, q))
@@ -289,19 +313,7 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[
             zsets = [zsets[i] | bit if vals[i] == 0 else zsets[i] for i in kept] + fresh_z
         else:
             zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
-    return rays, zsets, cut
-
-
-def _homogeneous_rows(P: HPolytope) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Sorted distinct primitive rows (b, -a) of the cone over P, t >= 0 and both
-    halves of each equality among them; and the index of each row of P.ineqs."""
-    ineq_rows = [primitive_vector((b,) + tuple(-c for c in a)) for a, b in P.ineqs]
-    rows = {tuple([1] + [0] * P.dim), *ineq_rows}
-    for e, f in P.eqs:
-        rows.add(primitive_vector((f,) + tuple(-c for c in e)))
-        rows.add(primitive_vector((-f,) + tuple(c for c in e)))
-    at = {row: k for k, row in enumerate(sorted(rows))}
-    return list(at), [at[row] for row in ineq_rows]
+    return rays, zsets, bool(lines)
 
 
 @functools.lru_cache(maxsize=512)
@@ -440,19 +452,24 @@ def _incidence(P: HPolytope):
 
     Returns (vertices sorted as VPolytope sorts them, rows tight at each
     vertex, vertices tight on each row, each vertex's primitive ray (t, x)
-    with x = t * vertex).  The DD's zero sets are the incidence: P.ineqs[i]
-    is tight wherever its homogeneous row is.  Facets, dimension and edges
-    are read off this one record.  Raises UnboundedPolytopeError as h_to_v
-    does, and that outcome is cached per polytope as well.
-    When the DD cut out lines, the normals miss them, and P is the section
-    the DD saw plus those lines: nonempty then means unbounded.
+    with x = t * vertex).  The DD gets the primitive rows (b, -a) of the cone
+    over P in input order: row i from P.ineqs[i], then t >= 0, then both
+    halves of each equality; scaled duplicates stay, each its own row.  So
+    the DD's zero sets are the incidence, cut to the bits of P.ineqs.
+    Facets, dimension and edges are read off this one record.  Raises
+    UnboundedPolytopeError as h_to_v does, and that outcome is cached per
+    polytope as well.  Lines the normals miss leave every ray at t = 0 when
+    P is empty, and make a nonempty P unbounded.
     """
-    rows, ineq_at = _homogeneous_rows(P)
-    rays, zsets, cut = _dd_extreme_rays(rows, P.dim + 1)
+    rows = [primitive_vector((b,) + tuple(-c for c in a)) for a, b in P.ineqs]
+    rows.append((1,) + (0,) * P.dim)
+    for e, f in P.eqs:
+        rows += [primitive_vector((f,) + tuple(-c for c in e)), primitive_vector((-f,) + e)]
+    rays, zsets, lines = _dd_extreme_rays(rows, P.dim + 1)
     if any(ray[0] < 0 for ray in rays):
         raise AssertionError("homogenization row t >= 0 violated")
     found = [(ray, zset) for ray, zset in zip(rays, zsets) if ray[0]]
-    if found and cut:
+    if found and lines:
         raise UnboundedPolytopeError(
             "polytope is unbounded (recession line); bounded input required")
     if found and len(found) < len(rays):
@@ -461,8 +478,9 @@ def _incidence(P: HPolytope):
     scale = lcm(1, *(ray[0] for ray, _ in found))  # sort by vertex, in integers
     found.sort(key=lambda item: tuple(c * (scale // item[0][0]) for c in item[0][1:]))
     zsets = [zset for _, zset in found]
-    vert_masks = [sum(1 << i for i, k in enumerate(ineq_at) if z >> k & 1) for z in zsets]
-    row_masks = [sum(1 << v for v, z in enumerate(zsets) if z >> k & 1) for k in ineq_at]
+    vert_masks = [z & ((1 << len(P.ineqs)) - 1) for z in zsets]
+    row_masks = [sum(1 << v for v, z in enumerate(zsets) if z >> i & 1)
+                 for i in range(len(P.ineqs))]
     return (tuple(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray, _ in found),
             vert_masks, row_masks, [(ray[0], ray[1:]) for ray, _ in found])
 
@@ -752,9 +770,10 @@ def _vertex_graph(P: HPolytope):
 
     Read off the tight-row incidence (_incidence): the smallest face holding
     vertices u and v is cut out by the rows tight at both, and u, v span an
-    edge iff no third vertex is tight on all of those rows.  This agrees with
-    the rank test (those rows with the equalities have rank dim - 1) whether
-    or not the system is irredundant or full-dimensional, or carries implicit
+    edge iff no third vertex is tight on all of those rows: _is_edge, the
+    test the DD uses for adjacent rays.  This agrees with the rank test
+    (those rows with the equalities have rank dim - 1) whether or not the
+    system is irredundant or full-dimensional, or carries implicit
     equalities, and needs no elimination.  A pair with fewer than
     dim - 1 - len(eqs) common tight rows cannot reach that rank and is skipped.
     With vertices cleared to (t, x), the direction of an edge is
@@ -769,13 +788,7 @@ def _vertex_graph(P: HPolytope):
             common = vert_masks[i] & vert_masks[j]
             if common.bit_count() < need:
                 continue
-            pair = (1 << i) | (1 << j)
-            face = everyone
-            while common and face != pair:
-                low = common & -common
-                face &= row_masks[low.bit_length() - 1]
-                common ^= low
-            if face == pair:
+            if _is_edge(common, row_masks, (1 << i) | (1 << j), everyone):
                 (ti, xi), (tj, xj) = cleared[i], cleared[j]
                 direction = primitive_vector(tuple(ti * b - tj * a for a, b in zip(xi, xj)))
                 neighbors[i][j] = direction

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weightpoly import polytopes
+from weightpoly import exact, polytopes
 from weightpoly.builders import GTSpec, SideData, gt_hrep, polygon_hrep
 from weightpoly.exact import (clear_denominators, dot, integer_solutions, primitive_vector,
                               vec, vec_sub)
@@ -733,6 +733,23 @@ def test_incidence_is_the_tightness_oracle_and_its_rays_clear_the_vertices(P):
     assert rays == [clear_denominators(v) for v in verts]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(small_bounded_polytopes(),
+                 st.randoms(use_true_random=False).map(
+                     lambda rng: random_box_with_equalities(rng, HPolytope))), st.data())
+def test_row_order_permutes_the_incidence_and_changes_nothing_else(P, data):
+    # Rows reach the DD in input order; reordering P.ineqs must only relabel them.
+    order = data.draw(st.permutations(range(len(P.ineqs))))
+    Q = HPolytope(P.dim, tuple(P.ineqs[i] for i in order), P.eqs)
+    verts, vert_masks, row_masks, rays = _incidence(P)
+    assert _incidence(Q) == (
+        verts,
+        [sum(1 << k for k, i in enumerate(order) if mask >> i & 1) for mask in vert_masks],
+        [row_masks[i] for i in order],
+        rays)
+    assert _vertex_graph(Q) == _vertex_graph(P)
+
+
 WITH_EQ = HPolytope(3, _rows([((1, 0, 0), 2), ((-1, 0, 0), 0), ((0, 1, 0), 2),
                                ((0, -1, 0), 0), ((0, 0, 1), 2), ((0, 0, -1), 0),
                                ((1, 1, 0), 5)]),
@@ -793,6 +810,23 @@ def test_non_pointed_input_takes_one_dd_pass(monkeypatch, P, message):
         with pytest.raises(UnboundedPolytopeError, match=message):
             h_to_v(P)
     assert calls == [3]
+
+
+@pytest.mark.parametrize("P", [
+    polygon_hrep(SideData.from_weights(1, (2, 3, 4, 5, 6, 7))), SLAB, INFEASIBLE_SLAB,
+], ids=["polygon", "slab", "infeasible-slab"])
+def test_the_dd_runs_in_integers_with_no_rational_elimination(monkeypatch, P):
+    calls = []
+    gauss_jordan = exact._gauss_jordan
+
+    def counting_gauss_jordan(rows, ncols):
+        calls.append(len(rows))
+        return gauss_jordan(rows, ncols)
+
+    monkeypatch.setattr(exact, "_gauss_jordan", counting_gauss_jordan)
+    clear_caches()
+    _outcome(h_to_v, P)
+    assert calls == []
 
 
 def test_unbounded_outcome_is_cached_and_raised_fresh(monkeypatch):
