@@ -200,12 +200,19 @@ def hnf_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     m_rows = _int_rows(rows)
     if not m_rows:
         return []
-    _int_row_echelon(m_rows, len(m_rows[0]))
+    for r, c in _int_row_echelon(m_rows, len(m_rows[0])):
+        pivot_row = m_rows[r]
+        for i in range(r):
+            q = m_rows[i][c] // pivot_row[c]
+            if q:
+                m_rows[i] = [a - q * b for a, b in zip(m_rows[i], pivot_row)]
     return [row for row in m_rows if any(row)]
 
 
 def _int_row_echelon(work: list[list[int]], ncols: int) -> list[tuple[int, int]]:
-    """In-place unimodular row reduction to HNF on the first ncols columns.
+    """In-place unimodular row reduction to echelon form on the first ncols
+    columns, with positive pivots; entries above a pivot are left as they are
+    (hnf_rows reduces them afterwards, in pivot order).
 
     Rows may be longer than ncols (carrying a transform block); full rows are
     swapped/combined.  Returns the (row, col) pivot positions.
@@ -235,10 +242,6 @@ def _int_row_echelon(work: list[list[int]], ncols: int) -> list[tuple[int, int]]
             continue
         if work[r][c] < 0:
             work[r] = [-a for a in work[r]]
-        for i in range(r):
-            q = work[i][c] // work[r][c]
-            if q:
-                work[i] = [a - q * b for a, b in zip(work[i], work[r])]
         pivots.append((r, c))
         r += 1
         if r == m:
@@ -297,14 +300,17 @@ def lattice_index(rays: Sequence[Sequence], dim: int) -> int:
     """Index in Z^dim of the sublattice generated by integer rays.
 
     The product of the pivots of their Hermite normal form (|det| for dim
-    independent rays).  Raises if the rays do not span rank dim.
+    independent rays).  The pivots are those of the echelon pass, so the
+    entries above them are never reduced.  Raises if the rays do not span
+    rank dim.
     """
-    h = hnf_rows(rays)
-    if len(h) < dim:
+    work = _int_rows(rays)
+    pivots = _int_row_echelon(work, len(work[0])) if work else []
+    if len(pivots) < dim:
         raise ValueError("rays are not full rank")
     index = 1
-    for row in h:
-        index *= next(c for c in row if c)
+    for r, c in pivots:
+        index *= work[r][c]
     return index
 
 

@@ -877,35 +877,52 @@ class _CanonicalSearch:
 
     def __init__(self, names: list[str], rights: list[frozenset[int]]):
         self.names = names  # repr of each left item's label
-        self.rights = rights
+        self.rights = [tuple(s) for s in rights]
         self.holders: list[list[int]] = [[] for _ in names]
-        for r, s in enumerate(rights):
+        for r, s in enumerate(self.rights):
             for i in s:
                 self.holders[i].append(r)
         self.right_counts = Counter(rights)
+        self.digits = [str(i) for i in range(len(names))]
         self.leaves: dict[int, tuple[int, ...]] = {}  # encoding hash -> first order
         self.automorphisms: list[tuple[int, ...]] = []
 
     def refine(self, colors: list[int]) -> list[int]:
         """Color refinement: an item's key is its color and the sorted colors of
-        the right sets holding it; colors are the keys' ranks, until stable."""
-        while True:
-            right_keys = [tuple(sorted(colors[j] for j in s)) for s in self.rights]
-            keys = [(c, tuple(sorted(right_keys[r] for r in held)))
+        the right sets holding it; colors are the keys' ranks, until stable.
+
+        Every coloring passed in is dense (colors 0..k-1): the root colors are
+        label ranks, and a child gives one member of a cell of size >= 2 the
+        color max + 1.  So a round whose keys are as many as the color classes
+        splits nothing and returns its input, and a discrete coloring returns
+        at once.  Each right set's sorted colors are replaced by their rank
+        among the distinct ones; ranking is monotone, so the keys compare, and
+        the colors come out, as with the sorted colors themselves.
+        """
+        classes = max(colors, default=-1) + 1
+        while classes < len(colors):
+            right_keys = [tuple(sorted([colors[j] for j in s])) for s in self.rights]
+            key_rank = {key: pos for pos, key in enumerate(sorted(set(right_keys)))}
+            right_ranks = [key_rank[key] for key in right_keys]
+            keys = [(c, tuple(sorted([right_ranks[r] for r in held])))
                     for c, held in zip(colors, self.holders)]
-            ranking = {key: pos for pos, key in enumerate(sorted(set(keys)))}
-            new_colors = [ranking[k] for k in keys]
-            if new_colors == colors:
-                return colors
-            colors = new_colors
+            distinct = set(keys)
+            if len(distinct) == classes:
+                break
+            ranking = {key: pos for pos, key in enumerate(sorted(distinct))}
+            colors = [ranking[k] for k in keys]
+            classes = len(ranking)
+        return colors
 
     def leaf(self, colors: list[int]) -> str:
         """Encode a discrete coloring (colors are then the positions 0..n-1), and
         record an automorphism when an earlier leaf encoded the same way."""
         order = tuple(sorted(range(len(colors)), key=colors.__getitem__))
-        left_part = ",".join(self.names[i] for i in order)
-        right_part = "|".join(sorted(
-            ",".join(map(str, sorted(colors[j] for j in s))) for s in self.rights))
+        left_part = ",".join([self.names[i] for i in order])
+        digits = self.digits
+        right_part = "|".join(sorted([
+            ",".join([digits[c] for c in sorted([colors[j] for j in s])])
+            for s in self.rights]))
         enc = f"L[{left_part}];R[{right_part}]"
         first = self.leaves.setdefault(hash(enc), order)
         if first != order:
@@ -973,10 +990,19 @@ def canonical_incidence(n_left: int, left_labels: Sequence | None,
     node's individualized items have subtrees with the same leaf encodings,
     so only one of them is searched (orbit pruning, after McKay & Piperno,
     "Practical graph isomorphism, II", 2014).  The result is the least leaf
-    of the full search all the same.
+    of the full search all the same.  Refinement ranks the right sets' sorted
+    colors before it sorts the items' keys, and stops at the first round that
+    splits no class; the encoding is the same as without either step.
+
+    Raises ValueError when left_labels does not hold n_left labels or a right
+    set holds an item outside range(n_left).
     """
     labels = list(left_labels) if left_labels is not None else [0] * n_left
+    if len(labels) != n_left:
+        raise ValueError(f"{len(labels)} left labels for {n_left} left items")
     rights = [frozenset(s) for s in right_sets]
+    if any(not 0 <= i < n_left for s in rights for i in s):
+        raise ValueError(f"a right set holds an item outside range({n_left})")
     names = [repr(lab) for lab in labels]
     init = {name: r for r, name in enumerate(sorted(set(names)))}
     return _CanonicalSearch(names, rights).search([init[name] for name in names], ())

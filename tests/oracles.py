@@ -450,6 +450,23 @@ def random_box_with_equalities(rng, make_hpolytope):
     return make_hpolytope(dim=d, ineqs=tuple(ineqs), eqs=tuple(eqs))
 
 
+def reference_refine(rights: Sequence[frozenset[int]], colors: list[int]) -> list[int]:
+    """Color refinement by its definition: an item's key is its color and the
+    sorted colors of every right set holding it, found by scanning all the
+    right sets; colors become the keys' ranks until a round changes none."""
+    while True:
+        keys = []
+        for i in range(len(colors)):
+            incident = sorted(
+                tuple(sorted(colors[j] for j in s)) for s in rights if i in s)
+            keys.append((colors[i], tuple(incident)))
+        ranking = {key: pos for pos, key in enumerate(sorted(set(keys)))}
+        new_colors = [ranking[k] for k in keys]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
 # The full individualization-refinement search, with no automorphism pruning:
 # every member of every target cell is tried.
 def brute_force_canonical_incidence(n_left: int, left_labels: Sequence | None,
@@ -463,20 +480,6 @@ def brute_force_canonical_incidence(n_left: int, left_labels: Sequence | None,
     """
     labels = list(left_labels) if left_labels is not None else [0] * n_left
     rights = [frozenset(s) for s in right_sets]
-
-    def refine(colors: list[int]) -> list[int]:
-        while True:
-            keys = []
-            for i in range(n_left):
-                incident = sorted(
-                    tuple(sorted(colors[j] for j in s)) for s in rights if i in s)
-                keys.append((colors[i], tuple(incident)))
-            ranking = {key: pos for pos, key in enumerate(sorted(set(keys)))}
-            new_colors = [ranking[k] for k in keys]
-            if new_colors == colors:
-                return colors
-            colors = new_colors
-
     def encode(colors: list[int]) -> str:
         order = sorted(range(n_left), key=lambda i: colors[i])
         pos = {item: p for p, item in enumerate(order)}
@@ -487,7 +490,7 @@ def brute_force_canonical_incidence(n_left: int, left_labels: Sequence | None,
         return f"L[{left_part}];R[{right_part}]"
 
     def search(colors: list[int]) -> str:
-        colors = refine(colors)
+        colors = reference_refine(rights, colors)
         classes: dict[int, list[int]] = {}
         for i, c in enumerate(colors):
             classes.setdefault(c, []).append(i)

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +159,98 @@ def test_lattice_index_anchors():
     assert lattice_index([vec([2, 0, 0]), vec([0, 3, 0]), vec([0, 0, 4])], 3) == 24
     with pytest.raises(ValueError, match="not full rank"):
         lattice_index(((1, 2), (2, 4)), 2)
+
+
+def _fraction_det(rows):
+    """Determinant by Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def integer_matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-5, 5), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5).flatmap(lambda n: integer_matrices(n, n)))
+def test_lattice_index_is_the_absolute_determinant(rows):
+    det = _fraction_det(rows)
+    if det == 0:
+        with pytest.raises(ValueError, match="not full rank"):
+            lattice_index(rows, len(rows))
+    else:
+        assert lattice_index(rows, len(rows)) == abs(det)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(1, 4), st.integers(0, 3)).flatmap(
+    lambda d: integer_matrices(d[0] + d[1], d[0])))
+def test_lattice_index_is_the_product_of_the_hermite_pivots(rows):
+    dim = len(rows[0])
+    if _rank(rows) < dim:
+        with pytest.raises(ValueError, match="not full rank"):
+            lattice_index(rows, dim)
+        return
+    assert lattice_index(rows, dim) == prod(next(c for c in row if c) for row in hnf_rows(rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda d: integer_matrices(*d)))
+def test_hnf_rows_pivots_are_positive_and_reduce_the_entries_above(rows):
+    h = hnf_rows(rows)
+    assert len(h) == _rank(rows) and all(any(row) for row in h)
+    cols = []
+    for k, row in enumerate(h):
+        c = next(j for j, x in enumerate(row) if x)
+        assert row[c] > 0 and (not cols or c > cols[-1])
+        assert all(0 <= h[i][c] < row[c] for i in range(k))
+        cols.append(c)
+
+
+# Outputs of the Hermite-form kernels, pinned from an earlier implementation
+# that reduced the entries above each pivot inside the echelon pass.
+@pytest.mark.parametrize("rows, width, basis", [
+    ([(1, 2, 3)], 3, [(-2, 1, 0), (-3, 0, 1)]),
+    ([(2, 4, 6), (1, 1, 1)], 3, [(1, -2, 1)]),
+    ([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)], 4, [(1, 1, 1, 1)]),
+    ([(3, 5, 7, 11)], 4, [(3, 1, -2, 0), (7, 0, -3, 0), (1, 0, -2, 1)]),
+    ([(2, 0, 4), (0, 6, 3)], 3, [(4, 1, -2)]),
+    ([(1, 1, 1, 1, 1), (1, 2, 3, 4, 5)], 5,
+     [(1, -2, 1, 0, 0), (2, -3, 0, 1, 0), (3, -4, 0, 0, 1)]),
+])
+def test_integer_kernel_basis_is_pinned(rows, width, basis):
+    assert integer_kernel_basis(rows, width) == basis
+
+
+@pytest.mark.parametrize("rows, rhs, width, solutions", [
+    ([(1, 2, 3)], (6,), 3, (1, (0, 0, 2), [(1, 1, -1), (0, 3, -2)])),
+    ([(2, 4, 6), (1, 1, 1)], (3, 1), 3, (2, (0, 3, -1), [(1, -2, 1)])),
+    ([(2, 0), (0, 3)], (1, 1), 2, (6, (3, 2), [])),
+    ([(1, 1, 1, 1), (1, -1, 0, 0)], (4, 0), 4,
+     (1, (0, 0, 0, 4), [(1, 1, 0, -2), (0, 0, 1, -1)])),
+    ([(2, 2)], (1,), 2, (2, (0, 1), [(1, -1)])),
+    ([(1, 1), (1, 1)], (1, 2), 2, (0, None, [(1, -1)])),
+])
+def test_integer_solutions_are_pinned(rows, rhs, width, solutions):
+    assert integer_solutions(rows, rhs, width) == solutions
+
+
+def test_hnf_rows_is_pinned():
+    assert hnf_rows([(4, 6, 2), (2, 9, 7), (6, 3, 5)]) == [[2, 9, 7], [0, 12, 4], [0, 0, 8]]
 
 
 def test_floor_ceil_div_on_fractions():

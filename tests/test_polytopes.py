@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weightpoly import exact, polytopes
-from weightpoly.builders import GTSpec, SideData, gt_hrep, polygon_hrep
+from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep
 from weightpoly.exact import (clear_denominators, dot, integer_solutions, primitive_vector,
                               vec, vec_sub)
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
@@ -24,13 +24,13 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   polytope_dim,
                                   remove_redundant, restrict_to_affine_hull,
                                   v_to_h)
-from weightpoly.toric import normal_fan
+from weightpoly.toric import fan_fingerprint, normal_fan
 from caches import clear_caches
 from oracles import (_rank, all_vertex_affine_hull_equalities,
                      brute_force_canonical_incidence, brute_force_edges,
                      brute_force_lattice_points, brute_force_vertices, gt_pattern_count,
                      random_box_with_cuts, random_box_with_equalities,
-                     section_rule_h_to_v, tightness_incidence,
+                     reference_refine, section_rule_h_to_v, tightness_incidence,
                      v_to_h_route_remove_redundant)
 
 
@@ -490,6 +490,62 @@ def test_pruned_search_on_cycles_that_refinement_cannot_separate(lengths):
             start += k
         assert canonical_incidence(n, None, pairs) == (
             brute_force_canonical_incidence(n, None, pairs))
+
+
+def test_refinement_matches_the_reference_at_polytope_scale(monkeypatch):
+    """Every refinement the fingerprints of cubes and equal-weight polygon
+    spaces run gets a dense coloring and returns the reference's coloring."""
+    calls = []
+    refine = polytopes._CanonicalSearch.refine
+
+    def checked(search, colors):
+        assert set(colors) == set(range(max(colors) + 1))  # dense
+        out = refine(search, list(colors))
+        assert out == reference_refine(search.rights, colors)
+        calls.append(len(colors))
+        return out
+
+    monkeypatch.setattr(polytopes._CanonicalSearch, "refine", checked)
+    charts = [box(d, 0, 1) for d in (3, 4, 5)]
+    for m, r in ((1, (1,) * 7), (1, (1,) * 8), (2, (2,) * 6)):
+        s = SideData.from_weights(m, r)
+        charted = gt_slice(s)
+        charts += [polygon_hrep(s) if m == 1 else charted.diag_chart, charted.entry_chart]
+    for P in charts:
+        combinatorial_fingerprint(P)
+    fan_fingerprint(normal_fan(charts[3]))  # labelled left items
+    assert len(calls) > 100 and max(calls) >= 14
+
+
+@st.composite
+def dense_colorings(draw, n):
+    """A coloring of n items whose colors are exactly 0..k-1."""
+    if not n:
+        return []
+    k = draw(st.integers(1, n))
+    colors = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=n - k,
+                                            max_size=n - k))
+    return draw(st.permutations(colors))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(labelled_incidences(), st.data())
+def test_refine_matches_the_reference_on_dense_colorings(case, data):
+    n, _, rights = case
+    colors = data.draw(dense_colorings(n))
+    search = polytopes._CanonicalSearch([repr(0)] * n, rights)
+    assert search.refine(list(colors)) == reference_refine(rights, colors)
+
+
+@pytest.mark.parametrize("n_left, labels, rights, message", [
+    (2, None, [{0, 5}], r"outside range\(2\)"),
+    (2, None, [{-1}], r"outside range\(2\)"),
+    (2, [0, 1, 2], [{0, 1}], "3 left labels for 2 left items"),
+    (3, [0, 1], [], "2 left labels for 3 left items"),
+])
+def test_canonical_incidence_rejects_malformed_input(n_left, labels, rights, message):
+    with pytest.raises(ValueError, match=message):
+        canonical_incidence(n_left, labels, rights)
 
 
 def test_canonical_incidence_leaves_no_reference_cycle():
