@@ -45,6 +45,14 @@ class UnboundedPolytopeError(ValueError):
     """Raised when an operation that needs a bounded polytope meets a recession ray."""
 
 
+def _check_dim(dim) -> None:
+    """Reject an ambient dimension that is not an int >= 0 (a bool is not)."""
+    if not is_int(dim):
+        raise ValueError("dim must be an integer")
+    if dim < 0:
+        raise ValueError("ambient dimension must be >= 0")
+
+
 @dataclass(frozen=True)
 class HPolytope:
     """Intersection of halfspaces (and hyperplanes) in Q^dim.
@@ -59,8 +67,7 @@ class HPolytope:
     eqs: tuple[tuple[Vec, Fraction], ...] = ()
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("ambient dimension must be >= 0")
+        _check_dim(self.dim)
         seen: dict[Vec, int] = {}
         ineqs: list[tuple[Vec, Fraction]] = []
         for raw_normal, raw_rhs in self.ineqs:
@@ -104,12 +111,9 @@ class HPolytope:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HPolytope":
-        dim = data["dim"]
-        if not is_int(dim):
-            raise ValueError("dim must be an integer")
         ineqs = tuple((vec(row["a"]), frac(row["b"])) for row in data.get("ineqs", ()))
         eqs = tuple((vec(row["a"]), frac(row["b"])) for row in data.get("eqs", ()))
-        return cls(dim, ineqs, eqs)
+        return cls(data["dim"], ineqs, eqs)
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,7 @@ class VPolytope:
     vertices: tuple[Vec, ...] = ()
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("ambient dimension must be >= 0")
+        _check_dim(self.dim)
         verts = sorted(dict.fromkeys(vec(v) for v in self.vertices))
         for v in verts:
             if len(v) != self.dim:
@@ -148,10 +151,7 @@ class VPolytope:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VPolytope":
-        dim = data["dim"]
-        if not is_int(dim):
-            raise ValueError("dim must be an integer")
-        return cls(dim, tuple(vec(v) for v in data.get("vertices", ())))
+        return cls(data["dim"], tuple(vec(v) for v in data.get("vertices", ())))
 
 
 @dataclass(frozen=True)
@@ -416,36 +416,7 @@ def v_to_h(V: VPolytope) -> HPolytope:
     return HPolytope(d, tuple(sorted(_joint_primitive(a, b) for a, b in pulled)), eqs)
 
 
-def _cache_unbounded_too(fn):
-    """functools.lru_cache(maxsize=512) on fn(P) that also caches its
-    UnboundedPolytopeError outcome.
-
-    lru_cache stores no exception, so an unbounded P would rerun fn on every
-    call.  Each such call raises a fresh error with the cached message, so no
-    one instance gathers tracebacks.  cache_info, cache_clear and
-    cache_parameters are the underlying cache's.
-    """
-    @functools.lru_cache(maxsize=512)
-    def outcome(P):
-        try:
-            return fn(P), None
-        except UnboundedPolytopeError as exc:
-            return None, str(exc)
-
-    @functools.wraps(fn)
-    def cached(P):
-        value, message = outcome(P)
-        if message is not None:
-            raise UnboundedPolytopeError(message)
-        return value
-
-    cached.cache_info = outcome.cache_info
-    cached.cache_clear = outcome.cache_clear
-    cached.cache_parameters = outcome.cache_parameters
-    return cached
-
-
-@_cache_unbounded_too
+@functools.lru_cache(maxsize=512)
 def _incidence(P: HPolytope):
     """Vertices of a bounded H-polytope and, as int bitmasks, which rows of
     P.ineqs are tight at which of them, from one double description pass.
@@ -457,9 +428,8 @@ def _incidence(P: HPolytope):
     halves of each equality; scaled duplicates stay, each its own row.  So
     the DD's zero sets are the incidence, cut to the bits of P.ineqs.
     Facets, dimension and edges are read off this one record.  Raises
-    UnboundedPolytopeError as h_to_v does, and that outcome is cached per
-    polytope as well.  Lines the normals miss leave every ray at t = 0 when
-    P is empty, and make a nonempty P unbounded.
+    UnboundedPolytopeError as h_to_v does.  Lines the normals miss leave
+    every ray at t = 0 when P is empty, and make a nonempty P unbounded.
     """
     rows = [primitive_vector((b,) + tuple(-c for c in a)) for a, b in P.ineqs]
     rows.append((1,) + (0,) * P.dim)
@@ -588,36 +558,31 @@ def polytope_dim(P: HPolytope) -> int:
     return P.dim - rank(normals) if normals else P.dim
 
 
-@_cache_unbounded_too
+@functools.lru_cache(maxsize=512)
 def _scan_setup(P: HPolytope):
     """Everything in the integer scan of P that no dilate changes.
 
-    None when P has no rational point, else
-    (rows_at, box, live, t0, embed, chart, f).
+    None when P has no rational point, else (rows_at, box, live, chart, f).
     Explicit equalities are eliminated through the chart of
     restrict_to_affine_hull, whose DD is the only one: infeasible equalities
     and an empty chart give None, and the chart, an affine bijection onto the
-    solutions of the equalities, is unbounded exactly when P is.  The chart of
-    t*P is t times P's, with offset t * x0 / t0 for t0 the lcm of the offset's
-    denominators, so only dilates in t0*Z hold integer points, and embed is
-    the integer (matrix, x0) back into ambient space; chart and its AffineMap
-    f are restrict_to_affine_hull's (P itself and None without equalities).
-    In the chart, rows_at[j] holds (c, (p, q), terms) for each row
-    c*x_j + sum(a*x_k for k, a in terms) <= p/q whose trailing nonzero
-    coordinate is j, with a primitive integer normal; box[j] is the rational
-    (min, max) of the vertices' coordinate j; live[j] is the set of
+    solutions of the equalities, is unbounded exactly when P is.  chart and
+    its AffineMap f are restrict_to_affine_hull's (P itself and None without
+    equalities); the chart of t*P is t times P's, mapped back by f with its
+    offset scaled by t, so only the dilates t with t * f.offset integral hold
+    integer points.  In the chart, rows_at[j] holds (c, (p, q), terms) for
+    each row c*x_j + sum(a*x_k for k, a in terms) <= p/q whose trailing
+    nonzero coordinate is j, with a primitive integer normal; box[j] is the
+    rational (min, max) of the vertices' coordinate j; live[j] is the set of
     coordinates before j that some row at level j or later reads, None where
-    that is all of them.  An unbounded P raises UnboundedPolytopeError, and
-    that outcome is cached too.
+    that is all of them.  An unbounded P raises UnboundedPolytopeError.
     """
-    t0, embed, f = 1, None, None
+    f = None
     if P.eqs:
         try:
             P, f = restrict_to_affine_hull(P)
         except _InfeasibleEqualitiesError:
             return None
-        t0 = lcm(*(c.denominator for c in f.offset))
-        embed = ([[int(c) for c in row] for row in f.matrix], [int(t0 * c) for c in f.offset])
     verts = h_to_v(P).vertices
     if not verts:
         return None
@@ -636,27 +601,24 @@ def _scan_setup(P: HPolytope):
         read.update(k for _, _, terms in rows_at[j] for k, _ in terms)
         frontier = tuple(sorted(k for k in read if k < j))
         live[j] = frontier if len(frontier) < j else None
-    return rows_at, [(min(col), max(col)) for col in zip(*verts)], live, t0, embed, P, f
+    return rows_at, [(min(col), max(col)) for col in zip(*verts)], live, P, f
 
 
 def _scan_input(P: HPolytope, dilate: int):
     """_scan_setup(P) rounded at this dilate, shared by listing and counting.
 
     None when dilate*P visibly has no integer point, else
-    (rows_at, lo, hi, live, embed), with each rhs floored (the left side is an
-    integer), [lo, hi] the integer vertex box and embed at this dilate.
+    (rows_at, lo, hi, live, f), with each rhs floored (the left side is an
+    integer), [lo, hi] the integer vertex box and f the setup's chart map.
     """
     if not is_int(dilate) or dilate < 1:
         raise ValueError("dilate must be a positive integer")
     setup = _scan_setup(P)
     if setup is None:
         return None
-    rows, box, live, t0, embed, _, _ = setup
-    if dilate % t0:
+    rows, box, live, _, f = setup
+    if f is not None and any((dilate * c).denominator != 1 for c in f.offset):
         return None
-    if embed is not None:
-        matrix, x0 = embed
-        embed = (matrix, [dilate // t0 * c for c in x0])
     rows_at = [[(c, dilate * p // q, terms) for c, (p, q), terms in level]
                for level in rows]
     lo, hi = [], []
@@ -665,7 +627,7 @@ def _scan_input(P: HPolytope, dilate: int):
         hi.append(dilate * high.numerator // high.denominator)
         if lo[-1] > hi[-1]:
             return None
-    return rows_at, lo, hi, live, embed
+    return rows_at, lo, hi, live, f
 
 
 def _narrow(rows: list, x: list[int], lo_j: int, hi_j: int) -> tuple[int, int]:
@@ -728,19 +690,21 @@ def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
 
     Depth-first over coordinates in order, narrowing each coordinate's range
     with the rows whose trailing nonzero coordinate it is (_scan_input).
+    Points of an equality chart go back through its map f at this dilate.
     """
     scan = _scan_input(P, dilate)
     if scan is None:
         return []
-    rows_at, lo, hi, _, embed = scan
+    rows_at, lo, hi, _, f = scan
     points: list[tuple[int, ...]] = []
     if lo:
         _list_from(0, rows_at, lo, hi, [0] * len(lo), points)
     else:
         points.append(())
-    if embed is None:
+    if f is None:
         return points
-    matrix, offset = embed
+    matrix = [[int(c) for c in row] for row in f.matrix]
+    offset = [int(dilate * c) for c in f.offset]
     return sorted(tuple(o + _idot(row, y) for row, o in zip(matrix, offset))
                   for y in points)
 
@@ -822,20 +786,23 @@ def affine_image(P: HPolytope | VPolytope, f: AffineMap) -> HPolytope | VPolytop
         return VPolytope.from_points(f.codomain_dim, [f.apply(v) for v in P.vertices])
     if P.dim != f.domain_dim:
         raise ValueError("map domain does not match the polytope dimension")
-    if not f.is_injective:
-        raise ValueError("H-representation image needs an injective affine map")
+    not_injective = "H-representation image needs an injective affine map"
     if f.domain_dim == f.codomain_dim:
-        minv = mat_inverse(f.matrix)
-        minv_cols = list(zip(*minv))
-        ineqs = []
-        for a, b in P.ineqs:
-            a_new = tuple(dot(a, col) for col in minv_cols)  # a M^{-1}
-            ineqs.append((a_new, b + dot(a_new, f.offset)))
-        eqs = []
-        for e, g in P.eqs:
-            e_new = tuple(dot(e, col) for col in minv_cols)
-            eqs.append((e_new, g + dot(e_new, f.offset)))
-        return HPolytope(f.codomain_dim, tuple(ineqs), tuple(eqs))
+        try:
+            minv_cols = list(zip(*mat_inverse(f.matrix)))
+        except ValueError:  # singular
+            raise ValueError(not_injective) from None
+
+        def transform(rows):
+            out = []
+            for a, b in rows:
+                a_new = tuple(dot(a, col) for col in minv_cols)  # a M^{-1}
+                out.append((a_new, b + dot(a_new, f.offset)))
+            return tuple(out)
+
+        return HPolytope(f.codomain_dim, transform(P.ineqs), transform(P.eqs))
+    if not f.is_injective:
+        raise ValueError(not_injective)
     verts = h_to_v(P).vertices
     if not verts:
         return empty_hrep(f.codomain_dim)
@@ -995,14 +962,17 @@ def canonical_incidence(n_left: int, left_labels: Sequence | None,
     splits no class; the encoding is the same as without either step.
 
     Raises ValueError when left_labels does not hold n_left labels or a right
-    set holds an item outside range(n_left).
+    set holds an item that is not an int in range(n_left) (a bool is not).
     """
     labels = list(left_labels) if left_labels is not None else [0] * n_left
     if len(labels) != n_left:
         raise ValueError(f"{len(labels)} left labels for {n_left} left items")
     rights = [frozenset(s) for s in right_sets]
-    if any(not 0 <= i < n_left for s in rights for i in s):
-        raise ValueError(f"a right set holds an item outside range({n_left})")
+    for i in (i for s in rights for i in s):
+        if not is_int(i):
+            raise ValueError(f"a right set holds {i!r}, not an integer item")
+        if not 0 <= i < n_left:
+            raise ValueError(f"a right set holds an item outside range({n_left})")
     names = [repr(lab) for lab in labels]
     init = {name: r for r, name in enumerate(sorted(set(names)))}
     return _CanonicalSearch(names, rights).search([init[name] for name in names], ())

@@ -2,9 +2,11 @@
 
 For a full-dimensional lattice-rational polytope, each vertex spans a cone on
 its primitive inward edge directions.  The toric variety this fan describes is
-smooth at a vertex exactly when those directions form a lattice basis; a
-simplicial cone of lattice index k >= 2 is a cyclic quotient of order k, and
-cones with more than dim rays are reported as non-simplicial, never refined.
+smooth at a vertex exactly when those directions form a lattice basis.  A
+simplicial cone whose edge directions span a sublattice of index k >= 2 is
+reported as cyclic_quotient(k): k is that index, and the local group is not
+computed, so it need not be cyclic or of order k (ROADMAP.md, item 2).  Cones
+with more than dim rays are reported as non-simplicial, never refined.
 
 Facets of the m=1 diagonal polytopes are matched against the fixed catalogue
 of supporting hyperplanes x_1 = r_1 +- r_2, x_{i-1} +- x_{i-2} = r_i,
@@ -22,6 +24,7 @@ from .builders import SideData, triangle_inequalities
 from .exact import Vec, clear_denominators, frac_str, lattice_index, primitive_vector, vec
 from .polytopes import (
     HPolytope,
+    _check_dim,
     _idot,
     _joint_primitive,
     _vertex_graph,
@@ -54,6 +57,7 @@ class Fan:
     maximal_cones: tuple[tuple[Vec, Cone], ...]
 
     def __post_init__(self):
+        _check_dim(self.ambient_dim)
         cones = tuple((vec(v), c) for v, c in self.maximal_cones)
         for v, c in cones:
             if len(v) != self.ambient_dim:
@@ -67,10 +71,11 @@ class Fan:
     def singularities(self) -> SingularityReport:
         """Classify each maximal cone, once per fan.
 
-        Lattice-basis rays are smooth, simplicial cones of index k >= 2 are
-        cyclic quotients of order k, and cones with more rays than the
-        dimension are non-simplicial (index still reported for the lattice
-        their rays generate).  One Hermite-form lattice_index per cone.
+        Lattice-basis rays are smooth; a simplicial cone whose rays span a
+        sublattice of index k >= 2 is labelled cyclic_quotient(k), with no
+        check that its local group is cyclic of order k; cones with more rays
+        than the dimension are non-simplicial (index still reported for the
+        lattice their rays generate).  One Hermite-form lattice_index per cone.
         """
         entries = []
         for v, cone in self.maximal_cones:

@@ -24,7 +24,7 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   polytope_dim,
                                   remove_redundant, restrict_to_affine_hull,
                                   v_to_h)
-from weightpoly.toric import fan_fingerprint, normal_fan
+from weightpoly.toric import Fan, fan_fingerprint, normal_fan
 from caches import clear_caches
 from oracles import (_rank, all_vertex_affine_hull_equalities,
                      brute_force_canonical_incidence, brute_force_edges,
@@ -179,6 +179,12 @@ def test_lattice_points_with_equalities_match_box_oracle():
         if not got and h_to_v(P).vertices:
             integer_empty += 1
     assert integer_empty > 0  # parity-infeasible slices are exercised
+    # 2x + 2y = 1 charts with a fractional offset: only even dilates hold
+    # points, mapped back through the chart map at that dilate.
+    P = HPolytope(2, SQUARE.ineqs, ((vec([2, 2]), Fraction(1)),))
+    listed = [lattice_points(P, t) for t in range(1, 5)]
+    assert listed == [list(brute_force_lattice_points(P, t)) for t in range(1, 5)]
+    assert [len(points) for points in listed] == [0, 2, 0, 3]
 
 
 def test_lattice_scan_leaves_no_reference_cycle():
@@ -316,6 +322,15 @@ def test_affine_image_square_shear():
     img = affine_image(SQUARE, shear)
     assert sorted(h_to_v(img).vertices) == sorted(
         (vec([0, 0]), vec([1, 0]), vec([1, 1]), vec([2, 1])))
+
+
+@pytest.mark.parametrize("f", [
+    AffineMap(2, 2, (vec([1, 2]), vec([2, 4])), vec([0, 1])),
+    AffineMap(2, 3, (vec([1, 2]), vec([2, 4]), vec([0, 0])), vec([0, 0, 0])),
+], ids=["square", "into-3d"])
+def test_affine_image_of_h_input_rejects_a_singular_map(f):
+    with pytest.raises(ValueError, match="^H-representation image needs an injective affine map$"):
+        affine_image(SQUARE, f)
 
 
 def test_affine_image_embedding_into_3d():
@@ -542,6 +557,9 @@ def test_refine_matches_the_reference_on_dense_colorings(case, data):
     (2, None, [{-1}], r"outside range\(2\)"),
     (2, [0, 1, 2], [{0, 1}], "3 left labels for 2 left items"),
     (3, [0, 1], [], "2 left labels for 3 left items"),
+    (2, None, [{True}], "holds True, not an integer item"),
+    (2, None, [{1.0}], "holds 1.0, not an integer item"),
+    (2, None, [{0, True}], "holds True, not an integer item"),
 ])
 def test_canonical_incidence_rejects_malformed_input(n_left, labels, rights, message):
     with pytest.raises(ValueError, match=message):
@@ -585,6 +603,21 @@ def test_from_json_dict_rejects_a_bool_dim():
     for cls in (HPolytope, VPolytope):
         with pytest.raises(ValueError, match="dim must be an integer"):
             cls.from_json_dict({"dim": True})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: HPolytope(1.0), "dim must be an integer"),
+    (lambda: HPolytope(True, (((1,), 1),)), "dim must be an integer"),
+    (lambda: HPolytope(-1), "ambient dimension must be >= 0"),
+    (lambda: VPolytope(2.5), "dim must be an integer"),
+    (lambda: VPolytope(False), "dim must be an integer"),
+    (lambda: Fan(1.5, ()), "dim must be an integer"),
+    (lambda: Fan(True, ()), "dim must be an integer"),
+    (lambda: Fan(-1, ()), "ambient dimension must be >= 0"),
+])
+def test_constructors_reject_a_non_integer_or_bool_dimension(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_zero_normal_rejected_unless_certificate():
@@ -651,6 +684,19 @@ def full_dimensional_polytopes(draw):
     return HPolytope(dim=d, ineqs=tuple(rows[i] for i in order), eqs=())
 
 
+@st.composite
+def unimodular_maps(draw, d):
+    """x -> M x + offset on Z^d with integer M of det +-1 and integer offset."""
+    # Negating rows and adding multiples of one row to another keep det = +-1.
+    M = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        k = draw(st.integers(-2, 2))
+        M[i] = [-x for x in M[i]] if i == j else [x + k * y for x, y in zip(M[i], M[j])]
+    offset = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    return AffineMap(d, d, tuple(map(vec, M)), vec(offset))
+
+
 @settings(max_examples=40, deadline=None)
 @given(full_dimensional_polytopes(), st.data())
 def test_counts_survive_an_equality_lift_and_a_unimodular_change_of_basis(P, data):
@@ -661,18 +707,18 @@ def test_counts_survive_an_equality_lift_and_a_unimodular_change_of_basis(P, dat
     r = data.draw(st.integers(-3, 3))
     Q = HPolytope(d + 1, tuple((tuple(a) + (0,), b) for a, b in P.ineqs),
                   ((tuple(-2 * x for x in c) + (2,), r),))
-    # Negating rows and adding multiples of one row to another keep det = +-1.
-    M = [[int(i == j) for j in range(d)] for i in range(d)]
-    for _ in range(data.draw(st.integers(0, 4))):
-        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
-        k = data.draw(st.integers(-2, 2))
-        M[i] = [-x for x in M[i]] if i == j else [x + k * y for x, y in zip(M[i], M[j])]
-    offset = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
-    image = affine_image(P, AffineMap(d, d, tuple(map(vec, M)), vec(offset)))
+    image = affine_image(P, data.draw(unimodular_maps(d)))
     for t in range(1, 5):
         n = count_lattice_points(P, t)
         assert count_lattice_points(Q, t) == (0 if t * r % 2 else n)
         assert count_lattice_points(image, t) == n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(full_dimensional_polytopes(), st.data())
+def test_fingerprint_survives_a_unimodular_change_of_basis(P, data):
+    image = affine_image(P, data.draw(unimodular_maps(P.dim)))
+    assert combinatorial_fingerprint(image) == combinatorial_fingerprint(P)
 
 
 @st.composite
@@ -885,42 +931,16 @@ def test_the_dd_runs_in_integers_with_no_rational_elimination(monkeypatch, P):
     assert calls == []
 
 
-def test_unbounded_outcome_is_cached_and_raised_fresh(monkeypatch):
-    calls = []
-    dd = polytopes._dd_extreme_rays
-
-    def counting_dd(rows, dim):
-        calls.append(dim)
-        return dd(rows, dim)
-
-    monkeypatch.setattr(polytopes, "_dd_extreme_rays", counting_dd)
+def test_repeated_unbounded_calls_raise_fresh_errors_with_one_message():
     clear_caches()
     raised = []
     for _ in range(3):
         with pytest.raises(UnboundedPolytopeError) as exc:
             h_to_v(SLAB)
         raised.append(exc.value)
-    assert calls == [3]
     assert {str(e) for e in raised} == {
         "polytope is unbounded (recession line); bounded input required"}
     assert len({id(e) for e in raised}) == 3
-
-
-def test_unbounded_equality_chart_is_charted_once_for_every_dilate(monkeypatch):
-    charted = []
-    restrict = polytopes.restrict_to_affine_hull
-
-    def counting_restrict(Q):
-        charted.append(Q)
-        return restrict(Q)
-
-    monkeypatch.setattr(polytopes, "restrict_to_affine_hull", counting_restrict)
-    clear_caches()
-    P = HPolytope(3, (), _rows([((1, 1, 0), 1)]))
-    for t in (1, 2, 3):
-        with pytest.raises(UnboundedPolytopeError, match="recession line"):
-            count_lattice_points(P, t)
-    assert charted == [P]
 
 
 def test_warm_remove_redundant_recomputes_no_affine_hull(monkeypatch):
