@@ -7,6 +7,12 @@ irreducible gl_n module with highest weight (tP,...,tP,0,...,0).  The right
 side is computed by a Jacobi-Trudi determinant over complete homogeneous
 symmetric functions, a code path that shares nothing with the polytope
 scanning on the left side, so agreement is strong evidence for both.
+
+The left side's counts come from polytopes.count_lattice_points, cached per
+(polytope, dilate), so the dilates an Ehrhart fit counted are not scanned
+again when the identity is checked on the same chart.  Fits interpolate
+each residue class by Newton forward differences on its equally spaced
+dilates, with no linear system to solve.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from typing import Sequence
 
 from .builders import SideData, dual_side_data, gt_slice
-from .exact import frac_str, is_int, solve_linear
+from .exact import frac_str, is_int
 from .polytopes import (
     HPolytope,
     _facet_masks,
@@ -76,12 +83,9 @@ class EhrhartFit:
     coeffs_by_class: tuple[tuple[Fraction, ...], ...]
 
     def evaluate(self, t: int) -> Fraction:
-        coeffs = self.coeffs_by_class[t % self.period]
         acc = Fraction(0)
-        power = Fraction(1)
-        for c in coeffs:
-            acc += c * power
-            power *= t
+        for c in reversed(self.coeffs_by_class[t % self.period]):
+            acc = acc * t + c
         return acc
 
     @property
@@ -98,15 +102,44 @@ class EhrhartFit:
         }
 
 
+def _interpolate(start: int, step: int, values: Sequence[int]) -> tuple[Fraction, ...]:
+    """Ascending coefficients of the polynomial of degree < len(values) that
+    takes values[k] at start + k*step.
+
+    Newton's forward form: with s = (t - start) / step and D^k the k-th
+    forward difference of values at 0, p = sum_k D^k * binomial(s, k).  It is
+    expanded from the inside out, q = D^d, then q = q * (t - node_k) /
+    ((k + 1) * step) + D^k for k = d-1..0, on an integer numerator
+    polynomial over one common denominator: O(d^2) integer steps and one
+    Fraction per coefficient.
+    """
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    num, den = [diffs.pop()], 1
+    for k in range(len(diffs) - 1, -1, -1):
+        node, scale = start + k * step, (k + 1) * step
+        shifted = [0] + num
+        for i, c in enumerate(num):
+            shifted[i] -= node * c
+        shifted[0] += diffs[k] * den * scale
+        num, den = shifted, den * scale
+    return tuple(Fraction(c, den) for c in num)
+
+
 def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     """Fit the dilate counts exactly.
 
     Polynomial mode when the polytope has integral vertices; otherwise quasi
     mode with period = lcm of the vertex coordinate denominators (determined
-    from the geometry, never guessed from the counts).  The fit must reproduce
-    every sample; anything else raises.  Vertices and dimension are read in
-    the chart the count's scan setup kept, whose DD the count ran, with the
-    vertices mapped back through its map f when there are equalities.
+    from the geometry, never guessed from the counts).  Each residue class is
+    interpolated by forward differences (_interpolate) on its first
+    degree + 1 dilates, residue + k*period; the interpolant is unique, so
+    these are the coefficients any exact solve would give.  The fit must
+    reproduce every sample; anything else raises.  Vertices and dimension are
+    read in the chart the count's scan setup kept, whose DD the count ran,
+    with the vertices mapped back through its map f when there are equalities.
     """
     setup = _scan_setup(c.polytope)
     if setup is None:
@@ -127,12 +160,8 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
             raise ValueError(
                 f"insufficient samples: residue class {residue} needs {degree + 1} "
                 f"dilates, has {len(ts)}")
-        nodes = ts[:degree + 1]
-        rows = [[Fraction(t) ** k for k in range(degree + 1)] for t in nodes]
-        status, coeffs = solve_linear(rows, [Fraction(c.count(t)) for t in nodes])
-        if status != "unique":
-            raise AssertionError("Vandermonde system must be uniquely solvable")
-        coeffs_by_class.append(coeffs)
+        coeffs_by_class.append(
+            _interpolate(residue, period, [c.count(t) for t in ts[:degree + 1]]))
     fit = EhrhartFit(mode, period, degree, tuple(coeffs_by_class))
     _check_reproduces(fit, c)
     return fit
@@ -255,17 +284,20 @@ def verify_ehrhart_identity(s: SideData, t_max: int) -> IdentityReport:
     """Entry-chart lattice count versus weight multiplicity, per dilate.
 
     Only dilates t where both t*P and every t*r_i are integral are checked
-    (others have no multiplicity side); results are returned, not asserted.
+    (others have no multiplicity side): the multiples of the least such t.
+    Results are returned, not asserted; a t_max below the least such t
+    checks nothing and raises ValueError naming it.
     """
     if not is_int(t_max) or t_max < 1:
         raise ValueError("t_max must be a positive integer")
+    least = lcm(s.P.denominator, *(w.denominator for w in s.r))
+    if least > t_max:
+        raise ValueError(
+            f"no dilate t in 1..{t_max} makes t*P and every t*r_i integral; "
+            f"the least such t is {least}")
     entry = gt_slice(s).entry_chart
     checks = []
-    for t in range(1, t_max + 1):
-        if (t * s.P).denominator != 1:
-            continue
-        if any((t * w).denominator != 1 for w in s.r):
-            continue
+    for t in range(least, t_max + 1, least):
         count = count_lattice_points(entry, t)
         mult = weight_multiplicity(MultiplicityQuery.from_side(s, t))
         checks.append(IdentityCheck(t, count, mult, count == mult))

@@ -716,7 +716,18 @@ def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
     completions from level j depends only on x[live[j]] (_scan_setup).  For
     interlacing rows the live set is about one pattern row, so the work grows
     with the number of such frontier states, not with the number of points.
+    Each count is cached per (P, dilate), so count_dilates and
+    verify_ehrhart_identity on one chart share one scan per dilate; dilate is
+    validated before the lookup, since 2.0 and True hash as 2 and 1 do.
     """
+    if not is_int(dilate) or dilate < 1:
+        raise ValueError("dilate must be a positive integer")
+    return _count_dilate(P, dilate)
+
+
+@functools.lru_cache(maxsize=512)
+def _count_dilate(P: HPolytope, dilate: int) -> int:
+    """count_lattice_points(P, dilate) for a validated dilate, cached."""
     scan = _scan_input(P, dilate)
     if scan is None:
         return 0

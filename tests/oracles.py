@@ -387,6 +387,17 @@ def _columns(total, caps):
             yield (c,) + rest
 
 
+def vandermonde_fit(nodes, values):
+    """Ascending coefficients of the polynomial of degree < len(nodes) through
+    (nodes[k], values[k]): the Vandermonde system rows (1, t, t^2, ...) = value,
+    solved by plain Gaussian elimination."""
+    rows = [[Fraction(t) ** k for k in range(len(nodes))] for t in nodes]
+    coeffs = _solve_square(rows, values)
+    if coeffs is None:
+        raise AssertionError("Vandermonde system must be uniquely solvable")
+    return coeffs
+
+
 def polygon_area(vertices):
     """Shoelace area of a convex 2D vertex set (any input order)."""
     cx = sum(v[0] for v in vertices) / len(vertices)

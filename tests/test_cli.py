@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -100,6 +102,33 @@ def test_verify_identity_exit_zero(capsys):
     code, out, _ = run(capsys, ["verify-identity"] + HEXAGON)
     assert code == 0
     assert out.splitlines()[-1] == "all pass"
+
+
+def test_verify_identity_with_no_integral_dilate_exits_2(capsys):
+    code, out, err = run(capsys, ["verify-identity", "--m", "1", "--r", "1/3,1/3,1/3,1/3",
+                                  "--t-max", "2"])
+    assert (code, out) == (2, "")
+    assert err == ("error: no dilate t in 1..2 makes t*P and every t*r_i integral; "
+                   "the least such t is 3\n")
+
+
+def test_verify_identity_after_ehrhart_reuses_every_count(capsys):
+    clear_caches()
+    assert run(capsys, ["ehrhart", "--t-max", "3"] + HEXAGON)[0] == 0
+    setup, counts = _scan_setup.cache_info(), polytopes._count_dilate.cache_info()
+    code, out, _ = run(capsys, ["verify-identity", "--t-max", "3"] + HEXAGON)
+    assert code == 0 and out.splitlines()[-1] == "all pass"
+    assert _scan_setup.cache_info().misses == setup.misses
+    after = polytopes._count_dilate.cache_info()
+    assert (after.misses, after.hits) == (counts.misses, counts.hits + 3)
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(polytopes.__file__))
+    env = {**os.environ, "PYTHONPATH": src}  # the package imports only the standard library
+    done = subprocess.run([sys.executable, "-m", "weightpoly", "fibers", "--m", "1", "--n", "5"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "4\n", "")
 
 
 def test_dual_pass_and_fail_exit_codes(capsys):

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import time
 import tracemalloc
@@ -8,15 +9,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weightpoly.builders import SideData, gt_slice, polygon_hrep
-from weightpoly.counting import (DilateCounts, MultiplicityQuery,
+from weightpoly.counting import (DilateCounts, MultiplicityQuery, _interpolate,
                                  count_dilates, ehrhart_fit, real_fiber_size,
                                  verify_duality, verify_ehrhart_identity,
                                  weight_multiplicity)
 from weightpoly.exact import vec
-from weightpoly.polytopes import (HPolytope, count_lattice_points, empty_hrep,
-                                  h_to_v)
+from weightpoly.polytopes import (HPolytope, _count_dilate, count_lattice_points,
+                                  empty_hrep, h_to_v)
 from oracles import (pattern_multiplicity, per_permutation_multiplicity,
-                     polygon_area, random_admissible_r)
+                     polygon_area, random_admissible_r, random_box_with_cuts,
+                     vandermonde_fit)
 
 
 def box2():
@@ -84,6 +86,43 @@ def test_ehrhart_fit_rejects_non_polynomial_counts():
 def test_ehrhart_fit_rejects_insufficient_samples():
     with pytest.raises(ValueError):
         ehrhart_fit(count_dilates(box2(), 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 3), st.integers(1, 4),
+       st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=7))
+@example(0, 1, [0])
+@example(3, 4, [5, 5, 5, 5, 5, 5, 5])
+def test_forward_differences_give_the_vandermonde_coefficients(start, step, values):
+    nodes = [start + k * step for k in range(len(values))]
+    coeffs = _interpolate(start, step, values)
+    assert coeffs == vandermonde_fit(nodes, values)
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+def test_ehrhart_fit_matches_the_vandermonde_solve_on_random_polytopes():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False))
+    def check(rng):
+        P = random_box_with_cuts(rng, HPolytope)
+        verts = h_to_v(P).vertices
+        if not verts:
+            return
+        period = math.lcm(1, *(x.denominator for v in verts for x in v))
+        t_max = period * (len(verts[0]) + 1) - 1  # enough for any dimension
+        if t_max > 11:
+            return  # keeps every scan small
+        counts = count_dilates(P, t_max)
+        fit = ehrhart_fit(counts)
+        for residue, coeffs in enumerate(fit.coeffs_by_class):
+            nodes = range(residue, t_max + 1, period)[:fit.degree + 1]
+            assert coeffs == vandermonde_fit(nodes, [counts.count(t) for t in nodes])
+        seen.add((fit.mode, fit.degree))
+
+    check()
+    assert {("polynomial", 4), ("quasi", 1), ("quasi", 2), ("quasi", 3)} <= seen
 
 
 def test_ehrhart_fit_empty_polytope_is_zero():
@@ -170,6 +209,21 @@ def test_identity_hexagon_all_dilates():
     assert rep.checks[0].lattice_count == 11
 
 
+@pytest.mark.parametrize("m, r, t_max, least", [
+    (1, "1/3,1/3,1/3,1/3", 2, 3),
+    (1, "3,3,3,3,3", 1, 2),
+    (2, "1,1,1,1,1", 2, 3),
+])
+def test_identity_with_no_integral_dilate_is_an_error(m, r, t_max, least):
+    s = SideData.from_weights(m, [Fraction(w) for w in r.split(",")])
+    with pytest.raises(ValueError) as exc:
+        verify_ehrhart_identity(s, t_max)
+    assert str(exc.value) == (
+        f"no dilate t in 1..{t_max} makes t*P and every t*r_i integral; "
+        f"the least such t is {least}")
+    assert [c.dilate for c in verify_ehrhart_identity(s, least).checks] == [least]
+
+
 def test_identity_skips_non_integral_dilates():
     rep = verify_ehrhart_identity(SideData.from_weights(1, (3, 3, 3, 3, 3)), 4)
     assert [c.dilate for c in rep.checks] == [2, 4]
@@ -186,6 +240,7 @@ def test_entry_chart_count_at_scale_equals_multiplicity(m, r, t, expected):
     s = SideData.from_weights(m, r)
     entry = gt_slice(s).entry_chart
     count_lattice_points(entry, 1)  # the cached vertices are built outside the trace
+    _count_dilate.cache_clear()  # so the traced call runs the scan
     tracemalloc.start()
     try:
         assert count_lattice_points(entry, t) == expected

@@ -14,8 +14,8 @@ from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hre
 from weightpoly.exact import (clear_denominators, dot, integer_solutions, primitive_vector,
                               vec, vec_sub)
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
-                                  VPolytope, _affine_hull, _facet_masks, _incidence,
-                                  _joint_primitive, _scan_setup, _vertex_graph,
+                                  VPolytope, _affine_hull, _count_dilate, _facet_masks,
+                                  _incidence, _joint_primitive, _scan_setup, _vertex_graph,
                                   affine_image,
                                   canonical_incidence,
                                   combinatorial_fingerprint, contains,
@@ -221,6 +221,24 @@ def test_count_lattice_points_matches_the_list_and_the_box_oracle():
     assert count_lattice_points(empty_hrep(2), 3) == 0
 
 
+def test_cached_counts_still_reject_a_float_or_bool_dilate():
+    # 2.0 == 2 and True == 1 with equal hashes, so a cache lookup alone would
+    # answer them from the entries of the valid dilates.
+    P = box(2, 0, 2)
+    assert count_lattice_points(P, 2) == 25 and count_lattice_points(P, 1) == 9
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="dilate must be a positive integer"):
+            count_lattice_points(P, bad)
+
+
+def test_each_count_is_scanned_once_per_polytope_and_dilate():
+    P = box(3, -1, 2)
+    _count_dilate.cache_clear()
+    assert [count_lattice_points(P, t) for t in (1, 2, 1, 2)] == [64, 343, 64, 343]
+    info = _count_dilate.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
 def test_hpolytope_hash_is_stored_and_equality_reads_only_the_fields():
     a = HPolytope(2, (((1, 0), 1), ((0, 1), 2), ((1, 0), 3)))  # the duplicate keeps 1
     b = HPolytope(2, ((vec([1, 0]), Fraction(1)), (vec([0, 1]), Fraction(2))))
@@ -261,6 +279,7 @@ def test_scan_setup_is_computed_once_per_polytope_and_rounded_per_dilate():
 def test_one_scan_setup_serves_every_dilate_of_a_sliced_pattern_polytope():
     lam, sums = (4, 3, 2, 1, 0), (2, 5, 7, 9)
     P = gt_hrep(GTSpec(5, lam, sums))
+    _count_dilate.cache_clear()  # so every dilate below runs its scan
     before = _scan_setup.cache_info()
     counts = [count_lattice_points(P, t) for t in range(1, 9)]
     after = _scan_setup.cache_info()
@@ -290,6 +309,7 @@ def test_equality_chart_is_built_once_for_every_dilate(monkeypatch):
 
 def test_count_scan_leaves_no_reference_cycle():
     count_lattice_points(SQUARE, 3)
+    _count_dilate.cache_clear()  # so the measured call runs the scan
     gc.collect()
     gc.disable()
     try:
@@ -719,6 +739,35 @@ def test_counts_survive_an_equality_lift_and_a_unimodular_change_of_basis(P, dat
 def test_fingerprint_survives_a_unimodular_change_of_basis(P, data):
     image = affine_image(P, data.draw(unimodular_maps(P.dim)))
     assert combinatorial_fingerprint(image) == combinatorial_fingerprint(P)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_bounded_polytopes(), st.data())
+def test_fingerprint_survives_a_permutation_of_coordinates(P, data):
+    order = data.draw(st.permutations(range(P.dim)))
+    permuted = HPolytope(P.dim, *(tuple((tuple(a[i] for i in order), b) for a, b in rows)
+                                  for rows in (P.ineqs, P.eqs)))
+    assert combinatorial_fingerprint(permuted) == combinatorial_fingerprint(P)
+
+
+def test_v_to_h_of_h_to_v_is_remove_redundant_on_full_dimensional_input():
+    checked = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_bounded_polytopes())
+    def check(P):
+        if polytope_dim(P) < P.dim:
+            return  # empty or lower-dimensional: only full dimension is claimed
+        round_trip = v_to_h(h_to_v(P))
+        irredundant = remove_redundant(P)
+        assert round_trip.eqs == irredundant.eqs == ()
+        # remove_redundant keeps input rows; v_to_h writes them coprime and sorted.
+        assert round_trip.ineqs == tuple(sorted(_joint_primitive(a, b)
+                                                for a, b in irredundant.ineqs))
+        checked.append(P)
+
+    check()
+    assert len(checked) >= 50
 
 
 @st.composite
