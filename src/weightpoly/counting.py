@@ -28,6 +28,7 @@ from .exact import frac_str, is_int
 from .polytopes import (
     HPolytope,
     _facet_masks,
+    _incidence,
     _scan_setup,
     combinatorial_fingerprint,
     count_lattice_points,
@@ -354,11 +355,9 @@ def verify_duality(s: SideData, t_max: int) -> DualityReport:
     d = dual_side_data(s)
     A = gt_slice(s).entry_chart
     B = gt_slice(d).entry_chart
-    a_verts = h_to_v(A)
-    b_verts = h_to_v(B)
     invariants = [
         DualityInvariant("dimension", polytope_dim(A), polytope_dim(B)),
-        DualityInvariant("vertex_count", len(a_verts.vertices), len(b_verts.vertices)),
+        DualityInvariant("vertex_count", len(_incidence(A)[0]), len(_incidence(B)[0])),
         DualityInvariant("facet_count",
                          len(_facet_masks(A)), len(_facet_masks(B))),
         DualityInvariant("dilate_counts",

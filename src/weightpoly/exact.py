@@ -170,20 +170,34 @@ def clear_denominators(v: Sequence) -> tuple[int, tuple[int, ...]]:
     return t, tuple(c.numerator * (t // c.denominator) for c in v)
 
 
+def _all_int(values: Sequence) -> bool:
+    """Whether every entry is an int (a bool is not); one type scan."""
+    return {*map(type, values)} <= {int}
+
+
 def primitive_vector(v: Sequence) -> tuple[int, ...]:
-    """The primitive integer vector on the same ray (positive scaling only)."""
-    ints = clear_denominators(v)[1]
+    """The primitive integer vector on the same ray (positive scaling only).
+
+    An all-int vector is divided by its gcd directly; denominators are
+    cleared only when some entry is not an int.
+    """
+    ints = v if _all_int(v) else clear_denominators(v)[1]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
+    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
 
 
 def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Integer copies of rows.  Reads an int's or Fraction's numerator and
-    denominator directly; only other entries are parsed by frac."""
+    """Integer copies of rows, by the rule for lattice data: an all-int row
+    is copied after one type scan; otherwise a Fraction is read by its
+    numerator and denominator and other entries are parsed by frac (a float
+    or a bool raises TypeError).  A non-integral entry raises ValueError."""
     out = []
     for row in rows:
+        if _all_int(row):
+            out.append(list(row))
+            continue
         row = [x if type(x) in (int, Fraction) else frac(x) for x in row]
         if any(x.denominator != 1 for x in row):
             raise ValueError("lattice data must be integral")

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -215,11 +216,24 @@ def empty_hrep(dim: int) -> HPolytope:
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 class _InfeasibleEqualitiesError(ValueError):
     """Raised by restrict_to_affine_hull when the equalities have no rational solution."""
+
+
+def _tight_on(masks: Sequence[int], width: int) -> list[int]:
+    """The transposed incidence: for each of width rows, the mask of the
+    items whose mask holds that row, read off the items' set bits."""
+    tight_on = [0] * width
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            tight_on[low.bit_length() - 1] |= bit
+            mask ^= low
+    return tight_on
 
 
 def _is_edge(common: int, tight_on: Sequence[int], pair: int, face: int) -> bool:
@@ -285,22 +299,18 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[
         row = rows[idx]
         bit = 1 << idx
         vals = [_idot(row, r) for r in rays]
-        negative = [(qi, vq) for qi, vq in enumerate(vals) if vq < 0]
+        negative = [(qi, vq, zsets[qi]) for qi, vq in enumerate(vals) if vq < 0]
         if negative:
-            tight_on = [0] * len(rows)
-            for i, z in enumerate(zsets):
-                while z:
-                    low = z & -z
-                    tight_on[low.bit_length() - 1] |= 1 << i
-                    z ^= low
+            tight_on = _tight_on(zsets, len(rows))
             everyone = (1 << len(rays)) - 1
             fresh: list[tuple[int, ...]] = []
             fresh_z: list[int] = []
             for pi, vp in enumerate(vals):
                 if vp <= 0:
                     continue
-                for qi, vq in negative:
-                    common = zsets[pi] & zsets[qi]
+                zp = zsets[pi]
+                for qi, vq, zq in negative:
+                    common = zp & zq
                     if common.bit_count() < need or not _is_edge(
                             common, tight_on, (1 << pi) | (1 << qi), everyone):
                         continue
@@ -447,10 +457,9 @@ def _incidence(P: HPolytope):
             "polytope is unbounded (recession ray); bounded input required")
     scale = lcm(1, *(ray[0] for ray, _ in found))  # sort by vertex, in integers
     found.sort(key=lambda item: tuple(c * (scale // item[0][0]) for c in item[0][1:]))
-    zsets = [zset for _, zset in found]
-    vert_masks = [z & ((1 << len(P.ineqs)) - 1) for z in zsets]
-    row_masks = [sum(1 << v for v, z in enumerate(zsets) if z >> i & 1)
-                 for i in range(len(P.ineqs))]
+    of_ineqs = (1 << len(P.ineqs)) - 1
+    vert_masks = [zset & of_ineqs for _, zset in found]
+    row_masks = _tight_on(vert_masks, len(P.ineqs))
     return (tuple(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray, _ in found),
             vert_masks, row_masks, [(ray[0], ray[1:]) for ray, _ in found])
 
@@ -758,9 +767,9 @@ def _vertex_graph(P: HPolytope):
     need = P.dim - 1 - len(P.eqs)
     everyone = (1 << len(verts)) - 1
     neighbors: list[dict[int, tuple[int, ...]]] = [{} for _ in verts]
-    for i in range(len(verts)):
+    for i, mask in enumerate(vert_masks):
         for j in range(i + 1, len(verts)):
-            common = vert_masks[i] & vert_masks[j]
+            common = mask & vert_masks[j]
             if common.bit_count() < need:
                 continue
             if _is_edge(common, row_masks, (1 << i) | (1 << j), everyone):
@@ -994,14 +1003,15 @@ def combinatorial_fingerprint(P: HPolytope) -> str:
 
     Equal fingerprints iff the face lattices are isomorphic: for polytopes the
     vertex-facet incidences determine the whole face lattice.  The facets
-    and their tight vertices are read off the input rows (_facet_masks).
+    and their tight vertices are read off the input rows (_facet_masks), and
+    the vertices off the same incidence record, with no VPolytope built.
     """
-    V = h_to_v(P)
-    if not V.vertices:
+    n_verts = len(_incidence(P)[0])
+    if not n_verts:
         return "dim=-1;empty"
     dim = polytope_dim(P)
     facet_masks = _facet_masks(P)
     vert_sets = [frozenset(j for j, mask in enumerate(facet_masks) if mask >> k & 1)
-                 for k in range(len(V.vertices))]
+                 for k in range(n_verts)]
     enc = canonical_incidence(len(facet_masks), None, vert_sets)
-    return f"dim={dim};facets={len(facet_masks)};vertices={len(V.vertices)};{enc}"
+    return f"dim={dim};facets={len(facet_masks)};vertices={n_verts};{enc}"

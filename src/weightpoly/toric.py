@@ -7,6 +7,9 @@ simplicial cone whose edge directions span a sublattice of index k >= 2 is
 reported as cyclic_quotient(k): k is that index, and the local group is not
 computed, so it need not be cyclic or of order k (ROADMAP.md, item 2).  Cones
 with more than dim rays are reported as non-simplicial, never refined.
+A Cone takes ray entries by the lattice-data rule of the exact module: ints
+pass as they are, integral rationals convert to ints, and a float, a bool or
+a non-integral rational raises ValueError.
 
 Facets of the m=1 diagonal polytopes are matched against the fixed catalogue
 of supporting hyperplanes x_1 = r_1 +- r_2, x_{i-1} +- x_{i-2} = r_i,
@@ -21,7 +24,8 @@ from fractions import Fraction
 from math import gcd
 
 from .builders import SideData, triangle_inequalities
-from .exact import Vec, clear_denominators, frac_str, lattice_index, primitive_vector, vec
+from .exact import (Vec, _int_rows, clear_denominators, frac_str, lattice_index,
+                    primitive_vector, vec)
 from .polytopes import (
     HPolytope,
     _check_dim,
@@ -35,12 +39,16 @@ from .polytopes import (
 
 @dataclass(frozen=True)
 class Cone:
-    """A cone spanned by primitive, pairwise non-parallel integer rays."""
+    """A cone spanned by primitive, pairwise non-parallel integer rays; ray
+    entries follow the lattice-data rule of exact._int_rows (module docstring)."""
 
     rays: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rays = tuple(tuple(int(c) for c in ray) for ray in self.rays)
+        try:
+            rays = tuple(map(tuple, _int_rows(self.rays)))
+        except TypeError as exc:
+            raise ValueError(f"cone rays must be integer vectors: {exc}") from None
         if any(gcd(*ray) != 1 for ray in rays):
             raise ValueError("cone rays must be primitive integer vectors")
         # A primitive ray is parallel to another only if equal to it or to its negation.

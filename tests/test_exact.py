@@ -81,6 +81,19 @@ def test_primitive_vector_scales_to_coprime_integers():
             primitive_vector(zero)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.integers(-40, 40), st.just(0), st.booleans()), max_size=8))
+def test_primitive_vector_on_ints_matches_the_fraction_route(v):
+    v = tuple(v)
+    if not any(v):
+        with pytest.raises(ValueError):
+            primitive_vector(v)
+        return
+    prim = primitive_vector(v)
+    assert prim == primitive_vector(tuple(map(Fraction, v)))
+    assert all(type(c) is int for c in prim)
+
+
 def test_hnf_rows_triangular_form():
     H = hnf_rows([(2, 4), (1, 1)])
     assert len(H) == 2
@@ -205,6 +218,20 @@ def test_lattice_index_is_the_product_of_the_hermite_pivots(rows):
             lattice_index(rows, dim)
         return
     assert lattice_index(rows, dim) == prod(next(c for c in row if c) for row in hnf_rows(rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(1, 4), st.integers(0, 3)).flatmap(
+    lambda d: integer_matrices(d[0] + d[1], d[0])))
+def test_lattice_index_reads_int_rows_as_their_integral_fractions(rows):
+    dim = len(rows[0])
+    as_fractions = [[Fraction(x) for x in row] for row in rows]
+    if _rank(rows) < dim:
+        for data in (rows, as_fractions):
+            with pytest.raises(ValueError, match="not full rank"):
+                lattice_index(data, dim)
+        return
+    assert lattice_index(rows, dim) == lattice_index(as_fractions, dim)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

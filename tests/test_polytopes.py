@@ -803,6 +803,22 @@ def test_vertex_graph_matches_rank_oracle(P):
     assert sorted(edges) == sorted(brute_force_edges(P))
 
 
+@pytest.mark.parametrize("weights, chart", [
+    ((1,) * 6, "diag"), ((1,) * 7, "diag"), ((1,) * 8, "diag"),
+    ((1,) * 6, "entry"), ((1,) * 7, "entry"),
+    ((1, 2, 2, 3, 3, 4, 4), "diag"), ((1, 2, 2, 3, 3, 4, 4), "entry"),
+], ids=["equal-6-diag", "equal-7-diag", "equal-8-diag", "equal-6-entry",
+        "equal-7-entry", "1223344-diag", "1223344-entry"])
+def test_vertex_graph_matches_the_brute_force_edges_at_degenerate_vertices(weights, chart):
+    s = SideData.from_weights(1, weights)
+    P = polygon_hrep(s) if chart == "diag" else gt_slice(s).entry_chart
+    verts, neighbors = _vertex_graph(P)
+    assert any(len(edges) > P.dim for edges in neighbors)  # some vertex is not simple
+    edges = tuple((verts[i], verts[j]) for i in range(len(verts))
+                  for j in neighbors[i] if i < j)
+    assert sorted(edges) == sorted(brute_force_edges(P))
+
+
 @settings(max_examples=80, deadline=None)
 @given(full_dimensional_polytopes())
 def test_facets_from_incidence_match_the_v_to_h_route(P):

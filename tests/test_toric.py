@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightpoly import polytopes, toric
+from weightpoly import exact, polytopes, toric
 from weightpoly.builders import SideData, polygon_hrep
 from weightpoly.exact import primitive_vector, vec, vec_sub
 from weightpoly.polytopes import HPolytope, VPolytope, h_to_v, remove_redundant, v_to_h
 from weightpoly.toric import (Cone, Fan, _cone_adjacency, facet_labels, fan_fingerprint,
                               fan_to_json_dict, normal_fan, singularity_report)
+from caches import clear_caches
 from oracles import pairwise_cone_adjacency
 
 
@@ -34,6 +35,40 @@ def test_cone_validation():
         with pytest.raises(ValueError):
             Cone(rays=rays)
     assert Cone(rays=((1, 2), (-1, 0), (0, -1))).rays == ((1, 2), (-1, 0), (0, -1))
+
+
+def test_cone_entries_follow_the_lattice_data_rule():
+    # ints pass, integral rationals convert to ints
+    assert Cone(rays=((Fraction(4, 2), 1), (0, Fraction(-1)))).rays == ((2, 1), (0, -1))
+    assert all(type(c) is int for ray in Cone(rays=((Fraction(1), 0), (0, 1))).rays
+               for c in ray)
+    # a non-integral rational, a float or a bool is refused, never truncated
+    for bad in [Fraction(3, 2), "3/2", 1.9, 1.0, True]:
+        with pytest.raises(ValueError):
+            Cone(rays=((bad, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("weights", [("5/2", 3, 4, 5, 6, 7), (4,) * 10],
+                         ids=["half-integral", "equal-weight-10"])
+def test_display_chain_stays_on_the_int_path(monkeypatch, weights):
+    clear_caches()
+    P = polygon_hrep(SideData.from_weights(1, weights))
+    polytopes._incidence(P)
+    rows = [primitive_vector((b,) + tuple(-c for c in a)) for a, b in P.ineqs]
+    rows.append((1,) + (0,) * P.dim)
+    real = exact.clear_denominators
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    for module in (exact, polytopes, toric):
+        monkeypatch.setattr(module, "clear_denominators", counted)
+    polytopes._dd_extreme_rays(rows, P.dim + 1)
+    polytopes._vertex_graph(P)
+    normal_fan(P).singularities
+    assert calls == []
 
 
 def test_fan_layer_makes_only_integer_vectors_primitive(monkeypatch):
