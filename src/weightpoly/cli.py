@@ -5,7 +5,8 @@ result as text or JSON.  No arithmetic happens here.
 
 Exit codes: 0 on success (and on all-pass for the verifying subcommands),
 1 when a verification subcommand finds a failing check, 2 on usage or input
-errors (bad flags, malformed files, infeasible requests).
+errors (bad flags, malformed files, infeasible requests), 141 (128 + SIGPIPE)
+when the reader closes stdout before the output is written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
@@ -301,7 +303,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing more can reach the reader; point stdout at devnull so the
+        # interpreter's final flush does not raise again at shutdown.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (_InputError, ValueError, UnboundedPolytopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

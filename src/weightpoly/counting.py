@@ -10,16 +10,20 @@ scanning on the left side, so agreement is strong evidence for both.
 
 The left side's counts come from polytopes.count_lattice_points, cached per
 (polytope, dilate), so the dilates an Ehrhart fit counted are not scanned
-again when the identity is checked on the same chart.  Fits interpolate
-each residue class by Newton forward differences on its equally spaced
-dilates, with no linear system to solve.
+again when the identity is checked on the same chart.  Both sides sum
+contiguous integer ranges with one subtraction rather than element by
+element: the scan from prefix-sum arrays shared by the states that agree on
+the coordinates the next level reads, the multiplicity's dynamic program
+from one difference array per column and remaining head of rows.  Fits
+interpolate each residue class by Newton forward differences on its equally
+spaced dilates, with no linear system to solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import lcm
 from typing import Sequence
 
@@ -32,7 +36,6 @@ from .polytopes import (
     _scan_setup,
     combinatorial_fingerprint,
     count_lattice_points,
-    h_to_v,
     polytope_dim,
 )
 
@@ -139,8 +142,9 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     degree + 1 dilates, residue + k*period; the interpolant is unique, so
     these are the coefficients any exact solve would give.  The fit must
     reproduce every sample; anything else raises.  Vertices and dimension are
-    read in the chart the count's scan setup kept, whose DD the count ran,
-    with the vertices mapped back through its map f when there are equalities.
+    read in the chart the count's scan setup kept, the vertices straight off
+    the DD record (_incidence) the count's setup made, and mapped back through
+    the chart's map f when there are equalities.
     """
     setup = _scan_setup(c.polytope)
     if setup is None:
@@ -148,7 +152,7 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
         _check_reproduces(fit, c)
         return fit
     *_, chart, f = setup
-    verts = h_to_v(chart).vertices
+    verts = _incidence(chart)[0]
     if f is not None:
         verts = [f.apply(v) for v in verts]
     period = lcm(1, *(x.denominator for v in verts for x in v))
@@ -212,19 +216,6 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _spread(state: tuple[int, ...], w: int) -> list[tuple[int, ...]]:
-    """Every way to take w units off the rows of state, each row keeping a
-    nonnegative remainder, as the sorted remainders (repeats kept)."""
-    partial = [((), w)]
-    room = sum(state)
-    for d in state[:-1]:
-        room -= d
-        partial = [(head + (d - take,), left - take)
-                   for head, left in partial
-                   for take in range(max(0, left - room), min(left, d) + 1)]
-    return [tuple(sorted(head + (state[-1] - left,))) for head, left in partial]
-
-
 def weight_multiplicity(q: MultiplicityQuery) -> int:
     """Multiplicity of the weight r in the gl_n module of highest weight
     (P,...,P,0,...,0) with m+1 copies of P.
@@ -237,6 +228,17 @@ def weight_multiplicity(q: MultiplicityQuery) -> int:
     degrees weighted by its sign, and each column of r is spread over the
     rows in turn (the count ignores column order too).  The multiplicity is
     the coefficient of the all-zero state.
+
+    A column is spread by range sums.  Every state sums to the same total,
+    (m+1)*P less the columns spread so far.  Write a state as (head, y1, y2):
+    once the units the column takes off head are fixed, the remainder u left
+    of y1 runs over one contiguous range, and y2 keeps base - u, base being
+    the total less the new head's sum.  So each such range is one
+    +coeff/-coeff pair in a difference array per sorted new head; once the
+    column is done, each array is prefix-summed and each point u folds back
+    onto the sorted state of (new head, u, base - u).  Per state and column
+    that is (w+1)^(m-1) head spreads, O(1) for m = 1, plus one pass over
+    each array, instead of (w+1)^m spreads.
     """
     size = q.m + 1
     states: dict[tuple[int, ...], int] = {}
@@ -244,13 +246,40 @@ def weight_multiplicity(q: MultiplicityQuery) -> int:
         degrees = tuple(sorted(q.P - i + perm[i] for i in range(size)))
         if degrees[0] >= 0:
             states[degrees] = states.get(degrees, 0) + _perm_sign(perm)
+    row_total = size * q.P
     for w in sorted(q.r, reverse=True):
-        spread: dict[tuple[int, ...], int] = {}
+        row_total -= w
+        ranges: dict[tuple[int, ...], list[int]] = {}
         for state, coeff in states.items():
-            if coeff:
-                for rest in _spread(state, w):
-                    spread[rest] = spread.get(rest, 0) + coeff
-        states = spread
+            if not coeff:
+                continue
+            head, y1, y2 = state[:-2], state[-2], state[-1]
+            partial = [((), w)]
+            room = row_total + w
+            for d in head:
+                room -= d
+                partial = [(kept + (d - take,), left - take)
+                           for kept, left in partial
+                           for take in range(max(0, left - room), min(left, d) + 1)]
+            for kept, left in partial:
+                if len(kept) > 1:
+                    kept = tuple(sorted(kept))
+                diff = ranges.get(kept)
+                if diff is None:
+                    diff = ranges[kept] = [0] * (row_total - sum(kept) + 2)
+                diff[y1 - min(left, y1)] += coeff
+                diff[y1 - max(0, left - y2) + 1] -= coeff
+        states = {}
+        for kept, diff in ranges.items():
+            at = list(accumulate(diff))
+            base = len(diff) - 2
+            for u in range(base // 2 + 1):
+                coeff = at[u] + at[base - u] if 2 * u < base else at[u]
+                if coeff:
+                    state = (*kept, u, base - u)
+                    if kept and kept[-1] > u:  # u <= base - u already
+                        state = tuple(sorted(state))
+                    states[state] = states.get(state, 0) + coeff
     total = states.get((0,) * size, 0)
     if total < 0:
         raise AssertionError("multiplicity must be nonnegative")

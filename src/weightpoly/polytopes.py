@@ -567,12 +567,16 @@ def polytope_dim(P: HPolytope) -> int:
     return P.dim - rank(normals) if normals else P.dim
 
 
+# How _count_from sums the completions of level j + 1 over the range of x_j.
+_TIMES, _LOOP, _SUMS = range(3)
+
+
 @functools.lru_cache(maxsize=512)
 def _scan_setup(P: HPolytope):
     """Everything in the integer scan of P that no dilate changes.
 
-    None when P has no rational point, else (rows_at, box, live, chart, f).
-    Explicit equalities are eliminated through the chart of
+    None when P has no rational point, else (rows_at, box, scale, plan,
+    chart, f).  Explicit equalities are eliminated through the chart of
     restrict_to_affine_hull, whose DD is the only one: infeasible equalities
     and an empty chart give None, and the chart, an affine bijection onto the
     solutions of the equalities, is unbounded exactly when P is.  chart and
@@ -582,9 +586,19 @@ def _scan_setup(P: HPolytope):
     integer points.  In the chart, rows_at[j] holds (c, (p, q), terms) for
     each row c*x_j + sum(a*x_k for k, a in terms) <= p/q whose trailing
     nonzero coordinate is j, with a primitive integer normal; box[j] is the
-    rational (min, max) of the vertices' coordinate j; live[j] is the set of
-    coordinates before j that some row at level j or later reads, None where
-    that is all of them.  An unbounded P raises UnboundedPolytopeError.
+    (min, max) of the vertices' coordinate j times scale, in integers, read
+    off the DD's integer rays.  An unbounded P raises UnboundedPolytopeError.
+
+    The completions of a prefix x[:j] depend only on x[reads_j], reads_j the
+    coordinates before j that some row at level j or later reads.  plan[j] is
+    (keep, how, rest):
+      - keep is reads_j when level j's count is memoised, else None.  A key
+        repeats only below a _TIMES level whose reads shrink by the step; each
+        other level meets every key of the next level once.
+      - how is _TIMES when level j + 1 does not read x_j, so one count times
+        the range's length serves; _SUMS when it reads x_j and rest, its other
+        reads, is smaller than reads_j, so states that agree on x[rest] share
+        one prefix-sum array over x_j; else _LOOP, one count per x_j.
     """
     f = None
     if P.eqs:
@@ -592,7 +606,7 @@ def _scan_setup(P: HPolytope):
             P, f = restrict_to_affine_hull(P)
         except _InfeasibleEqualitiesError:
             return None
-    verts = h_to_v(P).vertices
+    verts, _, _, rays = _incidence(P)
     if not verts:
         return None
     rows_at: list[list] = [[] for _ in range(P.dim)]
@@ -604,39 +618,51 @@ def _scan_setup(P: HPolytope):
         *before, j = [k for k, c in enumerate(coeffs) if c]
         rows_at[j].append((coeffs[j], (rhs.numerator, rhs.denominator),
                            tuple((k, coeffs[k]) for k in before)))
-    live: list[tuple[int, ...] | None] = [None] * P.dim
-    read: set[int] = set()
+    reads: list[tuple[int, ...]] = [()] * (P.dim + 1)
+    seen: set[int] = set()
     for j in range(P.dim - 1, -1, -1):
-        read.update(k for _, _, terms in rows_at[j] for k, _ in terms)
-        frontier = tuple(sorted(k for k in read if k < j))
-        live[j] = frontier if len(frontier) < j else None
-    return rows_at, [(min(col), max(col)) for col in zip(*verts)], live, P, f
+        seen.update(k for _, _, terms in rows_at[j] for k, _ in terms)
+        reads[j] = tuple(sorted(k for k in seen if k < j))
+    plan = []
+    for j in range(P.dim):
+        repeats = j > 0 and plan[-1][1] == _TIMES and len(reads[j]) < len(reads[j - 1])
+        rest = tuple(k for k in reads[j + 1] if k != j)
+        if len(rest) == len(reads[j + 1]):
+            how = _TIMES
+        elif len(rest) < len(reads[j]):
+            how = _SUMS
+        else:
+            how = _LOOP
+        plan.append((reads[j] if repeats else None, how, rest))
+    scale = lcm(*(t for t, _ in rays))
+    cols = zip(*[[c * (scale // t) for c in x] for t, x in rays])
+    return rows_at, [(min(col), max(col)) for col in cols], scale, plan, P, f
 
 
 def _scan_input(P: HPolytope, dilate: int):
     """_scan_setup(P) rounded at this dilate, shared by listing and counting.
 
     None when dilate*P visibly has no integer point, else
-    (rows_at, lo, hi, live, f), with each rhs floored (the left side is an
-    integer), [lo, hi] the integer vertex box and f the setup's chart map.
+    (rows_at, lo, hi, plan, f), with each rhs floored (the left side is an
+    integer), [lo, hi] the integer vertex box and plan and f the setup's.
     """
     if not is_int(dilate) or dilate < 1:
         raise ValueError("dilate must be a positive integer")
     setup = _scan_setup(P)
     if setup is None:
         return None
-    rows, box, live, _, f = setup
+    rows, box, scale, plan, _, f = setup
     if f is not None and any((dilate * c).denominator != 1 for c in f.offset):
         return None
     rows_at = [[(c, dilate * p // q, terms) for c, (p, q), terms in level]
                for level in rows]
     lo, hi = [], []
     for low, high in box:
-        lo.append(ceil_div(dilate * low.numerator, low.denominator))
-        hi.append(dilate * high.numerator // high.denominator)
+        lo.append(ceil_div(dilate * low, scale))
+        hi.append(dilate * high // scale)
         if lo[-1] > hi[-1]:
             return None
-    return rows_at, lo, hi, live, f
+    return rows_at, lo, hi, plan, f
 
 
 def _narrow(rows: list, x: list[int], lo_j: int, hi_j: int) -> tuple[int, int]:
@@ -646,9 +672,13 @@ def _narrow(rows: list, x: list[int], lo_j: int, hi_j: int) -> tuple[int, int]:
         for k, a in terms:
             s -= a * x[k]
         if c > 0:
-            hi_j = min(hi_j, s // c)
+            bound = s // c
+            if bound < hi_j:
+                hi_j = bound
         else:
-            lo_j = max(lo_j, ceil_div(-s, -c))
+            bound = -(-s // c)  # the ceiling of s / c
+            if bound > lo_j:
+                lo_j = bound
         if lo_j > hi_j:
             break
     return lo_j, hi_j
@@ -667,29 +697,52 @@ def _list_from(j: int, rows_at: list, lo: list[int], hi: list[int],
         _list_from(j + 1, rows_at, lo, hi, x, out)
 
 
-def _count_from(j: int, rows_at: list, lo: list[int], hi: list[int],
-                live: list[tuple[int, ...] | None], x: list[int], memo: dict) -> int:
+def _count_from(j: int, rows_at: list, lo: list[int], hi: list[int], plan: list,
+                x: list[int], memo: dict, sums: dict) -> int:
     """Number of integer points with prefix x[:j].
 
-    That number depends only on j and the coordinates live[j], so it is
-    memoised under them; live[j] is None where it would be all of x[:j],
-    since such a key never repeats.
+    The sum over the range [lo_j, hi_j] of x_j of the next level's counts
+    goes as plan[j] says (_scan_setup): one count times the range's length
+    (_TIMES), one count per x_j (_LOOP), or one subtraction in the prefix-sum
+    array sums[(j, *x[rest])] (_SUMS), which is grown lazily at either end to
+    the span of the ranges asked of it so far, inside the box.  Memoised
+    under the coordinates keep, where plan[j] keeps any.
     """
-    key = None
-    if live[j] is not None:
-        key = (j, *[x[k] for k in live[j]])
+    keep, how, rest = plan[j]
+    if keep is not None:
+        key = (j, *[x[k] for k in keep])
         total = memo.get(key)
         if total is not None:
             return total
     lo_j, hi_j = _narrow(rows_at[j], x, lo[j], hi[j])
-    if j == len(lo) - 1:
-        total = max(0, hi_j - lo_j + 1)
-    else:
+    if lo_j > hi_j:
+        total = 0
+    elif j == len(lo) - 1:
+        total = hi_j - lo_j + 1
+    elif how == _TIMES:
+        x[j] = lo_j
+        total = (hi_j - lo_j + 1) * _count_from(j + 1, rows_at, lo, hi, plan, x, memo, sums)
+    elif how == _LOOP:
         total = 0
         for xj in range(lo_j, hi_j + 1):
             x[j] = xj
-            total += _count_from(j + 1, rows_at, lo, hi, live, x, memo)
-    if key is not None:
+            total += _count_from(j + 1, rows_at, lo, hi, plan, x, memo, sums)
+    else:
+        at = (j, *[x[k] for k in rest])
+        start, prefix = sums.get(at, (lo_j, [0]))
+        if lo_j < start:
+            below = [0]
+            for xj in range(lo_j, start):
+                x[j] = xj
+                below.append(below[-1] + _count_from(j + 1, rows_at, lo, hi, plan, x, memo, sums))
+            prefix = below + [below[-1] + c for c in prefix[1:]]
+            start = lo_j
+        for xj in range(start + len(prefix) - 1, hi_j + 1):
+            x[j] = xj
+            prefix.append(prefix[-1] + _count_from(j + 1, rows_at, lo, hi, plan, x, memo, sums))
+        sums[at] = start, prefix
+        total = prefix[hi_j - start + 1] - prefix[lo_j - start]
+    if keep is not None:
         memo[key] = total
     return total
 
@@ -721,10 +774,13 @@ def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
 def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
     """len(lattice_points(P, dilate)), without listing the points.
 
-    The depth-first scan of lattice_points, memoised: the number of
-    completions from level j depends only on x[live[j]] (_scan_setup).  For
-    interlacing rows the live set is about one pattern row, so the work grows
-    with the number of such frontier states, not with the number of points.
+    The depth-first scan of lattice_points, on range sums: the number of
+    completions from level j depends only on the coordinates before j that
+    rows at level j or later read (_scan_setup), so a level whose next level
+    reads fewer of them sums that level's counts over the range of x_j from a
+    shared prefix-sum array (_count_from).  For interlacing rows these reads
+    are about one pattern row, so the work grows with the number of such
+    frontier states, not with the number of points.
     Each count is cached per (P, dilate), so count_dilates and
     verify_ehrhart_identity on one chart share one scan per dilate; dilate is
     validated before the lookup, since 2.0 and True hash as 2 and 1 do.
@@ -740,10 +796,10 @@ def _count_dilate(P: HPolytope, dilate: int) -> int:
     scan = _scan_input(P, dilate)
     if scan is None:
         return 0
-    rows_at, lo, hi, live, _ = scan
+    rows_at, lo, hi, plan, _ = scan
     if not lo:
         return 1
-    return _count_from(0, rows_at, lo, hi, live, [0] * len(lo), {})
+    return _count_from(0, rows_at, lo, hi, plan, [0] * len(lo), {}, {})
 
 
 @functools.lru_cache(maxsize=512)

@@ -387,6 +387,61 @@ def _columns(total, caps):
             yield (c,) + rest
 
 
+# The multiplicity DP as it stood before its column step became range sums
+# over difference arrays, kept word for word (only the name changed) as the
+# oracle the range-sum DP must reproduce.
+
+def _perm_sign(perm: tuple[int, ...]) -> int:
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def _spread(state: tuple[int, ...], w: int) -> list[tuple[int, ...]]:
+    """Every way to take w units off the rows of state, each row keeping a
+    nonnegative remainder, as the sorted remainders (repeats kept)."""
+    partial = [((), w)]
+    room = sum(state)
+    for d in state[:-1]:
+        room -= d
+        partial = [(head + (d - take,), left - take)
+                   for head, left in partial
+                   for take in range(max(0, left - room), min(left, d) + 1)]
+    return [tuple(sorted(head + (state[-1] - left,))) for head, left in partial]
+
+
+def spread_weight_multiplicity(q) -> int:
+    """Multiplicity of the weight r in the gl_n module of highest weight
+    (P,...,P,0,...,0) with m+1 copies of P.
+
+    Jacobi-Trudi: the Schur function is det(h_{P-i+j}), 1 <= i,j <= m+1.
+    The x^r coefficient of a product of h_d counts nonnegative integer
+    matrices with row sums d and column sums r, so one signed dynamic program
+    covers the whole determinant: each state is the sorted row sums still
+    missing (the count ignores row order), starting from every permutation's
+    degrees weighted by its sign, and each column of r is spread over the
+    rows in turn (the count ignores column order too).  The multiplicity is
+    the coefficient of the all-zero state.
+    """
+    size = q.m + 1
+    states: dict[tuple[int, ...], int] = {}
+    for perm in permutations(range(size)):
+        degrees = tuple(sorted(q.P - i + perm[i] for i in range(size)))
+        if degrees[0] >= 0:
+            states[degrees] = states.get(degrees, 0) + _perm_sign(perm)
+    for w in sorted(q.r, reverse=True):
+        spread: dict[tuple[int, ...], int] = {}
+        for state, coeff in states.items():
+            if coeff:
+                for rest in _spread(state, w):
+                    spread[rest] = spread.get(rest, 0) + coeff
+        states = spread
+    total = states.get((0,) * size, 0)
+    if total < 0:
+        raise AssertionError("multiplicity must be nonnegative")
+    return total
+
+
 def vandermonde_fit(nodes, values):
     """Ascending coefficients of the polynomial of degree < len(nodes) through
     (nodes[k], values[k]): the Vandermonde system rows (1, t, t^2, ...) = value,

@@ -131,6 +131,22 @@ def test_python_dash_m_runs_the_command_line():
     assert (done.returncode, done.stdout, done.stderr) == (0, "4\n", "")
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_traceback():
+    # About 1.8 MB of JSON: far more than a pipe holds, so the writer is still
+    # writing when the reader goes away.
+    src = os.path.dirname(os.path.dirname(polytopes.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "weightpoly", "fan", "--m", "1",
+            "--r", ",".join(["1", "2"] * 6), "--format", "json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""  # no traceback, no "Exception ignored" at shutdown
+
+
 def test_dual_pass_and_fail_exit_codes(capsys):
     code, out, _ = run(capsys, ["dual"] + HEXAGON)
     assert code == 0

@@ -16,9 +16,10 @@ from weightpoly.counting import (DilateCounts, MultiplicityQuery, _interpolate,
 from weightpoly.exact import vec
 from weightpoly.polytopes import (HPolytope, _count_dilate, count_lattice_points,
                                   empty_hrep, h_to_v)
+from caches import clear_caches
 from oracles import (pattern_multiplicity, per_permutation_multiplicity,
                      polygon_area, random_admissible_r, random_box_with_cuts,
-                     vandermonde_fit)
+                     spread_weight_multiplicity, vandermonde_fit)
 
 
 def box2():
@@ -125,6 +126,16 @@ def test_ehrhart_fit_matches_the_vandermonde_solve_on_random_polytopes():
     assert {("polynomial", 4), ("quasi", 1), ("quasi", 2), ("quasi", 3)} <= seen
 
 
+def test_count_and_fit_read_vertices_off_the_dd_record_not_h_to_v():
+    clear_caches()
+    before = h_to_v.cache_info()
+    s = SideData.from_weights(1, (3, 3, 3, 3, 3))  # P = 15/2: half-integral vertices
+    fit = ehrhart_fit(count_dilates(gt_slice(s).entry_chart, 5))
+    assert (fit.mode, fit.period, fit.degree) == ("quasi", 2, 2)
+    after = h_to_v.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_ehrhart_fit_empty_polytope_is_zero():
     fit = ehrhart_fit(count_dilates(empty_hrep(2), 3))
     assert fit.evaluate(5) == 0
@@ -149,11 +160,11 @@ def test_multiplicity_matches_pattern_oracle():
 
 
 @st.composite
-def multiplicity_queries(draw):
+def multiplicity_queries(draw, max_m=3, max_n_over_m=4, max_P=lambda m: 4 if m < 3 else 2):
     """(m, n, P, r) with r any composition of (m+1)*P into n parts, zeros allowed."""
-    m = draw(st.integers(1, 3))
-    n = draw(st.integers(m + 2, m + 4))
-    P = draw(st.integers(0, 4 if m < 3 else 2))
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(m + 2, m + max_n_over_m))
+    P = draw(st.integers(0, max_P(m)))
     cuts = sorted(draw(st.lists(st.integers(0, (m + 1) * P), min_size=n - 1, max_size=n - 1)))
     bounds = [0] + cuts + [(m + 1) * P]
     return m, n, P, tuple(b - a for a, b in zip(bounds, bounds[1:]))
@@ -168,6 +179,22 @@ def test_multiplicity_dp_matches_the_per_permutation_expansion(query):
     m, n, P, r = query
     assert weight_multiplicity(MultiplicityQuery(m, n, P, r)) == \
         per_permutation_multiplicity(m, n, P, r)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(multiplicity_queries(max_m=4, max_n_over_m=6, max_P=lambda m: 8))
+@example((1, 3, 0, (0, 0, 0)))
+@example((4, 10, 8, (0, 0, 8, 8, 8, 8, 8, 0, 0, 0)))
+@example((4, 6, 8, (8, 8, 8, 8, 8, 0)))
+def test_range_sum_dp_matches_the_spread_dp(query):
+    q = MultiplicityQuery(*query)
+    assert weight_multiplicity(q) == spread_weight_multiplicity(q)
+
+
+def test_range_sum_dp_at_a_large_m1_dilate():
+    # mult --m 1 --r 1,2,...,13,9 --dilate 6: a column step costs O(1) per state.
+    q = MultiplicityQuery.from_side(SideData.from_weights(1, (*range(1, 14), 9)), 6)
+    assert weight_multiplicity(q) == 9144312037300852
 
 
 @pytest.mark.parametrize("r, t, expected", [

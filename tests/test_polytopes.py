@@ -221,6 +221,39 @@ def test_count_lattice_points_matches_the_list_and_the_box_oracle():
     assert count_lattice_points(empty_hrep(2), 3) == 0
 
 
+def _counting_scan_calls(monkeypatch):
+    """Patch polytopes._count_from to count its calls, recursive ones too."""
+    calls = []
+    scan = polytopes._count_from
+
+    def counted(*args):
+        calls.append(args[0])
+        return scan(*args)
+
+    monkeypatch.setattr(polytopes, "_count_from", counted)
+    _count_dilate.cache_clear()  # so every count below runs its scan
+    return calls
+
+
+def test_a_prefix_array_grows_downward_and_serves_every_later_range(monkeypatch):
+    # x0 + x1 >= 2 and x2 <= x1 in the box [0, 2]^3: level 2 reads x1 alone,
+    # so level 1 sums it from one shared array, asked [2, 2], then [1, 2], then
+    # [0, 2], growing downward twice.  Each x1 is counted once: 1 + 3 + 3 calls,
+    # against 1 + 3 + 6 for one call per x1 of each range.
+    P = HPolytope(3, _rows([((-1, -1, 0), -2), ((0, -1, 1), 0)]) + box(3, 0, 2).ineqs)
+    calls = _counting_scan_calls(monkeypatch)
+    assert count_lattice_points(P) == len(brute_force_lattice_points(P)) == 14
+    assert calls == [0, 1, 2, 1, 2, 1, 2]
+
+
+def test_range_sums_cut_the_scan_calls_on_an_m1_entry_chart(monkeypatch):
+    # One prefix array per level; memoising on the read coordinates alone took 860 calls.
+    P = gt_slice(SideData.from_weights(1, (1, 2) * 4)).entry_chart
+    calls = _counting_scan_calls(monkeypatch)
+    assert count_lattice_points(P, 11) == 303612
+    assert len(calls) < 215
+
+
 def test_cached_counts_still_reject_a_float_or_bool_dilate():
     # 2.0 == 2 and True == 1 with equal hashes, so a cache lookup alone would
     # answer them from the entries of the valid dilates.
@@ -715,6 +748,50 @@ def unimodular_maps(draw, d):
         M[i] = [-x for x in M[i]] if i == j else [x + k * y for x, y in zip(M[i], M[j])]
     offset = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
     return AffineMap(d, d, tuple(map(vec, M)), vec(offset))
+
+
+@st.composite
+def banded_polytopes(draw):
+    """A box of sides 1 or 2 in dimension 3 or 4 with one to four cuts, each reading
+    coordinates j-1 and j (sometimes j-2 too) and keeping the box centre
+    strictly inside, like interlacing rows: their scans read few coordinates
+    per level, so levels share prefix-sum arrays."""
+    d = draw(st.integers(3, 4))
+    rows = []
+    for i in range(d):
+        lo = draw(st.integers(-2, 1))
+        e = tuple(int(k == i) for k in range(d))
+        rows += [(e, lo + draw(st.integers(1, 2))), (tuple(-c for c in e), -lo)]
+    centre = [Fraction(hi - minus_lo, 2)
+              for (_, hi), (_, minus_lo) in zip(rows[0::2], rows[1::2])]
+    coeff = st.integers(-3, 3).filter(bool)
+    for _ in range(draw(st.integers(1, 4))):
+        j = draw(st.integers(1, d - 1))
+        picked = {j, j - 1} | ({j - 2} if j > 1 and draw(st.booleans()) else set())
+        a = tuple(draw(coeff) if k in picked else 0 for k in range(d))
+        at_centre = sum(x * y for x, y in zip(a, centre))
+        rows.append((a, math.floor(at_centre) + 1 + draw(st.integers(0, 3))))
+    return HPolytope(dim=d, ineqs=tuple(rows), eqs=())
+
+
+def test_range_sum_count_matches_the_box_oracle():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(small_bounded_polytopes(), banded_polytopes(),
+                     st.randoms(use_true_random=False).map(
+                         lambda rng: random_box_with_equalities(rng, HPolytope))),
+           st.integers(1, 3))
+    def check(P, t):
+        assert count_lattice_points(P, t) == len(brute_force_lattice_points(P, t))
+        setup = _scan_setup(P)
+        if setup is not None:
+            plan = setup[3]
+            seen.update(how for _, how, _ in plan[:-1])
+            seen.update("keep" for keep, _, _ in plan if keep is not None)
+
+    check()
+    assert seen == {polytopes._TIMES, polytopes._LOOP, polytopes._SUMS, "keep"}
 
 
 @settings(max_examples=40, deadline=None)
