@@ -432,8 +432,9 @@ def _incidence(P: HPolytope):
     P.ineqs are tight at which of them, from one double description pass.
 
     Returns (vertices sorted as VPolytope sorts them, rows tight at each
-    vertex, vertices tight on each row, each vertex's primitive ray (t, x)
-    with x = t * vertex).  The DD gets the primitive rows (b, -a) of the cone
+    vertex, vertices tight on each row, (scale, ints)), where scale is the
+    least common denominator of the vertices and ints[i] = scale * vertex i,
+    in integers.  The DD gets the primitive rows (b, -a) of the cone
     over P in input order: row i from P.ineqs[i], then t >= 0, then both
     halves of each equality; scaled duplicates stay, each its own row.  So
     the DD's zero sets are the incidence, cut to the bits of P.ineqs.
@@ -455,13 +456,14 @@ def _incidence(P: HPolytope):
     if found and len(found) < len(rays):
         raise UnboundedPolytopeError(
             "polytope is unbounded (recession ray); bounded input required")
-    scale = lcm(1, *(ray[0] for ray, _ in found))  # sort by vertex, in integers
-    found.sort(key=lambda item: tuple(c * (scale // item[0][0]) for c in item[0][1:]))
+    scale = lcm(1, *(ray[0] for ray, _ in found))
+    ints = [tuple(c * (scale // ray[0]) for c in ray[1:]) for ray, _ in found]
+    order = sorted(range(len(found)), key=ints.__getitem__)  # sort by vertex
     of_ineqs = (1 << len(P.ineqs)) - 1
-    vert_masks = [zset & of_ineqs for _, zset in found]
+    vert_masks = [found[i][1] & of_ineqs for i in order]
     row_masks = _tight_on(vert_masks, len(P.ineqs))
-    return (tuple(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray, _ in found),
-            vert_masks, row_masks, [(ray[0], ray[1:]) for ray, _ in found])
+    return (tuple(tuple(Fraction(c, scale) for c in ints[i]) for i in order),
+            vert_masks, row_masks, (scale, [ints[i] for i in order]))
 
 
 def _facet_rows(row_masks: Sequence[int], n_verts: int) -> tuple[tuple[int, int], ...]:
@@ -586,8 +588,9 @@ def _scan_setup(P: HPolytope):
     integer points.  In the chart, rows_at[j] holds (c, (p, q), terms) for
     each row c*x_j + sum(a*x_k for k, a in terms) <= p/q whose trailing
     nonzero coordinate is j, with a primitive integer normal; box[j] is the
-    (min, max) of the vertices' coordinate j times scale, in integers, read
-    off the DD's integer rays.  An unbounded P raises UnboundedPolytopeError.
+    (min, max) of the vertices' coordinate j times scale, their common
+    denominator, in integers, as _incidence gives them.  An unbounded P
+    raises UnboundedPolytopeError.
 
     The completions of a prefix x[:j] depend only on x[reads_j], reads_j the
     coordinates before j that some row at level j or later reads.  plan[j] is
@@ -606,7 +609,7 @@ def _scan_setup(P: HPolytope):
             P, f = restrict_to_affine_hull(P)
         except _InfeasibleEqualitiesError:
             return None
-    verts, _, _, rays = _incidence(P)
+    verts, _, _, (scale, scaled) = _incidence(P)
     if not verts:
         return None
     rows_at: list[list] = [[] for _ in range(P.dim)]
@@ -634,9 +637,7 @@ def _scan_setup(P: HPolytope):
         else:
             how = _LOOP
         plan.append((reads[j] if repeats else None, how, rest))
-    scale = lcm(*(t for t, _ in rays))
-    cols = zip(*[[c * (scale // t) for c in x] for t, x in rays])
-    return rows_at, [(min(col), max(col)) for col in cols], scale, plan, P, f
+    return rows_at, [(min(col), max(col)) for col in zip(*scaled)], scale, plan, P, f
 
 
 def _scan_input(P: HPolytope, dilate: int):
@@ -816,10 +817,10 @@ def _vertex_graph(P: HPolytope):
     system is irredundant or full-dimensional, or carries implicit
     equalities, and needs no elimination.  A pair with fewer than
     dim - 1 - len(eqs) common tight rows cannot reach that rank and is skipped.
-    With vertices cleared to (t, x), the direction of an edge is
-    primitive_vector(t_i * x_j - t_j * x_i), found once in integers.
+    With the vertices scaled to integers by their common denominator, the
+    direction of an edge is primitive_vector(ints_j - ints_i).
     """
-    verts, vert_masks, row_masks, cleared = _incidence(P)
+    verts, vert_masks, row_masks, (_, ints) = _incidence(P)
     need = P.dim - 1 - len(P.eqs)
     everyone = (1 << len(verts)) - 1
     neighbors: list[dict[int, tuple[int, ...]]] = [{} for _ in verts]
@@ -829,8 +830,7 @@ def _vertex_graph(P: HPolytope):
             if common.bit_count() < need:
                 continue
             if _is_edge(common, row_masks, (1 << i) | (1 << j), everyone):
-                (ti, xi), (tj, xj) = cleared[i], cleared[j]
-                direction = primitive_vector(tuple(ti * b - tj * a for a, b in zip(xi, xj)))
+                direction = primitive_vector(tuple(b - a for a, b in zip(ints[i], ints[j])))
                 neighbors[i][j] = direction
                 neighbors[j][i] = tuple(-c for c in direction)
     return verts, neighbors

@@ -971,10 +971,11 @@ def test_remove_redundant_matches_the_v_to_h_route():
                  st.randoms(use_true_random=False).map(
                      lambda rng: random_box_with_equalities(rng, HPolytope))))
 def test_incidence_is_the_tightness_oracle_and_its_rays_clear_the_vertices(P):
-    verts, vert_masks, row_masks, rays = _incidence(P)
+    verts, vert_masks, row_masks, (scale, ints) = _incidence(P)
     assert (verts, vert_masks, row_masks) == tightness_incidence(P)
     assert verts == h_to_v(P).vertices
-    assert rays == [clear_denominators(v) for v in verts]
+    assert scale == math.lcm(1, *(clear_denominators(v)[0] for v in verts))
+    assert ints == [tuple(scale * c for c in v) for v in verts]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -985,12 +986,12 @@ def test_row_order_permutes_the_incidence_and_changes_nothing_else(P, data):
     # Rows reach the DD in input order; reordering P.ineqs must only relabel them.
     order = data.draw(st.permutations(range(len(P.ineqs))))
     Q = HPolytope(P.dim, tuple(P.ineqs[i] for i in order), P.eqs)
-    verts, vert_masks, row_masks, rays = _incidence(P)
+    verts, vert_masks, row_masks, cleared = _incidence(P)
     assert _incidence(Q) == (
         verts,
         [sum(1 << k for k, i in enumerate(order) if mask >> i & 1) for mask in vert_masks],
         [row_masks[i] for i in order],
-        rays)
+        cleared)
     assert _vertex_graph(Q) == _vertex_graph(P)
 
 

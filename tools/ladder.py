@@ -1,27 +1,25 @@
 """Time the counting ladder: lattice counts and weight multiplicities at
 fixed sizes, each row from cold caches.
 
-    python3 tools/ladder.py [--out BENCH.json] [--repeats 3] [--timeout 60]
+    python3 tools/ladder.py [--out BENCH.json]
 
-Each row runs --repeats times.  Before each run every cache of the weightpoly
+Each row runs REPEATS times.  Before each run every cache of the weightpoly
 modules is emptied and the row's input is prepared untimed: a count row
 builds its polytope and the polytope's scan setup (its double description),
 so the timed part is the lattice scans alone; a multiplicity row builds its
 query.  A row records the median and every run's wall time in ms, the
 tracemalloc peak of one more run, and the values it computed, so two
-checkouts' files can be compared value for value.  A run longer than
---timeout seconds ends the row, which is recorded as a timeout (never
-dropped).  Standard library only; weightpoly is imported from the src/
-directory next to this script.
+checkouts' files can be compared value for value.  A run whose timed part
+takes longer than TIMEOUT_S seconds ends the row, which is recorded as a
+timeout (never dropped).  Standard library only; weightpoly and the cache
+helper tests/caches.py are imported from this checkout's src/ and tests/.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
-import pkgutil
 import platform
 import signal
 import statistics
@@ -30,9 +28,9 @@ import time
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-import weightpoly  # noqa: E402
+from caches import clear_caches  # noqa: E402
 from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice  # noqa: E402
 from weightpoly.counting import MultiplicityQuery, weight_multiplicity  # noqa: E402
 from weightpoly.polytopes import _scan_setup, count_lattice_points  # noqa: E402
@@ -55,6 +53,8 @@ def _mult(m, r, t):
             lambda q: [weight_multiplicity(q)])
 
 
+REPEATS = 3
+TIMEOUT_S = 60
 POLYGON = tuple(range(1, 10)) + (11,)
 
 # name: (prepare, run); run(prepare()) is timed and returns the row's values.
@@ -85,30 +85,21 @@ def _alarm(signum, frame):
     raise _Timeout
 
 
-def clear_caches() -> None:
-    """Empty every functools cache bound in a weightpoly module."""
-    for info in pkgutil.iter_modules(weightpoly.__path__):
-        module = importlib.import_module(f"weightpoly.{info.name}")
-        for value in vars(module).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
-
-
-def time_row(prepare, run, repeats: int, timeout: int) -> dict:
+def time_row(prepare, run) -> dict:
     """The row's record: median and runs in ms, tracemalloc peak, values."""
     runs, values = [], None
     signal.signal(signal.SIGALRM, _alarm)
     try:
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             clear_caches()
-            signal.alarm(timeout)
             data = prepare()
+            signal.alarm(TIMEOUT_S)
             start = time.perf_counter()
             values = run(data)
             runs.append((time.perf_counter() - start) * 1000)
             signal.alarm(0)
     except _Timeout:
-        return {"timeout_s": timeout}
+        return {"timeout_s": TIMEOUT_S}
     finally:
         signal.alarm(0)
     clear_caches()
@@ -126,19 +117,17 @@ def time_row(prepare, run, repeats: int, timeout: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the JSON here instead of stdout")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--timeout", type=int, default=60, help="seconds per run")
     args = parser.parse_args(argv)
     rows = []
     for name, (prepare, run) in ROWS.items():
-        record = {"row": name, **time_row(prepare, run, args.repeats, args.timeout)}
+        record = {"row": name, **time_row(prepare, run)}
         rows.append(record)
         print(json.dumps(record), file=sys.stderr)
     text = json.dumps({"python": platform.python_version(),
                        "machine": platform.machine(),
                        "cpus": os.cpu_count(),
-                       "repeats": args.repeats,
-                       "timeout_s": args.timeout,
+                       "repeats": REPEATS,
+                       "timeout_s": TIMEOUT_S,
                        "rows": rows}, indent=1) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
