@@ -5,7 +5,7 @@ its primitive inward edge directions.  The toric variety this fan describes is
 smooth at a vertex exactly when those directions form a lattice basis.  A
 simplicial cone whose edge directions span a sublattice of index k >= 2 is
 reported as cyclic_quotient(k): k is that index, and the local group is not
-computed, so it need not be cyclic or of order k (ROADMAP.md, item 2).  Cones
+computed, so it need not be cyclic or of order k (ROADMAP.md, item 3).  Cones
 with more than dim rays are reported as non-simplicial, never refined.
 A Cone takes ray entries by the lattice-data rule of the exact module: ints
 pass as they are, integral rationals convert to ints, and a float, a bool or
@@ -24,12 +24,10 @@ from fractions import Fraction
 from math import gcd
 
 from .builders import SideData, triangle_inequalities
-from .exact import (Vec, _int_rows, clear_denominators, frac_str, lattice_index,
-                    primitive_vector, vec)
+from .exact import Vec, _int_rows, frac_str, lattice_index, vec
 from .polytopes import (
     HPolytope,
     _check_dim,
-    _idot,
     _joint_primitive,
     _vertex_graph,
     canonical_incidence,
@@ -59,10 +57,11 @@ class Cone:
 
 @dataclass(frozen=True)
 class Fan:
-    """One maximal cone per vertex of the source polytope, tagged with it."""
+    """One cone per vertex of the source polytope, tagged with it; its edges as pairs i < j."""
 
     ambient_dim: int
     maximal_cones: tuple[tuple[Vec, Cone], ...]
+    edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         _check_dim(self.ambient_dim)
@@ -73,7 +72,13 @@ class Fan:
             for ray in c.rays:
                 if len(ray) != self.ambient_dim:
                     raise ValueError("cone ray has wrong dimension")
+        edges = tuple(self.edges)
+        for last, e in zip(((),) + edges, edges):  # one pass; a bool is not an int
+            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                    and 0 <= e[0] < e[1] < len(cones) and last < e):
+                raise ValueError(f"fan edge {e!r} is not a cone-index pair i < j after {last!r}")
         object.__setattr__(self, "maximal_cones", cones)
+        object.__setattr__(self, "edges", edges)
 
     @functools.cached_property
     def singularities(self) -> SingularityReport:
@@ -151,8 +156,8 @@ def normal_fan(P: HPolytope) -> Fan:
     """The fan of vertex tangent cones (primitive inward edge directions).
 
     Requires a bounded, full-dimensional polytope; cones are ordered by vertex
-    and there is exactly one per vertex.  The rays are the edge directions
-    _vertex_graph already holds in primitive integer form.  Cached per
+    and there is exactly one per vertex.  Rays and edges are those _vertex_graph
+    already holds, the rays as primitive integer edge directions.  Cached per
     polytope, so each fan, and with it its singularity report, is built once.
     """
     dim = polytope_dim(P)
@@ -167,7 +172,8 @@ def normal_fan(P: HPolytope) -> Fan:
         if len(rays) < P.dim:
             raise AssertionError("vertex with fewer edges than the dimension")
         cones.append((v, Cone(rays)))
-    return Fan(P.dim, tuple(cones))
+    edges = tuple((i, j) for i, nb in enumerate(neighbors) for j in sorted(nb) if i < j)
+    return Fan(P.dim, tuple(cones), edges)
 
 
 def singularity_report(F: Fan) -> SingularityReport:
@@ -205,47 +211,20 @@ def facet_labels(s: SideData, P: HPolytope) -> list[FacetLabel]:
     return labels
 
 
-def _cone_adjacency(F: Fan) -> list[frozenset[int]]:
-    """Pairs of maximal cones whose vertices form an edge of the polytope.
-
-    Cones i and j pair when the direction from v_i to v_j is a ray of cone i
-    and its negation a ray of cone j.  Both (cone, ray) members then span one
-    line, so each is bucketed by its line: the sign-normalised ray rho and the
-    vertex's foot point v - (v.rho / rho.rho) rho, kept homogeneous as a
-    primitive integer vector.  Along the line, a member on +rho pairs with
-    each member on -rho that lies further along it.
-    """
-    lines: dict[tuple, list[tuple[Fraction, int, int]]] = {}
-    for i, (v, cone) in enumerate(F.maximal_cones):
-        t, x = clear_denominators(v)
-        for ray in cone.rays:
-            sign = 1 if next(c for c in ray if c) > 0 else -1
-            rho = tuple(sign * c for c in ray)
-            norm, at = _idot(rho, rho), _idot(x, rho)
-            foot = primitive_vector((t * norm, *(norm * a - at * r for a, r in zip(x, rho))))
-            lines.setdefault((rho, foot), []).append((Fraction(at, t), sign, i))
-    edges = set()
-    for members in lines.values():
-        for at, sign, i in members:
-            if sign > 0:
-                edges.update((min(i, j), max(i, j)) for ahead, s, j in members
-                             if s < 0 and ahead > at)
-    return [frozenset(e) for e in sorted(edges)]
-
-
 def fan_fingerprint(F: Fan) -> str:
     """Canonical encoding of the fan's combinatorics.
 
     Cones are labeled by (ray count, lattice index, simplicial or not) and the
-    cone-adjacency graph is canonicalized; equal fingerprints are necessary
-    for the fans to define the same toric variety, not sufficient (the rays'
-    exact positions are deliberately forgotten beyond the index).
+    graph of F.edges, connected for a polytope, is canonicalized (several cones
+    without edges raise ValueError); equal fingerprints are necessary for the
+    fans to define the same toric variety, not sufficient (rays enter only by index).
     """
+    if len(F.maximal_cones) > 1 and not F.edges:
+        raise ValueError("fan of several cones has no edges")
     report = F.singularities
     labels = [(len(c.rays), e.index, e.kind != "non_simplicial")
               for (_, c), e in zip(F.maximal_cones, report.entries)]
-    edges = _cone_adjacency(F)
-    enc = canonical_incidence(len(labels), labels, edges)
+    enc = canonical_incidence(len(labels), labels, [frozenset(e) for e in F.edges])
     return f"ambient={F.ambient_dim};cones={len(labels)};{enc}"
 
 

@@ -29,7 +29,7 @@ from caches import clear_caches
 from oracles import (_rank, all_vertex_affine_hull_equalities,
                      brute_force_canonical_incidence, brute_force_edges,
                      brute_force_lattice_points, brute_force_vertices, gt_pattern_count,
-                     random_box_with_cuts, random_box_with_equalities,
+                     pairwise_cone_adjacency, random_box_with_cuts, random_box_with_equalities,
                      reference_refine, section_rule_h_to_v, tightness_incidence,
                      v_to_h_route_remove_redundant)
 
@@ -926,6 +926,16 @@ def test_facets_from_incidence_match_the_v_to_h_route(P):
                              ((1, 1), 40), ((2, 0), 2)]), ()))
 def test_normal_fan_needs_no_redundancy_removal(P):
     assert normal_fan(P) == normal_fan(remove_redundant(P))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(full_dimensional_polytopes())
+def test_fan_edges_are_the_vertex_graph_and_the_pairwise_adjacency(P):
+    F = normal_fan(P)
+    _, neighbors = _vertex_graph(P)
+    assert [frozenset(e) for e in F.edges] == pairwise_cone_adjacency(F)
+    assert F.edges == tuple(sorted((i, j) for i, nb in enumerate(neighbors) for j in nb
+                                   if i < j))
 
 
 def test_facet_rule_matches_the_v_to_h_route_and_the_rank_oracle():

@@ -1,14 +1,14 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from weightpoly import exact, polytopes, toric
+from weightpoly import exact, polytopes
 from weightpoly.builders import SideData, polygon_hrep
-from weightpoly.exact import primitive_vector, vec, vec_sub
+from weightpoly.exact import primitive_vector, vec
 from weightpoly.polytopes import HPolytope, VPolytope, h_to_v, remove_redundant, v_to_h
-from weightpoly.toric import (Cone, Fan, _cone_adjacency, facet_labels, fan_fingerprint,
-                              fan_to_json_dict, normal_fan, singularity_report)
+from weightpoly.toric import (Cone, Fan, facet_labels, fan_fingerprint, fan_to_json_dict,
+                              normal_fan, singularity_report)
 from caches import clear_caches
 from oracles import pairwise_cone_adjacency
 
@@ -63,7 +63,7 @@ def test_display_chain_stays_on_the_int_path(monkeypatch, weights):
         calls.append(v)
         return real(v)
 
-    for module in (exact, polytopes, toric):
+    for module in (exact, polytopes):
         monkeypatch.setattr(module, "clear_denominators", counted)
     polytopes._dd_extreme_rays(rows, P.dim + 1)
     polytopes._vertex_graph(P)
@@ -71,19 +71,14 @@ def test_display_chain_stays_on_the_int_path(monkeypatch, weights):
     assert calls == []
 
 
-def test_fan_layer_makes_only_integer_vectors_primitive(monkeypatch):
-    real_primitive, real_rank = toric.primitive_vector, polytopes.rank
+def test_fan_layer_needs_no_rank_on_a_full_dimensional_polygon(monkeypatch):
+    real_rank = polytopes.rank
     rank_calls = []
-
-    def integer_only(v):
-        assert all(type(c) is int for c in v), v
-        return real_primitive(v)
 
     def counted_rank(rows):
         rank_calls.append(len(rows))
         return real_rank(rows)
 
-    monkeypatch.setattr(toric, "primitive_vector", integer_only)
     monkeypatch.setattr(polytopes, "rank", counted_rank)
     s = SideData.from_weights(1, ("5/2", 3, 4, 5, 6, 7))
     P = polygon_hrep(s)
@@ -175,36 +170,52 @@ def test_fan_json_shape():
     assert {"vertex", "rays", "index", "status"} <= set(d["cones"][0])
 
 
-@st.composite
-def fans_on_shared_lines(draw):
-    """Cones at rational points of a small grid, each with rays towards some
-    other points (so collinear points share lines) and a few free rays."""
-    d = draw(st.integers(1, 3))
-    coord = st.fractions(min_value=-2, max_value=2, max_denominator=2)
-    points = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=7, unique=True))
-    free = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
-    cones = []
-    for v in points:
-        rays = []
-        towards = [primitive_vector(vec_sub(w, v))
-                   for w in draw(st.lists(st.sampled_from(points), max_size=4)) if w != v]
-        for ray in towards + [primitive_vector(r) for r in draw(st.lists(free, max_size=2))]:
-            if ray not in rays and tuple(-c for c in ray) not in rays:
-                rays.append(ray)
-        cones.append((v, Cone(tuple(rays))))
-    return Fan(d, tuple(cones))
-
-
-@settings(max_examples=300, deadline=None)
-@given(fans_on_shared_lines())
-def test_cone_adjacency_matches_the_pairwise_rule(F):
-    assert _cone_adjacency(F) == pairwise_cone_adjacency(F)
-
-
 @pytest.mark.parametrize("r", [(3, 3, 3, 3, 3), (3, 3, 3, 3, 4), ("5/2", 3, 4, 5, 6, 7),
                                (1, 2, 2, 3, 3, 4, 4), (1, 2, 3, 4, 5, 6, 7, 8, 9)])
-def test_cone_adjacency_of_polygon_fans_matches_the_pairwise_rule(r):
+def test_polygon_fan_edges_match_the_pairwise_rule(r):
     F = normal_fan(polygon_hrep(SideData.from_weights(1, r)))
-    edges = _cone_adjacency(F)
-    assert edges == pairwise_cone_adjacency(F)
-    assert 2 * len(edges) == sum(len(c.rays) for _, c in F.maximal_cones)
+    assert [frozenset(e) for e in F.edges] == pairwise_cone_adjacency(F)
+    assert 2 * len(F.edges) == sum(len(c.rays) for _, c in F.maximal_cones)
+
+
+@pytest.mark.parametrize("r, digest", [
+    ((3, 3, 3, 3, 3), "6b3bf2ff230579fc2c13e99d498d8a6d588b4feb72ed16d4177f3cbb75f4345f"),
+    ((3, 3, 3, 3, 4), "1682b4d786eabb51b092aa3e255a776f763735b48155c872105ad24ea458cf06"),
+    (("5/2", 3, 4, 5, 6, 7), "32c8e277589efeecf35bae5c0c30fa06c96973d63f21183fd5d259ea12ff5fe3"),
+    ((1, 2, 2, 3, 3, 4, 4), "23631505a31036d09c9c87f70e62d3c88149ca24117554fa4b8c879f8cc18e6c"),
+    ((1, 2, 3, 4, 5, 6, 7, 8, 9),
+     "98d5ce7281a58a02e5648d5a2e96a65dab4a96ef932eac37011d7879df078470"),
+])
+def test_polygon_fan_fingerprints_are_pinned(r, digest):
+    fp = fan_fingerprint(normal_fan(polygon_hrep(SideData.from_weights(1, r))))
+    assert hashlib.sha256(fp.encode()).hexdigest() == digest
+
+
+def segment_fan(edges=()):
+    """The normal fan of [0, 1], built by hand."""
+    return Fan(1, (((0,), Cone(((1,),))), ((1,), Cone(((-1,),)))), edges)
+
+
+@pytest.mark.parametrize("edges", [
+    ((False, 1),), ((0, True),), ((0, 2),), ((-1, 1),), ((1, 0),), ((0, 0),),
+    ((0,),), ((0, 1, 1),), ([0, 1],), ((0, 1), (0, 1)), ((Fraction(0), 1),)],
+    ids=["bool-i", "bool-j", "out-of-range", "negative", "reversed", "loop",
+         "short", "long", "list", "repeated", "fraction"])
+def test_fan_rejects_malformed_edges(edges):
+    with pytest.raises(ValueError):
+        segment_fan(edges)
+
+
+def test_fan_fingerprint_reads_the_edges_it_is_given():
+    segment = HPolytope(dim=1, ineqs=((vec([1]), Fraction(1)), (vec([-1]), Fraction(0))),
+                        eqs=())
+    F = normal_fan(segment)
+    assert F == segment_fan(((0, 1),))
+    with pytest.raises(ValueError):
+        fan_fingerprint(segment_fan())
+    assert fan_fingerprint(segment_fan(((0, 1),))) == fan_fingerprint(F)
+    square = normal_fan(box2())
+    with pytest.raises(ValueError):
+        fan_fingerprint(Fan(2, square.maximal_cones))
+    assert (fan_fingerprint(Fan(2, square.maximal_cones, square.edges))
+            == fan_fingerprint(square))

@@ -1,5 +1,5 @@
-"""Time the counting ladder: lattice counts and weight multiplicities at
-fixed sizes, each row from cold caches.
+"""Time the ladder: lattice counts, weight multiplicities, the vertex graph
+and the fan fingerprint at fixed sizes, each row from cold caches.
 
     python3 tools/ladder.py [--out BENCH.json]
 
@@ -7,17 +7,20 @@ Each row runs REPEATS times.  Before each run every cache of the weightpoly
 modules is emptied and the row's input is prepared untimed: a count row
 builds its polytope and the polytope's scan setup (its double description),
 so the timed part is the lattice scans alone; a multiplicity row builds its
-query.  A row records the median and every run's wall time in ms, the
-tracemalloc peak of one more run, and the values it computed, so two
-checkouts' files can be compared value for value.  A run whose timed part
-takes longer than TIMEOUT_S seconds ends the row, which is recorded as a
-timeout (never dropped).  Standard library only; weightpoly and the cache
-helper tests/caches.py are imported from this checkout's src/ and tests/.
+query; the vertex-graph row builds the polygon's incidence (its double
+description), and the fan row its vertex graph.  A row records the median
+and every run's wall time in ms, the tracemalloc peak of one more run, and
+the values it computed, so two checkouts' files can be compared value for
+value.  A run whose timed part takes longer than TIMEOUT_S seconds ends the
+row, which is recorded as a timeout (never dropped).  Standard library only;
+weightpoly and the cache helper tests/caches.py are imported from this
+checkout's src/ and tests/.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -31,9 +34,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from caches import clear_caches  # noqa: E402
-from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice  # noqa: E402
+from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep  # noqa: E402
 from weightpoly.counting import MultiplicityQuery, weight_multiplicity  # noqa: E402
-from weightpoly.polytopes import _scan_setup, count_lattice_points  # noqa: E402
+from weightpoly.polytopes import (_incidence, _scan_setup, _vertex_graph,  # noqa: E402
+                                  count_lattice_points)
+from weightpoly.toric import fan_fingerprint, normal_fan  # noqa: E402
 
 
 def _counts(polytope, dilates):
@@ -51,6 +56,25 @@ def _chart(m, r, chart):
 def _mult(m, r, t):
     return (lambda: MultiplicityQuery.from_side(SideData.from_weights(m, r), t),
             lambda q: [weight_multiplicity(q)])
+
+
+def _polygon(r, built_first):
+    """Prepare the polygon of weights r with built_first(P) already computed."""
+    def prepare():
+        P = polygon_hrep(SideData.from_weights(1, r))
+        built_first(P)
+        return P
+    return prepare
+
+
+def _vertices_and_edges(P):
+    verts, neighbors = _vertex_graph(P)
+    return [len(verts), sum(map(len, neighbors)) // 2]
+
+
+def _cones_and_fingerprint(P):
+    F = normal_fan(P)
+    return [len(F.maximal_cones), hashlib.sha256(fan_fingerprint(F).encode()).hexdigest()]
 
 
 REPEATS = 3
@@ -74,6 +98,10 @@ ROWS = {
         _counts(_chart(1, POLYGON, "entry_chart"), range(1, 5)),
     "mult m=3 r=4^7, t=4": _mult(3, (4,) * 7, 4),
     "mult m=2 r=3^11, t=1": _mult(2, (3,) * 11, 1),
+    "_vertex_graph polygon r=(1,2)^6 (vertices, edges)":
+        (_polygon((1, 2) * 6, _incidence), _vertices_and_edges),
+    "fan_fingerprint(normal_fan) polygon r=(1,2)^6 (cones, sha256)":
+        (_polygon((1, 2) * 6, _vertex_graph), _cones_and_fingerprint),
 }
 
 
