@@ -203,6 +203,8 @@ class MultiplicityQuery:
 
     @classmethod
     def from_side(cls, s: SideData, dilate: int = 1) -> "MultiplicityQuery":
+        if not is_int(dilate) or dilate < 0:
+            raise ValueError("dilate must be a nonnegative integer")
         P = dilate * s.P
         r = [dilate * w for w in s.r]
         if P.denominator != 1 or any(w.denominator != 1 for w in r):

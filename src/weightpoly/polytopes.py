@@ -54,6 +54,22 @@ def _check_dim(dim) -> None:
         raise ValueError("ambient dimension must be >= 0")
 
 
+def _assembled(cls, **fields):
+    """An instance of the frozen dataclass cls holding exactly these field
+    values, made without running cls.__post_init__.
+
+    For records the engine derives from data it has already checked.  The
+    caller guarantees that every field is given and already in the form the
+    public constructor would store: the same types, order and dedup, and
+    every invariant that constructor checks.  Input from outside the engine
+    goes through the constructor.
+    """
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
 @dataclass(frozen=True)
 class HPolytope:
     """Intersection of halfspaces (and hyperplanes) in Q^dim.
@@ -332,8 +348,10 @@ def h_to_v(P: HPolytope) -> VPolytope:
 
     Raises UnboundedPolytopeError when the feasible set is nonempty and has a
     recession direction.  Returns the empty VPolytope exactly when P is empty.
+    _incidence's vertices are sorted, distinct Fraction tuples of length P.dim,
+    so the record is assembled as the constructor would store it.
     """
-    return VPolytope(P.dim, _incidence(P)[0])
+    return _assembled(VPolytope, dim=P.dim, vertices=_incidence(P)[0])
 
 
 def _joint_primitive(normal: Sequence, rhs) -> tuple[tuple[int, ...], int]:

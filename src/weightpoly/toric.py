@@ -7,9 +7,12 @@ simplicial cone whose edge directions span a sublattice of index k >= 2 is
 reported as cyclic_quotient(k): k is that index, and the local group is not
 computed, so it need not be cyclic or of order k (ROADMAP.md, item 3).  Cones
 with more than dim rays are reported as non-simplicial, never refined.
-A Cone takes ray entries by the lattice-data rule of the exact module: ints
-pass as they are, integral rationals convert to ints, and a float, a bool or
-a non-integral rational raises ValueError.
+A Cone that a caller builds takes ray entries by the lattice-data rule of the
+exact module: ints pass as they are, integral rationals convert to ints, and
+a float, a bool or a non-integral rational raises ValueError.  normal_fan
+does not rebuild its cones that way: it assembles each cone, and the fan,
+from the vertex graph, whose rays are already primitive integer edge
+directions.
 
 Facets of the m=1 diagonal polytopes are matched against the fixed catalogue
 of supporting hyperplanes x_1 = r_1 +- r_2, x_{i-1} +- x_{i-2} = r_i,
@@ -27,6 +30,7 @@ from .builders import SideData, triangle_inequalities
 from .exact import Vec, _int_rows, frac_str, lattice_index, vec
 from .polytopes import (
     HPolytope,
+    _assembled,
     _check_dim,
     _joint_primitive,
     _vertex_graph,
@@ -37,8 +41,12 @@ from .polytopes import (
 
 @dataclass(frozen=True)
 class Cone:
-    """A cone spanned by primitive, pairwise non-parallel integer rays; ray
-    entries follow the lattice-data rule of exact._int_rows (module docstring)."""
+    """A cone spanned by primitive, pairwise non-parallel integer rays.
+
+    A cone built by a caller is checked, its ray entries read by the
+    lattice-data rule of exact._int_rows (module docstring); normal_fan
+    assembles its cones from the vertex graph without these checks.
+    """
 
     rays: tuple[tuple[int, ...], ...]
 
@@ -65,13 +73,19 @@ class Fan:
 
     def __post_init__(self):
         _check_dim(self.ambient_dim)
-        cones = tuple((vec(v), c) for v, c in self.maximal_cones)
-        for v, c in cones:
+        cones = []
+        for entry in self.maximal_cones:
+            if not (isinstance(entry, tuple) and len(entry) == 2
+                    and isinstance(entry[1], Cone)):
+                raise ValueError(f"maximal cone {entry!r} is not a (vertex, Cone) pair")
+            v, c = vec(entry[0]), entry[1]
             if len(v) != self.ambient_dim:
                 raise ValueError("cone vertex has wrong dimension")
             for ray in c.rays:
                 if len(ray) != self.ambient_dim:
                     raise ValueError("cone ray has wrong dimension")
+            cones.append((v, c))
+        cones = tuple(cones)
         edges = tuple(self.edges)
         for last, e in zip(((),) + edges, edges):  # one pass; a bool is not an int
             if not (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int
@@ -159,21 +173,28 @@ def normal_fan(P: HPolytope) -> Fan:
     and there is exactly one per vertex.  Rays and edges are those _vertex_graph
     already holds, the rays as primitive integer edge directions.  Cached per
     polytope, so each fan, and with it its singularity report, is built once.
+
+    The cones and the fan are assembled, not rebuilt through their checking
+    constructors: each ray set is primitive int tuples, sorted, and pairwise
+    non-parallel, since two edges at a vertex of a polytope are never
+    collinear; the vertices are _incidence's Fraction tuples and the edges
+    the sorted pairs i < j.
     """
     dim = polytope_dim(P)
     if dim == -1:
         raise ValueError("polytope is empty")
     if dim != P.dim:
-        raise ValueError("restrict to affine hull first")
+        raise ValueError("normal fan needs a full-dimensional polytope: "
+                         f"dimension {dim} in ambient dimension {P.dim}")
     verts, neighbors = _vertex_graph(P)
     cones = []
     for v, edges in zip(verts, neighbors):
         rays = tuple(sorted(edges.values()))
         if len(rays) < P.dim:
             raise AssertionError("vertex with fewer edges than the dimension")
-        cones.append((v, Cone(rays)))
+        cones.append((v, _assembled(Cone, rays=rays)))
     edges = tuple((i, j) for i, nb in enumerate(neighbors) for j in sorted(nb) if i < j)
-    return Fan(P.dim, tuple(cones), edges)
+    return _assembled(Fan, ambient_dim=P.dim, maximal_cones=tuple(cones), edges=edges)
 
 
 def singularity_report(F: Fan) -> SingularityReport:

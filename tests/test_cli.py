@@ -249,6 +249,20 @@ def test_fan_and_singular_of_an_empty_polytope_exit_two(capsys, command):
     assert (code, out, err) == (2, "", "error: polytope is empty\n")
 
 
+@pytest.mark.parametrize("command", ["fan", "singular"])
+def test_fan_and_singular_of_a_lower_dimensional_chart_name_both_dimensions(capsys, command):
+    code, out, err = run(capsys, [command, "--m", "1", "--r", "1,1,1,3"])
+    assert (code, out, err) == (2, "", "error: normal fan needs a full-dimensional polytope: "
+                                       "dimension 0 in ambient dimension 1\n")
+
+
+@pytest.mark.parametrize("dilate, expected", [
+    ("0", (0, "1\n", "")),
+    ("-1", (2, "", "error: dilate must be a nonnegative integer\n"))])
+def test_mult_reads_its_dilate(capsys, dilate, expected):
+    assert run(capsys, ["mult", "--m", "1", "--r", "1,1,1,1", "--dilate", dilate]) == expected
+
+
 def _rows(pairs):
     return [{"a": list(a), "b": b} for a, b in pairs]
 

@@ -24,7 +24,7 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   polytope_dim,
                                   remove_redundant, restrict_to_affine_hull,
                                   v_to_h)
-from weightpoly.toric import Fan, fan_fingerprint, normal_fan
+from weightpoly.toric import Cone, Fan, fan_fingerprint, normal_fan
 from caches import clear_caches
 from oracles import (_rank, all_vertex_affine_hull_equalities,
                      brute_force_canonical_incidence, brute_force_edges,
@@ -735,6 +735,38 @@ def full_dimensional_polytopes(draw):
         rows.append((tuple(2 * c for c in a), 2 * b))
     order = draw(st.permutations(range(len(rows))))
     return HPolytope(dim=d, ineqs=tuple(rows[i] for i in order), eqs=())
+
+
+def _assert_rebuilds_equal(P):
+    """h_to_v(P) and, for a full-dimensional P, normal_fan(P) and each of its
+    cones equal, to the type of every entry, what their constructors build
+    from the same fields."""
+    V = h_to_v(P)
+    rebuilt = VPolytope(V.dim, V.vertices)
+    assert rebuilt == V and repr(rebuilt) == repr(V)
+    if polytope_dim(P) != P.dim:
+        return
+    F = normal_fan(P)
+    for _, c in F.maximal_cones:
+        assert Cone(c.rays) == c and repr(Cone(c.rays)) == repr(c)
+    rebuilt = Fan(F.ambient_dim, F.maximal_cones, F.edges)
+    assert rebuilt == F and repr(rebuilt) == repr(F)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(full_dimensional_polytopes())
+def test_assembled_records_equal_their_constructors(P):
+    _assert_rebuilds_equal(P)
+
+
+@pytest.mark.parametrize("weights", [
+    (1, 2, 2, 3, 3, 4), (1, 2, 2, 3, 3, 4, 4), (1, 1, 2, 2, 3, 3, 4, 5),
+    (1, 2, 1, 3, 2, 4, 1, 3, 2), *((1,) * n for n in range(6, 11)), None],
+    ids=lambda w: "empty" if w is None else ",".join(map(str, w)))
+def test_assembled_records_of_session_polygons_equal_their_constructors(weights):
+    P = empty_hrep(2) if weights is None else polygon_hrep(SideData.from_weights(1, weights))
+    _assert_rebuilds_equal(P)
+    assert (weights is None) == (h_to_v(P).vertices == ())
 
 
 @st.composite

@@ -71,6 +71,25 @@ def test_display_chain_stays_on_the_int_path(monkeypatch, weights):
     assert calls == []
 
 
+def test_display_chain_runs_no_record_constructor(monkeypatch):
+    clear_caches()
+    P = polygon_hrep(SideData.from_weights(1, (1, 2) * 4))
+    calls = []
+    for cls in (Cone, Fan, VPolytope):
+        real = cls.__post_init__
+
+        def counted(self, cls=cls, real=real):
+            calls.append(cls.__name__)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    h_to_v(P)
+    normal_fan(P).singularities
+    assert calls == []
+    Cone(((1, 0),))  # the counter does see a constructor call
+    assert calls == ["Cone"]
+
+
 def test_fan_layer_needs_no_rank_on_a_full_dimensional_polygon(monkeypatch):
     real_rank = polytopes.rank
     rank_calls = []
@@ -204,6 +223,15 @@ def segment_fan(edges=()):
 def test_fan_rejects_malformed_edges(edges):
     with pytest.raises(ValueError):
         segment_fan(edges)
+
+
+@pytest.mark.parametrize("cones", [
+    (((0, 0), ((1, 0), (0, 1))),), (((0, 0),),), ((Cone(((1, 0), (0, 1))), (0, 0)),),
+    (Cone(((1, 0), (0, 1))),), (((0, 0), Cone(((1, 0), (0, 1))), 1),)],
+    ids=["rays-not-a-cone", "short", "swapped", "bare-cone", "long"])
+def test_fan_rejects_malformed_maximal_cones(cones):
+    with pytest.raises(ValueError, match="is not a \\(vertex, Cone\\) pair"):
+        Fan(2, cones)
 
 
 def test_fan_fingerprint_reads_the_edges_it_is_given():

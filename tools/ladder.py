@@ -1,5 +1,6 @@
-"""Time the ladder: lattice counts, weight multiplicities, the vertex graph
-and the fan fingerprint at fixed sizes, each row from cold caches.
+"""Time the ladder: lattice counts, weight multiplicities, vertex enumeration,
+the vertex graph, the fan's singularities and the fan fingerprint at fixed
+sizes, each row from cold caches.
 
     python3 tools/ladder.py [--out BENCH.json]
 
@@ -7,8 +8,8 @@ Each row runs REPEATS times.  Before each run every cache of the weightpoly
 modules is emptied and the row's input is prepared untimed: a count row
 builds its polytope and the polytope's scan setup (its double description),
 so the timed part is the lattice scans alone; a multiplicity row builds its
-query; the vertex-graph row builds the polygon's incidence (its double
-description), and the fan row its vertex graph.  A row records the median
+query; the h_to_v and vertex-graph rows build the polygon's incidence (its
+double description), and the fan rows its vertex graph.  A row records the median
 and every run's wall time in ms, the tracemalloc peak of one more run, and
 the values it computed, so two checkouts' files can be compared value for
 value.  A run whose timed part takes longer than TIMEOUT_S seconds ends the
@@ -37,7 +38,7 @@ from caches import clear_caches  # noqa: E402
 from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep  # noqa: E402
 from weightpoly.counting import MultiplicityQuery, weight_multiplicity  # noqa: E402
 from weightpoly.polytopes import (_incidence, _scan_setup, _vertex_graph,  # noqa: E402
-                                  count_lattice_points)
+                                  count_lattice_points, h_to_v)
 from weightpoly.toric import fan_fingerprint, normal_fan  # noqa: E402
 
 
@@ -72,6 +73,15 @@ def _vertices_and_edges(P):
     return [len(verts), sum(map(len, neighbors)) // 2]
 
 
+def _vertex_count(P):
+    return [len(h_to_v(P).vertices)]
+
+
+def _cones_and_singular(P):
+    report = normal_fan(P).singularities
+    return [len(report.entries), len(report.singular)]
+
+
 def _cones_and_fingerprint(P):
     F = normal_fan(P)
     return [len(F.maximal_cones), hashlib.sha256(fan_fingerprint(F).encode()).hexdigest()]
@@ -98,10 +108,14 @@ ROWS = {
         _counts(_chart(1, POLYGON, "entry_chart"), range(1, 5)),
     "mult m=3 r=4^7, t=4": _mult(3, (4,) * 7, 4),
     "mult m=2 r=3^11, t=1": _mult(2, (3,) * 11, 1),
+    "h_to_v polygon r=(1,2)^6 (vertices)":
+        (_polygon((1, 2) * 6, _incidence), _vertex_count),
     "_vertex_graph polygon r=(1,2)^6 (vertices, edges)":
         (_polygon((1, 2) * 6, _incidence), _vertices_and_edges),
     "fan_fingerprint(normal_fan) polygon r=(1,2)^6 (cones, sha256)":
         (_polygon((1, 2) * 6, _vertex_graph), _cones_and_fingerprint),
+    "normal_fan(P).singularities polygon r=(1,2)^6 (cones, singular cones)":
+        (_polygon((1, 2) * 6, _vertex_graph), _cones_and_singular),
 }
 
 
