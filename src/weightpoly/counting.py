@@ -10,11 +10,11 @@ scanning on the left side, so agreement is strong evidence for both.
 
 The left side's counts come from polytopes.count_lattice_points, cached per
 (polytope, dilate), so the dilates an Ehrhart fit counted are not scanned
-again when the identity is checked on the same chart.  Both sides sum
-contiguous integer ranges with one subtraction rather than element by
-element: the scan from prefix-sum arrays shared by the states that agree on
-the coordinates the next level reads, the multiplicity's dynamic program
-from one difference array per column and remaining head of rows.  Fits
+again when the identity is checked on the same chart.  Both sides add
+each contiguous integer range as two entries of a difference array rather
+than element by element: the scan's frontier for the states that agree on
+the coordinates later rows read, the multiplicity's dynamic program for
+each column and remaining head of rows.  Fits
 interpolate each residue class by Newton forward differences on its equally
 spaced dilates, with no linear system to solve.
 """

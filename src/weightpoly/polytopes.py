@@ -587,15 +587,15 @@ def polytope_dim(P: HPolytope) -> int:
     return P.dim - rank(normals) if normals else P.dim
 
 
-# How _count_from sums the completions of level j + 1 over the range of x_j.
-_TIMES, _LOOP, _SUMS = range(3)
+# How a state's range of x_j reaches the next frontier (_frontier).
+_TIMES, _EACH, _DIFF = range(3)
 
 
 @functools.lru_cache(maxsize=512)
 def _scan_setup(P: HPolytope):
     """Everything in the integer scan of P that no dilate changes.
 
-    None when P has no rational point, else (rows_at, box, scale, plan,
+    None when P has no rational point, else (by_reads, by_prefix, box, scale,
     chart, f).  Explicit equalities are eliminated through the chart of
     restrict_to_affine_hull, whose DD is the only one: infeasible equalities
     and an empty chart give None, and the chart, an affine bijection onto the
@@ -603,23 +603,21 @@ def _scan_setup(P: HPolytope):
     its AffineMap f are restrict_to_affine_hull's (P itself and None without
     equalities); the chart of t*P is t times P's, mapped back by f with its
     offset scaled by t, so only the dilates t with t * f.offset integral hold
-    integer points.  In the chart, rows_at[j] holds (c, (p, q), terms) for
-    each row c*x_j + sum(a*x_k for k, a in terms) <= p/q whose trailing
-    nonzero coordinate is j, with a primitive integer normal; box[j] is the
-    (min, max) of the vertices' coordinate j times scale, their common
-    denominator, in integers, as _incidence gives them.  An unbounded P
-    raises UnboundedPolytopeError.
+    integer points.  box[j] is the (min, max) of the vertices' coordinate j
+    times scale, their common denominator, in integers, as _incidence gives
+    them.  An unbounded P raises UnboundedPolytopeError.
 
-    The completions of a prefix x[:j] depend only on x[reads_j], reads_j the
-    coordinates before j that some row at level j or later reads.  plan[j] is
-    (keep, how, rest):
-      - keep is reads_j when level j's count is memoised, else None.  A key
-        repeats only below a _TIMES level whose reads shrink by the step; each
-        other level meets every key of the next level once.
-      - how is _TIMES when level j + 1 does not read x_j, so one count times
-        the range's length serves; _SUMS when it reads x_j and rest, its other
-        reads, is smaller than reads_j, so states that agree on x[rest] share
-        one prefix-sum array over x_j; else _LOOP, one count per x_j.
+    by_reads and by_prefix give, for each level j of the chart, (rows, kind,
+    pick) under two keyings of the scan's states.  rows holds (c, (p, q),
+    terms) for each row c*x_j + sum(a*x_k for k, a in terms) <= p/q whose
+    trailing nonzero coordinate is j, with a primitive integer normal and k
+    re-indexed to its position in the state.  by_prefix keys a state on its
+    whole prefix x[:j]; by_reads on x[reads_j], reads_j the coordinates
+    before j that some row at level j or later reads, which are all its
+    completions depend on.  kind is _TIMES when reads_(j+1) drops x_j, _EACH
+    when it keeps x_j and every coordinate of reads_j, else _DIFF; pick holds
+    the positions in the state of the coordinates of reads_j that
+    reads_(j+1) keeps.  Under by_prefix every level is _EACH.
     """
     f = None
     if P.eqs:
@@ -644,48 +642,21 @@ def _scan_setup(P: HPolytope):
     for j in range(P.dim - 1, -1, -1):
         seen.update(k for _, _, terms in rows_at[j] for k, _ in terms)
         reads[j] = tuple(sorted(k for k in seen if k < j))
-    plan = []
-    for j in range(P.dim):
-        repeats = j > 0 and plan[-1][1] == _TIMES and len(reads[j]) < len(reads[j - 1])
-        rest = tuple(k for k in reads[j + 1] if k != j)
-        if len(rest) == len(reads[j + 1]):
-            how = _TIMES
-        elif len(rest) < len(reads[j]):
-            how = _SUMS
-        else:
-            how = _LOOP
-        plan.append((reads[j] if repeats else None, how, rest))
-    return rows_at, [(min(col), max(col)) for col in zip(*scaled)], scale, plan, P, f
+    by_reads = []
+    for j, rows in enumerate(rows_at):
+        at = {k: i for i, k in enumerate(reads[j])}
+        pick = tuple(at[k] for k in reads[j + 1] if k != j)
+        kind = (_TIMES if len(pick) == len(reads[j + 1]) else
+                _EACH if len(pick) == len(reads[j]) else _DIFF)
+        by_reads.append(([(c, rhs, tuple((at[k], a) for k, a in terms))
+                          for c, rhs, terms in rows], kind, pick))
+    by_prefix = [(rows, _EACH, ()) for rows in rows_at]
+    box = [(min(col), max(col)) for col in zip(*scaled)]
+    return by_reads, by_prefix, box, scale, P, f
 
 
-def _scan_input(P: HPolytope, dilate: int):
-    """_scan_setup(P) rounded at this dilate, shared by listing and counting.
-
-    None when dilate*P visibly has no integer point, else
-    (rows_at, lo, hi, plan, f), with each rhs floored (the left side is an
-    integer), [lo, hi] the integer vertex box and plan and f the setup's.
-    """
-    if not is_int(dilate) or dilate < 1:
-        raise ValueError("dilate must be a positive integer")
-    setup = _scan_setup(P)
-    if setup is None:
-        return None
-    rows, box, scale, plan, _, f = setup
-    if f is not None and any((dilate * c).denominator != 1 for c in f.offset):
-        return None
-    rows_at = [[(c, dilate * p // q, terms) for c, (p, q), terms in level]
-               for level in rows]
-    lo, hi = [], []
-    for low, high in box:
-        lo.append(ceil_div(dilate * low, scale))
-        hi.append(dilate * high // scale)
-        if lo[-1] > hi[-1]:
-            return None
-    return rows_at, lo, hi, plan, f
-
-
-def _narrow(rows: list, x: list[int], lo_j: int, hi_j: int) -> tuple[int, int]:
-    """Range of x_j allowed by the rows at level j, given x[:j]; empty if lo > hi."""
+def _narrow(rows: list, x: Sequence[int], lo_j: int, hi_j: int) -> tuple[int, int]:
+    """Range of x_j allowed by the rows at level j, given the state x; empty if lo > hi."""
     for c, rhs, terms in rows:
         s = rhs
         for k, a in terms:
@@ -703,85 +674,77 @@ def _narrow(rows: list, x: list[int], lo_j: int, hi_j: int) -> tuple[int, int]:
     return lo_j, hi_j
 
 
-def _list_from(j: int, rows_at: list, lo: list[int], hi: list[int],
-               x: list[int], out: list[tuple[int, ...]]) -> None:
-    """Append the integer points with prefix x[:j] to out, in lexicographic order."""
-    lo_j, hi_j = _narrow(rows_at[j], x, lo[j], hi[j])
-    if j == len(lo) - 1:
-        head = tuple(x[:j])
-        out.extend(head + (xj,) for xj in range(lo_j, hi_j + 1))
-        return
-    for xj in range(lo_j, hi_j + 1):
-        x[j] = xj
-        _list_from(j + 1, rows_at, lo, hi, x, out)
+def _frontier(setup: tuple, levels: list, dilate: int) -> dict[tuple[int, ...], int]:
+    """The integer points of the dilate of P's chart, level by level, as one dict.
 
-
-def _count_from(j: int, rows_at: list, lo: list[int], hi: list[int], plan: list,
-                x: list[int], memo: dict, sums: dict) -> int:
-    """Number of integer points with prefix x[:j].
-
-    The sum over the range [lo_j, hi_j] of x_j of the next level's counts
-    goes as plan[j] says (_scan_setup): one count times the range's length
-    (_TIMES), one count per x_j (_LOOP), or one subtraction in the prefix-sum
-    array sums[(j, *x[rest])] (_SUMS), which is grown lazily at either end to
-    the span of the ranges asked of it so far, inside the box.  Memoised
-    under the coordinates keep, where plan[j] keeps any.
+    setup is _scan_setup(P), not None, and levels its by_reads or by_prefix.
+    Each level j maps every state to the number of integer prefixes x[:j]
+    reaching it, and sends each state's range of x_j on as the level's kind
+    says: one entry times the range's length (_TIMES), one entry per x_j
+    (_EACH), or a +n, -n pair in the difference array of the state's kept
+    coordinates, swept once the level is done (_DIFF), where states merge.
+    This is bucket elimination (Dechter 1999) in the chart's coordinate
+    order.  Each row's rhs is floored at this dilate when the scan reaches
+    its level (the left side is an integer), and the scan stops at the first
+    empty frontier; a dilate with no integer point gives {}.  The last
+    frontier holds the points themselves, in lexicographic order, under
+    by_prefix, and their number under the key () under by_reads.
     """
-    keep, how, rest = plan[j]
-    if keep is not None:
-        key = (j, *[x[k] for k in keep])
-        total = memo.get(key)
-        if total is not None:
-            return total
-    lo_j, hi_j = _narrow(rows_at[j], x, lo[j], hi[j])
-    if lo_j > hi_j:
-        total = 0
-    elif j == len(lo) - 1:
-        total = hi_j - lo_j + 1
-    elif how == _TIMES:
-        x[j] = lo_j
-        total = (hi_j - lo_j + 1) * _count_from(j + 1, rows_at, lo, hi, plan, x, memo, sums)
-    elif how == _LOOP:
-        total = 0
-        for xj in range(lo_j, hi_j + 1):
-            x[j] = xj
-            total += _count_from(j + 1, rows_at, lo, hi, plan, x, memo, sums)
-    else:
-        at = (j, *[x[k] for k in rest])
-        start, prefix = sums.get(at, (lo_j, [0]))
-        if lo_j < start:
-            below = [0]
-            for xj in range(lo_j, start):
-                x[j] = xj
-                below.append(below[-1] + _count_from(j + 1, rows_at, lo, hi, plan, x, memo, sums))
-            prefix = below + [below[-1] + c for c in prefix[1:]]
-            start = lo_j
-        for xj in range(start + len(prefix) - 1, hi_j + 1):
-            x[j] = xj
-            prefix.append(prefix[-1] + _count_from(j + 1, rows_at, lo, hi, plan, x, memo, sums))
-        sums[at] = start, prefix
-        total = prefix[hi_j - start + 1] - prefix[lo_j - start]
-    if keep is not None:
-        memo[key] = total
-    return total
+    _, _, box, scale, _, f = setup
+    if f is not None and any((dilate * c).denominator != 1 for c in f.offset):
+        return {}
+    bounds = [(ceil_div(dilate * low, scale), dilate * high // scale) for low, high in box]
+    if any(lo > hi for lo, hi in bounds):
+        return {}
+    frontier: dict[tuple[int, ...], int] = {(): 1}
+    for (rows, kind, pick), (lo, hi) in zip(levels, bounds):
+        rows = [(c, dilate * p // q, terms) for c, (p, q), terms in rows]
+        nxt: dict[tuple[int, ...], int] = {}
+        diffs: dict[tuple[int, ...], dict[int, int]] = {}
+        for state, n in frontier.items():
+            lo_j, hi_j = _narrow(rows, state, lo, hi)
+            if lo_j > hi_j:
+                continue
+            if kind == _EACH:
+                for xj in range(lo_j, hi_j + 1):
+                    nxt[state + (xj,)] = n
+                continue
+            key = tuple([state[i] for i in pick])
+            if kind == _TIMES:
+                nxt[key] = nxt.get(key, 0) + n * (hi_j - lo_j + 1)
+            else:
+                diff = diffs.setdefault(key, {})
+                diff[lo_j] = diff.get(lo_j, 0) + n
+                diff[hi_j + 1] = diff.get(hi_j + 1, 0) - n
+        for key, diff in diffs.items():
+            ends = sorted(diff)
+            n = 0
+            for start, stop in zip(ends, ends[1:]):
+                n += diff[start]
+                if n:
+                    for xj in range(start, stop):
+                        nxt[key + (xj,)] = n
+        frontier = nxt
+        if not frontier:
+            break
+    return frontier
 
 
 def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
     """All integer x with x/dilate in P, in lexicographic order.
 
-    Depth-first over coordinates in order, narrowing each coordinate's range
-    with the rows whose trailing nonzero coordinate it is (_scan_input).
-    Points of an equality chart go back through its map f at this dilate.
+    The keys of _frontier's last frontier, with every state keyed on its
+    whole prefix, narrowing each coordinate's range with the rows whose
+    trailing nonzero coordinate it is.  Points of an equality chart go back
+    through its map f at this dilate.
     """
-    scan = _scan_input(P, dilate)
-    if scan is None:
+    if not is_int(dilate) or dilate < 1:
+        raise ValueError("dilate must be a positive integer")
+    setup = _scan_setup(P)
+    if setup is None:
         return []
-    rows_at, lo, hi, _, f = scan
-    points: list[tuple[int, ...]] = []
-    if lo:
-        _list_from(0, rows_at, lo, hi, [0] * len(lo), points)
-    else:
-        points.append(())
+    points = list(_frontier(setup, setup[1], dilate))
+    f = setup[5]
     if f is None:
         return points
     matrix = [[int(c) for c in row] for row in f.matrix]
@@ -793,13 +756,12 @@ def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
 def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
     """len(lattice_points(P, dilate)), without listing the points.
 
-    The depth-first scan of lattice_points, on range sums: the number of
-    completions from level j depends only on the coordinates before j that
-    rows at level j or later read (_scan_setup), so a level whose next level
-    reads fewer of them sums that level's counts over the range of x_j from a
-    shared prefix-sum array (_count_from).  For interlacing rows these reads
-    are about one pattern row, so the work grows with the number of such
-    frontier states, not with the number of points.
+    The same frontier scan as lattice_points, with each state keyed on the
+    coordinates before j that rows at level j or later read (_scan_setup):
+    the completions of a prefix depend on nothing else, so prefixes that
+    agree there merge into one state with their number.  For interlacing
+    rows these reads are about one pattern row, so the work grows with the
+    number of such frontier states, not with the number of points.
     Each count is cached per (P, dilate), so count_dilates and
     verify_ehrhart_identity on one chart share one scan per dilate; dilate is
     validated before the lookup, since 2.0 and True hash as 2 and 1 do.
@@ -812,13 +774,8 @@ def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
 @functools.lru_cache(maxsize=512)
 def _count_dilate(P: HPolytope, dilate: int) -> int:
     """count_lattice_points(P, dilate) for a validated dilate, cached."""
-    scan = _scan_input(P, dilate)
-    if scan is None:
-        return 0
-    rows_at, lo, hi, plan, _ = scan
-    if not lo:
-        return 1
-    return _count_from(0, rows_at, lo, hi, plan, [0] * len(lo), {}, {})
+    setup = _scan_setup(P)
+    return 0 if setup is None else sum(_frontier(setup, setup[0], dilate).values())
 
 
 @functools.lru_cache(maxsize=512)

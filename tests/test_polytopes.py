@@ -222,36 +222,40 @@ def test_count_lattice_points_matches_the_list_and_the_box_oracle():
 
 
 def _counting_scan_calls(monkeypatch):
-    """Patch polytopes._count_from to count its calls, recursive ones too."""
+    """Patch polytopes._narrow to count its calls, one per state the scan visits."""
     calls = []
-    scan = polytopes._count_from
+    narrow = polytopes._narrow
 
     def counted(*args):
-        calls.append(args[0])
-        return scan(*args)
+        calls.append(args[1])
+        return narrow(*args)
 
-    monkeypatch.setattr(polytopes, "_count_from", counted)
+    monkeypatch.setattr(polytopes, "_narrow", counted)
     _count_dilate.cache_clear()  # so every count below runs its scan
     return calls
 
 
-def test_a_prefix_array_grows_downward_and_serves_every_later_range(monkeypatch):
+def test_merged_states_are_narrowed_once_on_a_3d_example(monkeypatch):
     # x0 + x1 >= 2 and x2 <= x1 in the box [0, 2]^3: level 2 reads x1 alone,
-    # so level 1 sums it from one shared array, asked [2, 2], then [1, 2], then
-    # [0, 2], growing downward twice.  Each x1 is counted once: 1 + 3 + 3 calls,
-    # against 1 + 3 + 6 for one call per x1 of each range.
+    # so the ranges [2, 2], [1, 2] and [0, 2] of x1 merge into one difference
+    # array and each x1 is narrowed once: 1 + 3 + 3 states, against 1 + 3 + 6
+    # for one state per prefix.
     P = HPolytope(3, _rows([((-1, -1, 0), -2), ((0, -1, 1), 0)]) + box(3, 0, 2).ineqs)
     calls = _counting_scan_calls(monkeypatch)
     assert count_lattice_points(P) == len(brute_force_lattice_points(P)) == 14
-    assert calls == [0, 1, 2, 1, 2, 1, 2]
+    assert calls == [(), (0,), (1,), (2,), (0,), (1,), (2,)]
 
 
-def test_range_sums_cut_the_scan_calls_on_an_m1_entry_chart(monkeypatch):
-    # One prefix array per level; memoising on the read coordinates alone took 860 calls.
-    P = gt_slice(SideData.from_weights(1, (1, 2) * 4)).entry_chart
+@pytest.mark.parametrize("m, weights, t, count, states", [
+    (1, (1, 2) * 4, 11, 303612, 98),  # memoising on the read coordinates alone took 860
+    (2, (8, 6, 6, 6, 6, 4, 4), 3, 561415, 3789),
+])
+def test_the_frontier_narrows_no_more_states_on_entry_charts(monkeypatch, m, weights, t,
+                                                            count, states):
+    P = gt_slice(SideData.from_weights(m, weights)).entry_chart
     calls = _counting_scan_calls(monkeypatch)
-    assert count_lattice_points(P, 11) == 303612
-    assert len(calls) < 215
+    assert count_lattice_points(P, t) == count
+    assert len(calls) == states
 
 
 def test_cached_counts_still_reject_a_float_or_bool_dilate():
@@ -787,7 +791,7 @@ def banded_polytopes(draw):
     """A box of sides 1 or 2 in dimension 3 or 4 with one to four cuts, each reading
     coordinates j-1 and j (sometimes j-2 too) and keeping the box centre
     strictly inside, like interlacing rows: their scans read few coordinates
-    per level, so levels share prefix-sum arrays."""
+    per level, so their states merge."""
     d = draw(st.integers(3, 4))
     rows = []
     for i in range(d):
@@ -806,7 +810,7 @@ def banded_polytopes(draw):
     return HPolytope(dim=d, ineqs=tuple(rows), eqs=())
 
 
-def test_range_sum_count_matches_the_box_oracle():
+def test_frontier_count_and_listing_match_the_box_oracle():
     seen = set()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -815,15 +819,15 @@ def test_range_sum_count_matches_the_box_oracle():
                          lambda rng: random_box_with_equalities(rng, HPolytope))),
            st.integers(1, 3))
     def check(P, t):
-        assert count_lattice_points(P, t) == len(brute_force_lattice_points(P, t))
+        points = brute_force_lattice_points(P, t)
+        assert lattice_points(P, t) == list(points)
+        assert count_lattice_points(P, t) == len(points)
         setup = _scan_setup(P)
         if setup is not None:
-            plan = setup[3]
-            seen.update(how for _, how, _ in plan[:-1])
-            seen.update("keep" for keep, _, _ in plan if keep is not None)
+            seen.update(kind for _, kind, _ in setup[0])
 
     check()
-    assert seen == {polytopes._TIMES, polytopes._LOOP, polytopes._SUMS, "keep"}
+    assert seen == {polytopes._TIMES, polytopes._EACH, polytopes._DIFF}
 
 
 @settings(max_examples=40, deadline=None)

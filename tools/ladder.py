@@ -1,19 +1,22 @@
-"""Time the ladder: lattice counts, weight multiplicities, vertex enumeration,
-the vertex graph, the fan's singularities and the fan fingerprint at fixed
-sizes, each row from cold caches.
+"""Time the ladder: lattice counts and a lattice listing, weight
+multiplicities, vertex enumeration, the vertex graph, the fan's singularities
+and the fan fingerprint at fixed sizes, each row from cold caches.
 
     python3 tools/ladder.py [--out BENCH.json]
 
 Each row runs REPEATS times.  Before each run every cache of the weightpoly
-modules is emptied and the row's input is prepared untimed: a count row
-builds its polytope and the polytope's scan setup (its double description),
-so the timed part is the lattice scans alone; a multiplicity row builds its
-query; the h_to_v and vertex-graph rows build the polygon's incidence (its
-double description), and the fan rows its vertex graph.  A row records the median
-and every run's wall time in ms, the tracemalloc peak of one more run, and
-the values it computed, so two checkouts' files can be compared value for
-value.  A run whose timed part takes longer than TIMEOUT_S seconds ends the
-row, which is recorded as a timeout (never dropped).  Standard library only;
+modules is emptied and the row's input is prepared untimed: a count or
+listing row builds its polytope and the polytope's scan setup (its double
+description), so the timed part is the lattice scans alone; a multiplicity
+row builds its query; the h_to_v and vertex-graph rows build the polygon's
+incidence (its double description), and the fan rows its vertex graph.  A
+row records the median and every run's wall time in ms, the tracemalloc peak
+of one more run, and the values it computed, so two checkouts' files can be
+compared value for value.  A row that scans lattice points also records its
+work count, scan_states: the calls of polytopes._narrow, one per state the
+scan visits, summed over the row's dilates in one more run with that
+function wrapped here.  A run whose timed part takes longer than TIMEOUT_S
+seconds ends the row, which is recorded as a timeout (never dropped).  Standard library only;
 weightpoly and the cache helper tests/caches.py are imported from this
 checkout's src/ and tests/.
 """
@@ -37,17 +40,29 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 from caches import clear_caches  # noqa: E402
 from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep  # noqa: E402
 from weightpoly.counting import MultiplicityQuery, weight_multiplicity  # noqa: E402
+from weightpoly import polytopes  # noqa: E402
 from weightpoly.polytopes import (_incidence, _scan_setup, _vertex_graph,  # noqa: E402
-                                  count_lattice_points, h_to_v)
+                                  count_lattice_points, h_to_v, lattice_points)
 from weightpoly.toric import fan_fingerprint, normal_fan  # noqa: E402
 
 
-def _counts(polytope, dilates):
+def _scanned(polytope):
     def prepare():
         P = polytope()
         _scan_setup(P)
         return P
-    return prepare, lambda P: [count_lattice_points(P, t) for t in dilates]
+    return prepare
+
+
+def _counts(polytope, dilates):
+    return _scanned(polytope), lambda P: [count_lattice_points(P, t) for t in dilates]
+
+
+def _listing(polytope, dilate):
+    def run(P):
+        points = lattice_points(P, dilate)
+        return [len(points), hashlib.sha256(repr(points).encode()).hexdigest()]
+    return _scanned(polytope), run
 
 
 def _chart(m, r, chart):
@@ -106,6 +121,8 @@ ROWS = {
         _counts(_chart(1, POLYGON, "diag_chart"), range(1, 5)),
     "polygon r=(1,...,9,11), entry chart, t=1..4":
         _counts(_chart(1, POLYGON, "entry_chart"), range(1, 5)),
+    "lattice_points entry chart m=2 r=(2,2,2,3,3,3,3), t=4 (points, sha256)":
+        _listing(_chart(2, (2, 2, 2, 3, 3, 3, 3), "entry_chart"), 4),
     "mult m=3 r=4^7, t=4": _mult(3, (4,) * 7, 4),
     "mult m=2 r=3^11, t=1": _mult(2, (3,) * 11, 1),
     "h_to_v polygon r=(1,2)^6 (vertices)":
@@ -127,8 +144,27 @@ def _alarm(signum, frame):
     raise _Timeout
 
 
+def scan_states(prepare, run) -> int:
+    """The calls of polytopes._narrow in one run from cold caches."""
+    clear_caches()
+    data = prepare()
+    narrow, calls = polytopes._narrow, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return narrow(*args)
+
+    polytopes._narrow = counted
+    try:
+        run(data)
+    finally:
+        polytopes._narrow = narrow
+    return calls[0]
+
+
 def time_row(prepare, run) -> dict:
-    """The row's record: median and runs in ms, tracemalloc peak, values."""
+    """The row's record: median and runs in ms, tracemalloc peak, values, and
+    the scan states when the row scans."""
     runs, values = [], None
     signal.signal(signal.SIGALRM, _alarm)
     try:
@@ -150,10 +186,14 @@ def time_row(prepare, run) -> dict:
     run(data)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"median_ms": round(statistics.median(runs), 3),
-            "runs_ms": [round(t, 3) for t in runs],
-            "peak_kib": round(peak / 1024, 1),
-            "values": values}
+    record = {"median_ms": round(statistics.median(runs), 3),
+              "runs_ms": [round(t, 3) for t in runs],
+              "peak_kib": round(peak / 1024, 1),
+              "values": values}
+    states = scan_states(prepare, run)
+    if states:
+        record["scan_states"] = states
+    return record
 
 
 def main(argv: list[str] | None = None) -> int:
