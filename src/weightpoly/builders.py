@@ -22,10 +22,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import ClassVar, Sequence
 
-from .exact import Vec, frac, frac_str, is_int, vec
-from .polytopes import AffineMap, HPolytope, _pull_back, affine_image, empty_hrep
+from .exact import Vec, clear_denominators, frac, frac_str, is_int, vec
+from .polytopes import (AffineMap, HPolytope, _assembled, _fractions, _hpolytope, _pull_back,
+                        affine_image, empty_hrep)
 
 
 @dataclass(frozen=True)
@@ -152,14 +154,15 @@ def dual_side_data(s: SideData) -> SideData:
     return SideData.from_weights(s.n - s.m - 2, tuple(s.P - w for w in s.r))
 
 
-def triangle_inequalities(s: SideData) -> list[list[tuple[str, Vec, Fraction]]]:
+def triangle_inequalities(s: SideData) -> list[list[tuple[str, tuple[int, ...], Fraction]]]:
     """The triangle inequalities on the diagonals of a weighted n-gon (m=1).
 
     Coordinates x_1..x_{n-3} are the diagonal lengths d_3..d_{n-1} of the fan
     triangulation.  One entry per triangle j = 2..n-1, namely (r_1, r_2, d_3),
     (d_j, r_j, d_{j+1}) for 3 <= j <= n-2 and (d_{n-1}, r_{n-1}, r_n), holding
     its three rows (tag, normal, rhs): each side at most the sum of the other
-    two.  The tags N1(j)/N2(j)/N3(j) are the facet catalogue names.
+    two, the normal in ints.  The tags N1(j)/N2(j)/N3(j) are the facet
+    catalogue names.
     """
     if s.m != 1:
         raise ValueError("diagonal coordinates exist only for m=1")
@@ -168,10 +171,10 @@ def triangle_inequalities(s: SideData) -> list[list[tuple[str, Vec, Fraction]]]:
     n, r = s.n, s.r
     d = n - 3
 
-    def row(tag: str, entries: dict[int, int], rhs: Fraction) -> tuple[str, Vec, Fraction]:
-        normal = [Fraction(0)] * d
+    def row(tag: str, entries: dict[int, int], rhs: Fraction):
+        normal = [0] * d
         for i, c in entries.items():
-            normal[i] = Fraction(c)
+            normal[i] = c
         return tag, tuple(normal), rhs
 
     table = [[row("N1(2)", {0: 1}, r[0] + r[1]),
@@ -193,12 +196,12 @@ def polygon_hrep(s: SideData) -> HPolytope:
     """Triangle-inequality system on the diagonals of a weighted n-gon (m=1).
 
     The rows of triangle_inequalities, triangle by triangle, 3(n-2) in all
-    before redundancy removal.  Cached per side data, so every request on one
-    polygon reads the same object and the caches keyed on it hit by identity.
+    before redundancy removal, assembled into the record once from their
+    integer normals (_hpolytope).  Cached per side data, so every request on
+    one polygon reads the same object and the caches keyed on it hit by
+    identity.
     """
-    d = s.n - 3
-    return HPolytope(d, tuple((a, b) for tri in triangle_inequalities(s)
-                              for _, a, b in tri), ())
+    return _hpolytope(s.n - 3, [(a, b) for tri in triangle_inequalities(s) for _, a, b in tri])
 
 
 def _entry_index(t: int, i: int) -> int:
@@ -213,7 +216,7 @@ def _interlacing_rows(k: int, lam: Sequence[Fraction]):
     ({entry index: coeff}, rhs) for each row of coeffs . x <= rhs: per entry
     (t, i), rows bottom to top, the upper bound row_{t,i} <= row_{t+1,i}
     before the lower bound row_{t,i} >= row_{t+1,i+1}, with entries of row k
-    read as the constants lam.
+    read as the constants lam.  The rows between free entries have rhs the int 0.
     """
     for t in range(1, k):
         for i in range(1, t + 1):
@@ -222,8 +225,8 @@ def _interlacing_rows(k: int, lam: Sequence[Fraction]):
                 yield {at: 1}, lam[i - 1]
                 yield {at: -1}, -lam[i]
             else:
-                yield {at: 1, _entry_index(t + 1, i): -1}, Fraction(0)
-                yield {at: -1, _entry_index(t + 1, i + 1): 1}, Fraction(0)
+                yield {at: 1, _entry_index(t + 1, i): -1}, 0
+                yield {at: -1, _entry_index(t + 1, i + 1): 1}, 0
 
 
 def gt_hrep(spec: GTSpec) -> HPolytope:
@@ -252,27 +255,25 @@ def gt_hrep(spec: GTSpec) -> HPolytope:
 
 
 def _slice_rows(s: SideData):
-    """Free-position bookkeeping per row of the sliced pattern polytope.
+    """Free-position bookkeeping per row of the sliced pattern polytope, in
+    integers: (L, L * P, rows), L the common denominator of P and the
+    weights, which is that of P and the row sums.
 
     Row t (1 <= t <= n-1) has entries forced to P at positions
     i <= m+1-n+t, forced to 0 at positions i >= m+2, and free in between.
     With the row sum fixed, the free entry at the lowest position (the largest
-    value) is eliminated; S_t is the row sum left for the free block.
+    value) is eliminated; S_t is the row sum left for the free block, and
+    rows holds (t, lo, hi, L * S_t) per row.
     """
-    m, n, P = s.m, s.n, s.P
-    sums = []
-    acc = Fraction(0)
-    for w in s.r[:-1]:
-        acc += w
-        sums.append(acc)
+    m, n = s.m, s.n
+    L, (level, *weights) = clear_denominators((s.P, *s.r))
     rows = []
-    for t in range(1, n):
+    for t, acc in zip(range(1, n), accumulate(weights)):
         lo = max(1, m + 2 - n + t)
         hi = min(t, m + 1)
         forced_p = max(0, m + 1 - n + t)
-        S_t = sums[t - 1] - P * forced_p
-        rows.append((t, lo, hi, S_t))
-    return rows
+        rows.append((t, lo, hi, acc - level * forced_p))
+    return L, level, rows
 
 
 @functools.lru_cache(maxsize=512)
@@ -284,21 +285,24 @@ def fm_polytope(s: SideData) -> ChartedSlice:
     mn - 2m - m^2.  Each entry of rows 1..n-1 is an affine function of the
     chart: a forced entry the constant P or 0, a free entry its coordinate,
     the eliminated one S_t minus the row's free entries.  The entry chart is
-    the interlacing rows pulled back through that map.  The diag chart
-    rewrites each row by the differences of its adjacent variable entries;
-    for m=1 these are the polygon diagonals and the chart equals the
-    triangle-inequality system of polygon_hrep.  Cached per side data.
+    the interlacing rows pulled back through that map, in integers: P and
+    the row sums are scaled by L, their common denominator (_slice_rows),
+    and each rhs b becomes b / L at the end.  The diag chart rewrites each
+    row by the differences of its adjacent variable entries; for m=1 these
+    are the polygon diagonals and the chart equals the triangle-inequality
+    system of polygon_hrep.  The chart and the map between the charts are
+    each assembled once, from checked integer data.  Cached per side data.
     """
-    rows = _slice_rows(s)
+    L, level, rows = _slice_rows(s)
     layout = tuple((t, i) for t, lo, hi, _ in rows for i in range(hi, lo, -1))
     dim = len(layout)
     index = {pos: j for j, pos in enumerate(layout)}
     matrix: list[tuple[int, ...]] = []  # per entry, in _entry_index order
-    offset: list[Fraction] = []
+    offset: list[int] = []  # times L
     for t, lo, hi, S_t in rows:
         for i in range(t, 0, -1):
             coeffs = [0] * dim
-            const = Fraction(0)
+            const = 0
             if lo < i <= hi:
                 coeffs[index[(t, i)]] = 1
             elif i == lo:
@@ -306,19 +310,25 @@ def fm_polytope(s: SideData) -> ChartedSlice:
                     coeffs[index[(t, free)]] = -1
                 const = S_t
             elif i < lo:
-                const = s.P
+                const = level
             matrix.append(tuple(coeffs))
             offset.append(const)
-    lam = (s.P,) * (s.m + 1) + (Fraction(0),) * (s.n - s.m - 1)
+    lam = (level,) * (s.m + 1) + (0,) * (s.n - s.m - 1)
     ineqs = _pull_back(((a.items(), b) for a, b in _interlacing_rows(s.n, lam)),
                        matrix, offset)
+
+    def over_l(b: int):  # b / L, as the int b when L = 1
+        return b if L == 1 else Fraction(b, L)
+
     diag_rows, diag_offset = [], []
     for t, i in layout:
         left, right = _entry_index(t, i), _entry_index(t, i - 1)
-        diag_rows.append(tuple(b - a for a, b in zip(matrix[left], matrix[right])))
-        diag_offset.append(offset[right] - offset[left])
-    entry_to_diag = AffineMap(dim, dim, tuple(diag_rows), tuple(diag_offset))
-    entry_chart = empty_hrep(dim) if ineqs is None else HPolytope(dim, tuple(ineqs), ())
+        diag_rows.append(_fractions([b - a for a, b in zip(matrix[left], matrix[right])]))
+        diag_offset.append(over_l(offset[right] - offset[left]))
+    entry_to_diag = _assembled(AffineMap, domain_dim=dim, codomain_dim=dim,
+                               matrix=tuple(diag_rows), offset=_fractions(diag_offset))
+    entry_chart = (empty_hrep(dim) if ineqs is None else
+                   _hpolytope(dim, [(a, over_l(b)) for a, b in ineqs]))
     return ChartedSlice(entry_chart, entry_to_diag, layout)
 
 

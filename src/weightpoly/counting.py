@@ -205,11 +205,14 @@ class MultiplicityQuery:
     def from_side(cls, s: SideData, dilate: int = 1) -> "MultiplicityQuery":
         if not is_int(dilate) or dilate < 0:
             raise ValueError("dilate must be a nonnegative integer")
-        P = dilate * s.P
-        r = [dilate * w for w in s.r]
-        if P.denominator != 1 or any(w.denominator != 1 for w in r):
-            raise ValueError("multiplicity defined for integral dilations only")
-        return cls(s.m, s.n, int(P), tuple(int(w) for w in r))
+        scaled = []
+        for w in (s.P, *s.r):
+            # dilate * p/q, p/q in lowest terms, is integral iff q divides dilate.
+            times, rest = divmod(dilate, w.denominator)
+            if rest:
+                raise ValueError("multiplicity defined for integral dilations only")
+            scaled.append(times * w.numerator)
+        return cls(s.m, s.n, scaled[0], tuple(scaled[1:]))
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:

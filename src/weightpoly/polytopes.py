@@ -70,6 +70,20 @@ def _assembled(cls, **fields):
     return record
 
 
+# The Fractions of the small integers, one shared object each, for records
+# assembled from integer rows (_fractions).
+_SMALL = 64
+_SHARED = tuple(Fraction(i) for i in range(-_SMALL, _SMALL + 1))
+
+
+def _fractions(values: Iterable) -> Vec:
+    """values as a tuple of Fractions: a Fraction as it is, an int within
+    _SMALL of 0 as its shared entry of _SHARED, any other int as Fraction(c)."""
+    return tuple([c if type(c) is Fraction else
+                  _SHARED[c + _SMALL] if -_SMALL <= c <= _SMALL else Fraction(c)
+                  for c in values])
+
+
 @dataclass(frozen=True)
 class HPolytope:
     """Intersection of halfspaces (and hyperplanes) in Q^dim.
@@ -131,6 +145,33 @@ class HPolytope:
         ineqs = tuple((vec(row["a"]), frac(row["b"])) for row in data.get("ineqs", ()))
         eqs = tuple((vec(row["a"]), frac(row["b"])) for row in data.get("eqs", ()))
         return cls(data["dim"], ineqs, eqs)
+
+
+def _hpolytope(dim: int, ineqs: Iterable, eqs: Iterable = ()) -> HPolytope:
+    """HPolytope(dim, ineqs, eqs), from rows the engine derived itself.
+
+    Each row is (normal, rhs), the normal a tuple of dim ints or Fractions
+    and rhs an int or a Fraction.  The constructor's rules apply: the first
+    row of each normal stays in place with the tighter rhs, a repeated
+    equality goes, and a zero normal is kept only with rhs < 0.  The rows in
+    hand hash as their Fractions do, so the hash is taken from them; then
+    every entry becomes a Fraction by _fractions and the record is
+    _assembled, with no second vec/frac pass.
+    """
+    tightest: dict = {}
+    for normal, rhs in ineqs:
+        if rhs >= 0 and not any(normal):
+            raise ValueError("inequality with zero normal (and no infeasibility)")
+        if normal not in tightest or rhs < tightest[normal]:
+            tightest[normal] = rhs
+    rows = tuple(tightest.items())
+    eqs = tuple(dict.fromkeys(eqs))
+
+    def converted(pairs):
+        return tuple([(row[:-1], row[-1]) for row in (_fractions((*a, b)) for a, b in pairs)])
+
+    return _assembled(HPolytope, dim=dim, ineqs=converted(rows), eqs=converted(eqs),
+                      _hash=hash((dim, rows, eqs)))
 
 
 @dataclass(frozen=True)
@@ -227,8 +268,7 @@ class AffineMap:
 
 def empty_hrep(dim: int) -> HPolytope:
     """Canonical infeasible system: 0 . x <= -1."""
-    zero = tuple(Fraction(0) for _ in range(dim))
-    return HPolytope(dim, ((zero, Fraction(-1)),), ())
+    return _hpolytope(dim, (((0,) * dim, -1),))
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -386,8 +426,9 @@ def _pull_back(rows: Iterable, matrix: Sequence[Sequence], offset: Sequence):
 
 def _affine_hull(verts: Sequence[Vec], dim: int):
     """The affine hull of nonempty verts in Q^dim, from one elimination pass:
-    (eqs, U, W), with eqs its canonical equalities, U a basis of the
-    differences v - verts[0] and W = (U^T U)^{-1} U^T, a left inverse of U.
+    (eqs, U, W), with eqs its canonical equalities as coprime integer rows,
+    U a basis of the differences v - verts[0] and W = (U^T U)^{-1} U^T, a
+    left inverse of U.
 
     On the hull x = verts[0] + U y with y = W (x - verts[0]), and U W is the
     orthogonal projection onto the hull's direction space.  The rows (v, 1)
@@ -404,7 +445,7 @@ def _affine_hull(verts: Sequence[Vec], dim: int):
         prim = primitive_vector(z)
         if next(c for c in prim if c) < 0:
             prim = tuple(-c for c in prim)
-        eqs.append((tuple(Fraction(c) for c in prim[:-1]), Fraction(-prim[-1])))
+        eqs.append((prim[:-1], -prim[-1]))
     eqs.sort()
     basis = [deltas[i] for i in picked]
     if not basis:
@@ -429,7 +470,7 @@ def v_to_h(V: VPolytope) -> HPolytope:
     eqs, _, w_rows = _affine_hull(verts, d)
     k = len(w_rows)
     if k == 0:
-        return HPolytope(d, (), eqs)
+        return _hpolytope(d, (), eqs)
     v0 = verts[0]
     dual_rows = set()
     for v in verts:
@@ -441,7 +482,7 @@ def v_to_h(V: VPolytope) -> HPolytope:
     # the constant row 0 <= z0, which the pull-back drops.
     chart_rows = ((enumerate(-c for c in z[1:]), Fraction(z[0])) for z in rays)
     pulled = _pull_back(chart_rows, w_rows, [-dot(w, v0) for w in w_rows])
-    return HPolytope(d, tuple(sorted(_joint_primitive(a, b) for a, b in pulled)), eqs)
+    return _hpolytope(d, sorted(_joint_primitive(a, b) for a, b in pulled), eqs)
 
 
 @functools.lru_cache(maxsize=512)
@@ -453,17 +494,24 @@ def _incidence(P: HPolytope):
     vertex, vertices tight on each row, (scale, ints)), where scale is the
     least common denominator of the vertices and ints[i] = scale * vertex i,
     in integers.  The DD gets the primitive rows (b, -a) of the cone
-    over P in input order: row i from P.ineqs[i], then t >= 0, then both
-    halves of each equality; scaled duplicates stay, each its own row.  So
+    over P in input order, read off the rows' numerators and denominators:
+    row i from P.ineqs[i], then t >= 0, then both halves of each equality;
+    scaled duplicates stay, each its own row.  At scale 1 the vertices'
+    Fractions come from _fractions' shared table.  So
     the DD's zero sets are the incidence, cut to the bits of P.ineqs.
     Facets, dimension and edges are read off this one record.  Raises
     UnboundedPolytopeError as h_to_v does.  Lines the normals miss leave
     every ray at t = 0 when P is empty, and make a nonempty P unbounded.
     """
-    rows = [primitive_vector((b,) + tuple(-c for c in a)) for a, b in P.ineqs]
+    def cone_row(a, b):  # the primitive (b, -a), read off numerators
+        _, (num_b, *num_a) = clear_denominators((b, *a))
+        return primitive_vector((num_b, *[-c for c in num_a]))
+
+    rows = [cone_row(a, b) for a, b in P.ineqs]
     rows.append((1,) + (0,) * P.dim)
     for e, f in P.eqs:
-        rows += [primitive_vector((f,) + tuple(-c for c in e)), primitive_vector((-f,) + e)]
+        row = cone_row(e, f)
+        rows += [row, tuple([-c for c in row])]
     rays, zsets, lines = _dd_extreme_rays(rows, P.dim + 1)
     if any(ray[0] < 0 for ray in rays):
         raise AssertionError("homogenization row t >= 0 violated")
@@ -480,8 +528,10 @@ def _incidence(P: HPolytope):
     of_ineqs = (1 << len(P.ineqs)) - 1
     vert_masks = [found[i][1] & of_ineqs for i in order]
     row_masks = _tight_on(vert_masks, len(P.ineqs))
-    return (tuple(tuple(Fraction(c, scale) for c in ints[i]) for i in order),
-            vert_masks, row_masks, (scale, [ints[i] for i in order]))
+    ints = [ints[i] for i in order]
+    verts = (tuple(map(_fractions, ints)) if scale == 1 else
+             tuple(tuple(Fraction(c, scale) for c in v) for v in ints))
+    return verts, vert_masks, row_masks, (scale, ints)
 
 
 def _facet_rows(row_masks: Sequence[int], n_verts: int) -> tuple[tuple[int, int], ...]:
@@ -554,7 +604,7 @@ def remove_redundant(P: HPolytope) -> HPolytope:
         normal = tuple(dot(y, col) for col in zip(*basis))
         at = verts[(mask & -mask).bit_length() - 1]
         canonical.append(_joint_primitive(normal, dot(normal, at)))
-    return HPolytope(P.dim, tuple(retained + sorted(canonical)), eqs)
+    return _hpolytope(P.dim, retained + sorted(canonical), eqs)
 
 
 def contains(P: HPolytope, point: Sequence) -> bool:
@@ -851,7 +901,7 @@ def affine_image(P: HPolytope | VPolytope, f: AffineMap) -> HPolytope | VPolytop
                 out.append((a_new, b + dot(a_new, f.offset)))
             return tuple(out)
 
-        return HPolytope(f.codomain_dim, transform(P.ineqs), transform(P.eqs))
+        return _hpolytope(f.codomain_dim, transform(P.ineqs), transform(P.eqs))
     if not f.is_injective:
         raise ValueError(not_injective)
     verts = h_to_v(P).vertices
@@ -886,7 +936,7 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
     pulled = _pull_back(((enumerate(a), b) for a, b in P.ineqs), matrix, x0)
     if pulled is None:
         return empty_hrep(k), embed
-    return HPolytope(k, tuple(_joint_primitive(a, b) for a, b in pulled), ()), embed
+    return _hpolytope(k, [_joint_primitive(a, b) for a, b in pulled]), embed
 
 
 class _CanonicalSearch:
@@ -1029,6 +1079,7 @@ def canonical_incidence(n_left: int, left_labels: Sequence | None,
     return _CanonicalSearch(names, rights).search([init[name] for name in names], ())
 
 
+@functools.lru_cache(maxsize=512)
 def combinatorial_fingerprint(P: HPolytope) -> str:
     """Canonical form of the vertex-facet incidence (atom-coatom) structure.
 
@@ -1036,6 +1087,8 @@ def combinatorial_fingerprint(P: HPolytope) -> str:
     vertex-facet incidences determine the whole face lattice.  The facets
     and their tight vertices are read off the input rows (_facet_masks), and
     the vertices off the same incidence record, with no VPolytope built.
+    Cached per polytope, so a fingerprint of a chart that verify_duality
+    already labelled runs no second search.
     """
     n_verts = len(_incidence(P)[0])
     if not n_verts:

@@ -97,6 +97,56 @@ def v_to_h_route_remove_redundant(P):
     return type(P)(P.dim, tuple(retained), canon.eqs)
 
 
+def _fraction_slice_rows(s):
+    """Per row t of the slice, (t, lo, hi, S_t) in Fractions."""
+    m, n, P = s.m, s.n, s.P
+    sums = []
+    acc = Fraction(0)
+    for w in s.r[:-1]:
+        acc += w
+        sums.append(acc)
+    rows = []
+    for t in range(1, n):
+        lo = max(1, m + 2 - n + t)
+        hi = min(t, m + 1)
+        forced_p = max(0, m + 1 - n + t)
+        S_t = sums[t - 1] - P * forced_p
+        rows.append((t, lo, hi, S_t))
+    return rows
+
+
+def fraction_route_entry_chart(s):
+    """fm_polytope(s).entry_chart by the older route: the interlacing rows
+    pulled back in Fractions and handed to the HPolytope constructor."""
+    from weightpoly.builders import _interlacing_rows
+    from weightpoly.polytopes import HPolytope, _pull_back, empty_hrep
+
+    rows = _fraction_slice_rows(s)
+    layout = tuple((t, i) for t, lo, hi, _ in rows for i in range(hi, lo, -1))
+    dim = len(layout)
+    index = {pos: j for j, pos in enumerate(layout)}
+    matrix: list[tuple[int, ...]] = []  # per entry, in _entry_index order
+    offset: list[Fraction] = []
+    for t, lo, hi, S_t in rows:
+        for i in range(t, 0, -1):
+            coeffs = [0] * dim
+            const = Fraction(0)
+            if lo < i <= hi:
+                coeffs[index[(t, i)]] = 1
+            elif i == lo:
+                for free in range(lo + 1, hi + 1):
+                    coeffs[index[(t, free)]] = -1
+                const = S_t
+            elif i < lo:
+                const = s.P
+            matrix.append(tuple(coeffs))
+            offset.append(const)
+    lam = (s.P,) * (s.m + 1) + (Fraction(0),) * (s.n - s.m - 1)
+    ineqs = _pull_back(((a.items(), b) for a, b in _interlacing_rows(s.n, lam)),
+                       matrix, offset)
+    return empty_hrep(dim) if ineqs is None else HPolytope(dim, tuple(ineqs), ())
+
+
 def _rank(rows):
     """Rank of a list of rational rows by Gaussian elimination."""
     M = [[Fraction(x) for x in row] for row in rows]

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weightpoly import builders
 from weightpoly.builders import (ChartedSlice, GTSpec, SideData, admissible,
                                  dual_side_data, entry_to_diag_map, fm_polytope,
                                  gt_hrep, gt_slice, polygon_hrep)
@@ -11,8 +13,8 @@ from weightpoly.exact import vec
 from weightpoly.polytopes import (AffineMap, HPolytope, contains, empty_hrep,
                                   h_to_v, lattice_points, polytope_dim,
                                   remove_redundant)
-from oracles import (gt_pattern_count, random_admissible_r, reference_gt_rows,
-                     reference_slice)
+from oracles import (fraction_route_entry_chart, gt_pattern_count, random_admissible_r,
+                     reference_gt_rows, reference_slice)
 
 
 def test_side_data_validation():
@@ -182,3 +184,85 @@ def test_gt_hrep_matches_the_dense_oracle(data):
                                   min_size=k - 1, max_size=k - 1))
     dim, ineqs, eqs = reference_gt_rows(k, lam, sums)
     assert gt_hrep(GTSpec(k, tuple(lam), sums)) == HPolytope(dim, ineqs, eqs)
+
+
+def _assert_constructor_record(P):
+    """P is the record HPolytope makes of its own rows: equal, with equal
+    repr and hash, and every entry a Fraction."""
+    rebuilt = HPolytope(P.dim, P.ineqs, P.eqs)
+    assert rebuilt == P and repr(rebuilt) == repr(P) and hash(rebuilt) == hash(P)
+    assert all(type(c) is Fraction for rows in (P.ineqs, P.eqs) for a, b in rows for c in (*a, b))
+
+
+def test_chart_records_equal_their_constructors(monkeypatch):
+    """The entry chart, polygon_hrep and remove_redundant of both, assembled
+    from integer rows, are the constructor's records of the same rows; the
+    entry chart's rows are the Fraction route's, in order, and its map is
+    the AffineMap constructor's."""
+    handed = []
+    assemble = builders._hpolytope
+
+    def recording(dim, ineqs, eqs=()):
+        ineqs = list(ineqs)
+        handed.append(len(ineqs))
+        return assemble(dim, ineqs, eqs)
+
+    monkeypatch.setattr(builders, "_hpolytope", recording)
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(m + 2, 8))
+        kind = data.draw(st.sampled_from(("integral", "half-integral", "equal")))
+        if kind == "equal":
+            r = [data.draw(st.builds(Fraction, st.integers(1, 6), st.sampled_from((1, 2))))] * n
+        else:
+            weight = st.builds(Fraction, st.integers(1, 9), st.just(1 if kind == "integral" else 2))
+            r = data.draw(st.lists(weight, min_size=n, max_size=n))
+        s = SideData.from_weights(m, r)
+        fm_polytope.cache_clear()
+        polygon_hrep.cache_clear()
+        handed.clear()
+        cs = fm_polytope(s)
+        oracle = fraction_route_entry_chart(s)
+        assert cs.entry_chart == oracle and repr(cs.entry_chart) == repr(oracle)
+        f = cs.entry_to_diag
+        rebuilt = AffineMap(f.domain_dim, f.codomain_dim, f.matrix, f.offset)
+        assert rebuilt == f and repr(rebuilt) == repr(f)
+        assert all(type(c) is Fraction for row in (*f.matrix, f.offset) for c in row)
+        charts = [cs.entry_chart] + ([polygon_hrep(s)] if m == 1 and n >= 4 else [])
+        for P in charts:
+            _assert_constructor_record(P)
+            _assert_constructor_record(remove_redundant(P))
+        seen[kind] += 1
+        seen["rational L"] += any(w.denominator != 1 for w in (s.P, *s.r))
+        seen["deduped"] += bool(handed) and handed[0] > len(cs.entry_chart.ineqs)
+        seen["empty"] += not h_to_v(cs.entry_chart).vertices
+
+    check()
+    assert all(seen[key] for key in ("integral", "half-integral", "equal", "rational L",
+                                     "deduped", "empty")), seen
+
+
+def test_integral_charts_run_no_constructor_check(monkeypatch):
+    checked = []
+    post_init = HPolytope.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(HPolytope, "__post_init__", counted)
+    for m, r in ((1, (1, 2, 2, 3, 3, 4, 5)), (1, (3, 3, 3, 3, 3)), (2, (2, 2, 2, 3, 3, 3, 3)),
+                 (3, (4,) * 9)):
+        fm_polytope.cache_clear()
+        polygon_hrep.cache_clear()
+        s = SideData.from_weights(m, r)
+        fm_polytope(s)
+        if m == 1:
+            polygon_hrep(s)
+    assert checked == []
+    HPolytope(1, (((1,), 1),))  # the wrapper is live
+    assert len(checked) == 1

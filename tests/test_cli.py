@@ -339,6 +339,21 @@ def test_ehrhart_of_an_equality_file_charts_it_once(capsys, tmp_path, monkeypatc
     assert len(charted) == 1
 
 
+def test_fingerprint_after_dual_labels_no_chart_twice(capsys, monkeypatch):
+    labelled = []
+    canonical = polytopes.canonical_incidence
+
+    def counting(*args):
+        labelled.append(args)
+        return canonical(*args)
+
+    monkeypatch.setattr(polytopes, "canonical_incidence", counting)
+    clear_caches()
+    assert run(capsys, ["dual"] + HEXAGON)[0] == 0
+    assert run(capsys, ["fingerprint", "--chart", "entry"] + HEXAGON)[0] == 0
+    assert len(labelled) == 2  # the primal and the dual entry chart
+
+
 LINE = "error: polytope is unbounded (recession line); bounded input required\n"
 RAY = "error: polytope is unbounded (recession ray); bounded input required\n"
 UNBOUNDED_FILES = {

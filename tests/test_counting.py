@@ -165,6 +165,22 @@ def test_multiplicity_matches_pattern_oracle():
         assert weight_multiplicity(q) == pattern_multiplicity(m, n, s.P, r)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.data(), st.integers(0, 12))
+def test_from_side_scales_by_numerators_and_denominators(m, data, t):
+    weight = st.builds(Fraction, st.integers(1, 9), st.sampled_from((1, 2, 3, 4)))
+    r = data.draw(st.lists(weight, min_size=m + 2, max_size=m + 5))
+    s = SideData.from_weights(m, r)
+    if (t * s.P).denominator != 1 or any((t * w).denominator != 1 for w in s.r):
+        with pytest.raises(ValueError) as err:
+            MultiplicityQuery.from_side(s, t)
+        assert str(err.value) == "multiplicity defined for integral dilations only"
+    else:
+        q = MultiplicityQuery.from_side(s, t)
+        assert (q.P, q.r) == (t * s.P, tuple(t * w for w in s.r))
+        assert type(q.P) is int and all(type(x) is int for x in q.r)
+
+
 @st.composite
 def multiplicity_queries(draw, max_m=3, max_n_over_m=4, max_P=lambda m: 4 if m < 3 else 2):
     """(m, n, P, r) with r any composition of (m+1)*P into n parts, zeros allowed."""

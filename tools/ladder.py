@@ -1,6 +1,7 @@
-"""Time the ladder: lattice counts and a lattice listing, weight
-multiplicities, vertex enumeration, the vertex graph, the fan's singularities
-and the fan fingerprint at fixed sizes, each row from cold caches.
+"""Time the ladder: chart construction, lattice counts and a lattice listing,
+weight multiplicities, vertex enumeration, the vertex graph, the fan's
+singularities and the fan fingerprint at fixed sizes, each row from cold
+caches.
 
     python3 tools/ladder.py [--out BENCH.json]
 
@@ -8,7 +9,9 @@ Each row runs REPEATS times.  Before each run every cache of the weightpoly
 modules is emptied and the row's input is prepared untimed: a count or
 listing row builds its polytope and the polytope's scan setup (its double
 description), so the timed part is the lattice scans alone; a multiplicity
-row builds its query; the h_to_v and vertex-graph rows build the polygon's
+row builds its query; a chart row builds its side data, and the
+remove_redundant row also the polygon's incidence, emptying polygon_hrep's
+cache after; the h_to_v and vertex-graph rows build the polygon's
 incidence (its double description), and the fan rows its vertex graph.  A
 row records the median and every run's wall time in ms, the tracemalloc peak
 of one more run, and the values it computed, so two checkouts' files can be
@@ -42,7 +45,8 @@ from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hre
 from weightpoly.counting import MultiplicityQuery, weight_multiplicity  # noqa: E402
 from weightpoly import polytopes  # noqa: E402
 from weightpoly.polytopes import (_incidence, _scan_setup, _vertex_graph,  # noqa: E402
-                                  count_lattice_points, h_to_v, lattice_points)
+                                  count_lattice_points, h_to_v, lattice_points,
+                                  remove_redundant)
 from weightpoly.toric import fan_fingerprint, normal_fan  # noqa: E402
 
 
@@ -67,6 +71,27 @@ def _listing(polytope, dilate):
 
 def _chart(m, r, chart):
     return lambda: getattr(gt_slice(SideData.from_weights(m, r)), chart)
+
+
+def _chart_record(P):
+    """A chart's dimension, row count and the sha256 of its JSON."""
+    text = json.dumps(P.to_json_dict())
+    return [P.dim, len(P.ineqs), hashlib.sha256(text.encode()).hexdigest()]
+
+
+def _entry_chart(m, r):
+    return (lambda: SideData.from_weights(m, r),
+            lambda s: _chart_record(gt_slice(s).entry_chart))
+
+
+def _irredundant_polygon(r):
+    """remove_redundant(polygon_hrep) of the polygon r, its incidence built first."""
+    def prepare():
+        s = SideData.from_weights(1, r)
+        _incidence(polygon_hrep(s))
+        polygon_hrep.cache_clear()
+        return s
+    return prepare, lambda s: _chart_record(remove_redundant(polygon_hrep(s)))
 
 
 def _mult(m, r, t):
@@ -123,6 +148,10 @@ ROWS = {
         _counts(_chart(1, POLYGON, "entry_chart"), range(1, 5)),
     "lattice_points entry chart m=2 r=(2,2,2,3,3,3,3), t=4 (points, sha256)":
         _listing(_chart(2, (2, 2, 2, 3, 3, 3, 3), "entry_chart"), 4),
+    "gt_slice entry chart m=2 r=3^11 (dim, rows, sha256)": _entry_chart(2, (3,) * 11),
+    "gt_slice entry chart m=3 r=4^9 (dim, rows, sha256)": _entry_chart(3, (4,) * 9),
+    "remove_redundant(polygon_hrep) r=(1,2)^7 (dim, rows, sha256)":
+        _irredundant_polygon((1, 2) * 7),
     "mult m=3 r=4^7, t=4": _mult(3, (4,) * 7, 4),
     "mult m=2 r=3^11, t=1": _mult(2, (3,) * 11, 1),
     "h_to_v polygon r=(1,2)^6 (vertices)":
