@@ -25,9 +25,20 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import ClassVar, Sequence
 
-from .exact import Vec, clear_denominators, frac, frac_str, is_int, vec
+from .exact import clear_denominators, frac_str, is_int, vec
 from .polytopes import (AffineMap, HPolytope, _assembled, _fractions, _hpolytope, _pull_back,
                         affine_image, empty_hrep)
+
+
+def _check_m_n(m, n) -> None:
+    """Reject a projective dimension m that is not an int >= 1, or a point
+    count n that is not an int > m+1 (a bool is neither)."""
+    if not is_int(m) or m < 1:
+        raise ValueError("m must be a positive integer")
+    if not is_int(n):
+        raise ValueError("n must be an integer")
+    if n <= m + 1:
+        raise ValueError("need n > m+1")
 
 
 @dataclass(frozen=True)
@@ -40,15 +51,10 @@ class SideData:
     P: Fraction = field(init=False)
 
     def __post_init__(self):
-        if not is_int(self.m) or self.m < 1:
-            raise ValueError("m must be a positive integer")
-        if not is_int(self.n):
-            raise ValueError("n must be an integer")
+        _check_m_n(self.m, self.n)
         r = vec(self.r)
         if len(r) != self.n:
             raise ValueError(f"expected {self.n} weights, got {len(r)}")
-        if self.n <= self.m + 1:
-            raise ValueError("need n > m+1")
         if any(w <= 0 for w in r):
             raise ValueError("all weights must be positive")
         object.__setattr__(self, "r", r)
@@ -56,7 +62,7 @@ class SideData:
 
     @classmethod
     def from_weights(cls, m: int, weights: Sequence) -> "SideData":
-        w = tuple(frac(x) for x in weights)
+        w = vec(weights)
         return cls(m, len(w), w)
 
     def to_json_dict(self) -> dict:
@@ -68,7 +74,7 @@ class SideData:
         m = data["m"]
         if "n" in data and data["n"] != len(weights):
             raise ValueError("n does not match the number of weights")
-        return cls.from_weights(m, weights)
+        return cls(m, len(weights), weights)
 
 
 @dataclass(frozen=True)
@@ -234,24 +240,25 @@ def gt_hrep(spec: GTSpec) -> HPolytope:
 
     One coordinate per entry of rows 1..k-1 (k(k-1)/2 in total); row k is the
     fixed top row.  Constraints are _interlacing_rows, made dense; fixed row
-    sums, when present, are added as equalities.
+    sums, when present, are added as equalities.  The record is assembled
+    once from these int normals (_hpolytope).
     """
     k = spec.k
     dim = k * (k - 1) // 2
-    ineqs: list[tuple[Vec, Fraction]] = []
+    ineqs = []
     for coeffs, rhs in _interlacing_rows(k, spec.lam):
         row = [0] * dim
         for j, c in coeffs.items():
             row[j] = c
         ineqs.append((tuple(row), rhs))
-    eqs: list[tuple[Vec, Fraction]] = []
+    eqs = []
     if spec.row_sums is not None:
         for t in range(1, k):
-            row = [Fraction(0)] * dim
+            row = [0] * dim
             for i in range(1, t + 1):
-                row[_entry_index(t, i)] = Fraction(1)
+                row[_entry_index(t, i)] = 1
             eqs.append((tuple(row), spec.row_sums[t - 1]))
-    return HPolytope(dim, tuple(ineqs), tuple(eqs))
+    return _hpolytope(dim, ineqs, eqs)
 
 
 def _slice_rows(s: SideData):

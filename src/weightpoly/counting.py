@@ -27,7 +27,7 @@ from itertools import accumulate, permutations
 from math import lcm
 from typing import Sequence
 
-from .builders import SideData, dual_side_data, gt_slice
+from .builders import SideData, _check_m_n, dual_side_data, gt_slice
 from .exact import frac_str, is_int
 from .polytopes import (
     HPolytope,
@@ -188,10 +188,7 @@ class MultiplicityQuery:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_int(self.m) or self.m < 1:
-            raise ValueError("m must be a positive integer")
-        if not is_int(self.n) or self.n <= self.m + 1:
-            raise ValueError("need n > m+1")
+        _check_m_n(self.m, self.n)
         if not is_int(self.P) or self.P < 0:
             raise ValueError("P must be a nonnegative integer")
         r = tuple(self.r)
@@ -341,10 +338,7 @@ def verify_ehrhart_identity(s: SideData, t_max: int) -> IdentityReport:
 
 def real_fiber_size(m: int, n: int) -> int:
     """Generic fiber cardinality 2^(mn - 2m - m^2) of the real-form covering."""
-    if not is_int(m) or m < 1:
-        raise ValueError("m must be a positive integer")
-    if not is_int(n) or n <= m + 1:
-        raise ValueError("need n > m+1")
+    _check_m_n(m, n)
     return 2 ** (m * n - 2 * m - m * m)
 
 

@@ -99,34 +99,21 @@ class HPolytope:
 
     def __post_init__(self):
         _check_dim(self.dim)
-        seen: dict[Vec, int] = {}
-        ineqs: list[tuple[Vec, Fraction]] = []
-        for raw_normal, raw_rhs in self.ineqs:
-            normal, rhs = vec(raw_normal), frac(raw_rhs)
-            if len(normal) != self.dim:
-                raise ValueError("inequality normal has wrong length")
-            if all(c == 0 for c in normal) and rhs >= 0:
-                raise ValueError("inequality with zero normal (and no infeasibility)")
-            if normal in seen:
-                at = seen[normal]
-                if rhs < ineqs[at][1]:
-                    ineqs[at] = (normal, rhs)
-            else:
-                seen[normal] = len(ineqs)
-                ineqs.append((normal, rhs))
-        eqs: list[tuple[Vec, Fraction]] = []
-        for raw_normal, raw_rhs in self.eqs:
-            normal, rhs = vec(raw_normal), frac(raw_rhs)
-            if len(normal) != self.dim:
-                raise ValueError("equality normal has wrong length")
-            if all(c == 0 for c in normal):
-                raise ValueError("equality with zero normal")
-            if (normal, rhs) not in eqs:
-                eqs.append((normal, rhs))
-        object.__setattr__(self, "ineqs", tuple(ineqs))
-        object.__setattr__(self, "eqs", tuple(eqs))
-        # Every cache lookup hashes P; hash the Fractions once, not per lookup.
-        object.__setattr__(self, "_hash", hash((self.dim, self.ineqs, self.eqs)))
+
+        def parsed(rows, kind: str):
+            for raw_normal, raw_rhs in rows:
+                normal, rhs = vec(raw_normal), frac(raw_rhs)
+                if len(normal) != self.dim:
+                    raise ValueError(f"{kind} normal has wrong length")
+                if kind == "equality" and not any(normal):
+                    raise ValueError("equality with zero normal")
+                yield normal, rhs
+
+        # Each row is checked as _hpolytope reaches it, so errors come in row order.
+        record = _hpolytope(self.dim, parsed(self.ineqs, "inequality"),
+                            parsed(self.eqs, "equality"))
+        for name in ("ineqs", "eqs", "_hash"):
+            object.__setattr__(self, name, getattr(record, name))
 
     def __hash__(self) -> int:
         return self._hash
@@ -142,19 +129,21 @@ class HPolytope:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HPolytope":
-        ineqs = tuple((vec(row["a"]), frac(row["b"])) for row in data.get("ineqs", ()))
-        eqs = tuple((vec(row["a"]), frac(row["b"])) for row in data.get("eqs", ()))
+        ineqs = tuple((row["a"], row["b"]) for row in data.get("ineqs", ()))
+        eqs = tuple((row["a"], row["b"]) for row in data.get("eqs", ()))
         return cls(data["dim"], ineqs, eqs)
 
 
 def _hpolytope(dim: int, ineqs: Iterable, eqs: Iterable = ()) -> HPolytope:
-    """HPolytope(dim, ineqs, eqs), from rows the engine derived itself.
+    """HPolytope(dim, ineqs, eqs), from rows already checked: the engine's
+    own, or the constructor's once it has parsed them.
 
     Each row is (normal, rhs), the normal a tuple of dim ints or Fractions
-    and rhs an int or a Fraction.  The constructor's rules apply: the first
-    row of each normal stays in place with the tighter rhs, a repeated
-    equality goes, and a zero normal is kept only with rhs < 0.  The rows in
-    hand hash as their Fractions do, so the hash is taken from them; then
+    and rhs an int or a Fraction.  This is the one dedup rule of the
+    record: the first row of each normal stays in place with the tighter
+    rhs, a repeated equality goes, and a zero normal is kept only with
+    rhs < 0.  The record's hash, which every cache lookup reads, is taken
+    once, from the rows in hand, which hash as their Fractions do; then
     every entry becomes a Fraction by _fractions and the record is
     _assembled, with no second vec/frac pass.
     """
@@ -196,7 +185,7 @@ class VPolytope:
     @classmethod
     def from_points(cls, dim: int, points: Iterable[Sequence]) -> "VPolytope":
         """Convex hull of the points, keeping extreme points only."""
-        staged = cls(dim, tuple(tuple(frac(c) for c in p) for p in points))
+        staged = cls(dim, tuple(points))
         if not staged.vertices:
             return staged
         return h_to_v(v_to_h(staged))
@@ -209,7 +198,7 @@ class VPolytope:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VPolytope":
-        return cls(data["dim"], tuple(vec(v) for v in data.get("vertices", ())))
+        return cls(data["dim"], data.get("vertices", ()))
 
 
 @dataclass(frozen=True)
@@ -260,10 +249,7 @@ class AffineMap:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AffineMap":
-        return cls(
-            data["domain_dim"], data["codomain_dim"],
-            tuple(vec(row) for row in data["matrix"]), vec(data["offset"]),
-        )
+        return cls(data["domain_dim"], data["codomain_dim"], data["matrix"], data["offset"])
 
 
 def empty_hrep(dim: int) -> HPolytope:
@@ -881,12 +867,10 @@ def affine_image(P: HPolytope | VPolytope, f: AffineMap) -> HPolytope | VPolytop
     An injective affine map sends vertices onto vertices, so those images need
     no convexifying.
     """
-    if isinstance(P, VPolytope):
-        if P.dim != f.domain_dim:
-            raise ValueError("map domain does not match the polytope dimension")
-        return VPolytope.from_points(f.codomain_dim, [f.apply(v) for v in P.vertices])
     if P.dim != f.domain_dim:
         raise ValueError("map domain does not match the polytope dimension")
+    if isinstance(P, VPolytope):
+        return VPolytope.from_points(f.codomain_dim, [f.apply(v) for v in P.vertices])
     not_injective = "H-representation image needs an injective affine map"
     if f.domain_dim == f.codomain_dim:
         try:

@@ -60,50 +60,44 @@ _SINGULAR_CLAIMS = {
 }
 
 
-def reference_battery(side_overrides: dict[str, tuple] | None = None) -> ReferenceReport:
-    """Recompute every frozen claim; side_overrides swaps in alternative weights
-    under a claim id (useful as a tamper check that failures are detected)."""
-    overrides = side_overrides or {}
-
-    def weights(claim_id: str, default: tuple) -> SideData:
-        return SideData.from_weights(1, overrides.get(claim_id, default))
-
+def reference_battery() -> ReferenceReport:
+    """Recompute every frozen claim."""
     claims: list[ReferenceClaim] = []
 
     for claim_id, (r, expected) in _VERTEX_CLAIMS.items():
-        verts = h_to_v(polygon_hrep(weights(claim_id, r))).vertices
+        verts = h_to_v(polygon_hrep(SideData.from_weights(1, r))).vertices
         computed = [[frac_str(c) for c in v] for v in verts]
         claims.append(ReferenceClaim(claim_id, expected, computed))
 
     for claim_id, (r, expected) in _SINGULAR_CLAIMS.items():
-        report = singularity_report(normal_fan(polygon_hrep(weights(claim_id, r))))
+        report = singularity_report(normal_fan(polygon_hrep(SideData.from_weights(1, r))))
         singular = report.singular
         computed = {"count": len(singular), "orders": sorted(e.index for e in singular)}
         claims.append(ReferenceClaim(claim_id, expected, computed))
 
     simplex = remove_redundant(polygon_hrep(
-        weights("simplex-shape", (2, 2, 2, 2, 2, 9))))
+        SideData.from_weights(1, (2, 2, 2, 2, 2, 9))))
     claims.append(ReferenceClaim(
         "simplex-shape",
         {"facets": 4, "vertices": 4},
         {"facets": len(simplex.ineqs), "vertices": len(h_to_v(simplex).vertices)}))
 
-    cat = dict(_catalogue(weights("catalogue-coincidence", (3, 3, 3, 3, 4))))
+    cat = dict(_catalogue(SideData.from_weights(1, (3, 3, 3, 3, 4))))
     claims.append(ReferenceClaim(
         "catalogue-coincidence",
         True, cat["N2(2)"] == cat["N3(2)"]))
 
-    s_dim = SideData.from_weights(2, overrides.get("slice-dimension", (2, 2, 2, 2, 2, 2)))
+    s_dim = SideData.from_weights(2, (2, 2, 2, 2, 2, 2))
     m, n = s_dim.m, s_dim.n
     claims.append(ReferenceClaim(
         "slice-dimension",
         m * n - 2 * m - m * m,
         polytope_dim(gt_slice(s_dim).entry_chart)))
 
-    dual_report = verify_duality(weights("duality-invariants", (3, 3, 3, 3, 4)), 3)
+    dual_report = verify_duality(SideData.from_weights(1, (3, 3, 3, 3, 4)), 3)
     claims.append(ReferenceClaim("duality-invariants", True, dual_report.all_pass))
 
-    identity = verify_ehrhart_identity(weights("count-identity", (3, 3, 3, 3, 4)), 3)
+    identity = verify_ehrhart_identity(SideData.from_weights(1, (3, 3, 3, 3, 4)), 3)
     by_dilate = {c.dilate: c for c in identity.checks}
     claims.append(ReferenceClaim(
         "count-identity",

@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive: enumerate subsets, scan boxes, recurse
 over rows.  Except v_to_h_route_remove_redundant, which replays an older rule
-through the package's dual double description pass, none of it shares code
-with the package's arithmetic (section_rule_h_to_v only builds its result and
+through the package's dual double description pass, and
+constructor_route_hpolytope, which replays the HPolytope constructor's own
+former row loop over the package's parsers, none of it shares code with the
+package's arithmetic (section_rule_h_to_v only builds its result and
 error types); agreement between the two is the evidence the fast paths are
 right.
 """
@@ -95,6 +97,48 @@ def v_to_h_route_remove_redundant(P):
             covered.add(key)
             retained.append((a, b))
     return type(P)(P.dim, tuple(retained), canon.eqs)
+
+
+def constructor_route_hpolytope(dim, ineqs=(), eqs=()):
+    """HPolytope(dim, ineqs, eqs) by the constructor's former loop, which
+    parsed, checked and deduplicated each row itself: the first row per
+    normal kept in place with the tighter rhs, a repeated equality dropped,
+    a zero normal allowed only with rhs < 0, and the hash taken once.  The
+    record is made without the constructor, so its fields are this loop's."""
+    from weightpoly.exact import frac, vec
+    from weightpoly.polytopes import HPolytope, _check_dim
+
+    _check_dim(dim)
+    seen = {}
+    kept = []
+    for raw_normal, raw_rhs in ineqs:
+        normal, rhs = vec(raw_normal), frac(raw_rhs)
+        if len(normal) != dim:
+            raise ValueError("inequality normal has wrong length")
+        if all(c == 0 for c in normal) and rhs >= 0:
+            raise ValueError("inequality with zero normal (and no infeasibility)")
+        if normal in seen:
+            at = seen[normal]
+            if rhs < kept[at][1]:
+                kept[at] = (normal, rhs)
+        else:
+            seen[normal] = len(kept)
+            kept.append((normal, rhs))
+    kept_eqs = []
+    for raw_normal, raw_rhs in eqs:
+        normal, rhs = vec(raw_normal), frac(raw_rhs)
+        if len(normal) != dim:
+            raise ValueError("equality normal has wrong length")
+        if all(c == 0 for c in normal):
+            raise ValueError("equality with zero normal")
+        if (normal, rhs) not in kept_eqs:
+            kept_eqs.append((normal, rhs))
+    record = object.__new__(HPolytope)
+    fields = {"dim": dim, "ineqs": tuple(kept), "eqs": tuple(kept_eqs)}
+    fields["_hash"] = hash((dim, fields["ineqs"], fields["eqs"]))
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
 
 
 def _fraction_slice_rows(s):

@@ -182,8 +182,29 @@ def test_gt_hrep_matches_the_dense_oracle(data):
         total = sum(lam)
         sums = data.draw(st.lists(st.builds(lambda p: total * Fraction(p, 4), st.integers(0, 4)),
                                   min_size=k - 1, max_size=k - 1))
-    dim, ineqs, eqs = reference_gt_rows(k, lam, sums)
-    assert gt_hrep(GTSpec(k, tuple(lam), sums)) == HPolytope(dim, ineqs, eqs)
+    P = gt_hrep(GTSpec(k, tuple(lam), sums))
+    expected = HPolytope(*reference_gt_rows(k, lam, sums))
+    assert P == expected and repr(P) == repr(expected) and hash(P) == hash(expected)
+    _assert_constructor_record(P)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("with_sums", [False, True])
+def test_gt_hrep_is_the_constructors_record(k, with_sums):
+    """gt_hrep, assembled from int rows, equals the constructor's record of
+    the dense oracle's Fraction rows in value, repr and hash, for every
+    k <= 5 with and without row sums (the draws above miss some)."""
+    lam = tuple(Fraction(3 * (k - 1 - i), 2) for i in range(k))
+    sums = tuple(Fraction(t * sum(lam), k) for t in range(1, k)) if with_sums else None
+    P = gt_hrep(GTSpec(k, lam, sums))
+    expected = HPolytope(*reference_gt_rows(k, lam, sums))
+    assert P == expected and repr(P) == repr(expected) and hash(P) == hash(expected)
+    _assert_constructor_record(P)
+
+
+def test_from_weights_rejects_a_string_of_weights():
+    with pytest.raises(TypeError, match="not a vector"):
+        SideData.from_weights(1, "33333")
 
 
 def _assert_constructor_record(P):

@@ -37,6 +37,8 @@ def box2():
     (lambda: MultiplicityQuery(1, 3, True, (1, 1, 0)), "P must be a nonnegative integer"),
     (lambda: MultiplicityQuery(1, 3, 1, (True, 1, 0)), "r must be 3 nonnegative integers"),
     (lambda: real_fiber_size(True, 5), "m must be a positive integer"),
+    (lambda: real_fiber_size(1, True), "n must be an integer"),
+    (lambda: MultiplicityQuery(1, True, 1, (1, 1, 0)), "n must be an integer"),
     (lambda: MultiplicityQuery.from_side(SideData.from_weights(1, (1, 1, 1, 1)), True),
      "dilate must be a nonnegative integer"),
     (lambda: MultiplicityQuery.from_side(SideData.from_weights(1, (1, 1, 1, 1)), 1.0),
@@ -45,7 +47,8 @@ def box2():
      "dilate must be a nonnegative integer"),
 ], ids=["count_lattice_points", "count_dilates", "verify_ehrhart_identity",
         "MultiplicityQuery.m", "MultiplicityQuery.P", "MultiplicityQuery.r",
-        "real_fiber_size", "from_side-bool", "from_side-float", "from_side-negative"])
+        "real_fiber_size", "real_fiber_size.n", "MultiplicityQuery.n",
+        "from_side-bool", "from_side-float", "from_side-negative"])
 def test_bools_are_rejected_where_integers_are_required(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from weightpoly.toric import Cone, Fan, fan_fingerprint, normal_fan
 from caches import clear_caches
 from oracles import (_rank, all_vertex_affine_hull_equalities,
                      brute_force_canonical_incidence, brute_force_edges,
+                     constructor_route_hpolytope,
                      brute_force_lattice_points, brute_force_vertices, gt_pattern_count,
                      pairwise_cone_adjacency, random_box_with_cuts, random_box_with_equalities,
                      reference_refine, section_rule_h_to_v, tightness_incidence,
@@ -677,10 +679,100 @@ def test_constructors_reject_a_non_integer_or_bool_dimension(build, message):
         build()
 
 
+def test_from_points_rejects_a_string_point():
+    with pytest.raises(TypeError, match="not a vector"):
+        VPolytope.from_points(2, ["12"])
+
+
 def test_zero_normal_rejected_unless_certificate():
     with pytest.raises(ValueError):
         HPolytope(dim=2, ineqs=((vec([0, 0]), Fraction(1)),), eqs=())
     empty_hrep(2)  # zero normal with negative rhs allowed
+
+
+_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-6, 6), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+
+# Rows the constructor must reject, by the ambient dimension; a further
+# fault replaces the dimension itself.
+_FAULTY_ROWS = {
+    "long normal": lambda dim: ((1,) * (dim + 1), 0),
+    "zero normal": lambda dim: ((0,) * dim, 0),
+    "string normal": lambda dim: ("1" * dim, 0),
+    "float entry": lambda dim: ((0.5,) * dim, 1),
+    "bool rhs": lambda dim: ((1,) * dim, True),
+    "zero denominator": lambda dim: ((1,) * dim, "1/0"),
+}
+
+
+@st.composite
+def raw_hpolytope_rows(draw):
+    """(dim, ineqs, eqs, faults): rows of int, "p/q" and Fraction entries
+    drawn from a few normals, so that normals repeat with either rhs the
+    tighter, equalities drawn with repetition, the empty certificate at
+    times, and up to two faults."""
+    dim = draw(st.integers(0, 3))
+    normal = st.tuples(*[_ENTRIES] * dim).filter(lambda a: any(Fraction(c) for c in a))
+    pool = draw(st.lists(normal, max_size=3)) if dim else []
+    ineqs, eqs = [], []
+    if pool:
+        ineqs = draw(st.lists(st.tuples(st.sampled_from(pool), _ENTRIES), max_size=7))
+        eq_rows = draw(st.lists(st.tuples(st.sampled_from(pool), _ENTRIES), max_size=2))
+        if eq_rows:
+            eqs = draw(st.lists(st.sampled_from(eq_rows), max_size=4))
+    if not pool or draw(st.booleans()):
+        certificate = ((0,) * dim, draw(st.sampled_from((-1, "-1/2"))))
+        ineqs.insert(draw(st.integers(0, len(ineqs))), certificate)
+    faults = draw(st.lists(st.sampled_from(("dim", *_FAULTY_ROWS)), max_size=2))
+    for fault in faults:
+        if fault != "dim":
+            rows = ineqs if draw(st.booleans()) else eqs
+            rows.insert(draw(st.integers(0, len(rows))), _FAULTY_ROWS[fault](dim))
+    if "dim" in faults:
+        dim = draw(st.sampled_from((True, -1, 1.0, "2")))
+    return dim, tuple(ineqs), tuple(eqs), faults
+
+
+def _record_or_error(build):
+    """build()'s record, or its exception's type and text."""
+    try:
+        return build()
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_constructor_records_equal_the_former_constructor_loop():
+    """HPolytope, which checks its rows and hands them to _hpolytope, gives
+    the former constructor loop's record in value, repr and hash, and the
+    same exception type and text for faulty input, several faults included."""
+    seen = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(raw_hpolytope_rows())
+    def check(case):
+        dim, ineqs, eqs, faults = case
+        got = _record_or_error(lambda: HPolytope(dim, ineqs, eqs))
+        want = _record_or_error(lambda: constructor_route_hpolytope(dim, ineqs, eqs))
+        if isinstance(want, HPolytope):
+            assert isinstance(got, HPolytope)
+            assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+            seen["record"] += 1
+            seen["deduped"] += len(got.ineqs) < len(ineqs)
+            seen["repeated equality"] += len(got.eqs) < len(eqs)
+            seen["certificate"] += any(not any(a) for a, _ in got.ineqs)
+            first_rhs = {}
+            for a, b in ineqs:
+                rhs = Fraction(b)
+                seen["tighter later rhs"] += rhs < first_rhs.setdefault(vec(a), rhs)
+        else:
+            assert got == want
+            seen[f"{len(faults)} faults"] += 1
+
+    check()
+    assert {"record", "deduped", "repeated equality", "certificate", "tighter later rhs",
+            "1 faults", "2 faults"} <= {k for k, v in seen.items() if v}
 
 
 def _box_rows(draw, d, wide):

@@ -1,3 +1,4 @@
+from weightpoly import reference
 from weightpoly.reference import reference_battery
 
 
@@ -9,8 +10,11 @@ def test_battery_all_pass():
     assert len(ids) == len(set(ids))
 
 
-def test_battery_detects_tampered_input():
-    report = reference_battery({"pentagon-vertices": (3, 3, 3, 3, 5)})
+def test_battery_detects_tampered_input(monkeypatch):
+    _, expected = reference._VERTEX_CLAIMS["pentagon-vertices"]
+    monkeypatch.setitem(reference._VERTEX_CLAIMS, "pentagon-vertices",
+                        ((3, 3, 3, 3, 5), expected))
+    report = reference_battery()
     failing = [c.claim_id for c in report.claims if not c.passed]
     assert failing == ["pentagon-vertices"]
     assert not report.all_pass

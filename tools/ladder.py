@@ -9,8 +9,8 @@ Each row runs REPEATS times.  Before each run every cache of the weightpoly
 modules is emptied and the row's input is prepared untimed: a count or
 listing row builds its polytope and the polytope's scan setup (its double
 description), so the timed part is the lattice scans alone; a multiplicity
-row builds its query; a chart row builds its side data, and the
-remove_redundant row also the polygon's incidence, emptying polygon_hrep's
+row builds its query; a chart row builds its side data (or GTSpec), and
+the remove_redundant row also the polygon's incidence, emptying polygon_hrep's
 cache after; the h_to_v and vertex-graph rows build the polygon's
 incidence (its double description), and the fan rows its vertex graph.  A
 row records the median and every run's wall time in ms, the tracemalloc peak
@@ -131,11 +131,12 @@ REPEATS = 3
 TIMEOUT_S = 60
 POLYGON = tuple(range(1, 10)) + (11,)
 
+GT6 = (6, (4, 3, 2, 1, 0, 0), (2, 4, 6, 8, 9))  # k, lam, the row sums of mu=(2,2,2,2,1,1)
+
 # name: (prepare, run); run(prepare()) is timed and returns the row's values.
 ROWS = {
     "gt_hrep k=6 lam=(4,3,2,1,0,0) mu=(2,2,2,2,1,1), t=1..3":
-        _counts(lambda: gt_hrep(GTSpec(6, (4, 3, 2, 1, 0, 0), (2, 4, 6, 8, 9))),
-                range(1, 4)),
+        _counts(lambda: gt_hrep(GTSpec(*GT6)), range(1, 4)),
     "entry chart m=2 r=(2,2,2,3,3,3,3), t=1..6":
         _counts(_chart(2, (2, 2, 2, 3, 3, 3, 3), "entry_chart"), range(1, 7)),
     "entry chart m=2 r=3^9, t=1..3":
@@ -150,6 +151,8 @@ ROWS = {
         _listing(_chart(2, (2, 2, 2, 3, 3, 3, 3), "entry_chart"), 4),
     "gt_slice entry chart m=2 r=3^11 (dim, rows, sha256)": _entry_chart(2, (3,) * 11),
     "gt_slice entry chart m=3 r=4^9 (dim, rows, sha256)": _entry_chart(3, (4,) * 9),
+    "gt_hrep k=6 lam=(4,3,2,1,0,0) mu=(2,2,2,2,1,1) (dim, rows, sha256)":
+        (lambda: GTSpec(*GT6), lambda spec: _chart_record(gt_hrep(spec))),
     "remove_redundant(polygon_hrep) r=(1,2)^7 (dim, rows, sha256)":
         _irredundant_polygon((1, 2) * 7),
     "mult m=3 r=4^7, t=4": _mult(3, (4,) * 7, 4),
