@@ -58,22 +58,20 @@ def transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
 
 
 def _gauss_jordan(rows: Sequence[Sequence], ncols: int
-                  ) -> tuple[list[list[Fraction]], list[int], list[int]]:
+                  ) -> tuple[list[list[Fraction]], list[int]]:
     """Exact Gauss-Jordan elimination, one input row at a time.
 
     Pivots only in the first ncols columns; any further columns ride along as
     an augmented block.  Each row is reduced by the pivot rows so far; a
     nonzero remainder becomes a new pivot row, and its pivot is cleared from
-    the earlier ones.  Returns (reduced pivot rows, their pivot columns, the
-    indices of the input rows independent of the rows before them), in the
-    order found; sorted by pivot column they are the unique reduced row
+    the earlier ones.  Returns (reduced pivot rows, their pivot columns), in
+    the order found; sorted by pivot column they are the unique reduced row
     echelon form.  Stops once it has ncols pivots, since no later row can add
     one.
     """
     reduced: list[list[Fraction]] = []
     pivots: list[int] = []
-    independent: list[int] = []
-    for idx, raw in enumerate(rows):
+    for raw in rows:
         if len(pivots) == ncols:
             break
         row = [frac(v) for v in raw]
@@ -92,21 +90,12 @@ def _gauss_jordan(rows: Sequence[Sequence], ncols: int
                 reduced[i] = [a - f * b for a, b in zip(red, row)]
         reduced.append(row)
         pivots.append(c)
-        independent.append(idx)
-    return reduced, pivots, independent
+    return reduced, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank over the rationals, by exact Gaussian elimination."""
     return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
-
-
-def independent_rows(rows: Sequence[Sequence]) -> list[int]:
-    """Indices of the rows not in the span of the rows before them, in order.
-
-    The same rows as growing a basis greedily, one rank test per row.
-    """
-    return _gauss_jordan(rows, len(rows[0]) if rows else 0)[2]
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[str, Vec | None]:
@@ -121,7 +110,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[str, Vec | No
     ncols = len(rows[0]) if m else 0
     if any(len(row) != ncols for row in rows):
         raise ValueError("ragged matrix")
-    reduced, pivots, _ = _gauss_jordan(
+    reduced, pivots = _gauss_jordan(
         [list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
     if ncols in pivots:
         return ("no solution", None)
@@ -135,7 +124,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[str, Vec | No
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
     """Basis of {x : A x = 0} over the rationals (reduced row echelon form)."""
-    reduced, pivots, _ = _gauss_jordan(rows, ncols)
+    reduced, pivots = _gauss_jordan(rows, ncols)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -152,7 +141,7 @@ def mat_inverse(rows: Sequence[Sequence]) -> Mat:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    reduced, pivots, _ = _gauss_jordan(
+    reduced, pivots = _gauss_jordan(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")

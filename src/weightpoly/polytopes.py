@@ -19,26 +19,24 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import (
     Vec,
     ceil_div,
-    clear_denominators,
     dot,
     frac,
     frac_str,
-    independent_rows,
     integer_solutions,
     is_int,
     mat_inverse,
     nullspace,
     primitive_vector,
     rank,
+    solve_linear,
     vec,
-    vec_sub,
 )
 
 
@@ -305,10 +303,10 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[
     positive side, tight on the rows taken before it, and every other line
     and ray v is shifted along it onto the row's hyperplane, as
     a*v - (row.v)*pivot with a = row.pivot, made primitive.  The rows taken
-    are those independent_rows picks; the lines left span the cone's
-    lineality space, and the rays generate a pointed section of the cone.
-    The rows left, each in the span of rows taken before it, follow in input
-    order, one inequality at a time.  Each ray carries its zero set, the
+    are those independent of the rows before them; the lines left span the
+    cone's lineality space, and the rays generate a pointed section of the
+    cone.  The rows left, each in the span of rows taken before it, follow in
+    input order, one inequality at a time.  Each ray carries its zero set, the
     processed rows it is tight on, as an int bitmask over row indices: a
     kept ray gains the new row's bit when it lies on that row, and the ray
     combined from p and q is tight exactly on (zero set of p & zero set of
@@ -410,65 +408,63 @@ def _pull_back(rows: Iterable, matrix: Sequence[Sequence], offset: Sequence):
     return out
 
 
-def _affine_hull(verts: Sequence[Vec], dim: int):
-    """The affine hull of nonempty verts in Q^dim, from one elimination pass:
-    (eqs, U, W), with eqs its canonical equalities as coprime integer rows,
-    U a basis of the differences v - verts[0] and W = (U^T U)^{-1} U^T, a
-    left inverse of U.
-
-    On the hull x = verts[0] + U y with y = W (x - verts[0]), and U W is the
-    orthogonal projection onto the hull's direction space.  The rows (v, 1)
-    of verts[0] and the vertices picked for U span those of all verts, and
-    the nullspace's reduced row echelon basis depends only on that span, so
-    those k + 1 rows give the equalities.  A single vertex gives U = W = [].
+def _affine_hull(verts: Sequence[Vec], dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The canonical equalities of the affine hull of nonempty verts in
+    Q^dim, from one elimination pass: the nullspace of the rows (v, 1) of
+    every vertex, each basis vector made coprime with a positive leading
+    coefficient, as (normal, rhs) integer rows in sorted order.  The reduced
+    row echelon basis depends only on the rows' span.
     """
-    v0 = verts[0]
-    deltas = [vec_sub(v, v0) for v in verts[1:]]
-    picked = independent_rows(deltas)
     eqs = []
-    for z in nullspace([v + (1,) for v in [v0] + [verts[i + 1] for i in picked]], dim + 1):
+    for z in nullspace([v + (1,) for v in verts], dim + 1):
         # (v, 1) rows leave z a nonzero x part, so its lead sign is in x.
         prim = primitive_vector(z)
         if next(c for c in prim if c) < 0:
             prim = tuple(-c for c in prim)
         eqs.append((prim[:-1], -prim[-1]))
-    eqs.sort()
-    basis = [deltas[i] for i in picked]
-    if not basis:
-        return tuple(eqs), [], []
-    gram_inv = mat_inverse([[dot(a, b) for b in basis] for a in basis])
-    return tuple(eqs), basis, [tuple(dot(g_row, col) for col in zip(*basis)) for g_row in gram_inv]
+    return tuple(sorted(eqs))
+
+
+def _onto_hull(eqs: Sequence, normal: Sequence, rhs) -> tuple[tuple[int, ...], int]:
+    """The row normal . x <= rhs on the affine hull cut out by eqs, with its
+    normal in the hull's direction space, as _joint_primitive's coprime row.
+
+    Subtracts the normal's component along the equality normals e_i, sum
+    l_i e_i with the Gram system (e_i . e_j) l = (e_i . normal), and moves
+    rhs by the same combination of the equality rhs, so the row takes the
+    same values on the hull.
+    """
+    if not eqs:
+        return _joint_primitive(normal, rhs)
+    normals = [e for e, _ in eqs]
+    _, lam = solve_linear([[dot(e, g) for g in normals] for e in normals],
+                          [dot(e, normal) for e in normals])
+    projected = [c - dot(lam, col) for c, col in zip(normal, zip(*normals))]
+    return _joint_primitive(projected, rhs - dot(lam, [f for _, f in eqs]))
 
 
 @functools.lru_cache(maxsize=512)
 def v_to_h(V: VPolytope) -> HPolytope:
     """Irredundant facet system plus affine-hull equalities of conv(V).
 
-    Facets are found as extreme rays of the dual cone inside an exact affine
-    chart of the hull (_affine_hull), then pulled back through
-    y = W (x - v0); the output is canonically ordered and scaled (coprime
-    integer rows).
+    Facets are the extreme rays (z0, c), each the row -c . x <= z0, of the
+    cone {(z0, c) : z0 + c . v >= 0 for every vertex v}, by one double
+    description pass in ambient coordinates on the rows (1, v) made
+    primitive; the hull equalities (_affine_hull) are the cone's lines.
+    Each row is moved onto the hull by _onto_hull, so the output is
+    canonically ordered and scaled (coprime integer rows with normals in the
+    hull's direction space).
     """
     d = V.dim
     verts = V.vertices
     if not verts:
         return empty_hrep(d)
-    eqs, _, w_rows = _affine_hull(verts, d)
-    k = len(w_rows)
-    if k == 0:
+    eqs = _affine_hull(verts, d)
+    if len(eqs) == d:
         return _hpolytope(d, (), eqs)
-    v0 = verts[0]
-    dual_rows = set()
-    for v in verts:
-        delta = vec_sub(v, v0)
-        y = tuple(dot(w, delta) for w in w_rows)
-        dual_rows.add(primitive_vector((Fraction(1),) + y))
-    rays = _dd_extreme_rays(sorted(dual_rows), k + 1)[0]
-    # A ray (z0, c) is the chart row -c . y <= z0; c = 0 only on the ray of
-    # the constant row 0 <= z0, which the pull-back drops.
-    chart_rows = ((enumerate(-c for c in z[1:]), Fraction(z[0])) for z in rays)
-    pulled = _pull_back(chart_rows, w_rows, [-dot(w, v0) for w in w_rows])
-    return _hpolytope(d, sorted(_joint_primitive(a, b) for a, b in pulled), eqs)
+    rays = _dd_extreme_rays([primitive_vector((1, *v)) for v in verts], d + 1)[0]
+    facets = sorted(_onto_hull(eqs, [-c for c in z[1:]], z[0]) for z in rays)
+    return _hpolytope(d, facets, eqs)
 
 
 @functools.lru_cache(maxsize=512)
@@ -479,24 +475,20 @@ def _incidence(P: HPolytope):
     Returns (vertices sorted as VPolytope sorts them, rows tight at each
     vertex, vertices tight on each row, (scale, ints)), where scale is the
     least common denominator of the vertices and ints[i] = scale * vertex i,
-    in integers.  The DD gets the primitive rows (b, -a) of the cone
-    over P in input order, read off the rows' numerators and denominators:
-    row i from P.ineqs[i], then t >= 0, then both halves of each equality;
-    scaled duplicates stay, each its own row.  At scale 1 the vertices'
-    Fractions come from _fractions' shared table.  So
-    the DD's zero sets are the incidence, cut to the bits of P.ineqs.
+    in integers.  The DD gets the rows (b, -a) of the cone over P in input
+    order, each (a, b) made coprime by _joint_primitive: row i from
+    P.ineqs[i], then t >= 0, then both halves of each equality; scaled
+    duplicates stay, each its own row.  At scale 1 the vertices' Fractions
+    come from _fractions' shared table.  So the DD's zero sets are the
+    incidence, cut to the bits of P.ineqs.
     Facets, dimension and edges are read off this one record.  Raises
     UnboundedPolytopeError as h_to_v does.  Lines the normals miss leave
     every ray at t = 0 when P is empty, and make a nonempty P unbounded.
     """
-    def cone_row(a, b):  # the primitive (b, -a), read off numerators
-        _, (num_b, *num_a) = clear_denominators((b, *a))
-        return primitive_vector((num_b, *[-c for c in num_a]))
-
-    rows = [cone_row(a, b) for a, b in P.ineqs]
-    rows.append((1,) + (0,) * P.dim)
-    for e, f in P.eqs:
-        row = cone_row(e, f)
+    cone = [(b, *[-c for c in a]) for a, b in
+            (_joint_primitive(a, b) for a, b in P.ineqs + P.eqs)]
+    rows = cone[:len(P.ineqs)] + [(1,) + (0,) * P.dim]
+    for row in cone[len(P.ineqs):]:
         rows += [row, tuple([-c for c in row])]
     rays, zsets, lines = _dd_extreme_rays(rows, P.dim + 1)
     if any(ray[0] < 0 for ray in rays):
@@ -568,28 +560,21 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     affine hull (orthogonal to every hull equality), which is every row when
     P is full-dimensional.  Within that space a facet's normal is unique up
     to a positive factor, so a facet with no such row gets the canonical row
-    v_to_h would give it: its first row's normal projected onto the direction
-    space (_affine_hull), with the rhs read at a vertex of the facet, made
-    coprime; these rows are appended in sorted order.
+    v_to_h would give it: its first row moved onto the hull by _onto_hull;
+    these rows are appended in sorted order.
     """
     verts, _, row_masks, _ = _incidence(P)
     if not verts:
         return empty_hrep(P.dim)
-    eqs, basis, w_rows = (), [], []
-    if polytope_dim(P) < P.dim:
-        eqs, basis, w_rows = _affine_hull(verts, P.dim)
+    eqs = _affine_hull(verts, P.dim) if polytope_dim(P) < P.dim else ()
     unmatched = {mask: i for i, mask in _facet_rows(row_masks, len(verts))}
     retained: list[tuple[Vec, Fraction]] = []
     for (a, b), mask in zip(P.ineqs, row_masks):
         if mask in unmatched and all(dot(a, e) == 0 for e, _ in eqs):
             del unmatched[mask]
             retained.append((a, b))
-    canonical = []  # empty when P is full-dimensional
-    for mask, i in unmatched.items():
-        y = [dot(w, P.ineqs[i][0]) for w in w_rows]
-        normal = tuple(dot(y, col) for col in zip(*basis))
-        at = verts[(mask & -mask).bit_length() - 1]
-        canonical.append(_joint_primitive(normal, dot(normal, at)))
+    # empty when P is full-dimensional
+    canonical = [_onto_hull(eqs, *P.ineqs[i]) for i in unmatched.values()]
     return _hpolytope(P.dim, retained + sorted(canonical), eqs)
 
 
@@ -644,10 +629,10 @@ def _scan_setup(P: HPolytope):
     them.  An unbounded P raises UnboundedPolytopeError.
 
     by_reads and by_prefix give, for each level j of the chart, (rows, kind,
-    pick) under two keyings of the scan's states.  rows holds (c, (p, q),
-    terms) for each row c*x_j + sum(a*x_k for k, a in terms) <= p/q whose
-    trailing nonzero coordinate is j, with a primitive integer normal and k
-    re-indexed to its position in the state.  by_prefix keys a state on its
+    pick) under two keyings of the scan's states.  rows holds (c, b, terms)
+    for each row c*x_j + sum(a*x_k for k, a in terms) <= b whose trailing
+    nonzero coordinate is j, made coprime integers by _joint_primitive, with
+    k re-indexed to its position in the state.  by_prefix keys a state on its
     whole prefix x[:j]; by_reads on x[reads_j], reads_j the coordinates
     before j that some row at level j or later reads, which are all its
     completions depend on.  kind is _TIMES when reads_(j+1) drops x_j, _EACH
@@ -666,13 +651,10 @@ def _scan_setup(P: HPolytope):
         return None
     rows_at: list[list] = [[] for _ in range(P.dim)]
     for a, b in P.ineqs:
-        t, ints = clear_denominators(a)
-        g = gcd(*ints)  # nonzero: only an empty P carries a zero normal
-        coeffs = [c // g for c in ints]
-        rhs = b * t / g
+        coeffs, rhs = _joint_primitive(a, b)
+        # coeffs is nonzero: only an empty P carries a zero normal
         *before, j = [k for k, c in enumerate(coeffs) if c]
-        rows_at[j].append((coeffs[j], (rhs.numerator, rhs.denominator),
-                           tuple((k, coeffs[k]) for k in before)))
+        rows_at[j].append((coeffs[j], rhs, tuple((k, coeffs[k]) for k in before)))
     reads: list[tuple[int, ...]] = [()] * (P.dim + 1)
     seen: set[int] = set()
     for j in range(P.dim - 1, -1, -1):
@@ -720,11 +702,13 @@ def _frontier(setup: tuple, levels: list, dilate: int) -> dict[tuple[int, ...], 
     (_EACH), or a +n, -n pair in the difference array of the state's kept
     coordinates, swept once the level is done (_DIFF), where states merge.
     This is bucket elimination (Dechter 1999) in the chart's coordinate
-    order.  Each row's rhs is floored at this dilate when the scan reaches
-    its level (the left side is an integer), and the scan stops at the first
-    empty frontier; a dilate with no integer point gives {}.  The last
-    frontier holds the points themselves, in lexicographic order, under
-    by_prefix, and their number under the key () under by_reads.
+    order.  Each row's integer rhs is scaled by the dilate when the scan
+    reaches its level, and _narrow floors the quotient by the row's
+    coefficient c of x_j, which bounds the integer x_j exactly whatever c
+    is.  The scan stops at the first empty frontier; a dilate with no
+    integer point gives {}.  The last frontier holds the points themselves,
+    in lexicographic order, under by_prefix, and their number under the key
+    () under by_reads.
     """
     _, _, box, scale, _, f = setup
     if f is not None and any((dilate * c).denominator != 1 for c in f.offset):
@@ -734,7 +718,7 @@ def _frontier(setup: tuple, levels: list, dilate: int) -> dict[tuple[int, ...], 
         return {}
     frontier: dict[tuple[int, ...], int] = {(): 1}
     for (rows, kind, pick), (lo, hi) in zip(levels, bounds):
-        rows = [(c, dilate * p // q, terms) for c, (p, q), terms in rows]
+        rows = [(c, dilate * b, terms) for c, b, terms in rows]
         nxt: dict[tuple[int, ...], int] = {}
         diffs: dict[tuple[int, ...], dict[int, int]] = {}
         for state, n in frontier.items():

@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: enumerate subsets, scan boxes, recurse
 over rows.  Except v_to_h_route_remove_redundant, which replays an older rule
-through the package's dual double description pass, and
+through the package's dual double description pass,
 constructor_route_hpolytope, which replays the HPolytope constructor's own
-former row loop over the package's parsers, none of it shares code with the
-package's arithmetic (section_rule_h_to_v only builds its result and
-error types); agreement between the two is the evidence the fast paths are
-right.
+former row loop over the package's parsers, and chart_route_v_to_h and
+chart_route_remove_redundant, which replay the former orthogonal chart of
+the affine hull through the package's double description and incidence,
+none of it shares code with the package's arithmetic (section_rule_h_to_v
+only builds its result and error types); agreement between the two is the
+evidence the fast paths are right.
 """
 
 from fractions import Fraction
@@ -250,6 +252,81 @@ def all_vertex_affine_hull_equalities(verts, dim):
             ints = [-c for c in ints]
         eqs.append((tuple(Fraction(c) for c in ints[:-1]), Fraction(-ints[-1])))
     return tuple(sorted(eqs))
+
+
+def _hull_chart(verts):
+    """(U, W) of the former chart of the affine hull of nonempty verts: U the
+    differences v - verts[0] picked greedily while their rank grows, and
+    W = (U^T U)^{-1} U^T, column by column from square solves, so that
+    y = W (x - verts[0]) charts the hull and U W projects orthogonally onto
+    its direction space."""
+    basis = []
+    for v in verts[1:]:
+        delta = tuple(a - b for a, b in zip(v, verts[0]))
+        if _rank(basis + [delta]) > len(basis):
+            basis.append(delta)
+    if not basis:
+        return [], []
+    gram = [[sum(a * b for a, b in zip(u, w)) for w in basis] for u in basis]
+    cols = [_solve_square(gram, [u[j] for u in basis]) for j in range(len(verts[0]))]
+    return basis, [tuple(col[i] for col in cols) for i in range(len(basis))]
+
+
+def chart_route_v_to_h(V):
+    """v_to_h by the former chart route: the dual double description of the
+    chart points y = W (v - v0) with rows (1, y) made primitive, each ray
+    (z0, c) the chart row -c . y <= z0 pulled back through y = W (x - v0),
+    made coprime and sorted, with the all-vertex hull equalities.  The
+    pull-back drops a row that becomes constant."""
+    from weightpoly.exact import primitive_vector
+    from weightpoly.polytopes import (_dd_extreme_rays, _hpolytope, _joint_primitive,
+                                      _pull_back, empty_hrep)
+
+    d, verts = V.dim, V.vertices
+    if not verts:
+        return empty_hrep(d)
+    eqs = all_vertex_affine_hull_equalities(verts, d)
+    _, w_rows = _hull_chart(verts)
+    if not w_rows:
+        return _hpolytope(d, (), eqs)
+    v0 = verts[0]
+    chart = {primitive_vector((Fraction(1),) + tuple(
+        sum(w_i * (x - x0) for w_i, x, x0 in zip(w, v, v0)) for w in w_rows)) for v in verts}
+    rays = _dd_extreme_rays(sorted(chart), len(w_rows) + 1)[0]
+    rows = ((enumerate(-c for c in z[1:]), Fraction(z[0])) for z in rays)
+    offset = [-sum(a * b for a, b in zip(w, v0)) for w in w_rows]
+    pulled = _pull_back(rows, w_rows, offset)
+    return _hpolytope(d, sorted(_joint_primitive(a, b) for a, b in pulled), eqs)
+
+
+def chart_route_remove_redundant(P):
+    """remove_redundant with the former chart projection: the package's
+    facets and retained rows, and each facet with no input row orthogonal to
+    the hull given its first row's normal projected by U W, with the rhs
+    read at a vertex of the facet, made coprime and appended sorted."""
+    from weightpoly.polytopes import (_facet_rows, _hpolytope, _incidence, _joint_primitive,
+                                      empty_hrep, polytope_dim)
+
+    verts, _, row_masks, _ = _incidence(P)
+    if not verts:
+        return empty_hrep(P.dim)
+    eqs, basis, w_rows = (), [], []
+    if polytope_dim(P) < P.dim:
+        eqs = all_vertex_affine_hull_equalities(verts, P.dim)
+        basis, w_rows = _hull_chart(verts)
+    unmatched = {mask: i for i, mask in _facet_rows(row_masks, len(verts))}
+    retained = []
+    for (a, b), mask in zip(P.ineqs, row_masks):
+        if mask in unmatched and all(sum(x * y for x, y in zip(a, e)) == 0 for e, _ in eqs):
+            del unmatched[mask]
+            retained.append((a, b))
+    canonical = []
+    for mask, i in unmatched.items():
+        y = [sum(x * c for x, c in zip(w, P.ineqs[i][0])) for w in w_rows]
+        normal = tuple(sum(a * b for a, b in zip(y, col)) for col in zip(*basis))
+        at = verts[(mask & -mask).bit_length() - 1]
+        canonical.append(_joint_primitive(normal, sum(a * b for a, b in zip(normal, at))))
+    return _hpolytope(P.dim, retained + sorted(canonical), eqs)
 
 
 def section_rule_h_to_v(H):

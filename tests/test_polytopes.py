@@ -5,10 +5,11 @@ import json
 import math
 import random
 from collections import Counter
+from unittest import mock
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from weightpoly import exact, polytopes
 from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep
@@ -16,7 +17,8 @@ from weightpoly.exact import (clear_denominators, dot, integer_solutions, primit
                               vec, vec_sub)
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   VPolytope, _affine_hull, _count_dilate, _facet_masks,
-                                  _incidence, _joint_primitive, _scan_setup, _vertex_graph,
+                                  _incidence, _joint_primitive, _onto_hull, _scan_setup,
+                                  _vertex_graph,
                                   affine_image,
                                   canonical_incidence,
                                   combinatorial_fingerprint, contains,
@@ -29,6 +31,7 @@ from weightpoly.toric import Cone, Fan, fan_fingerprint, normal_fan
 from caches import clear_caches
 from oracles import (_rank, all_vertex_affine_hull_equalities,
                      brute_force_canonical_incidence, brute_force_edges,
+                     chart_route_remove_redundant, chart_route_v_to_h,
                      constructor_route_hpolytope,
                      brute_force_lattice_points, brute_force_vertices, gt_pattern_count,
                      pairwise_cone_adjacency, random_box_with_cuts, random_box_with_equalities,
@@ -288,8 +291,9 @@ def test_hpolytope_hash_is_stored_and_equality_reads_only_the_fields():
 
 
 def test_scan_setup_is_computed_once_per_polytope_and_rounded_per_dilate():
-    # 2x + 4y <= 3 scales to the coprime row (2, 4 | 3t) at odd dilates t and to
-    # (1, 2 | 3t/2) at even ones; the cached setup must serve both.
+    # 2x + 4y <= 3 is the coprime row (2, 4 | 3), whose normal alone is not
+    # primitive: at dilate t its rhs is 3t and the scan floors (3t - 2x) // 4,
+    # odd and even t alike; the cached setup must serve every dilate.
     rows = ((vec([2, 4]), Fraction(3)), (vec([-1, 0]), Fraction(0)),
             (vec([0, -1]), Fraction(0)), (vec([3, -2]), Fraction(2)))
     P = HPolytope(2, rows)
@@ -1294,12 +1298,12 @@ def test_one_dd_pass_on_cylinders_agrees_with_the_section_rule():
 
 
 @st.composite
-def flat_point_sets(draw):
-    """(d, points): 1..6 rational points of Q^d, d = 0..4, on the affine span
-    of a base point and k <= d random integer directions, possibly
-    dependent, with an optional duplicate: single points, collinear and
-    lower-dimensional sets."""
-    d = draw(st.integers(0, 4))
+def flat_point_sets(draw, max_dim=4):
+    """(d, points): 1..6 rational points of Q^d, d = 0..max_dim, on the
+    affine span of a base point and k <= d random integer directions,
+    possibly dependent, with an optional duplicate: single points, collinear
+    and lower-dimensional sets."""
+    d = draw(st.integers(0, max_dim))
     rational = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
     base = draw(st.lists(rational, min_size=d, max_size=d))
     dirs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), max_size=d))
@@ -1314,17 +1318,26 @@ def flat_point_sets(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(flat_point_sets())
-def test_one_hull_pass_gives_the_all_vertex_equalities_and_a_chart(case):
+@given(flat_point_sets(), st.data())
+def test_one_hull_pass_gives_the_all_vertex_equalities_and_moves_rows_onto_the_hull(case, data):
     d, points = case
-    eqs, basis, w_rows = _affine_hull(points, d)
+    eqs = _affine_hull(points, d)
     assert eqs == all_vertex_affine_hull_equalities(points, d)
-    assert len(basis) == len(w_rows) == d - len(eqs)
-    assert [[dot(w, u) for u in basis] for w in w_rows] == [
-        [int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+    # _onto_hull moves a row onto the hull: its normal becomes orthogonal to
+    # every equality normal, and its values on the points are the input
+    # row's, times one positive factor.
+    normal = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    rhs = data.draw(st.integers(-3, 3))
+    given_values = [dot(normal, v) - rhs for v in points]
+    assume(any(given_values))
+    a, b = _onto_hull(eqs, normal, rhs)
+    assert all(dot(a, e) == 0 for e, _ in eqs)
+    values = [dot(a, v) - b for v in points]
+    ratio = next(x / y for x, y in zip(values, given_values) if y)
+    assert ratio > 0 and values == [ratio * y for y in given_values]
 
 
-def test_hull_equalities_eliminate_only_the_picked_vertices(monkeypatch):
+def test_hull_equalities_take_one_nullspace_over_all_vertex_rows(monkeypatch):
     sizes = []
     real = polytopes.nullspace
 
@@ -1333,12 +1346,81 @@ def test_hull_equalities_eliminate_only_the_picked_vertices(monkeypatch):
         return real(rows, ncols)
 
     monkeypatch.setattr(polytopes, "nullspace", counting_nullspace)
-    # Nine points of a grid in the plane x + y + z = 3: k = 2.
+    # Nine points of a grid in the plane x + y + z = 3: one nullspace call
+    # over the rows (v, 1) of all nine.
     grid = VPolytope(3, [(i, j, 3 - i - j) for i in range(3) for j in range(3)])
     clear_caches()
     assert v_to_h(grid).eqs == _rows([((1, 1, 1), 3)])
-    assert sizes == [3]
+    assert sizes == [9]
     sizes.clear()
     _incidence(WITH_EQ)  # its DD spans, so it calls no nullspace
-    remove_redundant(WITH_EQ)  # six vertices on the hexagon, k = 2
-    assert sizes == [3]
+    remove_redundant(WITH_EQ)  # six vertices on the hexagon
+    assert sizes == [6]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flat_point_sets(max_dim=5), st.data())
+def test_v_to_h_matches_the_chart_route(case, data):
+    d, points = case
+    picks = data.draw(st.lists(st.sampled_from(points), min_size=2, max_size=4)
+                      if len(points) > 1 else st.just([]))
+    if picks:  # an interior or boundary point that is no vertex
+        points = points + [tuple(sum(x) / len(picks) for x in zip(*picks))]
+    V = VPolytope(d, points)
+    want = chart_route_v_to_h(V)
+    moved = []
+    onto_hull = polytopes._onto_hull
+
+    def recording(eqs, normal, rhs):
+        moved.append(onto_hull(eqs, normal, rhs))
+        return moved[-1]
+
+    with mock.patch.object(polytopes, "_onto_hull", recording):
+        got = v_to_h.__wrapped__(V)
+    assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+    assert v_to_h(V) == want
+    # Every ray of the DD moves onto the hull with a nonzero normal, one
+    # facet each: no row is dropped or merged.
+    assert all(any(a) for a, _ in moved) and len(moved) == len(got.ineqs)
+
+
+@st.composite
+def skewed_hull_systems(draw):
+    """An H-system whose affine hull is lower-dimensional, as inequalities:
+    the facets of conv(points) for a flat point set, each given as rows
+    skewed along the hull equalities (a + sum t_i e_i, b + sum t_i f_i),
+    often with no orthogonal row left, some rows loosened, and each hull
+    equality as two opposite inequalities or, once, explicitly."""
+    d, points = draw(flat_point_sets(max_dim=4))
+    H = v_to_h(VPolytope(d, points))
+    rows = []
+    for a, b in H.ineqs:
+        for _ in range(draw(st.integers(1, 2))):
+            t = draw(st.lists(st.integers(-2, 2), min_size=len(H.eqs), max_size=len(H.eqs)))
+            rows.append((tuple(c + sum(ti * e[j] for ti, (e, _) in zip(t, H.eqs))
+                               for j, c in enumerate(a)),
+                         b + sum(ti * f for ti, (_, f) in zip(t, H.eqs))
+                         + draw(st.sampled_from((0, 0, 1)))))
+    eqs = []
+    for e, f in H.eqs:
+        if not eqs and draw(st.booleans()):
+            eqs.append((e, f))
+        else:
+            rows += [(e, f), (tuple(-c for c in e), -f)]
+    return HPolytope(d, tuple(draw(st.permutations(rows))), tuple(eqs))
+
+
+def test_remove_redundant_matches_the_chart_route_projection():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(skewed_hull_systems())
+    def check(P):
+        got, want = remove_redundant(P), chart_route_remove_redundant(P)
+        assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+        if set(got.ineqs) - set(P.ineqs):
+            seen.add("moved onto the hull")
+        seen.add("implicit" if len(got.eqs) > len(P.eqs) else "none implicit")
+
+    check()
+    assert seen == {"moved onto the hull", "implicit", "none implicit"}

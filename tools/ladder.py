@@ -1,6 +1,6 @@
 """Time the ladder: chart construction, lattice counts and a lattice listing,
-weight multiplicities, vertex enumeration, the vertex graph, the fan's
-singularities and the fan fingerprint at fixed sizes, each row from cold
+weight multiplicities, vertex and facet enumeration, the vertex graph, the
+fan's singularities and the fan fingerprint at fixed sizes, each row from cold
 caches.
 
     python3 tools/ladder.py [--out BENCH.json]
@@ -9,19 +9,21 @@ Each row runs REPEATS times.  Before each run every cache of the weightpoly
 modules is emptied and the row's input is prepared untimed: a count or
 listing row builds its polytope and the polytope's scan setup (its double
 description), so the timed part is the lattice scans alone; a multiplicity
-row builds its query; a chart row builds its side data (or GTSpec), and
-the remove_redundant row also the polygon's incidence, emptying polygon_hrep's
-cache after; the h_to_v and vertex-graph rows build the polygon's
-incidence (its double description), and the fan rows its vertex graph.  A
-row records the median and every run's wall time in ms, the tracemalloc peak
-of one more run, and the values it computed, so two checkouts' files can be
-compared value for value.  A row that scans lattice points also records its
-work count, scan_states: the calls of polytopes._narrow, one per state the
-scan visits, summed over the row's dilates in one more run with that
-function wrapped here.  A run whose timed part takes longer than TIMEOUT_S
-seconds ends the row, which is recorded as a timeout (never dropped).  Standard library only;
-weightpoly and the cache helper tests/caches.py are imported from this
-checkout's src/ and tests/.
+row builds its query; a chart row builds its side data (or GTSpec), and the
+remove_redundant row also the polygon's incidence, emptying polygon_hrep's
+cache after; the h_to_v and vertex-graph rows build the polygon's incidence
+(its double description), the fan rows its vertex graph, and the v_to_h
+rows the VPolytope of the polygon's vertices (in Q^8, through a fixed
+injective map, for the second).  A row records the median and every run's
+wall time in ms, the tracemalloc peak of one more run, and the values it
+computed, so two checkouts' files can be compared value for value.  A row
+that scans lattice points also records its work count, scan_states: the
+calls of polytopes._narrow, one per state the scan visits, summed over the
+row's dilates in one more run with that function wrapped here.  A run whose
+timed part takes longer than TIMEOUT_S seconds ends the row, which is
+recorded as a timeout (never dropped).  Standard library only; weightpoly
+and the cache helper tests/caches.py are imported from this checkout's src/
+and tests/.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from caches import clear_caches  # noqa: E402
 from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep  # noqa: E402
 from weightpoly.counting import MultiplicityQuery, weight_multiplicity  # noqa: E402
 from weightpoly import polytopes  # noqa: E402
-from weightpoly.polytopes import (_incidence, _scan_setup, _vertex_graph,  # noqa: E402
-                                  count_lattice_points, h_to_v, lattice_points,
-                                  remove_redundant)
+from weightpoly.polytopes import (VPolytope, _incidence, _scan_setup,  # noqa: E402
+                                  _vertex_graph, count_lattice_points, h_to_v,
+                                  lattice_points, remove_redundant, v_to_h)
 from weightpoly.toric import fan_fingerprint, normal_fan  # noqa: E402
 
 
@@ -122,6 +124,28 @@ def _cones_and_singular(P):
     return [len(report.entries), len(report.singular)]
 
 
+def _polygon_vertices(r, embed=None):
+    """The VPolytope of the polygon r's vertices, mapped by embed if given."""
+    def prepare():
+        verts = h_to_v(polygon_hrep(SideData.from_weights(1, r))).vertices
+        if embed is None:
+            return VPolytope(len(verts[0]), verts)
+        return VPolytope(len(embed(verts[0])), [embed(v) for v in verts])
+    return prepare
+
+
+def _into_q8(v):
+    """A fixed injective affine map Q^6 -> Q^8: v, then two mixed coordinates."""
+    return (*v, v[0] + 2 * v[1] - v[3] + 1, v[2] - v[4] + 3 * v[5] - 2)
+
+
+def _facets_eqs_record(V):
+    """v_to_h(V)'s facet and equality counts and the sha256 of its JSON."""
+    H = v_to_h(V)
+    text = json.dumps(H.to_json_dict())
+    return [len(H.ineqs), len(H.eqs), hashlib.sha256(text.encode()).hexdigest()]
+
+
 def _cones_and_fingerprint(P):
     F = normal_fan(P)
     return [len(F.maximal_cones), hashlib.sha256(fan_fingerprint(F).encode()).hexdigest()]
@@ -165,6 +189,10 @@ ROWS = {
         (_polygon((1, 2) * 6, _vertex_graph), _cones_and_fingerprint),
     "normal_fan(P).singularities polygon r=(1,2)^6 (cones, singular cones)":
         (_polygon((1, 2) * 6, _vertex_graph), _cones_and_singular),
+    "v_to_h vertices of polygon r=(1,2)^5 (facets, eqs, sha256)":
+        (_polygon_vertices((1, 2) * 5), _facets_eqs_record),
+    "v_to_h vertices of polygon r=(1,...,9) mapped into Q^8 (facets, eqs, sha256)":
+        (_polygon_vertices(tuple(range(1, 10)), _into_q8), _facets_eqs_record),
 }
 
 
