@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 from .exact import (
     Vec,
+    _gauss_jordan,
     ceil_div,
     dot,
     frac,
@@ -32,7 +33,6 @@ from .exact import (
     integer_solutions,
     is_int,
     mat_inverse,
-    nullspace,
     primitive_vector,
     rank,
     solve_linear,
@@ -292,9 +292,9 @@ def _is_edge(common: int, tight_on: Sequence[int], pair: int, face: int) -> bool
     return face == pair
 
 
-def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[int], bool]:
+def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[int], list]:
     """Extreme rays of the cone {y : row . y >= 0 for every row}, with the
-    rows each one is tight on, and whether the cone holds lines.
+    rows each one is tight on, and the lines left.
 
     Incremental double description (Fukuda & Prodon, "Double description
     method revisited", 1996), in integers.  The cone starts as the lines
@@ -312,7 +312,7 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[
     combined from p and q is tight exactly on (zero set of p & zero set of
     q) plus the new row.  p and q are adjacent by _is_edge over the rays
     tight on each row; they share at least dim - L - 2 tight rows, L the
-    number of lines left.  Returns (rays, zero sets, whether lines remain).
+    number of lines left.  Returns (rays, zero sets, the lines left).
     """
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[int, ...]] = []
@@ -363,7 +363,7 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[
             zsets = [zsets[i] | bit if vals[i] == 0 else zsets[i] for i in kept] + fresh_z
         else:
             zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
-    return rays, zsets, bool(lines)
+    return rays, zsets, lines
 
 
 @functools.lru_cache(maxsize=512)
@@ -408,17 +408,19 @@ def _pull_back(rows: Iterable, matrix: Sequence[Sequence], offset: Sequence):
     return out
 
 
-def _affine_hull(verts: Sequence[Vec], dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The canonical equalities of the affine hull of nonempty verts in
-    Q^dim, from one elimination pass: the nullspace of the rows (v, 1) of
-    every vertex, each basis vector made coprime with a positive leading
-    coefficient, as (normal, rhs) integer rows in sorted order.  The reduced
-    row echelon basis depends only on the rows' span.
+def _affine_hull(rows: Sequence, dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The canonical equalities, sorted coprime (normal, rhs) rows with a
+    positive leading coefficient, of the nonempty affine subspace of Q^dim
+    cut out by rows, consistent equalities (normal, rhs), maybe dependent.
+    One Gauss-Jordan pass over the rows (normal, -rhs), columns reversed:
+    pivoting from the last column gives the basis with the identity on the
+    columns that the nullspace of the points' rows (x, 1) leaves free, so
+    the result depends only on the rows' span.
     """
     eqs = []
-    for z in nullspace([v + (1,) for v in verts], dim + 1):
-        # (v, 1) rows leave z a nonzero x part, so its lead sign is in x.
-        prim = primitive_vector(z)
+    for z in _gauss_jordan([(-rhs, *normal[::-1]) for normal, rhs in rows], dim + 1)[0]:
+        # Consistent rows leave z a nonzero normal, so its lead sign is there.
+        prim = primitive_vector(z[::-1])
         if next(c for c in prim if c) < 0:
             prim = tuple(-c for c in prim)
         eqs.append((prim[:-1], -prim[-1]))
@@ -450,7 +452,8 @@ def v_to_h(V: VPolytope) -> HPolytope:
     Facets are the extreme rays (z0, c), each the row -c . x <= z0, of the
     cone {(z0, c) : z0 + c . v >= 0 for every vertex v}, by one double
     description pass in ambient coordinates on the rows (1, v) made
-    primitive; the hull equalities (_affine_hull) are the cone's lines.
+    primitive; each line (z0, c) the pass leaves is an equality c . x = -z0
+    of the hull, and _affine_hull makes them canonical.
     Each row is moved onto the hull by _onto_hull, so the output is
     canonically ordered and scaled (coprime integer rows with normals in the
     hull's direction space).
@@ -459,10 +462,10 @@ def v_to_h(V: VPolytope) -> HPolytope:
     verts = V.vertices
     if not verts:
         return empty_hrep(d)
-    eqs = _affine_hull(verts, d)
-    if len(eqs) == d:
+    rays, _, lines = _dd_extreme_rays([primitive_vector((1, *v)) for v in verts], d + 1)
+    eqs = _affine_hull([(z[1:], -z[0]) for z in lines], d)
+    if len(eqs) == d:  # a single vertex: its one ray would project to zero
         return _hpolytope(d, (), eqs)
-    rays = _dd_extreme_rays([primitive_vector((1, *v)) for v in verts], d + 1)[0]
     facets = sorted(_onto_hull(eqs, [-c for c in z[1:]], z[0]) for z in rays)
     return _hpolytope(d, facets, eqs)
 
@@ -555,18 +558,19 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     canonical infeasibility certificate.
 
     One rule in every dimension, read off the one incidence record with no
-    second double description pass.  The facets are _facet_rows'; each keeps
-    its first input row whose normal lies in the direction space of the
-    affine hull (orthogonal to every hull equality), which is every row when
-    P is full-dimensional.  Within that space a facet's normal is unique up
-    to a positive factor, so a facet with no such row gets the canonical row
-    v_to_h would give it: its first row moved onto the hull by _onto_hull;
-    these rows are appended in sorted order.
+    second double description pass.  The equalities are _hull_equalities',
+    the facets _facet_rows'; each keeps its first input row whose normal
+    lies in the direction space of the affine hull (orthogonal to every hull
+    equality), which is every row when P is full-dimensional.  Within that
+    space a facet's normal is unique up to a positive factor, so a facet
+    with no such row gets the canonical row v_to_h would give it: its first
+    row moved onto the hull by _onto_hull; these rows are appended in sorted
+    order.
     """
-    verts, _, row_masks, _ = _incidence(P)
-    if not verts:
+    eqs = _hull_equalities(P)
+    if eqs is None:
         return empty_hrep(P.dim)
-    eqs = _affine_hull(verts, P.dim) if polytope_dim(P) < P.dim else ()
+    verts, _, row_masks, _ = _incidence(P)
     unmatched = {mask: i for i, mask in _facet_rows(row_masks, len(verts))}
     retained: list[tuple[Vec, Fraction]] = []
     for (a, b), mask in zip(P.ineqs, row_masks):
@@ -591,21 +595,22 @@ def contains(P: HPolytope, point: Sequence) -> bool:
     return True
 
 
-def polytope_dim(P: HPolytope) -> int:
-    """Dimension of the affine hull; -1 for the empty polytope.
-
-    The affine hull of a nonempty P is cut out by its explicit equalities and
-    its implicit ones, the rows tight at every point, which for a polytope are
-    the rows tight at every vertex (Schrijver, section 8.2).  So the dimension
-    is P.dim minus the rank of those normals, read off the incidence.
+def _hull_equalities(P: HPolytope):
+    """_affine_hull of the explicit equalities of P and its implicit ones,
+    the rows tight at every vertex (Schrijver, section 8.2); None if P is empty.
     """
     _, vert_masks, row_masks, _ = _incidence(P)
     if not vert_masks:
-        return -1
+        return None
     everyone = (1 << len(vert_masks)) - 1
-    normals = [e for e, _ in P.eqs] + [
-        a for (a, _), mask in zip(P.ineqs, row_masks) if mask == everyone]
-    return P.dim - rank(normals) if normals else P.dim
+    return _affine_hull(P.eqs + tuple(
+        row for row, mask in zip(P.ineqs, row_masks) if mask == everyone), P.dim)
+
+
+def polytope_dim(P: HPolytope) -> int:
+    """Dimension of the affine hull; -1 for the empty polytope."""
+    eqs = _hull_equalities(P)
+    return -1 if eqs is None else P.dim - len(eqs)
 
 
 # How a state's range of x_j reaches the next frontier (_frontier).

@@ -1321,7 +1321,7 @@ def flat_point_sets(draw, max_dim=4):
 @given(flat_point_sets(), st.data())
 def test_one_hull_pass_gives_the_all_vertex_equalities_and_moves_rows_onto_the_hull(case, data):
     d, points = case
-    eqs = _affine_hull(points, d)
+    eqs = v_to_h(VPolytope(d, points)).eqs
     assert eqs == all_vertex_affine_hull_equalities(points, d)
     # _onto_hull moves a row onto the hull: its normal becomes orthogonal to
     # every equality normal, and its values on the points are the input
@@ -1337,25 +1337,52 @@ def test_one_hull_pass_gives_the_all_vertex_equalities_and_moves_rows_onto_the_h
     assert ratio > 0 and values == [ratio * y for y in given_values]
 
 
-def test_hull_equalities_take_one_nullspace_over_all_vertex_rows(monkeypatch):
-    sizes = []
-    real = polytopes.nullspace
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flat_point_sets(), st.data())
+def test_affine_hull_of_any_spanning_set_of_equalities_is_the_all_vertex_form(case, data):
+    d, points = case
+    want = all_vertex_affine_hull_equalities(points, d)
+    ints = st.integers(-2, 2)
 
-    def counting_nullspace(rows, ncols):
+    def combination(weights):
+        return (tuple(sum(w * e[j] for w, (e, _) in zip(weights, want)) for j in range(d)),
+                sum(w * f for w, (_, f) in zip(weights, want)))
+
+    # Row i is e_i plus integer multiples of the later e_j: a unitriangular,
+    # so spanning, set; then redundant combinations and copies scaled by 1/3.
+    rows = [combination([0] * i + [1] + data.draw(st.lists(ints, min_size=len(want) - i - 1,
+                                                           max_size=len(want) - i - 1)))
+            for i in range(len(want))]
+    rows += [combination(data.draw(st.lists(ints, min_size=len(want), max_size=len(want))))
+             for _ in range(data.draw(st.integers(0, 3)))]
+    rows += [(tuple(Fraction(c, 3) for c in a), Fraction(b, 3))
+             for a, b in rows if data.draw(st.booleans())]
+    assert _affine_hull(data.draw(st.permutations(rows)), d) == want
+
+
+def test_hull_equalities_eliminate_only_the_equality_rows(monkeypatch):
+    sizes = []
+    real = polytopes._gauss_jordan
+
+    def counting_gauss_jordan(rows, ncols):
         sizes.append(len(rows))
         return real(rows, ncols)
 
-    monkeypatch.setattr(polytopes, "nullspace", counting_nullspace)
-    # Nine points of a grid in the plane x + y + z = 3: one nullspace call
-    # over the rows (v, 1) of all nine.
+    monkeypatch.setattr(polytopes, "_gauss_jordan", counting_gauss_jordan)
+    # Nine points of a grid in the plane x + y + z = 3: the DD leaves one
+    # line, the one row eliminated.
     grid = VPolytope(3, [(i, j, 3 - i - j) for i in range(3) for j in range(3)])
     clear_caches()
     assert v_to_h(grid).eqs == _rows([((1, 1, 1), 3)])
-    assert sizes == [9]
+    assert sizes == [1]
+    for P, rows in [(WITH_EQ, 1), (IMPLICIT, 2)]:  # explicit, then two tight rows
+        sizes.clear()
+        remove_redundant(P)
+        assert sizes == [rows]
     sizes.clear()
-    _incidence(WITH_EQ)  # its DD spans, so it calls no nullspace
-    remove_redundant(WITH_EQ)  # six vertices on the hexagon
-    assert sizes == [6]
+    polygon = polygon_hrep(SideData.from_weights(1, (Fraction(5, 2), 3, 4, 5, 6, 7)))
+    assert remove_redundant(polygon).eqs == () and polytope_dim(polygon) == polygon.dim
+    assert not any(sizes)  # no row eliminated
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -10,11 +10,12 @@ modules is emptied and the row's input is prepared untimed: a count or
 listing row builds its polytope and the polytope's scan setup (its double
 description), so the timed part is the lattice scans alone; a multiplicity
 row builds its query; a chart row builds its side data (or GTSpec), and the
-remove_redundant row also the polygon's incidence, emptying polygon_hrep's
-cache after; the h_to_v and vertex-graph rows build the polygon's incidence
-(its double description), the fan rows its vertex graph, and the v_to_h
-rows the VPolytope of the polygon's vertices (in Q^8, through a fixed
-injective map, for the second).  A row records the median and every run's
+remove_redundant polygon row also the polygon's incidence, emptying
+polygon_hrep's cache after; the remove_redundant gt_hrep row builds the
+slice and its incidence; the h_to_v and vertex-graph rows build the
+polygon's incidence (its double description), the fan rows its vertex
+graph, and the v_to_h rows the VPolytope of the polygon's vertices (in
+Q^8, through a fixed injective map, for the second).  A row records the median and every run's
 wall time in ms, the tracemalloc peak of one more run, and the values it
 computed, so two checkouts' files can be compared value for value.  A row
 that scans lattice points also records its work count, scan_states: the
@@ -48,7 +49,8 @@ from weightpoly.counting import MultiplicityQuery, weight_multiplicity  # noqa: 
 from weightpoly import polytopes  # noqa: E402
 from weightpoly.polytopes import (VPolytope, _incidence, _scan_setup,  # noqa: E402
                                   _vertex_graph, count_lattice_points, h_to_v,
-                                  lattice_points, remove_redundant, v_to_h)
+                                  lattice_points, polytope_dim, remove_redundant,
+                                  v_to_h)
 from weightpoly.toric import fan_fingerprint, normal_fan  # noqa: E402
 
 
@@ -94,6 +96,20 @@ def _irredundant_polygon(r):
         polygon_hrep.cache_clear()
         return s
     return prepare, lambda s: _chart_record(remove_redundant(polygon_hrep(s)))
+
+
+def _irredundant_gt(spec):
+    """remove_redundant(gt_hrep(spec)), the slice's incidence built first."""
+    def prepare():
+        P = gt_hrep(spec)
+        _incidence(P)
+        return P
+
+    def run(P):
+        H = remove_redundant(P)
+        dim, rows, digest = _chart_record(H)
+        return [dim, polytope_dim(P), rows, len(H.eqs), digest]
+    return prepare, run
 
 
 def _mult(m, r, t):
@@ -179,6 +195,8 @@ ROWS = {
         (lambda: GTSpec(*GT6), lambda spec: _chart_record(gt_hrep(spec))),
     "remove_redundant(polygon_hrep) r=(1,2)^7 (dim, rows, sha256)":
         _irredundant_polygon((1, 2) * 7),
+    "remove_redundant(gt_hrep) k=6 lam=(4,3,2,1,0,0) mu=(2,2,2,2,1,1)"
+    " (dim, polytope_dim, rows, eqs, sha256)": _irredundant_gt(GTSpec(*GT6)),
     "mult m=3 r=4^7, t=4": _mult(3, (4,) * 7, 4),
     "mult m=2 r=3^11, t=1": _mult(2, (3,) * 11, 1),
     "h_to_v polygon r=(1,2)^6 (vertices)":
