@@ -20,14 +20,13 @@ bottom row to top row, each row listed in increasing value.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import ClassVar, Sequence
 
 from .exact import clear_denominators, frac_str, is_int, vec
 from .polytopes import (AffineMap, HPolytope, _assembled, _fractions, _hpolytope, _pull_back,
-                        affine_image, empty_hrep)
+                        _record, affine_image, empty_hrep)
 
 
 def _check_m_n(m, n) -> None:
@@ -41,14 +40,14 @@ def _check_m_n(m, n) -> None:
         raise ValueError("need n > m+1")
 
 
-@dataclass(frozen=True)
+@_record(derived=("P",))
 class SideData:
     """Weights r_1..r_n on n points in projective m-space."""
 
     m: int
     n: int
     r: tuple[Fraction, ...]
-    P: Fraction = field(init=False)
+    P: Fraction  # sum(r) / (m + 1), set by __post_init__
 
     def __post_init__(self):
         _check_m_n(self.m, self.n)
@@ -77,7 +76,7 @@ class SideData:
         return cls(m, len(weights), weights)
 
 
-@dataclass(frozen=True)
+@_record
 class GTSpec:
     """Interlacing-pattern data: rank k, top row lam, optional fixed row sums."""
 
@@ -106,7 +105,7 @@ class GTSpec:
             object.__setattr__(self, "row_sums", sums)
 
 
-@dataclass(frozen=True)
+@_record
 class ChartedSlice:
     """A row-sum slice of a pattern polytope in two coordinate systems.
 

@@ -21,7 +21,6 @@ spaced dilates, with no linear system to solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations
 from math import lcm
@@ -33,6 +32,7 @@ from .polytopes import (
     HPolytope,
     _facet_masks,
     _incidence,
+    _record,
     _scan_setup,
     combinatorial_fingerprint,
     count_lattice_points,
@@ -40,7 +40,7 @@ from .polytopes import (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class DilateCounts:
     """Exact lattice-point counts of t*P for t = 0..t_max.
 
@@ -73,7 +73,7 @@ def count_dilates(P: HPolytope, t_max: int) -> DilateCounts:
     return DilateCounts(P, tuple(counts))
 
 
-@dataclass(frozen=True)
+@_record
 class EhrhartFit:
     """A degree-`degree` (quasi-)polynomial reproducing sampled dilate counts.
 
@@ -178,7 +178,7 @@ def _check_reproduces(fit: EhrhartFit, c: DilateCounts) -> None:
             raise ValueError("counts not (quasi-)polynomial at this period")
 
 
-@dataclass(frozen=True)
+@_record
 class MultiplicityQuery:
     """Weight-multiplicity input: integral level P and integral weight r."""
 
@@ -288,7 +288,7 @@ def weight_multiplicity(q: MultiplicityQuery) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@_record
 class IdentityCheck:
     dilate: int
     lattice_count: int
@@ -296,7 +296,7 @@ class IdentityCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
+@_record
 class IdentityReport:
     side: SideData
     checks: tuple[IdentityCheck, ...]
@@ -342,7 +342,7 @@ def real_fiber_size(m: int, n: int) -> int:
     return 2 ** (m * n - 2 * m - m * m)
 
 
-@dataclass(frozen=True)
+@_record
 class DualityInvariant:
     name: str
     primal: object
@@ -353,7 +353,7 @@ class DualityInvariant:
         return self.primal == self.dual
 
 
-@dataclass(frozen=True)
+@_record
 class DualityReport:
     side: SideData
     dual_side: SideData

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import attrgetter, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -52,10 +51,116 @@ def _check_dim(dim) -> None:
         raise ValueError("ambient dimension must be >= 0")
 
 
-def _assembled(cls, **fields):
-    """An instance of the frozen dataclass cls holding exactly these field
-    values, made without running cls.__post_init__.
+def _tuple_of(getter, keys: Sequence):
+    """The function obj -> (getter(k)(obj) for k in keys) as a tuple, for any
+    number of keys: operator's getters return a bare value for one key and
+    take no zero keys, so those cases read the entries one by one."""
+    if len(keys) > 1:
+        return getter(*keys)
+    single = [getter(k) for k in keys]
+    return lambda obj: tuple([get(obj) for get in single])
 
+
+class _FrozenInstanceError(AttributeError):
+    """Setting or deleting an attribute of a record (_record)."""
+
+
+def _bound(cls, params: tuple[str, ...], defaults: dict, args: tuple, kwargs: dict) -> list:
+    """The values of params for cls(*args, **kwargs), defaults filled in, or
+    the TypeError, word for word, that Python raises for a def __init__ with
+    these params and defaults."""
+    where = f"{cls.__qualname__}.__init__()"
+    values = dict(zip(params, args))
+    for key, value in kwargs.items():
+        if key not in params:
+            raise TypeError(f"{where} got an unexpected keyword argument {key!r}")
+        if key in values:
+            raise TypeError(f"{where} got multiple values for argument {key!r}")
+        values[key] = value
+    if len(args) > len(params):
+        most = len(params) + 1
+        takes = f"from {most - len(defaults)} to {most}" if defaults else most
+        raise TypeError(f"{where} takes {takes} positional argument{'s' * (most > 1)}"
+                        f" but {len(args) + 1} were given")
+    missing = [repr(name) for name in params if name not in values and name not in defaults]
+    if missing:
+        listed = (missing[0] if len(missing) == 1 else
+                  f"{', '.join(missing[:-1])}{',' * (len(missing) > 2)} and {missing[-1]}")
+        raise TypeError(f"{where} missing {len(missing)} required positional"
+                        f" argument{'s' * (len(missing) > 1)}: {listed}")
+    return [values[name] if name in values else defaults[name] for name in params]
+
+
+def _record(cls=None, *, derived: tuple[str, ...] = ()):
+    """Make cls a frozen record: what dataclass(frozen=True) makes, without
+    generating code for each class.
+
+    The fields are cls's annotated names in order, a ClassVar excepted, and
+    a field's default is its class attribute.  __init__ takes every field
+    but those named in derived, positionally or by keyword, then calls
+    __post_init__ when cls has one, which sets the derived fields.  Records
+    are equal when they are of one class and their field tuples are equal;
+    the hash is the field tuple's, unless cls defines its own; the repr is
+    Name(field=value, ...); setting or deleting an attribute raises
+    _FrozenInstanceError; __match_args__ holds __init__'s fields.  A method
+    cls defines itself is kept.  _assembled is the one other way to make a
+    record.
+    """
+    if cls is None:
+        return lambda cls: _record(cls, derived=derived)
+    names = tuple(name for name, kind in cls.__dict__.get("__annotations__", {}).items()
+                  if not str(kind).startswith(("ClassVar", "typing.ClassVar")))
+    params = tuple(name for name in names if name not in derived)
+    defaults = {name: cls.__dict__[name] for name in params if name in cls.__dict__}
+    fields, frozen = _tuple_of(attrgetter, names), frozenset(names)
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(params):
+            args = _bound(cls, params, defaults, args, kwargs)
+        # Set one by one, as dataclasses does: filling self.__dict__ would
+        # give the record a real dict, and every field read its slow path.
+        for name, value in zip(params, args):
+            object.__setattr__(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={value!r}" for name, value in zip(names, fields(self))])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in frozen:
+            raise _FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in frozen:
+            raise _FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        if method.__name__ not in cls.__dict__:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+    cls.__match_args__ = params
+    return cls
+
+
+def _assembled(cls, **fields):
+    """An instance of the record class cls (_record) holding exactly these
+    field values, made without running cls.__init__ or cls.__post_init__.
+
+    The record rule is these two halves: _record builds the class once, with
+    no generated code, and _assembled builds the engine's own instances.
     For records the engine derives from data it has already checked.  The
     caller guarantees that every field is given and already in the form the
     public constructor would store: the same types, order and dedup, and
@@ -82,7 +187,7 @@ def _fractions(values: Iterable) -> Vec:
                   for c in values])
 
 
-@dataclass(frozen=True)
+@_record
 class HPolytope:
     """Intersection of halfspaces (and hyperplanes) in Q^dim.
 
@@ -161,7 +266,7 @@ def _hpolytope(dim: int, ineqs: Iterable, eqs: Iterable = ()) -> HPolytope:
                       _hash=hash((dim, rows, eqs)))
 
 
-@dataclass(frozen=True)
+@_record
 class VPolytope:
     """Convex hull of finitely many points, stored in sorted order.
 
@@ -199,7 +304,7 @@ class VPolytope:
         return cls(data["dim"], data.get("vertices", ()))
 
 
-@dataclass(frozen=True)
+@_record
 class AffineMap:
     """x -> matrix @ x + offset, exact over the rationals."""
 
@@ -919,11 +1024,14 @@ class _CanonicalSearch:
     def __init__(self, names: list[str], rights: list[frozenset[int]]):
         self.names = names  # repr of each left item's label
         self.rights = [tuple(s) for s in rights]
-        self.holders: list[list[int]] = [[] for _ in names]
+        holders: list[list[int]] = [[] for _ in names]
         for r, s in enumerate(self.rights):
             for i in s:
-                self.holders[i].append(r)
+                holders[i].append(r)
         self.right_counts = Counter(rights)
+        # Each right set's colors, and each item's holders' ranks, read by one getter.
+        self.right_colors = [_tuple_of(itemgetter, s) for s in self.rights]
+        self.held_ranks = [_tuple_of(itemgetter, held) for held in holders]
         self.digits = [str(i) for i in range(len(names))]
         self.leaves: dict[int, tuple[int, ...]] = {}  # encoding hash -> first order
         self.automorphisms: list[tuple[int, ...]] = []
@@ -942,11 +1050,11 @@ class _CanonicalSearch:
         """
         classes = max(colors, default=-1) + 1
         while classes < len(colors):
-            right_keys = [tuple(sorted([colors[j] for j in s])) for s in self.rights]
+            right_keys = [tuple(sorted(get(colors))) for get in self.right_colors]
             key_rank = {key: pos for pos, key in enumerate(sorted(set(right_keys)))}
             right_ranks = [key_rank[key] for key in right_keys]
-            keys = [(c, tuple(sorted([right_ranks[r] for r in held])))
-                    for c, held in zip(colors, self.holders)]
+            keys = [(c, tuple(sorted(get(right_ranks))))
+                    for c, get in zip(colors, self.held_ranks)]
             distinct = set(keys)
             if len(distinct) == classes:
                 break
@@ -962,8 +1070,8 @@ class _CanonicalSearch:
         left_part = ",".join([self.names[i] for i in order])
         digits = self.digits
         right_part = "|".join(sorted([
-            ",".join([digits[c] for c in sorted([colors[j] for j in s])])
-            for s in self.rights]))
+            ",".join([digits[c] for c in sorted(get(colors))])
+            for get in self.right_colors]))
         enc = f"L[{left_part}];R[{right_part}]"
         first = self.leaves.setdefault(hash(enc), order)
         if first != order:

@@ -9,16 +9,14 @@ line as the paper-examples subcommand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .builders import SideData, gt_slice, polygon_hrep
 from .counting import real_fiber_size, verify_duality, verify_ehrhart_identity
 from .exact import frac_str
-from .polytopes import h_to_v, polytope_dim, remove_redundant
+from .polytopes import _record, h_to_v, polytope_dim, remove_redundant
 from .toric import _catalogue, normal_fan, singularity_report
 
 
-@dataclass(frozen=True)
+@_record
 class ReferenceClaim:
     claim_id: str
     expected: object
@@ -29,7 +27,7 @@ class ReferenceClaim:
         return self.expected == self.computed
 
 
-@dataclass(frozen=True)
+@_record
 class ReferenceReport:
     claims: tuple[ReferenceClaim, ...]
 

@@ -22,7 +22,6 @@ x_{n-3} = r_{n-1} +- r_n, and labeled N1/N2/N3 by index.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -33,13 +32,14 @@ from .polytopes import (
     _assembled,
     _check_dim,
     _joint_primitive,
+    _record,
     _vertex_graph,
     canonical_incidence,
     polytope_dim,
 )
 
 
-@dataclass(frozen=True)
+@_record
 class Cone:
     """A cone spanned by primitive, pairwise non-parallel integer rays.
 
@@ -63,7 +63,7 @@ class Cone:
         object.__setattr__(self, "rays", rays)
 
 
-@dataclass(frozen=True)
+@_record
 class Fan:
     """One cone per vertex of the source polytope, tagged with it; its edges as pairs i < j."""
 
@@ -117,7 +117,7 @@ class Fan:
         return SingularityReport(tuple(entries))
 
 
-@dataclass(frozen=True)
+@_record
 class VertexSingularity:
     """Local classification at one vertex: smooth, cyclic quotient, or worse."""
 
@@ -137,7 +137,7 @@ class VertexSingularity:
                 "non_simplicial": "nonsimplicial"}[self.kind]
 
 
-@dataclass(frozen=True)
+@_record
 class SingularityReport:
     entries: tuple[VertexSingularity, ...]
 
@@ -156,7 +156,7 @@ class SingularityReport:
             for e in self.entries]}
 
 
-@dataclass(frozen=True)
+@_record
 class FacetLabel:
     """A facet inequality together with every catalogue tag it matches."""
 

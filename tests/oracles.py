@@ -9,9 +9,12 @@ chart_route_remove_redundant, which replay the former orthogonal chart of
 the affine hull through the package's double description and incidence,
 none of it shares code with the package's arithmetic (section_rule_h_to_v
 only builds its result and error types); agreement between the two is the
-evidence the fast paths are right.
+evidence the fast paths are right.  dataclass_twin rebuilds a record class
+with the standard library's dataclasses, the semantics the package's own
+record decorator keeps.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations, permutations, product
 import math
@@ -770,3 +773,18 @@ def pairwise_cone_adjacency(F):
             if direction in ci.rays and tuple(-c for c in direction) in cj.rays:
                 edges.append(frozenset((i, j)))
     return edges
+
+
+def dataclass_twin(cls, derived=()):
+    """cls's fields made into a class by dataclasses.dataclass(frozen=True):
+    the same name, module, annotations and defaults, the fields named in
+    derived not taken by __init__ (field(init=False)), and no __post_init__
+    or other method of cls."""
+    namespace = {"__module__": cls.__module__, "__qualname__": cls.__qualname__,
+                 "__annotations__": dict(cls.__annotations__)}
+    for name in cls.__annotations__:
+        if name in derived:
+            namespace[name] = dataclasses.field(init=False)
+        elif name in cls.__dict__:
+            namespace[name] = cls.__dict__[name]
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -286,7 +285,7 @@ def test_hpolytope_hash_is_stored_and_equality_reads_only_the_fields():
     b = HPolytope(2, ((vec([1, 0]), Fraction(1)), (vec([0, 1]), Fraction(2))))
     assert a == b and hash(a) == hash(b) == hash((2, b.ineqs, b.eqs))
     assert a != HPolytope(2, b.ineqs[:1])
-    assert [f.name for f in dataclasses.fields(HPolytope)] == ["dim", "ineqs", "eqs"]
+    assert HPolytope.__match_args__ == ("dim", "ineqs", "eqs")
     assert repr(a) == repr(b) and "_hash" not in repr(a)
 
 

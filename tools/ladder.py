@@ -1,7 +1,7 @@
 """Time the ladder: chart construction, lattice counts and a lattice listing,
 weight multiplicities, vertex and facet enumeration, the vertex graph, the
 fan's singularities and the fan fingerprint at fixed sizes, each row from cold
-caches.
+caches, and the start-up of a fresh interpreter importing the CLI.
 
     python3 tools/ladder.py [--out BENCH.json]
 
@@ -15,9 +15,14 @@ polygon_hrep's cache after; the remove_redundant gt_hrep row builds the
 slice and its incidence; the h_to_v and vertex-graph rows build the
 polygon's incidence (its double description), the fan rows its vertex
 graph, and the v_to_h rows the VPolytope of the polygon's vertices (in
-Q^8, through a fixed injective map, for the second).  A row records the median and every run's
-wall time in ms, the tracemalloc peak of one more run, and the values it
-computed, so two checkouts' files can be compared value for value.  A row
+Q^8, through a fixed injective map, for the second).  The start-up row
+prepares nothing; each run is a fresh interpreter that imports
+weightpoly.cli from this checkout, timed from spawn to exit, and its values
+are the standard-library modules that import loads, sorted (its
+tracemalloc peak is the spawning process's, not the child's).  A row records
+the median and every run's wall time in ms, the tracemalloc peak of one
+more run, and the values it computed, so two checkouts' files can be
+compared value for value.  A row
 that scans lattice points also records its work count, scan_states: the
 calls of polytopes._narrow, one per state the scan visits, summed over the
 row's dilates in one more run with that function wrapped here.  A run whose
@@ -36,6 +41,7 @@ import os
 import platform
 import signal
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -167,6 +173,17 @@ def _cones_and_fingerprint(P):
     return [len(F.maximal_cones), hashlib.sha256(fan_fingerprint(F).encode()).hexdigest()]
 
 
+STARTUP = ("import sys; before = set(sys.modules); sys.path.insert(0, {src!r}); "
+           "import weightpoly.cli; print(' '.join(sorted(name for name in set(sys.modules) - before"
+           " if name.split('.')[0] in sys.stdlib_module_names)))")
+
+
+def _startup(_):
+    code = STARTUP.format(src=os.path.join(ROOT, "src"))
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    return run.stdout.split()
+
+
 REPEATS = 3
 TIMEOUT_S = 60
 POLYGON = tuple(range(1, 10)) + (11,)
@@ -211,6 +228,8 @@ ROWS = {
         (_polygon_vertices((1, 2) * 5), _facets_eqs_record),
     "v_to_h vertices of polygon r=(1,...,9) mapped into Q^8 (facets, eqs, sha256)":
         (_polygon_vertices(tuple(range(1, 10)), _into_q8), _facets_eqs_record),
+    "import weightpoly.cli, fresh interpreter, spawn to exit (stdlib modules it loads)":
+        (lambda: None, _startup),
 }
 
 
