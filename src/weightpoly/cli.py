@@ -80,32 +80,49 @@ def _chart_polytope(args: argparse.Namespace) -> HPolytope:
     return cs.diag_chart if args.chart == "diag" else cs.entry_chart
 
 
-def _json_text(obj, indent: str = "") -> str:
+def _json_text(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte, without the pure-Python encoder
     that json.dumps falls back to when indenting.
 
     Containers, str and int are written here, every other scalar by
     json.dumps; dict keys must be str, as in every payload of this module.
+    Each tuple's text is kept for the call, keyed on the tuple's id and its
+    indent, so a tuple that sits at several places of the payload (a fan's
+    shared rays) is written once per depth.  The key is the id, not the
+    value: the payload holds every tuple for the whole call, so no id is
+    reused, while equal values can need different text ((True,) == (1,))
+    or be unhashable (a tuple holding a list).
     """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if type(obj) is int:
-        return repr(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-                 for k, v in obj.items()]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        # Leaves inline: one call per container, not one per number.
-        items = [encode_basestring_ascii(v) if isinstance(v, str) else
-                 repr(v) if type(v) is int else _json_text(v, inner) for v in obj]
-        brackets = "[]"
-    else:
-        return json.dumps(obj)
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+    tuples: dict[tuple[int, str], str] = {}
+
+    def text(obj, indent: str) -> str:
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if type(obj) is int:
+            return repr(obj)
+        inner = indent + "  "
+        if isinstance(obj, dict):
+            items = [f"{encode_basestring_ascii(k)}: {text(v, inner)}"
+                     for k, v in obj.items()]
+            brackets = "{}"
+        elif isinstance(obj, tuple):
+            key = (id(obj), indent)
+            done = tuples.get(key)
+            if done is None:
+                done = tuples[key] = text(list(obj), indent)
+            return done
+        elif isinstance(obj, list):
+            # Leaves inline: one call per container, not one per number.
+            items = [encode_basestring_ascii(v) if isinstance(v, str) else
+                     repr(v) if type(v) is int else text(v, inner) for v in obj]
+            brackets = "[]"
+        else:
+            return json.dumps(obj)
+        if not items:
+            return brackets
+        return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+    return text(obj, "")
 
 
 def _emit(args: argparse.Namespace, payload: Callable[[], dict],

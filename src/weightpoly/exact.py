@@ -303,17 +303,53 @@ def lattice_index(rays: Sequence[Sequence], dim: int) -> int:
     """Index in Z^dim of the sublattice generated by integer rays.
 
     The product of the pivots of their Hermite normal form (|det| for dim
-    independent rays).  The pivots are those of the echelon pass, so the
-    entries above them are never reduced.  Raises if the rays do not span
-    rank dim.
+    independent rays).  Every ray is parsed first (_int_rows), so a bad entry
+    raises wherever it sits.  The rays then go one at a time into a
+    triangular basis, basis[c] being the row that leads at column c with a
+    positive entry there: a ray is reduced by the basis rows in column
+    order, and where it meets a basis row at that row's leading column the
+    two are combined by Euclid's steps, which are unimodular, so the basis
+    always spans the rays' lattice.  Its diagonal is then that of the Hermite
+    form (the pivot at c is the gcd of the c-th entries of the lattice
+    vectors that vanish before c), and the index is its product.  Once the
+    basis is full and its diagonal all 1, no further ray can change the
+    index, so 1 is returned at once.  Raises if the rays do not span rank dim.
     """
-    work = _int_rows(rays)
-    pivots = _int_row_echelon(work, len(work[0])) if work else []
-    if len(pivots) < dim:
+    rows = _int_rows(rays)
+    ncols = len(rows[0]) if rows else 0
+    if ncols < dim:
+        raise ValueError("rays are not full rank")
+    basis: list[list[int] | None] = [None] * ncols
+    filled = units = 0
+    for row in rows:
+        for c in range(ncols):
+            a = row[c]
+            if not a:
+                continue
+            piv = basis[c]
+            if piv is None:
+                basis[c] = row if a > 0 else [-x for x in row]
+                filled += 1
+                units += a in (1, -1)
+                break
+            b = old = piv[c]
+            while True:  # row -= (a // b) piv, then swap, until row[c] is 0
+                q = a // b
+                row = [x - q * y for x, y in zip(row, piv)]
+                a = row[c]
+                if not a:
+                    break
+                piv, row, a, b = row, piv, b, a
+            basis[c] = piv
+            units += b == 1 < old
+        if units == ncols:
+            return 1
+    if filled < dim:
         raise ValueError("rays are not full rank")
     index = 1
-    for r, c in pivots:
-        index *= work[r][c]
+    for c, piv in enumerate(basis):
+        if piv is not None:
+            index *= piv[c]
     return index
 
 

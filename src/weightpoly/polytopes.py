@@ -16,10 +16,9 @@ This works uniformly in every ambient dimension, including 0.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from fractions import Fraction
-from math import lcm
-from operator import attrgetter, itemgetter, mul
+from math import gcd, lcm
+from operator import attrgetter, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -923,21 +922,31 @@ def _vertex_graph(P: HPolytope):
     equalities, and needs no elimination.  A pair with fewer than
     dim - 1 - len(eqs) common tight rows cannot reach that rank and is skipped.
     With the vertices scaled to integers by their common denominator, the
-    direction of an edge is primitive_vector(ints_j - ints_i).
+    direction of an edge is ints_j - ints_i divided by its gcd, in ints.
+    Each distinct direction is one tuple for the whole graph, held with its
+    negation, so equal rays at different vertices are one object.
     """
     verts, vert_masks, row_masks, (_, ints) = _incidence(P)
     need = P.dim - 1 - len(P.eqs)
     everyone = (1 << len(verts)) - 1
     neighbors: list[dict[int, tuple[int, ...]]] = [{} for _ in verts]
+    opposite: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for i, mask in enumerate(vert_masks):
         for j in range(i + 1, len(verts)):
             common = mask & vert_masks[j]
             if common.bit_count() < need:
                 continue
             if _is_edge(common, row_masks, (1 << i) | (1 << j), everyone):
-                direction = primitive_vector(tuple(b - a for a, b in zip(ints[i], ints[j])))
-                neighbors[i][j] = direction
-                neighbors[j][i] = tuple(-c for c in direction)
+                direction = tuple(map(sub, ints[j], ints[i]))
+                g = gcd(*direction)
+                if g != 1:
+                    direction = tuple(x // g for x in direction)
+                pair = opposite.get(direction)
+                if pair is None:
+                    back = tuple(-c for c in direction)
+                    pair = opposite[direction] = (direction, back)
+                    opposite[back] = (back, direction)
+                neighbors[i][j], neighbors[j][i] = pair
     return verts, neighbors
 
 
@@ -1028,12 +1037,11 @@ class _CanonicalSearch:
         for r, s in enumerate(self.rights):
             for i in s:
                 holders[i].append(r)
-        self.right_counts = Counter(rights)
         # Each right set's colors, and each item's holders' ranks, read by one getter.
         self.right_colors = [_tuple_of(itemgetter, s) for s in self.rights]
         self.held_ranks = [_tuple_of(itemgetter, held) for held in holders]
         self.digits = [str(i) for i in range(len(names))]
-        self.leaves: dict[int, tuple[int, ...]] = {}  # encoding hash -> first order
+        self.leaves: dict[str, tuple[int, ...]] = {}  # encoding -> first order
         self.automorphisms: list[tuple[int, ...]] = []
 
     def refine(self, colors: list[int]) -> list[int]:
@@ -1065,7 +1073,14 @@ class _CanonicalSearch:
 
     def leaf(self, colors: list[int]) -> str:
         """Encode a discrete coloring (colors are then the positions 0..n-1), and
-        record an automorphism when an earlier leaf encoded the same way."""
+        record an automorphism when an earlier leaf encoded the same way.
+
+        Equal encodings are proof enough, with no check of g: g maps the
+        earlier leaf's item at each position to this leaf's item there; the
+        two orders read the same names position by position (names are
+        label reprs, literals with no top-level comma), so g keeps labels;
+        and they give the same multiset of right sets as position lists, so
+        g maps the right sets onto the right sets."""
         order = tuple(sorted(range(len(colors)), key=colors.__getitem__))
         left_part = ",".join([self.names[i] for i in order])
         digits = self.digits
@@ -1073,15 +1088,12 @@ class _CanonicalSearch:
             ",".join([digits[c] for c in sorted(get(colors))])
             for get in self.right_colors]))
         enc = f"L[{left_part}];R[{right_part}]"
-        first = self.leaves.setdefault(hash(enc), order)
+        first = self.leaves.setdefault(enc, order)
         if first != order:
             g = [0] * len(order)
             for i, j in zip(first, order):
                 g[i] = j
-            if (all(self.names[i] == self.names[j] for i, j in enumerate(g))
-                    and Counter(frozenset(g[j] for j in s) for s in self.rights)
-                    == self.right_counts):
-                self.automorphisms.append(tuple(g))
+            self.automorphisms.append(tuple(g))
         return enc
 
     def search(self, colors: list[int], fixed: tuple[int, ...]) -> str:

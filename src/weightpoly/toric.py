@@ -7,12 +7,15 @@ simplicial cone whose edge directions span a sublattice of index k >= 2 is
 reported as cyclic_quotient(k): k is that index, and the local group is not
 computed, so it need not be cyclic or of order k (ROADMAP.md, item 3).  Cones
 with more than dim rays are reported as non-simplicial, never refined.
+The index is exact.lattice_index of the cone's rays, which stops reducing
+rays once the index is 1.
 A Cone that a caller builds takes ray entries by the lattice-data rule of the
 exact module: ints pass as they are, integral rationals convert to ints, and
 a float, a bool or a non-integral rational raises ValueError.  normal_fan
 does not rebuild its cones that way: it assembles each cone, and the fan,
 from the vertex graph, whose rays are already primitive integer edge
-directions.
+directions, one tuple per distinct direction; the fan's JSON hands out
+those tuples, so a writer can write each shared ray once.
 
 Facets of the m=1 diagonal polytopes are matched against the fixed catalogue
 of supporting hyperplanes x_1 = r_1 +- r_2, x_{i-1} +- x_{i-2} = r_i,
@@ -102,7 +105,9 @@ class Fan:
         sublattice of index k >= 2 is labelled cyclic_quotient(k), with no
         check that its local group is cyclic of order k; cones with more rays
         than the dimension are non-simplicial (index still reported for the
-        lattice their rays generate).  One Hermite-form lattice_index per cone.
+        lattice their rays generate).  One lattice_index per cone, which
+        inserts the rays into a triangular basis and stops at the first ray
+        that makes the index 1.
         """
         entries = []
         for v, cone in self.maximal_cones:
@@ -250,10 +255,17 @@ def fan_fingerprint(F: Fan) -> str:
 
 
 def fan_to_json_dict(F: Fan) -> dict:
+    """The fan as JSON data: per cone its vertex, rays, index and status.
+
+    The rays are the cones' own int tuples, which JSON writes as lists; a
+    fan from normal_fan holds one tuple per distinct edge direction, so a
+    writer that keeps each tuple's text for the call (cli._json_text)
+    writes a ray shared by many cones once.
+    """
     report = F.singularities
     return {"cones": [
         {"vertex": [frac_str(c) for c in v],
-         "rays": [list(ray) for ray in cone.rays],
+         "rays": list(cone.rays),
          "index": e.index,
          "status": e.json_status}
         for (v, cone), e in zip(F.maximal_cones, report.entries)]}

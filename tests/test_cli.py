@@ -451,6 +451,21 @@ def test_json_text_is_json_dumps_with_indent_2(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
 
+SHARED = (1, -2, 3)
+
+
+@pytest.mark.parametrize("obj", [
+    # One tuple object at several places and depths.
+    [SHARED, {"rays": [SHARED, SHARED], "deeper": {"ray": SHARED}}, [[SHARED]], (SHARED,)],
+    # Equal tuples whose texts differ.
+    [(True,), (1,), (1.0,), [(True,), (1,)], {"a": (1,), "b": (True,)}],
+    # A tuple holding a list, so unhashable, twice.
+    [SHARED + ([1, [2]],), {"k": (SHARED, [SHARED])}, ([1, [2]],)],
+], ids=["shared-tuple", "equal-but-different-text", "tuple-holding-a-list"])
+def test_json_text_writes_each_tuple_by_identity(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
 def test_output_is_byte_stable(capsys):
     _, first, _ = run(capsys, ["singular", "--format", "json"] + HEXAGON)
     _, second, _ = run(capsys, ["singular", "--format", "json"] + HEXAGON)

@@ -220,6 +220,37 @@ def test_lattice_index_is_the_product_of_the_hermite_pivots(rows):
     assert lattice_index(rows, dim) == prod(next(c for c in row if c) for row in hnf_rows(rows))
 
 
+@st.composite
+def wide_cones(draw):
+    """dim 1-7 and up to 4 * dim rays, entries mostly in -2..2, a few larger."""
+    dim = draw(st.integers(1, 7))
+    entry = st.integers(-2, 2) | st.integers(-40, 40)
+    return draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                         min_size=1, max_size=4 * dim))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(wide_cones())
+def test_lattice_index_of_wide_cones_is_the_product_of_the_hermite_pivots(rows):
+    dim = len(rows[0])
+    if _rank(rows) < dim:
+        with pytest.raises(ValueError, match="not full rank"):
+            lattice_index(rows, dim)
+        return
+    assert lattice_index(rows, dim) == prod(next(c for c in row if c) for row in hnf_rows(rows))
+
+
+def test_lattice_index_parses_every_ray_before_it_stops_early():
+    unimodular = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(ValueError, match="integral"):
+        lattice_index(unimodular + [(Fraction(1, 2), 0, 0)], 3)
+    with pytest.raises(ValueError, match="not full rank"):
+        lattice_index([(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -3, 0)], 3)
+    # Index 1 after the third ray: the later rays cannot change it.
+    assert lattice_index(unimodular + [(2, 5, -7), (4, 0, 0)], 3) == 1
+    assert lattice_index([(2, 0), (0, 1), (3, 0)], 2) == 1
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.tuples(st.integers(1, 4), st.integers(0, 3)).flatmap(
     lambda d: integer_matrices(d[0] + d[1], d[0])))

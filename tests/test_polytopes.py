@@ -554,6 +554,42 @@ def test_pruned_search_matches_the_full_search():
     assert len(automorphic) == 20  # the orbit pruning is exercised
 
 
+def test_every_recorded_automorphism_keeps_labels_and_right_sets(monkeypatch):
+    """A leaf records g from equal encodings alone; g must map each item to
+    one of the same label and the right sets onto the right sets."""
+    searches = []
+
+    class Recording(polytopes._CanonicalSearch):
+        def __init__(self, names, rights):
+            super().__init__(names, rights)
+            searches.append(self)
+
+    monkeypatch.setattr(polytopes, "_CanonicalSearch", Recording)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(labelled_incidences())
+    def incidences(case):
+        canonical_incidence(*case)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(full_dimensional_polytopes())
+    def polytopes_and_fans(P):
+        clear_caches()
+        combinatorial_fingerprint(P)
+        fan_fingerprint(normal_fan(P))  # labelled left items
+
+    incidences()
+    polytopes_and_fans()
+    recorded = 0
+    for search in searches:
+        rights = Counter(frozenset(s) for s in search.rights)
+        for g in search.automorphisms:
+            assert all(search.names[i] == search.names[j] for i, j in enumerate(g))
+            assert Counter(frozenset(g[j] for j in s) for s in search.rights) == rights
+            recorded += 1
+    assert recorded >= 300
+
+
 @pytest.mark.parametrize("lengths", [(2, 3), (2, 4), (2, 5), (3, 4), (2, 2, 3), (2, 6), (3, 5)])
 def test_pruned_search_on_cycles_that_refinement_cannot_separate(lengths):
     """Each item of a union of cycles lies in two pairs, so refinement leaves
@@ -1025,6 +1061,17 @@ def test_vertex_graph_matches_the_brute_force_edges_at_degenerate_vertices(weigh
     edges = tuple((verts[i], verts[j]) for i in range(len(verts))
                   for j in neighbors[i] if i < j)
     assert sorted(edges) == sorted(brute_force_edges(P))
+
+
+@pytest.mark.parametrize("weights", [(1,) * 7, (1, 2, 2, 3, 3, 4, 4)])
+def test_vertex_graph_holds_one_tuple_per_direction(weights):
+    _, neighbors = _vertex_graph(polygon_hrep(SideData.from_weights(1, weights)))
+    first = {}
+    for edges in neighbors:
+        for direction in edges.values():
+            assert first.setdefault(direction, direction) is direction
+            assert type(direction) is tuple and {*map(type, direction)} == {int}
+    assert sum(map(len, neighbors)) > len(first)  # some direction is shared
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,7 +1,8 @@
 """Time the ladder: chart construction, lattice counts and a lattice listing,
 weight multiplicities, vertex and facet enumeration, the vertex graph, the
-fan's singularities and the fan fingerprint at fixed sizes, each row from cold
-caches, and the start-up of a fresh interpreter importing the CLI.
+fan's singularities, its JSON text and the fan fingerprint at fixed sizes,
+each row from cold caches, and the start-up of a fresh interpreter importing
+the CLI.
 
     python3 tools/ladder.py [--out BENCH.json]
 
@@ -14,8 +15,9 @@ remove_redundant polygon row also the polygon's incidence, emptying
 polygon_hrep's cache after; the remove_redundant gt_hrep row builds the
 slice and its incidence; the h_to_v and vertex-graph rows build the
 polygon's incidence (its double description), the fan rows its vertex
-graph, and the v_to_h rows the VPolytope of the polygon's vertices (in
-Q^8, through a fixed injective map, for the second).  The start-up row
+graph, the fan JSON row the fan and its singularities, and the v_to_h rows
+the VPolytope of the polygon's vertices (in Q^8, through a fixed injective
+map, for the second).  The start-up row
 prepares nothing; each run is a fresh interpreter that imports
 weightpoly.cli from this checkout, timed from spawn to exit, and its values
 are the standard-library modules that import loads, sorted (its
@@ -51,13 +53,14 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from caches import clear_caches  # noqa: E402
 from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep  # noqa: E402
+from weightpoly.cli import _json_text  # noqa: E402
 from weightpoly.counting import MultiplicityQuery, weight_multiplicity  # noqa: E402
 from weightpoly import polytopes  # noqa: E402
 from weightpoly.polytopes import (VPolytope, _incidence, _scan_setup,  # noqa: E402
                                   _vertex_graph, count_lattice_points, h_to_v,
                                   lattice_points, polytope_dim, remove_redundant,
                                   v_to_h)
-from weightpoly.toric import fan_fingerprint, normal_fan  # noqa: E402
+from weightpoly.toric import fan_fingerprint, fan_to_json_dict, normal_fan  # noqa: E402
 
 
 def _scanned(polytope):
@@ -146,6 +149,16 @@ def _cones_and_singular(P):
     return [len(report.entries), len(report.singular)]
 
 
+def _singularities(P):
+    return normal_fan(P).singularities
+
+
+def _fan_json(P):
+    """The byte count and sha256 of the fan's JSON, as `fan --format json` writes it."""
+    text = _json_text(fan_to_json_dict(normal_fan(P))).encode()
+    return [len(text), hashlib.sha256(text).hexdigest()]
+
+
 def _polygon_vertices(r, embed=None):
     """The VPolytope of the polygon r's vertices, mapped by embed if given."""
     def prepare():
@@ -224,6 +237,8 @@ ROWS = {
         (_polygon((1, 2) * 6, _vertex_graph), _cones_and_fingerprint),
     "normal_fan(P).singularities polygon r=(1,2)^6 (cones, singular cones)":
         (_polygon((1, 2) * 6, _vertex_graph), _cones_and_singular),
+    "fan JSON polygon r=(1,2)^6 (bytes, sha256)":
+        (_polygon((1, 2) * 6, _singularities), _fan_json),
     "v_to_h vertices of polygon r=(1,2)^5 (facets, eqs, sha256)":
         (_polygon_vertices((1, 2) * 5), _facets_eqs_record),
     "v_to_h vertices of polygon r=(1,...,9) mapped into Q^8 (facets, eqs, sha256)":
