@@ -62,15 +62,18 @@ class DilateCounts:
 def count_dilates(P: HPolytope, t_max: int) -> DilateCounts:
     """Exact lattice-point counts of the dilates t*P, t = 1..t_max.
 
-    Emptiness is read off the scan setup, so a system with equalities gets
-    no double description pass in its ambient space.
+    counts[0] is 1 when some counted dilate holds a point.  Otherwise it is
+    0 when the scan setup proves P empty, and else the incidence of the
+    setup's chart decides.  So a count with a point runs no double
+    description unless its box needs one, and a system with equalities none
+    in its ambient space.
     """
     if not is_int(t_max) or t_max < 1:
         raise ValueError("t_max must be a positive integer")
-    counts = [0 if _scan_setup(P) is None else 1]
-    for t in range(1, t_max + 1):
-        counts.append(count_lattice_points(P, t))
-    return DilateCounts(P, tuple(counts))
+    counts = [count_lattice_points(P, t) for t in range(1, t_max + 1)]
+    setup = _scan_setup(P)
+    nonempty = setup is not None and (any(counts) or bool(_incidence(setup[4])[0]))
+    return DilateCounts(P, (int(nonempty), *counts))
 
 
 @_record
@@ -143,16 +146,15 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     these are the coefficients any exact solve would give.  The fit must
     reproduce every sample; anything else raises.  Vertices and dimension are
     read in the chart the count's scan setup kept, the vertices straight off
-    the DD record (_incidence) the count's setup made, and mapped back through
-    the chart's map f when there are equalities.
+    the chart's DD record (_incidence), and mapped back through the chart's
+    map f when there are equalities.  An empty chart gets the zero fit.
     """
-    setup = _scan_setup(c.polytope)
-    if setup is None:
+    *_, chart, f = _scan_setup(c.polytope) or (None, None)
+    verts = () if chart is None else _incidence(chart)[0]
+    if not verts:
         fit = EhrhartFit("polynomial", 1, 0, ((Fraction(0),),))
         _check_reproduces(fit, c)
         return fit
-    *_, chart, f = setup
-    verts = _incidence(chart)[0]
     if f is not None:
         verts = [f.apply(v) for v in verts]
     period = lcm(1, *(x.denominator for v in verts for x in v))

@@ -32,6 +32,10 @@ def is_int(value) -> bool:
 
 
 def frac_str(value: Fraction | int) -> str:
+    """The text of an exact rational, "p/q" or "p"; an int (not a bool) is
+    written as it is, with no Fraction built."""
+    if type(value) is int:
+        return repr(value)
     return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
@@ -45,12 +49,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
@@ -356,3 +354,74 @@ def lattice_index(rays: Sequence[Sequence], dim: int) -> int:
 def ceil_div(a: int, b: int) -> int:
     """ceil(a/b) for positive b."""
     return -((-a) // b)
+
+
+_SWEEPS = 50
+
+
+def _interval_box(rows: Sequence, dim: int):
+    """A box holding {x in Q^dim : a . x <= b for every row}, by interval
+    propagation, with no vertex enumeration.
+
+    Each row is (terms, b): terms the (k, a_k) pairs of a's nonzero entries,
+    a and b integers.  A sweep visits the rows in order.  A row bounds a_k x_k
+    from above by b minus the least value of its other terms, which is known
+    when each of them has its bound on the side that matters (x_j's lower
+    bound for a_j > 0, its upper for a_j < 0).  So a row with every such
+    bound known bounds each of its coordinates, and a row missing one bounds
+    that coordinate alone.  A bound stays an int while the quotient divides,
+    and becomes a Fraction only when it does not.  Sweeps stop at the first
+    that tightens nothing, or after _SWEEPS.
+
+    Returns "empty" when a row with no terms has b < 0 or some interval
+    crosses, "unbounded" when some coordinate is left without a bound on a
+    side, and otherwise (box, scale): box[k] the bounds of x_k times scale,
+    the least common denominator of all bounds, as a pair of ints.
+    """
+    if any(b < 0 for terms, b in rows if not terms):
+        return "empty"
+    rows = [row for row in rows if row[0]]
+    lo: list = [None] * dim
+    hi: list = [None] * dim
+    for _ in range(_SWEEPS):
+        changed = False
+        for terms, b in rows:
+            missing = None
+            rest = b
+            for k, a in terms:
+                bound = lo[k] if a > 0 else hi[k]
+                if bound is None:
+                    if missing is not None:
+                        break
+                    missing = k, a
+                else:
+                    rest -= a * bound
+            else:
+                for k, a in (terms if missing is None else (missing,)):
+                    room = rest
+                    if missing is None:
+                        room += a * (lo[k] if a > 0 else hi[k])
+                    if type(room) is int:
+                        q, r = divmod(room, a)
+                        if r:
+                            q = Fraction(room, a)
+                    else:
+                        q = room / a
+                    if a > 0:
+                        if hi[k] is not None and q >= hi[k]:
+                            continue
+                        hi[k] = q
+                    else:
+                        if lo[k] is not None and q <= lo[k]:
+                            continue
+                        lo[k] = q
+                    changed = True
+                    if lo[k] is not None and hi[k] is not None and lo[k] > hi[k]:
+                        return "empty"
+        if not changed:
+            break
+    if None in lo or None in hi:
+        return "unbounded"
+    scale = lcm(1, *(x.denominator for x in lo + hi))
+    return [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in zip(lo, hi)], scale

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 from .exact import (
     Vec,
     _gauss_jordan,
+    _interval_box,
     ceil_div,
     dot,
     frac,
@@ -725,17 +726,21 @@ _TIMES, _EACH, _DIFF = range(3)
 def _scan_setup(P: HPolytope):
     """Everything in the integer scan of P that no dilate changes.
 
-    None when P has no rational point, else (by_reads, by_prefix, box, scale,
-    chart, f).  Explicit equalities are eliminated through the chart of
-    restrict_to_affine_hull, whose DD is the only one: infeasible equalities
-    and an empty chart give None, and the chart, an affine bijection onto the
+    None when the box's propagation proves P empty or its equalities have no
+    rational solution, else (by_reads, by_prefix, box, scale, chart, f).  A
+    P with no rational point may still get a setup; its scans then count 0.
+    Explicit equalities are eliminated through the chart of
+    restrict_to_affine_hull, and the chart, an affine bijection onto the
     solutions of the equalities, is unbounded exactly when P is.  chart and
     its AffineMap f are restrict_to_affine_hull's (P itself and None without
     equalities); the chart of t*P is t times P's, mapped back by f with its
     offset scaled by t, so only the dilates t with t * f.offset integral hold
-    integer points.  box[j] is the (min, max) of the vertices' coordinate j
-    times scale, their common denominator, in integers, as _incidence gives
-    them.  An unbounded P raises UnboundedPolytopeError.
+    integer points.  box[j] is the (min, max) of coordinate j over a box
+    holding the chart, times scale, their common denominator, in integers:
+    _interval_box's over the chart's rows, with no double description; only
+    when that leaves some coordinate unbounded is the box the vertices'
+    (_incidence), which raises UnboundedPolytopeError on an unbounded P.  The
+    box stays exact: _frontier rounds it once the dilate has scaled it.
 
     by_reads and by_prefix give, for each level j of the chart, (rows, kind,
     pick) under two keyings of the scan's states.  rows holds (c, b, terms)
@@ -755,30 +760,39 @@ def _scan_setup(P: HPolytope):
             P, f = restrict_to_affine_hull(P)
         except _InfeasibleEqualitiesError:
             return None
-    verts, _, _, (scale, scaled) = _incidence(P)
-    if not verts:
-        return None
-    rows_at: list[list] = [[] for _ in range(P.dim)]
+    rows = []
     for a, b in P.ineqs:
         coeffs, rhs = _joint_primitive(a, b)
-        # coeffs is nonzero: only an empty P carries a zero normal
-        *before, j = [k for k, c in enumerate(coeffs) if c]
-        rows_at[j].append((coeffs[j], rhs, tuple((k, coeffs[k]) for k in before)))
+        rows.append((tuple((k, c) for k, c in enumerate(coeffs) if c), rhs))
+    found = _interval_box(rows, P.dim)
+    if found == "empty":
+        return None
+    if found == "unbounded":
+        verts, _, _, (scale, scaled) = _incidence(P)
+        if not verts:
+            return None
+        box = [(min(col), max(col)) for col in zip(*scaled)]
+    else:
+        box, scale = found
+    rows_at: list[list] = [[] for _ in range(P.dim)]
+    for terms, rhs in rows:
+        # terms is nonempty: a zero normal only comes with rhs < 0, "empty" above
+        *before, (j, c) = terms
+        rows_at[j].append((c, rhs, tuple(before)))
     reads: list[tuple[int, ...]] = [()] * (P.dim + 1)
     seen: set[int] = set()
     for j in range(P.dim - 1, -1, -1):
         seen.update(k for _, _, terms in rows_at[j] for k, _ in terms)
         reads[j] = tuple(sorted(k for k in seen if k < j))
     by_reads = []
-    for j, rows in enumerate(rows_at):
+    for j, level in enumerate(rows_at):
         at = {k: i for i, k in enumerate(reads[j])}
         pick = tuple(at[k] for k in reads[j + 1] if k != j)
         kind = (_TIMES if len(pick) == len(reads[j + 1]) else
                 _EACH if len(pick) == len(reads[j]) else _DIFF)
         by_reads.append(([(c, rhs, tuple((at[k], a) for k, a in terms))
-                          for c, rhs, terms in rows], kind, pick))
-    by_prefix = [(rows, _EACH, ()) for rows in rows_at]
-    box = [(min(col), max(col)) for col in zip(*scaled)]
+                          for c, rhs, terms in level], kind, pick))
+    by_prefix = [(level, _EACH, ()) for level in rows_at]
     return by_reads, by_prefix, box, scale, P, f
 
 

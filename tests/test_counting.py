@@ -1,6 +1,8 @@
 import gc
 import math
+import os
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -9,13 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weightpoly.builders import SideData, gt_slice, polygon_hrep
-from weightpoly.counting import (DilateCounts, MultiplicityQuery, _interpolate,
+from weightpoly.counting import (DilateCounts, EhrhartFit, MultiplicityQuery, _interpolate,
                                  count_dilates, ehrhart_fit, real_fiber_size,
                                  verify_duality, verify_ehrhart_identity,
                                  weight_multiplicity)
 from weightpoly.exact import vec
-from weightpoly.polytopes import (HPolytope, _count_dilate, count_lattice_points,
-                                  empty_hrep, h_to_v)
+from weightpoly.polytopes import (HPolytope, _count_dilate, _incidence, _scan_setup,
+                                  count_lattice_points, empty_hrep, h_to_v)
 from caches import clear_caches
 from oracles import (pattern_multiplicity, per_permutation_multiplicity,
                      polygon_area, random_admissible_r, random_box_with_cuts,
@@ -148,6 +150,38 @@ def test_count_and_fit_read_vertices_off_the_dd_record_not_h_to_v():
 def test_ehrhart_fit_empty_polytope_is_zero():
     fit = ehrhart_fit(count_dilates(empty_hrep(2), 3))
     assert fit.evaluate(5) == 0
+
+
+def test_an_empty_polytope_whose_propagated_box_is_finite_counts_zero():
+    # In [0, 2]^3 the pairwise sums >= 3 force x + y + z >= 9/2 > 4, but
+    # interval propagation only narrows the box to [1, 2]^3.
+    cube = [(tuple(int(i == k) * s for k in range(3)), 2 if s > 0 else 0)
+            for i in range(3) for s in (1, -1)]
+    pairs = [((-1, -1, 0), -3), ((0, -1, -1), -3), ((-1, 0, -1), -3)]
+    P = HPolytope(3, cube + pairs + [((1, 1, 1), 4)])
+    clear_caches()
+    assert _scan_setup(P)[2:4] == ([(1, 2)] * 3, 1)
+    counts = count_dilates(P, 3)
+    assert counts.counts == (0, 0, 0, 0)
+    assert ehrhart_fit(counts) == EhrhartFit("polynomial", 1, 0, ((Fraction(0),),))
+    assert h_to_v(P).vertices == ()
+
+
+def test_count_identity_m2_charts_count_with_no_double_description():
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    argvs = [argv for argv in workloads.requests("count-identity", 1, 0, "")
+             if argv[0] == "verify-identity" and argv[2] == "2"]
+    assert len(argvs) == 4
+    for argv in argvs:
+        s = SideData.from_weights(2, tuple(int(w) for w in argv[4].split(",")))
+        clear_caches()
+        assert verify_ehrhart_identity(s, int(argv[6])).all_pass
+        assert _incidence.cache_info().misses == 0
 
 
 def test_multiplicity_hexagon_anchors():

@@ -5,7 +5,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightpoly.exact import (ceil_div, frac, frac_str,
+from weightpoly.exact import (_interval_box, ceil_div, frac, frac_str,
                               hnf_rows, integer_kernel_basis,
                               integer_solutions,
                               lattice_index, mat_inverse, nullspace,
@@ -20,6 +20,35 @@ def test_frac_parses_strings_and_numbers():
     assert frac_str(Fraction(5, 2)) == "5/2"
     assert frac_str(Fraction(4, 2)) == "2"
     assert vec([1, "1/2"]) == (Fraction(1), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("value, text", [
+    (0, "0"), (7, "7"), (-12, "-12"), (10 ** 30, "1" + "0" * 30), (True, "1"),
+    (False, "0"), (Fraction(-3, 6), "-1/2"), (Fraction(-8, 4), "-2")])
+def test_frac_str_writes_ints_negatives_and_bools_as_their_fractions(value, text):
+    assert frac_str(value) == text == str(Fraction(value))
+
+
+def _box_rows(pairs):
+    """(terms, b) rows of _interval_box from dense (a, b) pairs."""
+    return [(tuple((k, c) for k, c in enumerate(a) if c), b) for a, b in pairs]
+
+
+def test_interval_box_keeps_int_bounds_and_scales_fraction_ones():
+    # 0 <= x, 0 <= y, x + y <= 3, 2y - x <= 0, 2x <= 5: x in [0, 5/2], y in [0, 5/4].
+    rows = _box_rows([((-1, 0), 0), ((0, -1), 0), ((1, 1), 3), ((-1, 2), 0), ((2, 0), 5)])
+    assert _interval_box(rows, 2) == ([(0, 10), (0, 5)], 4)
+    assert _interval_box(_box_rows([((1,), 2), ((-1,), 1)]), 1) == ([(-1, 2)], 1)
+    assert _interval_box([], 0) == ([], 1)
+
+
+def test_interval_box_reports_empty_and_unbounded_input():
+    assert _interval_box([((), -1)], 2) == "empty"  # 0 <= -1
+    assert _interval_box(_box_rows([((1,), 0), ((-1,), -1)]), 1) == "empty"
+    assert _interval_box(_box_rows([((1, 0), 1), ((-1, 0), 0)]), 2) == "unbounded"
+    # A diamond bounds both coordinates, but every row has two unknown bounds.
+    diamond = [((a, b), 1) for a in (1, -1) for b in (1, -1)]
+    assert _interval_box(_box_rows(diamond), 2) == "unbounded"
 
 
 def test_solve_linear_unique():

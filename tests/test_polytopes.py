@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from weightpoly import exact, polytopes
 from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep
 from weightpoly.exact import (clear_denominators, dot, integer_solutions, primitive_vector,
-                              vec, vec_sub)
+                              vec)
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   VPolytope, _affine_hull, _count_dilate, _facet_masks,
                                   _incidence, _joint_primitive, _onto_hull, _scan_setup,
@@ -53,6 +53,10 @@ SQUARE = box(2, 0, 1)
 
 def _rows(pairs):
     return tuple((vec(a), Fraction(b)) for a, b in pairs)
+
+
+def _minus(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def test_h_to_v_square():
@@ -252,7 +256,8 @@ def test_merged_states_are_narrowed_once_on_a_3d_example(monkeypatch):
 
 @pytest.mark.parametrize("m, weights, t, count, states", [
     (1, (1, 2) * 4, 11, 303612, 98),  # memoising on the read coordinates alone took 860
-    (2, (8, 6, 6, 6, 6, 4, 4), 3, 561415, 3789),
+    # The propagated box is looser than the vertex box at level 0 (3789 there).
+    (2, (8, 6, 6, 6, 6, 4, 4), 3, 561415, 4279),
 ])
 def test_the_frontier_narrows_no_more_states_on_entry_charts(monkeypatch, m, weights, t,
                                                             count, states):
@@ -372,8 +377,8 @@ def test_edges_at_vertex_with_rational_vertices_match_the_brute_force_edges():
     verts = brute_force_vertices(P)
     assert (Fraction(9, 10), Fraction(7, 10)) in verts
     for v in verts:
-        want = sorted([primitive_vector(vec_sub(w, v)) for u, w in edges if u == v]
-                      + [primitive_vector(vec_sub(u, v)) for u, w in edges if w == v])
+        want = sorted([primitive_vector(_minus(w, v)) for u, w in edges if u == v]
+                      + [primitive_vector(_minus(u, v)) for u, w in edges if w == v])
         assert list(edges_at_vertex(P, v)) == want
 
 
@@ -461,9 +466,9 @@ def test_equality_scan_runs_no_double_description_of_the_ambient_system():
     counts = [count_lattice_points(P, t) for t in (1, 2, 3)]
     assert counts == [gt_pattern_count([t * c for c in lam], [t * c for c in sums + (10,)])
                       for t in (1, 2, 3)]
-    assert _incidence.cache_info().misses == 1  # the chart's own pass
+    assert _incidence.cache_info().misses == 0  # the propagated box needs no DD
     _incidence(P)
-    assert _incidence.cache_info().misses == 2  # P itself was never computed
+    assert _incidence.cache_info().misses == 1  # P itself was never computed
 
 
 @pytest.mark.parametrize("P, kind", [
@@ -961,6 +966,51 @@ def test_frontier_count_and_listing_match_the_box_oracle():
     assert seen == {polytopes._TIMES, polytopes._EACH, polytopes._DIFF}
 
 
+def test_propagated_box_holds_the_vertex_box():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(small_bounded_polytopes(), banded_polytopes(),
+                     st.randoms(use_true_random=False).map(
+                         lambda rng: random_box_with_equalities(rng, HPolytope))))
+    def check(P):
+        clear_caches()
+        setup = _scan_setup(P)
+        route = "propagated" if _incidence.cache_info().misses == 0 else "vertex box"
+        if setup is None:
+            assert h_to_v(P).vertices == ()
+            seen.add((route, "no setup"))
+            return
+        _, _, box, scale, chart, _ = setup
+        verts = _incidence(chart)[0]
+        seen.add((route, "nonempty" if verts else "empty"))
+        for (lo, hi), col in zip(box, zip(*verts)):
+            assert Fraction(lo, scale) <= min(col) and max(col) <= Fraction(hi, scale)
+
+    check()
+    assert seen == {("propagated", "nonempty"), ("propagated", "no setup")}
+
+
+def test_a_box_propagation_cannot_find_comes_from_the_vertices():
+    # Every row of the diamond |x| + |y| <= 2 reads two coordinates with no
+    # bound yet, so propagation never starts and the DD gives the box.
+    P = HPolytope(2, _rows([((a, b), 2) for a in (1, -1) for b in (1, -1)]))
+    clear_caches()
+    assert _scan_setup(P)[2:4] == ([(-2, 2), (-2, 2)], 1)
+    assert _incidence.cache_info().misses == 1
+    assert [count_lattice_points(P, t) for t in (1, 2)] == [13, 41]
+
+
+def test_a_dimension_zero_chart_whose_pulled_back_row_fails_has_no_setup():
+    # x = 1 leaves a chart of dimension 0, on which x <= 0 becomes 0 <= -1.
+    P = HPolytope(1, _rows([((1,), 0), ((-1,), -1)]), _rows([((1,), 1)]))
+    chart, _ = restrict_to_affine_hull(P)
+    assert chart == empty_hrep(0)
+    assert _scan_setup(P) is None
+    assert [count_lattice_points(P, t) for t in (1, 2)] == [0, 0]
+    assert lattice_points(P) == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(full_dimensional_polytopes(), st.data())
 def test_counts_survive_an_equality_lift_and_a_unimodular_change_of_basis(P, data):
@@ -1131,7 +1181,7 @@ def test_facet_rule_matches_the_v_to_h_route_and_the_rank_oracle():
         assert set(masks) == {sum(1 << k for k, v in enumerate(V.vertices) if dot(a, v) == b)
                               for a, b in canon}
         verts = brute_force_vertices(P)
-        want = _rank([vec_sub(v, verts[0]) for v in verts[1:]]) if verts else -1
+        want = _rank([_minus(v, verts[0]) for v in verts[1:]]) if verts else -1
         assert polytope_dim(P) == want
         seen.add(_dimension_case(P))
 

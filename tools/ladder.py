@@ -8,12 +8,16 @@ the CLI.
 
 Each row runs REPEATS times.  Before each run every cache of the weightpoly
 modules is emptied and the row's input is prepared untimed: a count or
-listing row builds its polytope and the polytope's scan setup (its double
-description), so the timed part is the lattice scans alone; a multiplicity
+listing row builds its polytope and the polytope's scan setup (its box by
+interval propagation; no double description), so the timed part is the
+lattice scans alone; a cold count row builds only its polytope (or side
+data), so the setup, and for the identity row the chart and the
+multiplicities, are timed with the scans; a multiplicity
 row builds its query; a chart row builds its side data (or GTSpec), and the
 remove_redundant polygon row also the polygon's incidence, emptying
 polygon_hrep's cache after; the remove_redundant gt_hrep row builds the
-slice and its incidence; the h_to_v and vertex-graph rows build the
+slice and its incidence; the h_to_v row builds the polygon alone, so its
+double description is timed; the vertex-graph row builds the
 polygon's incidence (its double description), the fan rows its vertex
 graph, the fan JSON row the fan and its singularities, and the v_to_h rows
 the VPolytope of the polygon's vertices (in Q^8, through a fixed injective
@@ -54,7 +58,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 from caches import clear_caches  # noqa: E402
 from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep  # noqa: E402
 from weightpoly.cli import _json_text  # noqa: E402
-from weightpoly.counting import MultiplicityQuery, weight_multiplicity  # noqa: E402
+from weightpoly.counting import (MultiplicityQuery, verify_ehrhart_identity,  # noqa: E402
+                                 weight_multiplicity)
 from weightpoly import polytopes  # noqa: E402
 from weightpoly.polytopes import (VPolytope, _incidence, _scan_setup,  # noqa: E402
                                   _vertex_graph, count_lattice_points, h_to_v,
@@ -73,6 +78,19 @@ def _scanned(polytope):
 
 def _counts(polytope, dilates):
     return _scanned(polytope), lambda P: [count_lattice_points(P, t) for t in dilates]
+
+
+def _cold_counts(polytope, dilates):
+    """Counts of the dilates with the scan setup timed too."""
+    return polytope, lambda P: [count_lattice_points(P, t) for t in dilates]
+
+
+def _cold_identity(m, r, t_max):
+    """verify_ehrhart_identity's lattice counts, chart and setup timed too."""
+    def run(s):
+        report = verify_ehrhart_identity(s, t_max)
+        return [report.all_pass, [check.lattice_count for check in report.checks]]
+    return lambda: SideData.from_weights(m, r), run
 
 
 def _listing(polytope, dilate):
@@ -202,6 +220,7 @@ TIMEOUT_S = 60
 POLYGON = tuple(range(1, 10)) + (11,)
 
 GT6 = (6, (4, 3, 2, 1, 0, 0), (2, 4, 6, 8, 9))  # k, lam, the row sums of mu=(2,2,2,2,1,1)
+GT8 = (8, (6, 5, 4, 3, 2, 1, 0, 0), (3, 6, 9, 12, 15, 17, 19))
 
 # name: (prepare, run); run(prepare()) is timed and returns the row's values.
 ROWS = {
@@ -217,6 +236,10 @@ ROWS = {
         _counts(_chart(1, POLYGON, "diag_chart"), range(1, 5)),
     "polygon r=(1,...,9,11), entry chart, t=1..4":
         _counts(_chart(1, POLYGON, "entry_chart"), range(1, 5)),
+    "cold gt_hrep k=8 lam=(6,5,4,3,2,1,0,0) row sums (3,6,9,12,15,17,19), t=1,2":
+        _cold_counts(lambda: gt_hrep(GTSpec(*GT8)), (1, 2)),
+    "cold verify_ehrhart_identity m=2 r=3^11, t_max=3 (all pass, counts)":
+        _cold_identity(2, (3,) * 11, 3),
     "lattice_points entry chart m=2 r=(2,2,2,3,3,3,3), t=4 (points, sha256)":
         _listing(_chart(2, (2, 2, 2, 3, 3, 3, 3), "entry_chart"), 4),
     "gt_slice entry chart m=2 r=3^11 (dim, rows, sha256)": _entry_chart(2, (3,) * 11),
@@ -230,7 +253,7 @@ ROWS = {
     "mult m=3 r=4^7, t=4": _mult(3, (4,) * 7, 4),
     "mult m=2 r=3^11, t=1": _mult(2, (3,) * 11, 1),
     "h_to_v polygon r=(1,2)^6 (vertices)":
-        (_polygon((1, 2) * 6, _incidence), _vertex_count),
+        (_polygon((1, 2) * 6, lambda P: None), _vertex_count),
     "_vertex_graph polygon r=(1,2)^6 (vertices, edges)":
         (_polygon((1, 2) * 6, _incidence), _vertices_and_edges),
     "fan_fingerprint(normal_fan) polygon r=(1,2)^6 (cones, sha256)":
