@@ -42,14 +42,14 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 def _load(path: str, what: str, parse):
     """parse(data) for the JSON data in the file at path.
 
-    A file that cannot be read, or whose data lacks a field, holds one of
-    the wrong type or a zero denominator, raises _InputError; parse's own
-    ValueErrors pass through.
+    A file that cannot be read or decoded (nested too deep included), or
+    whose data lacks a field, holds one of the wrong type or a zero
+    denominator, raises _InputError; parse's own ValueErrors pass through.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise _InputError(f"cannot read {what} file: {exc}") from exc
     try:
         return parse(data)

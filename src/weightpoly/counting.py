@@ -34,6 +34,7 @@ from .polytopes import (
     _incidence,
     _record,
     _scan_setup,
+    _vertex_fractions,
     combinatorial_fingerprint,
     count_lattice_points,
     polytope_dim,
@@ -146,11 +147,12 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     these are the coefficients any exact solve would give.  The fit must
     reproduce every sample; anything else raises.  Vertices and dimension are
     read in the chart the count's scan setup kept, the vertices straight off
-    the chart's DD record (_incidence), and mapped back through the chart's
-    map f when there are equalities.  An empty chart gets the zero fit.
+    the chart's DD record (_incidence, by _vertex_fractions), and mapped back
+    through the chart's map f when there are equalities.  An empty chart gets
+    the zero fit.
     """
     *_, chart, f = _scan_setup(c.polytope) or (None, None)
-    verts = () if chart is None else _incidence(chart)[0]
+    verts = () if chart is None else _vertex_fractions(*_incidence(chart)[2])
     if not verts:
         fit = EhrhartFit("polynomial", 1, 0, ((Fraction(0),),))
         _check_reproduces(fit, c)

@@ -414,10 +414,19 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[
     input order, one inequality at a time.  Each ray carries its zero set, the
     processed rows it is tight on, as an int bitmask over row indices: a
     kept ray gains the new row's bit when it lies on that row, and the ray
-    combined from p and q is tight exactly on (zero set of p & zero set of
-    q) plus the new row.  p and q are adjacent by _is_edge over the rays
-    tight on each row; they share at least dim - L - 2 tight rows, L the
-    number of lines left.  Returns (rays, zero sets, the lines left).
+    combined from p and q, (p.row) q - (q.row) p over its gcd, is tight
+    exactly on (zero set of p & zero set of q) plus the new row.  p and q
+    are adjacent by _is_edge over the rays tight on each row; they share at
+    least dim - L - 2 tight rows, L the number of lines left.
+
+    In the later rows each ray keeps one slot of rays and zsets while it
+    lives: live lists the live slots in output order (kept rays, then fresh
+    ones in discovery order), their mask alive is the face every _is_edge
+    test starts from, and tight_on[k], the mask of the slots tight on row k,
+    is updated in place.  Dead slots stay in tight_on and never enter a
+    face.  Once fewer than half the slots live, they are renumbered 0..n-1
+    and tight_on is rebuilt, so the masks stay within twice the rays alive.
+    Returns (rays, zero sets, the lines left).
     """
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[int, ...]] = []
@@ -440,35 +449,53 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[
         zsets = [z | 1 << idx for z in zsets] + [taken]
         taken |= 1 << idx
     need = dim - len(lines) - 2
+    live = list(range(len(rays)))
+    alive = (1 << len(rays)) - 1
+    tight_on = _tight_on(zsets, len(rows))
     for idx in later:
         row = rows[idx]
         bit = 1 << idx
-        vals = [_idot(row, r) for r in rays]
-        negative = [(qi, vq, zsets[qi]) for qi, vq in enumerate(vals) if vq < 0]
+        vals = [sum(map(mul, row, rays[s])) for s in live]
+        # No zero set read below holds the new row, so the kept rays on it
+        # gain its bit first.
+        for s, v in zip(live, vals):
+            if not v:
+                zsets[s] |= bit
+                tight_on[idx] |= 1 << s
+        negative = [(1 << s, vq, zsets[s], rays[s]) for s, vq in zip(live, vals) if vq < 0]
         if negative:
-            tight_on = _tight_on(zsets, len(rows))
-            everyone = (1 << len(rays)) - 1
-            fresh: list[tuple[int, ...]] = []
-            fresh_z: list[int] = []
-            for pi, vp in enumerate(vals):
+            fresh = []
+            for s, vp in zip(live, vals):
                 if vp <= 0:
                     continue
-                zp = zsets[pi]
-                for qi, vq, zq in negative:
+                zp, p, pbit = zsets[s], rays[s], 1 << s
+                for qbit, vq, zq, q in negative:
                     common = zp & zq
                     if common.bit_count() < need or not _is_edge(
-                            common, tight_on, (1 << pi) | (1 << qi), everyone):
+                            common, tight_on, pbit | qbit, alive):
                         continue
-                    p, q = rays[pi], rays[qi]
-                    combo = tuple(vp * qc - vq * pc for pc, qc in zip(p, q))
-                    fresh.append(primitive_vector(combo))
-                    fresh_z.append(common | bit)
-            kept = [i for i, v in enumerate(vals) if v >= 0]
-            rays = [rays[i] for i in kept] + fresh
-            zsets = [zsets[i] | bit if vals[i] == 0 else zsets[i] for i in kept] + fresh_z
-        else:
-            zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
-    return rays, zsets, lines
+                    combo = [vp * qc - vq * pc for pc, qc in zip(p, q)]
+                    g = gcd(*combo)
+                    slot = len(rays)
+                    rays.append(tuple(combo) if g == 1 else tuple([c // g for c in combo]))
+                    zsets.append(common | bit)
+                    fresh.append(slot)
+                    # The fresh slot is not in alive, so no face of this row sees it.
+                    sbit = 1 << slot
+                    tight_on[idx] |= sbit
+                    while common:
+                        low = common & -common
+                        tight_on[low.bit_length() - 1] |= sbit
+                        common ^= low
+            alive ^= sum([qbit for qbit, _, _, _ in negative])
+            alive |= sum([1 << slot for slot in fresh])
+            live = [s for s, v in zip(live, vals) if v >= 0] + fresh
+        if 2 * len(live) < len(rays):
+            rays, zsets = [rays[s] for s in live], [zsets[s] for s in live]
+            live = list(range(len(rays)))
+            alive = (1 << len(rays)) - 1
+            tight_on = _tight_on(zsets, len(rows))
+    return [rays[s] for s in live], [zsets[s] for s in live], lines
 
 
 @functools.lru_cache(maxsize=512)
@@ -477,10 +504,10 @@ def h_to_v(P: HPolytope) -> VPolytope:
 
     Raises UnboundedPolytopeError when the feasible set is nonempty and has a
     recession direction.  Returns the empty VPolytope exactly when P is empty.
-    _incidence's vertices are sorted, distinct Fraction tuples of length P.dim,
-    so the record is assembled as the constructor would store it.
+    _incidence's vertices are sorted and distinct, so their Fraction tuples
+    (_vertex_fractions) are assembled as the constructor would store them.
     """
-    return _assembled(VPolytope, dim=P.dim, vertices=_incidence(P)[0])
+    return _assembled(VPolytope, dim=P.dim, vertices=_vertex_fractions(*_incidence(P)[2]))
 
 
 def _joint_primitive(normal: Sequence, rhs) -> tuple[tuple[int, ...], int]:
@@ -577,17 +604,19 @@ def v_to_h(V: VPolytope) -> HPolytope:
 
 @functools.lru_cache(maxsize=512)
 def _incidence(P: HPolytope):
-    """Vertices of a bounded H-polytope and, as int bitmasks, which rows of
-    P.ineqs are tight at which of them, from one double description pass.
+    """Vertices of a bounded H-polytope, in integers, and, as int bitmasks,
+    which rows of P.ineqs are tight at which of them, from one double
+    description pass.
 
-    Returns (vertices sorted as VPolytope sorts them, rows tight at each
-    vertex, vertices tight on each row, (scale, ints)), where scale is the
-    least common denominator of the vertices and ints[i] = scale * vertex i,
-    in integers.  The DD gets the rows (b, -a) of the cone over P in input
-    order, each (a, b) made coprime by _joint_primitive: row i from
+    Returns (rows tight at each vertex, vertices tight on each row,
+    (scale, ints)), the vertices sorted as VPolytope sorts them, where scale
+    is their least common denominator and ints[i] = scale * vertex i, in
+    integers.  The record holds no Fraction: only the three consumers that
+    print or map vertices, h_to_v, _vertex_graph and ehrhart_fit, build them
+    (_vertex_fractions).  The DD gets the rows (b, -a) of the cone over P in
+    input order, each (a, b) made coprime by _joint_primitive: row i from
     P.ineqs[i], then t >= 0, then both halves of each equality; scaled
-    duplicates stay, each its own row.  At scale 1 the vertices' Fractions
-    come from _fractions' shared table.  So the DD's zero sets are the
+    duplicates stay, each its own row.  So the DD's zero sets are the
     incidence, cut to the bits of P.ineqs.
     Facets, dimension and edges are read off this one record.  Raises
     UnboundedPolytopeError as h_to_v does.  Lines the normals miss leave
@@ -614,10 +643,15 @@ def _incidence(P: HPolytope):
     of_ineqs = (1 << len(P.ineqs)) - 1
     vert_masks = [found[i][1] & of_ineqs for i in order]
     row_masks = _tight_on(vert_masks, len(P.ineqs))
-    ints = [ints[i] for i in order]
-    verts = (tuple(map(_fractions, ints)) if scale == 1 else
-             tuple(tuple(Fraction(c, scale) for c in v) for v in ints))
-    return verts, vert_masks, row_masks, (scale, ints)
+    return vert_masks, row_masks, (scale, [ints[i] for i in order])
+
+
+def _vertex_fractions(scale: int, ints: Sequence[tuple[int, ...]]) -> tuple[Vec, ...]:
+    """The vertices ints / scale of an _incidence record as Fraction tuples;
+    at scale 1 from _fractions' shared table."""
+    if scale == 1:
+        return tuple(map(_fractions, ints))
+    return tuple(tuple([Fraction(c, scale) for c in v]) for v in ints)
 
 
 def _facet_rows(row_masks: Sequence[int], n_verts: int) -> tuple[tuple[int, int], ...]:
@@ -647,7 +681,7 @@ def _facet_masks(P: HPolytope) -> list[int]:
     By _facet_rows in every dimension.  Empty P gives the one mask of the
     infeasibility certificate.
     """
-    _, vert_masks, row_masks, _ = _incidence(P)
+    vert_masks, row_masks, _ = _incidence(P)
     if not vert_masks:
         return [0]
     return [mask for _, mask in _facet_rows(row_masks, len(vert_masks))]
@@ -675,8 +709,8 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     eqs = _hull_equalities(P)
     if eqs is None:
         return empty_hrep(P.dim)
-    verts, _, row_masks, _ = _incidence(P)
-    unmatched = {mask: i for i, mask in _facet_rows(row_masks, len(verts))}
+    vert_masks, row_masks, _ = _incidence(P)
+    unmatched = {mask: i for i, mask in _facet_rows(row_masks, len(vert_masks))}
     retained: list[tuple[Vec, Fraction]] = []
     for (a, b), mask in zip(P.ineqs, row_masks):
         if mask in unmatched and all(dot(a, e) == 0 for e, _ in eqs):
@@ -704,7 +738,7 @@ def _hull_equalities(P: HPolytope):
     """_affine_hull of the explicit equalities of P and its implicit ones,
     the rows tight at every vertex (Schrijver, section 8.2); None if P is empty.
     """
-    _, vert_masks, row_masks, _ = _incidence(P)
+    vert_masks, row_masks, _ = _incidence(P)
     if not vert_masks:
         return None
     everyone = (1 << len(vert_masks)) - 1
@@ -768,8 +802,8 @@ def _scan_setup(P: HPolytope):
     if found == "empty":
         return None
     if found == "unbounded":
-        verts, _, _, (scale, scaled) = _incidence(P)
-        if not verts:
+        scale, scaled = _incidence(P)[2]
+        if not scaled:
             return None
         box = [(min(col), max(col)) for col in zip(*scaled)]
     else:
@@ -940,7 +974,8 @@ def _vertex_graph(P: HPolytope):
     Each distinct direction is one tuple for the whole graph, held with its
     negation, so equal rays at different vertices are one object.
     """
-    verts, vert_masks, row_masks, (_, ints) = _incidence(P)
+    vert_masks, row_masks, (scale, ints) = _incidence(P)
+    verts = _vertex_fractions(scale, ints)
     need = P.dim - 1 - len(P.eqs)
     everyone = (1 << len(verts)) - 1
     neighbors: list[dict[int, tuple[int, ...]]] = [{} for _ in verts]
@@ -1197,7 +1232,7 @@ def combinatorial_fingerprint(P: HPolytope) -> str:
     Cached per polytope, so a fingerprint of a chart that verify_duality
     already labelled runs no second search.
     """
-    n_verts = len(_incidence(P)[0])
+    n_verts = len(_incidence(P)[0])  # one tight-row mask per vertex
     if not n_verts:
         return "dim=-1;empty"
     dim = polytope_dim(P)

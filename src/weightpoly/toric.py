@@ -182,8 +182,8 @@ def normal_fan(P: HPolytope) -> Fan:
     The cones and the fan are assembled, not rebuilt through their checking
     constructors: each ray set is primitive int tuples, sorted, and pairwise
     non-parallel, since two edges at a vertex of a polytope are never
-    collinear; the vertices are _incidence's Fraction tuples and the edges
-    the sorted pairs i < j.
+    collinear; the vertices are _vertex_graph's Fraction tuples and the
+    edges the sorted pairs i < j.
     """
     dim = polytope_dim(P)
     if dim == -1:

@@ -7,6 +7,8 @@ constructor_route_hpolytope, which replays the HPolytope constructor's own
 former row loop over the package's parsers, and chart_route_v_to_h and
 chart_route_remove_redundant, which replay the former orthogonal chart of
 the affine hull through the package's double description and incidence,
+and reference_dd_extreme_rays, the former double description kernel on the
+package's own edge test and row helpers,
 none of it shares code with the package's arithmetic (section_rule_h_to_v
 only builds its result and error types); agreement between the two is the
 evidence the fast paths are right.  dataclass_twin rebuilds a record class
@@ -308,9 +310,10 @@ def chart_route_remove_redundant(P):
     the hull given its first row's normal projected by U W, with the rhs
     read at a vertex of the facet, made coprime and appended sorted."""
     from weightpoly.polytopes import (_facet_rows, _hpolytope, _incidence, _joint_primitive,
-                                      empty_hrep, polytope_dim)
+                                      empty_hrep, h_to_v, polytope_dim)
 
-    verts, _, row_masks, _ = _incidence(P)
+    _, row_masks, _ = _incidence(P)
+    verts = h_to_v(P).vertices
     if not verts:
         return empty_hrep(P.dim)
     eqs, basis, w_rows = (), [], []
@@ -705,6 +708,89 @@ def reference_refine(rights: Sequence[frozenset[int]], colors: list[int]) -> lis
         if new_colors == colors:
             return colors
         colors = new_colors
+
+
+# The double description kernel as the package had it before its rays kept
+# slots: every row with a negative ray rebuilds the transposed incidence from
+# every zero set, and the face of each edge test is all the rays.  The
+# package's kernel must return the same rays, zero sets and lines, in the
+# same order.
+def reference_dd_extreme_rays(rows: list[tuple[int, ...]],
+                              dim: int) -> tuple[list, list[int], list]:
+    """Extreme rays of the cone {y : row . y >= 0 for every row}, with the
+    rows each one is tight on, and the lines left.
+
+    Incremental double description (Fukuda & Prodon, "Double description
+    method revisited", 1996), in integers.  The cone starts as the lines
+    e_1..e_dim.  A first pass takes, in input order, each row that is
+    nonzero on some line: the first such line becomes a ray on the row's
+    positive side, tight on the rows taken before it, and every other line
+    and ray v is shifted along it onto the row's hyperplane, as
+    a*v - (row.v)*pivot with a = row.pivot, made primitive.  The rows taken
+    are those independent of the rows before them; the lines left span the
+    cone's lineality space, and the rays generate a pointed section of the
+    cone.  The rows left, each in the span of rows taken before it, follow in
+    input order, one inequality at a time.  Each ray carries its zero set, the
+    processed rows it is tight on, as an int bitmask over row indices: a
+    kept ray gains the new row's bit when it lies on that row, and the ray
+    combined from p and q is tight exactly on (zero set of p & zero set of
+    q) plus the new row.  p and q are adjacent by _is_edge over the rays
+    tight on each row; they share at least dim - L - 2 tight rows, L the
+    number of lines left.  Returns (rays, zero sets, the lines left).
+    """
+    from weightpoly.exact import primitive_vector
+    from weightpoly.polytopes import _idot, _is_edge, _tight_on
+
+    lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    zsets: list[int] = []
+    taken = 0
+    later = []
+    for idx, row in enumerate(rows):
+        vals = [_idot(row, z) for z in lines]
+        at = next((k for k, v in enumerate(vals) if v), None)
+        if at is None:
+            later.append(idx)
+            continue
+        a, pivot = vals.pop(at), lines.pop(at)
+        if a < 0:
+            a, pivot = -a, tuple(-c for c in pivot)
+        lines = [primitive_vector(tuple(a * c - v * p for c, p in zip(z, pivot))) if v else z
+                 for z, v in zip(lines, vals)]
+        rays = [primitive_vector(tuple(a * c - v * p for c, p in zip(r, pivot))) if v else r
+                for r, v in zip(rays, [_idot(row, r) for r in rays])] + [pivot]
+        zsets = [z | 1 << idx for z in zsets] + [taken]
+        taken |= 1 << idx
+    need = dim - len(lines) - 2
+    for idx in later:
+        row = rows[idx]
+        bit = 1 << idx
+        vals = [_idot(row, r) for r in rays]
+        negative = [(qi, vq, zsets[qi]) for qi, vq in enumerate(vals) if vq < 0]
+        if negative:
+            tight_on = _tight_on(zsets, len(rows))
+            everyone = (1 << len(rays)) - 1
+            fresh: list[tuple[int, ...]] = []
+            fresh_z: list[int] = []
+            for pi, vp in enumerate(vals):
+                if vp <= 0:
+                    continue
+                zp = zsets[pi]
+                for qi, vq, zq in negative:
+                    common = zp & zq
+                    if common.bit_count() < need or not _is_edge(
+                            common, tight_on, (1 << pi) | (1 << qi), everyone):
+                        continue
+                    p, q = rays[pi], rays[qi]
+                    combo = tuple(vp * qc - vq * pc for pc, qc in zip(p, q))
+                    fresh.append(primitive_vector(combo))
+                    fresh_z.append(common | bit)
+            kept = [i for i, v in enumerate(vals) if v >= 0]
+            rays = [rays[i] for i in kept] + fresh
+            zsets = [zsets[i] | bit if vals[i] == 0 else zsets[i] for i in kept] + fresh_z
+        else:
+            zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
+    return rays, zsets, lines
 
 
 # The full individualization-refinement search, with no automorphism pruning:

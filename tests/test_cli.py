@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -401,6 +404,36 @@ def test_fan_then_singular_run_one_dd_pass_and_one_incidence(capsys):
     assert v_to_h.cache_info().misses == 0
 
 
+PENTAGON_ENTRY_BYTES = {  # P = 15/2: the entry chart's vertices have denominator 2
+    "vertices": "(0, 3/2)\n(0, 3)\n(3/2, 3/2)\n(3/2, 9/2)\n(3, 3)\n",
+    "fan": "ambient: 2\nvertex (0, 3/2): rays (0, 1) (1, 0)\nvertex (0, 3): rays (0, -1) (1, 1)\n"
+           "vertex (3/2, 3/2): rays (-1, 0) (1, 1)\nvertex (3/2, 9/2): rays (-1, -1) (1, -1)\n"
+           "vertex (3, 3): rays (-1, -1) (-1, 1)\n",
+    "ehrhart": "counts: 1,9,31,60,106,156,226\nmode: quasi\nperiod: 2\ndegree: 2\n"
+               "class 0: 1,15/4,45/8\nclass 1: 3/8,3,45/8\n",
+}
+
+
+def test_only_vertex_printing_and_mapping_build_vertex_fractions(capsys, monkeypatch):
+    built = []
+    fractions = polytopes._vertex_fractions
+
+    def counted(scale, ints):
+        built.append(scale)
+        return fractions(scale, ints)
+
+    monkeypatch.setattr(polytopes, "_vertex_fractions", counted)
+    monkeypatch.setattr(counting, "_vertex_fractions", counted)
+    for command in (["fingerprint", "--chart", "entry"], ["dual"]):
+        clear_caches()
+        assert run(capsys, command + PENTAGON)[0] == 0
+    assert built == []
+    for command, expected in PENTAGON_ENTRY_BYTES.items():
+        clear_caches()
+        assert run(capsys, [command, "--chart", "entry"] + PENTAGON) == (0, expected, "")
+        assert built.pop() == 2 and not built
+
+
 SESSION_COMMANDS = ("vertices", "polytope", "fan", "singular", "facets")
 GENERIC_HEXAGON = ["--m", "1", "--r", "1,2,2,3,3,4"]
 
@@ -483,3 +516,121 @@ def test_usage_error_leaves_the_next_call_unchanged(capsys):
     code, after, _ = run(capsys, ["vertices"] + PENTAGON)
     assert code == 0
     assert after == before
+
+
+# The CLI fuzz grammar: every subcommand, with weights, side files and
+# polytope files drawn from valid and broken inputs, n <= 7 and entries <= 9
+# so that no request is oversized.
+FUZZ_COMMANDS = ("polytope", "vertices", "fan", "singular", "facets", "ehrhart", "mult",
+                 "verify-identity", "dual", "fibers", "fingerprint", "paper-examples")
+WITH_POLYTOPE_FILE = {"polytope", "vertices", "fan", "singular", "ehrhart", "fingerprint"}
+WITH_T_MAX = {"ehrhart", "verify-identity", "dual"}
+MALFORMED_WEIGHTS = ("", ",", " ", "a,b", "1/0", "3,,3", "1.5,2,3", "3;3;3", "3/", "0x3,3,3",
+                     "nan,1,1", "--1,2,3")
+DEEP = "[" * 10_000 + "]" * 10_000  # past the decoder's recursion limit
+BROKEN_TEXTS = ("", "{", "[1, 2", "nul", "\"dim\"", DEEP, "{\"dim\": " + DEEP + "}")
+BROKEN_POLYTOPES = (
+    [], None, 3, "dim", {}, {"dim": "2"}, {"dim": -1}, {"dim": True}, {"dim": 1.0},
+    {"dim": 2, "ineqs": 5}, {"dim": 2, "ineqs": [[1, 2]]}, {"dim": 2, "ineqs": [{"a": [1, 0]}]},
+    *[{"dim": 2, "ineqs": [{"a": a, "b": 1}]}
+      for a in ([1], ["x", 1], ["1/0", 1], [0.5, 1], [None, 1], [[1], 1], [0, 0], "12")],
+    {"dim": 2, "eqs": [{"a": [0, 0], "b": 0}]}, {"dim": 2, "ineqs": [{"a": [1, 0], "b": "1/0"}]},
+)
+VALID_POLYTOPES = (
+    HALF_DIAGONAL, {"dim": 0}, {"dim": 1, "ineqs": _rows([((1,), 2), ((-1,), 0)])},
+    {"dim": 2, "ineqs": _rows([((1, 0), 0), ((-1, 0), -1)])},
+    {"dim": 3, "ineqs": _rows([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                               ((-1, -1, -1), 0)])},
+    {"dim": 2, "ineqs": _rows([((1, 0), "1/2"), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]),
+     "eqs": _rows([((1, -1), 0)])},
+    *[doc for doc, _ in UNBOUNDED_FILES.values()],
+)
+BROKEN_SIDES = ([], None, {}, {"m": 1}, {"r": [3, 3, 3]}, {"m": "1", "r": [3, 3, 3]},
+                {"m": True, "r": [3, 3, 3]}, {"m": 1.0, "r": [3, 3, 3]}, {"m": 1, "r": "3,3,3"},
+                {"m": 1, "r": [[3], 3, 3]}, {"m": 1, "r": [None, 3, 3]},
+                {"m": 1, "r": ["1/0", 3, 3]}, {"m": 1, "r": [0.5, 3, 3]}, {"m": 1, "r": 3})
+
+
+def _fuzz_weights(rng) -> str:
+    """Mostly admissible lists (entries 4-9, n = 5-7), else any entries
+    (zero, negative, fractional, none at all), else malformed text."""
+    kind = rng.choices(("admissible", "any", "malformed"), (6, 2, 2))[0]
+    if kind == "admissible":
+        return ",".join(str(rng.randint(4, 9)) for _ in range(rng.randint(5, 7)))
+    if kind == "any":
+        entries = [str(rng.randint(-1, 9)) for _ in range(7)] + ["5/2", "9/2", "1/3", "0"]
+        return ",".join(rng.choices(entries, k=rng.randint(0, 7)))
+    return rng.choice(MALFORMED_WEIGHTS)
+
+
+def _fuzz_polytope_doc(rng):
+    """A valid or broken document, or random rows, some entries broken."""
+    kind = rng.choices(("valid", "broken", "random"), (3, 2, 3))[0]
+    if kind != "random":
+        return rng.choice(VALID_POLYTOPES if kind == "valid" else BROKEN_POLYTOPES)
+    dim = rng.randint(0, 4)
+    entries = list(range(-9, 10)) * 3 + ["1/2", "-3/2", "x", "1/0", 0.5, None]
+
+    def rows(k):
+        return [{"a": rng.choices(entries, k=dim), "b": rng.choice(entries)} for _ in range(k)]
+    return {"dim": dim, "ineqs": rows(rng.randint(0, 6)), "eqs": rows(rng.randint(0, 2))}
+
+
+def _fuzz_argv(rng) -> tuple[list[str], dict[str, str]]:
+    """(argv, {file flag: file text}) drawn from the grammar above."""
+    command = rng.choice(FUZZ_COMMANDS)
+    argv, files = [command], {}
+    m = rng.choices((1, 2, 3, 4, 0, -1), (5, 3, 1, 1, 1, 1))[0]
+    if command == "fibers":
+        argv += ["--m", str(m), "--n", str(rng.randint(-1, 7))]
+    elif command != "paper-examples":
+        source = rng.choices(("weights", "side-file", "polytope-file", "none"), (6, 2, 4, 1))[0]
+        if source == "polytope-file" and command not in WITH_POLYTOPE_FILE:
+            source = "weights"
+        if source == "weights":
+            argv += ["--m", str(m), "--r", _fuzz_weights(rng)]
+        elif source != "none":
+            doc = (_fuzz_polytope_doc(rng) if source == "polytope-file" else
+                   rng.choice(BROKEN_SIDES) if rng.random() < 0.4 else
+                   {"m": m, "r": [rng.choice((3, 4, 5, 6, 7, 8, 9, "5/2"))
+                                  for _ in range(rng.randint(4, 7))]})
+            text = rng.choice(BROKEN_TEXTS) if rng.random() < 0.3 else json.dumps(doc)
+            files[f"--{source}"] = text
+        if command in WITH_POLYTOPE_FILE and rng.random() < 0.5:
+            argv += ["--chart", rng.choice(("diag", "entry"))]
+        if command in WITH_T_MAX:
+            argv += ["--t-max", str(rng.choices((1, 2, 3, 0, -1), (3, 3, 3, 1, 1))[0])]
+        if command == "mult" and rng.random() < 0.5:
+            argv += ["--dilate", str(rng.randint(-1, 3))]
+    fmt = rng.choices((None, "text", "json", "xml"), (4, 2, 3, 1))[0]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    if rng.random() < 0.05:
+        argv.append(rng.choice(("--no-such-flag", "--m", "--t-max=x", "extra")))
+    return argv, files
+
+
+def test_cli_fuzz_exits_0_1_or_2_with_no_traceback(tmp_path):
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32).map(lambda seed: _fuzz_argv(random.Random(seed))))
+    def check(drawn):
+        argv, files = drawn
+        for flag, text in files.items():
+            path = tmp_path / flag.strip("-")
+            path.write_text(text)
+            argv = argv + [flag, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --help
+                code = exc.code
+        assert code in (0, 1, 2), (argv, files, code)
+        assert "Traceback" not in err.getvalue(), (argv, files)
+        seen.add((argv[0], code))
+
+    check()
+    assert {command for command, _ in seen} == set(FUZZ_COMMANDS)
+    assert {code for _, code in seen} == {0, 1, 2}

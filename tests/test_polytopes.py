@@ -34,8 +34,8 @@ from oracles import (_rank, all_vertex_affine_hull_equalities,
                      constructor_route_hpolytope,
                      brute_force_lattice_points, brute_force_vertices, gt_pattern_count,
                      pairwise_cone_adjacency, random_box_with_cuts, random_box_with_equalities,
-                     reference_refine, section_rule_h_to_v, tightness_incidence,
-                     v_to_h_route_remove_redundant)
+                     reference_dd_extreme_rays, reference_refine, section_rule_h_to_v,
+                     tightness_incidence, v_to_h_route_remove_redundant)
 
 
 def box(dim, lo, hi):
@@ -982,7 +982,7 @@ def test_propagated_box_holds_the_vertex_box():
             seen.add((route, "no setup"))
             return
         _, _, box, scale, chart, _ = setup
-        verts = _incidence(chart)[0]
+        verts = h_to_v(chart).vertices
         seen.add((route, "nonempty" if verts else "empty"))
         for (lo, hi), col in zip(box, zip(*verts)):
             assert Fraction(lo, scale) <= min(col) and max(col) <= Fraction(hi, scale)
@@ -1209,7 +1209,8 @@ def test_remove_redundant_matches_the_v_to_h_route():
                  st.randoms(use_true_random=False).map(
                      lambda rng: random_box_with_equalities(rng, HPolytope))))
 def test_incidence_is_the_tightness_oracle_and_its_rays_clear_the_vertices(P):
-    verts, vert_masks, row_masks, (scale, ints) = _incidence(P)
+    vert_masks, row_masks, (scale, ints) = _incidence(P)
+    verts = h_to_v(P).vertices
     assert (verts, vert_masks, row_masks) == tightness_incidence(P)
     assert verts == h_to_v(P).vertices
     assert scale == math.lcm(1, *(clear_denominators(v)[0] for v in verts))
@@ -1224,13 +1225,74 @@ def test_row_order_permutes_the_incidence_and_changes_nothing_else(P, data):
     # Rows reach the DD in input order; reordering P.ineqs must only relabel them.
     order = data.draw(st.permutations(range(len(P.ineqs))))
     Q = HPolytope(P.dim, tuple(P.ineqs[i] for i in order), P.eqs)
-    verts, vert_masks, row_masks, cleared = _incidence(P)
+    vert_masks, row_masks, cleared = _incidence(P)
     assert _incidence(Q) == (
-        verts,
         [sum(1 << k for k, i in enumerate(order) if mask >> i & 1) for mask in vert_masks],
         [row_masks[i] for i in order],
         cleared)
+    assert h_to_v(Q).vertices == h_to_v(P).vertices
     assert _vertex_graph(Q) == _vertex_graph(P)
+
+
+def test_dd_kernel_returns_the_reference_rays_zero_sets_and_lines(monkeypatch):
+    # Every DD input _incidence and v_to_h build, and one on which the
+    # kernel compacts its slots (the m=1 r=(2,2,3,1,3,1) entry chart).
+    dd, dims = polytopes._dd_extreme_rays, []
+
+    def compared(rows, dim):
+        out = dd(rows, dim)
+        assert out == reference_dd_extreme_rays(rows, dim)
+        dims.append(dim)
+        return out
+
+    monkeypatch.setattr(polytopes, "_dd_extreme_rays", compared)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(small_bounded_polytopes(),
+                     st.randoms(use_true_random=False).map(
+                         lambda rng: random_box_with_equalities(rng, HPolytope))))
+    def check(P):
+        clear_caches()
+        v_to_h(h_to_v(P))
+
+    check()
+    clear_caches()
+    _incidence(gt_slice(SideData.from_weights(1, (2, 2, 3, 1, 3, 1))).entry_chart)
+    assert dims[-1] == 4  # the chart is 3-dimensional
+
+
+@st.composite
+def integer_cones(draw):
+    """Rows with entries in -3..3 in dimension 2-6: random rows, zero rows,
+    repeated rows and dependent ones (negations and in-range sums), so
+    that some cones keep lines."""
+    dim = draw(st.integers(2, 6))
+    fresh = st.tuples(*[st.integers(-3, 3)] * dim)
+    rows = [draw(fresh)]
+    for _ in range(draw(st.integers(2, 19))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "negated", "sum")))
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        total = tuple(x + y for x, y in zip(a, b))
+        rows.append(draw(fresh) if kind == "fresh" else (0,) * dim if kind == "zero" else
+                    a if kind == "repeat" else
+                    total if kind == "sum" and max(map(abs, total)) <= 3 else
+                    tuple(-x for x in a))
+    return rows, dim
+
+
+def test_dd_kernel_on_integer_cones_returns_the_reference_output():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(integer_cones())
+    def check(cone):
+        rows, dim = cone
+        rays, zsets, lines = polytopes._dd_extreme_rays(rows, dim)
+        assert (rays, zsets, lines) == reference_dd_extreme_rays(rows, dim)
+        seen.add((bool(rays), bool(lines)))
+
+    check()
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 WITH_EQ = HPolytope(3, _rows([((1, 0, 0), 2), ((-1, 0, 0), 0), ((0, 1, 0), 2),

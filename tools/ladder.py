@@ -16,8 +16,8 @@ multiplicities, are timed with the scans; a multiplicity
 row builds its query; a chart row builds its side data (or GTSpec), and the
 remove_redundant polygon row also the polygon's incidence, emptying
 polygon_hrep's cache after; the remove_redundant gt_hrep row builds the
-slice and its incidence; the h_to_v row builds the polygon alone, so its
-double description is timed; the vertex-graph row builds the
+slice and its incidence; each h_to_v row builds its polygon or chart
+alone, so its double description is timed; the vertex-graph row builds the
 polygon's incidence (its double description), the fan rows its vertex
 graph, the fan JSON row the fan and its singularities, and the v_to_h rows
 the VPolytope of the polygon's vertices (in Q^8, through a fixed injective
@@ -162,6 +162,12 @@ def _vertex_count(P):
     return [len(h_to_v(P).vertices)]
 
 
+def _vertex_list(P):
+    """The vertex count and the sha256 of the vertex list."""
+    verts = h_to_v(P).vertices
+    return [len(verts), hashlib.sha256(repr(verts).encode()).hexdigest()]
+
+
 def _cones_and_singular(P):
     report = normal_fan(P).singularities
     return [len(report.entries), len(report.singular)]
@@ -254,6 +260,10 @@ ROWS = {
     "mult m=2 r=3^11, t=1": _mult(2, (3,) * 11, 1),
     "h_to_v polygon r=(1,2)^6 (vertices)":
         (_polygon((1, 2) * 6, lambda P: None), _vertex_count),
+    "h_to_v polygon r=(1,...,13) (vertices, sha256)":
+        (_polygon(tuple(range(1, 14)), lambda P: None), _vertex_list),
+    "h_to_v entry chart m=2 r=3^10 (vertices, sha256)":
+        (_chart(2, (3,) * 10, "entry_chart"), _vertex_list),
     "_vertex_graph polygon r=(1,2)^6 (vertices, edges)":
         (_polygon((1, 2) * 6, _incidence), _vertices_and_edges),
     "fan_fingerprint(normal_fan) polygon r=(1,2)^6 (cones, sha256)":
