@@ -52,17 +52,12 @@ class SideData:
     def __post_init__(self):
         _check_m_n(self.m, self.n)
         r = vec(self.r)
-        if len(r) != self.n:
-            raise ValueError(f"expected {self.n} weights, got {len(r)}")
-        if any(w <= 0 for w in r):
-            raise ValueError("all weights must be positive")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "P", sum(r, Fraction(0)) / (self.m + 1))
+        object.__setattr__(self, "P", _level(self.m, self.n, r))
 
     @classmethod
     def from_weights(cls, m: int, weights: Sequence) -> "SideData":
-        w = vec(weights)
-        return cls(m, len(w), w)
+        return _side_data(m, vec(weights))
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "r": [frac_str(w) for w in self.r]}
@@ -73,7 +68,25 @@ class SideData:
         m = data["m"]
         if "n" in data and data["n"] != len(weights):
             raise ValueError("n does not match the number of weights")
-        return cls(m, len(weights), weights)
+        return _side_data(m, weights)
+
+
+def _level(m: int, n: int, r: tuple[Fraction, ...]) -> Fraction:
+    """The critical level sum(r) / (m + 1) of n parsed weights r, m and n
+    checked, summed in integers; raises when r has not n entries or one is
+    not positive."""
+    if len(r) != n:
+        raise ValueError(f"expected {n} weights, got {len(r)}")
+    scale, ints = clear_denominators(r)
+    if any(w <= 0 for w in ints):
+        raise ValueError("all weights must be positive")
+    return Fraction(sum(ints), scale * (m + 1))
+
+
+def _side_data(m, r: tuple[Fraction, ...]) -> SideData:
+    """SideData(m, len(r), r) for weights r that vec has parsed already."""
+    _check_m_n(m, len(r))
+    return _assembled(SideData, m=m, n=len(r), r=r, P=_level(m, len(r), r))
 
 
 @_record

@@ -34,11 +34,6 @@ class _InputError(Exception):
     """Bad user input that argparse cannot catch on its own."""
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="output format (default: text)")
-
-
 def _load(path: str, what: str, parse):
     """parse(data) for the JSON data in the file at path.
 
@@ -253,6 +248,65 @@ def _cmd_paper_examples(args: argparse.Namespace) -> int:
     return 0 if report.all_pass else 1
 
 
+# The options of the subcommands, one (flag, add_argument keywords) each.
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text",
+                        "help": "output format (default: text)"})
+_SIDE = (("--m", {"type": int, "help": "projective space dimension"}),
+         ("--r", {"help": "comma separated side lengths, e.g. 3,3,3,3,3 or 5/2,5/2,3,3,3"}),
+         ("--side-file", {"help": "JSON file with {\"m\": ..., \"r\": [...]}"}))
+_POLYTOPE_FILE = ("--polytope-file",
+                  {"help": "JSON file with an inequality description; overrides --m/--r"})
+
+
+def _chart(default: str) -> tuple:
+    return "--chart", {"choices": ("diag", "entry"), "default": default,
+                       "help": f"coordinate chart to work in (default: {default})"}
+
+
+def _t_max(default: int) -> tuple:
+    return "--t-max", {"type": int, "default": default,
+                       "help": f"largest dilation factor (default: {default})"}
+
+
+_GEOMETRY = (*_SIDE, _POLYTOPE_FILE, _chart("diag"))
+
+# The one table of subcommands: name -> (help, handler, options after --format).
+# build_parser and _command_parser both read it.
+_COMMANDS = {
+    "polytope": ("print the inequality description of a chart", _cmd_polytope, _GEOMETRY),
+    "vertices": ("print the vertex list of a chart", _cmd_vertices, _GEOMETRY),
+    "fan": ("print the normal fan (one cone per vertex)", _cmd_fan, _GEOMETRY),
+    "singular": ("classify each vertex of the associated toric variety",
+                 _cmd_singular, _GEOMETRY),
+    "facets": ("label each polygon facet by its catalogue tag", _cmd_facets, _SIDE),
+    "ehrhart": ("count lattice points in dilates and fit the counting function",
+                _cmd_ehrhart, (*_SIDE, _POLYTOPE_FILE, _chart("entry"), _t_max(6))),
+    "mult": ("weight multiplicity via the determinant formula", _cmd_mult,
+             (*_SIDE, ("--dilate", {"type": int, "default": 1,
+                                    "help": "dilation factor (default: 1)"}))),
+    "verify-identity": ("check lattice counts against multiplicities",
+                        _cmd_verify_identity, (*_SIDE, _t_max(3))),
+    "dual": ("build the complementary side data and compare invariants",
+             _cmd_dual, (*_SIDE, _t_max(3))),
+    "fibers": ("generic real torus fiber size", _cmd_fibers,
+               (("--m", {"type": int, "required": True}),
+                ("--n", {"type": int, "required": True}))),
+    "fingerprint": ("canonical combinatorial fingerprint of a chart",
+                    _cmd_fingerprint, _GEOMETRY),
+    "paper-examples": ("run the built-in battery of frozen worked examples",
+                       _cmd_paper_examples, ()),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give p the options and handler of the subcommand name."""
+    _, func, options = _COMMANDS[name]
+    for flag, kwargs in (_FORMAT, *options):
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(func=func)
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -260,65 +314,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact geometry of spatial polygon moduli: polytopes, "
                     "toric data, and lattice point counts.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, func, *, side=True, polytope_file=False,
-            chart=None, t_max=None, dilate=False):
-        p = sub.add_parser(name, help=help_text)
-        _add_format(p)
-        if side:
-            p.add_argument("--m", type=int, help="projective space dimension")
-            p.add_argument("--r", help="comma separated side lengths, "
-                                       "e.g. 3,3,3,3,3 or 5/2,5/2,3,3,3")
-            p.add_argument("--side-file", help="JSON file with {\"m\": ..., \"r\": [...]}")
-            if polytope_file:
-                p.add_argument("--polytope-file", help="JSON file with an inequality "
-                                                       "description; overrides --m/--r")
-        if chart is not None:
-            p.add_argument("--chart", choices=("diag", "entry"), default=chart,
-                           help=f"coordinate chart to work in (default: {chart})")
-        if t_max is not None:
-            p.add_argument("--t-max", type=int, default=t_max,
-                           help=f"largest dilation factor (default: {t_max})")
-        if dilate:
-            p.add_argument("--dilate", type=int, default=1,
-                           help="dilation factor (default: 1)")
-        p.set_defaults(func=func)
-        return p
-
-    add("polytope", "print the inequality description of a chart",
-        _cmd_polytope, polytope_file=True, chart="diag")
-    add("vertices", "print the vertex list of a chart",
-        _cmd_vertices, polytope_file=True, chart="diag")
-    add("fan", "print the normal fan (one cone per vertex)",
-        _cmd_fan, polytope_file=True, chart="diag")
-    add("singular", "classify each vertex of the associated toric variety",
-        _cmd_singular, polytope_file=True, chart="diag")
-    add("facets", "label each polygon facet by its catalogue tag",
-        _cmd_facets)
-    add("ehrhart", "count lattice points in dilates and fit the counting function",
-        _cmd_ehrhart, polytope_file=True, chart="entry", t_max=6)
-    add("mult", "weight multiplicity via the determinant formula",
-        _cmd_mult, dilate=True)
-    add("verify-identity", "check lattice counts against multiplicities",
-        _cmd_verify_identity, t_max=3)
-    add("dual", "build the complementary side data and compare invariants",
-        _cmd_dual, t_max=3)
-    fib = sub.add_parser("fibers", help="generic real torus fiber size")
-    _add_format(fib)
-    fib.add_argument("--m", type=int, required=True)
-    fib.add_argument("--n", type=int, required=True)
-    fib.set_defaults(func=_cmd_fibers)
-    add("fingerprint", "canonical combinatorial fingerprint of a chart",
-        _cmd_fingerprint, polytope_file=True, chart="diag")
-    add("paper-examples", "run the built-in battery of frozen worked examples",
-        _cmd_paper_examples, side=False)
-
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return top
 
 
+@functools.lru_cache(maxsize=len(_COMMANDS))
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser build_parser gives the subcommand name, built on its own:
+    the same prog and options, so its usage, help and errors are the same."""
+    return _add_options(argparse.ArgumentParser(prog=f"weightpoly {name}"), name)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), leaving out the command name.
+
+    When argv starts with a subcommand name, only that subcommand's parser
+    is built and run, on the rest of argv, as the top-level parser would run
+    it.  Everything else goes through the top-level parser: no command, an
+    unknown one, a flag first, and arguments the subcommand does not
+    recognise, whose error the top level reports with its own usage.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

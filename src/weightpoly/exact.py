@@ -16,11 +16,18 @@ Mat = tuple[Vec, ...]
 
 
 def frac(value: int | str | Fraction) -> Fraction:
-    """Parse an exact rational from an int, "p/q" string or Fraction (kept as is)."""
+    """Parse an exact rational from an int, "p/q" string or Fraction (kept as is).
+
+    A string of ASCII digits alone is read by int, which gives the value
+    Fraction's regex would (and the same ValueError past the int-to-str
+    digit limit); every other string goes through Fraction.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError(f"not a rational: {value!r}")
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return Fraction(int(value))
     if isinstance(value, (int, str)):
         return Fraction(value)  # Fraction("p/0") raises ZeroDivisionError, as required.
     raise TypeError(f"not an exact rational: {value!r} (floats are not accepted)")

@@ -80,10 +80,10 @@ def reference_battery() -> ReferenceReport:
         {"facets": 4, "vertices": 4},
         {"facets": len(simplex.ineqs), "vertices": len(h_to_v(simplex).vertices)}))
 
-    cat = dict(_catalogue(SideData.from_weights(1, (3, 3, 3, 3, 4))))
+    cat = _catalogue(SideData.from_weights(1, (3, 3, 3, 3, 4)))
     claims.append(ReferenceClaim(
         "catalogue-coincidence",
-        True, cat["N2(2)"] == cat["N3(2)"]))
+        True, any({"N2(2)", "N3(2)"} <= set(tags) for tags in cat.values())))
 
     s_dim = SideData.from_weights(2, (2, 2, 2, 2, 2, 2))
     m, n = s_dim.m, s_dim.n

@@ -34,6 +34,7 @@ from .polytopes import (
     HPolytope,
     _assembled,
     _check_dim,
+    _fractions,
     _joint_primitive,
     _record,
     _vertex_graph,
@@ -208,10 +209,21 @@ def singularity_report(F: Fan) -> SingularityReport:
     return F.singularities
 
 
-def _catalogue(s: SideData) -> list[tuple[str, tuple[Vec, Fraction]]]:
-    """(tag, coprime integer row) per triangle inequality, N1, N2, N3 per triangle."""
-    return [(tag, _joint_primitive(a, b))
-            for tri in triangle_inequalities(s) for tag, a, b in sorted(tri)]
+def _catalogue(s: SideData) -> dict[tuple[tuple[int, ...], int], tuple[str, ...]]:
+    """Each coprime integer row (_joint_primitive's) of the triangle
+    inequalities, mapped to the tags of the rows on it; rows and tags in
+    catalogue order, N1, N2, N3 per triangle.
+
+    Every catalogue normal is ints with an entry +-1, so the coprime row
+    of (a, p/q), p/q in lowest terms, is (q a, p).
+    """
+    cat: dict[tuple[tuple[int, ...], int], tuple[str, ...]] = {}
+    for tri in triangle_inequalities(s):
+        for tag, a, b in sorted(tri):
+            q = b.denominator
+            key = (a if q == 1 else tuple([q * c for c in a]), b.numerator)
+            cat[key] = cat.get(key, ()) + (tag,)
+    return cat
 
 
 def facet_labels(s: SideData, P: HPolytope) -> list[FacetLabel]:
@@ -219,21 +231,23 @@ def facet_labels(s: SideData, P: HPolytope) -> list[FacetLabel]:
 
     Coincident catalogue hyperplanes (e.g. r_1 = r_2 making two entries both
     read x_1 = 0) put several tags on one facet.  A facet matching nothing
-    raises, since the catalogue is exhaustive for these polytopes.
+    raises, since the catalogue is exhaustive for these polytopes.  Each
+    label holds the facet's coprime row as Fractions, assembled (_fractions).
     """
     if s.m != 1:
         raise ValueError("facet catalogue applies to m=1 only")
     cat = _catalogue(s)
     labels = []
     for a, b in P.ineqs:
-        if all(c == 0 for c in a):
+        if not any(a):
             continue
         key = _joint_primitive(a, b)
-        tags = tuple(tag for tag, cat_key in cat if cat_key == key)
-        if not tags:
+        tags = cat.get(key)
+        if tags is None:
             raise ValueError(
                 f"facet outside the label catalogue: {[frac_str(c) for c in a]} <= {frac_str(b)}")
-        labels.append(FacetLabel(vec(key[0]), Fraction(key[1]), tags))
+        *normal, rhs = _fractions((*key[0], key[1]))
+        labels.append(_assembled(FacetLabel, normal=tuple(normal), rhs=rhs, tags=tags))
     return labels
 
 

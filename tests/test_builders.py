@@ -202,6 +202,15 @@ def test_gt_hrep_is_the_constructors_record(k, with_sums):
     _assert_constructor_record(P)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.lists(st.fractions(min_value=Fraction(1, 50), max_value=50),
+                                   min_size=6, max_size=9))
+def test_side_data_level_is_the_fraction_sum_over_m_plus_one(m, r):
+    s = SideData.from_weights(m, r)
+    assert s.P == sum(r, Fraction(0)) / (m + 1)
+    assert type(s.P) is Fraction and s == SideData(m, len(r), r)
+
+
 def test_from_weights_rejects_a_string_of_weights():
     with pytest.raises(TypeError, match="not a vector"):
         SideData.from_weights(1, "33333")

@@ -634,3 +634,93 @@ def test_cli_fuzz_exits_0_1_or_2_with_no_traceback(tmp_path):
     check()
     assert {command for command, _ in seen} == set(FUZZ_COMMANDS)
     assert {code for _, code in seen} == {0, 1, 2}
+
+
+def _outcome(argv, parse=None):
+    """(exit code, stdout, stderr) of main(argv), its namespace parsed by
+    parse when given instead of cli._parse."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = cli._parse
+    if parse is not None:
+        cli._parse = parse
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --help
+                code = exc.code
+    finally:
+        cli._parse = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _namespace(parse, argv):
+    """vars() of parse(argv) without the command name, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            found = vars(parse(argv))
+        except SystemExit:
+            return None
+    found.pop("command", None)
+    return found
+
+
+def _through_the_top_level(argv):
+    return build_parser().parse_args(argv)
+
+
+ROUTE_CASES = (
+    [], ["--help"], ["-h"], *[[command, "--help"] for command in FUZZ_COMMANDS],
+    ["vertices", "--form", "json"] + PENTAGON, ["vertices", "--for", "text", "--m", "1",
+                                                 "--r", "3,3,3,3,3", "--ch", "entry"],
+    ["verify-identity", "--m", "1", "--r", "1,1,2,2,3,3", "--t-max=3"],
+    ["ehrhart", "--t-max=2", "--m=1", "--r=3,3,3,3,3"],
+    ["vertices"] + PENTAGON + ["--"], ["vertices", "--", "--m", "1"], ["--", "vertices"],
+    ["vertices", "--m", "2", "--m", "1", "--r", "3,3,3,3,3"],
+    ["mult", "--dilate", "1", "--dilate", "2"] + HEXAGON,
+    ["vertices", "--no-such"] + PENTAGON, ["vertices"] + PENTAGON + ["extra"],
+    ["fibers", "--m", "1", "--n", "5", "--x"], ["--m", "1", "vertices"] + PENTAGON[2:],
+    ["--format", "json", "vertices"] + PENTAGON, ["nosuch"], ["nosuch", "--help"],
+    ["Vertices"] + PENTAGON, ["fibers", "--m", "1"], ["fibers", "--n", "5"],
+    ["ehrhart", "--m", "x"], ["vertices", "--chart", "both"] + PENTAGON,
+)
+
+
+def test_the_subcommand_parser_and_the_top_level_parser_agree(tmp_path):
+    rng_argvs = []
+    for seed in range(400):
+        argv, files = _fuzz_argv(random.Random(seed))
+        for flag, text in files.items():
+            path = tmp_path / f"{seed}-{flag.strip('-')}"
+            path.write_text(text)
+            argv = argv + [flag, str(path)]
+        rng_argvs.append(argv)
+    for argv in [*ROUTE_CASES, *rng_argvs]:
+        assert _outcome(argv) == _outcome(argv, _through_the_top_level), argv
+        assert _namespace(cli._parse, argv) == _namespace(_through_the_top_level, argv), argv
+
+
+ONE_REQUEST = f"""
+import argparse, contextlib, io, sys
+sys.path.insert(0, {os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")!r})
+made = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    made.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from weightpoly import cli
+on_import = len(made)
+top_calls = []
+build_parser = cli.build_parser
+cli.build_parser = lambda: top_calls.append(1) or build_parser()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["verify-identity", "--m", "1", "--r", "1,1,2,2,3,3", "--t-max", "3"])
+print(on_import, made, len(top_calls), code, out.getvalue().splitlines()[-1])
+"""
+
+
+def test_one_request_builds_only_its_own_parser():
+    run = subprocess.run([sys.executable, "-c", ONE_REQUEST], check=True,
+                         capture_output=True, text=True)
+    assert run.stdout == "0 ['weightpoly verify-identity'] 0 0 all pass\n"

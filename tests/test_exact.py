@@ -1,4 +1,5 @@
 from fractions import Fraction
+import sys
 from itertools import product
 from math import gcd, prod
 
@@ -20,6 +21,25 @@ def test_frac_parses_strings_and_numbers():
     assert frac_str(Fraction(5, 2)) == "5/2"
     assert frac_str(Fraction(4, 2)) == "2"
     assert vec([1, "1/2"]) == (Fraction(1), Fraction(1, 2))
+
+
+LONG = "7" * (sys.get_int_max_str_digits() + 1)  # past the int-to-str digit limit
+
+
+@pytest.mark.parametrize("text", [
+    "0", "7", "007", "000", "1234567890123456789012345678901234567890", "0" * 50 + "12",
+    "9" * sys.get_int_max_str_digits(), LONG, "0" + LONG,
+    "\u0663", "\uff13", "\u00b2", "1\u0663", "+3", "-3", " 3", "3 ", "3_0", "1e3", "3/2",
+    "3/0", "", " ", "0x3"])
+def test_frac_of_a_string_is_fractions_value_or_its_exception_type(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            frac(text)
+    else:
+        got = frac(text)
+        assert type(got) is Fraction and got == expected
 
 
 @pytest.mark.parametrize("value, text", [

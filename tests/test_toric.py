@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from weightpoly import exact, polytopes
-from weightpoly.builders import SideData, polygon_hrep
+from weightpoly.builders import SideData, polygon_hrep, triangle_inequalities
 from weightpoly.exact import primitive_vector, vec
-from weightpoly.polytopes import HPolytope, VPolytope, h_to_v, remove_redundant, v_to_h
-from weightpoly.toric import (Cone, Fan, facet_labels, fan_fingerprint, fan_to_json_dict,
+from weightpoly.polytopes import (HPolytope, VPolytope, _joint_primitive, h_to_v,
+                                  remove_redundant, v_to_h)
+from weightpoly.toric import (Cone, Fan, _catalogue, facet_labels, fan_fingerprint, fan_to_json_dict,
                               normal_fan, singularity_report)
 from caches import clear_caches
 from oracles import pairwise_cone_adjacency
@@ -246,3 +247,16 @@ def test_fan_fingerprint_reads_the_edges_it_is_given():
         fan_fingerprint(Fan(2, square.maximal_cones))
     assert (fan_fingerprint(Fan(2, square.maximal_cones, square.edges))
             == fan_fingerprint(square))
+
+
+@pytest.mark.parametrize("r", [
+    (3, 3, 3, 3, 3), (1, 1, 1, 1), (3, 3, 3, 3, 4), (1, 2, 3, 4, 5, 6, 7, 8, 9),
+    ("5/2", "5/2", 3, 3, 3), ("1/2", "1/3", "1/4", "1/5", "1/6", "1/7")])
+def test_catalogue_keys_are_the_joint_primitive_rows_in_catalogue_order(r):
+    s = SideData.from_weights(1, r)
+    expected = {}
+    for tri in triangle_inequalities(s):
+        for tag, a, b in sorted(tri):
+            expected.setdefault(_joint_primitive(a, b), []).append(tag)
+    cat = _catalogue(s)
+    assert list(cat.items()) == [(key, tuple(tags)) for key, tags in expected.items()]

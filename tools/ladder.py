@@ -25,17 +25,23 @@ map, for the second).  The start-up row
 prepares nothing; each run is a fresh interpreter that imports
 weightpoly.cli from this checkout, timed from spawn to exit, and its values
 are the standard-library modules that import loads, sorted (its
-tracemalloc peak is the spawning process's, not the child's).  A row records
-the median and every run's wall time in ms, the tracemalloc peak of one
-more run, and the values it computed, so two checkouts' files can be
-compared value for value.  A row
+tracemalloc peak is the spawning process's, not the child's).  The first
+request row also prepares nothing; each run is a fresh interpreter that
+imports weightpoly.cli and calls main on one count-identity request, timed
+in the child around main, and its values are the exit code and the sha256
+of stdout.  A row records the median and every run's wall time in ms, the
+median calibrated by bench/calibrate.py (each run scaled by the host speed
+sampled before it and after it, as the benchmark scales a request), the
+tracemalloc peak of one more run, and the values it computed, so two
+checkouts' files can be compared value for value.  A row
 that scans lattice points also records its work count, scan_states: the
 calls of polytopes._narrow, one per state the scan visits, summed over the
 row's dilates in one more run with that function wrapped here.  A run whose
 timed part takes longer than TIMEOUT_S seconds ends the row, which is
-recorded as a timeout (never dropped).  Standard library only; weightpoly
-and the cache helper tests/caches.py are imported from this checkout's src/
-and tests/.
+recorded as a timeout (never dropped).  Standard library only; weightpoly,
+the cache helper tests/caches.py and the calibration kernel
+bench/calibrate.py are imported from this checkout's src/, tests/ and
+bench/.
 """
 
 from __future__ import annotations
@@ -53,8 +59,10 @@ import time
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
+                os.path.join(ROOT, "bench")]
 
+import calibrate  # noqa: E402
 from caches import clear_caches  # noqa: E402
 from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep  # noqa: E402
 from weightpoly.cli import _json_text  # noqa: E402
@@ -221,6 +229,34 @@ def _startup(_):
     return run.stdout.split()
 
 
+FIRST_REQUEST = ["ehrhart", "--m", "1", "--r", "3,1,2,3,1,2", "--chart", "entry", "--t-max", "7"]
+FIRST_REQUEST_CODE = """import contextlib, hashlib, io, sys, time
+sys.path.insert(0, {src!r})
+import weightpoly.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    start = time.perf_counter()
+    code = weightpoly.cli.main({argv!r})
+    elapsed = time.perf_counter() - start
+print(elapsed, code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+class ChildTimed:
+    """A row's values and the seconds its child process timed, which the
+    row records in place of the spawning process's wall time."""
+
+    def __init__(self, values, seconds: float):
+        self.values, self.seconds = values, seconds
+
+
+def _first_request(_):
+    code = FIRST_REQUEST_CODE.format(src=os.path.join(ROOT, "src"), argv=FIRST_REQUEST)
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    elapsed, exit_code, digest = run.stdout.split()
+    return ChildTimed([int(exit_code), digest], float(elapsed))
+
+
 REPEATS = 3
 TIMEOUT_S = 60
 POLYGON = tuple(range(1, 10)) + (11,)
@@ -278,6 +314,8 @@ ROWS = {
         (_polygon_vertices(tuple(range(1, 10)), _into_q8), _facets_eqs_record),
     "import weightpoly.cli, fresh interpreter, spawn to exit (stdlib modules it loads)":
         (lambda: None, _startup),
+    "cli.main first request, fresh interpreter, timed around main: " + " ".join(FIRST_REQUEST)
+    + " (exit code, stdout sha256)": (lambda: None, _first_request),
 }
 
 
@@ -308,23 +346,28 @@ def scan_states(prepare, run) -> int:
 
 
 def time_row(prepare, run) -> dict:
-    """The row's record: median and runs in ms, tracemalloc peak, values, and
-    the scan states when the row scans."""
-    runs, values = [], None
+    """The row's record: median and runs in ms, the calibrated median,
+    tracemalloc peak, values, and the scan states when the row scans."""
+    runs, cal, values = [], [], None
     signal.signal(signal.SIGALRM, _alarm)
     try:
         for _ in range(REPEATS):
             clear_caches()
             data = prepare()
+            cal.append(calibrate.sample())
             signal.alarm(TIMEOUT_S)
             start = time.perf_counter()
             values = run(data)
-            runs.append((time.perf_counter() - start) * 1000)
+            elapsed = time.perf_counter() - start
             signal.alarm(0)
+            if isinstance(values, ChildTimed):
+                values, elapsed = values.values, values.seconds
+            runs.append(elapsed * 1000)
     except _Timeout:
         return {"timeout_s": TIMEOUT_S}
     finally:
         signal.alarm(0)
+    cal.append(calibrate.sample())
     clear_caches()
     data = prepare()
     tracemalloc.start()
@@ -332,6 +375,7 @@ def time_row(prepare, run) -> dict:
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     record = {"median_ms": round(statistics.median(runs), 3),
+              "calibrated_median_ms": round(statistics.median(calibrate.calibrated(runs, cal)), 3),
               "runs_ms": [round(t, 3) for t in runs],
               "peak_kib": round(peak / 1024, 1),
               "values": values}
