@@ -215,7 +215,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     _emit(args, report.to_json_dict, lambda: (
         [f"dual m: {dual.m}", f"dual r: {_vec_str(dual.r)}"]
         + [f"{inv.name}: {inv.primal} vs {inv.dual} "
-           + ("PASS" if inv.primal == inv.dual else "FAIL") for inv in report.invariants]
+           + ("PASS" if inv.passed else "FAIL") for inv in report.invariants]
         + ["all pass" if report.all_pass else "FAILED"]))
     return 0 if report.all_pass else 1
 

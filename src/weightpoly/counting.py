@@ -33,7 +33,6 @@ from .polytopes import (
     _facet_masks,
     _incidence,
     _record,
-    _scan_setup,
     _vertex_fractions,
     combinatorial_fingerprint,
     count_lattice_points,
@@ -63,18 +62,14 @@ class DilateCounts:
 def count_dilates(P: HPolytope, t_max: int) -> DilateCounts:
     """Exact lattice-point counts of the dilates t*P, t = 1..t_max.
 
-    counts[0] is 1 when some counted dilate holds a point.  Otherwise it is
-    0 when the scan setup proves P empty, and else the incidence of the
-    setup's chart decides.  So a count with a point runs no double
-    description unless its box needs one, and a system with equalities none
-    in its ambient space.
+    counts[0] is 1 when some counted dilate holds a point, else P's
+    dimension decides.  So a count with a point runs no double description
+    unless its box needs one.
     """
     if not is_int(t_max) or t_max < 1:
         raise ValueError("t_max must be a positive integer")
     counts = [count_lattice_points(P, t) for t in range(1, t_max + 1)]
-    setup = _scan_setup(P)
-    nonempty = setup is not None and (any(counts) or bool(_incidence(setup[4])[0]))
-    return DilateCounts(P, (int(nonempty), *counts))
+    return DilateCounts(P, (int(any(counts) or polytope_dim(P) >= 0), *counts))
 
 
 @_record
@@ -146,21 +141,16 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     degree + 1 dilates, residue + k*period; the interpolant is unique, so
     these are the coefficients any exact solve would give.  The fit must
     reproduce every sample; anything else raises.  Vertices and dimension are
-    read in the chart the count's scan setup kept, the vertices straight off
-    the chart's DD record (_incidence, by _vertex_fractions), and mapped back
-    through the chart's map f when there are equalities.  An empty chart gets
-    the zero fit.
+    read off the polytope's own DD record (_incidence, by _vertex_fractions).
+    An empty polytope gets the zero fit.
     """
-    *_, chart, f = _scan_setup(c.polytope) or (None, None)
-    verts = () if chart is None else _vertex_fractions(*_incidence(chart)[2])
+    verts = _vertex_fractions(*_incidence(c.polytope)[2])
     if not verts:
         fit = EhrhartFit("polynomial", 1, 0, ((Fraction(0),),))
         _check_reproduces(fit, c)
         return fit
-    if f is not None:
-        verts = [f.apply(v) for v in verts]
     period = lcm(1, *(x.denominator for v in verts for x in v))
-    degree = polytope_dim(chart)
+    degree = polytope_dim(c.polytope)
     mode = "polynomial" if period == 1 else "quasi"
     coeffs_by_class = []
     for residue in range(period):
@@ -316,17 +306,23 @@ class IdentityReport:
             for c in self.checks]}
 
 
+def _admissible_step(s: SideData) -> int:
+    """L, the common denominator of P and the weights (as in builders._slice_rows):
+    its multiples are the dilates with a multiplicity side and comparable
+    dual counts.  A dual side, weights P - r_i, has the same L."""
+    return lcm(s.P.denominator, *(w.denominator for w in s.r))
+
+
 def verify_ehrhart_identity(s: SideData, t_max: int) -> IdentityReport:
     """Entry-chart lattice count versus weight multiplicity, per dilate.
 
-    Only dilates t where both t*P and every t*r_i are integral are checked
-    (others have no multiplicity side): the multiples of the least such t.
-    Results are returned, not asserted; a t_max below the least such t
-    checks nothing and raises ValueError naming it.
+    Only the admissible dilates, the multiples of L (_admissible_step), are
+    checked; others have no multiplicity side.  Results are returned, not
+    asserted; a t_max below L checks nothing and raises ValueError naming it.
     """
     if not is_int(t_max) or t_max < 1:
         raise ValueError("t_max must be a positive integer")
-    least = lcm(s.P.denominator, *(w.denominator for w in s.r))
+    least = _admissible_step(s)
     if least > t_max:
         raise ValueError(
             f"no dilate t in 1..{t_max} makes t*P and every t*r_i integral; "
@@ -348,13 +344,20 @@ def real_fiber_size(m: int, n: int) -> int:
 
 @_record
 class DualityInvariant:
+    """With step > 1, primal and dual list dilates 1..t_max and are compared
+    at the multiples of step only."""
+
     name: str
     primal: object
     dual: object
+    step: int = 1
 
     @property
     def passed(self) -> bool:
-        return self.primal == self.dual
+        if self.step == 1:
+            return self.primal == self.dual
+        at = slice(self.step - 1, None, self.step)
+        return self.primal[at] == self.dual[at]
 
 
 @_record
@@ -382,7 +385,9 @@ def verify_duality(s: SideData, t_max: int) -> DualityReport:
 
     Compares the entry charts of s and dual_side_data(s): dimension, vertex
     and facet counts, dilate counts 1..t_max, and the canonical incidence
-    fingerprint.  Mismatches are reported, not raised.
+    fingerprint.  Counts are compared at the multiples of L (_admissible_step)
+    only: elsewhere the charts match affinely but not lattice-compatibly.
+    Mismatches are reported, not raised.
     """
     d = dual_side_data(s)
     A = gt_slice(s).entry_chart
@@ -394,7 +399,7 @@ def verify_duality(s: SideData, t_max: int) -> DualityReport:
                          len(_facet_masks(A)), len(_facet_masks(B))),
         DualityInvariant("dilate_counts",
                          list(count_dilates(A, t_max).counts[1:]),
-                         list(count_dilates(B, t_max).counts[1:])),
+                         list(count_dilates(B, t_max).counts[1:]), _admissible_step(s)),
         DualityInvariant("fingerprint",
                          combinatorial_fingerprint(A), combinatorial_fingerprint(B)),
     ]

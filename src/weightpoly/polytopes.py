@@ -397,27 +397,27 @@ def _is_edge(common: int, tight_on: Sequence[int], pair: int, face: int) -> bool
     return face == pair
 
 
-def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[int], list]:
-    """Extreme rays of the cone {y : row . y >= 0 for every row}, with the
-    rows each one is tight on, and the lines left.
+def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int,
+                     eqs: Sequence[tuple[int, ...]] = ()) -> tuple[list, list[int], list]:
+    """Extreme rays of the cone {y : row . y >= 0 for every row, eq . y = 0
+    for every eq}, with the rows each one is tight on, and the lines left.
 
     Incremental double description (Fukuda & Prodon, "Double description
     method revisited", 1996), in integers.  The cone starts as the lines
-    e_1..e_dim.  A first pass takes, in input order, each row that is
-    nonzero on some line: the first such line becomes a ray on the row's
-    positive side, tight on the rows taken before it, and every other line
-    and ray v is shifted along it onto the row's hyperplane, as
-    a*v - (row.v)*pivot with a = row.pivot, made primitive.  The rows taken
-    are those independent of the rows before them; the lines left span the
-    cone's lineality space, and the rays generate a pointed section of the
-    cone.  The rows left, each in the span of rows taken before it, follow in
-    input order, one inequality at a time.  Each ray carries its zero set, the
-    processed rows it is tight on, as an int bitmask over row indices: a
-    kept ray gains the new row's bit when it lies on that row, and the ray
+    e_1..e_dim.  A first pass takes each eq, then each row, that is nonzero
+    on some line: the first such line is the pivot, and every other line
+    and ray v is shifted along it onto the hyperplane, as
+    a*v - (row.v)*pivot with a = row.pivot, made primitive.  An eq drops the
+    pivot, so the pass runs in the eqs' solutions; a row keeps it as a ray
+    on its positive side, tight on the rows taken before it.  The lines left
+    span the lineality space; the rays, one per row taken, a pointed
+    section.  The rows left follow in input order.  Each ray carries its
+    zero set, the processed rows it is tight on, as an int bitmask: a kept
+    ray gains the new row's bit when it lies on that row, and the ray
     combined from p and q, (p.row) q - (q.row) p over its gcd, is tight
     exactly on (zero set of p & zero set of q) plus the new row.  p and q
     are adjacent by _is_edge over the rays tight on each row; they share at
-    least dim - L - 2 tight rows, L the number of lines left.
+    least R - 2 tight rows, R the number of rows taken.
 
     In the later rows each ray keeps one slot of rays and zsets while it
     lives: live lists the live slots in output order (kept rays, then fresh
@@ -433,22 +433,25 @@ def _dd_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> tuple[list, list[
     zsets: list[int] = []
     taken = 0
     later = []
-    for idx, row in enumerate(rows):
+    for idx, row in [(None, eq) for eq in eqs] + list(enumerate(rows)):
         vals = [_idot(row, z) for z in lines]
         at = next((k for k, v in enumerate(vals) if v), None)
         if at is None:
-            later.append(idx)
+            if idx is not None:
+                later.append(idx)
             continue
         a, pivot = vals.pop(at), lines.pop(at)
         if a < 0:
             a, pivot = -a, tuple(-c for c in pivot)
         lines = [primitive_vector(tuple(a * c - v * p for c, p in zip(z, pivot))) if v else z
                  for z, v in zip(lines, vals)]
+        if idx is None:  # an eq keeps no ray
+            continue
         rays = [primitive_vector(tuple(a * c - v * p for c, p in zip(r, pivot))) if v else r
                 for r, v in zip(rays, [_idot(row, r) for r in rays])] + [pivot]
         zsets = [z | 1 << idx for z in zsets] + [taken]
         taken |= 1 << idx
-    need = dim - len(lines) - 2
+    need = taken.bit_count() - 2
     live = list(range(len(rays)))
     alive = (1 << len(rays)) - 1
     tight_on = _tight_on(zsets, len(rows))
@@ -520,10 +523,10 @@ def _pull_back(rows: Iterable, matrix: Sequence[Sequence], offset: Sequence):
     """The rows (a M, b - a . c) of {y : a . (M y + c) <= b}, M = matrix, c = offset.
 
     Each row of rows is (terms, b), terms the (index, a_j) pairs of a; matrix
-    has one row per index, at least one.  Rows that become constant are
-    dropped; None when one of them fails.
+    has one row per index.  Rows that become constant are dropped; None when
+    one of them fails.
     """
-    width = len(matrix[0])
+    width = len(matrix[0]) if matrix else 0
     out = []
     for terms, rhs in rows:
         coeffs = [0] * width
@@ -612,22 +615,20 @@ def _incidence(P: HPolytope):
     (scale, ints)), the vertices sorted as VPolytope sorts them, where scale
     is their least common denominator and ints[i] = scale * vertex i, in
     integers.  The record holds no Fraction: only the three consumers that
-    print or map vertices, h_to_v, _vertex_graph and ehrhart_fit, build them
+    read vertices, h_to_v, _vertex_graph and ehrhart_fit, build them
     (_vertex_fractions).  The DD gets the rows (b, -a) of the cone over P in
     input order, each (a, b) made coprime by _joint_primitive: row i from
-    P.ineqs[i], then t >= 0, then both halves of each equality; scaled
-    duplicates stay, each its own row.  So the DD's zero sets are the
-    incidence, cut to the bits of P.ineqs.
+    P.ineqs[i], then t >= 0; scaled duplicates stay, each its own row.  The
+    equalities, made coprime too, cut the DD's lines first.  So the DD's
+    zero sets are the incidence, cut to the bits of P.ineqs.
     Facets, dimension and edges are read off this one record.  Raises
     UnboundedPolytopeError as h_to_v does.  Lines the normals miss leave
     every ray at t = 0 when P is empty, and make a nonempty P unbounded.
     """
     cone = [(b, *[-c for c in a]) for a, b in
             (_joint_primitive(a, b) for a, b in P.ineqs + P.eqs)]
-    rows = cone[:len(P.ineqs)] + [(1,) + (0,) * P.dim]
-    for row in cone[len(P.ineqs):]:
-        rows += [row, tuple([-c for c in row])]
-    rays, zsets, lines = _dd_extreme_rays(rows, P.dim + 1)
+    rays, zsets, lines = _dd_extreme_rays(cone[:len(P.ineqs)] + [(1,) + (0,) * P.dim],
+                                          P.dim + 1, cone[len(P.ineqs):])
     if any(ray[0] < 0 for ray in rays):
         raise AssertionError("homogenization row t >= 0 violated")
     found = [(ray, zset) for ray, zset in zip(rays, zsets) if ray[0]]
@@ -761,15 +762,13 @@ def _scan_setup(P: HPolytope):
     """Everything in the integer scan of P that no dilate changes.
 
     None when the box's propagation proves P empty or its equalities have no
-    rational solution, else (by_reads, by_prefix, box, scale, chart, f).  A
-    P with no rational point may still get a setup; its scans then count 0.
+    rational solution, else (by_reads, by_prefix, box, scale, f).  A P with
+    no rational point may still get a setup; its scans then count 0.
     Explicit equalities are eliminated through the chart of
-    restrict_to_affine_hull, and the chart, an affine bijection onto the
-    solutions of the equalities, is unbounded exactly when P is.  chart and
-    its AffineMap f are restrict_to_affine_hull's (P itself and None without
-    equalities); the chart of t*P is t times P's, mapped back by f with its
-    offset scaled by t, so only the dilates t with t * f.offset integral hold
-    integer points.  box[j] is the (min, max) of coordinate j over a box
+    restrict_to_affine_hull, f its AffineMap (None without equalities); the
+    chart of t*P is t times P's, mapped back by f with its offset scaled by
+    t, so only the dilates t with t * f.offset integral hold integer points.
+    box[j] is the (min, max) of coordinate j over a box
     holding the chart, times scale, their common denominator, in integers:
     _interval_box's over the chart's rows, with no double description; only
     when that leaves some coordinate unbounded is the box the vertices'
@@ -827,7 +826,7 @@ def _scan_setup(P: HPolytope):
         by_reads.append(([(c, rhs, tuple((at[k], a) for k, a in terms))
                           for c, rhs, terms in level], kind, pick))
     by_prefix = [(level, _EACH, ()) for level in rows_at]
-    return by_reads, by_prefix, box, scale, P, f
+    return by_reads, by_prefix, box, scale, f
 
 
 def _narrow(rows: list, x: Sequence[int], lo_j: int, hi_j: int) -> tuple[int, int]:
@@ -867,7 +866,7 @@ def _frontier(setup: tuple, levels: list, dilate: int) -> dict[tuple[int, ...], 
     in lexicographic order, under by_prefix, and their number under the key
     () under by_reads.
     """
-    _, _, box, scale, _, f = setup
+    _, _, box, scale, f = setup
     if f is not None and any((dilate * c).denominator != 1 for c in f.offset):
         return {}
     bounds = [(ceil_div(dilate * low, scale), dilate * high // scale) for low, high in box]
@@ -921,7 +920,7 @@ def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
     if setup is None:
         return []
     points = list(_frontier(setup, setup[1], dilate))
-    f = setup[5]
+    f = setup[4]
     if f is None:
         return points
     matrix = [[int(c) for c in row] for row in f.matrix]
@@ -1014,10 +1013,10 @@ def affine_image(P: HPolytope | VPolytope, f: AffineMap) -> HPolytope | VPolytop
     """Image polytope under an exact affine map.
 
     V input maps vertices and re-extremizes.  H input requires an injective
-    map; a square map transforms the constraint system directly, otherwise the
-    image is rebuilt from vertices (equalities then carry the affine hull).
-    An injective affine map sends vertices onto vertices, so those images need
-    no convexifying.
+    map; a square map pulls the system back through x = M^-1 y - M^-1 c
+    (_pull_back), otherwise the image is rebuilt from vertices (equalities
+    then carry the affine hull).  An injective affine map sends vertices onto
+    vertices, so those images need no convexifying.
     """
     if P.dim != f.domain_dim:
         raise ValueError("map domain does not match the polytope dimension")
@@ -1026,18 +1025,15 @@ def affine_image(P: HPolytope | VPolytope, f: AffineMap) -> HPolytope | VPolytop
     not_injective = "H-representation image needs an injective affine map"
     if f.domain_dim == f.codomain_dim:
         try:
-            minv_cols = list(zip(*mat_inverse(f.matrix)))
+            minv = mat_inverse(f.matrix)
         except ValueError:  # singular
             raise ValueError(not_injective) from None
-
-        def transform(rows):
-            out = []
-            for a, b in rows:
-                a_new = tuple(dot(a, col) for col in minv_cols)  # a M^{-1}
-                out.append((a_new, b + dot(a_new, f.offset)))
-            return tuple(out)
-
-        return _hpolytope(f.codomain_dim, transform(P.ineqs), transform(P.eqs))
+        offset = [-dot(row, f.offset) for row in minv]
+        ineqs, eqs = (_pull_back(((enumerate(a), b) for a, b in rows), minv, offset)
+                      for rows in (P.ineqs, P.eqs))
+        # Only the certificate row becomes constant: minv has full rank.
+        return empty_hrep(f.codomain_dim) if ineqs is None else _hpolytope(
+            f.codomain_dim, ineqs, eqs)
     if not f.is_injective:
         raise ValueError(not_injective)
     verts = h_to_v(P).vertices

@@ -7,8 +7,9 @@ constructor_route_hpolytope, which replays the HPolytope constructor's own
 former row loop over the package's parsers, and chart_route_v_to_h and
 chart_route_remove_redundant, which replay the former orthogonal chart of
 the affine hull through the package's double description and incidence,
-and reference_dd_extreme_rays, the former double description kernel on the
-package's own edge test and row helpers,
+reference_dd_extreme_rays, the former double description kernel on the
+package's own edge test and row helpers, and doubled_row_incidence, the
+former incidence record on that kernel,
 none of it shares code with the package's arithmetic (section_rule_h_to_v
 only builds its result and error types); agreement between the two is the
 evidence the fast paths are right.  dataclass_twin rebuilds a record class
@@ -791,6 +792,34 @@ def reference_dd_extreme_rays(rows: list[tuple[int, ...]],
         else:
             zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
     return rays, zsets, lines
+
+
+def doubled_row_incidence(P):
+    """_incidence as the package had it before the equalities cut the DD's
+    lines: each equality enters reference_dd_extreme_rays as two opposite
+    rows after every inequality and t >= 0, so the DD first enumerates the
+    polytope without its equalities.  The same record and error texts."""
+    from weightpoly.polytopes import UnboundedPolytopeError, _joint_primitive, _tight_on
+
+    cone = [(b, *[-c for c in a]) for a, b in
+            (_joint_primitive(a, b) for a, b in P.ineqs + P.eqs)]
+    rows = cone[:len(P.ineqs)] + [(1,) + (0,) * P.dim]
+    for row in cone[len(P.ineqs):]:
+        rows += [row, tuple([-c for c in row])]
+    rays, zsets, lines = reference_dd_extreme_rays(rows, P.dim + 1)
+    found = [(ray, zset) for ray, zset in zip(rays, zsets) if ray[0]]
+    if found and lines:
+        raise UnboundedPolytopeError(
+            "polytope is unbounded (recession line); bounded input required")
+    if found and len(found) < len(rays):
+        raise UnboundedPolytopeError(
+            "polytope is unbounded (recession ray); bounded input required")
+    scale = math.lcm(1, *(ray[0] for ray, _ in found))
+    ints = [tuple(c * (scale // ray[0]) for c in ray[1:]) for ray, _ in found]
+    order = sorted(range(len(found)), key=ints.__getitem__)
+    of_ineqs = (1 << len(P.ineqs)) - 1
+    vert_masks = [found[i][1] & of_ineqs for i in order]
+    return vert_masks, _tight_on(vert_masks, len(P.ineqs)), (scale, [ints[i] for i in order])
 
 
 # The full individualization-refinement search, with no automorphism pruning:

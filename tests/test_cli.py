@@ -154,9 +154,40 @@ def test_dual_pass_and_fail_exit_codes(capsys):
     code, out, _ = run(capsys, ["dual"] + HEXAGON)
     assert code == 0
     assert out.splitlines()[-1] == "all pass"
+    # P = 17/2: the counts differ at t = 1 and 3 but agree at t = 2, the one
+    # multiple of L = 2 in 1..3, so the invariant passes.
     code, out, _ = run(capsys, ["dual", "--m", "1", "--r", "2,4,4,3,4"])
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[-3] == "dilate_counts: [9, 32, 60] vs [8, 32, 57] PASS"
+    assert lines[-1] == "all pass"
+
+
+def test_dual_text_json_and_exit_code_read_one_verdict(capsys, monkeypatch):
+    real = cli.verify_duality
+
+    def failing(s, t_max):
+        report = real(s, t_max)
+        bad = counting.DualityInvariant("dilate_counts", [9, 32, 60], [9, 31, 60], 2)
+        return counting.DualityReport(report.side, report.dual_side, (bad,))
+
+    monkeypatch.setattr(cli, "verify_duality", failing)
+    code, out, _ = run(capsys, ["dual"] + HEXAGON)
+    assert (code, out.splitlines()[-2:]) == (
+        1, ["dilate_counts: [9, 32, 60] vs [9, 31, 60] FAIL", "FAILED"])
+    code, out, _ = run(capsys, ["dual", "--format", "json"] + HEXAGON)
     assert code == 1
-    assert out.splitlines()[-1] == "FAILED"
+    assert [iv["pass"] for iv in json.loads(out)["invariants"]] == [False]
+
+
+@pytest.mark.parametrize("argv", [["--m", "3", "--r", "9,8,7,6,5,4,3"],
+                                  ["--m", "2", "--r", "9,9,9,9,9,9,7", "--t-max", "3"]],
+                         ids=["dual-halves", "dual-thirds"])
+def test_dual_with_non_integral_dual_weights_passes(capsys, argv):
+    # The dual weights are halves (thirds): counts are compared at t = 2 (3).
+    code, out, _ = run(capsys, ["dual"] + argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "all pass"
 
 
 def test_fingerprint_matches_library(capsys):
@@ -307,9 +338,9 @@ def test_ehrhart_of_an_equality_file_is_pinned(capsys, tmp_path):
                                "degree": 1, "coefficients": [["1", "1/2"], ["0", "0"]]}
 
 
-def test_ehrhart_of_an_equality_file_runs_no_dd_on_the_ambient_system(capsys, tmp_path):
-    # The m=2 slice in all 15 pattern entries: the ambient DD alone takes
-    # seconds, the count in the 4-dimensional chart a fraction of one.
+def test_ehrhart_of_an_equality_file_runs_one_dd_pass_on_the_polytope_itself(capsys, tmp_path):
+    # The m=2 slice in all 15 pattern entries: its equalities cut the DD's
+    # lines, so the fit reads the ambient record, not a chart's.
     P = gt_hrep(GTSpec(6, (6, 6, 6, 0, 0, 0), (3, 7, 10, 13, 16)))
     path = tmp_path / "slice.json"
     path.write_text(json.dumps(P.to_json_dict()))
@@ -317,11 +348,13 @@ def test_ehrhart_of_an_equality_file_runs_no_dd_on_the_ambient_system(capsys, tm
     argv = ["ehrhart", "--polytope-file", str(path), "--t-max", "4"]
     assert run(capsys, argv) == (0, "counts: 1,30,195,700,1845\nmode: polynomial\n"
                                     "period: 1\ndegree: 4\nclass 0: 1,5,10,10,4\n", "")
-    # One DD pass ran, and it is the chart's: the ambient P has no entry.
+    # One DD pass ran, and it is P's own.
     assert _incidence.cache_info().misses == 1
     hits = _incidence.cache_info().hits
-    _incidence(restrict_to_affine_hull(P)[0])
+    verts = h_to_v(P).vertices
     assert _incidence.cache_info().hits == hits + 1
+    chart, f = restrict_to_affine_hull(P)
+    assert verts == tuple(sorted(f.apply(v) for v in h_to_v(chart).vertices))
 
 
 def test_ehrhart_of_an_equality_file_charts_it_once(capsys, tmp_path, monkeypatch):
@@ -338,7 +371,7 @@ def test_ehrhart_of_an_equality_file_charts_it_once(capsys, tmp_path, monkeypatc
     path = tmp_path / "poly.json"
     path.write_text(json.dumps(HALF_DIAGONAL))
     assert run(capsys, ["ehrhart", "--polytope-file", str(path)])[0] == 0
-    # The count's scan setup charts P; the fit reads that chart.
+    # The count's scan setup charts P; the fit reads P's own incidence.
     assert len(charted) == 1
 
 
@@ -633,7 +666,9 @@ def test_cli_fuzz_exits_0_1_or_2_with_no_traceback(tmp_path):
 
     check()
     assert {command for command, _ in seen} == set(FUZZ_COMMANDS)
-    assert {code for _, code in seen} == {0, 1, 2}
+    # Exit 1 is a failed check (verify-identity, dual, paper-examples), which
+    # no input the grammar draws may give.
+    assert {code for _, code in seen} == {0, 2}
 
 
 def _outcome(argv, parse=None):

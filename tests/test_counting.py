@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weightpoly.builders import SideData, gt_slice, polygon_hrep
-from weightpoly.counting import (DilateCounts, EhrhartFit, MultiplicityQuery, _interpolate,
+from weightpoly.builders import SideData, dual_side_data, gt_slice, polygon_hrep
+from weightpoly.counting import (DilateCounts, DualityInvariant, EhrhartFit, MultiplicityQuery,
+                                 _admissible_step, _interpolate,
                                  count_dilates, ehrhart_fit, real_fiber_size,
                                  verify_duality, verify_ehrhart_identity,
                                  weight_multiplicity)
@@ -351,10 +352,27 @@ def test_duality_hexagon_passes():
         "dimension", "vertex_count", "facet_count", "dilate_counts", "fingerprint"]
 
 
-def test_duality_detects_lattice_mismatch_for_fractional_P():
+def test_duality_compares_the_counts_of_fractional_P_at_the_multiples_of_L():
     # complementing side lengths preserves the polytope up to affine maps, but
-    # only lattice-compatibly when P is an integer; this case has P = 17/2
+    # only lattice-compatibly at the dilates that make P and the weights
+    # integral; this case has P = 17/2, so L = 2, and the counts differ at t=1
     rep = verify_duality(SideData.from_weights(1, (2, 4, 4, 3, 4)), 2)
-    failing = [i.name for i in rep.invariants if i.primal != i.dual]
-    assert failing == ["dilate_counts"]
-    assert not rep.all_pass
+    differing = [i.name for i in rep.invariants if i.primal != i.dual]
+    assert differing == ["dilate_counts"]
+    assert rep.invariants[3] == DualityInvariant("dilate_counts", [9, 32], [8, 32], 2)
+    assert rep.all_pass
+    assert not DualityInvariant("dilate_counts", [9, 32], [9, 31], 2).passed
+    assert DualityInvariant("dimension", 2, 2).passed
+    assert not DualityInvariant("dimension", 2, 3).passed
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(3, 4), st.randoms(use_true_random=False))
+def test_dual_counts_agree_at_the_multiples_of_L(m, extra, rng):
+    s = SideData.from_weights(m, random_admissible_r(rng, m + extra, hi=9, strict=True, m=m))
+    d = dual_side_data(s)
+    L = _admissible_step(s)
+    assert _admissible_step(d) == L
+    A, B = gt_slice(s).entry_chart, gt_slice(d).entry_chart
+    for t in (L, 2 * L):
+        assert count_lattice_points(A, t) == count_lattice_points(B, t)

@@ -31,7 +31,7 @@ from caches import clear_caches
 from oracles import (_rank, all_vertex_affine_hull_equalities,
                      brute_force_canonical_incidence, brute_force_edges,
                      chart_route_remove_redundant, chart_route_v_to_h,
-                     constructor_route_hpolytope,
+                     constructor_route_hpolytope, doubled_row_incidence,
                      brute_force_lattice_points, brute_force_vertices, gt_pattern_count,
                      pairwise_cone_adjacency, random_box_with_cuts, random_box_with_equalities,
                      reference_dd_extreme_rays, reference_refine, section_rule_h_to_v,
@@ -981,8 +981,8 @@ def test_propagated_box_holds_the_vertex_box():
             assert h_to_v(P).vertices == ()
             seen.add((route, "no setup"))
             return
-        _, _, box, scale, chart, _ = setup
-        verts = h_to_v(chart).vertices
+        box, scale = setup[2:4]
+        verts = h_to_v(restrict_to_affine_hull(P)[0]).vertices
         seen.add((route, "nonempty" if verts else "empty"))
         for (lo, hi), col in zip(box, zip(*verts)):
             assert Fraction(lo, scale) <= min(col) and max(col) <= Fraction(hi, scale)
@@ -1236,13 +1236,15 @@ def test_row_order_permutes_the_incidence_and_changes_nothing_else(P, data):
 
 def test_dd_kernel_returns_the_reference_rays_zero_sets_and_lines(monkeypatch):
     # Every DD input _incidence and v_to_h build, and one on which the
-    # kernel compacts its slots (the m=1 r=(2,2,3,1,3,1) entry chart).
+    # kernel compacts its slots (the m=1 r=(2,2,3,1,3,1) entry chart).  The
+    # reference takes no equalities: the doubled-row oracle covers those.
     dd, dims = polytopes._dd_extreme_rays, []
 
-    def compared(rows, dim):
-        out = dd(rows, dim)
-        assert out == reference_dd_extreme_rays(rows, dim)
-        dims.append(dim)
+    def compared(rows, dim, eqs=()):
+        out = dd(rows, dim, eqs)
+        if not eqs:
+            assert out == reference_dd_extreme_rays(rows, dim)
+            dims.append(dim)
         return out
 
     monkeypatch.setattr(polytopes, "_dd_extreme_rays", compared)
@@ -1295,6 +1297,72 @@ def test_dd_kernel_on_integer_cones_returns_the_reference_output():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+@st.composite
+def systems_with_equalities(draw):
+    """Rows with entries in -2..2 in dimension 1-4, at most 2d + 2 of them,
+    so that some systems are unbounded, and 1-3 equalities: each one after
+    the first is fresh, a multiple of an earlier one (dependent) or that
+    multiple with its rhs moved (inconsistent).  Returns (P, kinds drawn)."""
+    d = draw(st.integers(1, 4))
+    normal = st.tuples(*[st.integers(-2, 2)] * d).filter(any)
+    ineqs = draw(st.lists(st.tuples(normal, st.integers(-2, 4)), max_size=2 * d + 2))
+    eqs = [(draw(normal), draw(st.builds(Fraction, st.integers(-3, 4), st.sampled_from((1, 2)))))]
+    kinds = set()
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("fresh", "dependent", "inconsistent")))
+        a, b = draw(st.sampled_from(eqs))
+        eqs.append((draw(normal), draw(st.integers(-3, 4))) if kind == "fresh" else
+                   (tuple(2 * c for c in a), 2 * b + (kind == "inconsistent")))
+        kinds.add(kind)
+    return HPolytope(d, tuple(ineqs), tuple(eqs)), kinds
+
+
+def test_equalities_cutting_the_lines_give_the_doubled_row_incidence():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(systems_with_equalities(),
+                     st.randoms(use_true_random=False).map(
+                         lambda rng: (random_box_with_equalities(rng, HPolytope), set()))))
+    def check(case):
+        P, kinds = case
+        clear_caches()
+        record = _record_or_error(lambda: _incidence(P))
+        assert record == _record_or_error(lambda: doubled_row_incidence(P))
+        seen.update(kinds)
+        seen.add(record[1].split("(")[1].split(")")[0] if record[0] is UnboundedPolytopeError
+                 else "nonempty" if record[0] else "empty")
+
+    check()
+    assert seen == {"fresh", "dependent", "inconsistent", "recession line", "recession ray",
+                    "nonempty", "empty"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_gt_slices_cut_by_their_row_sums_give_the_doubled_row_incidence(data):
+    # The row sums of a drawn interlacing pattern, so every slice is nonempty.
+    k = data.draw(st.integers(2, 5))
+    rows = [sorted(data.draw(st.lists(st.integers(0, 9), min_size=k, max_size=k, unique=True)),
+                   reverse=True)]
+    while len(rows[-1]) > 1:
+        above = rows[-1]
+        rows.append([data.draw(st.integers(low, high)) for high, low in zip(above, above[1:])])
+    P = gt_hrep(GTSpec(k, tuple(rows[0]), [sum(row) for row in reversed(rows[1:])]))
+    clear_caches()
+    record = _incidence(P)
+    assert record[0] and record == doubled_row_incidence(P)
+
+
+@pytest.mark.parametrize("k, lam, sums", [
+    (4, (2, 1, 0, 0), (1, 2, 3)), (5, (3, 2, 1, 0, 0), (2, 4, 5, 6)),
+    (5, (4, 3, 2, 1, 0), (2, 5, 7, 9))])
+def test_pinned_gt_slices_give_the_doubled_row_incidence(k, lam, sums):
+    P = gt_hrep(GTSpec(k, lam, sums))
+    record = _incidence(P)
+    assert len(record[0]) > 1 and record == doubled_row_incidence(P)
+
+
 WITH_EQ = HPolytope(3, _rows([((1, 0, 0), 2), ((-1, 0, 0), 0), ((0, 1, 0), 2),
                                ((0, -1, 0), 0), ((0, 0, 1), 2), ((0, 0, -1), 0),
                                ((1, 1, 0), 5)]),
@@ -1343,9 +1411,9 @@ def test_non_pointed_input_takes_one_dd_pass(monkeypatch, P, message):
     calls = []
     dd = polytopes._dd_extreme_rays
 
-    def counting_dd(rows, dim):
+    def counting_dd(rows, dim, eqs=()):
         calls.append(dim)
-        return dd(rows, dim)
+        return dd(rows, dim, eqs)
 
     monkeypatch.setattr(polytopes, "_dd_extreme_rays", counting_dd)
     clear_caches()

@@ -16,8 +16,8 @@ multiplicities, are timed with the scans; a multiplicity
 row builds its query; a chart row builds its side data (or GTSpec), and the
 remove_redundant polygon row also the polygon's incidence, emptying
 polygon_hrep's cache after; the remove_redundant gt_hrep row builds the
-slice and its incidence; each h_to_v row builds its polygon or chart
-alone, so its double description is timed; the vertex-graph row builds the
+slice and its incidence; each h_to_v row builds its polygon, chart or
+gt_hrep slice alone, so its double description is timed; the vertex-graph row builds the
 polygon's incidence (its double description), the fan rows its vertex
 graph, the fan JSON row the fan and its singularities, and the v_to_h rows
 the VPolytope of the polygon's vertices (in Q^8, through a fixed injective
@@ -300,6 +300,8 @@ ROWS = {
         (_polygon(tuple(range(1, 14)), lambda P: None), _vertex_list),
     "h_to_v entry chart m=2 r=3^10 (vertices, sha256)":
         (_chart(2, (3,) * 10, "entry_chart"), _vertex_list),
+    "h_to_v gt_hrep k=6 lam=(4,3,2,1,0,0) mu=(2,2,2,2,1,1), 15 ambient coordinates"
+    " (vertices, sha256)": (lambda: gt_hrep(GTSpec(*GT6)), _vertex_list),
     "_vertex_graph polygon r=(1,2)^6 (vertices, edges)":
         (_polygon((1, 2) * 6, _incidence), _vertices_and_edges),
     "fan_fingerprint(normal_fan) polygon r=(1,2)^6 (cones, sha256)":
