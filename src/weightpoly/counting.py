@@ -10,13 +10,11 @@ scanning on the left side, so agreement is strong evidence for both.
 
 The left side's counts come from polytopes.count_lattice_points, cached per
 (polytope, dilate), so the dilates an Ehrhart fit counted are not scanned
-again when the identity is checked on the same chart.  Both sides add
-each contiguous integer range as two entries of a difference array rather
-than element by element: the scan's frontier for the states that agree on
-the coordinates later rows read, the multiplicity's dynamic program for
-each column and remaining head of rows.  Fits
-interpolate each residue class by Newton forward differences on its equally
-spaced dilates, with no linear system to solve.
+again when the identity is checked on the same chart.  The right side is
+one polynomial product for m = 1 and a signed dynamic program over range
+sums for m >= 2, in ints throughout.  Fits read their period off the DD
+record's scale, interpolate each residue class by Newton forward
+differences, and check every sample by integer Horner.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from .polytopes import (
     _facet_masks,
     _incidence,
     _record,
-    _vertex_fractions,
     combinatorial_fingerprint,
     count_lattice_points,
     polytope_dim,
@@ -86,10 +83,14 @@ class EhrhartFit:
     coeffs_by_class: tuple[tuple[Fraction, ...], ...]
 
     def evaluate(self, t: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs_by_class[t % self.period]):
-            acc = acc * t + c
-        return acc
+        """Horner over t's class's integer numerators on their common
+        denominator: one Fraction."""
+        coeffs = self.coeffs_by_class[t % self.period]
+        den = lcm(*[c.denominator for c in coeffs])
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * t + c.numerator * (den // c.denominator)
+        return Fraction(acc, den)
 
     @property
     def leading_coefficient(self) -> Fraction:
@@ -140,16 +141,16 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     interpolated by forward differences (_interpolate) on its first
     degree + 1 dilates, residue + k*period; the interpolant is unique, so
     these are the coefficients any exact solve would give.  The fit must
-    reproduce every sample; anything else raises.  Vertices and dimension are
-    read off the polytope's own DD record (_incidence, by _vertex_fractions).
-    An empty polytope gets the zero fit.
+    reproduce every sample; anything else raises.  Period and dimension are
+    read off the polytope's own DD record (_incidence), the period as its
+    scale: every DD ray (t, x) is primitive, so the lcm of the t is that of
+    the vertex denominators.  An empty polytope gets the zero fit.
     """
-    verts = _vertex_fractions(*_incidence(c.polytope)[2])
-    if not verts:
+    period, ints = _incidence(c.polytope)[2]
+    if not ints:
         fit = EhrhartFit("polynomial", 1, 0, ((Fraction(0),),))
         _check_reproduces(fit, c)
         return fit
-    period = lcm(1, *(x.denominator for v in verts for x in v))
     degree = polytope_dim(c.polytope)
     mode = "polynomial" if period == 1 else "quasi"
     coeffs_by_class = []
@@ -218,12 +219,33 @@ def weight_multiplicity(q: MultiplicityQuery) -> int:
 
     Jacobi-Trudi: the Schur function is det(h_{P-i+j}), 1 <= i,j <= m+1.
     The x^r coefficient of a product of h_d counts nonnegative integer
-    matrices with row sums d and column sums r, so one signed dynamic program
-    covers the whole determinant: each state is the sorted row sums still
-    missing (the count ignores row order), starting from every permutation's
-    degrees weighted by its sign, and each column of r is spread over the
-    rows in turn (the count ignores column order too).  The multiplicity is
-    the coefficient of the all-zero state.
+    matrices with row sums d and column sums r.  For m = 1 the determinant
+    is h_P^2 - h_{P+1} h_{P-1}, and a two-row matrix is its first row, so
+    the multiplicity is c(P) - c(P+1) = c(P) - c(P-1), c(k) the q^k
+    coefficient of the palindromic prod_j (1 + q + ... + q^{r_j}): P+1
+    ints, each column one prefix sum and one shifted subtraction.  For
+    m >= 2, _signed_state_dp.
+    """
+    if q.m == 1:
+        c = [1] + [0] * q.P
+        for w in q.r:
+            at = list(accumulate(c))
+            c = at[:w + 1] + [a - b for a, b in zip(at[w + 1:], at)]
+        total = c[-1] - c[-2] if q.P else 1
+    else:
+        total = _signed_state_dp(q)
+    if total < 0:
+        raise AssertionError("multiplicity must be nonnegative")
+    return total
+
+
+def _signed_state_dp(q: MultiplicityQuery) -> int:
+    """weight_multiplicity by one signed dynamic program over the whole
+    determinant: each state is the sorted row sums still missing (the count
+    ignores row order), starting from every permutation's degrees weighted
+    by its sign, and each column of r is spread over the rows in turn (the
+    count ignores column order too).  The multiplicity is the coefficient
+    of the all-zero state.
 
     A column is spread by range sums.  Every state sums to the same total,
     (m+1)*P less the columns spread so far.  Write a state as (head, y1, y2):
@@ -233,8 +255,8 @@ def weight_multiplicity(q: MultiplicityQuery) -> int:
     +coeff/-coeff pair in a difference array per sorted new head; once the
     column is done, each array is prefix-summed and each point u folds back
     onto the sorted state of (new head, u, base - u).  Per state and column
-    that is (w+1)^(m-1) head spreads, O(1) for m = 1, plus one pass over
-    each array, instead of (w+1)^m spreads.
+    that is (w+1)^(m-1) head spreads plus one pass over each array,
+    instead of (w+1)^m spreads.
     """
     size = q.m + 1
     states: dict[tuple[int, ...], int] = {}
@@ -276,10 +298,7 @@ def weight_multiplicity(q: MultiplicityQuery) -> int:
                     if kept and kept[-1] > u:  # u <= base - u already
                         state = tuple(sorted(state))
                     states[state] = states.get(state, 0) + coeff
-    total = states.get((0,) * size, 0)
-    if total < 0:
-        raise AssertionError("multiplicity must be nonnegative")
-    return total
+    return states.get((0,) * size, 0)
 
 
 @_record
@@ -313,13 +332,9 @@ def _admissible_step(s: SideData) -> int:
     return lcm(s.P.denominator, *(w.denominator for w in s.r))
 
 
-def verify_ehrhart_identity(s: SideData, t_max: int) -> IdentityReport:
-    """Entry-chart lattice count versus weight multiplicity, per dilate.
-
-    Only the admissible dilates, the multiples of L (_admissible_step), are
-    checked; others have no multiplicity side.  Results are returned, not
-    asserted; a t_max below L checks nothing and raises ValueError naming it.
-    """
+def _checked_step(s: SideData, t_max: int) -> int:
+    """L (_admissible_step), once t_max is a positive integer with some
+    multiple of L in 1..t_max; else ValueError, naming L."""
     if not is_int(t_max) or t_max < 1:
         raise ValueError("t_max must be a positive integer")
     least = _admissible_step(s)
@@ -327,6 +342,18 @@ def verify_ehrhart_identity(s: SideData, t_max: int) -> IdentityReport:
         raise ValueError(
             f"no dilate t in 1..{t_max} makes t*P and every t*r_i integral; "
             f"the least such t is {least}")
+    return least
+
+
+def verify_ehrhart_identity(s: SideData, t_max: int) -> IdentityReport:
+    """Entry-chart lattice count versus weight multiplicity, per dilate.
+
+    Only the admissible dilates, the multiples of L (_admissible_step), are
+    checked; others have no multiplicity side.  Results are returned, not
+    asserted; a t_max below L checks nothing and raises ValueError naming it
+    (_checked_step).
+    """
+    least = _checked_step(s, t_max)
     entry = gt_slice(s).entry_chart
     checks = []
     for t in range(least, t_max + 1, least):
@@ -387,8 +414,10 @@ def verify_duality(s: SideData, t_max: int) -> DualityReport:
     and facet counts, dilate counts 1..t_max, and the canonical incidence
     fingerprint.  Counts are compared at the multiples of L (_admissible_step)
     only: elsewhere the charts match affinely but not lattice-compatibly.
-    Mismatches are reported, not raised.
+    Mismatches are reported, not raised; a t_max below L compares no count
+    and raises ValueError naming L, as verify_ehrhart_identity does.
     """
+    step = _checked_step(s, t_max)
     d = dual_side_data(s)
     A = gt_slice(s).entry_chart
     B = gt_slice(d).entry_chart
@@ -399,7 +428,7 @@ def verify_duality(s: SideData, t_max: int) -> DualityReport:
                          len(_facet_masks(A)), len(_facet_masks(B))),
         DualityInvariant("dilate_counts",
                          list(count_dilates(A, t_max).counts[1:]),
-                         list(count_dilates(B, t_max).counts[1:]), _admissible_step(s)),
+                         list(count_dilates(B, t_max).counts[1:]), step),
         DualityInvariant("fingerprint",
                          combinatorial_fingerprint(A), combinatorial_fingerprint(B)),
     ]

@@ -18,8 +18,9 @@ from weightpoly.counting import (DilateCounts, DualityInvariant, EhrhartFit, Mul
                                  weight_multiplicity)
 from weightpoly.exact import vec
 from weightpoly.polytopes import (HPolytope, _count_dilate, _incidence, _scan_setup,
-                                  count_lattice_points, empty_hrep, h_to_v)
+                                  count_lattice_points, empty_hrep, h_to_v, polytope_dim)
 from caches import clear_caches
+from test_polytopes import small_bounded_polytopes
 from oracles import (pattern_multiplicity, per_permutation_multiplicity,
                      polygon_area, random_admissible_r, random_box_with_cuts,
                      spread_weight_multiplicity, vandermonde_fit)
@@ -92,8 +93,42 @@ def test_ehrhart_leading_coefficient_is_area():
 
 
 def test_ehrhart_fit_rejects_non_polynomial_counts():
-    with pytest.raises(ValueError):
+    message = r"^counts not \(quasi-\)polynomial at this period$"
+    with pytest.raises(ValueError, match=message):
         ehrhart_fit(DilateCounts(polytope=box2(), counts=(1, 4, 9, 17)))
+    # P = 15/2: period 2, degree 2, so t = 0..5 are the nodes and only the
+    # reproduction check reads t = 6.
+    counts = count_dilates(gt_slice(SideData.from_weights(1, (3,) * 5)).entry_chart, 6)
+    fit = ehrhart_fit(counts)
+    assert (fit.period, fit.degree) == (2, 2)
+    tampered = DilateCounts(counts.polytope, (*counts.counts[:-1], counts.counts[-1] + 1))
+    with pytest.raises(ValueError, match=message):
+        ehrhart_fit(tampered)
+
+
+@st.composite
+def small_entry_charts(draw):
+    """(m, the entry chart of a random side with m = 1..3 and n = m + 3 weights)."""
+    m = draw(st.integers(1, 3))
+    r = random_admissible_r(draw(st.randoms(use_true_random=False)), m + 3, hi=6, m=m)
+    return m, gt_slice(SideData.from_weights(m, r)).entry_chart
+
+
+def test_the_fit_period_is_the_lcm_of_the_vertex_denominators():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(small_bounded_polytopes().map(lambda P: (0, P)), small_entry_charts()))
+    def check(case):
+        m, P = case
+        verts = h_to_v(P).vertices
+        period = math.lcm(1, *(x.denominator for v in verts for x in v))
+        fit = ehrhart_fit(count_dilates(P, max(1, period * (polytope_dim(P) + 1) - 1)))
+        assert fit.period == period
+        seen.add((m, period > 1))
+
+    check()
+    assert seen == {(m, quasi) for m in range(4) for quasi in (False, True)}
 
 
 def test_ehrhart_fit_rejects_insufficient_samples():
@@ -242,7 +277,7 @@ def test_multiplicity_dp_matches_the_per_permutation_expansion(query):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(multiplicity_queries(max_m=4, max_n_over_m=6, max_P=lambda m: 8))
+@given(multiplicity_queries(max_m=4, max_n_over_m=6, max_P=lambda m: 40 if m == 1 else 8))
 @example((1, 3, 0, (0, 0, 0)))
 @example((4, 10, 8, (0, 0, 8, 8, 8, 8, 8, 0, 0, 0)))
 @example((4, 6, 8, (8, 8, 8, 8, 8, 0)))
@@ -308,6 +343,9 @@ def test_identity_with_no_integral_dilate_is_an_error(m, r, t_max, least):
     assert str(exc.value) == (
         f"no dilate t in 1..{t_max} makes t*P and every t*r_i integral; "
         f"the least such t is {least}")
+    with pytest.raises(ValueError) as dual_exc:
+        verify_duality(s, t_max)  # the same check, so no count goes uncompared
+    assert str(dual_exc.value) == str(exc.value)
     assert [c.dilate for c in verify_ehrhart_identity(s, least).checks] == [least]
 
 

@@ -12,7 +12,8 @@ listing row builds its polytope and the polytope's scan setup (its box by
 interval propagation; no double description), so the timed part is the
 lattice scans alone; a cold count row builds only its polytope (or side
 data), so the setup, and for the identity row the chart and the
-multiplicities, are timed with the scans; a multiplicity
+multiplicities, for the fit row the double description and the fit, are
+timed with the scans; a multiplicity
 row builds its query; a chart row builds its side data (or GTSpec), and the
 remove_redundant polygon row also the polygon's incidence, emptying
 polygon_hrep's cache after; the remove_redundant gt_hrep row builds the
@@ -66,8 +67,8 @@ import calibrate  # noqa: E402
 from caches import clear_caches  # noqa: E402
 from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep  # noqa: E402
 from weightpoly.cli import _json_text  # noqa: E402
-from weightpoly.counting import (MultiplicityQuery, verify_ehrhart_identity,  # noqa: E402
-                                 weight_multiplicity)
+from weightpoly.counting import (MultiplicityQuery, count_dilates, ehrhart_fit,  # noqa: E402
+                                 verify_ehrhart_identity, weight_multiplicity)
 from weightpoly import polytopes  # noqa: E402
 from weightpoly.polytopes import (VPolytope, _incidence, _scan_setup,  # noqa: E402
                                   _vertex_graph, count_lattice_points, h_to_v,
@@ -99,6 +100,16 @@ def _cold_identity(m, r, t_max):
         report = verify_ehrhart_identity(s, t_max)
         return [report.all_pass, [check.lattice_count for check in report.checks]]
     return lambda: SideData.from_weights(m, r), run
+
+
+def _cold_fit(polytope, t_max):
+    """ehrhart_fit of the counts 1..t_max, setup and double description timed
+    too: the period, the degree and the sha256 of the coefficients' JSON."""
+    def run(P):
+        fit = ehrhart_fit(count_dilates(P, t_max))
+        text = json.dumps(fit.to_json_dict()["coefficients"])
+        return [fit.period, fit.degree, hashlib.sha256(text.encode()).hexdigest()]
+    return polytope, run
 
 
 def _listing(polytope, dilate):
@@ -282,6 +293,8 @@ ROWS = {
         _cold_counts(lambda: gt_hrep(GTSpec(*GT8)), (1, 2)),
     "cold verify_ehrhart_identity m=2 r=3^11, t_max=3 (all pass, counts)":
         _cold_identity(2, (3,) * 11, 3),
+    "cold count_dilates + ehrhart_fit entry chart m=1 r=(1,2)^4, t_max=11"
+    " (period, degree, sha256)": _cold_fit(_chart(1, (1, 2) * 4, "entry_chart"), 11),
     "lattice_points entry chart m=2 r=(2,2,2,3,3,3,3), t=4 (points, sha256)":
         _listing(_chart(2, (2, 2, 2, 3, 3, 3, 3), "entry_chart"), 4),
     "gt_slice entry chart m=2 r=3^11 (dim, rows, sha256)": _entry_chart(2, (3,) * 11),
@@ -294,6 +307,7 @@ ROWS = {
     " (dim, polytope_dim, rows, eqs, sha256)": _irredundant_gt(GTSpec(*GT6)),
     "mult m=3 r=4^7, t=4": _mult(3, (4,) * 7, 4),
     "mult m=2 r=3^11, t=1": _mult(2, (3,) * 11, 1),
+    "mult m=1 r=(1,...,13,9), t=6": _mult(1, (*range(1, 14), 9), 6),
     "h_to_v polygon r=(1,2)^6 (vertices)":
         (_polygon((1, 2) * 6, lambda P: None), _vertex_count),
     "h_to_v polygon r=(1,...,13) (vertices, sha256)":
