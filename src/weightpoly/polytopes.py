@@ -193,7 +193,10 @@ class HPolytope:
 
     Duplicate inequality normals are deduplicated on construction, keeping the
     tighter right-hand side.  A zero normal is rejected unless it is the
-    infeasibility certificate (rhs < 0).
+    infeasibility certificate (rhs < 0).  Besides its fields a record holds
+    two derived private attributes, both made by _hpolytope: _hash, and
+    _coprime, each row's coprime integer form (the ineqs, then the eqs),
+    which the engine's consumers read instead of the Fraction rows.
     """
 
     dim: int
@@ -215,7 +218,7 @@ class HPolytope:
         # Each row is checked as _hpolytope reaches it, so errors come in row order.
         record = _hpolytope(self.dim, parsed(self.ineqs, "inequality"),
                             parsed(self.eqs, "equality"))
-        for name in ("ineqs", "eqs", "_hash"):
+        for name in ("ineqs", "eqs", "_hash", "_coprime"):
             object.__setattr__(self, name, getattr(record, name))
 
     def __hash__(self) -> int:
@@ -237,18 +240,30 @@ class HPolytope:
         return cls(data["dim"], ineqs, eqs)
 
 
+def _joint_primitive(normal: Sequence, rhs) -> tuple[tuple[int, ...], int]:
+    """Scale (normal, rhs) by a positive rational to coprime integers.
+
+    Called only where a row is born: on a record's rows in _hpolytope, on a
+    row moved onto a hull (_onto_hull) and on a chart's pulled-back rows
+    (restrict_to_affine_hull).  Every other consumer reads P._coprime.
+    """
+    combined = primitive_vector((*normal, rhs))
+    return combined[:-1], combined[-1]
+
+
 def _hpolytope(dim: int, ineqs: Iterable, eqs: Iterable = ()) -> HPolytope:
     """HPolytope(dim, ineqs, eqs), from rows already checked: the engine's
     own, or the constructor's once it has parsed them.
 
     Each row is (normal, rhs), the normal a tuple of dim ints or Fractions
-    and rhs an int or a Fraction.  This is the one dedup rule of the
-    record: the first row of each normal stays in place with the tighter
-    rhs, a repeated equality goes, and a zero normal is kept only with
-    rhs < 0.  The record's hash, which every cache lookup reads, is taken
-    once, from the rows in hand, which hash as their Fractions do; then
-    every entry becomes a Fraction by _fractions and the record is
-    _assembled, with no second vec/frac pass.
+    and rhs an int or a Fraction.  This is the one dedup, hash and
+    coprime-row rule of the record: the first row of each normal stays in
+    place with the tighter rhs, a repeated equality goes, and a zero normal
+    is kept only with rhs < 0.  From the rows in hand, which hash as their
+    Fractions do, the record's hash, which every cache lookup reads, is
+    taken once, and each kept row's _joint_primitive form is made once, into
+    _coprime (the ineqs, then the eqs); then every entry becomes a Fraction
+    by _fractions and the record is _assembled, with no second vec/frac pass.
     """
     tightest: dict = {}
     for normal, rhs in ineqs:
@@ -263,7 +278,8 @@ def _hpolytope(dim: int, ineqs: Iterable, eqs: Iterable = ()) -> HPolytope:
         return tuple([(row[:-1], row[-1]) for row in (_fractions((*a, b)) for a, b in pairs)])
 
     return _assembled(HPolytope, dim=dim, ineqs=converted(rows), eqs=converted(eqs),
-                      _hash=hash((dim, rows, eqs)))
+                      _hash=hash((dim, rows, eqs)),
+                      _coprime=tuple([_joint_primitive(a, b) for a, b in rows + eqs]))
 
 
 @_record
@@ -513,12 +529,6 @@ def h_to_v(P: HPolytope) -> VPolytope:
     return _assembled(VPolytope, dim=P.dim, vertices=_vertex_fractions(*_incidence(P)[2]))
 
 
-def _joint_primitive(normal: Sequence, rhs) -> tuple[tuple[int, ...], int]:
-    """Scale (normal, rhs) by a positive rational to coprime integers."""
-    combined = primitive_vector((*normal, rhs))
-    return combined[:-1], combined[-1]
-
-
 def _pull_back(rows: Iterable, matrix: Sequence[Sequence], offset: Sequence):
     """The rows (a M, b - a . c) of {y : a . (M y + c) <= b}, M = matrix, c = offset.
 
@@ -617,16 +627,15 @@ def _incidence(P: HPolytope):
     integers.  The record holds no Fraction: only the three consumers that
     read vertices, h_to_v, _vertex_graph and ehrhart_fit, build them
     (_vertex_fractions).  The DD gets the rows (b, -a) of the cone over P in
-    input order, each (a, b) made coprime by _joint_primitive: row i from
-    P.ineqs[i], then t >= 0; scaled duplicates stay, each its own row.  The
-    equalities, made coprime too, cut the DD's lines first.  So the DD's
+    input order, each (a, b) the record's coprime row (P._coprime): row i
+    from P.ineqs[i], then t >= 0; scaled duplicates stay, each its own row.
+    The equalities' coprime rows cut the DD's lines first.  So the DD's
     zero sets are the incidence, cut to the bits of P.ineqs.
     Facets, dimension and edges are read off this one record.  Raises
     UnboundedPolytopeError as h_to_v does.  Lines the normals miss leave
     every ray at t = 0 when P is empty, and make a nonempty P unbounded.
     """
-    cone = [(b, *[-c for c in a]) for a, b in
-            (_joint_primitive(a, b) for a, b in P.ineqs + P.eqs)]
+    cone = [(b, *[-c for c in a]) for a, b in P._coprime]
     rays, zsets, lines = _dd_extreme_rays(cone[:len(P.ineqs)] + [(1,) + (0,) * P.dim],
                                           P.dim + 1, cone[len(P.ineqs):])
     if any(ray[0] < 0 for ray in rays):
@@ -700,12 +709,12 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     One rule in every dimension, read off the one incidence record with no
     second double description pass.  The equalities are _hull_equalities',
     the facets _facet_rows'; each keeps its first input row whose normal
-    lies in the direction space of the affine hull (orthogonal to every hull
-    equality), which is every row when P is full-dimensional.  Within that
-    space a facet's normal is unique up to a positive factor, so a facet
-    with no such row gets the canonical row v_to_h would give it: its first
-    row moved onto the hull by _onto_hull; these rows are appended in sorted
-    order.
+    lies in the direction space of the affine hull (its coprime normal
+    orthogonal to every hull equality), which is every row when P is
+    full-dimensional.  Within that space a facet's normal is unique up to a
+    positive factor, so a facet with no such row gets the canonical row
+    v_to_h would give it: its first row's coprime form moved onto the hull
+    by _onto_hull; these rows are appended in sorted order.
     """
     eqs = _hull_equalities(P)
     if eqs is None:
@@ -713,12 +722,12 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     vert_masks, row_masks, _ = _incidence(P)
     unmatched = {mask: i for i, mask in _facet_rows(row_masks, len(vert_masks))}
     retained: list[tuple[Vec, Fraction]] = []
-    for (a, b), mask in zip(P.ineqs, row_masks):
-        if mask in unmatched and all(dot(a, e) == 0 for e, _ in eqs):
+    for row, (a, _), mask in zip(P.ineqs, P._coprime, row_masks):
+        if mask in unmatched and all(_idot(a, e) == 0 for e, _ in eqs):
             del unmatched[mask]
-            retained.append((a, b))
+            retained.append(row)
     # empty when P is full-dimensional
-    canonical = [_onto_hull(eqs, *P.ineqs[i]) for i in unmatched.values()]
+    canonical = [_onto_hull(eqs, *P._coprime[i]) for i in unmatched.values()]
     return _hpolytope(P.dim, retained + sorted(canonical), eqs)
 
 
@@ -738,13 +747,15 @@ def contains(P: HPolytope, point: Sequence) -> bool:
 def _hull_equalities(P: HPolytope):
     """_affine_hull of the explicit equalities of P and its implicit ones,
     the rows tight at every vertex (Schrijver, section 8.2); None if P is empty.
+    The rows are handed over as the record's integer rows (P._coprime): the
+    hull depends only on their span.
     """
     vert_masks, row_masks, _ = _incidence(P)
     if not vert_masks:
         return None
     everyone = (1 << len(vert_masks)) - 1
-    return _affine_hull(P.eqs + tuple(
-        row for row, mask in zip(P.ineqs, row_masks) if mask == everyone), P.dim)
+    return _affine_hull(P._coprime[len(P.ineqs):] + tuple(
+        row for row, mask in zip(P._coprime, row_masks) if mask == everyone), P.dim)
 
 
 def polytope_dim(P: HPolytope) -> int:
@@ -778,7 +789,7 @@ def _scan_setup(P: HPolytope):
     by_reads and by_prefix give, for each level j of the chart, (rows, kind,
     pick) under two keyings of the scan's states.  rows holds (c, b, terms)
     for each row c*x_j + sum(a*x_k for k, a in terms) <= b whose trailing
-    nonzero coordinate is j, made coprime integers by _joint_primitive, with
+    nonzero coordinate is j, the chart's coprime row (its _coprime), with
     k re-indexed to its position in the state.  by_prefix keys a state on its
     whole prefix x[:j]; by_reads on x[reads_j], reads_j the coordinates
     before j that some row at level j or later reads, which are all its
@@ -793,10 +804,8 @@ def _scan_setup(P: HPolytope):
             P, f = restrict_to_affine_hull(P)
         except _InfeasibleEqualitiesError:
             return None
-    rows = []
-    for a, b in P.ineqs:
-        coeffs, rhs = _joint_primitive(a, b)
-        rows.append((tuple((k, c) for k, c in enumerate(coeffs) if c), rhs))
+    # P has no equalities here, so its coprime rows are its ineqs'.
+    rows = [(tuple((k, c) for k, c in enumerate(a) if c), b) for a, b in P._coprime]
     found = _interval_box(rows, P.dim)
     if found == "empty":
         return None
@@ -1053,11 +1062,15 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
     integer solution, and lattice structure is preserved in that case; the
     chart of t*P is t times the chart, with offset t * x0 / t0.  Implicit
     equalities are not detected; canonicalize with remove_redundant first.
+    The Hermite form takes the equalities' coprime rows (P._coprime), and the
+    chart pulls back the inequalities' coprime rows, each made coprime again
+    once pulled back, since the chart's dedup is on exact normals.
     """
     if not P.eqs:
         return P, AffineMap.identity(P.dim)
     d = P.dim
-    eq_rows, eq_rhs = zip(*(_joint_primitive(e, f) for e, f in P.eqs))
+    n = len(P.ineqs)
+    eq_rows, eq_rhs = zip(*P._coprime[n:])
     t0, x0_int, kernel = integer_solutions(eq_rows, eq_rhs, d)
     if not t0:
         raise _InfeasibleEqualitiesError("equality system is infeasible")
@@ -1065,7 +1078,7 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
     k = len(kernel)
     matrix = tuple(tuple(kv[i] for kv in kernel) for i in range(d))
     embed = AffineMap(k, d, matrix, x0)
-    pulled = _pull_back(((enumerate(a), b) for a, b in P.ineqs), matrix, x0)
+    pulled = _pull_back(((enumerate(a), b) for a, b in P._coprime[:n]), matrix, x0)
     if pulled is None:
         return empty_hrep(k), embed
     return _hpolytope(k, [_joint_primitive(a, b) for a, b in pulled]), embed

@@ -35,7 +35,6 @@ from .polytopes import (
     _assembled,
     _check_dim,
     _fractions,
-    _joint_primitive,
     _record,
     _vertex_graph,
     canonical_incidence,
@@ -210,7 +209,7 @@ def singularity_report(F: Fan) -> SingularityReport:
 
 
 def _catalogue(s: SideData) -> dict[tuple[tuple[int, ...], int], tuple[str, ...]]:
-    """Each coprime integer row (_joint_primitive's) of the triangle
+    """Each coprime integer row (an HPolytope's _coprime form) of the triangle
     inequalities, mapped to the tags of the rows on it; rows and tags in
     catalogue order, N1, N2, N3 per triangle.
 
@@ -231,17 +230,17 @@ def facet_labels(s: SideData, P: HPolytope) -> list[FacetLabel]:
 
     Coincident catalogue hyperplanes (e.g. r_1 = r_2 making two entries both
     read x_1 = 0) put several tags on one facet.  A facet matching nothing
-    raises, since the catalogue is exhaustive for these polytopes.  Each
-    label holds the facet's coprime row as Fractions, assembled (_fractions).
+    raises, since the catalogue is exhaustive for these polytopes.  The
+    lookup key of a facet is its row of P._coprime, and each label holds
+    that row as Fractions, assembled (_fractions).
     """
     if s.m != 1:
         raise ValueError("facet catalogue applies to m=1 only")
     cat = _catalogue(s)
     labels = []
-    for a, b in P.ineqs:
+    for (a, b), key in zip(P.ineqs, P._coprime):
         if not any(a):
             continue
-        key = _joint_primitive(a, b)
         tags = cat.get(key)
         if tags is None:
             raise ValueError(

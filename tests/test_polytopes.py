@@ -11,11 +11,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from weightpoly import exact, polytopes
-from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep
+from weightpoly.builders import (GTSpec, SideData, fm_polytope, gt_hrep, gt_slice,
+                                 polygon_hrep)
 from weightpoly.exact import (clear_denominators, dot, integer_solutions, primitive_vector,
                               vec)
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   VPolytope, _affine_hull, _count_dilate, _facet_masks,
+                                  _hull_equalities,
                                   _incidence, _joint_primitive, _onto_hull, _scan_setup,
                                   _vertex_graph,
                                   affine_image,
@@ -26,7 +28,7 @@ from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
                                   polytope_dim,
                                   remove_redundant, restrict_to_affine_hull,
                                   v_to_h)
-from weightpoly.toric import Cone, Fan, fan_fingerprint, normal_fan
+from weightpoly.toric import Cone, Fan, facet_labels, fan_fingerprint, normal_fan
 from caches import clear_caches
 from oracles import (_rank, all_vertex_affine_hull_equalities,
                      brute_force_canonical_incidence, brute_force_edges,
@@ -292,6 +294,81 @@ def test_hpolytope_hash_is_stored_and_equality_reads_only_the_fields():
     assert a != HPolytope(2, b.ineqs[:1])
     assert HPolytope.__match_args__ == ("dim", "ineqs", "eqs")
     assert repr(a) == repr(b) and "_hash" not in repr(a)
+
+
+def _holds_its_coprime_rows(P):
+    return P._coprime == tuple(_joint_primitive(a, b) for a, b in P.ineqs + P.eqs)
+
+
+def test_records_of_every_route_hold_the_coprime_form_of_each_row():
+    mixed = HPolytope(2, (((1, 0), 1), ((0, "1/2"), Fraction(3, 4)), ((1, 0), "1/3"),
+                          ((0, 0), -1), ((Fraction(2, 3), "-4"), 0)),
+                      (((2, 4), "6"), ((Fraction(1, 2), 1), 3), ((2, 4), "6")))
+    assert len(mixed.ineqs) == 4 and len(mixed.eqs) == 2  # deduped, certificate kept
+    s = SideData.from_weights(1, ("5/2", 3, 4, 5, 6, 7))
+    charted = fm_polytope(SideData.from_weights(2, (2, 2, 3, 3, 2, 2)))
+    sliced = gt_hrep(GTSpec(4, (4, 3, 1, 0), (2, 4, 6)))
+    # x = 1 is implicit, and the facet y <= 2 has only the row x + y <= 3
+    flat = HPolytope(2, (((1, 0), 1), ((-1, 0), -1), ((1, 1), 3), ((0, -1), 0)))
+    routes = [
+        mixed,
+        HPolytope.from_json_dict(mixed.to_json_dict()),
+        HPolytope.from_json_dict({"dim": 1, "ineqs": [{"a": ["2/3"], "b": "1/2"},
+                                                      {"a": [-3], "b": 0}]}),
+        *[empty_hrep(d) for d in range(4)],
+        polygon_hrep(s),
+        gt_hrep(GTSpec(4, (4, 3, 1, 0))),
+        sliced,
+        charted.entry_chart,
+        charted.diag_chart,
+        affine_image(SQUARE, AffineMap(2, 3, (vec([2, 1]), vec([0, 1]), vec([1, -1])),
+                                       vec(["1/2", 0, 0]))),
+        remove_redundant(polygon_hrep(s)),
+        remove_redundant(sliced),
+        remove_redundant(flat),
+        v_to_h(h_to_v(polygon_hrep(s))),
+        v_to_h(VPolytope(3, ((0, 0, 1), (1, 0, "1/2"), (0, 2, 1)))),
+        restrict_to_affine_hull(sliced)[0],
+    ]
+    for P in routes:
+        assert _holds_its_coprime_rows(P), P
+    assert remove_redundant(flat).ineqs[-1] == (vec([0, 1]), 2)  # by _onto_hull
+    assert restrict_to_affine_hull(sliced)[0].dim < sliced.dim
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(raw_hpolytope_rows())
+    def check(case):
+        dim, ineqs, eqs, faults = case
+        assume(not faults)
+        assert _holds_its_coprime_rows(HPolytope(dim, ineqs, eqs))
+
+    check()
+
+
+def test_reading_a_built_record_derives_no_coprime_row(monkeypatch):
+    s = SideData.from_weights(1, ("5/2", 3, 4, 5, 6, 7))
+    polygon = polygon_hrep(s)
+    chart = fm_polytope(SideData.from_weights(2, (2, 2, 3, 3, 2, 2))).entry_chart
+    sliced = gt_hrep(GTSpec(4, (4, 3, 1, 0), (2, 4, 6)))
+    canon = remove_redundant(polygon)
+    _incidence.cache_clear()
+    _scan_setup.cache_clear()
+    calls = []
+    real = polytopes._joint_primitive
+
+    def counted(normal, rhs):
+        calls.append(normal)
+        return real(normal, rhs)
+
+    monkeypatch.setattr(polytopes, "_joint_primitive", counted)
+    for P in (polygon, chart, sliced):
+        _incidence(P)
+    assert not chart.eqs and _scan_setup(chart) is not None
+    assert _hull_equalities(sliced) and _hull_equalities(polygon) == ()
+    assert len(facet_labels(s, canon)) == len(canon.ineqs)
+    assert calls == []
+    HPolytope(1, (((2,), 1),))  # the counter does see a row being born
+    assert len(calls) == 1
 
 
 def test_scan_setup_is_computed_once_per_polytope_and_rounded_per_dilate():
