@@ -28,7 +28,7 @@ from .builders import SideData, _check_m_n, dual_side_data, gt_slice
 from .exact import frac_str, is_int
 from .polytopes import (
     HPolytope,
-    _facet_masks,
+    _faces,
     _incidence,
     _record,
     combinatorial_fingerprint,
@@ -412,10 +412,14 @@ def verify_duality(s: SideData, t_max: int) -> DualityReport:
 
     Compares the entry charts of s and dual_side_data(s): dimension, vertex
     and facet counts, dilate counts 1..t_max, and the canonical incidence
-    fingerprint.  Counts are compared at the multiples of L (_admissible_step)
-    only: elsewhere the charts match affinely but not lattice-compatibly.
-    Mismatches are reported, not raised; a t_max below L compares no count
-    and raises ValueError naming L, as verify_ehrhart_identity does.
+    fingerprint.  Dimension, facet count and fingerprint read each chart's
+    one face record (_faces), never None here: dual_side_data has required
+    every r_i < P, so r is majorized by (P^(m+1), 0, ...) and both charts
+    are nonempty.  Counts are compared at the multiples of L
+    (_admissible_step) only: elsewhere the charts match affinely but not
+    lattice-compatibly.  Mismatches are reported, not raised; a t_max below
+    L compares no count and raises ValueError naming L, as
+    verify_ehrhart_identity does.
     """
     step = _checked_step(s, t_max)
     d = dual_side_data(s)
@@ -424,8 +428,7 @@ def verify_duality(s: SideData, t_max: int) -> DualityReport:
     invariants = [
         DualityInvariant("dimension", polytope_dim(A), polytope_dim(B)),
         DualityInvariant("vertex_count", len(_incidence(A)[0]), len(_incidence(B)[0])),
-        DualityInvariant("facet_count",
-                         len(_facet_masks(A)), len(_facet_masks(B))),
+        DualityInvariant("facet_count", len(_faces(A)[1]), len(_faces(B)[1])),
         DualityInvariant("dilate_counts",
                          list(count_dilates(A, t_max).counts[1:]),
                          list(count_dilates(B, t_max).counts[1:]), step),

@@ -194,9 +194,10 @@ class HPolytope:
     Duplicate inequality normals are deduplicated on construction, keeping the
     tighter right-hand side.  A zero normal is rejected unless it is the
     infeasibility certificate (rhs < 0).  Besides its fields a record holds
-    two derived private attributes, both made by _hpolytope: _hash, and
+    two derived private attributes, both set by _hrecord: _hash, and
     _coprime, each row's coprime integer form (the ineqs, then the eqs),
-    which the engine's consumers read instead of the Fraction rows.
+    which the engine's consumers read instead of the Fraction rows.  Its
+    face data (hull equalities and facets) is one cached record, _faces.
     """
 
     dim: int
@@ -256,14 +257,11 @@ def _hpolytope(dim: int, ineqs: Iterable, eqs: Iterable = ()) -> HPolytope:
     own, or the constructor's once it has parsed them.
 
     Each row is (normal, rhs), the normal a tuple of dim ints or Fractions
-    and rhs an int or a Fraction.  This is the one dedup, hash and
-    coprime-row rule of the record: the first row of each normal stays in
-    place with the tighter rhs, a repeated equality goes, and a zero normal
-    is kept only with rhs < 0.  From the rows in hand, which hash as their
-    Fractions do, the record's hash, which every cache lookup reads, is
-    taken once, and each kept row's _joint_primitive form is made once, into
-    _coprime (the ineqs, then the eqs); then every entry becomes a Fraction
-    by _fractions and the record is _assembled, with no second vec/frac pass.
+    and rhs an int or a Fraction.  This is the one dedup rule of the
+    record: the first row of each normal stays in place with the tighter
+    rhs, a repeated equality goes, and a zero normal is kept only with
+    rhs < 0.  Each kept row's _joint_primitive form is made once here, and
+    _hrecord assembles the record from the kept rows and those forms.
     """
     tightest: dict = {}
     for normal, rhs in ineqs:
@@ -273,13 +271,25 @@ def _hpolytope(dim: int, ineqs: Iterable, eqs: Iterable = ()) -> HPolytope:
             tightest[normal] = rhs
     rows = tuple(tightest.items())
     eqs = tuple(dict.fromkeys(eqs))
+    return _hrecord(dim, rows, eqs, tuple([_joint_primitive(a, b) for a, b in rows + eqs]))
 
+
+def _hrecord(dim: int, rows: tuple, eqs: tuple, coprime: tuple) -> HPolytope:
+    """The HPolytope record of rows and eqs, (normal, rhs) rows that the
+    dedup rule already keeps, with coprime their _joint_primitive forms
+    (the rows, then the eqs).  The one hash and conversion rule of the
+    record: from the rows in hand, which hash as their Fractions do, the
+    hash that every cache lookup reads is taken once; then every entry
+    becomes a Fraction by _fractions and the record is _assembled, with no
+    second vec/frac pass.  _hpolytope hands it the rows it keeps;
+    remove_redundant hands it P's own rows and their coprime forms, so
+    nothing is derived twice.
+    """
     def converted(pairs):
         return tuple([(row[:-1], row[-1]) for row in (_fractions((*a, b)) for a, b in pairs)])
 
     return _assembled(HPolytope, dim=dim, ineqs=converted(rows), eqs=converted(eqs),
-                      _hash=hash((dim, rows, eqs)),
-                      _coprime=tuple([_joint_primitive(a, b) for a, b in rows + eqs]))
+                      _hash=hash((dim, rows, eqs)), _coprime=coprime)
 
 
 @_record
@@ -631,7 +641,8 @@ def _incidence(P: HPolytope):
     from P.ineqs[i], then t >= 0; scaled duplicates stay, each its own row.
     The equalities' coprime rows cut the DD's lines first.  So the DD's
     zero sets are the incidence, cut to the bits of P.ineqs.
-    Facets, dimension and edges are read off this one record.  Raises
+    Facets, dimension and edges are read off this one record (the first
+    two through the cached face record, _faces).  Raises
     UnboundedPolytopeError as h_to_v does.  Lines the normals miss leave
     every ray at t = 0 when P is empty, and make a nonempty P unbounded.
     """
@@ -664,16 +675,28 @@ def _vertex_fractions(scale: int, ints: Sequence[tuple[int, ...]]) -> tuple[Vec,
     return tuple(tuple([Fraction(c, scale) for c in v]) for v in ints)
 
 
-def _facet_rows(row_masks: Sequence[int], n_verts: int) -> tuple[tuple[int, int], ...]:
-    """Facets of a nonempty polytope from its rows' tight-vertex masks.
+@functools.lru_cache(maxsize=512)
+def _faces(P: HPolytope):
+    """The face record of P, read off _incidence(P): None when P is empty,
+    else (eqs, facets).  Dimension, redundancy removal, the fingerprint and
+    the duality facet count read it, cached per polytope.
 
-    In any dimension, each facet is the face of some row tight at some but not
-    all vertices, and each such row's face lies in a facet (Schrijver, Theory
-    of Linear and Integer Programming, section 8.2), so the facets are the
-    inclusion-maximal masks among those rows.  Returns (row index, mask) per
-    facet, taking the first row of each facet in input order.
+    eqs is _affine_hull of the explicit equalities of P and its implicit
+    ones, the rows tight at every vertex (Schrijver, Theory of Linear and
+    Integer Programming, section 8.2), handed over as the record's integer
+    rows (P._coprime): the hull depends only on their span.  facets holds
+    (row index, vertex mask) per facet: in any dimension each facet is the
+    face of some row tight at some but not all vertices, and each such
+    row's face lies in a facet (ibid.), so the facets are the
+    inclusion-maximal masks among those rows, each with its first row in
+    input order.
     """
-    everyone = (1 << n_verts) - 1
+    vert_masks, row_masks, _ = _incidence(P)
+    if not vert_masks:
+        return None
+    everyone = (1 << len(vert_masks)) - 1
+    eqs = _affine_hull(P._coprime[len(P.ineqs):] + tuple(
+        row for row, mask in zip(P._coprime, row_masks) if mask == everyone), P.dim)
     distinct = set(row_masks) - {0, everyone}
     maximal = {m for m in distinct
                if not any(o != m and o & m == m for o in distinct)}
@@ -682,19 +705,7 @@ def _facet_rows(row_masks: Sequence[int], n_verts: int) -> tuple[tuple[int, int]
         if mask in maximal:
             maximal.discard(mask)
             facets.append((i, mask))
-    return tuple(facets)
-
-
-def _facet_masks(P: HPolytope) -> list[int]:
-    """Tight-vertex bitmask over the vertices of P of each facet of P.
-
-    By _facet_rows in every dimension.  Empty P gives the one mask of the
-    infeasibility certificate.
-    """
-    vert_masks, row_masks, _ = _incidence(P)
-    if not vert_masks:
-        return [0]
-    return [mask for _, mask in _facet_rows(row_masks, len(vert_masks))]
+    return eqs, tuple(facets)
 
 
 @functools.lru_cache(maxsize=512)
@@ -706,29 +717,33 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     in canonical affine-hull form.  Idempotent.  An empty polytope yields the
     canonical infeasibility certificate.
 
-    One rule in every dimension, read off the one incidence record with no
-    second double description pass.  The equalities are _hull_equalities',
-    the facets _facet_rows'; each keeps its first input row whose normal
-    lies in the direction space of the affine hull (its coprime normal
-    orthogonal to every hull equality), which is every row when P is
-    full-dimensional.  Within that space a facet's normal is unique up to a
-    positive factor, so a facet with no such row gets the canonical row
-    v_to_h would give it: its first row's coprime form moved onto the hull
-    by _onto_hull; these rows are appended in sorted order.
+    One rule in every dimension, read off the face record (_faces) with no
+    second double description pass.  Each facet keeps its first input row
+    whose normal lies in the direction space of the affine hull (its
+    coprime normal orthogonal to every hull equality), which is every row
+    when P is full-dimensional.  Within that space a facet's normal is
+    unique up to a positive factor, so a facet with no such row gets the
+    canonical row v_to_h would give it: its first row's coprime form moved
+    onto the hull by _onto_hull; these rows are appended in sorted order.
+    Two facets never share a normal direction, so the rows are distinct,
+    and _hrecord assembles the record from P's retained rows with their
+    coprime forms, the canonical rows and the hull equalities, which are
+    coprime already: nothing is deduped or made coprime again.
     """
-    eqs = _hull_equalities(P)
-    if eqs is None:
+    faces = _faces(P)
+    if faces is None:
         return empty_hrep(P.dim)
-    vert_masks, row_masks, _ = _incidence(P)
-    unmatched = {mask: i for i, mask in _facet_rows(row_masks, len(vert_masks))}
-    retained: list[tuple[Vec, Fraction]] = []
-    for row, (a, _), mask in zip(P.ineqs, P._coprime, row_masks):
-        if mask in unmatched and all(_idot(a, e) == 0 for e, _ in eqs):
+    eqs, facets = faces
+    unmatched = {mask: i for i, mask in facets}
+    retained, coprime = [], []
+    for row, prim, mask in zip(P.ineqs, P._coprime, _incidence(P)[1]):
+        if mask in unmatched and all(_idot(prim[0], e) == 0 for e, _ in eqs):
             del unmatched[mask]
             retained.append(row)
+            coprime.append(prim)
     # empty when P is full-dimensional
-    canonical = [_onto_hull(eqs, *P._coprime[i]) for i in unmatched.values()]
-    return _hpolytope(P.dim, retained + sorted(canonical), eqs)
+    canonical = sorted(_onto_hull(eqs, *P._coprime[i]) for i in unmatched.values())
+    return _hrecord(P.dim, tuple(retained + canonical), eqs, (*coprime, *canonical, *eqs))
 
 
 def contains(P: HPolytope, point: Sequence) -> bool:
@@ -744,24 +759,10 @@ def contains(P: HPolytope, point: Sequence) -> bool:
     return True
 
 
-def _hull_equalities(P: HPolytope):
-    """_affine_hull of the explicit equalities of P and its implicit ones,
-    the rows tight at every vertex (Schrijver, section 8.2); None if P is empty.
-    The rows are handed over as the record's integer rows (P._coprime): the
-    hull depends only on their span.
-    """
-    vert_masks, row_masks, _ = _incidence(P)
-    if not vert_masks:
-        return None
-    everyone = (1 << len(vert_masks)) - 1
-    return _affine_hull(P._coprime[len(P.ineqs):] + tuple(
-        row for row, mask in zip(P._coprime, row_masks) if mask == everyone), P.dim)
-
-
 def polytope_dim(P: HPolytope) -> int:
-    """Dimension of the affine hull; -1 for the empty polytope."""
-    eqs = _hull_equalities(P)
-    return -1 if eqs is None else P.dim - len(eqs)
+    """Dimension of the affine hull (_faces); -1 for the empty polytope."""
+    faces = _faces(P)
+    return -1 if faces is None else P.dim - len(faces[0])
 
 
 # How a state's range of x_j reaches the next frontier (_frontier).
@@ -1236,17 +1237,17 @@ def combinatorial_fingerprint(P: HPolytope) -> str:
 
     Equal fingerprints iff the face lattices are isomorphic: for polytopes the
     vertex-facet incidences determine the whole face lattice.  The facets
-    and their tight vertices are read off the input rows (_facet_masks), and
-    the vertices off the same incidence record, with no VPolytope built.
+    and their tight vertices are read off the face record (_faces), and
+    the vertices off the incidence record under it, with no VPolytope built.
     Cached per polytope, so a fingerprint of a chart that verify_duality
     already labelled runs no second search.
     """
-    n_verts = len(_incidence(P)[0])  # one tight-row mask per vertex
-    if not n_verts:
+    faces = _faces(P)
+    if faces is None:
         return "dim=-1;empty"
-    dim = polytope_dim(P)
-    facet_masks = _facet_masks(P)
+    n_verts = len(_incidence(P)[0])  # one tight-row mask per vertex
+    facet_masks = [mask for _, mask in faces[1]]
     vert_sets = [frozenset(j for j, mask in enumerate(facet_masks) if mask >> k & 1)
                  for k in range(n_verts)]
     enc = canonical_incidence(len(facet_masks), None, vert_sets)
-    return f"dim={dim};facets={len(facet_masks)};vertices={n_verts};{enc}"
+    return f"dim={polytope_dim(P)};facets={len(facet_masks)};vertices={n_verts};{enc}"

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from weightpoly import exact, polytopes
-from weightpoly.builders import (GTSpec, SideData, fm_polytope, gt_hrep, gt_slice,
-                                 polygon_hrep)
+from weightpoly.builders import (GTSpec, SideData, dual_side_data, fm_polytope, gt_hrep,
+                                 gt_slice, polygon_hrep)
+from weightpoly.counting import verify_duality
 from weightpoly.exact import (clear_denominators, dot, integer_solutions, primitive_vector,
                               vec)
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
-                                  VPolytope, _affine_hull, _count_dilate, _facet_masks,
-                                  _hull_equalities,
-                                  _incidence, _joint_primitive, _onto_hull, _scan_setup,
+                                  VPolytope, _affine_hull, _count_dilate, _faces,
+                                  _hpolytope, _incidence, _joint_primitive, _onto_hull,
+                                  _scan_setup,
                                   _vertex_graph,
                                   affine_image,
                                   canonical_incidence,
@@ -364,7 +365,7 @@ def test_reading_a_built_record_derives_no_coprime_row(monkeypatch):
     for P in (polygon, chart, sliced):
         _incidence(P)
     assert not chart.eqs and _scan_setup(chart) is not None
-    assert _hull_equalities(sliced) and _hull_equalities(polygon) == ()
+    assert _faces(sliced)[0] and _faces(polygon)[0] == ()
     assert len(facet_labels(s, canon)) == len(canon.ineqs)
     assert calls == []
     HPolytope(1, (((2,), 1),))  # the counter does see a row being born
@@ -1252,7 +1253,8 @@ def test_facet_rule_matches_the_v_to_h_route_and_the_rank_oracle():
                          lambda rng: random_box_with_equalities(rng, HPolytope))))
     def check(P):
         V = h_to_v(P)
-        masks = _facet_masks(P)
+        faces = _faces(P)  # an empty P has the certificate, tight nowhere
+        masks = [mask for _, mask in faces[1]] if faces else [0]
         canon = v_to_h(V).ineqs
         assert len(masks) == len(canon)
         assert set(masks) == {sum(1 << k for k, v in enumerate(V.vertices) if dot(a, v) == b)
@@ -1544,6 +1546,75 @@ def test_warm_remove_redundant_recomputes_no_affine_hull(monkeypatch):
     first = remove_redundant(WITH_EQ)
     assert remove_redundant(WITH_EQ) is first
     assert hulls == [3]
+
+
+def test_one_face_record_per_polytope(monkeypatch):
+    hulls = []
+    hull = polytopes._affine_hull
+
+    def counting_hull(rows, dim):
+        hulls.append(dim)
+        return hull(rows, dim)
+
+    monkeypatch.setattr(polytopes, "_affine_hull", counting_hull)
+    clear_caches()
+    polygon = polygon_hrep(SideData.from_weights(1, (Fraction(5, 2), 3, 4, 5, 6, 7)))
+    remove_redundant(polygon)
+    assert polytope_dim(polygon) == polygon.dim
+    combinatorial_fingerprint(polygon)
+    normal_fan(polygon)
+    assert hulls == [polygon.dim]
+    hulls.clear()
+    s = SideData.from_weights(1, (3, 3, 3, 3, 4))
+    assert verify_duality(s, 3).all_pass
+    combinatorial_fingerprint(gt_slice(s).entry_chart)
+    charts = [gt_slice(side).entry_chart for side in (s, dual_side_data(s))]
+    assert hulls == [chart.dim for chart in charts]
+
+
+def test_remove_redundant_derives_nothing_from_the_rows_it_keeps(monkeypatch):
+    polygon = polygon_hrep(SideData.from_weights(1, (Fraction(5, 2), 3, 4, 5, 6, 7)))
+    clear_caches()
+    assert _faces(polygon)[0] == ()  # full-dimensional; _incidence is warm too
+    born, hashed = [], []
+    joint, fraction_hash = polytopes._joint_primitive, Fraction.__hash__
+
+    def counted_joint(normal, rhs):
+        born.append(normal)
+        return joint(normal, rhs)
+
+    def counted_hash(self):
+        hashed.append(id(self))
+        return fraction_hash(self)
+
+    monkeypatch.setattr(polytopes, "_joint_primitive", counted_joint)
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    Q = remove_redundant.__wrapped__(polygon)
+    monkeypatch.undo()
+    assert born == []
+    # Q keeps P's own Fraction objects, each hashed once, for the record's hash.
+    assert Counter(hashed) == Counter(id(c) for a, b in Q.ineqs for c in (*a, b))
+    assert all(row in polygon.ineqs for row in Q.ineqs) and Q == remove_redundant(polygon)
+
+
+def test_remove_redundant_record_is_the_one_hpolytope_builds_from_its_rows():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(small_bounded_polytopes(), boxes_with_an_implicit_equality(),
+                     st.randoms(use_true_random=False).map(
+                         lambda rng: random_box_with_equalities(rng, HPolytope))))
+    @example(WITH_EQ)
+    @example(IMPLICIT)
+    def check(P):
+        Q = remove_redundant(P)
+        R = _hpolytope(Q.dim, Q.ineqs, Q.eqs)
+        assert (R, repr(R), hash(R), R._coprime) == (Q, repr(Q), hash(Q), Q._coprime)
+        if any(row not in P.ineqs for row in Q.ineqs):
+            seen.add("onto_hull")
+
+    check()
+    assert seen == {"onto_hull"}
 
 
 @st.composite
