@@ -24,8 +24,7 @@ from .counting import (MultiplicityQuery, count_dilates, ehrhart_fit,
                        real_fiber_size, verify_duality, verify_ehrhart_identity,
                        weight_multiplicity)
 from .exact import frac, frac_str
-from .polytopes import (HPolytope, UnboundedPolytopeError,
-                        combinatorial_fingerprint, h_to_v, remove_redundant)
+from .polytopes import HPolytope, combinatorial_fingerprint, h_to_v, remove_redundant
 from .reference import reference_battery
 from .toric import facet_labels, fan_to_json_dict, normal_fan, singularity_report
 
@@ -355,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (_InputError, ValueError, UnboundedPolytopeError) as exc:
+    except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -197,14 +197,10 @@ class MultiplicityQuery:
     def from_side(cls, s: SideData, dilate: int = 1) -> "MultiplicityQuery":
         if not is_int(dilate) or dilate < 0:
             raise ValueError("dilate must be a nonnegative integer")
-        scaled = []
-        for w in (s.P, *s.r):
-            # dilate * p/q, p/q in lowest terms, is integral iff q divides dilate.
-            times, rest = divmod(dilate, w.denominator)
-            if rest:
-                raise ValueError("multiplicity defined for integral dilations only")
-            scaled.append(times * w.numerator)
-        return cls(s.m, s.n, scaled[0], tuple(scaled[1:]))
+        if dilate % _admissible_step(s):
+            raise ValueError("multiplicity defined for integral dilations only")
+        P, *r = (dilate // w.denominator * w.numerator for w in (s.P, *s.r))
+        return cls(s.m, s.n, P, tuple(r))
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:

@@ -59,7 +59,7 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 
 def transpose(rows: Sequence[Sequence]) -> tuple[tuple, ...]:
-    return tuple(zip(*rows)) if rows else ()
+    return tuple(zip(*rows))
 
 
 def _gauss_jordan(rows: Sequence[Sequence], ncols: int
@@ -261,8 +261,6 @@ def integer_kernel_basis(rows: Sequence[Sequence], width: int) -> list[tuple[int
     """Basis of the kernel lattice {x in Z^width : A x = 0} of an integer matrix."""
     a = _int_rows(rows)
     m = len(a)
-    if m == 0:
-        return [tuple(int(i == j) for j in range(width)) for i in range(width)]
     # Unimodular row reduction of [A^T | I]; transform rows opposite zero
     # echelon rows form a kernel lattice basis.
     aug = [[a[j][i] for j in range(m)] + [int(i == j) for j in range(width)]

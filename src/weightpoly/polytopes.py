@@ -314,10 +314,7 @@ class VPolytope:
     @classmethod
     def from_points(cls, dim: int, points: Iterable[Sequence]) -> "VPolytope":
         """Convex hull of the points, keeping extreme points only."""
-        staged = cls(dim, tuple(points))
-        if not staged.vertices:
-            return staged
-        return h_to_v(v_to_h(staged))
+        return h_to_v(v_to_h(cls(dim, tuple(points))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -634,9 +631,10 @@ def _incidence(P: HPolytope):
     Returns (rows tight at each vertex, vertices tight on each row,
     (scale, ints)), the vertices sorted as VPolytope sorts them, where scale
     is their least common denominator and ints[i] = scale * vertex i, in
-    integers.  The record holds no Fraction: only the three consumers that
-    read vertices, h_to_v, _vertex_graph and ehrhart_fit, build them
-    (_vertex_fractions).  The DD gets the rows (b, -a) of the cone over P in
+    integers.  The record holds no Fraction: only the two consumers that
+    read vertices, h_to_v and _vertex_graph, build them
+    (_vertex_fractions); ehrhart_fit reads only the scale and
+    whether ints is empty.  The DD gets the rows (b, -a) of the cone over P in
     input order, each (a, b) the record's coprime row (P._coprime): row i
     from P.ineqs[i], then t >= 0; scaled duplicates stay, each its own row.
     The equalities' coprime rows cut the DD's lines first.  So the DD's
@@ -871,7 +869,7 @@ def _frontier(setup: tuple, levels: list, dilate: int) -> dict[tuple[int, ...], 
     order.  Each row's integer rhs is scaled by the dilate when the scan
     reaches its level, and _narrow floors the quotient by the row's
     coefficient c of x_j, which bounds the integer x_j exactly whatever c
-    is.  The scan stops at the first empty frontier; a dilate with no
+    is.  A level that keeps no state passes none on, so a dilate with no
     integer point gives {}.  The last frontier holds the points themselves,
     in lexicographic order, under by_prefix, and their number under the key
     () under by_reads.
@@ -880,8 +878,6 @@ def _frontier(setup: tuple, levels: list, dilate: int) -> dict[tuple[int, ...], 
     if f is not None and any((dilate * c).denominator != 1 for c in f.offset):
         return {}
     bounds = [(ceil_div(dilate * low, scale), dilate * high // scale) for low, high in box]
-    if any(lo > hi for lo, hi in bounds):
-        return {}
     frontier: dict[tuple[int, ...], int] = {(): 1}
     for (rows, kind, pick), (lo, hi) in zip(levels, bounds):
         rows = [(c, dilate * b, terms) for c, b, terms in rows]
@@ -911,8 +907,6 @@ def _frontier(setup: tuple, levels: list, dilate: int) -> dict[tuple[int, ...], 
                     for xj in range(start, stop):
                         nxt[key + (xj,)] = n
         frontier = nxt
-        if not frontier:
-            break
     return frontier
 
 
@@ -1046,10 +1040,7 @@ def affine_image(P: HPolytope | VPolytope, f: AffineMap) -> HPolytope | VPolytop
             f.codomain_dim, ineqs, eqs)
     if not f.is_injective:
         raise ValueError(not_injective)
-    verts = h_to_v(P).vertices
-    if not verts:
-        return empty_hrep(f.codomain_dim)
-    return v_to_h(VPolytope(f.codomain_dim, tuple(f.apply(v) for v in verts)))
+    return v_to_h(VPolytope(f.codomain_dim, tuple(f.apply(v) for v in h_to_v(P).vertices)))
 
 
 def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:

@@ -11,7 +11,7 @@ from weightpoly.exact import (_interval_box, ceil_div, frac, frac_str,
                               integer_solutions,
                               lattice_index, mat_inverse, nullspace,
                               primitive_vector, rank, solve_integer,
-                              solve_linear, vec)
+                              solve_linear, transpose, vec)
 from oracles import _rank
 
 
@@ -170,6 +170,12 @@ def test_solve_integer_paths():
     assert solve_integer([(2, 0), (0, 3)], (4, 9)) == (2, 3)
     assert solve_integer([(2,)], (1,)) is None
     assert solve_integer([(1, 1)], (5,)) is not None
+    assert solve_integer([], []) == ()
+
+
+def test_transpose_of_rows_and_of_no_rows():
+    assert transpose([]) == transpose(()) == ()
+    assert transpose([(1, 2), (3, 4)]) == ((1, 3), (2, 4))
 
 
 @st.composite
@@ -329,7 +335,8 @@ def test_hnf_rows_pivots_are_positive_and_reduce_the_entries_above(rows):
 
 
 # Outputs of the Hermite-form kernels, pinned from an earlier implementation
-# that reduced the entries above each pivot inside the echelon pass.
+# that reduced the entries above each pivot inside the echelon pass; with no
+# rows, the kernel is all of Z^width and its basis the identity.
 @pytest.mark.parametrize("rows, width, basis", [
     ([(1, 2, 3)], 3, [(-2, 1, 0), (-3, 0, 1)]),
     ([(2, 4, 6), (1, 1, 1)], 3, [(1, -2, 1)]),
@@ -338,6 +345,10 @@ def test_hnf_rows_pivots_are_positive_and_reduce_the_entries_above(rows):
     ([(2, 0, 4), (0, 6, 3)], 3, [(4, 1, -2)]),
     ([(1, 1, 1, 1, 1), (1, 2, 3, 4, 5)], 5,
      [(1, -2, 1, 0, 0), (2, -3, 0, 1, 0), (3, -4, 0, 0, 1)]),
+    ([], 0, []),
+    ([], 1, [(1,)]),
+    ([], 2, [(1, 0), (0, 1)]),
+    ([], 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
 ])
 def test_integer_kernel_basis_is_pinned(rows, width, basis):
     assert integer_kernel_basis(rows, width) == basis
@@ -351,6 +362,10 @@ def test_integer_kernel_basis_is_pinned(rows, width, basis):
      (1, (0, 0, 0, 4), [(1, 1, 0, -2), (0, 0, 1, -1)])),
     ([(2, 2)], (1,), 2, (2, (0, 1), [(1, -1)])),
     ([(1, 1), (1, 1)], (1, 2), 2, (0, None, [(1, -1)])),
+    ([], (), 0, (1, (), [])),
+    ([], (), 1, (1, (0,), [(1,)])),
+    ([], (), 2, (1, (0, 0), [(1, 0), (0, 1)])),
+    ([], (), 3, (1, (0, 0, 0), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])),
 ])
 def test_integer_solutions_are_pinned(rows, rhs, width, solutions):
     assert integer_solutions(rows, rhs, width) == solutions

@@ -500,6 +500,16 @@ def test_affine_image_of_h_input_into_3d_maps_vertices_without_convexifying():
     assert sorted(h_to_v(img).vertices) == sorted(images)
 
 
+@pytest.mark.parametrize("P, image", [
+    (empty_hrep(2), empty_hrep(3)),
+    (HPolytope(2, (((-1, 0), 0), ((0, -1), 0), ((1, 1), -1))), empty_hrep(3)),
+    (VPolytope(2, ()), VPolytope(3, ())),
+], ids=["empty_hrep", "infeasible", "no-vertices"])
+def test_affine_image_into_3d_of_an_empty_polytope_is_empty(P, image):
+    emb = AffineMap(2, 3, (vec([2, 1]), vec([0, 1]), vec([1, -1])), vec([1, 0, 0]))
+    assert affine_image(P, emb) == image
+
+
 def test_restrict_to_affine_hull_segment():
     seg = VPolytope.from_points(3, [vec([0, 0, 1]), vec([2, 2, 1])])
     H = v_to_h(seg)
@@ -799,6 +809,11 @@ def test_from_json_dict_rejects_a_bool_dim():
 def test_constructors_reject_a_non_integer_or_bool_dimension(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_from_points_of_no_points_is_the_empty_vpolytope(d):
+    assert VPolytope.from_points(d, []) == VPolytope(d, ())
 
 
 def test_from_points_rejects_a_string_point():

@@ -37,7 +37,8 @@ tracemalloc peak of one more run, and the values it computed, so two
 checkouts' files can be compared value for value.  A row
 that scans lattice points also records its work count, scan_states: the
 calls of polytopes._narrow, one per state the scan visits, summed over the
-row's dilates in one more run with that function wrapped here.  A run whose
+row's dilates in that same tracemalloc run, with the function wrapped here
+to count them.  A run whose
 timed part takes longer than TIMEOUT_S seconds ends the row, which is
 recorded as a timeout (never dropped).  Standard library only; weightpoly,
 the cache helper tests/caches.py and the calibration kernel
@@ -343,24 +344,6 @@ def _alarm(signum, frame):
     raise _Timeout
 
 
-def scan_states(prepare, run) -> int:
-    """The calls of polytopes._narrow in one run from cold caches."""
-    clear_caches()
-    data = prepare()
-    narrow, calls = polytopes._narrow, [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return narrow(*args)
-
-    polytopes._narrow = counted
-    try:
-        run(data)
-    finally:
-        polytopes._narrow = narrow
-    return calls[0]
-
-
 def time_row(prepare, run) -> dict:
     """The row's record: median and runs in ms, the calibrated median,
     tracemalloc peak, values, and the scan states when the row scans."""
@@ -386,18 +369,27 @@ def time_row(prepare, run) -> dict:
     cal.append(calibrate.sample())
     clear_caches()
     data = prepare()
+    narrow, states = polytopes._narrow, [0]
+
+    def counted(*args):
+        states[0] += 1
+        return narrow(*args)
+
+    polytopes._narrow = counted
     tracemalloc.start()
-    run(data)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    try:
+        run(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        polytopes._narrow = narrow
     record = {"median_ms": round(statistics.median(runs), 3),
               "calibrated_median_ms": round(statistics.median(calibrate.calibrated(runs, cal)), 3),
               "runs_ms": [round(t, 3) for t in runs],
               "peak_kib": round(peak / 1024, 1),
               "values": values}
-    states = scan_states(prepare, run)
-    if states:
-        record["scan_states"] = states
+    if states[0]:
+        record["scan_states"] = states[0]
     return record
 
 
