@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import ClassVar, Sequence
 
-from .exact import clear_denominators, frac_str, is_int, vec
+from .exact import _require_int, clear_denominators, frac_str, is_int, vec
 from .polytopes import (AffineMap, HPolytope, _assembled, _fractions, _hpolytope, _pull_back,
                         _record, affine_image, empty_hrep)
 
@@ -32,8 +32,7 @@ from .polytopes import (AffineMap, HPolytope, _assembled, _fractions, _hpolytope
 def _check_m_n(m, n) -> None:
     """Reject a projective dimension m that is not an int >= 1, or a point
     count n that is not an int > m+1 (a bool is neither)."""
-    if not is_int(m) or m < 1:
-        raise ValueError("m must be a positive integer")
+    _require_int(m, "m")
     if not is_int(n):
         raise ValueError("n must be an integer")
     if n <= m + 1:
@@ -98,8 +97,7 @@ class GTSpec:
     row_sums: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        if not is_int(self.k) or self.k < 1:
-            raise ValueError("k must be a positive integer")
+        _require_int(self.k, "k")
         lam = vec(self.lam)
         if len(lam) != self.k:
             raise ValueError(f"top row must have {self.k} entries")

@@ -129,6 +129,14 @@ def _emit(args: argparse.Namespace, payload: Callable[[], dict],
             print(line)
 
 
+def _verdict(args: argparse.Namespace, report, lines: Callable[[], list[str]]) -> int:
+    """Emit a checking command's report: its JSON, or lines() then "all pass"
+    or "FAILED"; the exit code is 0 or 1 by report.all_pass."""
+    _emit(args, report.to_json_dict,
+          lambda: lines() + ["all pass" if report.all_pass else "FAILED"])
+    return 0 if report.all_pass else 1
+
+
 def _vec_str(v: tuple) -> str:
     return ",".join(frac_str(c) for c in v)
 
@@ -201,22 +209,18 @@ def _cmd_mult(args: argparse.Namespace) -> int:
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
     report = verify_ehrhart_identity(_parse_side(args), args.t_max)
-    _emit(args, report.to_json_dict, lambda: (
-        [f"t={c.dilate}: count={c.lattice_count} mult={c.multiplicity} "
-         + ("PASS" if c.passed else "FAIL") for c in report.checks]
-        + ["all pass" if report.all_pass else "FAILED"]))
-    return 0 if report.all_pass else 1
+    return _verdict(args, report, lambda: [
+        f"t={c.dilate}: count={c.lattice_count} mult={c.multiplicity} "
+        + ("PASS" if c.passed else "FAIL") for c in report.checks])
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
     report = verify_duality(_parse_side(args), args.t_max)
     dual = report.dual_side
-    _emit(args, report.to_json_dict, lambda: (
+    return _verdict(args, report, lambda: (
         [f"dual m: {dual.m}", f"dual r: {_vec_str(dual.r)}"]
         + [f"{inv.name}: {inv.primal} vs {inv.dual} "
-           + ("PASS" if inv.passed else "FAIL") for inv in report.invariants]
-        + ["all pass" if report.all_pass else "FAILED"]))
-    return 0 if report.all_pass else 1
+           + ("PASS" if inv.passed else "FAIL") for inv in report.invariants]))
 
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
@@ -239,12 +243,10 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
 
 def _cmd_paper_examples(args: argparse.Namespace) -> int:
     report = reference_battery()
-    _emit(args, report.to_json_dict, lambda: (
-        [f"{c.claim_id}: PASS" if c.passed
-         else f"{c.claim_id}: FAIL (expected {c.expected}, computed {c.computed})"
-         for c in report.claims]
-        + ["all pass" if report.all_pass else "FAILED"]))
-    return 0 if report.all_pass else 1
+    return _verdict(args, report, lambda: [
+        f"{c.claim_id}: PASS" if c.passed
+        else f"{c.claim_id}: FAIL (expected {c.expected}, computed {c.computed})"
+        for c in report.claims])
 
 
 # The options of the subcommands, one (flag, add_argument keywords) each.

@@ -25,7 +25,7 @@ from math import lcm
 from typing import Sequence
 
 from .builders import SideData, _check_m_n, dual_side_data, gt_slice
-from .exact import frac_str, is_int
+from .exact import _require_int, frac_str, is_int
 from .polytopes import (
     HPolytope,
     _faces,
@@ -63,8 +63,7 @@ def count_dilates(P: HPolytope, t_max: int) -> DilateCounts:
     dimension decides.  So a count with a point runs no double description
     unless its box needs one.
     """
-    if not is_int(t_max) or t_max < 1:
-        raise ValueError("t_max must be a positive integer")
+    _require_int(t_max, "t_max")
     counts = [count_lattice_points(P, t) for t in range(1, t_max + 1)]
     return DilateCounts(P, (int(any(counts) or polytope_dim(P) >= 0), *counts))
 
@@ -144,14 +143,11 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     reproduce every sample; anything else raises.  Period and dimension are
     read off the polytope's own DD record (_incidence), the period as its
     scale: every DD ray (t, x) is primitive, so the lcm of the t is that of
-    the vertex denominators.  An empty polytope gets the zero fit.
+    the vertex denominators.  An empty polytope has no ray, so scale 1, and
+    is fitted at degree 0 to its count 0 at t = 0: the zero fit.
     """
-    period, ints = _incidence(c.polytope)[2]
-    if not ints:
-        fit = EhrhartFit("polynomial", 1, 0, ((Fraction(0),),))
-        _check_reproduces(fit, c)
-        return fit
-    degree = polytope_dim(c.polytope)
+    period = _incidence(c.polytope)[2][0]
+    degree = max(polytope_dim(c.polytope), 0)
     mode = "polynomial" if period == 1 else "quasi"
     coeffs_by_class = []
     for residue in range(period):
@@ -163,14 +159,9 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
         coeffs_by_class.append(
             _interpolate(residue, period, [c.count(t) for t in ts[:degree + 1]]))
     fit = EhrhartFit(mode, period, degree, tuple(coeffs_by_class))
-    _check_reproduces(fit, c)
+    if any(fit.evaluate(t) != c.count(t) for t in range(c.t_max + 1)):
+        raise ValueError("counts not (quasi-)polynomial at this period")
     return fit
-
-
-def _check_reproduces(fit: EhrhartFit, c: DilateCounts) -> None:
-    for t in range(c.t_max + 1):
-        if fit.evaluate(t) != c.count(t):
-            raise ValueError("counts not (quasi-)polynomial at this period")
 
 
 @_record
@@ -184,8 +175,7 @@ class MultiplicityQuery:
 
     def __post_init__(self):
         _check_m_n(self.m, self.n)
-        if not is_int(self.P) or self.P < 0:
-            raise ValueError("P must be a nonnegative integer")
+        _require_int(self.P, "P", 0)
         r = tuple(self.r)
         if len(r) != self.n or any(not is_int(x) or x < 0 for x in r):
             raise ValueError(f"r must be {self.n} nonnegative integers")
@@ -195,8 +185,7 @@ class MultiplicityQuery:
 
     @classmethod
     def from_side(cls, s: SideData, dilate: int = 1) -> "MultiplicityQuery":
-        if not is_int(dilate) or dilate < 0:
-            raise ValueError("dilate must be a nonnegative integer")
+        _require_int(dilate, "dilate", 0)
         if dilate % _admissible_step(s):
             raise ValueError("multiplicity defined for integral dilations only")
         P, *r = (dilate // w.denominator * w.numerator for w in (s.P, *s.r))
@@ -331,8 +320,7 @@ def _admissible_step(s: SideData) -> int:
 def _checked_step(s: SideData, t_max: int) -> int:
     """L (_admissible_step), once t_max is a positive integer with some
     multiple of L in 1..t_max; else ValueError, naming L."""
-    if not is_int(t_max) or t_max < 1:
-        raise ValueError("t_max must be a positive integer")
+    _require_int(t_max, "t_max")
     least = _admissible_step(s)
     if least > t_max:
         raise ValueError(

@@ -38,6 +38,14 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_int(value, name: str, least: int = 1) -> None:
+    """The one check of an integer argument: ValueError unless value is an
+    int (is_int: a bool is not) >= least, which is 1 (positive) or 0
+    (nonnegative)."""
+    if not is_int(value) or value < least:
+        raise ValueError(f"{name} must be a {'positive' if least else 'nonnegative'} integer")
+
+
 def frac_str(value: Fraction | int) -> str:
     """The text of an exact rational, "p/q" or "p"; an int (not a bool) is
     written as it is, with no Fraction built."""

@@ -25,6 +25,7 @@ from .exact import (
     Vec,
     _gauss_jordan,
     _interval_box,
+    _require_int,
     ceil_div,
     dot,
     frac,
@@ -245,8 +246,9 @@ def _joint_primitive(normal: Sequence, rhs) -> tuple[tuple[int, ...], int]:
     """Scale (normal, rhs) by a positive rational to coprime integers.
 
     Called only where a row is born: on a record's rows in _hpolytope, on a
-    row moved onto a hull (_onto_hull) and on a chart's pulled-back rows
-    (restrict_to_affine_hull).  Every other consumer reads P._coprime.
+    row moved onto a hull (_onto_hull), on a chart's pulled-back rows
+    (restrict_to_affine_hull) and on the facet catalogue's rows
+    (toric._catalogue).  Every other consumer reads P._coprime.
     """
     combined = primitive_vector((*normal, rhs))
     return combined[:-1], combined[-1]
@@ -633,8 +635,8 @@ def _incidence(P: HPolytope):
     is their least common denominator and ints[i] = scale * vertex i, in
     integers.  The record holds no Fraction: only the two consumers that
     read vertices, h_to_v and _vertex_graph, build them
-    (_vertex_fractions); ehrhart_fit reads only the scale and
-    whether ints is empty.  The DD gets the rows (b, -a) of the cone over P in
+    (_vertex_fractions); ehrhart_fit reads only the scale (1 when P is
+    empty).  The DD gets the rows (b, -a) of the cone over P in
     input order, each (a, b) the record's coprime row (P._coprime): row i
     from P.ineqs[i], then t >= 0; scaled duplicates stay, each its own row.
     The equalities' coprime rows cut the DD's lines first.  So the DD's
@@ -918,8 +920,7 @@ def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
     trailing nonzero coordinate it is.  Points of an equality chart go back
     through its map f at this dilate.
     """
-    if not is_int(dilate) or dilate < 1:
-        raise ValueError("dilate must be a positive integer")
+    _require_int(dilate, "dilate")
     setup = _scan_setup(P)
     if setup is None:
         return []
@@ -946,8 +947,7 @@ def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
     verify_ehrhart_identity on one chart share one scan per dilate; dilate is
     validated before the lookup, since 2.0 and True hash as 2 and 1 do.
     """
-    if not is_int(dilate) or dilate < 1:
-        raise ValueError("dilate must be a positive integer")
+    _require_int(dilate, "dilate")
     return _count_dilate(P, dilate)
 
 

@@ -35,6 +35,7 @@ from .polytopes import (
     _assembled,
     _check_dim,
     _fractions,
+    _joint_primitive,
     _record,
     _vertex_graph,
     canonical_incidence,
@@ -211,16 +212,13 @@ def singularity_report(F: Fan) -> SingularityReport:
 def _catalogue(s: SideData) -> dict[tuple[tuple[int, ...], int], tuple[str, ...]]:
     """Each coprime integer row (an HPolytope's _coprime form) of the triangle
     inequalities, mapped to the tags of the rows on it; rows and tags in
-    catalogue order, N1, N2, N3 per triangle.
-
-    Every catalogue normal is ints with an entry +-1, so the coprime row
-    of (a, p/q), p/q in lowest terms, is (q a, p).
+    catalogue order, N1, N2, N3 per triangle.  Each key is the row's
+    _joint_primitive form, the rule that made the record's rows.
     """
     cat: dict[tuple[tuple[int, ...], int], tuple[str, ...]] = {}
     for tri in triangle_inequalities(s):
         for tag, a, b in sorted(tri):
-            q = b.denominator
-            key = (a if q == 1 else tuple([q * c for c in a]), b.numerator)
+            key = _joint_primitive(a, b)
             cat[key] = cat.get(key, ()) + (tag,)
     return cat
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weightpoly import cli, counting, polytopes, toric
+from weightpoly import cli, counting, polytopes, reference, toric
 from weightpoly.builders import GTSpec, SideData, gt_hrep, polygon_hrep
 from weightpoly.cli import build_parser, main
 from weightpoly.polytopes import (_incidence, _scan_setup, combinatorial_fingerprint,
@@ -175,21 +175,36 @@ def test_dual_with_no_comparable_dilate_exits_2(capsys):
         0, "dilate_counts: [9, 32] vs [8, 32] PASS", "all pass")
 
 
-def test_dual_text_json_and_exit_code_read_one_verdict(capsys, monkeypatch):
-    real = cli.verify_duality
+def _failing_identity(s, t_max):
+    return counting.IdentityReport(s, (counting.IdentityCheck(1, 9, 8, False),))
 
-    def failing(s, t_max):
-        report = real(s, t_max)
-        bad = counting.DualityInvariant("dilate_counts", [9, 32, 60], [9, 31, 60], 2)
-        return counting.DualityReport(report.side, report.dual_side, (bad,))
 
-    monkeypatch.setattr(cli, "verify_duality", failing)
-    code, out, _ = run(capsys, ["dual"] + HEXAGON)
-    assert (code, out.splitlines()[-2:]) == (
-        1, ["dilate_counts: [9, 32, 60] vs [9, 31, 60] FAIL", "FAILED"])
-    code, out, _ = run(capsys, ["dual", "--format", "json"] + HEXAGON)
+def _failing_duality(s, t_max):
+    report = counting.verify_duality(s, t_max)
+    bad = counting.DualityInvariant("dilate_counts", [9, 32, 60], [9, 31, 60], 2)
+    return counting.DualityReport(report.side, report.dual_side, (bad,))
+
+
+def _failing_battery():
+    return reference.ReferenceReport((reference.ReferenceClaim("claim", 1, 2),))
+
+
+@pytest.mark.parametrize("argv, name, failing, last_line, key", [
+    (["verify-identity"] + HEXAGON, "verify_ehrhart_identity", _failing_identity,
+     "t=1: count=9 mult=8 FAIL", "checks"),
+    (["dual"] + HEXAGON, "verify_duality", _failing_duality,
+     "dilate_counts: [9, 32, 60] vs [9, 31, 60] FAIL", "invariants"),
+    (["paper-examples"], "reference_battery", _failing_battery,
+     "claim: FAIL (expected 1, computed 2)", "claims"),
+], ids=["verify-identity", "dual", "paper-examples"])
+def test_checking_commands_text_json_and_exit_code_read_one_verdict(
+        capsys, monkeypatch, argv, name, failing, last_line, key):
+    monkeypatch.setattr(cli, name, failing)
+    code, out, _ = run(capsys, argv)
+    assert (code, out.splitlines()[-2:]) == (1, [last_line, "FAILED"])
+    code, out, _ = run(capsys, argv + ["--format", "json"])
     assert code == 1
-    assert [iv["pass"] for iv in json.loads(out)["invariants"]] == [False]
+    assert [row["pass"] for row in json.loads(out)[key]] == [False]
 
 
 @pytest.mark.parametrize("argv", [["--m", "3", "--r", "9,8,7,6,5,4,3"],

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weightpoly.builders import SideData, dual_side_data, gt_slice, polygon_hrep
+from weightpoly.builders import GTSpec, SideData, dual_side_data, gt_slice, polygon_hrep
 from weightpoly.counting import (DilateCounts, DualityInvariant, EhrhartFit, MultiplicityQuery,
                                  _admissible_step, _interpolate,
                                  count_dilates, ehrhart_fit, real_fiber_size,
@@ -18,7 +18,8 @@ from weightpoly.counting import (DilateCounts, DualityInvariant, EhrhartFit, Mul
                                  weight_multiplicity)
 from weightpoly.exact import vec
 from weightpoly.polytopes import (HPolytope, _count_dilate, _incidence, _scan_setup,
-                                  count_lattice_points, empty_hrep, h_to_v, polytope_dim)
+                                  count_lattice_points, empty_hrep, h_to_v, lattice_points,
+                                  polytope_dim)
 from caches import clear_caches
 from test_polytopes import small_bounded_polytopes
 from oracles import (pattern_multiplicity, per_permutation_multiplicity,
@@ -34,7 +35,14 @@ def box2():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: count_lattice_points(box2(), True), "dilate must be a positive integer"),
+    (lambda: lattice_points(box2(), True), "dilate must be a positive integer"),
+    (lambda: lattice_points(box2(), 0), "dilate must be a positive integer"),
     (lambda: count_dilates(box2(), True), "t_max must be a positive integer"),
+    (lambda: count_dilates(box2(), 0), "t_max must be a positive integer"),
+    (lambda: GTSpec(True, ()), "k must be a positive integer"),
+    (lambda: GTSpec(0, ()), "k must be a positive integer"),
+    (lambda: verify_duality(SideData.from_weights(1, (1, 1, 1, 1)), 0),
+     "t_max must be a positive integer"),
     (lambda: verify_ehrhart_identity(SideData.from_weights(1, (1, 1, 1, 1)), True),
      "t_max must be a positive integer"),
     (lambda: MultiplicityQuery(True, 3, 1, (1, 1, 0)), "m must be a positive integer"),
@@ -49,7 +57,9 @@ def box2():
      "dilate must be a nonnegative integer"),
     (lambda: MultiplicityQuery.from_side(SideData.from_weights(1, (1, 1, 1, 1)), -1),
      "dilate must be a nonnegative integer"),
-], ids=["count_lattice_points", "count_dilates", "verify_ehrhart_identity",
+], ids=["count_lattice_points", "lattice_points-bool", "lattice_points-zero",
+        "count_dilates", "count_dilates-zero", "GTSpec.k-bool", "GTSpec.k-zero",
+        "verify_duality-zero", "verify_ehrhart_identity",
         "MultiplicityQuery.m", "MultiplicityQuery.P", "MultiplicityQuery.r",
         "real_fiber_size", "real_fiber_size.n", "MultiplicityQuery.n",
         "from_side-bool", "from_side-float", "from_side-negative"])
@@ -183,9 +193,22 @@ def test_count_and_fit_read_vertices_off_the_dd_record_not_h_to_v():
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
+ZERO_FIT = EhrhartFit("polynomial", 1, 0, ((Fraction(0),),))
+
+
 def test_ehrhart_fit_empty_polytope_is_zero():
-    fit = ehrhart_fit(count_dilates(empty_hrep(2), 3))
-    assert fit.evaluate(5) == 0
+    for d in range(4):
+        for t_max in (1, 2, 3):
+            fit = ehrhart_fit(count_dilates(empty_hrep(d), t_max))
+            assert fit == ZERO_FIT
+            assert fit.evaluate(5) == 0
+
+
+def test_ehrhart_fit_of_a_point_has_degree_zero():
+    point = HPolytope.from_json_dict({"dim": 0})
+    for t_max in (1, 2, 3):
+        fit = ehrhart_fit(count_dilates(point, t_max))
+        assert fit == EhrhartFit("polynomial", 1, 0, ((Fraction(1),),))
 
 
 def test_an_empty_polytope_whose_propagated_box_is_finite_counts_zero():
@@ -197,9 +220,10 @@ def test_an_empty_polytope_whose_propagated_box_is_finite_counts_zero():
     P = HPolytope(3, cube + pairs + [((1, 1, 1), 4)])
     clear_caches()
     assert _scan_setup(P)[2:4] == ([(1, 2)] * 3, 1)
-    counts = count_dilates(P, 3)
-    assert counts.counts == (0, 0, 0, 0)
-    assert ehrhart_fit(counts) == EhrhartFit("polynomial", 1, 0, ((Fraction(0),),))
+    for t_max in (1, 2, 3):
+        counts = count_dilates(P, t_max)
+        assert counts.counts == (0,) * (t_max + 1)
+        assert ehrhart_fit(counts) == ZERO_FIT
     assert h_to_v(P).vertices == ()
 
 
