@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import accumulate
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 from .exact import _require_int, clear_denominators, frac_str, is_int, vec
 from .polytopes import (AffineMap, HPolytope, _assembled, _fractions, _hpolytope, _pull_back,
@@ -134,7 +134,7 @@ class ChartedSlice:
     entry_chart: HPolytope
     entry_to_diag: AffineMap
     entry_coords: tuple[tuple[int, int], ...]
-    lattice_note: ClassVar[str] = (
+    lattice_note = (
         "integer points of entry_chart are exactly the integral patterns; "
         "integer points of diag_chart overcount them (congruence conditions)")
 

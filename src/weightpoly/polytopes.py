@@ -96,21 +96,19 @@ def _record(cls=None, *, derived: tuple[str, ...] = ()):
     """Make cls a frozen record: what dataclass(frozen=True) makes, without
     generating code for each class.
 
-    The fields are cls's annotated names in order, a ClassVar excepted, and
-    a field's default is its class attribute.  __init__ takes every field
-    but those named in derived, positionally or by keyword, then calls
-    __post_init__ when cls has one, which sets the derived fields.  Records
-    are equal when they are of one class and their field tuples are equal;
-    the hash is the field tuple's, unless cls defines its own; the repr is
-    Name(field=value, ...); setting or deleting an attribute raises
-    _FrozenInstanceError; __match_args__ holds __init__'s fields.  A method
-    cls defines itself is kept.  _assembled is the one other way to make a
-    record.
+    The fields are cls's annotated names in order, and a field's default is
+    its class attribute.  __init__ takes every field but those named in
+    derived, positionally or by keyword, then calls __post_init__ when cls
+    has one, which sets the derived fields.  Records are equal when they are
+    of one class and their field tuples are equal; the hash is the field
+    tuple's, unless cls defines its own; the repr is Name(field=value, ...);
+    setting or deleting an attribute raises _FrozenInstanceError;
+    __match_args__ holds __init__'s fields.  A method cls defines itself is
+    kept.  _assembled is the one other way to make a record.
     """
     if cls is None:
         return lambda cls: _record(cls, derived=derived)
-    names = tuple(name for name, kind in cls.__dict__.get("__annotations__", {}).items()
-                  if not str(kind).startswith(("ClassVar", "typing.ClassVar")))
+    names = tuple(cls.__dict__.get("__annotations__", {}))
     params = tuple(name for name in names if name not in derived)
     defaults = {name: cls.__dict__[name] for name in params if name in cls.__dict__}
     fields, frozen = _tuple_of(attrgetter, names), frozenset(names)
@@ -387,10 +385,6 @@ def empty_hrep(dim: int) -> HPolytope:
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
-
-
-class _InfeasibleEqualitiesError(ValueError):
-    """Raised by restrict_to_affine_hull when the equalities have no rational solution."""
 
 
 def _tight_on(masks: Sequence[int], width: int) -> list[int]:
@@ -773,40 +767,33 @@ _TIMES, _EACH, _DIFF = range(3)
 def _scan_setup(P: HPolytope):
     """Everything in the integer scan of P that no dilate changes.
 
-    None when the box's propagation proves P empty or its equalities have no
-    rational solution, else (by_reads, by_prefix, box, scale, f).  A P with
-    no rational point may still get a setup; its scans then count 0.
-    Explicit equalities are eliminated through the chart of
-    restrict_to_affine_hull, f its AffineMap (None without equalities); the
-    chart of t*P is t times P's, mapped back by f with its offset scaled by
-    t, so only the dilates t with t * f.offset integral hold integer points.
-    box[j] is the (min, max) of coordinate j over a box
-    holding the chart, times scale, their common denominator, in integers:
-    _interval_box's over the chart's rows, with no double description; only
+    None when the box's propagation proves P empty, else (by_reads,
+    by_prefix, box, scale).  A P with no rational point may still get a
+    setup; its scans then count 0.  The scan runs in P's own coordinates:
+    each explicit equality e.x = f is the row pair e.x <= f, -e.x <= -f, so
+    at its trailing coordinate the floor and ceiling of _narrow pin that
+    coordinate exactly, and a dilate at which it takes no integer value
+    keeps no state.  box[j] is the (min, max) of coordinate j over a box
+    holding P, times scale, their common denominator, in integers:
+    _interval_box's over P's rows, with no double description; only
     when that leaves some coordinate unbounded is the box the vertices'
     (_incidence), which raises UnboundedPolytopeError on an unbounded P.  The
     box stays exact: _frontier rounds it once the dilate has scaled it.
 
-    by_reads and by_prefix give, for each level j of the chart, (rows, kind,
-    pick) under two keyings of the scan's states.  rows holds (c, b, terms)
-    for each row c*x_j + sum(a*x_k for k, a in terms) <= b whose trailing
-    nonzero coordinate is j, the chart's coprime row (its _coprime), with
-    k re-indexed to its position in the state.  by_prefix keys a state on its
-    whole prefix x[:j]; by_reads on x[reads_j], reads_j the coordinates
-    before j that some row at level j or later reads, which are all its
-    completions depend on.  kind is _TIMES when reads_(j+1) drops x_j, _EACH
-    when it keeps x_j and every coordinate of reads_j, else _DIFF; pick holds
-    the positions in the state of the coordinates of reads_j that
-    reads_(j+1) keeps.  Under by_prefix every level is _EACH.
+    by_reads and by_prefix give, for each level j, (rows, kind, pick) under
+    two keyings of the scan's states.  rows holds (c, b, terms) for each row
+    c*x_j + sum(a*x_k for k, a in terms) <= b whose trailing nonzero
+    coordinate is j, P's coprime row (its _coprime) or an equality's negated
+    one, with k re-indexed to its position in the state.  by_prefix keys a
+    state on its whole prefix x[:j]; by_reads on x[reads_j], reads_j the
+    coordinates before j that some row at level j or later reads, which are
+    all its completions depend on.  kind is _TIMES when reads_(j+1) drops
+    x_j, _EACH when it keeps x_j and every coordinate of reads_j, else
+    _DIFF; pick holds the positions in the state of the coordinates of
+    reads_j that reads_(j+1) keeps.  Under by_prefix every level is _EACH.
     """
-    f = None
-    if P.eqs:
-        try:
-            P, f = restrict_to_affine_hull(P)
-        except _InfeasibleEqualitiesError:
-            return None
-    # P has no equalities here, so its coprime rows are its ineqs'.
-    rows = [(tuple((k, c) for k, c in enumerate(a) if c), b) for a, b in P._coprime]
+    negated = tuple((tuple(-c for c in e), -f) for e, f in P._coprime[len(P.ineqs):])
+    rows = [(tuple((k, c) for k, c in enumerate(a) if c), b) for a, b in P._coprime + negated]
     found = _interval_box(rows, P.dim)
     if found == "empty":
         return None
@@ -836,7 +823,7 @@ def _scan_setup(P: HPolytope):
         by_reads.append(([(c, rhs, tuple((at[k], a) for k, a in terms))
                           for c, rhs, terms in level], kind, pick))
     by_prefix = [(level, _EACH, ()) for level in rows_at]
-    return by_reads, by_prefix, box, scale, f
+    return by_reads, by_prefix, box, scale
 
 
 def _narrow(rows: list, x: Sequence[int], lo_j: int, hi_j: int) -> tuple[int, int]:
@@ -859,7 +846,7 @@ def _narrow(rows: list, x: Sequence[int], lo_j: int, hi_j: int) -> tuple[int, in
 
 
 def _frontier(setup: tuple, levels: list, dilate: int) -> dict[tuple[int, ...], int]:
-    """The integer points of the dilate of P's chart, level by level, as one dict.
+    """The integer points of the dilate of P, level by level, as one dict.
 
     setup is _scan_setup(P), not None, and levels its by_reads or by_prefix.
     Each level j maps every state to the number of integer prefixes x[:j]
@@ -867,18 +854,17 @@ def _frontier(setup: tuple, levels: list, dilate: int) -> dict[tuple[int, ...], 
     says: one entry times the range's length (_TIMES), one entry per x_j
     (_EACH), or a +n, -n pair in the difference array of the state's kept
     coordinates, swept once the level is done (_DIFF), where states merge.
-    This is bucket elimination (Dechter 1999) in the chart's coordinate
-    order.  Each row's integer rhs is scaled by the dilate when the scan
-    reaches its level, and _narrow floors the quotient by the row's
-    coefficient c of x_j, which bounds the integer x_j exactly whatever c
-    is.  A level that keeps no state passes none on, so a dilate with no
-    integer point gives {}.  The last frontier holds the points themselves,
-    in lexicographic order, under by_prefix, and their number under the key
-    () under by_reads.
+    This is bucket elimination (Dechter 1999) in P's coordinate order.
+    Each row's integer rhs is scaled by the dilate when the scan reaches
+    its level, and _narrow floors the quotient by the row's coefficient c
+    of x_j, which bounds the integer x_j exactly whatever c is; so an
+    equality's row pair pins its coordinate, or keeps no state.  A level
+    that keeps no state passes none on, so a dilate with no integer point
+    gives {}.  The last frontier holds the points themselves, in
+    lexicographic order, under by_prefix, and their number under the key ()
+    under by_reads.
     """
-    _, _, box, scale, f = setup
-    if f is not None and any((dilate * c).denominator != 1 for c in f.offset):
-        return {}
+    _, _, box, scale = setup
     bounds = [(ceil_div(dilate * low, scale), dilate * high // scale) for low, high in box]
     frontier: dict[tuple[int, ...], int] = {(): 1}
     for (rows, kind, pick), (lo, hi) in zip(levels, bounds):
@@ -917,21 +903,14 @@ def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
 
     The keys of _frontier's last frontier, with every state keyed on its
     whole prefix, narrowing each coordinate's range with the rows whose
-    trailing nonzero coordinate it is.  Points of an equality chart go back
-    through its map f at this dilate.
+    trailing nonzero coordinate it is; an equality's row pair pins the
+    coordinate it ends on (_scan_setup).
     """
     _require_int(dilate, "dilate")
     setup = _scan_setup(P)
     if setup is None:
         return []
-    points = list(_frontier(setup, setup[1], dilate))
-    f = setup[4]
-    if f is None:
-        return points
-    matrix = [[int(c) for c in row] for row in f.matrix]
-    offset = [int(dilate * c) for c in f.offset]
-    return sorted(tuple(o + _idot(row, y) for row, o in zip(matrix, offset))
-                  for y in points)
+    return list(_frontier(setup, setup[1], dilate))
 
 
 def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
@@ -942,7 +921,9 @@ def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
     the completions of a prefix depend on nothing else, so prefixes that
     agree there merge into one state with their number.  For interlacing
     rows these reads are about one pattern row, so the work grows with the
-    number of such frontier states, not with the number of points.
+    number of such frontier states, not with the number of points.  A row
+    sum's row pair reads its whole pattern row up to the entry it ends on,
+    which it pins: one more level per row sum than a chart would scan.
     Each count is cached per (P, dilate), so count_dilates and
     verify_ehrhart_identity on one chart share one scan per dilate; dilate is
     validated before the lookup, since 2.0 and True hash as 2 and 1 do.
@@ -1056,7 +1037,9 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
     equalities are not detected; canonicalize with remove_redundant first.
     The Hermite form takes the equalities' coprime rows (P._coprime), and the
     chart pulls back the inequalities' coprime rows, each made coprime again
-    once pulled back, since the chart's dedup is on exact normals.
+    once pulled back, since the chart's dedup is on exact normals.  No count
+    charts: the lattice scan takes each equality as a row pair in P's own
+    coordinates (_scan_setup).
     """
     if not P.eqs:
         return P, AffineMap.identity(P.dim)
@@ -1065,7 +1048,7 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
     eq_rows, eq_rhs = zip(*P._coprime[n:])
     t0, x0_int, kernel = integer_solutions(eq_rows, eq_rhs, d)
     if not t0:
-        raise _InfeasibleEqualitiesError("equality system is infeasible")
+        raise ValueError("equality system is infeasible")
     x0 = tuple(Fraction(c, t0) for c in x0_int)
     k = len(kernel)
     matrix = tuple(tuple(kv[i] for kv in kernel) for i in range(d))

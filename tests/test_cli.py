@@ -384,7 +384,7 @@ def test_ehrhart_of_an_equality_file_runs_one_dd_pass_on_the_polytope_itself(cap
     assert verts == tuple(sorted(f.apply(v) for v in h_to_v(chart).vertices))
 
 
-def test_ehrhart_of_an_equality_file_charts_it_once(capsys, tmp_path, monkeypatch):
+def test_ehrhart_of_an_equality_file_charts_nothing(capsys, tmp_path, monkeypatch):
     charted = []
     restrict = polytopes.restrict_to_affine_hull
 
@@ -393,13 +393,12 @@ def test_ehrhart_of_an_equality_file_charts_it_once(capsys, tmp_path, monkeypatc
         return restrict(Q)
 
     monkeypatch.setattr(polytopes, "restrict_to_affine_hull", counting_restrict)
-    monkeypatch.setattr(counting, "restrict_to_affine_hull", counting_restrict, raising=False)
     _scan_setup.cache_clear()
     path = tmp_path / "poly.json"
     path.write_text(json.dumps(HALF_DIAGONAL))
     assert run(capsys, ["ehrhart", "--polytope-file", str(path)])[0] == 0
-    # The count's scan setup charts P; the fit reads P's own incidence.
-    assert len(charted) == 1
+    # The count scans P in its own coordinates; the fit reads P's own incidence.
+    assert charted == []
 
 
 def test_fingerprint_after_dual_labels_no_chart_twice(capsys, monkeypatch):

@@ -17,7 +17,8 @@ from weightpoly.counting import (DilateCounts, DualityInvariant, EhrhartFit, Mul
                                  verify_duality, verify_ehrhart_identity,
                                  weight_multiplicity)
 from weightpoly.exact import vec
-from weightpoly.polytopes import (HPolytope, _count_dilate, _incidence, _scan_setup,
+from weightpoly.polytopes import (HPolytope, UnboundedPolytopeError, _count_dilate,
+                                  _incidence, _scan_setup,
                                   count_lattice_points, empty_hrep, h_to_v, lattice_points,
                                   polytope_dim)
 from caches import clear_caches
@@ -209,6 +210,42 @@ def test_ehrhart_fit_of_a_point_has_degree_zero():
     for t_max in (1, 2, 3):
         fit = ehrhart_fit(count_dilates(point, t_max))
         assert fit == EhrhartFit("polynomial", 1, 0, ((Fraction(1),),))
+
+
+UNIT_SQUARE = (((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0))
+
+# Each equality is a row pair in P's own coordinates; the error texts, counts,
+# listings and fits below are those the Hermite chart route gave.
+
+
+@pytest.mark.parametrize("P, recession", [
+    (HPolytope(2, (), (((1, 1), 0),)), "line"),
+    (HPolytope(2, (((-1, 0), 0),), (((1, 1), 0),)), "ray"),
+], ids=["line", "ray"])
+def test_unbounded_equality_polytopes_raise_the_pinned_text(P, recession):
+    clear_caches()
+    for call in (lambda: count_lattice_points(P, 1), lambda: lattice_points(P, 1),
+                 lambda: count_dilates(P, 4)):
+        with pytest.raises(UnboundedPolytopeError) as exc:
+            call()
+        assert str(exc.value) == (f"polytope is unbounded (recession {recession});"
+                                  " bounded input required")
+
+
+@pytest.mark.parametrize("P, counts, listed, fit", [
+    (HPolytope(1, (), (((1,), 1), ((1,), 2))), [0, 0, 0], [[], [], []], ZERO_FIT),
+    (HPolytope(2, (), (((1, 0), 1), ((0, 1), 2))), [1, 1, 1], [[(1, 2)], [(2, 4)], [(3, 6)]],
+     EhrhartFit("polynomial", 1, 0, ((Fraction(1),),))),
+    (HPolytope(1, (), (((1,), Fraction(1, 2)),)), [0, 1, 0], [[], [(1,)], []],
+     EhrhartFit("quasi", 2, 0, ((Fraction(1),), (Fraction(0),)))),
+    (HPolytope(2, UNIT_SQUARE, (((2, 2), 1),)), [0, 2, 0], [[], [(0, 1), (1, 0)], []],
+     EhrhartFit("quasi", 2, 1, ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(0))))),
+], ids=["contradictory", "point", "half", "half-diagonal"])
+def test_equality_polytopes_count_list_and_fit_as_pinned(P, counts, listed, fit):
+    clear_caches()
+    assert [count_lattice_points(P, t) for t in (1, 2, 3)] == counts
+    assert [lattice_points(P, t) for t in (1, 2, 3)] == listed
+    assert ehrhart_fit(count_dilates(P, 4)) == fit
 
 
 def test_an_empty_polytope_whose_propagated_box_is_finite_counts_zero():

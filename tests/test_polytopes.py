@@ -387,8 +387,9 @@ def test_scan_setup_is_computed_once_per_polytope_and_rounded_per_dilate():
     after = _scan_setup.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 5)
 
-    # With an explicit equality the chart of t*Q is t times the chart of Q,
-    # so Q's chart is set up once and serves every dilate too.
+    # An explicit equality is a row pair in Q's own coordinates, its rhs
+    # scaled per dilate like every other row's, so Q's one setup serves
+    # every dilate too.
     Q = HPolytope(3, tuple((a + (Fraction(0),), b) for a, b in rows)
                   + ((vec([0, 0, -1]), Fraction(0)), (vec([0, 0, 1]), Fraction(5, 2))),
                   ((vec([1, -1, 1]), Fraction(1)),))
@@ -414,8 +415,41 @@ def test_one_scan_setup_serves_every_dilate_of_a_sliced_pattern_polytope():
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 7)
 
 
-def test_equality_chart_is_built_once_for_every_dilate(monkeypatch):
-    # 2x + 2y = 1 has integer solutions only at even dilates: t0 = 2.
+def test_gt_slices_count_and_list_their_patterns_at_every_dilate():
+    seen = set()
+
+    # The row sums are the slice's equalities.  Half the draws take them off
+    # a drawn pattern, so that slice is nonempty; the rest draw them freely.
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        k = data.draw(st.integers(1, 5))
+        lam = tuple(sorted(data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)),
+                           reverse=True))
+        if data.draw(st.booleans()):
+            rows = [lam]
+            while len(rows[-1]) > 1:
+                above = rows[-1]
+                rows.append([data.draw(st.integers(low, high))
+                             for high, low in zip(above, above[1:])])
+            sums = tuple(sum(row) for row in reversed(rows[1:]))
+        else:
+            sums = tuple(data.draw(st.lists(st.integers(0, sum(lam)), min_size=k - 1,
+                                            max_size=k - 1)))
+        P = gt_hrep(GTSpec(k, lam, sums))
+        for t in (1, 2, 3):
+            expected = gt_pattern_count([t * c for c in lam],
+                                        [t * c for c in sums + (sum(lam),)])
+            assert count_lattice_points(P, t) == len(lattice_points(P, t)) == expected
+            seen.add(expected > 0)
+
+    check()
+    assert seen == {False, True}
+
+
+def test_an_equality_polytope_is_scanned_in_its_own_coordinates(monkeypatch):
+    # 2x + 2y = 1 has integer solutions only at even dilates: at odd t its
+    # row pair's floor and ceiling cross, so the scan keeps no state.
     P = HPolytope(2, SQUARE.ineqs, ((vec([2, 2]), Fraction(1)),))
     charted = []
     restrict = polytopes.restrict_to_affine_hull
@@ -429,7 +463,7 @@ def test_equality_chart_is_built_once_for_every_dilate(monkeypatch):
     listed = [len(lattice_points(P, t)) for t in range(1, 5)]
     counted = [count_lattice_points(P, t) for t in range(1, 5)]
     assert listed == counted == [0, 2, 0, 3]
-    assert charted == [P]
+    assert charted == [] and _scan_setup.cache_info().misses == 1
 
 
 def test_count_scan_leaves_no_reference_cycle():
@@ -1075,7 +1109,7 @@ def test_propagated_box_holds_the_vertex_box():
             seen.add((route, "no setup"))
             return
         box, scale = setup[2:4]
-        verts = h_to_v(restrict_to_affine_hull(P)[0]).vertices
+        verts = h_to_v(P).vertices
         seen.add((route, "nonempty" if verts else "empty"))
         for (lo, hi), col in zip(box, zip(*verts)):
             assert Fraction(lo, scale) <= min(col) and max(col) <= Fraction(hi, scale)
@@ -1095,7 +1129,8 @@ def test_a_box_propagation_cannot_find_comes_from_the_vertices():
 
 
 def test_a_dimension_zero_chart_whose_pulled_back_row_fails_has_no_setup():
-    # x = 1 leaves a chart of dimension 0, on which x <= 0 becomes 0 <= -1.
+    # x = 1 leaves a chart of dimension 0, on which x <= 0 becomes 0 <= -1;
+    # the scan, in P's own coordinates, finds x <= 0 and x >= 1 crossing.
     P = HPolytope(1, _rows([((1,), 0), ((-1,), -1)]), _rows([((1,), 1)]))
     chart, _ = restrict_to_affine_hull(P)
     assert chart == empty_hrep(0)

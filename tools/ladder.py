@@ -275,11 +275,15 @@ POLYGON = tuple(range(1, 10)) + (11,)
 
 GT6 = (6, (4, 3, 2, 1, 0, 0), (2, 4, 6, 8, 9))  # k, lam, the row sums of mu=(2,2,2,2,1,1)
 GT8 = (8, (6, 5, 4, 3, 2, 1, 0, 0), (3, 6, 9, 12, 15, 17, 19))
+# k, lam, row sums: the m=2 r=(2,2,2,3,3,3,3) slice, which its entry chart counts alike.
+GT7 = (7, (6, 6, 6, 0, 0, 0, 0), (2, 4, 6, 9, 12, 15))
 
 # name: (prepare, run); run(prepare()) is timed and returns the row's values.
 ROWS = {
     "gt_hrep k=6 lam=(4,3,2,1,0,0) mu=(2,2,2,2,1,1), t=1..3":
         _counts(lambda: gt_hrep(GTSpec(*GT6)), range(1, 4)),
+    "gt_hrep k=7 lam=(6,6,6,0,0,0,0) row sums (2,4,6,9,12,15), m=2 r=(2,2,2,3,3,3,3), t=6":
+        _counts(lambda: gt_hrep(GTSpec(*GT7)), (6,)),
     "entry chart m=2 r=(2,2,2,3,3,3,3), t=1..6":
         _counts(_chart(2, (2, 2, 2, 3, 3, 3, 3), "entry_chart"), range(1, 7)),
     "entry chart m=2 r=3^9, t=1..3":
