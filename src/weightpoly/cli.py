@@ -20,10 +20,10 @@ from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
 
 from .builders import SideData, gt_slice, polygon_hrep
-from .counting import (MultiplicityQuery, count_dilates, ehrhart_fit,
+from .counting import (MultiplicityQuery, _fit_shape, count_dilates, ehrhart_fit,
                        real_fiber_size, verify_duality, verify_ehrhart_identity,
                        weight_multiplicity)
-from .exact import frac, frac_str
+from .exact import _require_int, frac, frac_str
 from .polytopes import HPolytope, combinatorial_fingerprint, h_to_v, remove_redundant
 from .reference import reference_battery
 from .toric import facet_labels, fan_to_json_dict, normal_fan, singularity_report
@@ -190,6 +190,10 @@ def _cmd_facets(args: argparse.Namespace) -> int:
 
 def _cmd_ehrhart(args: argparse.Namespace) -> int:
     P = _chart_polytope(args)
+    # Fail before the first scan when the fit would lack samples, once
+    # count_dilates' own t_max check has passed.
+    _require_int(args.t_max, "t_max")
+    _fit_shape(P, args.t_max)
     counts = count_dilates(P, args.t_max)
     fit = ehrhart_fit(counts)
     _emit(args, lambda: {"counts": list(counts.counts), **fit.to_json_dict()}, lambda: (
@@ -272,7 +276,7 @@ def _t_max(default: int) -> tuple:
 _GEOMETRY = (*_SIDE, _POLYTOPE_FILE, _chart("diag"))
 
 # The one table of subcommands: name -> (help, handler, options after --format).
-# build_parser and _command_parser both read it.
+# build_parser and _plain_parse both read it.
 _COMMANDS = {
     "polytope": ("print the inequality description of a chart", _cmd_polytope, _GEOMETRY),
     "vertices": ("print the vertex list of a chart", _cmd_vertices, _GEOMETRY),
@@ -299,15 +303,6 @@ _COMMANDS = {
 }
 
 
-def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give p the options and handler of the subcommand name."""
-    _, func, options = _COMMANDS[name]
-    for flag, kwargs in (_FORMAT, *options):
-        p.add_argument(flag, **kwargs)
-    p.set_defaults(func=func)
-    return p
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -315,32 +310,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact geometry of spatial polygon moduli: polytopes, "
                     "toric data, and lattice point counts.")
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, func, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (_FORMAT, *options):
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return top
 
 
-@functools.lru_cache(maxsize=len(_COMMANDS))
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser build_parser gives the subcommand name, built on its own:
-    the same prog and options, so its usage, help and errors are the same."""
-    return _add_options(argparse.ArgumentParser(prog=f"weightpoly {name}"), name)
+def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) read straight from the table when argv
+    is plain, else None.
+
+    Plain: a subcommand name, then distinct options of it, each spelled in
+    full and followed by a value that does not start with "-", converted by
+    the option's type and among its choices, with every required option
+    given.  argparse leaves such argv no choice to make, so the namespace is
+    the command name, the given values, every other option's default and
+    the handler; no parser is built and no message looked up.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    table = dict((_FORMAT, *options))
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if (2 * len(given) + 1 != len(argv) or not table.keys() >= given.keys()
+            or any(text.startswith("-") for text in given.values())):
+        return None
+    values = {"command": argv[0], "func": func}
+    for flag, kwargs in table.items():
+        dest = flag[2:].replace("-", "_")
+        if flag not in given:
+            if kwargs.get("required"):
+                return None
+            values[dest] = kwargs.get("default")
+            continue
+        try:
+            values[dest] = kwargs.get("type", str)(given[flag])
+        except ValueError:
+            return None
+        if "choices" in kwargs and values[dest] not in kwargs["choices"]:
+            return None
+    return argparse.Namespace(**values)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), leaving out the command name.
-
-    When argv starts with a subcommand name, only that subcommand's parser
-    is built and run, on the rest of argv, as the top-level parser would run
-    it.  Everything else goes through the top-level parser: no command, an
-    unknown one, a flag first, and arguments the subcommand does not
-    recognise, whose error the top level reports with its own usage.
-    """
-    if argv and argv[0] in _COMMANDS:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    """build_parser().parse_args(argv): read from the table when argv is
+    plain (_plain_parse), else by the full parser, the one source of help,
+    usage and error text."""
+    return _plain_parse(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -131,6 +131,26 @@ def _interpolate(start: int, step: int, values: Sequence[int]) -> tuple[Fraction
     return tuple(Fraction(c, den) for c in num)
 
 
+def _fit_shape(P: HPolytope, t_max: int) -> tuple[int, int]:
+    """(period, degree) of the Ehrhart fit of P's counts at t = 0..t_max,
+    read off P's DD record before any count: the period its scale, the
+    degree P's dimension (0 when P is empty).
+
+    Raises ValueError when some residue class of t mod period holds fewer
+    than degree + 1 of those dilates, naming the first such class: the
+    class r holds the t = r + k*period <= t_max, so it falls short exactly
+    when r > t_max - degree*period.
+    """
+    degree = max(polytope_dim(P), 0)
+    period = _incidence(P)[2][0]
+    residue = max(t_max + 1 - degree * period, 0)
+    if residue < period:
+        raise ValueError(
+            f"insufficient samples: residue class {residue} needs {degree + 1} "
+            f"dilates, has {len(range(residue, t_max + 1, period))}")
+    return period, degree
+
+
 def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     """Fit the dilate counts exactly.
 
@@ -140,25 +160,19 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     interpolated by forward differences (_interpolate) on its first
     degree + 1 dilates, residue + k*period; the interpolant is unique, so
     these are the coefficients any exact solve would give.  The fit must
-    reproduce every sample; anything else raises.  Period and dimension are
-    read off the polytope's own DD record (_incidence), the period as its
+    reproduce every sample; anything else raises, as do too few samples
+    (_fit_shape).  Period and dimension are read off the polytope's own DD
+    record (_incidence), the period as its
     scale: every DD ray (t, x) is primitive, so the lcm of the t is that of
     the vertex denominators.  An empty polytope has no ray, so scale 1, and
     is fitted at degree 0 to its count 0 at t = 0: the zero fit.
     """
-    period = _incidence(c.polytope)[2][0]
-    degree = max(polytope_dim(c.polytope), 0)
+    period, degree = _fit_shape(c.polytope, c.t_max)
     mode = "polynomial" if period == 1 else "quasi"
-    coeffs_by_class = []
-    for residue in range(period):
-        ts = range(residue, c.t_max + 1, period)
-        if len(ts) < degree + 1:
-            raise ValueError(
-                f"insufficient samples: residue class {residue} needs {degree + 1} "
-                f"dilates, has {len(ts)}")
-        coeffs_by_class.append(
-            _interpolate(residue, period, [c.count(t) for t in ts[:degree + 1]]))
-    fit = EhrhartFit(mode, period, degree, tuple(coeffs_by_class))
+    coeffs_by_class = tuple(
+        _interpolate(residue, period, [c.count(residue + k * period) for k in range(degree + 1)])
+        for residue in range(period))
+    fit = EhrhartFit(mode, period, degree, coeffs_by_class)
     if any(fit.evaluate(t) != c.count(t) for t in range(c.t_max + 1)):
         raise ValueError("counts not (quasi-)polynomial at this period")
     return fit

@@ -667,7 +667,29 @@ def _fuzz_argv(rng) -> tuple[list[str], dict[str, str]]:
         argv += ["--format", fmt]
     if rng.random() < 0.05:
         argv.append(rng.choice(("--no-such-flag", "--m", "--t-max=x", "extra")))
+    if rng.random() < 0.15:
+        argv = _respelled(rng, argv)
     return argv, files
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _respelled(rng, argv: list[str]) -> list[str]:
+    """argv with one option respelled: its value in another spelling that
+    argparse reads too (a leading space, a digit separator, non-ASCII digits,
+    empty), or in a form that only argparse may read (a negative value,
+    "--flag=value", an abbreviated or repeated flag, "--" before it, the
+    option dropped, or a value outside every choice)."""
+    if len(argv) < 3:
+        return argv + ["--"]
+    i = rng.randrange(1, len(argv) - 1, 2)
+    flag, value = argv[i], argv[i + 1]
+    forms = ([flag, " " + value], [flag, "0_" + value], [flag, value.translate(ARABIC_INDIC)],
+             [flag, ""], [flag, "-" + value], [f"{flag}={value}"], [flag[:-1], value],
+             [flag, value, flag, value], ["--", flag, value], [], [flag, "both"])
+    return argv[:i] + rng.choice(forms) + argv[i + 2:]
 
 
 def test_cli_fuzz_exits_0_1_or_2_with_no_traceback(tmp_path):
@@ -731,24 +753,45 @@ def _through_the_top_level(argv):
     return build_parser().parse_args(argv)
 
 
-ROUTE_CASES = (
+# The argv the plain reader must leave to argparse, and those it must read as
+# argparse does.
+IDENTITY = ["verify-identity", "--m", "1", "--r", "1,1,2,2,3,3", "--t-max"]
+DEFERRED = (
     [], ["--help"], ["-h"], *[[command, "--help"] for command in FUZZ_COMMANDS],
-    ["vertices", "--form", "json"] + PENTAGON, ["vertices", "--for", "text", "--m", "1",
-                                                 "--r", "3,3,3,3,3", "--ch", "entry"],
-    ["verify-identity", "--m", "1", "--r", "1,1,2,2,3,3", "--t-max=3"],
-    ["ehrhart", "--t-max=2", "--m=1", "--r=3,3,3,3,3"],
+    ["vertices", "-h"], ["vertices", "--form", "json"] + PENTAGON,
+    ["vertices", "--for", "text", "--m", "1", "--r", "3,3,3,3,3", "--ch", "entry"],
+    IDENTITY[:-1] + ["--t-max=3"], ["ehrhart", "--t-max=2", "--m=1", "--r=3,3,3,3,3"],
+    IDENTITY + ["-3"], IDENTITY + ["--3"],
     ["vertices"] + PENTAGON + ["--"], ["vertices", "--", "--m", "1"], ["--", "vertices"],
     ["vertices", "--m", "2", "--m", "1", "--r", "3,3,3,3,3"],
     ["mult", "--dilate", "1", "--dilate", "2"] + HEXAGON,
     ["vertices", "--no-such"] + PENTAGON, ["vertices"] + PENTAGON + ["extra"],
-    ["fibers", "--m", "1", "--n", "5", "--x"], ["--m", "1", "vertices"] + PENTAGON[2:],
-    ["--format", "json", "vertices"] + PENTAGON, ["nosuch"], ["nosuch", "--help"],
-    ["Vertices"] + PENTAGON, ["fibers", "--m", "1"], ["fibers", "--n", "5"],
-    ["ehrhart", "--m", "x"], ["vertices", "--chart", "both"] + PENTAGON,
+    ["vertices", "--n", "5"] + PENTAGON, ["fibers", "--m", "1", "--n", "5", "--x"],
+    ["--m", "1", "vertices"] + PENTAGON[2:], ["--format", "json", "vertices"] + PENTAGON,
+    ["nosuch"], ["nosuch", "--help"], ["Vertices"] + PENTAGON,
+    ["fibers", "--m", "1"], ["fibers", "--n", "5"], ["ehrhart", "--m", "x"],
+    ["fibers", "--m", "1.0", "--n", "5"], ["vertices", "--chart", "both"] + PENTAGON,
+    ["vertices", "--format", "JSON"] + PENTAGON,
+)
+PLAIN = (
+    IDENTITY + [" -3"], IDENTITY + ["1_0"], IDENTITY + ["\u0663"], IDENTITY + ["\uff13 "],
+    ["vertices", "--m", "1", "--r", ""], ["vertices"], ["paper-examples"],
+    ["ehrhart", "--format", "json", "--chart", "diag", "--t-max", "0_4"] + HEXAGON,
+    ["fibers", "--n", "5", "--m", "1"], ["fingerprint", "--polytope-file", "no such file"],
 )
 
 
-def test_the_subcommand_parser_and_the_top_level_parser_agree(tmp_path):
+@pytest.mark.parametrize("argv", DEFERRED)
+def test_the_plain_reader_leaves_every_choice_to_argparse(argv):
+    assert cli._plain_parse(argv) is None
+
+
+@pytest.mark.parametrize("argv", PLAIN)
+def test_the_plain_reader_reads_what_argparse_reads(argv):
+    assert cli._plain_parse(argv) == build_parser().parse_args(argv)
+
+
+def test_the_plain_reader_and_the_top_level_parser_agree(tmp_path):
     rng_argvs = []
     for seed in range(400):
         argv, files = _fuzz_argv(random.Random(seed))
@@ -757,7 +800,7 @@ def test_the_subcommand_parser_and_the_top_level_parser_agree(tmp_path):
             path.write_text(text)
             argv = argv + [flag, str(path)]
         rng_argvs.append(argv)
-    for argv in [*ROUTE_CASES, *rng_argvs]:
+    for argv in [*DEFERRED, *PLAIN, *rng_argvs]:
         assert _outcome(argv) == _outcome(argv, _through_the_top_level), argv
         assert _namespace(cli._parse, argv) == _namespace(_through_the_top_level, argv), argv
 
@@ -777,12 +820,30 @@ top_calls = []
 build_parser = cli.build_parser
 cli.build_parser = lambda: top_calls.append(1) or build_parser()
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = cli.main(["verify-identity", "--m", "1", "--r", "1,1,2,2,3,3", "--t-max", "3"])
-print(on_import, made, len(top_calls), code, out.getvalue().splitlines()[-1])
+    code = cli.main(sys.argv[1:])
+print(on_import, made[:1], len(made), len(top_calls), "locale" in sys.modules, code,
+      out.getvalue().splitlines()[-1])
 """
 
 
-def test_one_request_builds_only_its_own_parser():
-    run = subprocess.run([sys.executable, "-c", ONE_REQUEST], check=True,
+@pytest.mark.parametrize("t_max, expected", [
+    (["--t-max", "3"], "0 [] 0 0 False 0 all pass\n"),
+    (["--t-max=3"], f"0 ['weightpoly'] {len(cli._COMMANDS) + 1} 1 True 0 all pass\n"),
+])
+def test_a_plain_request_builds_no_parser_and_imports_no_locale(t_max, expected):
+    argv = ["verify-identity", "--m", "1", "--r", "1,1,2,2,3,3"] + t_max
+    run = subprocess.run([sys.executable, "-c", ONE_REQUEST, *argv], check=True,
                          capture_output=True, text=True)
-    assert run.stdout == "0 ['weightpoly verify-identity'] 0 0 all pass\n"
+    assert run.stdout == expected
+
+
+def test_ehrhart_short_of_samples_fails_before_any_scan(capsys, monkeypatch):
+    def scanned(*args):
+        raise AssertionError("scanned")
+    monkeypatch.setattr(polytopes, "_frontier", scanned)
+    argv = ["ehrhart", "--m", "2", "--r", "3,3,3,3,3,3,3,3,3", "--chart", "entry"]
+    assert run(capsys, argv + ["--t-max", "20"]) == (
+        2, "", "error: insufficient samples: residue class 0 needs 11 dilates, has 6\n")
+    # count_dilates' own t_max check still comes first
+    assert run(capsys, argv + ["--t-max", "0"]) == (
+        2, "", "error: t_max must be a positive integer\n")

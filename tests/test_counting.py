@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from weightpoly.builders import GTSpec, SideData, dual_side_data, gt_slice, polygon_hrep
 from weightpoly.counting import (DilateCounts, DualityInvariant, EhrhartFit, MultiplicityQuery,
-                                 _admissible_step, _interpolate,
+                                 _admissible_step, _fit_shape, _interpolate,
                                  count_dilates, ehrhart_fit, real_fiber_size,
                                  verify_duality, verify_ehrhart_identity,
                                  weight_multiplicity)
@@ -83,10 +83,12 @@ def test_ehrhart_fit_square_polynomial():
     assert [fit.evaluate(t) for t in range(6)] == [1, 4, 9, 16, 25, 36]
 
 
+HALF_SEGMENT = HPolytope(dim=1, ineqs=((vec([1]), Fraction(1, 2)), (vec([-1]), Fraction(0))),
+                        eqs=())
+
+
 def test_ehrhart_fit_quasi_half_segment():
-    half = HPolytope(dim=1, ineqs=((vec([1]), Fraction(1, 2)),
-                                   (vec([-1]), Fraction(0))), eqs=())
-    c = count_dilates(half, 4)
+    c = count_dilates(HALF_SEGMENT, 4)
     assert c.counts == (1, 1, 2, 2, 3)
     fit = ehrhart_fit(c)
     assert fit.mode == "quasi" and fit.period == 2 and fit.degree == 1
@@ -142,9 +144,30 @@ def test_the_fit_period_is_the_lcm_of_the_vertex_denominators():
     assert seen == {(m, quasi) for m in range(4) for quasi in (False, True)}
 
 
-def test_ehrhart_fit_rejects_insufficient_samples():
-    with pytest.raises(ValueError):
-        ehrhart_fit(count_dilates(box2(), 1))
+@pytest.mark.parametrize("P, t_max, message", [
+    (box2(), 1, "residue class 0 needs 3 dilates, has 2"),
+    (HALF_SEGMENT, 2, "residue class 1 needs 2 dilates, has 1"),
+    (HALF_SEGMENT, 1, "residue class 0 needs 2 dilates, has 1"),
+])
+def test_ehrhart_fit_and_its_pre_check_reject_insufficient_samples_alike(P, t_max, message):
+    text = f"insufficient samples: {message}"
+    with pytest.raises(ValueError) as fitted:
+        ehrhart_fit(count_dilates(P, t_max))
+    with pytest.raises(ValueError) as checked:
+        _fit_shape(P, t_max)
+    assert str(fitted.value) == str(checked.value) == text
+
+
+def test_the_pre_check_passes_exactly_when_the_fit_has_its_samples():
+    for P in (box2(), HALF_SEGMENT, empty_hrep(2)):
+        for t_max in range(1, 8):
+            try:
+                fit = ehrhart_fit(count_dilates(P, t_max))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    _fit_shape(P, t_max)
+            else:
+                assert _fit_shape(P, t_max) == (fit.period, fit.degree)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
