@@ -26,7 +26,7 @@ from .counting import (MultiplicityQuery, _fit_shape, count_dilates, ehrhart_fit
 from .exact import _require_int, frac, frac_str
 from .polytopes import HPolytope, combinatorial_fingerprint, h_to_v, remove_redundant
 from .reference import reference_battery
-from .toric import facet_labels, fan_to_json_dict, normal_fan, singularity_report
+from .toric import _fan_json_text, facet_labels, normal_fan, singularity_report
 
 
 class _InputError(Exception):
@@ -74,49 +74,35 @@ def _chart_polytope(args: argparse.Namespace) -> HPolytope:
     return cs.diag_chart if args.chart == "diag" else cs.entry_chart
 
 
-def _json_text(obj) -> str:
+def _json_text(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2), byte for byte, without the pure-Python encoder
-    that json.dumps falls back to when indenting.
+    that json.dumps falls back to when indenting; indent is obj's depth.
 
     Containers, str and int are written here, every other scalar by
     json.dumps; dict keys must be str, as in every payload of this module.
-    Each tuple's text is kept for the call, keyed on the tuple's id and its
-    indent, so a tuple that sits at several places of the payload (a fan's
-    shared rays) is written once per depth.  The key is the id, not the
-    value: the payload holds every tuple for the whole call, so no id is
-    reused, while equal values can need different text ((True,) == (1,))
-    or be unhashable (a tuple holding a list).
+    A tuple is written as a list, as json.dumps writes it.  The fan, the
+    one payload whose rays many cones share, has its own writer
+    (toric._fan_json_text).
     """
-    tuples: dict[tuple[int, str], str] = {}
-
-    def text(obj, indent: str) -> str:
-        if isinstance(obj, str):
-            return encode_basestring_ascii(obj)
-        if type(obj) is int:
-            return repr(obj)
-        inner = indent + "  "
-        if isinstance(obj, dict):
-            items = [f"{encode_basestring_ascii(k)}: {text(v, inner)}"
-                     for k, v in obj.items()]
-            brackets = "{}"
-        elif isinstance(obj, tuple):
-            key = (id(obj), indent)
-            done = tuples.get(key)
-            if done is None:
-                done = tuples[key] = text(list(obj), indent)
-            return done
-        elif isinstance(obj, list):
-            # Leaves inline: one call per container, not one per number.
-            items = [encode_basestring_ascii(v) if isinstance(v, str) else
-                     repr(v) if type(v) is int else text(v, inner) for v in obj]
-            brackets = "[]"
-        else:
-            return json.dumps(obj)
-        if not items:
-            return brackets
-        return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
-
-    return text(obj, "")
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return repr(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        # Leaves inline: one call per container, not one per number.
+        items = [encode_basestring_ascii(v) if isinstance(v, str) else
+                 repr(v) if type(v) is int else _json_text(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _emit(args: argparse.Namespace, payload: Callable[[], dict],
@@ -162,9 +148,13 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
 
 def _cmd_fan(args: argparse.Namespace) -> int:
     F = normal_fan(_chart_polytope(args))
-    _emit(args, lambda: fan_to_json_dict(F), lambda: [f"ambient: {F.ambient_dim}"] + [
-        f"vertex {_point_str(vertex)}: rays " + " ".join(_point_str(r) for r in cone.rays)
-        for vertex, cone in F.maximal_cones])
+    if args.format == "json":
+        print(_fan_json_text(F))  # fan_to_json_dict's text, written from the records
+        return 0
+    print(f"ambient: {F.ambient_dim}")
+    for vertex, cone in F.maximal_cones:
+        print(f"vertex {_point_str(vertex)}: rays "
+              + " ".join(_point_str(r) for r in cone.rays))
     return 0
 
 

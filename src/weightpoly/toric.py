@@ -14,8 +14,8 @@ exact module: ints pass as they are, integral rationals convert to ints, and
 a float, a bool or a non-integral rational raises ValueError.  normal_fan
 does not rebuild its cones that way: it assembles each cone, and the fan,
 from the vertex graph, whose rays are already primitive integer edge
-directions, one tuple per distinct direction; the fan's JSON hands out
-those tuples, so a writer can write each shared ray once.
+directions, one tuple per distinct direction; _fan_json_text writes the
+fan's JSON straight from these records, each shared ray's text once.
 
 Facets of the m=1 diagonal polytopes are matched against the fixed catalogue
 of supporting hyperplanes x_1 = r_1 +- r_2, x_{i-1} +- x_{i-2} = r_i,
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .builders import SideData, triangle_inequalities
@@ -268,10 +269,9 @@ def fan_fingerprint(F: Fan) -> str:
 def fan_to_json_dict(F: Fan) -> dict:
     """The fan as JSON data: per cone its vertex, rays, index and status.
 
-    The rays are the cones' own int tuples, which JSON writes as lists; a
-    fan from normal_fan holds one tuple per distinct edge direction, so a
-    writer that keeps each tuple's text for the call (cli._json_text)
-    writes a ray shared by many cones once.
+    The rays are the cones' own int tuples, which JSON writes as lists.
+    `fan --format json` prints _fan_json_text(F), which writes this data's
+    text straight from the records.
     """
     report = F.singularities
     return {"cones": [
@@ -280,3 +280,38 @@ def fan_to_json_dict(F: Fan) -> dict:
          "index": e.index,
          "status": e.json_status}
         for (v, cone), e in zip(F.maximal_cones, report.entries)]}
+
+
+def _json_list(body: str, indent: str) -> str:
+    """The JSON list at indent, as json.dumps(..., indent=2) writes it, whose
+    items' texts, joined by "," + newline + indent + two spaces, are body;
+    "[]" when body is empty."""
+    return f"[\n{indent}  {body}\n{indent}]" if body else "[]"
+
+
+def _fan_json_text(F: Fan) -> str:
+    """json.dumps(fan_to_json_dict(F), indent=2), byte for byte, written from
+    the records: no payload dicts, each cone from one template.
+
+    Each distinct ray tuple is written once per call, keyed on its id: F
+    holds every tuple for the whole call, so no id is reused, and a fan from
+    normal_fan shares one tuple per edge direction (the n=10 equal-weight
+    fan's 1,302 rays are 280 tuples).
+    """
+    ray_text: dict[int, str] = {}
+    cones = []
+    for (v, cone), e in zip(F.maximal_cones, F.singularities.entries):
+        texts = []
+        for ray in cone.rays:
+            text = ray_text.get(id(ray))
+            if text is None:
+                text = ray_text[id(ray)] = _json_list(
+                    ",\n          ".join(map(repr, ray)), "        ")
+            texts.append(text)
+        vertex = _json_list(",\n        ".join(
+            [encode_basestring_ascii(frac_str(c)) for c in v]), "      ")
+        rays = _json_list(",\n        ".join(texts), "      ")
+        status = encode_basestring_ascii(e.json_status)
+        cones.append(f'{{\n      "vertex": {vertex},\n      "rays": {rays},'
+                     f'\n      "index": {e.index!r},\n      "status": {status}\n    }}')
+    return '{\n  "cones": ' + _json_list(",\n    ".join(cones), "  ") + "\n}"

@@ -531,8 +531,18 @@ JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
     st.dictionaries(st.text(), inner, max_size=4)), max_leaves=20)
 
 
+SHARED = (1, -2, 3)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(JSON_VALUES)
+# One tuple object at several places and depths.
+@example([SHARED, {"rays": [SHARED, SHARED], "deeper": {"ray": SHARED}}, [[SHARED]],
+          (SHARED,)])
+# Equal tuples whose texts differ.
+@example([(True,), (1,), (1.0,), [(True,), (1,)], {"a": (1,), "b": (True,)}])
+# A tuple holding a list, so unhashable, twice.
+@example([SHARED + ([1, [2]],), {"k": (SHARED, [SHARED])}, ([1, [2]],)])
 @example({})
 @example([])
 @example(())
@@ -544,19 +554,18 @@ def test_json_text_is_json_dumps_with_indent_2(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
 
-SHARED = (1, -2, 3)
+def test_fan_json_is_written_from_the_records(capsys, monkeypatch):
+    F = normal_fan(polygon_hrep(SideData.from_weights(1, (1, 2, 2, 3, 3, 4))))
+    expected = json.dumps(toric.fan_to_json_dict(F), indent=2) + "\n"
 
+    def refuse(*args):
+        raise AssertionError("fan --format json built a payload")
 
-@pytest.mark.parametrize("obj", [
-    # One tuple object at several places and depths.
-    [SHARED, {"rays": [SHARED, SHARED], "deeper": {"ray": SHARED}}, [[SHARED]], (SHARED,)],
-    # Equal tuples whose texts differ.
-    [(True,), (1,), (1.0,), [(True,), (1,)], {"a": (1,), "b": (True,)}],
-    # A tuple holding a list, so unhashable, twice.
-    [SHARED + ([1, [2]],), {"k": (SHARED, [SHARED])}, ([1, [2]],)],
-], ids=["shared-tuple", "equal-but-different-text", "tuple-holding-a-list"])
-def test_json_text_writes_each_tuple_by_identity(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    monkeypatch.setattr(toric, "fan_to_json_dict", refuse)
+    monkeypatch.setattr(cli, "_json_text", refuse)
+    assert run(capsys, ["fan", "--format", "json"] + GENERIC_HEXAGON) == (0, expected, "")
+    assert (run(capsys, ["fan", "--chart", "entry", "--format", "text"] + PENTAGON)
+            == (0, PENTAGON_ENTRY_BYTES["fan"], ""))
 
 
 def test_output_is_byte_stable(capsys):

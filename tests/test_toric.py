@@ -1,17 +1,21 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from weightpoly import exact, polytopes
-from weightpoly.builders import SideData, polygon_hrep, triangle_inequalities
+from weightpoly.builders import SideData, gt_slice, polygon_hrep, triangle_inequalities
 from weightpoly.exact import primitive_vector, vec
 from weightpoly.polytopes import (HPolytope, VPolytope, _joint_primitive, h_to_v,
                                   remove_redundant, v_to_h)
-from weightpoly.toric import (Cone, Fan, _catalogue, facet_labels, fan_fingerprint, fan_to_json_dict,
-                              normal_fan, singularity_report)
+from weightpoly.toric import (Cone, Fan, _catalogue, _fan_json_text, facet_labels,
+                              fan_fingerprint, fan_to_json_dict, normal_fan,
+                              singularity_report)
 from caches import clear_caches
 from oracles import pairwise_cone_adjacency
+from test_polytopes import full_dimensional_polytopes
 
 
 def box2():
@@ -187,6 +191,41 @@ def test_fan_json_shape():
     d = fan_to_json_dict(normal_fan(box2()))
     assert len(d["cones"]) == 4
     assert {"vertex", "rays", "index", "status"} <= set(d["cones"][0])
+    assert fan_to_json_dict(Fan(2, ())) == {"cones": []}
+    assert fan_to_json_dict(normal_fan(HPolytope(0, (), ()))) == {"cones": [
+        {"vertex": [], "rays": [], "index": 1, "status": "smooth"}]}
+
+
+def assert_fan_json_text_is_json_dumps(F):
+    assert _fan_json_text(F) == json.dumps(fan_to_json_dict(F), indent=2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(full_dimensional_polytopes())
+def test_fan_json_text_is_json_dumps_of_the_fan_dict(P):
+    assert_fan_json_text_is_json_dumps(normal_fan(P))
+
+
+# The polygon-session bases, then its equal-weight sizes.
+@pytest.mark.parametrize("r", [
+    (1, 2, 2, 3, 3, 4), (1, 2, 2, 3, 3, 4, 4), (1, 1, 2, 2, 3, 3, 4, 5),
+    (1, 2, 1, 3, 2, 4, 1, 3, 2), *((4,) * n for n in (6, 7, 8, 9, 10))])
+@pytest.mark.parametrize("chart", ["diag", "entry"])
+def test_polygon_fan_json_text_is_json_dumps_of_the_fan_dict(r, chart):
+    s = SideData.from_weights(1, r)
+    assert_fan_json_text_is_json_dumps(
+        normal_fan(polygon_hrep(s) if chart == "diag" else gt_slice(s).entry_chart))
+
+
+@pytest.mark.parametrize("F", [
+    Fan(2, (((Fraction(1, 2), Fraction(-3)), Cone(((1, 0), (0, 1)))),)),
+    Fan(2, (((0, 0), Cone(((1, 0), (0, 1)))), ((1, 0), Cone(((-1, 0), (0, 1)))),
+            ((0, 1), Cone(((1, 0), (0, -1)))))),
+    Fan(2, ()),
+    normal_fan(HPolytope(0, (), ())),
+], ids=["fraction-vertex", "separate-ray-tuples", "no-cones", "point"])
+def test_hand_built_fan_json_text_is_json_dumps_of_the_fan_dict(F):
+    assert_fan_json_text_is_json_dumps(F)
 
 
 @pytest.mark.parametrize("r", [(3, 3, 3, 3, 3), (3, 3, 3, 3, 4), ("5/2", 3, 4, 5, 6, 7),

@@ -67,7 +67,6 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
 import calibrate  # noqa: E402
 from caches import clear_caches  # noqa: E402
 from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hrep  # noqa: E402
-from weightpoly.cli import _json_text  # noqa: E402
 from weightpoly.counting import (MultiplicityQuery, count_dilates, ehrhart_fit,  # noqa: E402
                                  verify_ehrhart_identity, weight_multiplicity)
 from weightpoly import polytopes  # noqa: E402
@@ -75,7 +74,7 @@ from weightpoly.polytopes import (VPolytope, _incidence, _scan_setup,  # noqa: E
                                   _vertex_graph, count_lattice_points, h_to_v,
                                   lattice_points, polytope_dim, remove_redundant,
                                   v_to_h)
-from weightpoly.toric import fan_fingerprint, fan_to_json_dict, normal_fan  # noqa: E402
+from weightpoly.toric import _fan_json_text, fan_fingerprint, normal_fan  # noqa: E402
 
 
 def _scanned(polytope):
@@ -199,7 +198,7 @@ def _singularities(P):
 
 def _fan_json(P):
     """The byte count and sha256 of the fan's JSON, as `fan --format json` writes it."""
-    text = _json_text(fan_to_json_dict(normal_fan(P))).encode()
+    text = _fan_json_text(normal_fan(P)).encode()
     return [len(text), hashlib.sha256(text).hexdigest()]
 
 
