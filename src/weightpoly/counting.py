@@ -28,7 +28,7 @@ from .builders import SideData, _check_m_n, dual_side_data, gt_slice
 from .exact import _require_int, frac_str, is_int
 from .polytopes import (
     HPolytope,
-    _faces,
+    _hull_dim,
     _incidence,
     _record,
     combinatorial_fingerprint,
@@ -141,8 +141,8 @@ def _fit_shape(P: HPolytope, t_max: int) -> tuple[int, int]:
     class r holds the t = r + k*period <= t_max, so it falls short exactly
     when r > t_max - degree*period.
     """
-    degree = max(polytope_dim(P), 0)
-    period = _incidence(P)[2][0]
+    _, _, (period, _), faces = _incidence(P)
+    degree = max(_hull_dim(P, faces), 0)
     residue = max(t_max + 1 - degree * period, 0)
     if residue < period:
         raise ValueError(
@@ -410,23 +410,26 @@ def verify_duality(s: SideData, t_max: int) -> DualityReport:
 
     Compares the entry charts of s and dual_side_data(s): dimension, vertex
     and facet counts, dilate counts 1..t_max, and the canonical incidence
-    fingerprint.  Dimension, facet count and fingerprint read each chart's
-    one face record (_faces), never None here: dual_side_data has required
-    every r_i < P, so r is majorized by (P^(m+1), 0, ...) and both charts
-    are nonempty.  Counts are compared at the multiples of L
-    (_admissible_step) only: elsewhere the charts match affinely but not
-    lattice-compatibly.  Mismatches are reported, not raised; a t_max below
-    L compares no count and raises ValueError naming L, as
-    verify_ehrhart_identity does.
+    fingerprint.  Dimension, vertex and facet counts are read off each
+    chart's one record (_incidence), whose face data is never None here:
+    dual_side_data has required every r_i < P, so r is majorized by
+    (P^(m+1), 0, ...) and both charts are nonempty.  Counts are compared at
+    the multiples of L (_admissible_step) only: elsewhere the charts match
+    affinely but not lattice-compatibly.  Mismatches are reported, not
+    raised; a t_max below L compares no count and raises ValueError naming
+    L, as verify_ehrhart_identity does.
     """
     step = _checked_step(s, t_max)
     d = dual_side_data(s)
     A = gt_slice(s).entry_chart
     B = gt_slice(d).entry_chart
+
+    def shape(P):
+        vert_masks, _, _, faces = _incidence(P)
+        return _hull_dim(P, faces), len(vert_masks), len(faces[1])
+
     invariants = [
-        DualityInvariant("dimension", polytope_dim(A), polytope_dim(B)),
-        DualityInvariant("vertex_count", len(_incidence(A)[0]), len(_incidence(B)[0])),
-        DualityInvariant("facet_count", len(_faces(A)[1]), len(_faces(B)[1])),
+        *map(DualityInvariant, ("dimension", "vertex_count", "facet_count"), shape(A), shape(B)),
         DualityInvariant("dilate_counts",
                          list(count_dilates(A, t_max).counts[1:]),
                          list(count_dilates(B, t_max).counts[1:]), step),

@@ -7,6 +7,7 @@ cross process boundaries as "p/q" (or "p") strings.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -55,7 +56,9 @@ def frac_str(value: Fraction | int) -> str:
 
 
 def vec(values: Sequence) -> Vec:
-    if isinstance(values, str):
+    """values as a tuple of exact rationals (frac); a str or a mapping, a
+    JSON object, is not a vector, though iterating it would give one."""
+    if isinstance(values, (str, Mapping)):
         raise TypeError(f"not a vector: {values!r}")
     return tuple(frac(v) for v in values)
 

@@ -66,30 +66,18 @@ class _FrozenInstanceError(AttributeError):
     """Setting or deleting an attribute of a record (_record)."""
 
 
-def _bound(cls, params: tuple[str, ...], defaults: dict, args: tuple, kwargs: dict) -> list:
-    """The values of params for cls(*args, **kwargs), defaults filled in, or
-    the TypeError, word for word, that Python raises for a def __init__ with
-    these params and defaults."""
-    where = f"{cls.__qualname__}.__init__()"
-    values = dict(zip(params, args))
-    for key, value in kwargs.items():
-        if key not in params:
-            raise TypeError(f"{where} got an unexpected keyword argument {key!r}")
-        if key in values:
-            raise TypeError(f"{where} got multiple values for argument {key!r}")
-        values[key] = value
-    if len(args) > len(params):
-        most = len(params) + 1
-        takes = f"from {most - len(defaults)} to {most}" if defaults else most
-        raise TypeError(f"{where} takes {takes} positional argument{'s' * (most > 1)}"
-                        f" but {len(args) + 1} were given")
-    missing = [repr(name) for name in params if name not in values and name not in defaults]
-    if missing:
-        listed = (missing[0] if len(missing) == 1 else
-                  f"{', '.join(missing[:-1])}{',' * (len(missing) > 2)} and {missing[-1]}")
-        raise TypeError(f"{where} missing {len(missing)} required positional"
-                        f" argument{'s' * (len(missing) > 1)}: {listed}")
-    return [values[name] if name in values else defaults[name] for name in params]
+def _binder(cls, params: tuple[str, ...], defaults: dict):
+    """A function with the signature of cls.__init__ that returns the values
+    it binds to params: def __init__(self, *params) with these defaults,
+    which trail as in a dataclass, and cls's qualified name.  Python binds
+    each call's arguments and raises its own TypeError texts."""
+    listed = "".join(f"{name}, " for name in params)
+    scope: dict = {}
+    exec(f"def __init__(self, {listed}): return ({listed})", scope)
+    binder = scope["__init__"]
+    binder.__qualname__ = f"{cls.__qualname__}.__init__"
+    binder.__defaults__ = tuple(defaults.values())
+    return binder
 
 
 def _record(cls=None, *, derived: tuple[str, ...] = ()):
@@ -99,12 +87,15 @@ def _record(cls=None, *, derived: tuple[str, ...] = ()):
     The fields are cls's annotated names in order, and a field's default is
     its class attribute.  __init__ takes every field but those named in
     derived, positionally or by keyword, then calls __post_init__ when cls
-    has one, which sets the derived fields.  Records are equal when they are
-    of one class and their field tuples are equal; the hash is the field
-    tuple's, unless cls defines its own; the repr is Name(field=value, ...);
-    setting or deleting an attribute raises _FrozenInstanceError;
-    __match_args__ holds __init__'s fields.  A method cls defines itself is
-    kept.  _assembled is the one other way to make a record.
+    has one, which sets the derived fields.  A call that passes every field
+    positionally is taken as it is; any other is bound by cls's _binder,
+    compiled on the first such call, so Python itself fills the defaults and
+    raises its own TypeError texts.  Records are equal when they are of one
+    class and their field tuples are equal; the hash is the field tuple's,
+    unless cls defines its own; the repr is Name(field=value, ...); setting
+    or deleting an attribute raises _FrozenInstanceError; __match_args__
+    holds __init__'s fields.  A method cls defines itself is kept.
+    _assembled is the one other way to make a record.
     """
     if cls is None:
         return lambda cls: _record(cls, derived=derived)
@@ -113,10 +104,14 @@ def _record(cls=None, *, derived: tuple[str, ...] = ()):
     defaults = {name: cls.__dict__[name] for name in params if name in cls.__dict__}
     fields, frozen = _tuple_of(attrgetter, names), frozenset(names)
     post_init = hasattr(cls, "__post_init__")
+    binder = None
 
     def __init__(self, *args, **kwargs):
+        nonlocal binder
         if kwargs or len(args) != len(params):
-            args = _bound(cls, params, defaults, args, kwargs)
+            if binder is None:
+                binder = _binder(cls, params, defaults)
+            args = binder(self, *args, **kwargs)
         # Set one by one, as dataclasses does: filling self.__dict__ would
         # give the record a real dict, and every field read its slow path.
         for name, value in zip(params, args):
@@ -196,7 +191,8 @@ class HPolytope:
     two derived private attributes, both set by _hrecord: _hash, and
     _coprime, each row's coprime integer form (the ineqs, then the eqs),
     which the engine's consumers read instead of the Fraction rows.  Its
-    face data (hull equalities and facets) is one cached record, _faces.
+    face data (hull equalities and facets) is part of its one cached
+    combinatorial record, _incidence.
     """
 
     dim: int
@@ -620,25 +616,35 @@ def v_to_h(V: VPolytope) -> HPolytope:
 
 @functools.lru_cache(maxsize=512)
 def _incidence(P: HPolytope):
-    """Vertices of a bounded H-polytope, in integers, and, as int bitmasks,
-    which rows of P.ineqs are tight at which of them, from one double
-    description pass.
+    """The combinatorial record of P, bounded, from one double description
+    pass: its vertices, in integers, which rows of P.ineqs are tight at
+    which of them, as int bitmasks, and its face data.
 
     Returns (rows tight at each vertex, vertices tight on each row,
-    (scale, ints)), the vertices sorted as VPolytope sorts them, where scale
-    is their least common denominator and ints[i] = scale * vertex i, in
-    integers.  The record holds no Fraction: only the two consumers that
+    (scale, ints), faces), the vertices sorted as VPolytope sorts them, where
+    scale is their least common denominator and ints[i] = scale * vertex i,
+    in integers.  The record holds no Fraction: only the two consumers that
     read vertices, h_to_v and _vertex_graph, build them
-    (_vertex_fractions); ehrhart_fit reads only the scale (1 when P is
-    empty).  The DD gets the rows (b, -a) of the cone over P in
+    (_vertex_fractions); the Ehrhart fit takes the scale as its period (1
+    when P is empty).  The DD gets the rows (b, -a) of the cone over P in
     input order, each (a, b) the record's coprime row (P._coprime): row i
     from P.ineqs[i], then t >= 0; scaled duplicates stay, each its own row.
     The equalities' coprime rows cut the DD's lines first.  So the DD's
-    zero sets are the incidence, cut to the bits of P.ineqs.
-    Facets, dimension and edges are read off this one record (the first
-    two through the cached face record, _faces).  Raises
+    zero sets are the incidence, cut to the bits of P.ineqs.  Raises
     UnboundedPolytopeError as h_to_v does.  Lines the normals miss leave
     every ray at t = 0 when P is empty, and make a nonempty P unbounded.
+
+    faces is None when P is empty, else (eqs, facets); dimension, edges,
+    redundancy removal, the fingerprint and the duality counts all read
+    this one record.  eqs is _affine_hull of the explicit equalities of P
+    and its implicit ones, the rows tight at every vertex (Schrijver, Theory
+    of Linear and Integer Programming, section 8.2), handed over as the
+    record's integer rows (P._coprime): the hull depends only on their
+    span.  facets holds (row index, vertex mask) per facet: in any dimension
+    each facet is the face of some row tight at some but not all vertices,
+    and each such row's face lies in a facet (ibid.), so the facets are the
+    inclusion-maximal masks among those rows, each with its first row in
+    input order.
     """
     cone = [(b, *[-c for c in a]) for a, b in P._coprime]
     rays, zsets, lines = _dd_extreme_rays(cone[:len(P.ineqs)] + [(1,) + (0,) * P.dim],
@@ -658,36 +664,8 @@ def _incidence(P: HPolytope):
     of_ineqs = (1 << len(P.ineqs)) - 1
     vert_masks = [found[i][1] & of_ineqs for i in order]
     row_masks = _tight_on(vert_masks, len(P.ineqs))
-    return vert_masks, row_masks, (scale, [ints[i] for i in order])
-
-
-def _vertex_fractions(scale: int, ints: Sequence[tuple[int, ...]]) -> tuple[Vec, ...]:
-    """The vertices ints / scale of an _incidence record as Fraction tuples;
-    at scale 1 from _fractions' shared table."""
-    if scale == 1:
-        return tuple(map(_fractions, ints))
-    return tuple(tuple([Fraction(c, scale) for c in v]) for v in ints)
-
-
-@functools.lru_cache(maxsize=512)
-def _faces(P: HPolytope):
-    """The face record of P, read off _incidence(P): None when P is empty,
-    else (eqs, facets).  Dimension, redundancy removal, the fingerprint and
-    the duality facet count read it, cached per polytope.
-
-    eqs is _affine_hull of the explicit equalities of P and its implicit
-    ones, the rows tight at every vertex (Schrijver, Theory of Linear and
-    Integer Programming, section 8.2), handed over as the record's integer
-    rows (P._coprime): the hull depends only on their span.  facets holds
-    (row index, vertex mask) per facet: in any dimension each facet is the
-    face of some row tight at some but not all vertices, and each such
-    row's face lies in a facet (ibid.), so the facets are the
-    inclusion-maximal masks among those rows, each with its first row in
-    input order.
-    """
-    vert_masks, row_masks, _ = _incidence(P)
-    if not vert_masks:
-        return None
+    if not found:
+        return vert_masks, row_masks, (scale, ints), None
     everyone = (1 << len(vert_masks)) - 1
     eqs = _affine_hull(P._coprime[len(P.ineqs):] + tuple(
         row for row, mask in zip(P._coprime, row_masks) if mask == everyone), P.dim)
@@ -699,7 +677,15 @@ def _faces(P: HPolytope):
         if mask in maximal:
             maximal.discard(mask)
             facets.append((i, mask))
-    return eqs, tuple(facets)
+    return vert_masks, row_masks, (scale, [ints[i] for i in order]), (eqs, tuple(facets))
+
+
+def _vertex_fractions(scale: int, ints: Sequence[tuple[int, ...]]) -> tuple[Vec, ...]:
+    """The vertices ints / scale of an _incidence record as Fraction tuples;
+    at scale 1 from _fractions' shared table."""
+    if scale == 1:
+        return tuple(map(_fractions, ints))
+    return tuple(tuple([Fraction(c, scale) for c in v]) for v in ints)
 
 
 @functools.lru_cache(maxsize=512)
@@ -711,26 +697,27 @@ def remove_redundant(P: HPolytope) -> HPolytope:
     in canonical affine-hull form.  Idempotent.  An empty polytope yields the
     canonical infeasibility certificate.
 
-    One rule in every dimension, read off the face record (_faces) with no
-    second double description pass.  Each facet keeps its first input row
-    whose normal lies in the direction space of the affine hull (its
-    coprime normal orthogonal to every hull equality), which is every row
-    when P is full-dimensional.  Within that space a facet's normal is
-    unique up to a positive factor, so a facet with no such row gets the
-    canonical row v_to_h would give it: its first row's coprime form moved
-    onto the hull by _onto_hull; these rows are appended in sorted order.
-    Two facets never share a normal direction, so the rows are distinct,
-    and _hrecord assembles the record from P's retained rows with their
-    coprime forms, the canonical rows and the hull equalities, which are
-    coprime already: nothing is deduped or made coprime again.
+    One rule in every dimension, read off P's one record (_incidence): its
+    row masks and face data, with no second double description pass.  Each
+    facet keeps its first input row whose normal lies in the direction space
+    of the affine hull (its coprime normal orthogonal to every hull
+    equality), which is every row when P is full-dimensional.  Within that
+    space a facet's normal is unique up to a positive factor, so a facet
+    with no such row gets the canonical row v_to_h would give it: its first
+    row's coprime form moved onto the hull by _onto_hull; these rows are
+    appended in sorted order.  Two facets never share a normal direction, so
+    the rows are distinct, and _hrecord assembles the record from P's
+    retained rows with their coprime forms, the canonical rows and the hull
+    equalities, which are coprime already: nothing is deduped or made
+    coprime again.
     """
-    faces = _faces(P)
+    _, row_masks, _, faces = _incidence(P)
     if faces is None:
         return empty_hrep(P.dim)
     eqs, facets = faces
     unmatched = {mask: i for i, mask in facets}
     retained, coprime = [], []
-    for row, prim, mask in zip(P.ineqs, P._coprime, _incidence(P)[1]):
+    for row, prim, mask in zip(P.ineqs, P._coprime, row_masks):
         if mask in unmatched and all(_idot(prim[0], e) == 0 for e, _ in eqs):
             del unmatched[mask]
             retained.append(row)
@@ -754,8 +741,14 @@ def contains(P: HPolytope, point: Sequence) -> bool:
 
 
 def polytope_dim(P: HPolytope) -> int:
-    """Dimension of the affine hull (_faces); -1 for the empty polytope."""
-    faces = _faces(P)
+    """Dimension of the affine hull, read off P's face data (_incidence);
+    -1 for the empty polytope."""
+    return _hull_dim(P, _incidence(P)[3])
+
+
+def _hull_dim(P: HPolytope, faces) -> int:
+    """The dimension rule: P.dim less the hull equalities of faces, P's face
+    data (_incidence), or -1 when faces is None (P empty)."""
     return -1 if faces is None else P.dim - len(faces[0])
 
 
@@ -958,7 +951,7 @@ def _vertex_graph(P: HPolytope):
     Each distinct direction is one tuple for the whole graph, held with its
     negation, so equal rays at different vertices are one object.
     """
-    vert_masks, row_masks, (scale, ints) = _incidence(P)
+    vert_masks, row_masks, (scale, ints), _ = _incidence(P)
     verts = _vertex_fractions(scale, ints)
     need = P.dim - 1 - len(P.eqs)
     everyone = (1 << len(verts)) - 1
@@ -1210,18 +1203,18 @@ def combinatorial_fingerprint(P: HPolytope) -> str:
     """Canonical form of the vertex-facet incidence (atom-coatom) structure.
 
     Equal fingerprints iff the face lattices are isomorphic: for polytopes the
-    vertex-facet incidences determine the whole face lattice.  The facets
-    and their tight vertices are read off the face record (_faces), and
-    the vertices off the incidence record under it, with no VPolytope built.
+    vertex-facet incidences determine the whole face lattice.  The
+    dimension, the vertices, the facets and their tight vertices are read
+    off P's one record (_incidence), with no VPolytope built.
     Cached per polytope, so a fingerprint of a chart that verify_duality
     already labelled runs no second search.
     """
-    faces = _faces(P)
+    vert_masks, _, _, faces = _incidence(P)
     if faces is None:
         return "dim=-1;empty"
-    n_verts = len(_incidence(P)[0])  # one tight-row mask per vertex
+    n_verts = len(vert_masks)
     facet_masks = [mask for _, mask in faces[1]]
     vert_sets = [frozenset(j for j, mask in enumerate(facet_masks) if mask >> k & 1)
                  for k in range(n_verts)]
     enc = canonical_incidence(len(facet_masks), None, vert_sets)
-    return f"dim={polytope_dim(P)};facets={len(facet_masks)};vertices={n_verts};{enc}"
+    return f"dim={_hull_dim(P, faces)};facets={len(facet_masks)};vertices={n_verts};{enc}"

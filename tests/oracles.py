@@ -310,10 +310,10 @@ def chart_route_remove_redundant(P):
     facets and retained rows, and each facet with no input row orthogonal to
     the hull given its first row's normal projected by U W, with the rhs
     read at a vertex of the facet, made coprime and appended sorted."""
-    from weightpoly.polytopes import (_faces, _hpolytope, _incidence, _joint_primitive,
-                                      empty_hrep, h_to_v, polytope_dim)
+    from weightpoly.polytopes import (_hpolytope, _incidence, _joint_primitive, empty_hrep,
+                                      h_to_v, polytope_dim)
 
-    _, row_masks, _ = _incidence(P)
+    _, row_masks, _, faces = _incidence(P)
     verts = h_to_v(P).vertices
     if not verts:
         return empty_hrep(P.dim)
@@ -321,7 +321,7 @@ def chart_route_remove_redundant(P):
     if polytope_dim(P) < P.dim:
         eqs = all_vertex_affine_hull_equalities(verts, P.dim)
         basis, w_rows = _hull_chart(verts)
-    unmatched = {mask: i for i, mask in _faces(P)[1]}
+    unmatched = {mask: i for i, mask in faces[1]}
     retained = []
     for (a, b), mask in zip(P.ineqs, row_masks):
         if mask in unmatched and all(sum(x * y for x, y in zip(a, e)) == 0 for e, _ in eqs):

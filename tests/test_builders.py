@@ -28,6 +28,23 @@ def test_side_data_validation():
     assert s.n == 5 and s.P == Fraction(15, 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SideData.from_json_dict({"m": 1, "n": 4, "r": [3, 3, 3, 3, 3]}),
+     "n does not match the number of weights"),
+    (lambda: SideData(1, 4, (3, 3, 3, 3, 3)), "expected 4 weights, got 5"),
+    (lambda: GTSpec(3, (2, 1)), "top row must have 3 entries"),
+    (lambda: GTSpec(3, (2, 1, 0), (1,)), "need 2 row sums"),
+    (lambda: GTSpec(3, (2, 1, 0), (1, 4)),
+     "each row sum must lie between 0 and the top-row total"),
+    (lambda: GTSpec(3, (2, 1, 0), (-1, 2)),
+     "each row sum must lie between 0 and the top-row total"),
+], ids=["side-json-n", "side-n", "gt-top-row", "gt-sum-count", "gt-sum-high", "gt-sum-low"])
+def test_builder_input_errors_raise_their_pinned_texts(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_side_data_json_round_trip():
     s = SideData.from_weights(2, (1, 2, 3, 4, 5, 9))
     assert SideData.from_json_dict(s.to_json_dict()) == s

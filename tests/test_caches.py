@@ -11,7 +11,7 @@ def test_every_cache_on_a_function_with_arguments_has_a_maxsize():
     names = {fn.__name__ for fn in functions}
     assert {"polygon_hrep", "fm_polytope", "normal_fan", "remove_redundant",
             "h_to_v", "_incidence", "_vertex_graph", "_count_dilate",
-            "combinatorial_fingerprint", "_faces"} <= names
+            "combinatorial_fingerprint"} <= names
     for fn in functions:
         if inspect.signature(fn).parameters:
             assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__

@@ -150,6 +150,27 @@ def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_traceback():
     assert err == b""  # no traceback, no "Exception ignored" at shutdown
 
 
+def test_a_broken_pipe_in_process_points_stdout_at_devnull_and_returns_141(
+        monkeypatch, tmp_path):
+    # The pipe test above runs main in a child; this one runs it here, with
+    # stdout's descriptor a file's, so the redirect onto devnull can be seen.
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class Gone(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", Gone())
+    try:
+        assert main(["fibers", "--m", "1", "--n", "5"]) == 141
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
 def test_dual_pass_and_fail_exit_codes(capsys):
     code, out, _ = run(capsys, ["dual"] + HEXAGON)
     assert code == 0
@@ -299,6 +320,19 @@ def test_a_zero_denominator_in_a_file_exits_two(capsys, tmp_path, name, doc):
     assert err.startswith(f"error: malformed {name} file:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, doc", [
+    ("side", {"m": 1, "r": {"3": 0, "4": 0, "5": 0, "6": 0, "7": 0}}),
+    ("polytope", {"dim": 1, "ineqs": [{"a": {"1": 5}, "b": "2"}]}),
+], ids=["side-weights", "polytope-normal"])
+def test_a_json_object_is_not_a_vector_in_a_file(capsys, tmp_path, name, doc):
+    # Iterating the object would read its keys as the vector.
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["vertices", f"--{name}-file", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed {name} file: TypeError(\"not a vector: {{")
+
+
 def test_a_zero_denominator_in_r_keeps_its_message(capsys):
     assert run(capsys, ["vertices", "--m", "1", "--r", "1/0,1,1,1"]) == (
         2, "", "error: cannot parse --r: Fraction(1, 0)\n")
@@ -308,6 +342,11 @@ def test_a_zero_denominator_in_r_keeps_its_message(capsys):
 def test_fan_and_singular_of_an_empty_polytope_exit_two(capsys, command):
     code, out, err = run(capsys, [command, "--m", "1", "--r", "1,1,1,1,10"])
     assert (code, out, err) == (2, "", "error: polytope is empty\n")
+
+
+def test_facets_of_an_empty_polygon_print_nothing(capsys):
+    # Only the infeasibility certificate is left, and it names no facet.
+    assert run(capsys, ["facets", "--m", "1", "--r", "1,1,1,1,10"]) == (0, "", "")
 
 
 @pytest.mark.parametrize("command", ["fan", "singular"])

@@ -287,6 +287,23 @@ def test_an_empty_polytope_whose_propagated_box_is_finite_counts_zero():
     assert h_to_v(P).vertices == ()
 
 
+def test_an_empty_polytope_whose_propagated_box_is_unbounded_counts_zero():
+    # x - y <= -1 and y - x <= -1 bound no coordinate, so the box comes from
+    # the vertices, and the double description finds none.
+    P = HPolytope(2, (((1, -1), -1), ((-1, 1), -1)))
+    clear_caches()
+    assert _scan_setup(P) is None
+    assert [count_lattice_points(P, t) for t in (1, 2)] == [0, 0]
+    assert lattice_points(P) == []
+    assert ehrhart_fit(count_dilates(P, 2)) == ZERO_FIT
+
+
+def test_a_multiplicity_query_needs_the_weight_total_of_its_level():
+    with pytest.raises(ValueError) as exc:
+        MultiplicityQuery(1, 4, 1, (1, 1, 1, 0))
+    assert str(exc.value) == "weight total must equal (m+1) * P"
+
+
 def test_count_identity_m2_charts_count_with_no_double_description():
     bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
     sys.path.insert(0, bench)

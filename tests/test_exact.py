@@ -6,7 +6,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightpoly.exact import (_interval_box, ceil_div, frac, frac_str,
+from weightpoly.exact import (_interval_box, ceil_div, dot, frac, frac_str,
                               hnf_rows, integer_kernel_basis,
                               integer_solutions,
                               lattice_index, mat_inverse, nullspace,
@@ -21,6 +21,29 @@ def test_frac_parses_strings_and_numbers():
     assert frac_str(Fraction(5, 2)) == "5/2"
     assert frac_str(Fraction(4, 2)) == "2"
     assert vec([1, "1/2"]) == (Fraction(1), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("values", ["12", {"1": 5}, {"3": 0, "4": 0}, {}],
+                         ids=["str", "object", "object-2", "empty-object"])
+def test_vec_rejects_a_string_or_a_json_object(values):
+    # Iterating either gives a vector of its characters or keys; neither is one.
+    with pytest.raises(TypeError, match="^not a vector: "):
+        vec(values)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dot((1,), (1, 2)), "dimension mismatch: 1 vs 2"),
+    (lambda: solve_linear([(1,)], (1, 2)), "right-hand side length does not match row count"),
+    (lambda: solve_linear([(1,), (1, 2)], (1, 2)), "ragged matrix"),
+    (lambda: mat_inverse([(1, 2)]), "matrix is not square"),
+    (lambda: solve_integer([(1,)], (1, 2)), "right-hand side length does not match row count"),
+    (lambda: lattice_index([(1, 0)], 3), "rays are not full rank"),
+], ids=["dot", "solve_linear-rhs", "solve_linear-ragged", "mat_inverse", "solve_integer-rhs",
+        "lattice_index-width"])
+def test_malformed_linear_algebra_input_raises_its_pinned_text(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 LONG = "7" * (sys.get_int_max_str_digits() + 1)  # past the int-to-str digit limit
@@ -169,6 +192,7 @@ def test_integer_kernel_basis_spans_kernel():
 def test_solve_integer_paths():
     assert solve_integer([(2, 0), (0, 3)], (4, 9)) == (2, 3)
     assert solve_integer([(2,)], (1,)) is None
+    assert solve_integer([(2,)], ("1/2",)) is None  # a fractional rhs has no integer solution
     assert solve_integer([(1, 1)], (5,)) is not None
     assert solve_integer([], []) == ()
 

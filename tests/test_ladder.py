@@ -1,0 +1,45 @@
+"""tools/ladder.py loads, its rows are well formed, and every private name
+it reads exists: a rename fails here, not on the ladder's next run."""
+
+import importlib.util
+import pathlib
+import sys
+
+from weightpoly import polytopes, toric
+
+LADDER = pathlib.Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
+
+
+def _load_ladder():
+    """The ladder as a module, sys.path left as it was (the ladder puts
+    src/, tests/ and bench/ in front)."""
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("ladder", LADDER)
+        ladder = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ladder)
+    finally:
+        sys.path[:] = path
+    return ladder
+
+
+def test_every_ladder_row_is_a_pair_of_callables():
+    rows = _load_ladder().ROWS
+    assert rows
+    for name, row in rows.items():
+        assert isinstance(row, tuple) and len(row) == 2, name
+        assert all(map(callable, row)), name
+
+
+def test_every_private_name_the_ladder_reads_exists():
+    ladder = _load_ladder()
+    for module, name in ((polytopes, "_narrow"), (polytopes, "_incidence"),
+                         (polytopes, "_scan_setup"), (polytopes, "_vertex_graph"),
+                         (toric, "_fan_json_text")):
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    # The names it imports are the package's own objects.
+    assert ladder._incidence is polytopes._incidence
+    assert ladder._scan_setup is polytopes._scan_setup
+    assert ladder._vertex_graph is polytopes._vertex_graph
+    assert ladder._fan_json_text is toric._fan_json_text
+    assert ladder.polytopes is polytopes

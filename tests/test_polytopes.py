@@ -17,7 +17,7 @@ from weightpoly.counting import verify_duality
 from weightpoly.exact import (clear_denominators, dot, integer_solutions, primitive_vector,
                               vec)
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
-                                  VPolytope, _affine_hull, _count_dilate, _faces,
+                                  VPolytope, _affine_hull, _count_dilate,
                                   _hpolytope, _incidence, _joint_primitive, _onto_hull,
                                   _scan_setup,
                                   _vertex_graph,
@@ -135,6 +135,30 @@ def test_contains_boundary_interior_outside():
     assert contains(SQUARE, vec([0, 0]))
     assert contains(SQUARE, vec(["1/2", "1/3"]))
     assert not contains(SQUARE, vec([2, 0]))
+    diagonal = HPolytope(2, SQUARE.ineqs, ((vec([1, -1]), Fraction(0)),))
+    assert contains(diagonal, (1, 1)) and not contains(diagonal, (1, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: VPolytope(2, ((1,),)), "vertex has wrong length"),
+    (lambda: AffineMap(1, 2, ((1,),), (0,)),
+     "matrix/offset rows must match the codomain dimension"),
+    (lambda: AffineMap(2, 1, ((1,),), (0,)), "matrix columns must match the domain dimension"),
+    (lambda: AffineMap.identity(2).apply((1,)), "point has wrong dimension"),
+    (lambda: contains(SQUARE, (1,)), "point has wrong dimension"),
+    (lambda: edges_at_vertex(SQUARE, ("1/2", 0)), "('1/2', '0') is not a vertex of this polytope"),
+    (lambda: affine_image(SQUARE, AffineMap.identity(3)),
+     "map domain does not match the polytope dimension"),
+], ids=["vertex-length", "map-rows", "map-columns", "apply", "contains", "edges_at_vertex",
+        "affine_image"])
+def test_malformed_polytope_input_raises_its_pinned_text(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_restrict_to_affine_hull_of_no_equalities_is_p_itself():
+    assert restrict_to_affine_hull(SQUARE) == (SQUARE, AffineMap.identity(2))
 
 
 def test_polytope_dim_cases():
@@ -365,7 +389,7 @@ def test_reading_a_built_record_derives_no_coprime_row(monkeypatch):
     for P in (polygon, chart, sliced):
         _incidence(P)
     assert not chart.eqs and _scan_setup(chart) is not None
-    assert _faces(sliced)[0] and _faces(polygon)[0] == ()
+    assert _incidence(sliced)[3][0] and _incidence(polygon)[3][0] == ()
     assert len(facet_labels(s, canon)) == len(canon.ineqs)
     assert calls == []
     HPolytope(1, (((2,), 1),))  # the counter does see a row being born
@@ -1303,7 +1327,7 @@ def test_facet_rule_matches_the_v_to_h_route_and_the_rank_oracle():
                          lambda rng: random_box_with_equalities(rng, HPolytope))))
     def check(P):
         V = h_to_v(P)
-        faces = _faces(P)  # an empty P has the certificate, tight nowhere
+        faces = _incidence(P)[3]  # an empty P has the certificate, tight nowhere
         masks = [mask for _, mask in faces[1]] if faces else [0]
         canon = v_to_h(V).ineqs
         assert len(masks) == len(canon)
@@ -1338,7 +1362,7 @@ def test_remove_redundant_matches_the_v_to_h_route():
                  st.randoms(use_true_random=False).map(
                      lambda rng: random_box_with_equalities(rng, HPolytope))))
 def test_incidence_is_the_tightness_oracle_and_its_rays_clear_the_vertices(P):
-    vert_masks, row_masks, (scale, ints) = _incidence(P)
+    vert_masks, row_masks, (scale, ints), _ = _incidence(P)
     verts = h_to_v(P).vertices
     assert (verts, vert_masks, row_masks) == tightness_incidence(P)
     assert verts == h_to_v(P).vertices
@@ -1354,8 +1378,8 @@ def test_row_order_permutes_the_incidence_and_changes_nothing_else(P, data):
     # Rows reach the DD in input order; reordering P.ineqs must only relabel them.
     order = data.draw(st.permutations(range(len(P.ineqs))))
     Q = HPolytope(P.dim, tuple(P.ineqs[i] for i in order), P.eqs)
-    vert_masks, row_masks, cleared = _incidence(P)
-    assert _incidence(Q) == (
+    vert_masks, row_masks, cleared, _ = _incidence(P)
+    assert _incidence(Q)[:3] == (
         [sum(1 << k for k, i in enumerate(order) if mask >> i & 1) for mask in vert_masks],
         [row_masks[i] for i in order],
         cleared)
@@ -1456,7 +1480,7 @@ def test_equalities_cutting_the_lines_give_the_doubled_row_incidence():
     def check(case):
         P, kinds = case
         clear_caches()
-        record = _record_or_error(lambda: _incidence(P))
+        record = _record_or_error(lambda: _incidence(P)[:3])
         assert record == _record_or_error(lambda: doubled_row_incidence(P))
         seen.update(kinds)
         seen.add(record[1].split("(")[1].split(")")[0] if record[0] is UnboundedPolytopeError
@@ -1479,7 +1503,7 @@ def test_gt_slices_cut_by_their_row_sums_give_the_doubled_row_incidence(data):
         rows.append([data.draw(st.integers(low, high)) for high, low in zip(above, above[1:])])
     P = gt_hrep(GTSpec(k, tuple(rows[0]), [sum(row) for row in reversed(rows[1:])]))
     clear_caches()
-    record = _incidence(P)
+    record = _incidence(P)[:3]
     assert record[0] and record == doubled_row_incidence(P)
 
 
@@ -1488,7 +1512,7 @@ def test_gt_slices_cut_by_their_row_sums_give_the_doubled_row_incidence(data):
     (5, (4, 3, 2, 1, 0), (2, 5, 7, 9))])
 def test_pinned_gt_slices_give_the_doubled_row_incidence(k, lam, sums):
     P = gt_hrep(GTSpec(k, lam, sums))
-    record = _incidence(P)
+    record = _incidence(P)[:3]
     assert len(record[0]) > 1 and record == doubled_row_incidence(P)
 
 
@@ -1625,7 +1649,7 @@ def test_one_face_record_per_polytope(monkeypatch):
 def test_remove_redundant_derives_nothing_from_the_rows_it_keeps(monkeypatch):
     polygon = polygon_hrep(SideData.from_weights(1, (Fraction(5, 2), 3, 4, 5, 6, 7)))
     clear_caches()
-    assert _faces(polygon)[0] == ()  # full-dimensional; _incidence is warm too
+    assert _incidence(polygon)[3][0] == ()  # full-dimensional
     born, hashed = [], []
     joint, fraction_hash = polytopes._joint_primitive, Fraction.__hash__
 

@@ -273,6 +273,18 @@ def test_fan_rejects_malformed_maximal_cones(cones):
         Fan(2, cones)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Fan(2, (((0,), Cone(((1, 0),))),)), "cone vertex has wrong dimension"),
+    (lambda: Fan(1, (((0,), Cone(((1, 0),))),)), "cone ray has wrong dimension"),
+    (lambda: facet_labels(SideData.from_weights(2, (1, 1, 1, 1)), box2()),
+     "facet catalogue applies to m=1 only"),
+], ids=["cone-vertex", "cone-ray", "facet-labels-m2"])
+def test_malformed_toric_input_raises_its_pinned_text(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_fan_fingerprint_reads_the_edges_it_is_given():
     segment = HPolytope(dim=1, ineqs=((vec([1]), Fraction(1)), (vec([-1]), Fraction(0))),
                         eqs=())
