@@ -49,43 +49,33 @@ class SideData:
     P: Fraction  # sum(r) / (m + 1), set by __post_init__
 
     def __post_init__(self):
+        """Check m and n, parse r, check it has n positive weights and set
+        the critical level, summed in integers."""
         _check_m_n(self.m, self.n)
         r = vec(self.r)
+        if len(r) != self.n:
+            raise ValueError(f"expected {self.n} weights, got {len(r)}")
+        scale, ints = clear_denominators(r)
+        if any(w <= 0 for w in ints):
+            raise ValueError("all weights must be positive")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "P", _level(self.m, self.n, r))
+        object.__setattr__(self, "P", Fraction(sum(ints), scale * (self.m + 1)))
 
     @classmethod
     def from_weights(cls, m: int, weights: Sequence) -> "SideData":
-        return _side_data(m, vec(weights))
+        r = vec(weights)
+        return cls(m, len(r), r)
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "r": [frac_str(w) for w in self.r]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SideData":
-        weights = vec(data["r"])
+        r = vec(data["r"])
         m = data["m"]
-        if "n" in data and data["n"] != len(weights):
+        if "n" in data and data["n"] != len(r):
             raise ValueError("n does not match the number of weights")
-        return _side_data(m, weights)
-
-
-def _level(m: int, n: int, r: tuple[Fraction, ...]) -> Fraction:
-    """The critical level sum(r) / (m + 1) of n parsed weights r, m and n
-    checked, summed in integers; raises when r has not n entries or one is
-    not positive."""
-    if len(r) != n:
-        raise ValueError(f"expected {n} weights, got {len(r)}")
-    scale, ints = clear_denominators(r)
-    if any(w <= 0 for w in ints):
-        raise ValueError("all weights must be positive")
-    return Fraction(sum(ints), scale * (m + 1))
-
-
-def _side_data(m, r: tuple[Fraction, ...]) -> SideData:
-    """SideData(m, len(r), r) for weights r that vec has parsed already."""
-    _check_m_n(m, len(r))
-    return _assembled(SideData, m=m, n=len(r), r=r, P=_level(m, len(r), r))
+        return cls(m, len(r), r)
 
 
 @_record
@@ -170,6 +160,14 @@ def dual_side_data(s: SideData) -> SideData:
     return SideData.from_weights(s.n - s.m - 2, tuple(s.P - w for w in s.r))
 
 
+def _dense(dim: int, entries: dict[int, int]) -> tuple[int, ...]:
+    """The sparse row {index: coefficient} as a tuple of dim entries."""
+    row = [0] * dim
+    for i, c in entries.items():
+        row[i] = c
+    return tuple(row)
+
+
 def triangle_inequalities(s: SideData) -> list[list[tuple[str, tuple[int, ...], Fraction]]]:
     """The triangle inequalities on the diagonals of a weighted n-gon (m=1).
 
@@ -188,10 +186,7 @@ def triangle_inequalities(s: SideData) -> list[list[tuple[str, tuple[int, ...], 
     d = n - 3
 
     def row(tag: str, entries: dict[int, int], rhs: Fraction):
-        normal = [0] * d
-        for i, c in entries.items():
-            normal[i] = c
-        return tag, tuple(normal), rhs
+        return tag, _dense(d, entries), rhs
 
     table = [[row("N1(2)", {0: 1}, r[0] + r[1]),
               row("N3(2)", {0: -1}, r[1] - r[0]),
@@ -249,25 +244,16 @@ def gt_hrep(spec: GTSpec) -> HPolytope:
     """Interlacing-pattern polytope of the top row, in all-entries coordinates.
 
     One coordinate per entry of rows 1..k-1 (k(k-1)/2 in total); row k is the
-    fixed top row.  Constraints are _interlacing_rows, made dense; fixed row
-    sums, when present, are added as equalities.  The record is assembled
-    once from these int normals (_hpolytope).
+    fixed top row.  Constraints are _interlacing_rows, made dense (_dense);
+    fixed row sums, when present, are added as equalities.  The record is
+    assembled once from these int normals (_hpolytope).
     """
     k = spec.k
     dim = k * (k - 1) // 2
-    ineqs = []
-    for coeffs, rhs in _interlacing_rows(k, spec.lam):
-        row = [0] * dim
-        for j, c in coeffs.items():
-            row[j] = c
-        ineqs.append((tuple(row), rhs))
-    eqs = []
-    if spec.row_sums is not None:
-        for t in range(1, k):
-            row = [0] * dim
-            for i in range(1, t + 1):
-                row[_entry_index(t, i)] = 1
-            eqs.append((tuple(row), spec.row_sums[t - 1]))
+    ineqs = [(_dense(dim, coeffs), rhs) for coeffs, rhs in _interlacing_rows(k, spec.lam)]
+    eqs = [] if spec.row_sums is None else [
+        (_dense(dim, {_entry_index(t, i): 1 for i in range(1, t + 1)}), spec.row_sums[t - 1])
+        for t in range(1, k)]
     return _hpolytope(dim, ineqs, eqs)
 
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, permutations
-from math import lcm
 from typing import Sequence
 
 from .builders import SideData, _check_m_n, dual_side_data, gt_slice
-from .exact import _require_int, frac_str, is_int
+from .exact import _require_int, clear_denominators, frac_str, is_int
 from .polytopes import (
     HPolytope,
     _hull_dim,
@@ -84,11 +83,10 @@ class EhrhartFit:
     def evaluate(self, t: int) -> Fraction:
         """Horner over t's class's integer numerators on their common
         denominator: one Fraction."""
-        coeffs = self.coeffs_by_class[t % self.period]
-        den = lcm(*[c.denominator for c in coeffs])
+        den, ints = clear_denominators(self.coeffs_by_class[t % self.period])
         acc = 0
-        for c in reversed(coeffs):
-            acc = acc * t + c.numerator * (den // c.denominator)
+        for c in reversed(ints):
+            acc = acc * t + c
         return Fraction(acc, den)
 
     @property
@@ -200,10 +198,11 @@ class MultiplicityQuery:
     @classmethod
     def from_side(cls, s: SideData, dilate: int = 1) -> "MultiplicityQuery":
         _require_int(dilate, "dilate", 0)
-        if dilate % _admissible_step(s):
+        step, (P, *r) = clear_denominators((s.P, *s.r))
+        if dilate % step:
             raise ValueError("multiplicity defined for integral dilations only")
-        P, *r = (dilate // w.denominator * w.numerator for w in (s.P, *s.r))
-        return cls(s.m, s.n, P, tuple(r))
+        times = dilate // step
+        return cls(s.m, s.n, times * P, tuple([times * w for w in r]))
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -325,10 +324,11 @@ class IdentityReport:
 
 
 def _admissible_step(s: SideData) -> int:
-    """L, the common denominator of P and the weights (as in builders._slice_rows):
-    its multiples are the dilates with a multiplicity side and comparable
-    dual counts.  A dual side, weights P - r_i, has the same L."""
-    return lcm(s.P.denominator, *(w.denominator for w in s.r))
+    """L, the common denominator of P and the weights, by clear_denominators
+    as in builders._slice_rows: its multiples are the dilates with a
+    multiplicity side and comparable dual counts.  A dual side, weights
+    P - r_i, has the same L."""
+    return clear_denominators((s.P, *s.r))[0]
 
 
 def _checked_step(s: SideData, t_max: int) -> int:

@@ -171,8 +171,8 @@ def clear_denominators(v: Sequence) -> tuple[int, tuple[int, ...]]:
     Reads each entry's numerator and denominator, so ints and Fractions go
     through the same integer arithmetic and no Fraction is built.
     """
-    t = lcm(*(c.denominator for c in v))
-    return t, tuple(c.numerator * (t // c.denominator) for c in v)
+    t = lcm(*[c.denominator for c in v])
+    return t, tuple([c.numerator * (t // c.denominator) for c in v])
 
 
 def _all_int(values: Sequence) -> bool:
@@ -392,7 +392,8 @@ def _interval_box(rows: Sequence, dim: int):
     Returns "empty" when a row with no terms has b < 0 or some interval
     crosses, "unbounded" when some coordinate is left without a bound on a
     side, and otherwise (box, scale): box[k] the bounds of x_k times scale,
-    the least common denominator of all bounds, as a pair of ints.
+    the least common denominator of all bounds, as a pair of ints, by
+    clear_denominators.
     """
     if any(b < 0 for terms, b in rows if not terms):
         return "empty"
@@ -438,6 +439,5 @@ def _interval_box(rows: Sequence, dim: int):
             break
     if None in lo or None in hi:
         return "unbounded"
-    scale = lcm(1, *(x.denominator for x in lo + hi))
-    return [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-            for x, y in zip(lo, hi)], scale
+    scale, ints = clear_denominators(lo + hi)
+    return list(zip(ints[:dim], ints[dim:])), scale

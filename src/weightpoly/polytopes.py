@@ -633,6 +633,11 @@ def _incidence(P: HPolytope):
     zero sets are the incidence, cut to the bits of P.ineqs.  Raises
     UnboundedPolytopeError as h_to_v does.  Lines the normals miss leave
     every ray at t = 0 when P is empty, and make a nonempty P unbounded.
+    With fewer coprime rows than P.dim the normals always miss one, so the
+    DD only has to decide emptiness: it runs on the same rows over the
+    normals' Gram matrix M M^T, in len(rows) + 1 coordinates (some x meets
+    the rows exactly when some x = M^T y does), and a point found there
+    raises, so its rays are never read as vertices.
 
     faces is None when P is empty, else (eqs, facets); dimension, edges,
     redundancy removal, the fingerprint and the duality counts all read
@@ -646,13 +651,16 @@ def _incidence(P: HPolytope):
     inclusion-maximal masks among those rows, each with its first row in
     input order.
     """
-    cone = [(b, *[-c for c in a]) for a, b in P._coprime]
-    rays, zsets, lines = _dd_extreme_rays(cone[:len(P.ineqs)] + [(1,) + (0,) * P.dim],
-                                          P.dim + 1, cone[len(P.ineqs):])
+    rows, dim = P._coprime, P.dim
+    if len(rows) < dim:  # P is empty or holds a line: decide which with x = M^T y
+        rows, dim = [(tuple([_idot(a, e) for e, _ in rows]), b) for a, b in rows], len(rows)
+    cone = [(b, *[-c for c in a]) for a, b in rows]
+    rays, zsets, lines = _dd_extreme_rays(cone[:len(P.ineqs)] + [(1,) + (0,) * dim],
+                                          dim + 1, cone[len(P.ineqs):])
     if any(ray[0] < 0 for ray in rays):
         raise AssertionError("homogenization row t >= 0 violated")
     found = [(ray, zset) for ray, zset in zip(rays, zsets) if ray[0]]
-    if found and lines:
+    if found and (lines or dim < P.dim):
         raise UnboundedPolytopeError(
             "polytope is unbounded (recession line); bounded input required")
     if found and len(found) < len(rays):

@@ -231,7 +231,7 @@ def facet_labels(s: SideData, P: HPolytope) -> list[FacetLabel]:
     read x_1 = 0) put several tags on one facet.  A facet matching nothing
     raises, since the catalogue is exhaustive for these polytopes.  The
     lookup key of a facet is its row of P._coprime, and each label holds
-    that row as Fractions, assembled (_fractions).
+    that row as Fractions (_fractions).
     """
     if s.m != 1:
         raise ValueError("facet catalogue applies to m=1 only")
@@ -245,7 +245,7 @@ def facet_labels(s: SideData, P: HPolytope) -> list[FacetLabel]:
             raise ValueError(
                 f"facet outside the label catalogue: {[frac_str(c) for c in a]} <= {frac_str(b)}")
         *normal, rhs = _fractions((*key[0], key[1]))
-        labels.append(_assembled(FacetLabel, normal=tuple(normal), rhs=rhs, tags=tags))
+        labels.append(FacetLabel(tuple(normal), rhs, tags))
     return labels
 
 

@@ -9,7 +9,7 @@ from weightpoly import builders
 from weightpoly.builders import (ChartedSlice, GTSpec, SideData, admissible,
                                  dual_side_data, entry_to_diag_map, fm_polytope,
                                  gt_hrep, gt_slice, polygon_hrep)
-from weightpoly.exact import vec
+from weightpoly.exact import is_int, vec
 from weightpoly.polytopes import (AffineMap, HPolytope, contains, empty_hrep,
                                   h_to_v, lattice_points, polytope_dim,
                                   remove_redundant)
@@ -231,6 +231,65 @@ def test_side_data_level_is_the_fraction_sum_over_m_plus_one(m, r):
 def test_from_weights_rejects_a_string_of_weights():
     with pytest.raises(TypeError, match="not a vector"):
         SideData.from_weights(1, "33333")
+
+
+def _result(call):
+    """call()'s value, or ("raised", type, text) for the error it raised."""
+    try:
+        return call()
+    except (TypeError, ValueError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+_GOOD_WEIGHT = st.one_of(st.integers(1, 9), st.fractions(Fraction(1, 4), 9))
+_WEIGHT = st.one_of(_GOOD_WEIGHT, st.integers(-2, 0), st.booleans(), st.just(2.5),
+                    st.builds(lambda w: str(w), _GOOD_WEIGHT))
+_WEIGHTS = st.one_of(st.lists(_GOOD_WEIGHT, min_size=3, max_size=7),
+                     st.lists(_WEIGHT, min_size=3, max_size=7),
+                     st.text("1234/,", min_size=3, max_size=7),
+                     st.dictionaries(st.sampled_from("12345"), _GOOD_WEIGHT, min_size=3))
+_M = st.one_of(st.integers(1, 4), st.sampled_from((0, -1, True, False, "1", 1.0)))
+
+
+def test_the_three_ways_into_side_data_agree():
+    """SideData(m, n, r), from_weights and from_json_dict build equal records
+    wherever the side is valid, and raise the same exception type and text
+    wherever they check the same thing.  The constructor checks m and n
+    before the weights; the two readers parse the weights first, and
+    from_json_dict checks a given "n" against them before anything else."""
+    seen = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_M, _WEIGHTS, st.one_of(st.none(), st.integers(-1, 1), st.sampled_from((True, "5"))))
+    def check(m, weights, n_shift):
+        n = len(weights) if n_shift is None else (
+            len(weights) + n_shift if is_int(n_shift) else n_shift)
+        data = {"m": m, "r": weights} if n_shift is None else {"m": m, "n": n, "r": weights}
+        made = _result(lambda: SideData(m, n, weights))
+        by_weights = _result(lambda: SideData.from_weights(m, weights))
+        by_json = _result(lambda: SideData.from_json_dict(data))
+        parsed = _result(lambda: vec(weights))
+        checked = _result(lambda: builders._check_m_n(m, n))
+        if parsed[:1] == ("raised",):
+            seen["unparsed"] += 1
+            assert by_weights == by_json == parsed
+            assert made == (checked or parsed)
+        elif n != len(parsed):
+            seen["n mismatch"] += 1
+            assert by_json == ("raised", ValueError, "n does not match the number of weights")
+            assert made == (checked or ("raised", ValueError,
+                                        f"expected {n} weights, got {len(parsed)}"))
+        else:
+            assert made == by_weights == by_json
+            seen["side" if isinstance(made, SideData) else made[2]] += 1
+            if isinstance(made, SideData):
+                assert repr(made) == repr(by_weights) == repr(by_json)
+                assert made.r == parsed and all(type(w) is Fraction for w in (*made.r, made.P))
+
+    check()
+    assert all(seen[key] for key in (
+        "unparsed", "n mismatch", "side", "all weights must be positive",
+        "m must be a positive integer", "need n > m+1")), seen
 
 
 def _assert_constructor_record(P):

@@ -492,6 +492,37 @@ def test_non_pointed_and_unbounded_files_are_pinned(capsys, tmp_path, command, f
     assert run(capsys, argv) == (0, INFEASIBLE_SLAB_OUTPUT[command, fmt], "")
 
 
+def _empty_output(command: str, fmt: str, dim: int) -> str:
+    """What a command prints for an empty polytope file in Q^dim: the
+    infeasible slab's output, written in that dimension."""
+    if command == "vertices":
+        return "" if fmt == "text" else f'{{\n  "dim": {dim},\n  "vertices": []\n}}\n'
+    if command == "polytope":
+        if fmt == "text":
+            return f"dim: {dim}\nineq: {','.join(['0'] * dim)} <= -1\n"
+        doc = {"dim": dim, "ineqs": [{"a": ["0"] * dim, "b": "-1"}], "eqs": []}
+        return json.dumps(doc, indent=2) + "\n"
+    return INFEASIBLE_SLAB_OUTPUT[command, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["vertices", "polytope", "fingerprint", "ehrhart"])
+def test_files_with_fewer_rows_than_dim_exit_fast_or_print_the_empty_polytope(
+        capsys, tmp_path, command, fmt):
+    """A nonempty P with fewer rows than dim holds a line, so its DD runs in
+    the rows' own coordinates, not in dim + 1 (which is quadratic in dim)."""
+    path = tmp_path / "poly.json"
+    dense_eq = {"dim": 3000, "eqs": [{"a": [str(i % 7 + 1) for i in range(3000)], "b": "5"}]}
+    for doc in ({"dim": 3000}, dense_eq):
+        path.write_text(json.dumps(doc))
+        argv = [command, "--polytope-file", str(path), "--format", fmt]
+        assert run(capsys, argv) == (2, "", LINE)
+    for dim, rows in ((3, [((1, 0, 0), 1), ((-1, 0, 0), -2)]), (3000, [((0,) * 3000, -1)])):
+        path.write_text(json.dumps({"dim": dim, "ineqs": _rows(rows)}))
+        argv = [command, "--polytope-file", str(path), "--format", fmt]
+        assert run(capsys, argv) == (0, _empty_output(command, fmt, dim), "")
+
+
 def test_fan_then_singular_run_one_dd_pass_and_one_incidence(capsys):
     clear_caches()
     for command in ("fan", "singular"):

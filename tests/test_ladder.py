@@ -2,7 +2,9 @@
 it reads exists: a rename fails here, not on the ladder's next run."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 from weightpoly import polytopes, toric
@@ -43,3 +45,27 @@ def test_every_private_name_the_ladder_reads_exists():
     assert ladder._vertex_graph is polytopes._vertex_graph
     assert ladder._fan_json_text is toric._fan_json_text
     assert ladder.polytopes is polytopes
+
+
+def test_the_spawn_rows_read_and_write_no_bytecode(monkeypatch):
+    """The start-up and first-request rows spawn with PYTHONDONTWRITEBYTECODE
+    and a fresh, empty PYTHONPYCACHEPREFIX each run, so every run compiles
+    from source whatever __pycache__ the checkout holds."""
+    ladder = _load_ladder()
+    prefixes = []
+
+    def fake_run(argv, env, **kwargs):
+        assert argv[:2] == [sys.executable, "-c"] and kwargs["check"]
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        assert os.path.isdir(prefix) and not os.listdir(prefix)
+        prefixes.append(prefix)
+        return subprocess.CompletedProcess(argv, 0, stdout="0.001 0 digest\n")
+
+    monkeypatch.setattr(ladder.subprocess, "run", fake_run)
+    spawned = [(prepare, run) for prepare, run in ladder.ROWS.values()
+               if run in (ladder._startup, ladder._first_request)]
+    assert len(spawned) == 2
+    for prepare, run in spawned:
+        run(prepare())
+    assert len(set(prefixes)) == 2 and not any(map(os.path.exists, prefixes))

@@ -1557,10 +1557,8 @@ INFEASIBLE_SLAB = HPolytope(2, _rows([((1, 0), 0), ((-1, 0), -1)]), ())
 EQUALITY_ONLY = HPolytope(2, (), _rows([((1, 1), 1)]))
 
 
-@pytest.mark.parametrize("P, message", [
-    (SLAB, "recession line"), (INFEASIBLE_SLAB, None), (EQUALITY_ONLY, "recession line"),
-], ids=["slab", "infeasible-slab", "equality-only"])
-def test_non_pointed_input_takes_one_dd_pass(monkeypatch, P, message):
+def _dd_dimensions(monkeypatch) -> list[int]:
+    """The dimension of every _dd_extreme_rays call from here on, in order."""
     calls = []
     dd = polytopes._dd_extreme_rays
 
@@ -1569,13 +1567,69 @@ def test_non_pointed_input_takes_one_dd_pass(monkeypatch, P, message):
         return dd(rows, dim, eqs)
 
     monkeypatch.setattr(polytopes, "_dd_extreme_rays", counting_dd)
+    return calls
+
+
+# The equality's one row is fewer than dim 2, so its DD runs in 1 + 1 coordinates.
+@pytest.mark.parametrize("P, message, dd_dim", [
+    (SLAB, "recession line", 3), (INFEASIBLE_SLAB, None, 3),
+    (EQUALITY_ONLY, "recession line", 2),
+], ids=["slab", "infeasible-slab", "equality-only"])
+def test_non_pointed_input_takes_one_dd_pass(monkeypatch, P, message, dd_dim):
+    calls = _dd_dimensions(monkeypatch)
     clear_caches()
     if message is None:
         assert h_to_v(P) == VPolytope(2, ())
     else:
         with pytest.raises(UnboundedPolytopeError, match=message):
             h_to_v(P)
-    assert calls == [3]
+    assert calls == [dd_dim]
+
+
+def test_a_file_with_fewer_rows_than_dim_runs_one_dd_in_its_rows(monkeypatch):
+    P = HPolytope.from_json_dict({"dim": 50, "ineqs": [{"a": ["1"] * 50, "b": "7"}]})
+    calls = _dd_dimensions(monkeypatch)
+    clear_caches()
+    with pytest.raises(UnboundedPolytopeError, match="recession line"):
+        h_to_v(P)
+    assert calls == [2]  # the ambient cone over P would take 51
+
+
+def _ambient_verdict(P) -> str:
+    """Whether P is empty, by one DD on the cone over P in P.dim + 1
+    coordinates: P is nonempty exactly when some ray has t > 0."""
+    cone = [(b, *[-c for c in a]) for a, b in P._coprime]
+    rays, _, _ = polytopes._dd_extreme_rays(
+        cone[:len(P.ineqs)] + [(1,) + (0,) * P.dim], P.dim + 1, cone[len(P.ineqs):])
+    return "unbounded" if any(ray[0] for ray in rays) else "empty"
+
+
+def test_systems_with_fewer_rows_than_dim_get_the_ambient_dds_verdict():
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        dim = data.draw(st.integers(1, 6))
+        entry = st.integers(-3, 3)
+        rows = data.draw(st.lists(st.tuples(st.lists(entry, min_size=dim, max_size=dim), entry,
+                                            st.booleans()), max_size=dim - 1))
+        ineqs = [(a, b if any(a) else -1) for a, b, eq in rows if not eq]
+        eqs = [(a, b) for a, b, eq in rows if eq and any(a)]
+        P = HPolytope(dim, _rows(ineqs), _rows(eqs))
+        clear_caches()
+        verdict = _ambient_verdict(P)
+        seen[verdict] += 1
+        seen["with eqs"] += bool(eqs)
+        if verdict == "empty":
+            assert h_to_v(P) == VPolytope(dim, ())
+            assert polytope_dim(P) == -1 and remove_redundant(P) == empty_hrep(dim)
+        else:
+            with pytest.raises(UnboundedPolytopeError, match="recession line"):
+                _incidence(P)
+
+    check()
+    assert seen["empty"] and seen["unbounded"] and seen["with eqs"], seen
 
 
 @pytest.mark.parametrize("P", [

@@ -30,7 +30,10 @@ tracemalloc peak is the spawning process's, not the child's).  The first
 request row also prepares nothing; each run is a fresh interpreter that
 imports weightpoly.cli and calls main on one count-identity request, timed
 in the child around main, and its values are the exit code and the sha256
-of stdout.  A row records the median and every run's wall time in ms, the
+of stdout.  Both spawn with PYTHONDONTWRITEBYTECODE=1 and
+PYTHONPYCACHEPREFIX a fresh empty directory, so each run compiles every
+module it imports from source (the standard library's too, all but the
+frozen start-up modules), whatever __pycache__ the checkout holds.  A row records the median and every run's wall time in ms, the
 median calibrated by bench/calibrate.py (each run scaled by the host speed
 sampled before it and after it, as the benchmark scales a request), the
 tracemalloc peak of one more run, and the values it computed, so two
@@ -57,6 +60,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -234,10 +238,19 @@ STARTUP = ("import sys; before = set(sys.modules); sys.path.insert(0, {src!r}); 
            " if name.split('.')[0] in sys.stdlib_module_names)))")
 
 
+def _spawn(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that reads and writes
+    no bytecode of its own: PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX
+    a fresh empty directory, so each run compiles from source whatever
+    __pycache__ the checkout holds."""
+    with tempfile.TemporaryDirectory() as prefix:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": prefix}
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout
+
+
 def _startup(_):
-    code = STARTUP.format(src=os.path.join(ROOT, "src"))
-    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
-    return run.stdout.split()
+    return _spawn(STARTUP.format(src=os.path.join(ROOT, "src"))).split()
 
 
 FIRST_REQUEST = ["ehrhart", "--m", "1", "--r", "3,1,2,3,1,2", "--chart", "entry", "--t-max", "7"]
@@ -263,8 +276,7 @@ class ChildTimed:
 
 def _first_request(_):
     code = FIRST_REQUEST_CODE.format(src=os.path.join(ROOT, "src"), argv=FIRST_REQUEST)
-    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
-    elapsed, exit_code, digest = run.stdout.split()
+    elapsed, exit_code, digest = _spawn(code).split()
     return ChildTimed([int(exit_code), digest], float(elapsed))
 
 
