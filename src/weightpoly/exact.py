@@ -367,11 +367,6 @@ def lattice_index(rays: Sequence[Sequence], dim: int) -> int:
     return index
 
 
-def ceil_div(a: int, b: int) -> int:
-    """ceil(a/b) for positive b."""
-    return -((-a) // b)
-
-
 _SWEEPS = 50
 
 

@@ -26,7 +26,6 @@ from .exact import (
     _gauss_jordan,
     _interval_box,
     _require_int,
-    ceil_div,
     dot,
     frac,
     frac_str,
@@ -93,8 +92,9 @@ def _record(cls=None, *, derived: tuple[str, ...] = ()):
     raises its own TypeError texts.  Records are equal when they are of one
     class and their field tuples are equal; the hash is the field tuple's,
     unless cls defines its own; the repr is Name(field=value, ...); setting
-    or deleting an attribute raises _FrozenInstanceError; __match_args__
-    holds __init__'s fields.  A method cls defines itself is kept.
+    or deleting any attribute raises _FrozenInstanceError, on an instance
+    of a subclass too; __match_args__ holds __init__'s fields.  A method cls
+    defines itself is kept.
     _assembled is the one other way to make a record.
     """
     if cls is None:
@@ -102,7 +102,7 @@ def _record(cls=None, *, derived: tuple[str, ...] = ()):
     names = tuple(cls.__dict__.get("__annotations__", {}))
     params = tuple(name for name in names if name not in derived)
     defaults = {name: cls.__dict__[name] for name in params if name in cls.__dict__}
-    fields, frozen = _tuple_of(attrgetter, names), frozenset(names)
+    fields = _tuple_of(attrgetter, names)
     post_init = hasattr(cls, "__post_init__")
     binder = None
 
@@ -132,14 +132,10 @@ def _record(cls=None, *, derived: tuple[str, ...] = ()):
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, value):
-        if type(self) is cls or name in frozen:
-            raise _FrozenInstanceError(f"cannot assign to field {name!r}")
-        super(cls, self).__setattr__(name, value)
+        raise _FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        if type(self) is cls or name in frozen:
-            raise _FrozenInstanceError(f"cannot delete field {name!r}")
-        super(cls, self).__delattr__(name)
+        raise _FrozenInstanceError(f"cannot delete field {name!r}")
 
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         if method.__name__ not in cls.__dict__:
@@ -578,14 +574,13 @@ def _onto_hull(eqs: Sequence, normal: Sequence, rhs) -> tuple[tuple[int, ...], i
     Subtracts the normal's component along the equality normals e_i, sum
     l_i e_i with the Gram system (e_i . e_j) l = (e_i . normal), and moves
     rhs by the same combination of the equality rhs, so the row takes the
-    same values on the hull.
+    same values on the hull.  With no equalities l is () and the row is
+    only made coprime.
     """
-    if not eqs:
-        return _joint_primitive(normal, rhs)
     normals = [e for e, _ in eqs]
     _, lam = solve_linear([[dot(e, g) for g in normals] for e in normals],
                           [dot(e, normal) for e in normals])
-    projected = [c - dot(lam, col) for c, col in zip(normal, zip(*normals))]
+    projected = [c - dot(lam, [e[k] for e in normals]) for k, c in enumerate(normal)]
     return _joint_primitive(projected, rhs - dot(lam, [f for _, f in eqs]))
 
 
@@ -866,7 +861,7 @@ def _frontier(setup: tuple, levels: list, dilate: int) -> dict[tuple[int, ...], 
     under by_reads.
     """
     _, _, box, scale = setup
-    bounds = [(ceil_div(dilate * low, scale), dilate * high // scale) for low, high in box]
+    bounds = [(-(-dilate * low // scale), dilate * high // scale) for low, high in box]
     frontier: dict[tuple[int, ...], int] = {(): 1}
     for (rows, kind, pick), (lo, hi) in zip(levels, bounds):
         rows = [(c, dilate * b, terms) for c, b, terms in rows]
@@ -914,6 +909,7 @@ def lattice_points(P: HPolytope, dilate: int = 1) -> list[tuple[int, ...]]:
     return list(_frontier(setup, setup[1], dilate))
 
 
+@functools.lru_cache(maxsize=512, typed=True)
 def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
     """len(lattice_points(P, dilate)), without listing the points.
 
@@ -926,16 +922,11 @@ def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
     sum's row pair reads its whole pattern row up to the entry it ends on,
     which it pins: one more level per row sum than a chart would scan.
     Each count is cached per (P, dilate), so count_dilates and
-    verify_ehrhart_identity on one chart share one scan per dilate; dilate is
-    validated before the lookup, since 2.0 and True hash as 2 and 1 do.
+    verify_ehrhart_identity on one chart share one scan per dilate.  The
+    cache is typed: 2.0 and True hash as 2 and 1 do, but key their own
+    entries, so such a call misses and _require_int rejects it.
     """
     _require_int(dilate, "dilate")
-    return _count_dilate(P, dilate)
-
-
-@functools.lru_cache(maxsize=512)
-def _count_dilate(P: HPolytope, dilate: int) -> int:
-    """count_lattice_points(P, dilate) for a validated dilate, cached."""
     setup = _scan_setup(P)
     return 0 if setup is None else sum(_frontier(setup, setup[0], dilate).values())
 

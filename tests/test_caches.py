@@ -10,7 +10,7 @@ def test_every_cache_on_a_function_with_arguments_has_a_maxsize():
     functions = cached_functions()
     names = {fn.__name__ for fn in functions}
     assert {"polygon_hrep", "fm_polytope", "normal_fan", "remove_redundant",
-            "h_to_v", "_incidence", "_vertex_graph", "_count_dilate",
+            "h_to_v", "_incidence", "_vertex_graph", "count_lattice_points",
             "combinatorial_fingerprint"} <= names
     for fn in functions:
         if inspect.signature(fn).parameters:

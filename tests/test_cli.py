@@ -118,11 +118,11 @@ def test_verify_identity_with_no_integral_dilate_exits_2(capsys):
 def test_verify_identity_after_ehrhart_reuses_every_count(capsys):
     clear_caches()
     assert run(capsys, ["ehrhart", "--t-max", "3"] + HEXAGON)[0] == 0
-    setup, counts = _scan_setup.cache_info(), polytopes._count_dilate.cache_info()
+    setup, counts = _scan_setup.cache_info(), polytopes.count_lattice_points.cache_info()
     code, out, _ = run(capsys, ["verify-identity", "--t-max", "3"] + HEXAGON)
     assert code == 0 and out.splitlines()[-1] == "all pass"
     assert _scan_setup.cache_info().misses == setup.misses
-    after = polytopes._count_dilate.cache_info()
+    after = polytopes.count_lattice_points.cache_info()
     assert (after.misses, after.hits) == (counts.misses, counts.hits + 3)
 
 

@@ -17,7 +17,7 @@ from weightpoly.counting import (DilateCounts, DualityInvariant, EhrhartFit, Mul
                                  verify_duality, verify_ehrhart_identity,
                                  weight_multiplicity)
 from weightpoly.exact import vec
-from weightpoly.polytopes import (HPolytope, UnboundedPolytopeError, _count_dilate,
+from weightpoly.polytopes import (HPolytope, UnboundedPolytopeError,
                                   _incidence, _scan_setup,
                                   count_lattice_points, empty_hrep, h_to_v, lattice_points,
                                   polytope_dim)
@@ -466,7 +466,7 @@ def test_entry_chart_count_at_scale_equals_multiplicity(m, r, t, expected):
     s = SideData.from_weights(m, r)
     entry = gt_slice(s).entry_chart
     count_lattice_points(entry, 1)  # the cached vertices are built outside the trace
-    _count_dilate.cache_clear()  # so the traced call runs the scan
+    count_lattice_points.cache_clear()  # so the traced call runs the scan
     tracemalloc.start()
     try:
         assert count_lattice_points(entry, t) == expected

@@ -6,7 +6,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightpoly.exact import (_interval_box, ceil_div, dot, frac, frac_str,
+from weightpoly.exact import (_interval_box, dot, frac, frac_str,
                               hnf_rows, integer_kernel_basis,
                               integer_solutions,
                               lattice_index, mat_inverse, nullspace,
@@ -397,12 +397,6 @@ def test_integer_solutions_are_pinned(rows, rhs, width, solutions):
 
 def test_hnf_rows_is_pinned():
     assert hnf_rows([(4, 6, 2), (2, 9, 7), (6, 3, 5)]) == [[2, 9, 7], [0, 12, 4], [0, 0, 8]]
-
-
-def test_floor_ceil_div_on_fractions():
-    assert ceil_div(Fraction(7, 2), 1) == 4
-    assert ceil_div(Fraction(-7, 2), 1) == -3
-    assert ceil_div(6, 3) == 2
 
 
 ENTRIES = st.one_of(st.just(Fraction(0)),

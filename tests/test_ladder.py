@@ -47,25 +47,31 @@ def test_every_private_name_the_ladder_reads_exists():
     assert ladder.polytopes is polytopes
 
 
-def test_the_spawn_rows_read_and_write_no_bytecode(monkeypatch):
-    """The start-up and first-request rows spawn with PYTHONDONTWRITEBYTECODE
-    and a fresh, empty PYTHONPYCACHEPREFIX each run, so every run compiles
-    from source whatever __pycache__ the checkout holds."""
+def test_the_spawn_rows_read_and_write_no_bytecode(monkeypatch, tmp_path):
+    """The start-up and first-request rows spawn on a fresh copy of
+    src/weightpoly with no __pycache__, under PYTHONDONTWRITEBYTECODE and no
+    PYTHONPYCACHEPREFIX, so every run compiles the package from source
+    whatever __pycache__ the checkout holds, and the copy is gone after."""
     ladder = _load_ladder()
-    prefixes = []
+    package = pathlib.Path(polytopes.__file__).parent
+    sources = sorted(path.name for path in package.glob("*.py"))
+    copies = []
 
     def fake_run(argv, env, **kwargs):
-        assert argv[:2] == [sys.executable, "-c"] and kwargs["check"]
-        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
-        prefix = env["PYTHONPYCACHEPREFIX"]
-        assert os.path.isdir(prefix) and not os.listdir(prefix)
-        prefixes.append(prefix)
+        assert argv[:2] == [sys.executable, "-c"] and len(argv) == 4 and kwargs["check"]
+        assert "sys.path.insert(0, sys.argv[1])" in argv[2]
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPYCACHEPREFIX" not in env
+        src = argv[3]
+        assert os.listdir(src) == ["weightpoly"]
+        assert sorted(os.listdir(os.path.join(src, "weightpoly"))) == sources
+        copies.append(src)
         return subprocess.CompletedProcess(argv, 0, stdout="0.001 0 digest\n")
 
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path))  # dropped for the child
     monkeypatch.setattr(ladder.subprocess, "run", fake_run)
     spawned = [(prepare, run) for prepare, run in ladder.ROWS.values()
                if run in (ladder._startup, ladder._first_request)]
     assert len(spawned) == 2
     for prepare, run in spawned:
         run(prepare())
-    assert len(set(prefixes)) == 2 and not any(map(os.path.exists, prefixes))
+    assert len(set(copies)) == 2 and not any(map(os.path.exists, copies))

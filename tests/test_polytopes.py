@@ -17,7 +17,7 @@ from weightpoly.counting import verify_duality
 from weightpoly.exact import (clear_denominators, dot, integer_solutions, primitive_vector,
                               vec)
 from weightpoly.polytopes import (AffineMap, HPolytope, UnboundedPolytopeError,
-                                  VPolytope, _affine_hull, _count_dilate,
+                                  VPolytope, _affine_hull,
                                   _hpolytope, _incidence, _joint_primitive, _onto_hull,
                                   _scan_setup,
                                   _vertex_graph,
@@ -266,7 +266,7 @@ def _counting_scan_calls(monkeypatch):
         return narrow(*args)
 
     monkeypatch.setattr(polytopes, "_narrow", counted)
-    _count_dilate.cache_clear()  # so every count below runs its scan
+    count_lattice_points.cache_clear()  # so every count below runs its scan
     return calls
 
 
@@ -295,20 +295,23 @@ def test_the_frontier_narrows_no_more_states_on_entry_charts(monkeypatch, m, wei
 
 
 def test_cached_counts_still_reject_a_float_or_bool_dilate():
-    # 2.0 == 2 and True == 1 with equal hashes, so a cache lookup alone would
-    # answer them from the entries of the valid dilates.
+    # 2.0 == 2 and True == 1 with equal hashes, so an untyped cache lookup
+    # would answer them from the entries of the valid dilates.
     P = box(2, 0, 2)
-    assert count_lattice_points(P, 2) == 25 and count_lattice_points(P, 1) == 9
-    for bad in (2.0, True):
-        with pytest.raises(ValueError, match="dilate must be a positive integer"):
-            count_lattice_points(P, bad)
+    count_lattice_points.cache_clear()
+    for _ in range(2):  # before the valid dilates' entries exist, then after them
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match="dilate must be a positive integer"):
+                count_lattice_points(P, bad)
+        assert count_lattice_points(P, 2) == 25 and count_lattice_points(P, 1) == 9
+    assert count_lattice_points(P, dilate=2) == 25
 
 
 def test_each_count_is_scanned_once_per_polytope_and_dilate():
     P = box(3, -1, 2)
-    _count_dilate.cache_clear()
+    count_lattice_points.cache_clear()
     assert [count_lattice_points(P, t) for t in (1, 2, 1, 2)] == [64, 343, 64, 343]
-    info = _count_dilate.cache_info()
+    info = count_lattice_points.cache_info()
     assert (info.misses, info.hits) == (2, 2)
 
 
@@ -429,7 +432,7 @@ def test_scan_setup_is_computed_once_per_polytope_and_rounded_per_dilate():
 def test_one_scan_setup_serves_every_dilate_of_a_sliced_pattern_polytope():
     lam, sums = (4, 3, 2, 1, 0), (2, 5, 7, 9)
     P = gt_hrep(GTSpec(5, lam, sums))
-    _count_dilate.cache_clear()  # so every dilate below runs its scan
+    count_lattice_points.cache_clear()  # so every dilate below runs its scan
     before = _scan_setup.cache_info()
     counts = [count_lattice_points(P, t) for t in range(1, 9)]
     after = _scan_setup.cache_info()
@@ -492,7 +495,7 @@ def test_an_equality_polytope_is_scanned_in_its_own_coordinates(monkeypatch):
 
 def test_count_scan_leaves_no_reference_cycle():
     count_lattice_points(SQUARE, 3)
-    _count_dilate.cache_clear()  # so the measured call runs the scan
+    count_lattice_points.cache_clear()  # so the measured call runs the scan
     gc.collect()
     gc.disable()
     try:
@@ -1832,6 +1835,8 @@ def test_one_hull_pass_gives_the_all_vertex_equalities_and_moves_rows_onto_the_h
     rhs = data.draw(st.integers(-3, 3))
     given_values = [dot(normal, v) - rhs for v in points]
     assume(any(given_values))
+    # With no equalities, the row is only made coprime.
+    assert _onto_hull((), normal, rhs) == _joint_primitive(normal, rhs)
     a, b = _onto_hull(eqs, normal, rhs)
     assert all(dot(a, e) == 0 for e, _ in eqs)
     values = [dot(a, v) - b for v in points]

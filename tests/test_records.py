@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightpoly import builders, counting, polytopes, reference, toric
-from weightpoly.polytopes import HPolytope, _assembled
+from weightpoly.polytopes import HPolytope, _assembled, _FrozenInstanceError
 from oracles import dataclass_twin
 
 RECORDS = sorted((cls for module in (polytopes, builders, counting, toric, reference)
@@ -75,15 +75,20 @@ def test_records_behave_as_their_frozen_dataclass_twins(data):
     assert (ours == other_ours) == (twin == other_twin)
     assert ours.__eq__(twin) is NotImplemented and ours != twin
 
-    # Frozen: setting or deleting a field or any other name.
+    # Frozen: setting or deleting a field or any other name, on an instance
+    # of a subclass too, where a frozen dataclass's subclass takes a name
+    # that is not a field.
     name = data.draw(st.sampled_from(names + ["_other"]))
+    sub = _assembled(type(cls.__name__, (cls,), {}), **dict(zip(names, row)))
     for act in (lambda r: setattr(r, name, 0), lambda r: delattr(r, name)):
         with pytest.raises(AttributeError) as mine:
             act(ours)
         with pytest.raises(AttributeError) as theirs:
             act(twin)
-        assert str(mine.value) == str(theirs.value)
-    assert repr(ours) == repr(twin)
+        with pytest.raises(_FrozenInstanceError) as subs:
+            act(sub)
+        assert str(mine.value) == str(theirs.value) == str(subs.value)
+    assert repr(ours) == repr(twin) and vars(sub) == dict(zip(names, row))
 
     # Construction, __post_init__ set aside: the same fields, or the same TypeError.
     params = list(cls.__match_args__)

@@ -24,16 +24,19 @@ graph, the fan JSON row the fan and its singularities, and the v_to_h rows
 the VPolytope of the polygon's vertices (in Q^8, through a fixed injective
 map, for the second).  The start-up row
 prepares nothing; each run is a fresh interpreter that imports
-weightpoly.cli from this checkout, timed from spawn to exit, and its values
+weightpoly.cli, timed from spawn to exit, and its values
 are the standard-library modules that import loads, sorted (its
 tracemalloc peak is the spawning process's, not the child's).  The first
 request row also prepares nothing; each run is a fresh interpreter that
 imports weightpoly.cli and calls main on one count-identity request, timed
 in the child around main, and its values are the exit code and the sha256
-of stdout.  Both spawn with PYTHONDONTWRITEBYTECODE=1 and
-PYTHONPYCACHEPREFIX a fresh empty directory, so each run compiles every
-module it imports from source (the standard library's too, all but the
-frozen start-up modules), whatever __pycache__ the checkout holds.  A row records the median and every run's wall time in ms, the
+of stdout.  Both run on a fresh copy of this checkout's src/weightpoly
+with no __pycache__, made in a temporary directory each run (the start-up
+row's time includes the copy), under PYTHONDONTWRITEBYTECODE=1 with no
+PYTHONPYCACHEPREFIX: each run compiles this package from source, as a
+benchmark worker in a fresh checkout does, whatever __pycache__ the
+checkout holds, and loads the standard library from its installed
+bytecode.  A row records the median and every run's wall time in ms, the
 median calibrated by bench/calibrate.py (each run scaled by the host speed
 sampled before it and after it, as the benchmark scales a request), the
 tracemalloc peak of one more run, and the values it computed, so two
@@ -56,6 +59,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
@@ -233,29 +237,33 @@ def _cones_and_fingerprint(P):
     return [len(F.maximal_cones), hashlib.sha256(fan_fingerprint(F).encode()).hexdigest()]
 
 
-STARTUP = ("import sys; before = set(sys.modules); sys.path.insert(0, {src!r}); "
+STARTUP = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
            "import weightpoly.cli; print(' '.join(sorted(name for name in set(sys.modules) - before"
            " if name.split('.')[0] in sys.stdlib_module_names)))")
 
 
 def _spawn(code: str) -> str:
-    """The stdout of code run in a fresh interpreter that reads and writes
-    no bytecode of its own: PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX
-    a fresh empty directory, so each run compiles from source whatever
-    __pycache__ the checkout holds."""
-    with tempfile.TemporaryDirectory() as prefix:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": prefix}
-        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    """The stdout of code run in a fresh interpreter on a fresh copy of
+    src/weightpoly, with no __pycache__, in a temporary directory passed as
+    sys.argv[1]; PYTHONDONTWRITEBYTECODE=1 and no PYTHONPYCACHEPREFIX, so each
+    run compiles this package from source, as a fresh checkout does, and
+    reads the installed standard library's bytecode."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPYCACHEPREFIX"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    with tempfile.TemporaryDirectory() as src:
+        shutil.copytree(os.path.join(ROOT, "src", "weightpoly"), os.path.join(src, "weightpoly"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return subprocess.run([sys.executable, "-c", code, src], env=env, check=True,
                               capture_output=True, text=True).stdout
 
 
 def _startup(_):
-    return _spawn(STARTUP.format(src=os.path.join(ROOT, "src"))).split()
+    return _spawn(STARTUP).split()
 
 
 FIRST_REQUEST = ["ehrhart", "--m", "1", "--r", "3,1,2,3,1,2", "--chart", "entry", "--t-max", "7"]
 FIRST_REQUEST_CODE = """import contextlib, hashlib, io, sys, time
-sys.path.insert(0, {src!r})
+sys.path.insert(0, sys.argv[1])
 import weightpoly.cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -275,7 +283,7 @@ class ChildTimed:
 
 
 def _first_request(_):
-    code = FIRST_REQUEST_CODE.format(src=os.path.join(ROOT, "src"), argv=FIRST_REQUEST)
+    code = FIRST_REQUEST_CODE.format(argv=FIRST_REQUEST)
     elapsed, exit_code, digest = _spawn(code).split()
     return ChildTimed([int(exit_code), digest], float(elapsed))
 
