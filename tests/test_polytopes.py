@@ -429,6 +429,25 @@ def test_scan_setup_is_computed_once_per_polytope_and_rounded_per_dilate():
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 5)
 
 
+def test_frontier_rounds_the_box_up_at_low_and_down_at_high():
+    # A level with no rows keeps exactly its box's integers: the scaled low
+    # end rounds up, negative fractions towards zero, and an exact quotient
+    # stays put, at every dilate.
+    def kept(box, scale, dilate=1):
+        setup = (None, None, [box], scale)
+        return sorted(x for (x,) in polytopes._frontier(setup, [([], polytopes._EACH, ())], dilate))
+
+    assert kept((7, 9), 2) == [4]
+    assert kept((-7, 7), 2) == [-3, -2, -1, 0, 1, 2, 3]
+    assert kept((6, 6), 3) == [2]
+    assert kept((-7, 7), 2, 2) == list(range(-7, 8))
+    assert kept((1, 2), 3) == []
+    assert kept((1, 2), 3, 2) == [1]
+
+    segment = HPolytope(1, ((vec([1]), Fraction(7, 2)), (vec([-1]), Fraction(7, 2))))
+    assert lattice_points(segment) == [(x,) for x in range(-3, 4)]
+
+
 def test_one_scan_setup_serves_every_dilate_of_a_sliced_pattern_polytope():
     lam, sums = (4, 3, 2, 1, 0), (2, 5, 7, 9)
     P = gt_hrep(GTSpec(5, lam, sums))
