@@ -292,9 +292,15 @@ def fm_polytope(s: SideData) -> ChartedSlice:
     the row sums are scaled by L, their common denominator (_slice_rows),
     and each rhs b becomes b / L at the end.  The diag chart rewrites each
     row by the differences of its adjacent variable entries; for m=1 these
-    are the polygon diagonals and the chart equals the triangle-inequality
-    system of polygon_hrep.  The chart and the map between the charts are
-    each assembled once, from checked integer data.  Cached per side data.
+    are the polygon diagonals, and the diag chart is the polytope of
+    polygon_hrep, with the same vertices, but not the same rows: affine_image
+    pulls each row back through -I/2, so for r = 3^5 remove_redundant keeps
+    (1/2, -1/2) <= 3/2 where polygon_hrep has (1, -1) <= 3, and for
+    r = (1,2)^4 the chart has 19 rows against polygon_hrep's 16.  Printed
+    rows depend on which system is read, which is why cli._chart_polytope
+    keeps polygon_hrep for the m=1 diag chart.  The entry chart and the map
+    between the charts are each assembled once, from checked integer data.
+    Cached per side data.
     """
     L, level, rows = _slice_rows(s)
     layout = tuple((t, i) for t, lo, hi, _ in rows for i in range(hi, lo, -1))

@@ -106,13 +106,15 @@ def _json_text(obj, indent: str = "") -> str:
 
 
 def _emit(args: argparse.Namespace, payload: Callable[[], dict],
-          text_lines: Callable[[], list[str]]) -> None:
-    """Print payload() as JSON or the lines of text_lines(), building only that one."""
+          text_lines: Callable[[], list[str]]) -> int:
+    """Print payload() as JSON or the lines of text_lines(), building only
+    that one; returns 0, a display command's exit code."""
     if args.format == "json":
         print(_json_text(payload()))
     else:
         for line in text_lines():
             print(line)
+    return 0
 
 
 def _verdict(args: argparse.Namespace, report, lines: Callable[[], list[str]]) -> int:
@@ -133,17 +135,15 @@ def _point_str(v: tuple) -> str:
 
 def _cmd_polytope(args: argparse.Namespace) -> int:
     P = remove_redundant(_chart_polytope(args))
-    _emit(args, P.to_json_dict, lambda: (
+    return _emit(args, P.to_json_dict, lambda: (
         [f"dim: {P.dim}"]
         + [f"eq: {_vec_str(a)} = {frac_str(b)}" for a, b in P.eqs]
         + [f"ineq: {_vec_str(a)} <= {frac_str(b)}" for a, b in P.ineqs]))
-    return 0
 
 
 def _cmd_vertices(args: argparse.Namespace) -> int:
     V = h_to_v(_chart_polytope(args))
-    _emit(args, V.to_json_dict, lambda: [_point_str(v) for v in V.vertices])
-    return 0
+    return _emit(args, V.to_json_dict, lambda: [_point_str(v) for v in V.vertices])
 
 
 def _cmd_fan(args: argparse.Namespace) -> int:
@@ -160,22 +160,20 @@ def _cmd_fan(args: argparse.Namespace) -> int:
 
 def _cmd_singular(args: argparse.Namespace) -> int:
     report = singularity_report(normal_fan(_chart_polytope(args)))
-    _emit(args, report.to_json_dict, lambda: (
+    return _emit(args, report.to_json_dict, lambda: (
         [f"vertex {_point_str(e.vertex)}: {e.label}" for e in report.entries]
         + ["smooth: " + ("yes" if report.is_smooth else "no")]))
-    return 0
 
 
 def _cmd_facets(args: argparse.Namespace) -> int:
     s = _parse_side(args)
     P = remove_redundant(polygon_hrep(s))
     labels = facet_labels(s, P)
-    _emit(args, lambda: {"facets": [
+    return _emit(args, lambda: {"facets": [
         {"tags": list(l.tags), "normal": [frac_str(c) for c in l.normal],
          "rhs": frac_str(l.rhs)} for l in labels]},
         lambda: [f"{','.join(l.tags)}: {_vec_str(l.normal)} <= {frac_str(l.rhs)}"
                  for l in labels])
-    return 0
 
 
 def _cmd_ehrhart(args: argparse.Namespace) -> int:
@@ -186,19 +184,17 @@ def _cmd_ehrhart(args: argparse.Namespace) -> int:
     _fit_shape(P, args.t_max)
     counts = count_dilates(P, args.t_max)
     fit = ehrhart_fit(counts)
-    _emit(args, lambda: {"counts": list(counts.counts), **fit.to_json_dict()}, lambda: (
+    return _emit(args, lambda: {"counts": list(counts.counts), **fit.to_json_dict()}, lambda: (
         ["counts: " + ",".join(str(c) for c in counts.counts),
          f"mode: {fit.mode}", f"period: {fit.period}", f"degree: {fit.degree}"]
         + [f"class {cls}: " + ",".join(frac_str(c) for c in coeffs)
            for cls, coeffs in enumerate(fit.coeffs_by_class)]))
-    return 0
 
 
 def _cmd_mult(args: argparse.Namespace) -> int:
     q = MultiplicityQuery.from_side(_parse_side(args), args.dilate)
     value = weight_multiplicity(q)
-    _emit(args, lambda: {"multiplicity": value}, lambda: [str(value)])
-    return 0
+    return _emit(args, lambda: {"multiplicity": value}, lambda: [str(value)])
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
@@ -225,14 +221,12 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
     if limit and m >= 1 and exponent >= (10 ** limit).bit_length():
         raise _InputError(f"fiber size 2^{exponent} has more than {limit} decimal digits")
     value = real_fiber_size(args.m, args.n)
-    _emit(args, lambda: {"fiber_size": value}, lambda: [str(value)])
-    return 0
+    return _emit(args, lambda: {"fiber_size": value}, lambda: [str(value)])
 
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
     fp = combinatorial_fingerprint(_chart_polytope(args))
-    _emit(args, lambda: {"fingerprint": fp}, lambda: [fp])
-    return 0
+    return _emit(args, lambda: {"fingerprint": fp}, lambda: [fp])
 
 
 def _cmd_paper_examples(args: argparse.Namespace) -> int:

@@ -27,7 +27,6 @@ from .builders import SideData, _check_m_n, dual_side_data, gt_slice
 from .exact import _require_int, clear_denominators, frac_str, is_int
 from .polytopes import (
     HPolytope,
-    _hull_dim,
     _incidence,
     _record,
     combinatorial_fingerprint,
@@ -131,16 +130,16 @@ def _interpolate(start: int, step: int, values: Sequence[int]) -> tuple[Fraction
 
 def _fit_shape(P: HPolytope, t_max: int) -> tuple[int, int]:
     """(period, degree) of the Ehrhart fit of P's counts at t = 0..t_max,
-    read off P's DD record before any count: the period its scale, the
-    degree P's dimension (0 when P is empty).
+    read off P's DD record (_incidence) before any count: the period its
+    scale, the degree polytope_dim(P) (0 when P is empty).
 
     Raises ValueError when some residue class of t mod period holds fewer
     than degree + 1 of those dilates, naming the first such class: the
     class r holds the t = r + k*period <= t_max, so it falls short exactly
     when r > t_max - degree*period.
     """
-    _, _, (period, _), faces = _incidence(P)
-    degree = max(_hull_dim(P, faces), 0)
+    period = _incidence(P)[2][0]
+    degree = max(polytope_dim(P), 0)
     residue = max(t_max + 1 - degree * period, 0)
     if residue < period:
         raise ValueError(
@@ -426,7 +425,7 @@ def verify_duality(s: SideData, t_max: int) -> DualityReport:
 
     def shape(P):
         vert_masks, _, _, faces = _incidence(P)
-        return _hull_dim(P, faces), len(vert_masks), len(faces[1])
+        return polytope_dim(P), len(vert_masks), len(faces[1])
 
     invariants = [
         *map(DualityInvariant, ("dimension", "vertex_count", "facet_count"), shape(A), shape(B)),

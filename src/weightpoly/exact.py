@@ -48,10 +48,8 @@ def _require_int(value, name: str, least: int = 1) -> None:
 
 
 def frac_str(value: Fraction | int) -> str:
-    """The text of an exact rational, "p/q" or "p"; an int (not a bool) is
-    written as it is, with no Fraction built."""
-    if type(value) is int:
-        return repr(value)
+    """The text of an exact rational, "p/q" or "p"; an int or a bool is
+    written as its Fraction."""
     return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
@@ -326,13 +324,13 @@ def lattice_index(rays: Sequence[Sequence], dim: int) -> int:
     always spans the rays' lattice.  Its diagonal is then that of the Hermite
     form (the pivot at c is the gcd of the c-th entries of the lattice
     vectors that vanish before c), and the index is its product.  Once the
-    basis is full and its diagonal all 1, no further ray can change the
-    index, so 1 is returned at once.  Raises if the rays do not span rank dim.
+    basis is full, its diagonal all 1 and its ncols columns at least dim, no
+    further ray can change the index, so 1 is returned at once.  Raises, after
+    the last ray, if fewer than dim basis rows are filled: the rays do not
+    span rank dim (always so when they have fewer than dim entries).
     """
     rows = _int_rows(rays)
     ncols = len(rows[0]) if rows else 0
-    if ncols < dim:
-        raise ValueError("rays are not full rank")
     basis: list[list[int] | None] = [None] * ncols
     filled = units = 0
     for row in rows:
@@ -356,7 +354,7 @@ def lattice_index(rays: Sequence[Sequence], dim: int) -> int:
                 piv, row, a, b = row, piv, b, a
             basis[c] = piv
             units += b == 1 < old
-        if units == ncols:
+        if units == ncols >= dim:
             return 1
     if filled < dim:
         raise ValueError("rays are not full rank")

@@ -217,13 +217,10 @@ class HPolytope:
         return self._hash
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "ineqs": [{"a": [frac_str(c) for c in a], "b": frac_str(b)}
-                      for a, b in self.ineqs],
-            "eqs": [{"a": [frac_str(c) for c in a], "b": frac_str(b)}
-                    for a, b in self.eqs],
-        }
+        def rows(pairs):
+            return [{"a": [frac_str(c) for c in a], "b": frac_str(b)} for a, b in pairs]
+
+        return {"dim": self.dim, "ineqs": rows(self.ineqs), "eqs": rows(self.eqs)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HPolytope":
@@ -744,14 +741,9 @@ def contains(P: HPolytope, point: Sequence) -> bool:
 
 
 def polytope_dim(P: HPolytope) -> int:
-    """Dimension of the affine hull, read off P's face data (_incidence);
-    -1 for the empty polytope."""
-    return _hull_dim(P, _incidence(P)[3])
-
-
-def _hull_dim(P: HPolytope, faces) -> int:
-    """The dimension rule: P.dim less the hull equalities of faces, P's face
-    data (_incidence), or -1 when faces is None (P empty)."""
+    """Dimension of the affine hull: P.dim less the hull equalities of P's
+    face data (_incidence); -1 for the empty polytope."""
+    faces = _incidence(P)[3]
     return -1 if faces is None else P.dim - len(faces[0])
 
 
@@ -1216,4 +1208,4 @@ def combinatorial_fingerprint(P: HPolytope) -> str:
     vert_sets = [frozenset(j for j, mask in enumerate(facet_masks) if mask >> k & 1)
                  for k in range(n_verts)]
     enc = canonical_incidence(len(facet_masks), None, vert_sets)
-    return f"dim={_hull_dim(P, faces)};facets={len(facet_masks)};vertices={n_verts};{enc}"
+    return f"dim={polytope_dim(P)};facets={len(facet_masks)};vertices={n_verts};{enc}"
