@@ -39,14 +39,18 @@ def _check_m_n(m, n) -> None:
         raise ValueError("need n > m+1")
 
 
-@_record(derived=("P",))
+@_record
 class SideData:
-    """Weights r_1..r_n on n points in projective m-space."""
+    """Weights r_1..r_n on n points in projective m-space.
+
+    The fields are m, n and r.  The critical level P = sum(r) / (m + 1) is a
+    derived attribute set by __post_init__, not a field, so equality, the
+    hash and the repr read m, n and r alone.
+    """
 
     m: int
     n: int
     r: tuple[Fraction, ...]
-    P: Fraction  # sum(r) / (m + 1), set by __post_init__
 
     def __post_init__(self):
         """Check m and n, parse r, check it has n positive weights and set
@@ -124,22 +128,10 @@ class ChartedSlice:
     entry_chart: HPolytope
     entry_to_diag: AffineMap
     entry_coords: tuple[tuple[int, int], ...]
-    lattice_note = (
-        "integer points of entry_chart are exactly the integral patterns; "
-        "integer points of diag_chart overcount them (congruence conditions)")
 
     @property
     def diag_chart(self) -> HPolytope:
         return affine_image(self.entry_chart, self.entry_to_diag)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "entry_chart": self.entry_chart.to_json_dict(),
-            "diag_chart": self.diag_chart.to_json_dict(),
-            "entry_to_diag": self.entry_to_diag.to_json_dict(),
-            "entry_coords": [[t, i] for t, i in self.entry_coords],
-            "lattice_note": self.lattice_note,
-        }
 
 
 def admissible(s: SideData) -> bool:

@@ -29,37 +29,33 @@ from .reference import reference_battery
 from .toric import _fan_json_text, facet_labels, normal_fan, singularity_report
 
 
-class _InputError(Exception):
-    """Bad user input that argparse cannot catch on its own."""
-
-
 def _load(path: str, what: str, parse):
     """parse(data) for the JSON data in the file at path.
 
     A file that cannot be read or decoded (nested too deep included), or
     whose data lacks a field, holds one of the wrong type or a zero
-    denominator, raises _InputError; parse's own ValueErrors pass through.
+    denominator, raises ValueError, as parse's own input errors do.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise _InputError(f"cannot read {what} file: {exc}") from exc
+        raise ValueError(f"cannot read {what} file: {exc}") from exc
     try:
         return parse(data)
     except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
-        raise _InputError(f"malformed {what} file: {exc!r}") from exc
+        raise ValueError(f"malformed {what} file: {exc!r}") from exc
 
 
 def _parse_side(args: argparse.Namespace) -> SideData:
     if args.side_file is not None:
         return _load(args.side_file, "side", SideData.from_json_dict)
     if args.m is None or args.r is None:
-        raise _InputError("need --m and --r (or --side-file)")
+        raise ValueError("need --m and --r (or --side-file)")
     try:
         r = tuple(frac(part.strip()) for part in args.r.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise _InputError(f"cannot parse --r: {exc}") from exc
+        raise ValueError(f"cannot parse --r: {exc}") from exc
     return SideData.from_weights(args.m, r)
 
 
@@ -219,7 +215,7 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
     # 2**e has at most L digits iff 2**e < 10**L iff e < (10**L).bit_length();
     # for m < 1 real_fiber_size reports the bad m instead (a limit of 0 is none).
     if limit and m >= 1 and exponent >= (10 ** limit).bit_length():
-        raise _InputError(f"fiber size 2^{exponent} has more than {limit} decimal digits")
+        raise ValueError(f"fiber size 2^{exponent} has more than {limit} decimal digits")
     value = real_fiber_size(args.m, args.n)
     return _emit(args, lambda: {"fiber_size": value}, lambda: [str(value)])
 
@@ -358,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (_InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -79,42 +79,39 @@ def _binder(cls, params: tuple[str, ...], defaults: dict):
     return binder
 
 
-def _record(cls=None, *, derived: tuple[str, ...] = ()):
+def _record(cls):
     """Make cls a frozen record: what dataclass(frozen=True) makes, without
     generating code for each class.
 
     The fields are cls's annotated names in order, and a field's default is
-    its class attribute.  __init__ takes every field but those named in
-    derived, positionally or by keyword, then calls __post_init__ when cls
-    has one, which sets the derived fields.  A call that passes every field
+    its class attribute.  __init__ takes every field, positionally or by
+    keyword, then calls __post_init__ when cls has one, which may set
+    derived attributes that are not fields.  A call that passes every field
     positionally is taken as it is; any other is bound by cls's _binder,
     compiled on the first such call, so Python itself fills the defaults and
     raises its own TypeError texts.  Records are equal when they are of one
     class and their field tuples are equal; the hash is the field tuple's,
     unless cls defines its own; the repr is Name(field=value, ...); setting
     or deleting any attribute raises _FrozenInstanceError, on an instance
-    of a subclass too; __match_args__ holds __init__'s fields.  A method cls
+    of a subclass too; __match_args__ holds the fields.  A method cls
     defines itself is kept.
     _assembled is the one other way to make a record.
     """
-    if cls is None:
-        return lambda cls: _record(cls, derived=derived)
     names = tuple(cls.__dict__.get("__annotations__", {}))
-    params = tuple(name for name in names if name not in derived)
-    defaults = {name: cls.__dict__[name] for name in params if name in cls.__dict__}
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     fields = _tuple_of(attrgetter, names)
     post_init = hasattr(cls, "__post_init__")
     binder = None
 
     def __init__(self, *args, **kwargs):
         nonlocal binder
-        if kwargs or len(args) != len(params):
+        if kwargs or len(args) != len(names):
             if binder is None:
-                binder = _binder(cls, params, defaults)
+                binder = _binder(cls, names, defaults)
             args = binder(self, *args, **kwargs)
         # Set one by one, as dataclasses does: filling self.__dict__ would
         # give the record a real dict, and every field read its slow path.
-        for name, value in zip(params, args):
+        for name, value in zip(names, args):
             object.__setattr__(self, name, value)
         if post_init:
             self.__post_init__()
@@ -141,7 +138,7 @@ def _record(cls=None, *, derived: tuple[str, ...] = ()):
         if method.__name__ not in cls.__dict__:
             method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
             setattr(cls, method.__name__, method)
-    cls.__match_args__ = params
+    cls.__match_args__ = names
     return cls
 
 
@@ -311,10 +308,6 @@ class VPolytope:
             "vertices": [[frac_str(c) for c in v] for v in self.vertices],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VPolytope":
-        return cls(data["dim"], data.get("vertices", ()))
-
 
 @_record
 class AffineMap:
@@ -353,18 +346,6 @@ class AffineMap:
     def identity(cls, dim: int) -> "AffineMap":
         rows = tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
         return cls(dim, dim, rows, tuple(Fraction(0) for _ in range(dim)))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "domain_dim": self.domain_dim,
-            "codomain_dim": self.codomain_dim,
-            "matrix": [[frac_str(c) for c in row] for row in self.matrix],
-            "offset": [frac_str(c) for c in self.offset],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AffineMap":
-        return cls(data["domain_dim"], data["codomain_dim"], data["matrix"], data["offset"])
 
 
 def empty_hrep(dim: int) -> HPolytope:

@@ -890,16 +890,13 @@ def pairwise_cone_adjacency(F):
     return edges
 
 
-def dataclass_twin(cls, derived=()):
+def dataclass_twin(cls):
     """cls's fields made into a class by dataclasses.dataclass(frozen=True):
-    the same name, module, annotations and defaults, the fields named in
-    derived not taken by __init__ (field(init=False)), and no __post_init__
-    or other method of cls."""
+    the same name, module, annotations and defaults, and no __post_init__ or
+    other method of cls."""
     namespace = {"__module__": cls.__module__, "__qualname__": cls.__qualname__,
                  "__annotations__": dict(cls.__annotations__)}
     for name in cls.__annotations__:
-        if name in derived:
-            namespace[name] = dataclasses.field(init=False)
-        elif name in cls.__dict__:
+        if name in cls.__dict__:
             namespace[name] = cls.__dict__[name]
     return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))

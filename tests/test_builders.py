@@ -10,8 +10,8 @@ from weightpoly.builders import (ChartedSlice, GTSpec, SideData, admissible,
                                  dual_side_data, entry_to_diag_map, fm_polytope,
                                  gt_hrep, gt_slice, polygon_hrep)
 from weightpoly.exact import is_int, vec
-from weightpoly.polytopes import (AffineMap, HPolytope, contains, empty_hrep,
-                                  h_to_v, lattice_points, polytope_dim,
+from weightpoly.polytopes import (AffineMap, HPolytope, _FrozenInstanceError, contains,
+                                  empty_hrep, h_to_v, lattice_points, polytope_dim,
                                   remove_redundant)
 from oracles import (fraction_route_entry_chart, gt_pattern_count, random_admissible_r,
                      reference_gt_rows, reference_slice)
@@ -43,6 +43,16 @@ def test_builder_input_errors_raise_their_pinned_texts(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_side_data_critical_level_is_derived_not_a_field():
+    s = SideData.from_weights(1, (1, 2, 3))
+    assert repr(s) == "SideData(m=1, n=3, r=(Fraction(1, 1), Fraction(2, 1), Fraction(3, 1)))"
+    assert s.P == 3
+    with pytest.raises(_FrozenInstanceError):
+        s.P = 1
+    same = SideData(1, 3, (1, 2, 3))
+    assert s == same and hash(s) == hash(same)
 
 
 def test_side_data_json_round_trip():
@@ -142,14 +152,6 @@ def test_entry_to_diag_maps_vertices_onto_polygon():
         assert sorted(h_to_v(cs.diag_chart).vertices) == polygon
 
 
-def test_charted_slice_json_shape():
-    cs = gt_slice(SideData.from_weights(1, (3, 3, 3, 3, 4)))
-    d = cs.to_json_dict()
-    assert set(d) >= {"entry_chart", "diag_chart", "entry_to_diag",
-                      "entry_coords", "lattice_note"}
-    assert cs.lattice_note
-
-
 def test_degenerate_point_case_consistent_across_charts():
     s = SideData.from_weights(1, (2, 2, 2, 2, 8))
     cs = gt_slice(s)
@@ -180,7 +182,8 @@ def test_fm_polytope_matches_the_substitution_oracle():
         assert cs.entry_chart == chart
         assert cs.entry_to_diag == to_diag
         assert cs.entry_coords == layout
-        assert cs.to_json_dict() == ChartedSlice(chart, to_diag, layout).to_json_dict()
+        oracle = ChartedSlice(chart, to_diag, layout)
+        assert cs == oracle and cs.diag_chart == oracle.diag_chart
         seen["inadmissible"] += not admissible(s)
         seen["fractional P"] += s.P.denominator != 1
 

@@ -541,9 +541,7 @@ def test_edges_at_vertex_with_rational_vertices_match_the_brute_force_edges():
 
 
 def test_affine_image_square_shear():
-    shear = AffineMap.from_json_dict({
-        "domain_dim": 2, "codomain_dim": 2,
-        "matrix": [["1", "1"], ["0", "1"]], "offset": ["0", "0"]})
+    shear = AffineMap(2, 2, (("1", "1"), ("0", "1")), ("0", "0"))
     img = affine_image(SQUARE, shear)
     assert sorted(h_to_v(img).vertices) == sorted(
         (vec([0, 0]), vec([1, 0]), vec([1, 1]), vec([2, 1])))
@@ -559,9 +557,7 @@ def test_affine_image_of_h_input_rejects_a_singular_map(f):
 
 
 def test_affine_image_embedding_into_3d():
-    emb = AffineMap.from_json_dict({
-        "domain_dim": 2, "codomain_dim": 3,
-        "matrix": [["1", "0"], ["0", "1"], ["1", "1"]], "offset": ["0", "0", "1"]})
+    emb = AffineMap(2, 3, (("1", "0"), ("0", "1"), ("1", "1")), ("0", "0", "1"))
     img = affine_image(h_to_v(SQUARE), emb)
     assert len(img.vertices) == 4
     assert all(v[2] == v[0] + v[1] + 1 for v in img.vertices)
@@ -852,15 +848,10 @@ def test_canonical_incidence_leaves_no_reference_cycle():
 def test_json_round_trips():
     H = remove_redundant(SQUARE)
     assert HPolytope.from_json_dict(json.loads(json.dumps(H.to_json_dict()))) == H
-    V = h_to_v(SQUARE)
-    assert VPolytope.from_json_dict(json.loads(json.dumps(V.to_json_dict()))) == V
-    A = AffineMap.identity(3)
-    assert AffineMap.from_json_dict(json.loads(json.dumps(A.to_json_dict()))) == A
 
 
 @pytest.mark.parametrize("build", [
-    lambda: AffineMap.from_json_dict({"domain_dim": True, "codomain_dim": True,
-                                      "matrix": [["2"]], "offset": ["0"]}),
+    lambda: AffineMap(True, True, (("2",),), ("0",)),
     lambda: AffineMap(-1, 0, (), ()),
     lambda: AffineMap(0, -1, (), ()),
     lambda: AffineMap(1, False, (), ()),
@@ -871,9 +862,9 @@ def test_affine_map_rejects_bool_and_negative_dimensions(build):
 
 
 def test_from_json_dict_rejects_a_bool_dim():
-    for cls in (HPolytope, VPolytope):
+    for build in (lambda: HPolytope.from_json_dict({"dim": True}), lambda: VPolytope(True)):
         with pytest.raises(ValueError, match="dim must be an integer"):
-            cls.from_json_dict({"dim": True})
+            build()
 
 
 @pytest.mark.parametrize("build, message", [

@@ -16,8 +16,7 @@ RECORDS = sorted((cls for module in (polytopes, builders, counting, toric, refer
                   for cls in vars(module).values()
                   if isinstance(cls, type) and cls.__module__ == module.__name__
                   and "__match_args__" in cls.__dict__), key=lambda cls: cls.__qualname__)
-DERIVED = {"SideData": ("P",)}
-TWINS = {cls: dataclass_twin(cls, DERIVED.get(cls.__name__, ())) for cls in RECORDS}
+TWINS = {cls: dataclass_twin(cls) for cls in RECORDS}
 
 values = st.one_of(st.integers(-2, 2), st.fractions(max_denominator=3), st.none(),
                    st.text("ab", max_size=2), st.tuples(st.integers(-1, 1)))
@@ -49,7 +48,7 @@ def test_every_record_class_has_a_twin_with_the_same_fields():
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
     for cls in RECORDS:
         assert cls.__match_args__ == TWINS[cls].__match_args__
-        assert "_hash" not in _names(cls) and "lattice_note" not in _names(cls)
+        assert "_hash" not in _names(cls)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
