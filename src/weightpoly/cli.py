@@ -101,12 +101,15 @@ def _json_text(obj, indent: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _emit(args: argparse.Namespace, payload: Callable[[], dict],
-          text_lines: Callable[[], list[str]]) -> int:
-    """Print payload() as JSON or the lines of text_lines(), building only
-    that one; returns 0, a display command's exit code."""
+def _emit(args: argparse.Namespace, payload: Callable[[], object],
+          text_lines: Callable[[], list[str]], write: Callable = _json_text) -> int:
+    """Print write(payload()), the JSON text, or the lines of text_lines(),
+    building only that one; returns 0, a display command's exit code.
+
+    write is _json_text but for the fan, whose payload is the Fan record
+    and whose writer is toric._fan_json_text."""
     if args.format == "json":
-        print(_json_text(payload()))
+        print(write(payload()))
     else:
         for line in text_lines():
             print(line)
@@ -144,14 +147,9 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
 
 def _cmd_fan(args: argparse.Namespace) -> int:
     F = normal_fan(_chart_polytope(args))
-    if args.format == "json":
-        print(_fan_json_text(F))  # fan_to_json_dict's text, written from the records
-        return 0
-    print(f"ambient: {F.ambient_dim}")
-    for vertex, cone in F.maximal_cones:
-        print(f"vertex {_point_str(vertex)}: rays "
-              + " ".join(_point_str(r) for r in cone.rays))
-    return 0
+    return _emit(args, lambda: F, lambda: [f"ambient: {F.ambient_dim}"] + [
+        f"vertex {_point_str(vertex)}: rays " + " ".join(_point_str(r) for r in cone.rays)
+        for vertex, cone in F.maximal_cones], _fan_json_text)
 
 
 def _cmd_singular(args: argparse.Namespace) -> int:

@@ -13,8 +13,9 @@ The left side's counts come from polytopes.count_lattice_points, cached per
 again when the identity is checked on the same chart.  The right side is
 one polynomial product for m = 1 and a signed dynamic program over range
 sums for m >= 2, in ints throughout.  Fits read their period off the DD
-record's scale, interpolate each residue class by Newton forward
-differences, and check every sample by integer Horner.
+record's scale and interpolate each residue class on all of its samples by
+Newton forward differences; a fit exists when no coefficient lies above the
+degree.
 """
 
 from __future__ import annotations
@@ -154,25 +155,25 @@ def ehrhart_fit(c: DilateCounts) -> EhrhartFit:
     Polynomial mode when the polytope has integral vertices; otherwise quasi
     mode with period = lcm of the vertex coordinate denominators (determined
     from the geometry, never guessed from the counts).  Each residue class is
-    interpolated by forward differences (_interpolate) on its first
-    degree + 1 dilates, residue + k*period; the interpolant is unique, so
-    these are the coefficients any exact solve would give.  The fit must
-    reproduce every sample; anything else raises, as do too few samples
-    (_fit_shape).  Period and dimension are read off the polytope's own DD
-    record (_incidence), the period as its
-    scale: every DD ray (t, x) is primitive, so the lcm of the t is that of
-    the vertex denominators.  An empty polytope has no ray, so scale 1, and
-    is fitted at degree 0 to its count 0 at t = 0: the zero fit.
+    interpolated by forward differences (_interpolate) on all of its
+    dilates, residue + k*period, and the fit keeps the first degree + 1
+    coefficients; a nonzero coefficient above degree raises, as do too few
+    samples (_fit_shape).  The interpolant through given samples is unique,
+    so this accepts exactly the counts that the polynomial through each
+    class's first degree + 1 samples reproduces, with that polynomial's
+    coefficients.  Period and dimension are read off the polytope's own DD
+    record (_incidence), the period as its scale: every DD ray (t, x) is
+    primitive, so the lcm of the t is that of the vertex denominators.  An
+    empty polytope has no ray, so scale 1, and is fitted at degree 0 to its
+    count 0 at t = 0: the zero fit.
     """
     period, degree = _fit_shape(c.polytope, c.t_max)
     mode = "polynomial" if period == 1 else "quasi"
-    coeffs_by_class = tuple(
-        _interpolate(residue, period, [c.count(residue + k * period) for k in range(degree + 1)])
-        for residue in range(period))
-    fit = EhrhartFit(mode, period, degree, coeffs_by_class)
-    if any(fit.evaluate(t) != c.count(t) for t in range(c.t_max + 1)):
+    coeffs_by_class = [_interpolate(residue, period, c.counts[residue::period])
+                       for residue in range(period)]
+    if any(any(cs[degree + 1:]) for cs in coeffs_by_class):
         raise ValueError("counts not (quasi-)polynomial at this period")
-    return fit
+    return EhrhartFit(mode, period, degree, tuple(cs[:degree + 1] for cs in coeffs_by_class))
 
 
 @_record

@@ -81,8 +81,10 @@ def _gauss_jordan(rows: Sequence[Sequence], ncols: int
     the earlier ones.  Returns (reduced pivot rows, their pivot columns), in
     the order found; sorted by pivot column they are the unique reduced row
     echelon form.  Stops once it has ncols pivots, since no later row can add
-    one.
+    one.  Rows of unequal lengths raise ValueError("ragged matrix").
     """
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
     reduced: list[list[Fraction]] = []
     pivots: list[int] = []
     for raw in rows:
@@ -122,8 +124,6 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[str, Vec | No
     if len(rhs) != m:
         raise ValueError("right-hand side length does not match row count")
     ncols = len(rows[0]) if m else 0
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("ragged matrix")
     reduced, pivots = _gauss_jordan(
         [list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
     if ncols in pivots:
@@ -137,7 +137,10 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[str, Vec | No
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
-    """Basis of {x : A x = 0} over the rationals (reduced row echelon form)."""
+    """Basis of {x : A x = 0} over the rationals (reduced row echelon form);
+    every row of A must have ncols entries."""
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("row length does not match ncols")
     reduced, pivots = _gauss_jordan(rows, ncols)
     basis = []
     for fc in range(ncols):
@@ -290,6 +293,8 @@ def integer_solutions(rows: Sequence[Sequence], rhs: Sequence, width: int
     rows are (0, k) for k a basis of the kernel lattice of A.  t0 = 0 (and x0
     None) means A x = b has no rational solution.
     """
+    if len(rows) != len(rhs):
+        raise ValueError("right-hand side length does not match row count")
     basis = hnf_rows(integer_kernel_basis(
         [(-frac(b),) + tuple(row) for row, b in zip(rows, rhs)], width + 1))
     if basis and basis[0][0]:

@@ -319,9 +319,8 @@ class AffineMap:
     offset: Vec
 
     def __post_init__(self):
-        for d in (self.domain_dim, self.codomain_dim):
-            if not is_int(d) or d < 0:
-                raise ValueError("map dimensions must be integers >= 0")
+        _check_dim(self.domain_dim)
+        _check_dim(self.codomain_dim)
         matrix = tuple(vec(row) for row in self.matrix)
         offset = vec(self.offset)
         if len(matrix) != self.codomain_dim or len(offset) != self.codomain_dim:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .builders import SideData, triangle_inequalities
@@ -231,10 +230,9 @@ def facet_labels(s: SideData, P: HPolytope) -> list[FacetLabel]:
     read x_1 = 0) put several tags on one facet.  A facet matching nothing
     raises, since the catalogue is exhaustive for these polytopes.  The
     lookup key of a facet is its row of P._coprime, and each label holds
-    that row as Fractions (_fractions).
+    that row as Fractions (_fractions).  Side data with m != 1 has no
+    catalogue: triangle_inequalities raises for it.
     """
-    if s.m != 1:
-        raise ValueError("facet catalogue applies to m=1 only")
     cat = _catalogue(s)
     labels = []
     for (a, b), key in zip(P.ineqs, P._coprime):
@@ -296,7 +294,9 @@ def _fan_json_text(F: Fan) -> str:
     Each distinct ray tuple is written once per call, keyed on its id: F
     holds every tuple for the whole call, so no id is reused, and a fan from
     normal_fan shares one tuple per edge direction (the n=10 equal-weight
-    fan's 1,302 rays are 280 tuples).
+    fan's 1,302 rays are 280 tuples).  Strings are quoted as they are: a
+    frac_str text and the status words hold only ASCII digits, letters, "-"
+    and "/", which JSON writes unescaped.
     """
     ray_text: dict[int, str] = {}
     cones = []
@@ -308,10 +308,8 @@ def _fan_json_text(F: Fan) -> str:
                 text = ray_text[id(ray)] = _json_list(
                     ",\n          ".join(map(repr, ray)), "        ")
             texts.append(text)
-        vertex = _json_list(",\n        ".join(
-            [encode_basestring_ascii(frac_str(c)) for c in v]), "      ")
+        vertex = _json_list(",\n        ".join([f'"{frac_str(c)}"' for c in v]), "      ")
         rays = _json_list(",\n        ".join(texts), "      ")
-        status = encode_basestring_ascii(e.json_status)
         cones.append(f'{{\n      "vertex": {vertex},\n      "rays": {rays},'
-                     f'\n      "index": {e.index!r},\n      "status": {status}\n    }}')
+                     f'\n      "index": {e.index!r},\n      "status": "{e.json_status}"\n    }}')
     return '{\n  "cones": ' + _json_list(",\n    ".join(cones), "  ") + "\n}"

@@ -127,6 +127,34 @@ def small_entry_charts(draw):
     return m, gt_slice(SideData.from_weights(m, r)).entry_chart
 
 
+def test_ehrhart_fit_rejects_a_bad_sample_in_any_residue_class():
+    message = r"^counts not \(quasi-\)polynomial at this period$"
+    tampered_classes = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(small_entry_charts())
+    def check(case):
+        _, P = case
+        period, degree = _incidence(P)[2][0], max(polytope_dim(P), 0)
+        t_max = period * (degree + 2) - 1  # degree + 2 samples in each class
+        counts = count_dilates(P, t_max)
+        expected = EhrhartFit("polynomial" if period == 1 else "quasi", period, degree, tuple(
+            tuple(vandermonde_fit(nodes, [counts.count(t) for t in nodes]))
+            for nodes in (range(residue, t_max + 1, period)[:degree + 1]
+                          for residue in range(period))))
+        assert all(expected.evaluate(t) == counts.count(t) for t in range(t_max + 1))
+        assert ehrhart_fit(counts) == expected
+        for t in range(period * (degree + 1), t_max + 1):
+            raised = list(counts.counts)
+            raised[t] += 1
+            with pytest.raises(ValueError, match=message):
+                ehrhart_fit(DilateCounts(P, tuple(raised)))
+            tampered_classes.add(t % period)
+
+    check()
+    assert {0, 1} <= tampered_classes
+
+
 def test_the_fit_period_is_the_lcm_of_the_vertex_denominators():
     seen = set()
 

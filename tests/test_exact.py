@@ -39,8 +39,13 @@ def test_vec_rejects_a_string_or_a_json_object(values):
     (lambda: solve_integer([(1,)], (1, 2)), "right-hand side length does not match row count"),
     (lambda: lattice_index([(1, 0)], 3), "rays are not full rank"),
     (lambda: lattice_index([(1, 0), (0, 1)], 3), "rays are not full rank"),
+    (lambda: rank([(1,), (3, 4)]), "ragged matrix"),
+    (lambda: nullspace([(1, 2, 3)], 2), "row length does not match ncols"),
+    (lambda: integer_solutions([(1, 0), (0, 1)], [1], 2),
+     "right-hand side length does not match row count"),
 ], ids=["dot", "solve_linear-rhs", "solve_linear-ragged", "mat_inverse", "solve_integer-rhs",
-        "lattice_index-width", "lattice_index-unit-basis-too-narrow"])
+        "lattice_index-width", "lattice_index-unit-basis-too-narrow", "rank-ragged",
+        "nullspace-wide-row", "integer_solutions-rhs"])
 def test_malformed_linear_algebra_input_raises_its_pinned_text(call, message):
     with pytest.raises(ValueError) as exc:
         call()

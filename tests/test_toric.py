@@ -277,7 +277,7 @@ def test_fan_rejects_malformed_maximal_cones(cones):
     (lambda: Fan(2, (((0,), Cone(((1, 0),))),)), "cone vertex has wrong dimension"),
     (lambda: Fan(1, (((0,), Cone(((1, 0),))),)), "cone ray has wrong dimension"),
     (lambda: facet_labels(SideData.from_weights(2, (1, 1, 1, 1)), box2()),
-     "facet catalogue applies to m=1 only"),
+     "diagonal coordinates exist only for m=1"),
 ], ids=["cone-vertex", "cone-ray", "facet-labels-m2"])
 def test_malformed_toric_input_raises_its_pinned_text(call, message):
     with pytest.raises(ValueError) as exc:
