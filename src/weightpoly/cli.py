@@ -26,7 +26,8 @@ from .counting import (MultiplicityQuery, _fit_shape, count_dilates, ehrhart_fit
 from .exact import _require_int, frac, frac_str
 from .polytopes import HPolytope, combinatorial_fingerprint, h_to_v, remove_redundant
 from .reference import reference_battery
-from .toric import _fan_json_text, facet_labels, normal_fan, singularity_report
+from .toric import (_fan_json_text, _singularity_json_text, facet_labels, normal_fan,
+                    singularity_report)
 
 
 def _load(path: str, what: str, parse):
@@ -76,9 +77,9 @@ def _json_text(obj, indent: str = "") -> str:
 
     Containers, str and int are written here, every other scalar by
     json.dumps; dict keys must be str, as in every payload of this module.
-    A tuple is written as a list, as json.dumps writes it.  The fan, the
-    one payload whose rays many cones share, has its own writer
-    (toric._fan_json_text).
+    A tuple is written as a list, as json.dumps writes it.  The fan and its
+    singularity report, whose cones share rays and vertex texts, have their
+    own writers (toric._fan_json_text, toric._singularity_json_text).
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -106,8 +107,9 @@ def _emit(args: argparse.Namespace, payload: Callable[[], object],
     """Print write(payload()), the JSON text, or the lines of text_lines(),
     building only that one; returns 0, a display command's exit code.
 
-    write is _json_text but for the fan, whose payload is the Fan record
-    and whose writer is toric._fan_json_text."""
+    write is _json_text but for fan and singular, whose payload is the Fan
+    record and whose writers are toric._fan_json_text and
+    toric._singularity_json_text; both read the fan's cached vertex texts."""
     if args.format == "json":
         print(write(payload()))
     else:
@@ -153,10 +155,11 @@ def _cmd_fan(args: argparse.Namespace) -> int:
 
 
 def _cmd_singular(args: argparse.Namespace) -> int:
-    report = singularity_report(normal_fan(_chart_polytope(args)))
-    return _emit(args, report.to_json_dict, lambda: (
+    F = normal_fan(_chart_polytope(args))
+    report = singularity_report(F)
+    return _emit(args, lambda: F, lambda: (
         [f"vertex {_point_str(e.vertex)}: {e.label}" for e in report.entries]
-        + ["smooth: " + ("yes" if report.is_smooth else "no")]))
+        + ["smooth: " + ("yes" if report.is_smooth else "no")]), _singularity_json_text)
 
 
 def _cmd_facets(args: argparse.Namespace) -> int:

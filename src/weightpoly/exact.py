@@ -7,8 +7,9 @@ cross process boundaries as "p/q" (or "p") strings.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
@@ -176,7 +177,7 @@ def clear_denominators(v: Sequence) -> tuple[int, tuple[int, ...]]:
     return t, tuple([c.numerator * (t // c.denominator) for c in v])
 
 
-def _all_int(values: Sequence) -> bool:
+def _all_int(values: Iterable) -> bool:
     """Whether every entry is an int (a bool is not); one type scan."""
     return {*map(type, values)} <= {int}
 
@@ -320,8 +321,10 @@ def lattice_index(rays: Sequence[Sequence], dim: int) -> int:
     """Index in Z^dim of the sublattice generated by integer rays.
 
     The product of the pivots of their Hermite normal form (|det| for dim
-    independent rays).  Every ray is parsed first (_int_rows), so a bad entry
-    raises wherever it sits.  The rays then go one at a time into a
+    independent rays).  Rays whose entries are all ints, as a Cone holds
+    them, are read as they are after one type scan over every entry (they
+    are never written to); any other input is parsed first (_int_rows), so
+    a bad entry raises wherever it sits.  The rays then go one at a time into a
     triangular basis, basis[c] being the row that leads at column c with a
     positive entry there: a ray is reduced by the basis rows in column
     order, and where it meets a basis row at that row's leading column the
@@ -334,9 +337,9 @@ def lattice_index(rays: Sequence[Sequence], dim: int) -> int:
     the last ray, if fewer than dim basis rows are filled: the rays do not
     span rank dim (always so when they have fewer than dim entries).
     """
-    rows = _int_rows(rays)
+    rows = rays if _all_int(chain.from_iterable(rays)) else _int_rows(rays)
     ncols = len(rows[0]) if rows else 0
-    basis: list[list[int] | None] = [None] * ncols
+    basis: list[Sequence[int] | None] = [None] * ncols
     filled = units = 0
     for row in rows:
         for c in range(ncols):

@@ -14,8 +14,11 @@ exact module: ints pass as they are, integral rationals convert to ints, and
 a float, a bool or a non-integral rational raises ValueError.  normal_fan
 does not rebuild its cones that way: it assembles each cone, and the fan,
 from the vertex graph, whose rays are already primitive integer edge
-directions, one tuple per distinct direction; _fan_json_text writes the
-fan's JSON straight from these records, each shared ray's text once.
+directions, one tuple per distinct direction.  The two JSON displays of a
+fan, _fan_json_text (the fan) and _singularity_json_text (its singularity
+report), are written straight from these records: each shared ray's text
+once per call, and each cone's vertex text once per fan (Fan._vertex_json),
+which both read.
 
 Facets of the m=1 diagonal polytopes are matched against the fixed catalogue
 of supporting hyperplanes x_1 = r_1 +- r_2, x_{i-1} +- x_{i-2} = r_i,
@@ -69,7 +72,11 @@ class Cone:
 
 @_record
 class Fan:
-    """One cone per vertex of the source polytope, tagged with it; its edges as pairs i < j."""
+    """One cone per vertex of the source polytope, tagged with it; its edges as pairs i < j.
+
+    Two derived values are cached on the fan: its singularity report
+    (singularities) and each cone's vertex JSON text (_vertex_json).
+    """
 
     ambient_dim: int
     maximal_cones: tuple[tuple[Vec, Cone], ...]
@@ -122,6 +129,15 @@ class Fan:
             entries.append(VertexSingularity(v, kind, idx))
         return SingularityReport(tuple(entries))
 
+    @functools.cached_property
+    def _vertex_json(self) -> tuple[str, ...]:
+        """Each cone's vertex as the JSON text of its frac_str list at the
+        depth where both JSON writers put it (a "vertex" value of an item of
+        the top object's list), once per fan.  A frac_str text holds only
+        ASCII digits, "-" and "/", which JSON writes unescaped."""
+        return tuple([_json_list(",\n        ".join([f'"{frac_str(c)}"' for c in v]), "      ")
+                      for v, _ in self.maximal_cones])
+
 
 @_record
 class VertexSingularity:
@@ -139,8 +155,12 @@ class VertexSingularity:
 
     @property
     def json_status(self) -> str:
-        return {"smooth": "smooth", "cyclic_quotient": "cyclic",
-                "non_simplicial": "nonsimplicial"}[self.kind]
+        return _JSON_STATUS[self.kind]
+
+
+# The JSON status word of each kind.
+_JSON_STATUS = {"smooth": "smooth", "cyclic_quotient": "cyclic",
+                "non_simplicial": "nonsimplicial"}
 
 
 @_record
@@ -269,7 +289,7 @@ def fan_to_json_dict(F: Fan) -> dict:
 
     The rays are the cones' own int tuples, which JSON writes as lists.
     `fan --format json` prints _fan_json_text(F), which writes this data's
-    text straight from the records.
+    text straight from the records; this dict is its test oracle.
     """
     report = F.singularities
     return {"cones": [
@@ -294,13 +314,13 @@ def _fan_json_text(F: Fan) -> str:
     Each distinct ray tuple is written once per call, keyed on its id: F
     holds every tuple for the whole call, so no id is reused, and a fan from
     normal_fan shares one tuple per edge direction (the n=10 equal-weight
-    fan's 1,302 rays are 280 tuples).  Strings are quoted as they are: a
-    frac_str text and the status words hold only ASCII digits, letters, "-"
-    and "/", which JSON writes unescaped.
+    fan's 1,302 rays are 280 tuples).  Each vertex's text is the fan's
+    cached F._vertex_json, which _singularity_json_text reads too.  The
+    status words hold only ASCII letters, which JSON writes unescaped.
     """
     ray_text: dict[int, str] = {}
     cones = []
-    for (v, cone), e in zip(F.maximal_cones, F.singularities.entries):
+    for (_, cone), vertex, e in zip(F.maximal_cones, F._vertex_json, F.singularities.entries):
         texts = []
         for ray in cone.rays:
             text = ray_text.get(id(ray))
@@ -308,8 +328,18 @@ def _fan_json_text(F: Fan) -> str:
                 text = ray_text[id(ray)] = _json_list(
                     ",\n          ".join(map(repr, ray)), "        ")
             texts.append(text)
-        vertex = _json_list(",\n        ".join([f'"{frac_str(c)}"' for c in v]), "      ")
         rays = _json_list(",\n        ".join(texts), "      ")
         cones.append(f'{{\n      "vertex": {vertex},\n      "rays": {rays},'
                      f'\n      "index": {e.index!r},\n      "status": "{e.json_status}"\n    }}')
     return '{\n  "cones": ' + _json_list(",\n    ".join(cones), "  ") + "\n}"
+
+
+def _singularity_json_text(F: Fan) -> str:
+    """json.dumps(F.singularities.to_json_dict(), indent=2), byte for byte,
+    written from the records as _fan_json_text writes the fan: each entry
+    from one template, its vertex text the fan's cached F._vertex_json.
+    `singular --format json` prints it; to_json_dict is its test oracle."""
+    entries = [f'{{\n      "vertex": {vertex},\n      "status": "{e.json_status}",'
+               f'\n      "index": {e.index!r}\n    }}'
+               for vertex, e in zip(F._vertex_json, F.singularities.entries)]
+    return '{\n  "vertices": ' + _json_list(",\n    ".join(entries), "  ") + "\n}"

@@ -336,6 +336,60 @@ def test_lattice_index_parses_every_ray_before_it_stops_early():
     assert lattice_index([(2, 0), (0, 1), (3, 0)], 2) == 1
 
 
+@pytest.mark.parametrize("rays, index", [
+    ([(Fraction(2), 1), (0, Fraction(3, 3))], 2),
+    ([("2", "1"), (0, "3")], 6),
+    ([(1, 0), ("0", Fraction(4, 2)), (0, "3")], 1),
+    ([[Fraction(-6, 3), 0], ["0", "5"]], 10),
+], ids=["integral-fractions", "digit-strings", "mixed", "lists"])
+def test_lattice_index_reads_integral_fractions_and_digit_strings(rays, index):
+    assert lattice_index(rays, 2) == index
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (True, TypeError, "not a rational: True"),
+    (False, TypeError, "not a rational: False"),
+    (1.0, TypeError, "not an exact rational: 1.0 (floats are not accepted)"),
+    (Fraction(1, 2), ValueError, "lattice data must be integral"),
+    ("3/2", ValueError, "lattice data must be integral"),
+], ids=["true", "false", "float", "fraction", "string"])
+def test_lattice_index_refuses_a_bad_entry_after_all_int_rays(bad, error, message):
+    # The bad entry sits after rays that alone make the index 1.
+    for rays in ([(1, 0), (0, 1), (0, bad)], [(bad, 0), (1, 0), (0, 1)]):
+        with pytest.raises(error) as exc:
+            lattice_index(rays, 2)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rays, dim", [
+    ([], 1), ([()], 1), ([(1,), (2,)], 2), ([(1, 0), (2, 0)], 2), ([(0, 0, 0)], 3),
+    (((1, 0, 0), (0, 1, 0)), 3), ([(1, 0), (0, 1)], 3)],
+    ids=["no-rays", "empty-ray", "short", "rank-1", "zero", "two-of-three", "too-narrow"])
+def test_lattice_index_of_short_or_rank_deficient_int_rays_raises_its_pinned_text(rays, dim):
+    with pytest.raises(ValueError) as exc:
+        lattice_index(rays, dim)
+    assert str(exc.value) == "rays are not full rank"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(wide_cones())
+def test_lattice_index_of_int_rays_is_the_int_rows_route_and_leaves_them_as_they_are(rows):
+    dim = len(rows[0])
+    given_rows = [list(row) for row in rows]
+    # One Fraction entry sends every ray through _int_rows, to the same ints.
+    parsed = [[Fraction(rows[0][0]), *rows[0][1:]], *rows[1:]]
+    try:
+        expected = lattice_index(parsed, dim)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            lattice_index(rows, dim)
+        assert str(got.value) == str(exc)
+    else:
+        assert lattice_index(rows, dim) == expected
+        assert lattice_index(tuple(map(tuple, rows)), dim) == expected
+    assert rows == given_rows
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.tuples(st.integers(1, 4), st.integers(0, 3)).flatmap(
     lambda d: integer_matrices(d[0] + d[1], d[0])))

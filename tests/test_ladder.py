@@ -37,13 +37,14 @@ def test_every_private_name_the_ladder_reads_exists():
     ladder = _load_ladder()
     for module, name in ((polytopes, "_narrow"), (polytopes, "_incidence"),
                          (polytopes, "_scan_setup"), (polytopes, "_vertex_graph"),
-                         (toric, "_fan_json_text")):
+                         (toric, "_fan_json_text"), (toric, "_singularity_json_text")):
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
     # The names it imports are the package's own objects.
     assert ladder._incidence is polytopes._incidence
     assert ladder._scan_setup is polytopes._scan_setup
     assert ladder._vertex_graph is polytopes._vertex_graph
     assert ladder._fan_json_text is toric._fan_json_text
+    assert ladder._singularity_json_text is toric._singularity_json_text
     assert ladder.polytopes is polytopes
 
 

@@ -5,17 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from weightpoly import exact, polytopes
+from weightpoly import exact, polytopes, toric
 from weightpoly.builders import SideData, gt_slice, polygon_hrep, triangle_inequalities
 from weightpoly.exact import primitive_vector, vec
 from weightpoly.polytopes import (HPolytope, VPolytope, _joint_primitive, h_to_v,
-                                  remove_redundant, v_to_h)
-from weightpoly.toric import (Cone, Fan, _catalogue, _fan_json_text, facet_labels,
+                                  polytope_dim, remove_redundant, v_to_h)
+from weightpoly.toric import (_JSON_STATUS, Cone, Fan, VertexSingularity, _catalogue,
+                              _fan_json_text, _singularity_json_text, facet_labels,
                               fan_fingerprint, fan_to_json_dict, normal_fan,
                               singularity_report)
 from caches import clear_caches
 from oracles import pairwise_cone_adjacency
-from test_polytopes import full_dimensional_polytopes
+from test_polytopes import full_dimensional_polytopes, small_bounded_polytopes
 
 
 def box2():
@@ -226,6 +227,73 @@ def test_polygon_fan_json_text_is_json_dumps_of_the_fan_dict(r, chart):
 ], ids=["fraction-vertex", "separate-ray-tuples", "no-cones", "point"])
 def test_hand_built_fan_json_text_is_json_dumps_of_the_fan_dict(F):
     assert_fan_json_text_is_json_dumps(F)
+
+
+def assert_singularity_json_text_is_json_dumps(F):
+    assert _singularity_json_text(F) == json.dumps(F.singularities.to_json_dict(), indent=2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_bounded_polytopes())
+def test_singularity_json_text_is_json_dumps_of_the_report_dict(P):
+    if polytope_dim(P) == P.dim:
+        assert_singularity_json_text_is_json_dumps(normal_fan(P))
+
+
+# The polygon-session bases, then its equal-weight sizes.
+@pytest.mark.parametrize("r", [
+    (1, 2, 2, 3, 3, 4), (1, 2, 2, 3, 3, 4, 4), (1, 1, 2, 2, 3, 3, 4, 5),
+    (1, 2, 1, 3, 2, 4, 1, 3, 2), (1, 1, 1, 1, 1, 1, 1), ("5/2", 3, 4, 5, 6, 7),
+    *((4,) * n for n in (6, 7, 8, 9, 10))])
+@pytest.mark.parametrize("chart", ["diag", "entry"])
+def test_polygon_singularity_json_text_is_json_dumps_of_the_report_dict(r, chart):
+    s = SideData.from_weights(1, r)
+    assert_singularity_json_text_is_json_dumps(
+        normal_fan(polygon_hrep(s) if chart == "diag" else gt_slice(s).entry_chart))
+
+
+OCTAHEDRON = VPolytope.from_points(3, [vec([1, 0, 0]), vec([-1, 0, 0]), vec([0, 1, 0]),
+                                       vec([0, -1, 0]), vec([0, 0, 1]), vec([0, 0, -1])])
+
+
+@pytest.mark.parametrize("F", [
+    Fan(2, (((Fraction(1, 2), Fraction(-3)), Cone(((1, 0), (0, 1)))),)),
+    Fan(2, (((Fraction(-7, 3), 0), Cone(((1, 0), (1, 2)))),
+            ((1, Fraction(5, 4)), Cone(((1, 0), (0, 1), (-1, 1)))))),
+    Fan(3, (((0, 0, Fraction(1, 2)), Cone(((1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)))),)),
+    normal_fan(v_to_h(OCTAHEDRON)),
+    Fan(2, ()),
+    normal_fan(HPolytope(0, (), ())),
+], ids=["fraction-vertex", "cyclic-and-non-simplicial", "non-simplicial-3d", "octahedron",
+        "no-cones", "point"])
+def test_hand_built_singularity_json_text_is_json_dumps_of_the_report_dict(F):
+    assert_singularity_json_text_is_json_dumps(F)
+    # The fan's JSON reads the same cached vertex texts.
+    assert_fan_json_text_is_json_dumps(F)
+
+
+def test_json_status_reads_the_one_mapping():
+    assert _JSON_STATUS == {"smooth": "smooth", "cyclic_quotient": "cyclic",
+                            "non_simplicial": "nonsimplicial"}
+    for kind, word in _JSON_STATUS.items():
+        assert VertexSingularity((), kind, 1).json_status == word
+
+
+def test_both_fan_writers_format_each_vertex_once_per_fan(monkeypatch):
+    F = Fan(2, (((Fraction(1, 2), Fraction(-3)), Cone(((1, 0), (0, 1)))),
+                ((0, 1), Cone(((-1, 0), (0, -1))))))
+    calls = []
+    real = toric.frac_str
+
+    def counted(value):
+        calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(toric, "frac_str", counted)
+    fan_text, report_text = _fan_json_text(F), _singularity_json_text(F)
+    assert len(calls) == 4
+    assert _fan_json_text(F) == fan_text and _singularity_json_text(F) == report_text
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("r", [(3, 3, 3, 3, 3), (3, 3, 3, 3, 4), ("5/2", 3, 4, 5, 6, 7),

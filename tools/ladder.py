@@ -1,8 +1,8 @@
 """Time the ladder: chart construction, lattice counts and a lattice listing,
 weight multiplicities, vertex and facet enumeration, the vertex graph, the
-fan's singularities, its JSON text and the fan fingerprint at fixed sizes,
-each row from cold caches, and the start-up of a fresh interpreter importing
-the CLI.
+fan's singularities, the JSON texts of the fan and of its singularity
+report and the fan fingerprint at fixed sizes, each row from cold caches,
+and the start-up of a fresh interpreter importing the CLI.
 
     python3 tools/ladder.py [--out BENCH.json]
 
@@ -20,8 +20,8 @@ polygon_hrep's cache after; the remove_redundant gt_hrep row builds the
 slice and its incidence; each h_to_v row builds its polygon, chart or
 gt_hrep slice alone, so its double description is timed; the vertex-graph row builds the
 polygon's incidence (its double description), the fan rows its vertex
-graph, the fan JSON row the fan and its singularities, and the v_to_h rows
-the VPolytope of the polygon's vertices (in Q^8, through a fixed injective
+graph, the fan and singular JSON rows the fan and its singularities, and
+the v_to_h rows the VPolytope of the polygon's vertices (in Q^8, through a fixed injective
 map, for the second).  The start-up row
 prepares nothing; each run is a fresh interpreter that imports
 weightpoly.cli, timed from spawn to exit, and its values
@@ -82,7 +82,8 @@ from weightpoly.polytopes import (VPolytope, _incidence, _scan_setup,  # noqa: E
                                   _vertex_graph, count_lattice_points, h_to_v,
                                   lattice_points, polytope_dim, remove_redundant,
                                   v_to_h)
-from weightpoly.toric import _fan_json_text, fan_fingerprint, normal_fan  # noqa: E402
+from weightpoly.toric import (_fan_json_text, _singularity_json_text,  # noqa: E402
+                              fan_fingerprint, normal_fan)
 
 
 def _scanned(polytope):
@@ -204,10 +205,12 @@ def _singularities(P):
     return normal_fan(P).singularities
 
 
-def _fan_json(P):
-    """The byte count and sha256 of the fan's JSON, as `fan --format json` writes it."""
-    text = _fan_json_text(normal_fan(P)).encode()
-    return [len(text), hashlib.sha256(text).hexdigest()]
+def _json_bytes(write):
+    """The byte count and sha256 of write(normal_fan(P)), a fan JSON writer."""
+    def run(P):
+        text = write(normal_fan(P)).encode()
+        return [len(text), hashlib.sha256(text).hexdigest()]
+    return run
 
 
 def _polygon_vertices(r, embed=None):
@@ -347,7 +350,9 @@ ROWS = {
     "normal_fan(P).singularities polygon r=(1,2)^6 (cones, singular cones)":
         (_polygon((1, 2) * 6, _vertex_graph), _cones_and_singular),
     "fan JSON polygon r=(1,2)^6 (bytes, sha256)":
-        (_polygon((1, 2) * 6, _singularities), _fan_json),
+        (_polygon((1, 2) * 6, _singularities), _json_bytes(_fan_json_text)),
+    "singular JSON polygon r=(1,2)^6 (bytes, sha256)":
+        (_polygon((1, 2) * 6, _singularities), _json_bytes(_singularity_json_text)),
     "v_to_h vertices of polygon r=(1,2)^5 (facets, eqs, sha256)":
         (_polygon_vertices((1, 2) * 5), _facets_eqs_record),
     "v_to_h vertices of polygon r=(1,...,9) mapped into Q^8 (facets, eqs, sha256)":
