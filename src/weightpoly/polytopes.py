@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .exact import (
     Vec,
+    _all_int,
     _gauss_jordan,
     _interval_box,
     _require_int,
@@ -1024,8 +1026,8 @@ def restrict_to_affine_hull(P: HPolytope) -> tuple[HPolytope, AffineMap]:
 
 
 class _CanonicalSearch:
-    """State of one canonical_incidence call: the incidence, and the leaves and
-    automorphisms found so far."""
+    """State of one canonical_incidence call: the incidence, the leaves and
+    automorphisms found so far, and the depth the search is unwinding to."""
 
     def __init__(self, names: list[str], rights: list[frozenset[int]]):
         self.names = names  # repr of each left item's label
@@ -1038,8 +1040,10 @@ class _CanonicalSearch:
         self.right_colors = [_tuple_of(itemgetter, s) for s in self.rights]
         self.held_ranks = [_tuple_of(itemgetter, held) for held in holders]
         self.digits = [str(i) for i in range(len(names))]
-        self.leaves: dict[str, tuple[int, ...]] = {}  # encoding -> first order
+        # encoding -> the order and the individualization path of its first leaf
+        self.leaves: dict[str, tuple[list[int], tuple[int, ...]]] = {}
         self.automorphisms: list[tuple[int, ...]] = []
+        self.jump: int | None = None  # set by leaf: the depth to unwind to
 
     def refine(self, colors: list[int]) -> list[int]:
         """Color refinement: an item's key is its color and the sorted colors of
@@ -1052,11 +1056,23 @@ class _CanonicalSearch:
         at once.  Each right set's sorted colors are replaced by their rank
         among the distinct ones; ranking is monotone, so the keys compare, and
         the colors come out, as with the sorted colors themselves.
+
+        A round whose right sets have no more distinct keys than the round
+        before returns its input before it builds any item key.  Each round's
+        coloring refines the one before, and so does its partition of the
+        right sets by key: an equal count is an equal partition.  Each color
+        class was made by one multiset of the classes of the right sets
+        holding its items; with the partition unchanged, so are those
+        multisets, and the round would split nothing.
         """
         classes = max(colors, default=-1) + 1
+        right_classes = -1
         while classes < len(colors):
             right_keys = [tuple(sorted(get(colors))) for get in self.right_colors]
             key_rank = {key: pos for pos, key in enumerate(sorted(set(right_keys)))}
+            if len(key_rank) == right_classes:
+                break
+            right_classes = len(key_rank)
             right_ranks = [key_rank[key] for key in right_keys]
             keys = [(c, tuple(sorted(get(right_ranks))))
                     for c, get in zip(colors, self.held_ranks)]
@@ -1068,41 +1084,55 @@ class _CanonicalSearch:
             classes = len(ranking)
         return colors
 
-    def leaf(self, colors: list[int]) -> str:
-        """Encode a discrete coloring (colors are then the positions 0..n-1), and
-        record an automorphism when an earlier leaf encoded the same way.
+    def leaf(self, colors: list[int], fixed: tuple[int, ...]) -> str:
+        """Encode a discrete coloring (colors are then the positions 0..n-1, so
+        the order is their inverse permutation), and record an automorphism
+        when an earlier leaf encoded the same way.
 
         Equal encodings are proof enough, with no check of g: g maps the
         earlier leaf's item at each position to this leaf's item there; the
         two orders read the same names position by position (names are
         label reprs, literals with no top-level comma), so g keeps labels;
         and they give the same multiset of right sets as position lists, so
-        g maps the right sets onto the right sets."""
-        order = tuple(sorted(range(len(colors)), key=colors.__getitem__))
+        g maps the right sets onto the right sets.
+
+        When g also maps the earlier leaf's individualization path onto this
+        leaf's, `fixed`, position by position, it fixes their common prefix,
+        the path of their deepest common ancestor A, and maps A's child on
+        the earlier path, whose subtree is searched, onto A's child on this
+        path: the rest of this child's subtree holds only encodings already
+        met, and self.jump is set to A's depth, for search to unwind to."""
+        order = [0] * len(colors)
+        for i, c in enumerate(colors):
+            order[c] = i
         left_part = ",".join([self.names[i] for i in order])
         digits = self.digits
         right_part = "|".join(sorted([
             ",".join([digits[c] for c in sorted(get(colors))])
             for get in self.right_colors]))
         enc = f"L[{left_part}];R[{right_part}]"
-        first = self.leaves.setdefault(enc, order)
+        first, path = self.leaves.setdefault(enc, (order, fixed))
         if first != order:
             g = [0] * len(order)
             for i, j in zip(first, order):
                 g[i] = j
             self.automorphisms.append(tuple(g))
+            if len(path) == len(fixed) and all(g[p] == q for p, q in zip(path, fixed)):
+                self.jump = next(k for k, (p, q) in enumerate(zip(path, fixed)) if p != q)
         return enc
 
     def search(self, colors: list[int], fixed: tuple[int, ...]) -> str:
         """The least leaf encoding below this node; `fixed` holds the items
-        individualized on the way down."""
+        individualized on the way down.  A node deeper than a pending jump
+        returns the least encoding it has met, one of its own leaves, at once;
+        the node the jump targets clears it and goes on with its next child."""
         colors = self.refine(colors)
         cells: dict[int, list[int]] = {}
         for i, c in enumerate(colors):
             cells.setdefault(c, []).append(i)
         tied = [members for _, members in sorted(cells.items()) if len(members) > 1]
         if not tied:
-            return self.leaf(colors)
+            return self.leaf(colors, fixed)
         cell = tied[0]
         orbit = {i: i for i in cell}  # a representative of each member's orbit
         seen = 0
@@ -1129,11 +1159,15 @@ class _CanonicalSearch:
             cand = self.search(branched, fixed + (i,))
             if best is None or cand < best:
                 best = cand
+            if self.jump is not None:
+                if self.jump < len(fixed):
+                    return best
+                self.jump = None
         return best
 
 
 def canonical_incidence(n_left: int, left_labels: Sequence | None,
-                        right_sets: Sequence[frozenset[int]]) -> str:
+                        right_sets: Sequence[Iterable[int]]) -> str:
     """Canonical encoding of a bipartite incidence structure.
 
     Left items may be permuted (respecting their labels); right items carry no
@@ -1147,23 +1181,37 @@ def canonical_incidence(n_left: int, left_labels: Sequence | None,
     that lie in one orbit of the automorphisms found so far that fix the
     node's individualized items have subtrees with the same leaf encodings,
     so only one of them is searched (orbit pruning, after McKay & Piperno,
-    "Practical graph isomorphism, II", 2014).  The result is the least leaf
-    of the full search all the same.  Refinement ranks the right sets' sorted
-    colors before it sorts the items' keys, and stops at the first round that
-    splits no class; the encoding is the same as without either step.
+    "Practical graph isomorphism, II", 2014).  When such an automorphism maps
+    the first leaf of an encoding's path onto the current leaf's path, the
+    search backjumps: every node below the two paths' common ancestor
+    returns at once, its remaining subtree being the image of a sibling
+    subtree already searched.  The result is the least leaf of the full
+    search all the same.  Refinement ranks the right sets' sorted colors
+    before it sorts the items' keys, and stops at the first round that
+    splits no class, or, before building the items' keys, at the first
+    round whose right sets split no further; the encoding is the same as
+    without any of these steps.
 
-    Raises ValueError when left_labels does not hold n_left labels or a right
-    set holds an item that is not an int in range(n_left) (a bool is not).
+    Raises ValueError when n_left is not an int >= 0 (a bool is not), when
+    left_labels does not hold n_left labels, or when a right set holds an
+    item that is not an int in range(n_left); one type scan and the least
+    and greatest item check the items, and the first bad item, in input
+    order, names the error.
     """
+    _require_int(n_left, "n_left", 0)
     labels = list(left_labels) if left_labels is not None else [0] * n_left
     if len(labels) != n_left:
         raise ValueError(f"{len(labels)} left labels for {n_left} left items")
     rights = [frozenset(s) for s in right_sets]
-    for i in (i for s in rights for i in s):
-        if not is_int(i):
-            raise ValueError(f"a right set holds {i!r}, not an integer item")
-        if not 0 <= i < n_left:
-            raise ValueError(f"a right set holds an item outside range({n_left})")
+    items = frozenset().union(*rights)
+    # The type scan reads every member: a union keeps 1 and drops an equal True.
+    if not _all_int(chain.from_iterable(rights)) or items and not (
+            0 <= min(items) and max(items) < n_left):
+        for i in chain.from_iterable(rights):
+            if not is_int(i):
+                raise ValueError(f"a right set holds {i!r}, not an integer item")
+            if not 0 <= i < n_left:
+                raise ValueError(f"a right set holds an item outside range({n_left})")
     names = [repr(lab) for lab in labels]
     init = {name: r for r, name in enumerate(sorted(set(names)))}
     return _CanonicalSearch(names, rights).search([init[name] for name in names], ())
@@ -1176,16 +1224,21 @@ def combinatorial_fingerprint(P: HPolytope) -> str:
     Equal fingerprints iff the face lattices are isomorphic: for polytopes the
     vertex-facet incidences determine the whole face lattice.  The
     dimension, the vertices, the facets and their tight vertices are read
-    off P's one record (_incidence), with no VPolytope built.
-    Cached per polytope, so a fingerprint of a chart that verify_duality
-    already labelled runs no second search.
+    off P's one record (_incidence), with no VPolytope built; each vertex's
+    facets, the right sets labelled, come from one pass over the set bits
+    of the facet masks.  Cached per polytope, so a fingerprint of a chart
+    that verify_duality already labelled runs no second search.
     """
     vert_masks, _, _, faces = _incidence(P)
     if faces is None:
         return "dim=-1;empty"
     n_verts = len(vert_masks)
-    facet_masks = [mask for _, mask in faces[1]]
-    vert_sets = [frozenset(j for j, mask in enumerate(facet_masks) if mask >> k & 1)
-                 for k in range(n_verts)]
-    enc = canonical_incidence(len(facet_masks), None, vert_sets)
-    return f"dim={polytope_dim(P)};facets={len(facet_masks)};vertices={n_verts};{enc}"
+    facets = faces[1]
+    vert_sets: list[list[int]] = [[] for _ in range(n_verts)]
+    for j, (_, mask) in enumerate(facets):
+        while mask:
+            low = mask & -mask
+            vert_sets[low.bit_length() - 1].append(j)
+            mask ^= low
+    enc = canonical_incidence(len(facets), None, vert_sets)
+    return f"dim={polytope_dim(P)};facets={len(facets)};vertices={n_verts};{enc}"

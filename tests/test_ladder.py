@@ -37,7 +37,8 @@ def test_every_private_name_the_ladder_reads_exists():
     ladder = _load_ladder()
     for module, name in ((polytopes, "_narrow"), (polytopes, "_incidence"),
                          (polytopes, "_scan_setup"), (polytopes, "_vertex_graph"),
-                         (toric, "_fan_json_text"), (toric, "_singularity_json_text")):
+                         (toric, "_fan_json_text"), (toric, "_singularity_json_text"),
+                         (polytopes._CanonicalSearch, "refine")):
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
     # The names it imports are the package's own objects.
     assert ladder._incidence is polytopes._incidence
@@ -46,6 +47,25 @@ def test_every_private_name_the_ladder_reads_exists():
     assert ladder._fan_json_text is toric._fan_json_text
     assert ladder._singularity_json_text is toric._singularity_json_text
     assert ladder.polytopes is polytopes
+
+
+def test_rows_count_scan_states_and_search_nodes(monkeypatch):
+    """A row that scans records scan_states, the _narrow calls, and a row
+    that labels records search_nodes, the calls of
+    polytopes._CanonicalSearch.refine, both counted in the tracemalloc run;
+    a row records neither count when its work has none, and both functions
+    are put back."""
+    ladder = _load_ladder()
+    monkeypatch.setattr(ladder, "REPEATS", 1)
+    narrow, refine = polytopes._narrow, polytopes._CanonicalSearch.refine
+    labelled = ladder.time_row(*ladder.ROWS[
+        "combinatorial_fingerprint equal-weight n=10 entry chart and 5-cube"
+        " (facets, vertices, sha256)"])
+    scanned = ladder.time_row(*ladder.ROWS["polygon r=(1,...,9,11), entry chart, t=1..4"])
+    assert polytopes._narrow is narrow and polytopes._CanonicalSearch.refine is refine
+    assert labelled["search_nodes"] > 0 and "scan_states" not in labelled
+    assert [values[:2] for values in labelled["values"]] == [[20, 98], [10, 32]]
+    assert scanned["scan_states"] > 0 and "search_nodes" not in scanned
 
 
 def test_the_spawn_rows_read_and_write_no_bytecode(monkeypatch, tmp_path):

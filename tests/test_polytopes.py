@@ -1,8 +1,12 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import math
+import os
 import random
+import sys
 from collections import Counter
 from unittest import mock
 from fractions import Fraction
@@ -10,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from weightpoly import exact, polytopes
+from weightpoly import cli, exact, polytopes
 from weightpoly.builders import (GTSpec, SideData, dual_side_data, fm_polytope, gt_hrep,
                                  gt_slice, polygon_hrep)
 from weightpoly.counting import verify_duality
@@ -39,6 +43,13 @@ from oracles import (_rank, all_vertex_affine_hull_equalities,
                      pairwise_cone_adjacency, random_box_with_cuts, random_box_with_equalities,
                      reference_dd_extreme_rays, reference_refine, section_rule_h_to_v,
                      tightness_incidence, v_to_h_route_remove_redundant)
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH_DIR)
+try:
+    import workloads
+finally:
+    sys.path.remove(BENCH_DIR)
 
 
 def box(dim, lo, hi):
@@ -725,13 +736,29 @@ def test_pruned_search_matches_the_full_search():
 
 def test_every_recorded_automorphism_keeps_labels_and_right_sets(monkeypatch):
     """A leaf records g from equal encodings alone; g must map each item to
-    one of the same label and the right sets onto the right sets."""
+    one of the same label and the right sets onto the right sets.  A leaf
+    that sets a backjump has g map the first path of its encoding onto its
+    own, so g fixes their common prefix pointwise, the path of the node the
+    search unwinds to, which lies above the leaf's parent or is it."""
     searches = []
+    jumps = []
 
     class Recording(polytopes._CanonicalSearch):
         def __init__(self, names, rights):
             super().__init__(names, rights)
             searches.append(self)
+
+        def leaf(self, colors, fixed):
+            assert self.jump is None
+            enc = super().leaf(colors, fixed)
+            if self.jump is not None:
+                g = self.automorphisms[-1]
+                path = self.leaves[enc][1]
+                assert [g[p] for p in path] == list(fixed)
+                assert all(g[p] == p for p in fixed[:self.jump])
+                assert path[self.jump] != fixed[self.jump] and self.jump < len(fixed)
+                jumps.append(len(fixed) - self.jump)
+            return enc
 
     monkeypatch.setattr(polytopes, "_CanonicalSearch", Recording)
 
@@ -757,6 +784,7 @@ def test_every_recorded_automorphism_keeps_labels_and_right_sets(monkeypatch):
             assert Counter(frozenset(g[j] for j in s) for s in search.rights) == rights
             recorded += 1
     assert recorded >= 300
+    assert len(jumps) >= 100 and max(jumps) >= 3  # some jumps skip two levels or more
 
 
 @pytest.mark.parametrize("lengths", [(2, 3), (2, 4), (2, 5), (3, 4), (2, 2, 3), (2, 6), (3, 5)])
@@ -774,20 +802,47 @@ def test_pruned_search_on_cycles_that_refinement_cannot_separate(lengths):
             brute_force_canonical_incidence(n, None, pairs))
 
 
-def test_refinement_matches_the_reference_at_polytope_scale(monkeypatch):
-    """Every refinement the fingerprints of cubes and equal-weight polygon
-    spaces run gets a dense coloring and returns the reference's coloring."""
+class _Reads(list):
+    """A search's list of getters that counts the loops over it: refine
+    loops over the right sets' getters once per round and over the items'
+    getters once per round that keys the items."""
+
+    def __init__(self, getters):
+        super().__init__(getters)
+        self.loops = 0
+
+    def __iter__(self):
+        self.loops += 1
+        return super().__iter__()
+
+
+def _check_refinement_at_polytope_scale(monkeypatch, wrong_on_exit=False) -> list:
+    """Label the charts of cubes and equal-weight polygon spaces, and a fan,
+    checking that every refinement gets a dense coloring and returns the
+    reference's coloring; returns (items, stopped on the right sets' count)
+    per refinement.  With wrong_on_exit, a mutant: a refinement that stops
+    on the count after some split returns its input coloring instead."""
     calls = []
-    refine = polytopes._CanonicalSearch.refine
 
-    def checked(search, colors):
-        assert set(colors) == set(range(max(colors) + 1))  # dense
-        out = refine(search, list(colors))
-        assert out == reference_refine(search.rights, colors)
-        calls.append(len(colors))
-        return out
+    class Counting(polytopes._CanonicalSearch):
+        def __init__(self, names, rights):
+            super().__init__(names, rights)
+            self.right_colors = _Reads(self.right_colors)
+            self.held_ranks = _Reads(self.held_ranks)
 
-    monkeypatch.setattr(polytopes._CanonicalSearch, "refine", checked)
+        def refine(self, colors):
+            assert set(colors) == set(range(max(colors) + 1))  # dense
+            right, left = self.right_colors.loops, self.held_ranks.loops
+            out = super().refine(list(colors))
+            stopped = self.right_colors.loops - right > self.held_ranks.loops - left
+            if wrong_on_exit and stopped:
+                out = list(colors)
+            assert out == reference_refine(self.rights, colors)
+            calls.append((len(colors), stopped))
+            return out
+
+    monkeypatch.setattr(polytopes, "_CanonicalSearch", Counting)
+    clear_caches()
     charts = [box(d, 0, 1) for d in (3, 4, 5)]
     for m, r in ((1, (1,) * 7), (1, (1,) * 8), (2, (2,) * 6)):
         s = SideData.from_weights(m, r)
@@ -796,7 +851,85 @@ def test_refinement_matches_the_reference_at_polytope_scale(monkeypatch):
     for P in charts:
         combinatorial_fingerprint(P)
     fan_fingerprint(normal_fan(charts[3]))  # labelled left items
-    assert len(calls) > 100 and max(calls) >= 14
+    return calls
+
+
+def test_refinement_matches_the_reference_at_polytope_scale(monkeypatch):
+    """Every refinement the fingerprints of cubes and equal-weight polygon
+    spaces run gets a dense coloring and returns the reference's coloring,
+    and many stop on the right sets' count before keying the items."""
+    calls = _check_refinement_at_polytope_scale(monkeypatch)
+    assert len(calls) > 100 and max(n for n, _ in calls) >= 14
+    assert sum(stopped for _, stopped in calls) >= 50
+
+
+def test_a_wrong_coloring_on_the_early_exit_fails_the_reference_check(monkeypatch):
+    with pytest.raises(AssertionError):
+        _check_refinement_at_polytope_scale(monkeypatch, wrong_on_exit=True)
+
+
+def _search_nodes(monkeypatch, label) -> list[int]:
+    """The refine calls, one per search node, of each canonical_incidence
+    call that label() makes."""
+    nodes = []
+
+    class Recording(polytopes._CanonicalSearch):
+        def refine(self, colors):
+            nodes[-1] += 1
+            return super().refine(colors)
+
+        def search(self, colors, fixed):
+            if not fixed:
+                nodes.append(0)
+            return super().search(colors, fixed)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(polytopes, "_CanonicalSearch", Recording)
+        clear_caches()
+        label()
+    return nodes
+
+
+def test_backjumping_visits_fewer_nodes_on_the_cubes(monkeypatch):
+    """Without backjumps the 4-cube's and the 5-cube's searches visit 31 and
+    51 nodes; the 6-cube's fingerprint stays pinned."""
+    assert _search_nodes(monkeypatch, lambda: combinatorial_fingerprint(box(4, 0, 1))) == [24]
+    assert _search_nodes(monkeypatch, lambda: combinatorial_fingerprint(box(5, 0, 1))) == [35]
+
+
+def test_duality_fingerprint_labels_with_less_work(monkeypatch, tmp_path):
+    """Over seeds 1-2, pass 0 of the duality-fingerprint benchmark workload,
+    the 74 canonical_incidence calls visit 636 nodes and 290 leaves, and key
+    the items in 910 rounds, when refinement runs every round to the end and
+    the search never backjumps."""
+    searches = []
+
+    class Counting(polytopes._CanonicalSearch):
+        def __init__(self, names, rights):
+            super().__init__(names, rights)
+            self.held_ranks = _Reads(self.held_ranks)
+            self.nodes = self.leaf_count = 0
+            searches.append(self)
+
+        def refine(self, colors):
+            self.nodes += 1
+            return super().refine(colors)
+
+        def leaf(self, colors, fixed):
+            self.leaf_count += 1
+            return super().leaf(colors, fixed)
+
+    monkeypatch.setattr(polytopes, "_CanonicalSearch", Counting)
+    workloads.write_cube_files(str(tmp_path))
+    for seed in (1, 2):
+        clear_caches()
+        for argv in workloads.requests("duality-fingerprint", seed, 0, str(tmp_path)):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+    assert len(searches) == 74
+    assert sum(search.nodes for search in searches) < 636
+    assert sum(search.leaf_count for search in searches) < 290
+    assert sum(search.held_ranks.loops for search in searches) <= 678
 
 
 @st.composite
@@ -827,6 +960,17 @@ def test_refine_matches_the_reference_on_dense_colorings(case, data):
     (2, None, [{True}], "holds True, not an integer item"),
     (2, None, [{1.0}], "holds 1.0, not an integer item"),
     (2, None, [{0, True}], "holds True, not an integer item"),
+    (True, None, [{0}], "n_left must be a nonnegative integer"),
+    (2.0, [0, 0], [{0}], "n_left must be a nonnegative integer"),
+    (2.0, None, [{0}], "n_left must be a nonnegative integer"),
+    (-1, None, [{0}], "n_left must be a nonnegative integer"),
+    # The first bad item in input order names the error, after good ones too.
+    (3, None, [{0, 1}, {1, 2}, {0, 7}], r"outside range\(3\)"),
+    (3, None, [{0, 1}, {2}, {1, 2.5}], "holds 2.5, not an integer item"),
+    (2, None, [{1}, {True}], "holds True, not an integer item"),
+    (2, None, [{5}, {True}], r"outside range\(2\)"),
+    (2, None, [{True}, {5}], "holds True, not an integer item"),
+    (2, None, [{0, 1}, {-1, 9}], r"outside range\(2\)"),
 ])
 def test_canonical_incidence_rejects_malformed_input(n_left, labels, rights, message):
     with pytest.raises(ValueError, match=message):

@@ -1,8 +1,9 @@
 """Time the ladder: chart construction, lattice counts and a lattice listing,
 weight multiplicities, vertex and facet enumeration, the vertex graph, the
 fan's singularities, the JSON texts of the fan and of its singularity
-report and the fan fingerprint at fixed sizes, each row from cold caches,
-and the start-up of a fresh interpreter importing the CLI.
+report, the fan fingerprint and the combinatorial fingerprint at fixed
+sizes, each row from cold caches, and the start-up of a fresh interpreter
+importing the CLI.
 
     python3 tools/ladder.py [--out BENCH.json]
 
@@ -20,9 +21,11 @@ polygon_hrep's cache after; the remove_redundant gt_hrep row builds the
 slice and its incidence; each h_to_v row builds its polygon, chart or
 gt_hrep slice alone, so its double description is timed; the vertex-graph row builds the
 polygon's incidence (its double description), the fan rows its vertex
-graph, the fan and singular JSON rows the fan and its singularities, and
-the v_to_h rows the VPolytope of the polygon's vertices (in Q^8, through a fixed injective
-map, for the second).  The start-up row
+graph, the fan and singular JSON rows the fan and its singularities, the
+combinatorial fingerprint row its chart and its cube with their incidence
+(so the timed part is the labelling), and the v_to_h rows the VPolytope
+of the polygon's vertices (in Q^8, through a fixed injective map, for the
+second).  The start-up row
 prepares nothing; each run is a fresh interpreter that imports
 weightpoly.cli, timed from spawn to exit, and its values
 are the standard-library modules that import loads, sorted (its
@@ -44,7 +47,9 @@ checkouts' files can be compared value for value.  A row
 that scans lattice points also records its work count, scan_states: the
 calls of polytopes._narrow, one per state the scan visits, summed over the
 row's dilates in that same tracemalloc run, with the function wrapped here
-to count them.  A run whose
+to count them; a row that labels an incidence records search_nodes, the
+calls of polytopes._CanonicalSearch.refine, one per node of the canonical
+labelling search, counted alike.  A run whose
 timed part takes longer than TIMEOUT_S seconds ends the row, which is
 recorded as a timeout (never dropped).  Standard library only; weightpoly,
 the cache helper tests/caches.py and the calibration kernel
@@ -78,10 +83,10 @@ from weightpoly.builders import GTSpec, SideData, gt_hrep, gt_slice, polygon_hre
 from weightpoly.counting import (MultiplicityQuery, count_dilates, ehrhart_fit,  # noqa: E402
                                  verify_ehrhart_identity, weight_multiplicity)
 from weightpoly import polytopes  # noqa: E402
-from weightpoly.polytopes import (VPolytope, _incidence, _scan_setup,  # noqa: E402
-                                  _vertex_graph, count_lattice_points, h_to_v,
-                                  lattice_points, polytope_dim, remove_redundant,
-                                  v_to_h)
+from weightpoly.polytopes import (HPolytope, VPolytope, _incidence,  # noqa: E402
+                                  _scan_setup, _vertex_graph, combinatorial_fingerprint,
+                                  count_lattice_points, h_to_v, lattice_points,
+                                  polytope_dim, remove_redundant, v_to_h)
 from weightpoly.toric import (_fan_json_text, _singularity_json_text,  # noqa: E402
                               fan_fingerprint, normal_fan)
 
@@ -240,6 +245,36 @@ def _cones_and_fingerprint(P):
     return [len(F.maximal_cones), hashlib.sha256(fan_fingerprint(F).encode()).hexdigest()]
 
 
+def _cube(d):
+    """The unit d-cube, 0 <= x_i <= 1."""
+    rows = []
+    for i in range(d):
+        unit = tuple(int(i == j) for j in range(d))
+        rows += [(unit, 1), (tuple(-c for c in unit), 0)]
+    return HPolytope(d, tuple(rows))
+
+
+def _fingerprinted(*builds):
+    """Prepare the polytopes with their incidence records built."""
+    def prepare():
+        polys = [build() for build in builds]
+        for P in polys:
+            _incidence(P)
+        return polys
+    return prepare
+
+
+def _facets_vertices_fingerprints(polys):
+    """Per polytope its facet and vertex counts and the sha256 of its
+    combinatorial fingerprint."""
+    records = []
+    for P in polys:
+        fp = combinatorial_fingerprint(P)
+        vert_masks, _, _, faces = _incidence(P)
+        records.append([len(faces[1]), len(vert_masks), hashlib.sha256(fp.encode()).hexdigest()])
+    return records
+
+
 STARTUP = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
            "import weightpoly.cli; print(' '.join(sorted(name for name in set(sys.modules) - before"
            " if name.split('.')[0] in sys.stdlib_module_names)))")
@@ -347,6 +382,10 @@ ROWS = {
         (_polygon((1, 2) * 6, _incidence), _vertices_and_edges),
     "fan_fingerprint(normal_fan) polygon r=(1,2)^6 (cones, sha256)":
         (_polygon((1, 2) * 6, _vertex_graph), _cones_and_fingerprint),
+    "combinatorial_fingerprint equal-weight n=10 entry chart and 5-cube"
+    " (facets, vertices, sha256)":
+        (_fingerprinted(_chart(1, (1,) * 10, "entry_chart"), lambda: _cube(5)),
+         _facets_vertices_fingerprints),
     "normal_fan(P).singularities polygon r=(1,2)^6 (cones, singular cones)":
         (_polygon((1, 2) * 6, _vertex_graph), _cones_and_singular),
     "fan JSON polygon r=(1,2)^6 (bytes, sha256)":
@@ -374,7 +413,8 @@ def _alarm(signum, frame):
 
 def time_row(prepare, run) -> dict:
     """The row's record: median and runs in ms, the calibrated median,
-    tracemalloc peak, values, and the scan states when the row scans."""
+    tracemalloc peak, values, the scan states when the row scans and the
+    search nodes when it labels."""
     runs, cal, values = [], [], None
     signal.signal(signal.SIGALRM, _alarm)
     try:
@@ -398,12 +438,18 @@ def time_row(prepare, run) -> dict:
     clear_caches()
     data = prepare()
     narrow, states = polytopes._narrow, [0]
+    refine, nodes = polytopes._CanonicalSearch.refine, [0]
 
     def counted(*args):
         states[0] += 1
         return narrow(*args)
 
+    def counted_refine(search, colors):
+        nodes[0] += 1
+        return refine(search, colors)
+
     polytopes._narrow = counted
+    polytopes._CanonicalSearch.refine = counted_refine
     tracemalloc.start()
     try:
         run(data)
@@ -411,6 +457,7 @@ def time_row(prepare, run) -> dict:
     finally:
         tracemalloc.stop()
         polytopes._narrow = narrow
+        polytopes._CanonicalSearch.refine = refine
     record = {"median_ms": round(statistics.median(runs), 3),
               "calibrated_median_ms": round(statistics.median(calibrate.calibrated(runs, cal)), 3),
               "runs_ms": [round(t, 3) for t in runs],
@@ -418,6 +465,8 @@ def time_row(prepare, run) -> dict:
               "values": values}
     if states[0]:
         record["scan_states"] = states[0]
+    if nodes[0]:
+        record["search_nodes"] = nodes[0]
     return record
 
 
