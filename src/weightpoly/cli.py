@@ -76,7 +76,9 @@ def _json_text(obj, indent: str = "") -> str:
     that json.dumps falls back to when indenting; indent is obj's depth.
 
     Containers, str and int are written here, every other scalar by
-    json.dumps; dict keys must be str, as in every payload of this module.
+    json.dumps; each list item and dict value, leaves included, is one
+    recursive call.  Dict keys must be str, as in every payload of this
+    module.
     A tuple is written as a list, as json.dumps writes it.  The fan and its
     singularity report, whose cones share rays and vertex texts, have their
     own writers (toric._fan_json_text, toric._singularity_json_text).
@@ -91,9 +93,7 @@ def _json_text(obj, indent: str = "") -> str:
                  for k, v in obj.items()]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        # Leaves inline: one call per container, not one per number.
-        items = [encode_basestring_ascii(v) if isinstance(v, str) else
-                 repr(v) if type(v) is int else _json_text(v, inner) for v in obj]
+        items = [_json_text(v, inner) for v in obj]
         brackets = "[]"
     else:
         return json.dumps(obj)

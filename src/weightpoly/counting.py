@@ -52,6 +52,10 @@ class DilateCounts:
         return len(self.counts) - 1
 
     def count(self, t: int) -> int:
+        """The count of t*P; ValueError unless t is an int in 0..t_max."""
+        _require_int(t, "t", 0)
+        if t > self.t_max:
+            raise ValueError(f"t must be at most t_max = {self.t_max}")
         return self.counts[t]
 
 
@@ -82,7 +86,11 @@ class EhrhartFit:
 
     def evaluate(self, t: int) -> Fraction:
         """Horner over t's class's integer numerators on their common
-        denominator: one Fraction."""
+        denominator: one Fraction.  t is any int, negative ones included
+        (Ehrhart reciprocity reads them); a bool or a float raises
+        ValueError."""
+        if not is_int(t):
+            raise ValueError("t must be an integer")
         den, ints = clear_denominators(self.coeffs_by_class[t % self.period])
         acc = 0
         for c in reversed(ints):

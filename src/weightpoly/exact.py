@@ -196,15 +196,12 @@ def primitive_vector(v: Sequence) -> tuple[int, ...]:
 
 
 def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Integer copies of rows, by the rule for lattice data: an all-int row
-    is copied after one type scan; otherwise a Fraction is read by its
-    numerator and denominator and other entries are parsed by frac (a float
-    or a bool raises TypeError).  A non-integral entry raises ValueError."""
+    """Integer copies of rows, by the rule for lattice data: an int or a
+    Fraction is read by its numerator and denominator, and other entries
+    are parsed by frac (a float or a bool raises TypeError).  A non-integral
+    entry raises ValueError."""
     out = []
     for row in rows:
-        if _all_int(row):
-            out.append(list(row))
-            continue
         row = [x if type(x) in (int, Fraction) else frac(x) for x in row]
         if any(x.denominator != 1 for x in row):
             raise ValueError("lattice data must be integral")

@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 
 from .exact import (
     Vec,
-    _all_int,
     _gauss_jordan,
     _interval_box,
     _require_int,
@@ -907,9 +906,10 @@ def count_lattice_points(P: HPolytope, dilate: int = 1) -> int:
 
 @functools.lru_cache(maxsize=512)
 def _vertex_graph(P: HPolytope):
-    """Vertices of P plus the edges between them: (verts, neighbors), where
-    neighbors[i] maps each neighbour j of verts[i] to the primitive integer
-    direction from verts[i] to verts[j].
+    """Vertices of P plus the edges between them: (verts, rays, edges), where
+    rays[i] holds the primitive integer directions of the edges leaving
+    verts[i], sorted, and edges the pairs i < j of adjacent vertices, in
+    sorted order.
 
     Read off the tight-row incidence (_incidence): the smallest face holding
     vertices u and v is cut out by the rows tight at both, and u, v span an
@@ -922,13 +922,15 @@ def _vertex_graph(P: HPolytope):
     With the vertices scaled to integers by their common denominator, the
     direction of an edge is ints_j - ints_i divided by its gcd, in ints.
     Each distinct direction is one tuple for the whole graph, held with its
-    negation, so equal rays at different vertices are one object.
+    negation, so equal rays at different vertices are one object.  The
+    pairs are found in sorted order, so edges needs no sort.
     """
     vert_masks, row_masks, (scale, ints), _ = _incidence(P)
     verts = _vertex_fractions(scale, ints)
     need = P.dim - 1 - len(P.eqs)
     everyone = (1 << len(verts)) - 1
-    neighbors: list[dict[int, tuple[int, ...]]] = [{} for _ in verts]
+    at: list[list[tuple[int, ...]]] = [[] for _ in verts]
+    edges = []
     opposite: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for i, mask in enumerate(vert_masks):
         for j in range(i + 1, len(verts)):
@@ -945,19 +947,21 @@ def _vertex_graph(P: HPolytope):
                     back = tuple(-c for c in direction)
                     pair = opposite[direction] = (direction, back)
                     opposite[back] = (back, direction)
-                neighbors[i][j], neighbors[j][i] = pair
-    return verts, neighbors
+                at[i].append(pair[0])
+                at[j].append(pair[1])
+                edges.append((i, j))
+    return verts, tuple([tuple(sorted(r)) for r in at]), tuple(edges)
 
 
 def edges_at_vertex(P: HPolytope, vertex: Sequence) -> tuple[tuple[int, ...], ...]:
     """Primitive edge directions leaving the given vertex, sorted."""
     v = vec(vertex)
-    verts, neighbors = _vertex_graph(P)
+    verts, rays, _ = _vertex_graph(P)
     try:
         idx = verts.index(v)
     except ValueError:
         raise ValueError(f"{tuple(map(str, v))} is not a vertex of this polytope") from None
-    return tuple(sorted(neighbors[idx].values()))
+    return rays[idx]
 
 
 def affine_image(P: HPolytope | VPolytope, f: AffineMap) -> HPolytope | VPolytope:
@@ -1194,24 +1198,19 @@ def canonical_incidence(n_left: int, left_labels: Sequence | None,
 
     Raises ValueError when n_left is not an int >= 0 (a bool is not), when
     left_labels does not hold n_left labels, or when a right set holds an
-    item that is not an int in range(n_left); one type scan and the least
-    and greatest item check the items, and the first bad item, in input
-    order, names the error.
+    item that is not an int in range(n_left); the items are checked one by
+    one, in input order, so the first bad item names the error.
     """
     _require_int(n_left, "n_left", 0)
     labels = list(left_labels) if left_labels is not None else [0] * n_left
     if len(labels) != n_left:
         raise ValueError(f"{len(labels)} left labels for {n_left} left items")
     rights = [frozenset(s) for s in right_sets]
-    items = frozenset().union(*rights)
-    # The type scan reads every member: a union keeps 1 and drops an equal True.
-    if not _all_int(chain.from_iterable(rights)) or items and not (
-            0 <= min(items) and max(items) < n_left):
-        for i in chain.from_iterable(rights):
-            if not is_int(i):
-                raise ValueError(f"a right set holds {i!r}, not an integer item")
-            if not 0 <= i < n_left:
-                raise ValueError(f"a right set holds an item outside range({n_left})")
+    for i in chain.from_iterable(rights):
+        if not is_int(i):
+            raise ValueError(f"a right set holds {i!r}, not an integer item")
+        if not 0 <= i < n_left:
+            raise ValueError(f"a right set holds an item outside range({n_left})")
     names = [repr(lab) for lab in labels]
     init = {name: r for r, name in enumerate(sorted(set(names)))}
     return _CanonicalSearch(names, rights).search([init[name] for name in names], ())

@@ -14,7 +14,8 @@ exact module: ints pass as they are, integral rationals convert to ints, and
 a float, a bool or a non-integral rational raises ValueError.  normal_fan
 does not rebuild its cones that way: it assembles each cone, and the fan,
 from the vertex graph, whose rays are already primitive integer edge
-directions, one tuple per distinct direction.  The two JSON displays of a
+directions, one tuple per distinct direction, sorted per vertex, and whose
+edges are the sorted vertex pairs i < j.  The two JSON displays of a
 fan, _fan_json_text (the fan) and _singularity_json_text (its singularity
 report), are written straight from these records: each shared ray's text
 once per call, and each cone's vertex text once per fan (Fan._vertex_json),
@@ -196,15 +197,16 @@ def normal_fan(P: HPolytope) -> Fan:
     """The fan of vertex tangent cones (primitive inward edge directions).
 
     Requires a bounded, full-dimensional polytope; cones are ordered by vertex
-    and there is exactly one per vertex.  Rays and edges are those _vertex_graph
-    already holds, the rays as primitive integer edge directions.  Cached per
-    polytope, so each fan, and with it its singularity report, is built once.
+    and there is exactly one per vertex.  Each cone's rays and the fan's
+    edges are the tuples _vertex_graph returns, taken as they are: the rays
+    sorted primitive integer edge directions, the edges the sorted pairs
+    i < j.  Cached per polytope, so each fan, and with it its singularity
+    report, is built once.
 
     The cones and the fan are assembled, not rebuilt through their checking
     constructors: each ray set is primitive int tuples, sorted, and pairwise
     non-parallel, since two edges at a vertex of a polytope are never
-    collinear; the vertices are _vertex_graph's Fraction tuples and the
-    edges the sorted pairs i < j.
+    collinear; the vertices are _vertex_graph's Fraction tuples.
     """
     dim = polytope_dim(P)
     if dim == -1:
@@ -212,14 +214,12 @@ def normal_fan(P: HPolytope) -> Fan:
     if dim != P.dim:
         raise ValueError("normal fan needs a full-dimensional polytope: "
                          f"dimension {dim} in ambient dimension {P.dim}")
-    verts, neighbors = _vertex_graph(P)
+    verts, rays, edges = _vertex_graph(P)
     cones = []
-    for v, edges in zip(verts, neighbors):
-        rays = tuple(sorted(edges.values()))
-        if len(rays) < P.dim:
+    for v, cone_rays in zip(verts, rays):
+        if len(cone_rays) < P.dim:
             raise AssertionError("vertex with fewer edges than the dimension")
-        cones.append((v, _assembled(Cone, rays=rays)))
-    edges = tuple((i, j) for i, nb in enumerate(neighbors) for j in sorted(nb) if i < j)
+        cones.append((v, _assembled(Cone, rays=cone_rays)))
     return _assembled(Fan, ambient_dim=P.dim, maximal_cones=tuple(cones), edges=edges)
 
 

@@ -97,6 +97,31 @@ def test_ehrhart_fit_quasi_half_segment():
     assert [fit.evaluate(t) for t in range(9)] == [1, 1, 2, 2, 3, 3, 4, 4, 5]
 
 
+ENTRY_33334 = gt_slice(SideData.from_weights(1, (3, 3, 3, 3, 4))).entry_chart
+
+
+def test_dilate_count_reads_only_the_counted_dilates():
+    c = count_dilates(ENTRY_33334, 3)
+    assert [c.count(t) for t in range(4)] == list(c.counts) and c.counts[-1] == 67
+    # -1 read counts[-1], the t_max count, and True read the t = 1 count.
+    for t, message in [(-1, "t must be a nonnegative integer"),
+                       (4, "t must be at most t_max = 3"),
+                       (True, "t must be a nonnegative integer"),
+                       (2.0, "t must be a nonnegative integer")]:
+        with pytest.raises(ValueError, match=message):
+            c.count(t)
+
+
+def test_ehrhart_evaluate_takes_every_int_and_nothing_else():
+    fit = ehrhart_fit(count_dilates(box2(), 3))
+    # Reciprocity: (1 - t)^2 at t counts the interior points of (-t) * square.
+    assert [fit.evaluate(t) for t in (-1, -2, -3)] == [0, 1, 4]
+    # True evaluated at 1, and 2.0 raised a TypeError from the tuple index.
+    for t in (True, False, 2.0, Fraction(2)):
+        with pytest.raises(ValueError, match="t must be an integer"):
+            fit.evaluate(t)
+
+
 def test_ehrhart_leading_coefficient_is_area():
     s = SideData.from_weights(1, (3, 3, 3, 3, 3))
     P = polygon_hrep(s)

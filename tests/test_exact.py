@@ -6,13 +6,15 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weightpoly import exact
 from weightpoly.exact import (_interval_box, dot, frac, frac_str,
                               hnf_rows, integer_kernel_basis,
                               integer_solutions,
                               lattice_index, mat_inverse, nullspace,
                               primitive_vector, rank, solve_integer,
                               solve_linear, transpose, vec)
-from oracles import _rank
+from weightpoly.polytopes import HPolytope, count_lattice_points, lattice_points
+from oracles import _rank, brute_force_lattice_points
 
 
 def test_frac_parses_strings_and_numbers():
@@ -98,6 +100,27 @@ def test_interval_box_reports_empty_and_unbounded_input():
     # A diamond bounds both coordinates, but every row has two unknown bounds.
     diamond = [((a, b), 1) for a in (1, -1) for b in (1, -1)]
     assert _interval_box(_box_rows(diamond), 2) == "unbounded"
+
+
+# 2x - y <= 1, 2y - x <= 1, 0 <= x <= 10, y >= 0: each sweep halves the
+# upper bounds' distance to 1, so propagation never settles.
+CREEP = [((2, -1), 1), ((-1, 2), 1), ((1, 0), 10), ((-1, 0), 0), ((0, -1), 0)]
+
+
+def test_interval_box_stops_at_the_sweep_cap_where_propagation_never_settles(monkeypatch):
+    highs = []
+    for sweeps in (2, 3, 10, exact._SWEEPS, exact._SWEEPS + 1):
+        monkeypatch.setattr(exact, "_SWEEPS", sweeps)
+        box, scale = _interval_box(_box_rows(CREEP), 2)
+        assert all(lo <= 0 and hi >= scale for lo, hi in box)  # holds [0, 1]^2
+        highs.append(tuple(Fraction(hi, scale) for _, hi in box))
+    assert highs == sorted(highs, reverse=True) and len(set(highs)) == len(highs)
+    assert all(1 < h < 1 + Fraction(1, 10**27) for h in highs[-2])
+    monkeypatch.undo()
+    P = HPolytope(2, tuple((vec(a), b) for a, b in CREEP))
+    assert count_lattice_points(P, 1) == 2
+    for t in (1, 2, 3):
+        assert lattice_points(P, t) == list(brute_force_lattice_points(P, t))
 
 
 def test_solve_linear_unique():

@@ -1401,10 +1401,15 @@ def _dimension_case(P):
 @settings(max_examples=120, deadline=None)
 @given(small_bounded_polytopes())
 def test_vertex_graph_matches_rank_oracle(P):
-    verts, neighbors = _vertex_graph(P)
-    edges = tuple((verts[i], verts[j]) for i in range(len(verts))
-                  for j in neighbors[i] if i < j)
-    assert sorted(edges) == sorted(brute_force_edges(P))
+    verts, rays, edges = _vertex_graph(P)
+    assert sorted((verts[i], verts[j]) for i, j in edges) == sorted(brute_force_edges(P))
+    assert list(edges) == sorted(edges) and all(i < j for i, j in edges)
+    leaving = [[] for _ in verts]
+    for i, j in edges:
+        leaving[i].append(primitive_vector(tuple(b - a for a, b in zip(verts[i], verts[j]))))
+        leaving[j].append(primitive_vector(tuple(a - b for a, b in zip(verts[i], verts[j]))))
+    for i, v in enumerate(verts):
+        assert rays[i] == tuple(sorted(leaving[i])) == edges_at_vertex(P, v)
 
 
 @pytest.mark.parametrize("weights, chart", [
@@ -1416,22 +1421,22 @@ def test_vertex_graph_matches_rank_oracle(P):
 def test_vertex_graph_matches_the_brute_force_edges_at_degenerate_vertices(weights, chart):
     s = SideData.from_weights(1, weights)
     P = polygon_hrep(s) if chart == "diag" else gt_slice(s).entry_chart
-    verts, neighbors = _vertex_graph(P)
-    assert any(len(edges) > P.dim for edges in neighbors)  # some vertex is not simple
-    edges = tuple((verts[i], verts[j]) for i in range(len(verts))
-                  for j in neighbors[i] if i < j)
-    assert sorted(edges) == sorted(brute_force_edges(P))
+    verts, rays, edges = _vertex_graph(P)
+    assert any(len(r) > P.dim for r in rays)  # some vertex is not simple
+    assert sorted((verts[i], verts[j]) for i, j in edges) == sorted(brute_force_edges(P))
+    assert list(edges) == sorted(edges)
+    assert all(rays[i] == edges_at_vertex(P, v) for i, v in enumerate(verts))
 
 
 @pytest.mark.parametrize("weights", [(1,) * 7, (1, 2, 2, 3, 3, 4, 4)])
 def test_vertex_graph_holds_one_tuple_per_direction(weights):
-    _, neighbors = _vertex_graph(polygon_hrep(SideData.from_weights(1, weights)))
+    _, rays, _ = _vertex_graph(polygon_hrep(SideData.from_weights(1, weights)))
     first = {}
-    for edges in neighbors:
-        for direction in edges.values():
+    for directions in rays:
+        for direction in directions:
             assert first.setdefault(direction, direction) is direction
             assert type(direction) is tuple and {*map(type, direction)} == {int}
-    assert sum(map(len, neighbors)) > len(first)  # some direction is shared
+    assert sum(map(len, rays)) > len(first)  # some direction is shared
 
 
 @settings(max_examples=80, deadline=None)
@@ -1470,10 +1475,10 @@ def test_normal_fan_needs_no_redundancy_removal(P):
 @given(full_dimensional_polytopes())
 def test_fan_edges_are_the_vertex_graph_and_the_pairwise_adjacency(P):
     F = normal_fan(P)
-    _, neighbors = _vertex_graph(P)
+    _, rays, edges = _vertex_graph(P)
     assert [frozenset(e) for e in F.edges] == pairwise_cone_adjacency(F)
-    assert F.edges == tuple(sorted((i, j) for i, nb in enumerate(neighbors) for j in nb
-                                   if i < j))
+    assert F.edges == edges and list(edges) == sorted(edges)
+    assert [cone.rays for _, cone in F.maximal_cones] == list(rays)
 
 
 def test_facet_rule_matches_the_v_to_h_route_and_the_rank_oracle():

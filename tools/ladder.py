@@ -187,8 +187,8 @@ def _polygon(r, built_first):
 
 
 def _vertices_and_edges(P):
-    verts, neighbors = _vertex_graph(P)
-    return [len(verts), sum(map(len, neighbors)) // 2]
+    verts, _, edges = _vertex_graph(P)
+    return [len(verts), len(edges)]
 
 
 def _vertex_count(P):
